@@ -49,8 +49,14 @@ func TestClusterSwitchLearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Halt()
-	if _, err := ChurnTCP(c, ChurnOptions{Conns: 12, Workers: 1, ReqBytes: 32, Port: 9002}); err != nil {
-		t.Fatal(err)
+	// The generators draw connections from one ticket counter, so which
+	// of them transmits in a 12-connection round is the scheduler's
+	// choice, and a station that never transmits cannot be learned: churn
+	// until every node has been heard from.
+	for round := 0; round < 32 && (round == 0 || c.Switch.Stats().Stations < 4); round++ {
+		if _, err := ChurnTCP(c, ChurnOptions{Conns: 12, Workers: 1, ReqBytes: 32, Port: 9002 + uint16(round)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := c.Switch.Stats()
 	if st.Stations < 4 {

@@ -58,8 +58,11 @@ func TestE16AllocFrontsEngageAndDrain(t *testing.T) {
 			{"freebsd_net", "mbuf.allocs", "mbuf.frees"},
 			{"freebsd_net", "mbuf.cluster_allocs", "mbuf.cluster_frees"},
 		} {
-			allocs, _ := n.Stat(pair[0], pair[1])
+			// The pair is still live (timers, late ACKs) and each Stat is
+			// its own snapshot: frees first, so a pair completed between
+			// the two reads cannot put frees ahead.
 			frees, _ := n.Stat(pair[0], pair[2])
+			allocs, _ := n.Stat(pair[0], pair[1])
 			if frees > allocs {
 				t.Errorf("%s: %s = %d > %s = %d after drain",
 					n.Machine.Name, pair[2], frees, pair[1], allocs)

@@ -199,8 +199,11 @@ func Imbalances(n *evalrig.Node) []string {
 	var bad []string
 	checked := 0
 	for _, p := range AllocPairs() {
-		allocs, ok1 := n.Stat(p.Set, p.Alloc)
+		// Frees first: the node is live and each Stat is its own
+		// snapshot, so pairs completed between the two reads must land
+		// on the allocs side of the comparison.
 		frees, ok2 := n.Stat(p.Set, p.Free)
+		allocs, ok1 := n.Stat(p.Set, p.Alloc)
 		if !ok1 || !ok2 {
 			continue
 		}

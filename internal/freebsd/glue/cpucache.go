@@ -70,14 +70,14 @@ func (m *Malloc) EnableCPUCache(sizes ...uint32) {
 		return
 	}
 	f := &cpuFront{}
-	hint := machine.Intr.CPUHint
+	curCPU := machine.Intr.CurCPU
 	for _, size := range sizes {
 		if size == 0 || size > PageSize || size&(size-1) != 0 {
 			m.g.env.Panic("bsdglue: EnableCPUCache(%d): not a whole bucket size", size)
 			return
 		}
 		f.sizes = append(f.sizes, size)
-		f.caches = append(f.caches, percpu.New[cachedBlock](ncpu, frontRounds, hint))
+		f.caches = append(f.caches, percpu.New[cachedBlock](ncpu, frontRounds, curCPU))
 	}
 	if m.statsSet != nil {
 		m.scCPUHits = m.statsSet.Counter("malloc.cpu_hits")

@@ -81,8 +81,12 @@ type Glue struct {
 	// own fine-grained locks — and curproc is tracked per thread.
 	smp bool
 
+	// curprocs is keyed by hw.GoID, which is unique only among live
+	// goroutines: every entry is deleted when its thread leaves the
+	// component (Enter's restore, setCurproc(nil)), before the goroutine
+	// can exit and its identity be handed to another.
 	curMu    sync.Mutex
-	curprocs map[uint64]*Proc //oskit:guardedby curMu  goroutine id -> current process (SMP)
+	curprocs map[uint64]*Proc //oskit:guardedby curMu  thread identity -> current process (SMP)
 
 	nextPid int
 	slpMu   sleepLock

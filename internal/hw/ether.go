@@ -80,7 +80,7 @@ type EtherWire struct {
 	// so a hook that reads wire or stats state cannot deadlock against
 	// concurrent Stats/SetLoss callers — the NIC.deliver hazard class.
 	hookMu sync.Mutex
-	held   *heldFrame //oskit:guardedby hookMu  frame held back by a Reorder verdict
+	held   *heldFrame //oskit:guardedby mu  frame held back by a Reorder verdict
 
 	txFrames uint64 //oskit:guardedby mu
 	drops    uint64 //oskit:guardedby mu
@@ -105,12 +105,8 @@ func (w *EtherWire) SetLoss(p float64, seed int64) {
 func (w *EtherWire) SetFaultHook(h WireFaultHook) {
 	w.mu.Lock()
 	w.hook = h
-	w.mu.Unlock()
-	// The held-back frame belongs to hookMu, not mu: clearing it under
-	// mu alone would race a concurrent deliver holding hookMu.
-	w.hookMu.Lock()
 	w.held = nil
-	w.hookMu.Unlock()
+	w.mu.Unlock()
 }
 
 // Attach joins a NIC to the segment.

@@ -118,6 +118,101 @@ func TestIntrHandlerSeesInIntr(t *testing.T) {
 	}
 }
 
+// TestInIntrIsPerCallerOnOneCPU: while a handler is parked mid-flight on
+// a 1-CPU machine, a process-level thread is not "the handler" — InIntr
+// is false for it and its Disable waits for the handler to return.  (One
+// per-machine flag answered true here; donor save_flags/cli then skipped
+// the Disable and sleep_on's DropAll released the handler's exclusion.)
+func TestInIntrIsPerCallerOnOneCPU(t *testing.T) {
+	ic := NewIntrController()
+	defer ic.stop()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	defer unpark() // before stop, which waits for the handler to return
+	ic.SetHandler(4, func(int) {
+		close(entered)
+		<-release
+	})
+	ic.SetMask(4, false)
+	ic.Raise(4)
+	<-entered // the handler holds CPU 0's exclusion and is blocked
+
+	if ic.InIntr() {
+		t.Fatal("process level reported InIntr while a handler was parked mid-flight")
+	}
+	excluded := make(chan struct{})
+	go func() {
+		ic.Disable()
+		close(excluded)
+		ic.Enable()
+	}()
+	select {
+	case <-excluded:
+		t.Fatal("Disable entered a section while a handler was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	unpark()
+	select {
+	case <-excluded:
+	case <-time.After(time.Second):
+		t.Fatal("Disable never entered after the handler returned")
+	}
+}
+
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestIntrOwnerChecksAreExact: only the thread that holds the Disable
+// section may Enable or DropAll it; a foreign thread panics at its own
+// call and leaves the owner's nesting intact through repeated
+// DropAll/RestoreAll round trips.
+func TestIntrOwnerChecksAreExact(t *testing.T) {
+	ic := NewIntrController()
+	defer ic.stop()
+	foreign := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			mustPanic(t, what+" from a thread that holds no section", f)
+		}()
+		<-done
+	}
+
+	ic.Disable()
+	ic.Disable()
+	foreign("Enable", ic.Enable)
+	foreign("DropAll", func() { ic.DropAll() })
+	if n := ic.DropAll(); n != 2 {
+		t.Fatalf("depth after foreign misuse = %d, want 2", n)
+	}
+	foreign("Enable", ic.Enable) // nobody holds it now
+	ic.RestoreAll(2)
+	ic.Disable()
+	if n := ic.DropAll(); n != 3 {
+		t.Fatalf("depth after RestoreAll(2)+Disable = %d, want 3", n)
+	}
+	ic.RestoreAll(3)
+	foreign("DropAll", func() { ic.DropAll() })
+	for i := 0; i < 3; i++ {
+		ic.Enable()
+	}
+	mustPanic(t, "a fourth Enable", ic.Enable)
+	if n := ic.DropAllHeld(); n != 0 {
+		t.Fatalf("DropAllHeld after the full unwind = %d, want 0", n)
+	}
+}
+
 func TestIntrCoalescing(t *testing.T) {
 	// Edge-triggered coalescing: multiple raises of an already-pending
 	// line may merge, but at least one dispatch must follow the last

@@ -1,13 +1,10 @@
 package hw
 
 import (
-	"runtime"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
-
-// runtimeStack is indirected for testability.
-var runtimeStack = func(buf []byte) int { return runtime.Stack(buf, false) }
 
 // NumIRQs is the number of interrupt vectors.  Lines 0–15 model the PC
 // PIC pair the donor drivers were written against; lines 16–31 are
@@ -31,13 +28,16 @@ type cpuCtx struct {
 	// by a process-level Disable section (CPU 0 only — the boot CPU owns
 	// the legacy process-level cli) or for the duration of one handler.
 	// Sections nest per thread of control (BSD spl semantics), so the
-	// context tracks the owning goroutine.
+	// context tracks the owning goroutine.  cliOwner is zeroed on every
+	// release, so it never outlives the goroutine it names (see GoID).
 	cliMu    sync.Mutex
 	cliOwner atomic.Uint64
 	cliNest  int
 
-	// inIntr is true while a handler runs on this CPU.
-	inIntr atomic.Bool
+	// dispatcher is the identity of this CPU's dispatcher goroutine, the
+	// only goroutine that ever runs this CPU's handlers: published before
+	// the constructor returns, zeroed when the dispatcher exits.
+	dispatcher atomic.Uint64
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -69,17 +69,15 @@ type IntrController struct {
 	// Shared line state.  masked is atomic so dispatchers can evaluate
 	// their wait predicate without the line lock; RMW updates go through
 	// lmu.
+	// handlers is written under lmu (AllocLine reads it with allocated)
+	// and, like affinity, read lock-free by Raise and the dispatchers.
 	lmu       sync.Mutex
 	masked    atomic.Uint64
-	handlers  [NumIRQs]IntrHandler
-	affinity  [NumIRQs]int32 // line -> CPU index; written via lmu
-	allocated uint64         // AllocLine bitmap (lines 16..31)
+	handlers  [NumIRQs]atomic.Pointer[IntrHandler]
+	affinity  [NumIRQs]atomic.Int32 // line -> CPU index
+	allocated uint64                // AllocLine bitmap (lines 16..31)
 
 	counts [NumIRQs]atomic.Uint64
-
-	// dispIDs maps dispatcher goroutine ids to their cpuCtx, giving
-	// goroutine-accurate InIntr on multi-CPU machines.
-	dispIDs sync.Map // uint64 -> *cpuCtx
 
 	stopOnce sync.Once
 }
@@ -104,7 +102,7 @@ func NewIntrControllerCPUs(ncpu int) *IntrController {
 		ic.cpus = append(ic.cpus, c)
 		go ic.dispatch(c, started)
 	}
-	// Wait for every dispatcher to publish its goroutine id, so InIntr is
+	// Wait for every dispatcher to publish its identity, so InIntr is
 	// accurate from the first delivered interrupt on.
 	for i := 0; i < ncpu; i++ {
 		<-started
@@ -126,16 +124,12 @@ func (ic *IntrController) SetAffinity(line, cpu int) {
 	if cpu < 0 || cpu >= len(ic.cpus) {
 		cpu = 0
 	}
-	ic.lmu.Lock()
-	ic.affinity[line] = int32(cpu)
-	ic.lmu.Unlock()
+	ic.affinity[line].Store(int32(cpu))
 }
 
 // Affinity reports the CPU a line is routed to.
 func (ic *IntrController) Affinity(line int) int {
-	ic.lmu.Lock()
-	defer ic.lmu.Unlock()
-	return int(ic.affinity[line])
+	return int(ic.affinity[line].Load())
 }
 
 // AllocLine hands out an unused message-signaled-style vector (line ≥ 16)
@@ -144,7 +138,7 @@ func (ic *IntrController) AllocLine() int {
 	ic.lmu.Lock()
 	defer ic.lmu.Unlock()
 	for line := 16; line < NumIRQs; line++ {
-		if ic.allocated&(1<<line) == 0 && ic.handlers[line] == nil {
+		if ic.allocated&(1<<line) == 0 && ic.handlers[line].Load() == nil {
 			ic.allocated |= 1 << line
 			return line
 		}
@@ -162,10 +156,7 @@ func (ic *IntrController) Raise(line int) {
 	if line < 0 || line >= NumIRQs {
 		return
 	}
-	ic.lmu.Lock()
-	cpu := int(ic.affinity[line])
-	ic.lmu.Unlock()
-	c := ic.cpus[cpu]
+	c := ic.cpus[ic.affinity[line].Load()]
 	c.mu.Lock()
 	c.pending |= 1 << line
 	c.mu.Unlock()
@@ -178,7 +169,11 @@ func (ic *IntrController) SetHandler(line int, h IntrHandler) {
 		return
 	}
 	ic.lmu.Lock()
-	ic.handlers[line] = h
+	if h == nil {
+		ic.handlers[line].Store(nil)
+	} else {
+		ic.handlers[line].Store(&h)
+	}
 	ic.lmu.Unlock()
 }
 
@@ -229,8 +224,8 @@ func (ic *IntrController) Disable() {
 // handler.
 func (ic *IntrController) DropAll() int {
 	c := ic.cpus[0]
-	if c.cliOwner.Load() == 0 {
-		panic("hw: DropAll without Disable")
+	if c.cliOwner.Load() != goid() {
+		panic("hw: DropAll by a thread that holds no Disable section")
 	}
 	n := c.cliNest
 	c.cliNest = 0
@@ -269,13 +264,13 @@ func (ic *IntrController) RestoreAll(n int) {
 	c.cliNest = n
 }
 
-// Enable leaves the innermost Disable section (sti).  The owner check
-// is depth-only (goid would cost microseconds per call on the hottest
-// path in the kit); unbalanced Enable still panics via the zero owner.
+// Enable leaves the innermost Disable section (sti).  Only the thread
+// that disabled may enable: an unbalanced or foreign-thread Enable panics
+// at the violating call instead of corrupting the owner's nesting depth.
 func (ic *IntrController) Enable() {
 	c := ic.cpus[0]
-	if c.cliOwner.Load() == 0 {
-		panic("hw: Enable without Disable")
+	if c.cliOwner.Load() != goid() {
+		panic("hw: Enable by a thread that holds no Disable section")
 	}
 	c.cliNest--
 	if c.cliNest == 0 {
@@ -284,20 +279,24 @@ func (ic *IntrController) Enable() {
 	}
 }
 
-// InIntr reports whether the caller is running at interrupt level.  On a
-// 1-CPU machine this is the original cheap flag read (true exactly while
-// a handler is being dispatched — there is only one place it could run).
-// On a multi-CPU machine the question is per-caller: the answer is true
-// only on a dispatcher goroutine, so concurrently-running process-level
-// code is not misclassified while another CPU handles an interrupt.
+// InIntr reports whether the caller is running at interrupt level.  The
+// question is per-caller on every machine size: a dispatcher goroutine
+// runs nothing but its CPU's handlers, so the answer is true exactly on
+// one — and process-level code scheduled while a handler is parked
+// mid-flight (or running on another CPU) is not misclassified as it.
 func (ic *IntrController) InIntr() bool {
-	if len(ic.cpus) == 1 {
-		return ic.cpus[0].inIntr.Load()
+	return ic.dispatcherCPU(goid()) != nil
+}
+
+// dispatcherCPU returns the CPU whose dispatcher goroutine has identity
+// id, or nil when id names a process-level thread.
+func (ic *IntrController) dispatcherCPU(id uint64) *cpuCtx {
+	for _, c := range ic.cpus {
+		if c.dispatcher.Load() == id {
+			return c
+		}
 	}
-	if v, ok := ic.dispIDs.Load(goid()); ok {
-		return v.(*cpuCtx).inIntr.Load()
-	}
-	return false
+	return nil
 }
 
 // Count returns how many times a line's handler has been dispatched.
@@ -328,8 +327,9 @@ func (ic *IntrController) stop() {
 // sections.
 func (ic *IntrController) dispatch(c *cpuCtx, started chan<- struct{}) {
 	defer close(c.done)
-	dispatcherID := goid() // hoisted: one goroutine serves this CPU's handlers
-	ic.dispIDs.Store(dispatcherID, c)
+	id := goid()
+	c.dispatcher.Store(id)
+	defer c.dispatcher.Store(0)
 	started <- struct{}{}
 	for {
 		c.mu.Lock()
@@ -341,58 +341,34 @@ func (ic *IntrController) dispatch(c *cpuCtx, started chan<- struct{}) {
 			return
 		}
 		ready := c.pending &^ ic.masked.Load()
-		line := lowestBit(ready)
+		line := bits.TrailingZeros64(ready)
 		c.pending &^= 1 << line
 		c.mu.Unlock()
-		ic.lmu.Lock()
-		h := ic.handlers[line]
-		ic.lmu.Unlock()
+		h := ic.handlers[line].Load()
 		ic.counts[line].Add(1)
 
 		c.cliMu.Lock()
-		c.cliOwner.Store(dispatcherID) // handlers may themselves nest Disable
+		c.cliOwner.Store(id) // handlers may themselves nest Disable
 		c.cliNest = 1
-		c.inIntr.Store(true)
 		if h != nil {
-			h(line)
+			(*h)(line)
 		}
-		c.inIntr.Store(false)
 		c.cliNest = 0
 		c.cliOwner.Store(0)
 		c.cliMu.Unlock()
 	}
 }
 
-// GoID returns the current goroutine's id — the simulator's
-// thread-of-control identity.  SMP-aware glue layers key per-"CPU"
-// state (current process pointers) by it, the way a real kernel reads
-// a CPU-local pointer register.
+// GoID returns the calling goroutine's identity — the simulator's
+// thread of control, read the way a real kernel reads a CPU-local pointer
+// register (a few nanoseconds where a getg stub exists).  SMP-aware glue
+// layers key per-thread state (current process pointers) by it.
+//
+// Contract: the value is opaque, non-zero, stable for the goroutine's
+// whole life (across stack growth and rescheduling), and distinct among
+// goroutines that are alive at the same time.  It is NOT unique over
+// time — the runtime may hand a dead goroutine's identity to a new one —
+// so whoever stores an id must erase it before the goroutine it names
+// can exit: cliOwner is zeroed on release, a cpuCtx's dispatcher when its
+// goroutine exits, and freebsd/glue's curprocs entry on leave.
 func GoID() uint64 { return goid() }
-
-// goid extracts the current goroutine's id from the runtime stack header
-// ("goroutine N [running]: …").  It is the simulator's stand-in for
-// per-CPU identity; the first line of runtime.Stack output is stable
-// across Go releases.
-func goid() uint64 {
-	var buf [32]byte
-	n := runtimeStack(buf[:])
-	// Skip "goroutine ".
-	var id uint64
-	for i := 10; i < n; i++ {
-		c := buf[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-func lowestBit(v uint64) int {
-	for i := 0; i < 64; i++ {
-		if v&(1<<i) != 0 {
-			return i
-		}
-	}
-	return -1
-}

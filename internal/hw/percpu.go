@@ -1,65 +1,36 @@
 package hw
 
-import "sync/atomic"
-
 // Per-CPU identity for allocator front caches (E16).
 //
-// Two flavours, because exactness and speed pull apart in this simulator:
-//
-//   - CurCPU is exact for interrupt dispatcher goroutines — it rides the
-//     same GoID-keyed dispIDs affinity map that InIntr uses — and falls
-//     back to a stable GoID hash for process-level goroutines.  It costs
-//     a runtime.Stack parse (microseconds), so it is for registration,
-//     drain verification, and tests, never for per-operation paths.
-//
-//   - CPUHint is the per-operation shard key the magazine caches use.  A
-//     goroutine id is too expensive to fetch per allocation (measured
-//     ~2.4 µs on the reference host, ~170× an uncontended mutex), and Go
-//     offers no cheaper goroutine-local storage, so the hint is a batched
-//     round-robin: one atomic add, with HintBatch consecutive operations
-//     landing on the same CPU slot before advancing.  That spreads load
-//     across every slot while keeping short alloc/free bursts CPU-local.
-//     The hint only steers locality — every magazine slot is locked, so a
-//     "wrong" CPU costs a trip to a different slot, never correctness.
-
-// HintBatch is the number of consecutive CPUHint calls that share a slot
-// before the hint advances to the next CPU.
-const HintBatch = 64
-
-// hintShift is log2(HintBatch).
-const hintShift = 6
-
-var hintClock atomic.Uint64
+// CurCPU is the one shard key: exact for interrupt dispatcher goroutines
+// (a handler runs on its line's affinity CPU) and a stable hash of GoID
+// for process-level goroutines, which the simulator pins to no CPU.  It
+// writes no shared state — one register read, a scan of the machine's
+// dispatcher identities, a mix — so it is cheap enough for every
+// allocation and does not slow down as CPUs are added (priced, next to
+// the mutex pair it steers around, by BenchmarkCPUIdentity; EXPERIMENTS.md
+// E18 has the numbers).  The key only steers locality: every magazine
+// slot is locked, so two threads hashing to one slot cost contention,
+// never correctness.
 
 // CurCPU reports the CPU the calling goroutine is identified with: the
 // owning dispatch context for interrupt dispatcher goroutines, otherwise
-// a stable hash of the goroutine id across the machine's CPUs.  It is
-// exact where it matters (handlers run on their affinity CPU) and stable
-// everywhere, but costs a goroutine-id fetch — keep it off hot paths.
+// a stable hash of the goroutine's identity across the machine's CPUs.
 func (ic *IntrController) CurCPU() int {
 	n := len(ic.cpus)
 	if n <= 1 {
 		return 0
 	}
 	id := goid()
-	if v, ok := ic.dispIDs.Load(id); ok {
-		return v.(*cpuCtx).index
+	if c := ic.dispatcherCPU(id); c != nil {
+		return c.index
 	}
 	return int(mixGoID(id) % uint64(n))
 }
 
-// CPUHint returns a cheap per-operation CPU slot in [0, NumCPUs).  See
-// the package comment above: batched round-robin, locality-only.
-func (ic *IntrController) CPUHint() int {
-	n := len(ic.cpus)
-	if n <= 1 {
-		return 0
-	}
-	return int((hintClock.Add(1) >> hintShift) % uint64(n))
-}
-
-// mixGoID is a splitmix64-style finalizer so consecutive goroutine ids
-// spread across CPUs instead of clustering on neighbouring slots.
+// mixGoID is a splitmix64-style finalizer so neighbouring identities
+// (equally aligned addresses, or consecutive numbers on the fallback
+// port) spread across CPUs instead of clustering on a few slots.
 func mixGoID(id uint64) uint64 {
 	id ^= id >> 33
 	id *= 0xff51afd7ed558ccd

@@ -1,10 +1,14 @@
 package hw
 
-import "testing"
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+)
 
 // TestCurCPUDispatcherExact: inside an interrupt handler, CurCPU reports
-// the affinity CPU the handler was routed to — the GoID-keyed dispIDs map
-// makes dispatcher identity exact.
+// the affinity CPU the handler was routed to — each CPU records its
+// dispatcher's identity, so dispatcher identity is exact.
 func TestCurCPUDispatcherExact(t *testing.T) {
 	ic := NewIntrControllerCPUs(4)
 	defer ic.stop()
@@ -42,51 +46,51 @@ func TestCurCPUProcessLevel(t *testing.T) {
 	}
 }
 
-// TestCPUHintSpreadsAndBatches: the hint stays in range, visits every
-// slot over enough calls, and holds each slot for runs (batched
-// round-robin, not per-call churn).
-func TestCPUHintSpreadsAndBatches(t *testing.T) {
-	one := NewIntrController()
-	defer one.stop()
-	if h := one.CPUHint(); h != 0 {
-		t.Fatalf("1-CPU CPUHint = %d, want 0", h)
-	}
-
-	ic := NewIntrControllerCPUs(4)
-	defer ic.stop()
-	seen := map[int]int{}
-	runs, prev := 0, -1
-	const calls = 16 * HintBatch
-	for i := 0; i < calls; i++ {
-		h := ic.CPUHint()
-		if h < 0 || h >= 4 {
-			t.Fatalf("CPUHint = %d, out of range", h)
+// TestMixGoIDSpreads: neighbouring identities land on different slots
+// rather than clustering — consecutive numbers (the fallback port) and
+// equally aligned addresses (the getg ports) alike.
+func TestMixGoIDSpreads(t *testing.T) {
+	for _, in := range []struct {
+		name         string
+		base, stride uint64
+	}{
+		{"consecutive numbers", 1, 1},
+		{"aligned addresses", 0xc000002000, 0x200},
+	} {
+		seen := map[uint64]bool{}
+		for i := uint64(0); i < 64; i++ {
+			seen[mixGoID(in.base+i*in.stride)%8] = true
 		}
-		seen[h]++
-		if h != prev {
-			runs++
-			prev = h
+		if len(seen) != 8 {
+			t.Errorf("64 %s covered %d of 8 slots", in.name, len(seen))
 		}
-	}
-	if len(seen) != 4 {
-		t.Fatalf("CPUHint visited %d of 4 slots over %d calls: %v", len(seen), calls, seen)
-	}
-	// 16 batches of HintBatch calls can cross at most 17 slot boundaries
-	// (other goroutines may advance the shared clock concurrently, so
-	// allow slack — but per-call churn would give ~calls runs).
-	if runs > calls/4 {
-		t.Fatalf("CPUHint churned slots %d times in %d calls — batching broken", runs, calls)
 	}
 }
 
-// TestMixGoIDSpreads: consecutive goroutine ids land on different slots
-// rather than clustering.
-func TestMixGoIDSpreads(t *testing.T) {
-	seen := map[uint64]bool{}
-	for id := uint64(1); id <= 64; id++ {
-		seen[mixGoID(id)%8] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("64 consecutive goids covered %d of 8 slots", len(seen))
+// BenchmarkCPUIdentity prices identity and the shard key against the lock
+// the key steers around; run with -cpu 1,2 to see that neither slows down
+// in parallel (the numbers behind percpu.go's header).
+func BenchmarkCPUIdentity(b *testing.B) {
+	ic := NewIntrControllerCPUs(4)
+	defer ic.stop()
+	var sink atomic.Uint64
+	var mu sync.Mutex
+	for _, row := range []struct {
+		name string
+		op   func() uint64
+	}{
+		{"GoID", GoID},
+		{"CurCPU", func() uint64 { return uint64(ic.CurCPU()) }},
+		{"MutexPair", func() uint64 { mu.Lock(); mu.Unlock(); return 0 }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				var acc uint64
+				for pb.Next() {
+					acc += row.op()
+				}
+				sink.Add(acc)
+			})
+		})
 	}
 }

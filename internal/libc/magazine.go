@@ -52,9 +52,9 @@ func (p *QuickPool) EnableMagazines() {
 		return
 	}
 	m := &poolMagazines{}
-	hint := machine.Intr.CPUHint
+	curCPU := machine.Intr.CurCPU
 	for cls := range m.caches {
-		m.caches[cls] = percpu.New[poolBlock](ncpu, magazineRounds, hint)
+		m.caches[cls] = percpu.New[poolBlock](ncpu, magazineRounds, curCPU)
 	}
 	if p.statsSet != nil {
 		p.scMagHits = p.statsSet.Counter("qp.magazine_hits")

@@ -102,9 +102,9 @@ func (g *Glue) EnableAllocCache() {
 	}
 	pool.AddRef()
 	f := &kmFront{pool: pool}
-	hint := machine.Intr.CPUHint
+	curCPU := machine.Intr.CurCPU
 	for i := range f.caches {
-		f.caches[i] = percpu.New[*legacy.KBuf](ncpu, kmFrontRounds, hint)
+		f.caches[i] = percpu.New[*legacy.KBuf](ncpu, kmFrontRounds, curCPU)
 	}
 	if g.statsSet != nil {
 		g.scKmCPUHits = g.statsSet.Counter("kmalloc.cpu_hits")

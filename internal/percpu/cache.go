@@ -70,7 +70,7 @@ type Cache[T any] struct {
 }
 
 // New builds a cache with ncpu slots holding up to rounds objects per
-// magazine.  cpuFn supplies the per-operation slot key (hw.CPUHint in
+// magazine.  cpuFn supplies the per-operation slot key (hw.CurCPU in
 // production; tests inject explicit schedules); out-of-range values
 // clamp to slot 0 — the key steers locality, never correctness.
 func New[T any](ncpu, rounds int, cpuFn func() int) *Cache[T] {
