@@ -12,6 +12,7 @@ test:
 race:
 	go test -race ./internal/freebsd/net/... ./internal/stats/... \
 		./internal/hw/... ./internal/faults/... \
+		./internal/libc/... ./internal/linux/dev/... \
 		./internal/kvm/... ./internal/smp/... \
 		./internal/evalrig/... ./internal/com/...
 

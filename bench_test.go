@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -1460,177 +1459,6 @@ func BenchmarkE14_SMP_Matrix(b *testing.B) {
 	churnScale := median(metrics["churn-4cpu-conns/s"]) / median(metrics["churn-1cpu-conns/s"])
 	b.ReportMetric(ttcpScale, "ttcp-scale-1to4-x")
 	b.ReportMetric(churnScale, "churn-scale-1to4-x")
-}
-
-// ---------------------------------------------------------------------
-// E16: SMP-scalable allocation.  The same CPU sweep as E14, but on the
-// OSKit fast-path configuration where every packet allocation funnels
-// through the QuickPool — with the per-CPU magazine fronts on (the
-// default) against the GlobalAlloc ablation (every allocator on its
-// single global lock, the E14 behavior).  Three workloads: the
-// alloc-heavy multi-stream ttcp, connection churn (allocation at
-// connection granularity), and a raw alloc/free hammer on the pool
-// itself with no network attached.  Every cell re-verifies its path
-// shape in-measurement: a magazine cell that never hit a magazine (or
-// a global cell that did) fails the benchmark.
-
-var e16CPURows = []int{1, 2, 4, 8}
-
-var e16ModeRows = []struct {
-	name   string
-	global bool
-}{
-	{"mag", false},
-	{"global", true},
-}
-
-// e16RawAllocOps hammers one QuickPool from cpus workers (mixed sizes,
-// small held window so frees interleave with allocs) and returns
-// million-ops/sec plus the pool's magazine-hit count.
-func e16RawAllocOps(b *testing.B, cpus int, magazines bool) (mops float64, magHits int64) {
-	b.Helper()
-	m := hw.NewMachine(hw.Config{Name: "e16raw", MemBytes: 64 << 20, CPUs: cpus})
-	defer m.Halt()
-	k, err := kern.Setup(m, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := libc.NewQuickPoolService(libc.New(k.Env))
-	if magazines {
-		pool.EnableMagazines()
-	}
-	const opsPerWorker = 20000
-	sizes := []uint32{64, 256, 2048}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cpus; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			type held struct{ addr, size uint32 }
-			var window [8]held
-			n := 0
-			for i := 0; i < opsPerWorker; i++ {
-				size := sizes[(w+i)%len(sizes)]
-				addr, _, ok := pool.AllocMem(size)
-				if !ok {
-					continue
-				}
-				window[n] = held{addr, size}
-				n++
-				if n == len(window) {
-					for j := n - 1; j >= 0; j-- {
-						pool.FreeMem(window[j].addr, window[j].size)
-					}
-					n = 0
-				}
-			}
-			for j := n - 1; j >= 0; j-- {
-				pool.FreeMem(window[j].addr, window[j].size)
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	for _, st := range pool.StatsSet().Snapshot() {
-		if st.Name == "qp.magazine_hits" {
-			magHits = st.Value
-		}
-	}
-	pool.DrainMagazines()
-	return float64(2*opsPerWorker*cpus) / elapsed / 1e6, magHits
-}
-
-// e16PinHits enforces the path-shape pin: magazines on multi-CPU cells
-// must have hit, global (and uniprocessor) cells must never have.
-func e16PinHits(b *testing.B, where string, hits int64, mag bool, cpus int) {
-	b.Helper()
-	if mag && cpus > 1 {
-		if hits == 0 {
-			b.Fatalf("%s: magazine configuration never hit a magazine", where)
-		}
-	} else if hits != 0 {
-		b.Fatalf("%s: %d magazine hits on the global-lock configuration", where, hits)
-	}
-}
-
-func BenchmarkE16_Alloc_Matrix(b *testing.B) {
-	rounds := 3
-	if b.N > rounds {
-		rounds = b.N
-	}
-	metrics := map[string][]float64{}
-	b.ResetTimer()
-	for r := 0; r < rounds; r++ {
-		for _, mode := range e16ModeRows {
-			for _, cpus := range e16CPURows {
-				opts := evalrig.Options{FastPath: true, CPUs: cpus, GlobalAlloc: mode.global}
-				cell := fmt.Sprintf("%s-%dcpu", mode.name, cpus)
-
-				// Alloc-heavy aggregate bandwidth: 4 concurrent streams
-				// of small writes, every packet through the pool.
-				p, err := evalrig.NewPairOpts(evalrig.OSKit, time.Millisecond, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if cpus <= 1 {
-					p.Sender.Serialize()
-					p.Receiver.Serialize()
-				}
-				tres, err := evalrig.TTCPMulti(p, e14Streams, 512, ttcpBlockSize, 5500)
-				if err != nil {
-					p.Halt()
-					b.Fatalf("ttcp-multi %s: %v", cell, err)
-				}
-				hits, _ := p.Sender.Stat("quickpool", "qp.magazine_hits")
-				e16PinHits(b, "ttcp "+cell, hits, !mode.global, cpus)
-				p.Halt()
-				metrics["ttcp-"+cell+"-mbps"] = append(metrics["ttcp-"+cell+"-mbps"], tres.SendMbps())
-
-				// Connection churn: allocation at connection granularity
-				// (PCBs, socket buffers, small mbufs) across a 4-node
-				// cluster.
-				c, err := evalrig.NewCluster(evalrig.OSKit, 4, 250*time.Microsecond, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cres, err := evalrig.ChurnTCP(c, evalrig.ChurnOptions{
-					Conns: 1024, Workers: 4, ReqBytes: 256, Port: 5502, Seed: 16,
-				})
-				if err != nil {
-					c.Halt()
-					b.Fatalf("churn %s: %v", cell, err)
-				}
-				if cres.Failed != 0 {
-					c.Halt()
-					b.Fatalf("churn %s: %d of %d cycles failed: %v",
-						cell, cres.Failed, cres.Failed+cres.Conns, cres.Errors)
-				}
-				hits, _ = c.Server().Stat("quickpool", "qp.magazine_hits")
-				e16PinHits(b, "churn "+cell, hits, !mode.global, cpus)
-				c.Halt()
-				metrics["churn-"+cell+"-conns/s"] = append(metrics["churn-"+cell+"-conns/s"], cres.ConnsPerSec)
-
-				// Raw alloc/free: the pool alone, no network.
-				mops, rawHits := e16RawAllocOps(b, cpus, !mode.global && cpus > 1)
-				e16PinHits(b, "raw "+cell, rawHits, !mode.global, cpus)
-				metrics["raw-"+cell+"-mops"] = append(metrics["raw-"+cell+"-mops"], mops)
-			}
-		}
-	}
-	b.StopTimer()
-	for key, v := range metrics {
-		b.ReportMetric(median(v), key)
-	}
-	// Reported, not enforced (see E14): the magazine rows' 1→4 CPU
-	// ratio, and the same row against the global-lock baseline at 4 CPUs,
-	// which is the contention the magazines exist to remove.
-	ttcpScale := median(metrics["ttcp-mag-4cpu-mbps"]) / median(metrics["ttcp-mag-1cpu-mbps"])
-	vsGlobal := median(metrics["ttcp-mag-4cpu-mbps"]) / median(metrics["ttcp-global-4cpu-mbps"])
-	rawScale := median(metrics["raw-mag-4cpu-mops"]) / median(metrics["raw-global-4cpu-mops"])
-	b.ReportMetric(ttcpScale, "ttcp-mag-scale-1to4-x")
-	b.ReportMetric(vsGlobal, "ttcp-magvsglobal-4cpu-x")
-	b.ReportMetric(rawScale, "raw-magvsglobal-4cpu-x")
 }
 
 // ---------------------------------------------------------------------

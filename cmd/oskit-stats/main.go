@@ -8,12 +8,10 @@
 // initialization; this tool finds them by dynamic binding alone, with no
 // static knowledge of which components the configuration contains.
 //
-// Run:  go run ./cmd/oskit-stats [-config oskit] [-blocks N] [-blocksize N]
-//       [-cpus N] [-fastpath] [-all] [-percpu]
+// Run:
 //
-// -percpu expands sharded counters into per-CPU rows (name.cpu0,
-// name.cpu1, ...) so the E16 allocation fronts' load spread is visible;
-// pair it with -cpus 4 -fastpath to boot a rig where the shards exist.
+//	go run ./cmd/oskit-stats [-config oskit] [-blocks N] [-blocksize N]
+//	    [-cpus N] [-fastpath] [-all]
 package main
 
 import (
@@ -30,10 +28,9 @@ func main() {
 	config := flag.String("config", "oskit", "configuration: linux, freebsd, oskit")
 	blocks := flag.Int("blocks", 256, "ttcp blocks to stream before dumping")
 	blockSize := flag.Int("blocksize", 4096, "ttcp block size in bytes")
-	cpus := flag.Int("cpus", 1, "logical CPUs per machine; >1 boots the SMP configuration (E14/E16)")
+	cpus := flag.Int("cpus", 1, "logical CPUs per machine; >1 boots the SMP configuration (E14)")
 	fastPath := flag.Bool("fastpath", false, "boot OSKit nodes with the fast-path send configuration (E11)")
 	all := flag.Bool("all", false, "print zero-valued statistics too")
-	perCPU := flag.Bool("percpu", false, "expand sharded counters into per-CPU rows (E16)")
 	flag.Parse()
 
 	p, err := evalrig.NewPairOpts(evalrig.Config(*config), time.Millisecond,
@@ -56,21 +53,17 @@ func main() {
 		n    *evalrig.Node
 	}{{"sender", p.Sender}, {"receiver", p.Receiver}} {
 		fmt.Printf("=== %s %s ===\n", *config, node.role)
-		writeNode(node.n, !*all, *perCPU)
+		writeNode(node.n, !*all)
 		fmt.Println()
 	}
 }
 
-func writeNode(n *evalrig.Node, terse, perCPU bool) {
+func writeNode(n *evalrig.Node, terse bool) {
 	sets := n.Stats()
 	defer func() {
 		for _, s := range sets {
 			s.Release()
 		}
 	}()
-	if perCPU {
-		stats.WriteTablePerCPU(os.Stdout, sets, terse)
-		return
-	}
 	stats.WriteTable(os.Stdout, sets, terse)
 }

@@ -76,7 +76,6 @@ func (c *Cluster) Halt() {
 			n.Do(n.BSD.Close)
 		}
 		n.UnmountFS()
-		n.drainAllocCaches()
 		n.Machine.Halt()
 	}
 	c.Nodes = nil

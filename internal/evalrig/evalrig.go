@@ -153,13 +153,6 @@ type Options struct {
 	// FastPath — the stock configuration has neither seam to peel.
 	SendfileCopy bool
 	SoftCsum     bool
-
-	// GlobalAlloc peels the E16 per-CPU allocation fronts off the SMP
-	// configurations, for the allocation-scaling ablation benchmark:
-	// every allocator keeps its single global lock (the E14 behavior).
-	// Ignored on uniprocessor rigs, where the fronts never engage
-	// anyway.
-	GlobalAlloc bool
 }
 
 // Pair is a two-machine testbed.  Sender and receiver may run different
@@ -227,28 +220,8 @@ func (p *Pair) Halt() {
 	if p.Receiver.BSD != nil {
 		p.Receiver.BSD.Close()
 	}
-	p.Sender.drainAllocCaches()
-	p.Receiver.drainAllocCaches()
 	p.Sender.Machine.Halt()
 	p.Receiver.Machine.Halt()
-}
-
-// drainAllocCaches returns every per-CPU-cached block to its backing
-// allocator (E16) so the post-run ledgers — Imbalances, AllocPairs, the
-// QuickPool slab accounting — see the same totals the global-lock
-// configuration would.  Order matters: the kmalloc front frees into the
-// QuickPool whose magazines are drained last.  A no-op on nodes whose
-// fronts never engaged.
-func (n *Node) drainAllocCaches() {
-	if n.QP != nil {
-		linuxdev.GlueFor(n.Kernel.Env).DrainAllocCache()
-	}
-	if n.BSD != nil {
-		n.BSD.Glue().Malloc.DrainCPUCache()
-	}
-	if n.QP != nil {
-		n.QP.DrainMagazines()
-	}
 }
 
 func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Duration, opts Options) (*Node, error) {
@@ -302,11 +275,6 @@ func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Durati
 			// N RSS-hashed receive rings, one per CPU, each ring's
 			// interrupt line affinity-routed so drains run concurrently.
 			st.AttachNativeMQ(nic, cpus)
-			if !opts.GlobalAlloc {
-				// E16: per-CPU magazine fronts over the mbuf hot sizes,
-				// so concurrent rings stop serializing on mallocLock.
-				st.EnableAllocCache()
-			}
 		} else {
 			st.AttachNative(nic)
 		}
@@ -375,18 +343,6 @@ func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Durati
 			}
 			if !opts.SoftCsum {
 				st.EnableCsumOffload()
-			}
-			if smp && !opts.GlobalAlloc {
-				// E16: per-CPU allocation fronts at every layer of the
-				// SMP fast path — magazine caches over the QuickPool,
-				// a KBuf front over the glue's kmalloc route into it,
-				// and magazine fronts over the BSD malloc's mbuf sizes
-				// — so N CPUs stop serializing on the allocator locks.
-				// Halt drains them (drainAllocCaches) so the soak
-				// ledgers balance.
-				pool.EnableMagazines()
-				linuxdev.GlueFor(k.Env).EnableAllocCache()
-				st.EnableAllocCache()
 			}
 		}
 

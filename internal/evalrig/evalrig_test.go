@@ -1,74 +1,29 @@
 package evalrig
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"oskit/internal/hw"
 )
 
-// TestE16AllocFrontsEngageAndDrain: a multi-CPU fast-path pair engages
-// every per-CPU allocation front (E16), traffic flows, and the
-// Halt-time drain returns every cached block so the allocation ledgers
-// quiesce with frees never leading allocs.
-func TestE16AllocFrontsEngageAndDrain(t *testing.T) {
-	p, err := NewPairOpts(OSKit, time.Millisecond, Options{FastPath: true, CPUs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Halt()
-	for _, n := range []*Node{p.Sender, p.Receiver} {
-		if !n.QP.MagazinesEnabled() {
-			t.Fatalf("%s: QuickPool magazines not enabled", n.Machine.Name)
-		}
-		if !n.BSD.Glue().Malloc.CPUCacheEnabled() {
-			t.Fatalf("%s: BSD malloc front not enabled", n.Machine.Name)
-		}
-	}
-	if _, err := TTCP(p, 256, 4096, 5106); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []*Node{p.Sender, p.Receiver} {
-		hits := int64(0)
-		for _, row := range [][2]string{
-			{"quickpool", "qp.magazine_hits"},
-			{"bsd_malloc", "malloc.cpu_hits"},
-			{"linux_dev", "kmalloc.cpu_hits"},
-		} {
-			v, ok := n.Stat(row[0], row[1])
-			if !ok {
-				t.Errorf("%s: %s row missing with the fronts on", n.Machine.Name, row[1])
-			}
-			hits += v
-		}
-		if hits == 0 {
-			t.Errorf("%s: no per-CPU front hit anywhere during TTCP", n.Machine.Name)
-		}
-		n.drainAllocCaches()
-		if v := n.QP.MagazineCached(); v != 0 {
-			t.Errorf("%s: %d blocks still in the magazines after drain", n.Machine.Name, v)
-		}
-		if v := n.BSD.Glue().Malloc.CPUCached(); v != 0 {
-			t.Errorf("%s: %d blocks still in the malloc front after drain", n.Machine.Name, v)
-		}
-		for _, pair := range [][3]string{
-			{"quickpool", "qp.allocs", "qp.frees"},
-			{"bsd_malloc", "malloc.allocs", "malloc.frees"},
-			{"linux_dev", "kmalloc.allocs", "kmalloc.frees"},
-			{"freebsd_net", "mbuf.allocs", "mbuf.frees"},
-			{"freebsd_net", "mbuf.cluster_allocs", "mbuf.cluster_frees"},
-		} {
-			// The pair is still live (timers, late ACKs) and each Stat is
-			// its own snapshot: frees first, so a pair completed between
-			// the two reads cannot put frees ahead.
-			frees, _ := n.Stat(pair[0], pair[2])
-			allocs, _ := n.Stat(pair[0], pair[1])
-			if frees > allocs {
-				t.Errorf("%s: %s = %d > %s = %d after drain",
-					n.Machine.Name, pair[2], frees, pair[1], allocs)
+// allocSetRows lists the statistic names the node's three allocator
+// exporters publish, as "set/name".
+func allocSetRows(n *Node) []string {
+	var rows []string
+	sets := n.Stats()
+	for _, s := range sets {
+		switch s.StatsName() {
+		case "quickpool", "linux_dev", "bsd_malloc":
+			for _, st := range s.Snapshot() {
+				rows = append(rows, s.StatsName()+"/"+st.Name)
 			}
 		}
+		s.Release()
 	}
+	slices.Sort(rows)
+	return rows
 }
 
 // TestAllConfigsCarryTTCP proves every Table 1/2 configuration moves
@@ -157,6 +112,7 @@ func TestPathShapeMatrix(t *testing.T) {
 	}{
 		{"default", Options{}, 5005},
 		{"fastpath", Options{FastPath: true}, 5006},
+		{"fastpath-4cpu", Options{FastPath: true, CPUs: 4}, 5007},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -269,26 +225,28 @@ func TestPathShapeMatrix(t *testing.T) {
 				}
 			}
 
-			// E16 allocation fronts, pinned off on every uniprocessor
-			// row: no magazine layer engages, no per-CPU hit counter is
-			// even registered, on either node.  The multi-CPU fronts
-			// are covered by their own tests and the E16 bench pins.
-			for _, n := range []*Node{p.Sender, p.Receiver} {
-				if n.QP != nil && n.QP.MagazinesEnabled() {
-					t.Errorf("%s: QuickPool magazines enabled on one CPU", n.Machine.Name)
+			// One allocator path at every width: a multi-CPU row's
+			// allocator exporters publish exactly the rows the same
+			// configuration publishes on one CPU — no per-CPU layer
+			// registers anything.  The file-serving pin below is a
+			// uniprocessor one (multi-CPU HTTP belongs to the soak
+			// suite), so such a row ends here.
+			if tc.opts.CPUs > 1 {
+				one := tc.opts
+				one.CPUs = 0
+				ref, err := NewPairOpts(OSKit, time.Millisecond, one)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if n.BSD != nil && n.BSD.Glue().Malloc.CPUCacheEnabled() {
-					t.Errorf("%s: BSD malloc per-CPU front enabled on one CPU", n.Machine.Name)
-				}
-				for _, row := range [][2]string{
-					{"quickpool", "qp.magazine_hits"},
-					{"bsd_malloc", "malloc.cpu_hits"},
-					{"linux_dev", "kmalloc.cpu_hits"},
-				} {
-					if _, ok := n.Stat(row[0], row[1]); ok {
-						t.Errorf("%s: %s row registered on one CPU", n.Machine.Name, row[1])
+				want := allocSetRows(ref.Sender)
+				ref.Halt()
+				for _, n := range []*Node{p.Sender, p.Receiver} {
+					if got := allocSetRows(n); !slices.Equal(got, want) {
+						t.Errorf("%s: allocator rows at %d CPUs = %v, want the 1-CPU rows %v",
+							n.Machine.Name, tc.opts.CPUs, got, want)
 					}
 				}
+				return
 			}
 
 			// E15 file-serving shape, same decision tree: boot a

@@ -11,12 +11,11 @@ import (
 )
 
 // TestSMPAllocFaultsReplay extends the qp decision-stream
-// reproducibility contract to the E16 per-CPU fronts: on a 4-CPU
-// fast-path pair the magazine layer serves allocations CPU-locally,
-// but every allocation still consumes exactly one decision from the
-// injector's stream — consulted through the atomic hook mirror before
-// any cache is touched — so the same plan replayed over the same event
-// count fires the same decision indices.  Concurrent CPUs can *record*
+// reproducibility contract to multi-CPU machines: on a 4-CPU fast-path
+// pair four CPUs allocate from one pool concurrently, but every
+// allocation still consumes exactly one decision from the injector's
+// stream, so the same plan replayed over the same event count fires
+// the same decision indices.  Concurrent CPUs can *record*
 // their fired indices out of order (the trace append is a separate
 // critical section from the index draw), so the comparison is on the
 // sorted trace: same set of fired indices, not same append order.
@@ -30,9 +29,6 @@ func TestSMPAllocFaultsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Halt()
-	if !p.Sender.QP.MagazinesEnabled() {
-		t.Fatal("magazines not engaged on the SMP fast-path sender")
-	}
 	in := p.EnableFaults(plan)
 
 	if err := RunTTCP(p, 16, 4096, 5662, plan.Seed, 60*time.Second); err != nil {
@@ -48,9 +44,6 @@ func TestSMPAllocFaultsReplay(t *testing.T) {
 	}
 	if v, ok := p.Sender.Stat("quickpool", "qp.fails"); !ok || v == 0 {
 		t.Errorf("pool counted no injected failures (ok=%v, v=%d)", ok, v)
-	}
-	if v, _ := p.Sender.Stat("quickpool", "qp.magazine_hits"); v == 0 {
-		t.Error("magazines never hit during the faulted run — the front was not exercised")
 	}
 	for _, n := range []*evalrig.Node{p.Sender, p.Receiver} {
 		for _, bad := range Imbalances(n) {

@@ -11,16 +11,25 @@ import (
 	"oskit/internal/lmm"
 )
 
-func testGlue(t *testing.T) *Glue {
+func testGlue(t *testing.T) *Glue { return testGlueCPUs(t, 0) }
+
+// testGlueCPUs is testGlue on a cpus-CPU machine (0: the platform
+// default); more than one CPU switches the SMP discipline on — spl is a
+// no-op and the component's locks are its real exclusion.
+func testGlueCPUs(t *testing.T, cpus int) *Glue {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20})
+	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20, CPUs: cpus})
 	t.Cleanup(m.Halt)
 	arena := lmm.NewArena()
 	if err := arena.AddRegion(0x100000, 8<<20, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	arena.AddFree(0x100000, 8<<20)
-	return New(core.NewEnv(m, arena))
+	g := New(core.NewEnv(m, arena))
+	if cpus > 1 {
+		g.SetSMP(true)
+	}
+	return g
 }
 
 func TestEnterManufacturesCurproc(t *testing.T) {

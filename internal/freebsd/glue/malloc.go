@@ -1,8 +1,6 @@
 package bsdglue
 
 import (
-	"sync/atomic"
-
 	"oskit/internal/hw"
 	"oskit/internal/stats"
 )
@@ -69,26 +67,15 @@ type Malloc struct {
 	allocated uint64 //oskit:guardedby mu  live bytes, for statistics
 
 	// hook, when set, may veto an allocation before the buckets are
-	// consulted (fault injection; see SetFaultHook).  hookA mirrors it
-	// atomically for the per-CPU front, which consults the hook with no
-	// locks held (cpucache.go).
-	hook  func(size uint32) bool //oskit:guardedby mu
-	hookA atomic.Pointer[func(size uint32) bool]
+	// consulted (fault injection; see SetFaultHook).
+	hook func(size uint32) bool //oskit:guardedby mu
 
-	// front, when set, is the per-CPU cache over the mbuf hot sizes
-	// (E16, cpucache.go).  Nil on the default path.
-	front atomic.Pointer[cpuFront]
-
-	// com.Stats export handles (nil-safe; see initStats).  scCPUHits
-	// exists only once the per-CPU front is enabled, so the default
-	// configuration snapshots exactly the seed's rows.
-	statsSet  *stats.Set //oskit:initonly
-	scAllocs  *stats.Counter
-	scFrees   *stats.Counter
-	scFails   *stats.Counter
-	scCPUHits *stats.Counter
-	scLive    *stats.Gauge
-	scTable   *stats.Gauge
+	// com.Stats export handles (nil-safe; see initStats).
+	scAllocs *stats.Counter
+	scFrees  *stats.Counter
+	scFails  *stats.Counter
+	scLive   *stats.Gauge
+	scTable  *stats.Gauge
 }
 
 func newMalloc(g *Glue) *Malloc { return &Malloc{g: g} }
@@ -97,7 +84,6 @@ func newMalloc(g *Glue) *Malloc { return &Malloc{g: g} }
 // happen under splhigh on allocation hot paths, so the handles are
 // pre-resolved here and each update is one atomic operation.
 func (m *Malloc) initStats(set *stats.Set) {
-	m.statsSet = set
 	m.scAllocs = set.Counter("malloc.allocs")
 	m.scFrees = set.Counter("malloc.frees")
 	m.scFails = set.Counter("malloc.failures")
@@ -114,11 +100,6 @@ func (m *Malloc) SetFaultHook(h func(size uint32) bool) {
 	s := m.g.Splhigh()
 	m.mu.Lock()
 	m.hook = h
-	if h == nil {
-		m.hookA.Store(nil)
-	} else {
-		m.hookA.Store(&h)
-	}
 	m.mu.Unlock()
 	m.g.Splx(s)
 }
@@ -140,11 +121,6 @@ func bucketFor(size uint32) (idx int, blockSize uint32) {
 func (m *Malloc) Alloc(size uint32) (hw.PhysAddr, []byte, bool) {
 	if size == 0 {
 		return 0, nil, false
-	}
-	if f := m.front.Load(); f != nil {
-		if c := f.cacheFor(size); c != nil {
-			return m.allocCached(c, size)
-		}
 	}
 	s := m.g.Splhigh()
 	defer m.g.Splx(s)
@@ -184,12 +160,7 @@ func (m *Malloc) allocLocked(size uint32) (hw.PhysAddr, []byte, bool) {
 }
 
 // Free releases a block by address alone — property 3.
-func (m *Malloc) Free(addr hw.PhysAddr) { m.free(addr, true) }
-
-// free is Free with the statistics charge optional: the per-CPU front's
-// drain returns blocks whose user frees were already counted at stash
-// time (cpucache.go), so it frees uncounted.
-func (m *Malloc) free(addr hw.PhysAddr, counted bool) {
+func (m *Malloc) Free(addr hw.PhysAddr) {
 	s := m.g.Splhigh()
 	defer m.g.Splx(s)
 	m.mu.Lock()
@@ -218,9 +189,7 @@ func (m *Malloc) free(addr hw.PhysAddr, counted bool) {
 		m.g.env.Panic("bsdglue: free of untracked address %#x", addr)
 		return
 	}
-	if counted {
-		m.scFrees.Inc()
-	}
+	m.scFrees.Inc()
 	m.scLive.Set(int64(m.allocated))
 }
 

@@ -1,73 +1,62 @@
 package bsdglue
 
 import (
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 
 	"oskit/internal/hw"
+	"oskit/internal/stats"
 )
 
-// hammerCPUs honors the OSKIT_CPUS override check.sh uses to widen the
-// contention hammers (the 8-CPU alloc-contention smoke).
-func hammerCPUs(def int) int {
-	if s := os.Getenv("OSKIT_CPUS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 1 {
-			return n
+func mallocSnap(g *Glue) map[string]int64 {
+	out := map[string]int64{}
+	for _, s := range stats.Discover(g.env.Registry) {
+		if s.StatsName() == "bsd_malloc" {
+			for _, st := range s.Snapshot() {
+				out[st.Name] = st.Value
+			}
 		}
+		s.Release()
 	}
-	return def
+	return out
 }
 
-// TestMallocConcurrentGaugeAudit pins the E16 gauge audit: every read
-// of the allocator's backing state (the live-byte ledger behind
+// TestMallocConcurrentGaugeAudit pins the gauge audit: every read of
+// the allocator's backing state (the live-byte ledger behind
 // malloc.bytes_live, the page table behind malloc.table_bytes, the
 // size table behind SizeOf) happens under the allocator lock, and the
 // exported gauge/counter handles are single atomic words — so an SMP
-// glue can be hammered by allocators, front stashes, gauge readers,
-// snapshot takers and hook togglers at once with the race detector on.
+// glue can be hammered by allocators, gauge readers, snapshot takers
+// and hook togglers at once with the race detector on.
 func TestMallocConcurrentGaugeAudit(t *testing.T) {
-	g := testGlueCPUs(t, hammerCPUs(4))
-	g.Malloc.EnableCPUCache(128, 2048)
+	g := testGlueCPUs(t, 4)
 
 	const workers, ops = 6, 400
 	var traffic, pollers sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Allocator traffic: cached and uncached sizes, Free and FreeSized.
+	// Allocator traffic over the mbuf hot sizes and one more bucket.
 	for w := 0; w < workers; w++ {
 		traffic.Add(1)
 		go func(w int) {
 			defer traffic.Done()
 			sizes := []uint32{128, 512, 2048}
-			var held []struct {
-				addr hw.PhysAddr
-				size uint32
-			}
+			var held []hw.PhysAddr
 			for i := 0; i < ops; i++ {
-				size := sizes[(w+i)%len(sizes)]
-				addr, _, ok := g.Malloc.Alloc(size)
+				addr, _, ok := g.Malloc.Alloc(sizes[(w+i)%len(sizes)])
 				if !ok {
 					continue
 				}
-				held = append(held, struct {
-					addr hw.PhysAddr
-					size uint32
-				}{addr, size})
+				held = append(held, addr)
 				if len(held) >= 8 {
 					for _, h := range held {
-						if h.size == 512 {
-							g.Malloc.Free(h.addr)
-						} else {
-							g.Malloc.FreeSized(h.addr, h.size)
-						}
+						g.Malloc.Free(h)
 					}
 					held = held[:0]
 				}
 			}
 			for _, h := range held {
-				g.Malloc.FreeSized(h.addr, h.size)
+				g.Malloc.Free(h)
 			}
 		}(w)
 	}
@@ -85,7 +74,6 @@ func TestMallocConcurrentGaugeAudit(t *testing.T) {
 			_ = g.Malloc.LiveBytes()
 			_ = g.Malloc.TableBytes()
 			_ = g.Malloc.Growths()
-			_ = g.Malloc.CPUCached()
 			_ = mallocSnap(g)
 		}
 	}()
@@ -114,12 +102,11 @@ func TestMallocConcurrentGaugeAudit(t *testing.T) {
 	pollers.Wait()
 	g.Malloc.SetFaultHook(nil)
 
-	g.Malloc.DrainCPUCache()
 	if v := g.Malloc.LiveBytes(); v != 0 {
-		t.Fatalf("LiveBytes = %d after all frees and drain", v)
+		t.Fatalf("LiveBytes = %d after all frees", v)
 	}
 	snap := mallocSnap(g)
-	if snap["malloc.frees"] > snap["malloc.allocs"] {
-		t.Fatalf("frees %d > allocs %d", snap["malloc.frees"], snap["malloc.allocs"])
+	if snap["malloc.frees"] != snap["malloc.allocs"] {
+		t.Fatalf("frees %d != allocs %d after all frees", snap["malloc.frees"], snap["malloc.allocs"])
 	}
 }

@@ -27,10 +27,6 @@ import "sync"
 //	rank 70  mclLock    Stack.mclMu   cluster refcount table
 //	rank 75  klLock     linuxdev klMu donor kmalloc in SMP mode
 //	                                  (cross-package)
-//	rank 76  cpuLock    percpu slots  per-CPU magazine pairs of the E16
-//	                                  allocation fronts (cross-package)
-//	rank 77  depotLock  percpu depot  the fronts' shared magazine depot
-//	                                  (acquired only under a rank-76 slot)
 //	rank 80  sleepLock  glue.slpMu    sleep-queue hash (cross-package)
 //	rank 81  mallocLock glue mallocs  BSD kernel allocator (leaf)
 //	rank 82  poolLock   libc pools    fast-allocator service (leaf)

@@ -118,7 +118,7 @@ func (m *Mbuf) MClGet() bool {
 	case m.pooled:
 		m.stk.pktPool.FreeMem(uint32(m.storeAddr), MSIZE)
 	case m.storeAddr != 0:
-		m.stk.g.Malloc.FreeSized(m.storeAddr, MSIZE)
+		m.stk.g.Malloc.Free(m.storeAddr)
 	}
 	m.store = buf
 	m.storeAddr = addr
@@ -157,7 +157,7 @@ func (m *Mbuf) Free() *Mbuf {
 	case m.pooled:
 		m.stk.pktPool.FreeMem(uint32(m.storeAddr), MSIZE)
 	case m.storeAddr != 0:
-		m.stk.g.Malloc.FreeSized(m.storeAddr, MSIZE)
+		m.stk.g.Malloc.Free(m.storeAddr)
 	}
 	m.store = nil
 	m.Next = nil
@@ -196,10 +196,7 @@ func (s *Stack) clRef(addr hw.PhysAddr, delta int) {
 	i := idx - s.mclBase
 	s.mclRefcnt[i] += int16(delta)
 	if s.mclRefcnt[i] == 0 && delta < 0 {
-		// FreeSized so the per-CPU cluster front (E16) can stash the
-		// block without the table lookup; its magazine locks (percpu,
-		// ranks 76/77) nest above this mclMu (70).
-		s.g.Malloc.FreeSized(addr, MCLBYTES)
+		s.g.Malloc.Free(addr)
 		s.sc.clFrees.Inc()
 	}
 	s.g.Splx(spl)

@@ -452,15 +452,6 @@ func (s *Stack) EnableCsumOffload() {
 	s.g.Splx(spl)
 }
 
-// EnableAllocCache fronts the stack's two allocation hot sizes — MSIZE
-// small mbufs and MCLBYTES clusters — with the BSD malloc's per-CPU
-// magazine caches (E16).  Call at configuration time on multi-CPU
-// machines (it refuses on one CPU); the default configuration never
-// does, so the stock path-shape pins are untouched.
-func (s *Stack) EnableAllocCache() {
-	s.g.Malloc.EnableCPUCache(MSIZE, MCLBYTES)
-}
-
 // Ifconfig assigns the interface address (oskit_freebsd_net_ifconfig).
 // Configuration happens before traffic (the data paths read it
 // unguarded; see locks.go).

@@ -3,6 +3,7 @@ package hw
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -80,5 +81,30 @@ func TestGoIDContract(t *testing.T) {
 	}
 	if len(nums) != live {
 		t.Fatalf("oracle saw %d goroutine numbers for %d goroutines", len(nums), live)
+	}
+}
+
+// BenchmarkCPUIdentity prices thread-of-control identity next to an
+// uncontended mutex pair; run with -cpu 1,2 to see that GoID does not
+// slow down in parallel (EXPERIMENTS.md E18 has the numbers).
+func BenchmarkCPUIdentity(b *testing.B) {
+	var sink atomic.Uint64
+	var mu sync.Mutex
+	for _, row := range []struct {
+		name string
+		op   func() uint64
+	}{
+		{"GoID", GoID},
+		{"MutexPair", func() uint64 { mu.Lock(); mu.Unlock(); return 0 }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				var acc uint64
+				for pb.Next() {
+					acc += row.op()
+				}
+				sink.Add(acc)
+			})
+		})
 	}
 }

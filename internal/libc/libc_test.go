@@ -12,9 +12,12 @@ import (
 	"oskit/internal/lmm"
 )
 
-func testC(t *testing.T) *C {
+func testC(t *testing.T) *C { return testCCPUs(t, 0) }
+
+// testCCPUs is testC over a cpus-CPU machine (0: the platform default).
+func testCCPUs(t *testing.T, cpus int) *C {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 8 << 20})
+	m := hw.NewMachine(hw.Config{MemBytes: 8 << 20, CPUs: cpus})
 	t.Cleanup(m.Halt)
 	arena := lmm.NewArena()
 	if err := arena.AddRegion(0x100000, 4<<20, core.LMMFlagDMA, 0); err != nil {

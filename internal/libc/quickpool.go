@@ -2,7 +2,6 @@ package libc
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"oskit/internal/com"
 	"oskit/internal/hw"
@@ -59,27 +58,17 @@ type QuickPool struct {
 
 	// hook, when set, may veto an allocation before any free list or
 	// refill runs (fault injection).  Read and written under mu, like
-	// the free lists.  hookA mirrors it atomically for the magazine
-	// fast path, which consults the hook with no locks held.
-	hook  func(size uint32) bool //oskit:guardedby mu
-	hookA atomic.Pointer[func(size uint32) bool]
-
-	// mags, when set, is the per-CPU magazine front (E16, magazine.go).
-	// Nil on the default path: single-CPU pools never install it, so
-	// Alloc/Free cost one atomic load + branch over the seed behaviour.
-	mags atomic.Pointer[poolMagazines]
+	// the free lists.
+	hook func(size uint32) bool //oskit:guardedby mu
 
 	// com.Stats export (nil-safe: a plain NewQuickPool pool counts
 	// nothing, the service constructor wires a "quickpool" set).
-	// scMagHits exists only once magazines are enabled, so default
-	// configurations snapshot exactly the seed's rows.
 	statsSet  *stats.Set //oskit:initonly
 	scAllocs  *stats.Counter
 	scFrees   *stats.Counter
 	scHits    *stats.Counter
 	scRefills *stats.Counter
 	scFails   *stats.Counter
-	scMagHits *stats.Counter
 }
 
 type poolBlock struct {
@@ -143,11 +132,6 @@ func (p *QuickPool) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 func (p *QuickPool) SetAllocFaultHook(h func(size uint32) bool) {
 	p.mu.Lock()
 	p.hook = h
-	if h == nil {
-		p.hookA.Store(nil)
-	} else {
-		p.hookA.Store(&h)
-	}
 	p.mu.Unlock()
 }
 
@@ -169,9 +153,6 @@ func classFor(size uint32) int {
 // Alloc returns a block of at least size bytes.  Safe from interrupt
 // handlers and concurrent process-level threads.
 func (p *QuickPool) Alloc(size uint32) (hw.PhysAddr, []byte, bool) {
-	if m := p.mags.Load(); m != nil {
-		return p.allocMagazine(m, size)
-	}
 	p.mu.Lock()
 	addr, buf, ok, hit := p.allocLocked(size)
 	p.mu.Unlock()
@@ -209,10 +190,6 @@ func (p *QuickPool) allocLocked(size uint32) (hw.PhysAddr, []byte, bool, bool) {
 // size (the fast path keeps no headers — that is where the speed comes
 // from).  Safe from the same contexts as Alloc.
 func (p *QuickPool) Free(addr hw.PhysAddr, size uint32) {
-	if m := p.mags.Load(); m != nil {
-		p.freeMagazine(m, addr, size)
-		return
-	}
 	p.mu.Lock()
 	p.freeLocked(addr, size)
 	p.mu.Unlock()

@@ -142,3 +142,61 @@ func TestQuickPoolConcurrent(t *testing.T) {
 		t.Fatalf("allocs/frees = %d/%d, want %d balanced", allocs, frees, workers*rounds)
 	}
 }
+
+// TestQuickPoolConcurrentGaugeAudit: unserialized hammering of a pool on
+// a 4-CPU machine while a reader polls every exported view — Stats and
+// the counter snapshot — so the race detector pins that all backing
+// state reads take the owning lock; the slab ledger and the per-op
+// counters must balance once everything is freed.
+func TestQuickPoolConcurrentGaugeAudit(t *testing.T) {
+	p := NewQuickPoolService(testCCPUs(t, 4))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p.Stats()
+			p.StatsSet().Snapshot()
+		}
+	}()
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var live []hw.PhysAddr
+			size := uint32(16 << (w % 4))
+			for i := 0; i < 400; i++ {
+				if addr, _, ok := p.Alloc(size); ok {
+					live = append(live, addr)
+				}
+				if len(live) > 8 || (i%3 == 0 && len(live) > 0) {
+					p.Free(live[len(live)-1], size)
+					live = live[:len(live)-1]
+				}
+			}
+			for _, a := range live {
+				p.Free(a, size)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	slabs, cached := p.Stats()
+	if cached != slabs*slabBlocks {
+		t.Fatalf("ledger: lists %d != slabs %d * %d", cached, slabs, slabBlocks)
+	}
+	snap := p.StatsSet().Snapshot()
+	allocs, _ := stats.Get(snap, "qp.allocs")
+	frees, _ := stats.Get(snap, "qp.frees")
+	if allocs != frees {
+		t.Fatalf("qp.allocs %d != qp.frees %d after full free", allocs, frees)
+	}
+}

@@ -47,15 +47,8 @@ type Glue struct {
 
 	// kmHook, when set, may veto a kmalloc before any allocator runs
 	// (fault injection; see SetKmallocFaultHook).  Read with the donor
-	// allocator exclusion held, like the buckets.  kmHookA mirrors it
-	// atomically for the per-CPU front, which consults the hook with no
-	// locks held (kmcache.go).
-	kmHook  func(size uint32) bool //oskit:guardedby klMu
-	kmHookA atomic.Pointer[func(size uint32) bool]
-
-	// front, when set, is the per-CPU cache over the fast-path kmalloc
-	// route (E16, kmcache.go).  Nil on the default path.
-	front atomic.Pointer[kmFront]
+	// allocator exclusion held, like the buckets.
+	kmHook func(size uint32) bool //oskit:guardedby klMu
 
 	// smp switches the donor exclusion discipline: off (the default),
 	// kmalloc/kfree serialize against interrupt handlers with cli, the
@@ -89,14 +82,10 @@ type Glue struct {
 	rxBudget int //oskit:guardedby mu
 
 	// com.Stats export: driver-glue hot-path counters, registered as
-	// "linux_dev" in the environment's services registry.  scKmCPUHits
-	// exists only once the per-CPU front is enabled, so the default
-	// configuration snapshots exactly the seed's rows.
-	statsSet     *stats.Set //oskit:initonly
+	// "linux_dev" in the environment's services registry.
 	scKmallocs   *stats.Counter
 	scKfrees     *stats.Counter
 	scKmFails    *stats.Counter
-	scKmCPUHits  *stats.Counter
 	scBlkReads   *stats.Counter
 	scBlkWrites  *stats.Counter
 	scBlkRdBytes *stats.Counter
@@ -234,7 +223,6 @@ func GlueFor(env *core.Env) *Glue {
 	}
 	g := &Glue{env: env, route: map[*legacy.NetDevice]*etherDev{}}
 	set := stats.NewSet("linux_dev")
-	g.statsSet = set
 	g.scKmallocs = set.Counter("kmalloc.allocs")
 	g.scKfrees = set.Counter("kmalloc.frees")
 	g.scKmFails = set.Counter("kmalloc.failures")
@@ -269,11 +257,6 @@ func (g *Glue) Kernel() *legacy.Kernel { return g.kern }
 func (g *Glue) SetKmallocFaultHook(h func(size uint32) bool) {
 	unlock := g.kmLock()
 	g.kmHook = h //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
-	if h == nil {
-		g.kmHookA.Store(nil)
-	} else {
-		g.kmHookA.Store(&h)
-	}
 	unlock()
 }
 
@@ -350,12 +333,6 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 	// Everything is serialized against interrupt handlers with cli, as
 	// the original was.
 	k.Kmalloc = func(size uint32, gfp int) *legacy.KBuf {
-		// E16 front: pool-class sizes take the per-CPU route when the
-		// front is on; everything else (and everything, when it is off)
-		// rides the stock closure below unchanged.
-		if f := g.front.Load(); f != nil && kmCacheClass(size) >= 0 {
-			return g.kmallocCached(f, size)
-		}
 		unlock := g.kmLock()
 		var b *legacy.KBuf
 		if g.kmHook != nil && g.kmHook(size) { //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
@@ -389,16 +366,6 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 		return b
 	}
 	k.Kfree = func(b *legacy.KBuf) {
-		// E16 front: whole pool-class blocks stash CPU-locally; an
-		// overflow (or any non-pool block) falls to the stock path.
-		if f := g.front.Load(); f != nil && b.Pooled {
-			if c := f.cacheForBlock(b); c != nil {
-				if cpu, ok := c.Put(b); ok {
-					g.scKfrees.IncOn(cpu)
-					return
-				}
-			}
-		}
 		unlock := g.kmLock()
 		switch {
 		case b.Pooled:

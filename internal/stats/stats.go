@@ -30,24 +30,8 @@ import (
 
 // Counter is a monotonically increasing event count.  The zero value is
 // usable; all methods are safe on a nil receiver (no-op / zero).
-//
-// A counter is normally one shared atomic word.  Hot-path counters on
-// multi-CPU machines can be sharded (E16): Shard(n) equips the counter
-// with n padded per-CPU slots, IncOn(cpu) charges one without touching
-// the shared word, and Load (hence Snapshot, WriteStats, and every soak
-// invariant) sums the base word plus every slot — aggregate-on-snapshot,
-// so sharding is invisible to readers.  Inc/Add keep charging the base
-// word, which doubles as the overflow slot for out-of-range CPUs.
 type Counter struct {
-	v      atomic.Uint64
-	shards atomic.Pointer[[]counterShard]
-}
-
-// counterShard pads each slot to its own cache line so per-CPU charges
-// do not false-share.
-type counterShard struct {
 	v atomic.Uint64
-	_ [56]byte
 }
 
 // Inc adds one.
@@ -64,81 +48,15 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Shard equips the counter with n per-CPU slots.  Call at configuration
-// time, before hot-path traffic (like every other registration step):
-// installing slots concurrently with IncOn may misplace — never lose to
-// the race detector, but misattribute — in-flight charges.  Growing an
-// already-sharded counter preserves existing slot values; shrinking is
-// ignored.
-func (c *Counter) Shard(n int) {
-	if c == nil || n <= 0 {
-		return
-	}
-	old := c.shards.Load()
-	if old != nil && len(*old) >= n {
-		return
-	}
-	s := make([]counterShard, n)
-	if old != nil {
-		for i := range *old {
-			s[i].v.Store((*old)[i].v.Load())
-		}
-	}
-	c.shards.Store(&s)
-}
-
-// IncOn adds one, charged to the given CPU's slot when the counter is
-// sharded and the slot exists; otherwise to the base word.
-func (c *Counter) IncOn(cpu int) {
-	if c == nil {
-		return
-	}
-	if sp := c.shards.Load(); sp != nil && cpu >= 0 && cpu < len(*sp) {
-		(*sp)[cpu].v.Add(1)
-		return
-	}
-	c.v.Add(1)
-}
-
-// Load reads the current count: the base word plus every shard slot.
+// Load reads the current count.
 func (c *Counter) Load() uint64 {
 	if c == nil {
 		return 0
 	}
-	n := c.v.Load()
-	if sp := c.shards.Load(); sp != nil {
-		for i := range *sp {
-			n += (*sp)[i].v.Load()
-		}
-	}
-	return n
+	return c.v.Load()
 }
 
-// ShardLoads reads the per-slot counts of a sharded counter (nil when
-// unsharded) — the oskit-stats -percpu breakdown.
-func (c *Counter) ShardLoads() []uint64 {
-	if c == nil {
-		return nil
-	}
-	sp := c.shards.Load()
-	if sp == nil {
-		return nil
-	}
-	out := make([]uint64, len(*sp))
-	for i := range *sp {
-		out[i] = (*sp)[i].v.Load()
-	}
-	return out
-}
-
-func (c *Counter) reset() {
-	c.v.Store(0)
-	if sp := c.shards.Load(); sp != nil {
-		for i := range *sp {
-			(*sp)[i].v.Store(0)
-		}
-	}
-}
+func (c *Counter) reset() { c.v.Store(0) }
 
 // Gauge is an instantaneous level (bytes live, buffer occupancy) that
 // also tracks its high-water mark.  Safe on a nil receiver.
@@ -378,31 +296,6 @@ func (s *Set) Snapshot() []com.Statistic {
 	return out
 }
 
-// SnapshotPerCPU returns the per-CPU shard breakdown of every sharded
-// counter in the set, registration order, one "<counter>.cpu<i>" row per
-// slot (charges that landed on the shared base word appear in the
-// aggregate Snapshot row, not here).  Sets with no sharded counters
-// return nothing — the default single-CPU configuration has no per-CPU
-// story to tell.
-func (s *Set) SnapshotPerCPU() []com.Statistic {
-	s.mu.Lock()
-	ms := append([]metric(nil), s.metrics...)
-	s.mu.Unlock()
-	var out []com.Statistic
-	for _, m := range ms {
-		if m.c == nil {
-			continue
-		}
-		for i, v := range m.c.ShardLoads() {
-			out = append(out, com.Statistic{
-				Name:  fmt.Sprintf("%s.cpu%d", m.name, i),
-				Value: int64(v),
-			})
-		}
-	}
-	return out
-}
-
 // Reset implements com.Stats.
 func (s *Set) Reset() {
 	s.mu.Lock()
@@ -478,32 +371,5 @@ func WriteTable(w io.Writer, sets []com.Stats, terse bool) {
 	}
 	if !wrote {
 		fmt.Fprintln(w, "(no statistics recorded)")
-	}
-}
-
-// WriteTablePerCPU renders every exporter's per-CPU shard breakdown in
-// the WriteTable format (cmd/oskit-stats -percpu).  Exporters that are
-// not *Set-backed, or have no sharded counters, contribute nothing.
-func WriteTablePerCPU(w io.Writer, sets []com.Stats, terse bool) {
-	sorted := append([]com.Stats(nil), sets...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].StatsName() < sorted[j].StatsName()
-	})
-	wrote := false
-	for _, set := range sorted {
-		pc, ok := set.(interface{ SnapshotPerCPU() []com.Statistic })
-		if !ok {
-			continue
-		}
-		for _, st := range pc.SnapshotPerCPU() {
-			if terse && st.Value == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "%-14s %-28s %12d\n", set.StatsName(), st.Name, st.Value)
-			wrote = true
-		}
-	}
-	if !wrote {
-		fmt.Fprintln(w, "(no per-cpu sharded statistics)")
 	}
 }

@@ -14,7 +14,6 @@
 #   E13 (cluster connection churn + demux)    -> BENCH_e13.json
 #   E14 (SMP scaling: ttcp/rtcp/churn by CPUs) -> BENCH_e14.json
 #   E15 (sendfile copy/zero-copy x csum matrix) -> BENCH_e15.json
-#   E16 (per-CPU allocation fronts vs global locks) -> BENCH_e16.json
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,4 +65,3 @@ run_matrix 'E12_RxBatch_Matrix' BENCH_e12.json
 run_matrix 'E13_(Churn|Demux)_Matrix' BENCH_e13.json
 run_matrix 'E14_SMP_Matrix' BENCH_e14.json
 run_matrix 'E15_Sendfile_Matrix' BENCH_e15.json
-run_matrix 'E16_Alloc_Matrix' BENCH_e16.json
