@@ -9,12 +9,17 @@ build:
 test:
 	go test ./...
 
+# The race tier at GOMAXPROCS 1, 2 and the host's, as check.sh runs it:
+# a lock-order inversion needs real parallelism to bite.
 race:
-	go test -race ./internal/freebsd/net/... ./internal/stats/... \
-		./internal/hw/... ./internal/faults/... \
-		./internal/libc/... ./internal/linux/dev/... \
-		./internal/kvm/... ./internal/smp/... \
-		./internal/evalrig/... ./internal/com/...
+	for p in $$(printf '%s\n' 1 2 $$(nproc) | sort -nu); do \
+		echo "== race at GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p go test -race -count=1 -timeout 300s ./internal/freebsd/net/... ./internal/stats/... \
+			./internal/hw/... ./internal/faults/... \
+			./internal/libc/... ./internal/linux/dev/... \
+			./internal/kvm/... ./internal/smp/... \
+			./internal/evalrig/... ./internal/com/... || exit 1; \
+	done
 
 # oskitcheck: the kit's own analyzers (COM refcounts, hooks under locks,
 # guarded-by field ownership, GUID registry, determinism contract).

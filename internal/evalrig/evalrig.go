@@ -123,18 +123,19 @@ type Options struct {
 	FastPath bool
 
 	// CPUs powers each machine on with N logical CPUs (interrupt
-	// dispatch contexts) and, for N > 1, switches the BSD-stack
-	// configurations to the SMP discipline: the FreeBSD glue's spl
-	// becomes vestigial and the per-connection locks of
-	// internal/freebsd/net are the component's exclusion (E14).  A
-	// FreeBSD-native node attaches its NIC with N receive rings
-	// (AttachNativeMQ); an OSKit node with FastPath grows N RSS-hashed
-	// rings drained by N polled receive loops on N CPUs.  0 or 1 means
-	// the unchanged uniprocessor rig — every default path is
-	// byte-identical to CPUs-absent (TestPathShapeMatrix pins this).
-	// The Linux configuration ignores the SMP discipline (the
-	// monolithic baseline stays serialized) but still boots with N
-	// CPUs.
+	// dispatch contexts).  The exclusion discipline is not an option: each
+	// glue reads N where it is built.  For N > 1 the BSD-stack
+	// configurations run the SMP discipline end to end — the FreeBSD
+	// glue's spl and the Linux driver glue's cli are vestigial and the
+	// per-connection locks of internal/freebsd/net are the exclusion
+	// (E14); the file system keeps giant exclusion.  A FreeBSD-native
+	// node attaches its NIC with N receive rings (AttachNativeMQ); an
+	// OSKit node with FastPath grows N RSS-hashed rings drained by N
+	// polled receive loops, without it the donor ISR keeps its one line.
+	// 0 or 1 means the unchanged uniprocessor rig — every default path is
+	// byte-identical to CPUs-absent (TestPathShapeMatrix pins this).  The
+	// Linux configuration keeps real cli (the monolithic baseline stays
+	// serialized) but still boots with N CPUs.
 	CPUs int
 
 	// DiskSectors, when nonzero, attaches an IDE disk of that many
@@ -266,11 +267,7 @@ func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Durati
 		f.Release()
 
 	case FreeBSD:
-		g := bsdglue.New(k.Env)
-		if smp {
-			g.SetSMP(true)
-		}
-		st := bsdnet.NewStack(g)
+		st := bsdnet.NewStack(bsdglue.NewLocked(k.Env))
 		if smp {
 			// N RSS-hashed receive rings, one per CPU, each ring's
 			// interrupt line affinity-routed so drains run concurrently.
@@ -295,19 +292,13 @@ func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Durati
 			// Grow the controller to one RSS-hashed receive ring per
 			// CPU before the encapsulated driver opens it; the polled
 			// receive path then engages one drain loop per ring
-			// (linuxdev/rxpoll.go), and the donor allocator switches to
-			// its SMP lock.
+			// (linuxdev/rxpoll.go).
 			nic.ConfigureRxQueues(cpus)
-			linuxdev.GlueFor(k.Env).SetSMP(true)
 		}
 		fw := dev.NewFramework(k.Env)
 		linuxdev.InitEthernet(fw)
 		fw.Probe()
-		bg := bsdglue.New(k.Env)
-		if smp {
-			bg.SetSMP(true)
-		}
-		st := bsdnet.NewStack(bg)
+		st := bsdnet.NewStack(bsdglue.NewLocked(k.Env))
 		f := st.SocketFactory()
 		n.C.SetSocketCreator(f)
 		f.Release()

@@ -113,6 +113,10 @@ func TestPathShapeMatrix(t *testing.T) {
 		{"default", Options{}, 5005},
 		{"fastpath", Options{FastPath: true}, 5006},
 		{"fastpath-4cpu", Options{FastPath: true, CPUs: 4}, 5007},
+		// The fourth cell: the stock path shape (flatten copies, donor
+		// ISR, no gather, no polled receive) holds on 4-CPU machines,
+		// where both glue layers run the SMP discipline.
+		{"stock-4cpu", Options{CPUs: 4}, 5008},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -228,9 +232,7 @@ func TestPathShapeMatrix(t *testing.T) {
 			// One allocator path at every width: a multi-CPU row's
 			// allocator exporters publish exactly the rows the same
 			// configuration publishes on one CPU — no per-CPU layer
-			// registers anything.  The file-serving pin below is a
-			// uniprocessor one (multi-CPU HTTP belongs to the soak
-			// suite), so such a row ends here.
+			// registers anything.
 			if tc.opts.CPUs > 1 {
 				one := tc.opts
 				one.CPUs = 0
@@ -246,7 +248,6 @@ func TestPathShapeMatrix(t *testing.T) {
 							n.Machine.Name, tc.opts.CPUs, got, want)
 					}
 				}
-				return
 			}
 
 			// E15 file-serving shape, same decision tree: boot a
@@ -254,9 +255,13 @@ func TestPathShapeMatrix(t *testing.T) {
 			// the HTTP workload through libc.Sendfile.  The fast path
 			// must move every body byte as pinned buffer-cache pages
 			// with the transport checksum riding the gather engine; the
-			// default path must never negotiate either seam.
+			// default path must never negotiate either seam.  A multi-CPU
+			// row serves from unserialized 4-CPU nodes: handler threads
+			// sleep in the donor IDE driver under the SMP driver glue,
+			// where cli no longer orders them against the completion
+			// handler, so the -race tier checks that hand-off too.
 			c, err := NewCluster(OSKit, 2, time.Millisecond, Options{
-				FastPath: tc.opts.FastPath, DiskSectors: 16384,
+				FastPath: tc.opts.FastPath, CPUs: tc.opts.CPUs, DiskSectors: 16384,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -68,18 +68,19 @@ type Glue struct {
 	// Curproc is the current process pointer donor code dereferences
 	// freely.  One process-level thread of control runs inside a
 	// component at a time (the documented execution model), so a plain
-	// field reproduces the donor global exactly.  On an SMP stack (see
-	// SetSMP) several threads run inside the component concurrently and
-	// the current process becomes per-thread state in curprocs instead;
-	// the field stays nil there.
+	// field reproduces the donor global exactly.  Under the SMP discipline
+	// (see NewLocked) several threads run inside the component
+	// concurrently and the current process becomes per-thread state in
+	// curprocs instead; the field stays nil there.
 	Curproc *Proc
 
-	// smp is set once at boot, before the component sees traffic.  It
-	// switches the glue from the §4.7.4 giant-exclusion discipline (spl
-	// calls disable interrupts, one process inside the component) to the
-	// SMP discipline: spl calls become no-ops — the component carries its
-	// own fine-grained locks — and curproc is tracked per thread.
-	smp bool
+	// smp is fixed by the constructor.  Off (New) is the §4.7.4
+	// giant-exclusion discipline: spl calls disable interrupts, one
+	// process inside the component.  On (NewLocked on a multi-CPU machine)
+	// is the SMP discipline: spl calls become no-ops — the component
+	// carries its own fine-grained locks — and curproc is tracked per
+	// thread.
+	smp bool //oskit:initonly
 
 	// curprocs is keyed by hw.GoID, which is unique only among live
 	// goroutines: every entry is deleted when its thread leaves the
@@ -96,10 +97,20 @@ type Glue struct {
 	Malloc *Malloc
 }
 
-// New builds a BSD environment over env.  The allocator's statistics are
-// exported as a "bsd_malloc" com.Stats set in env's services registry.
-func New(env *core.Env) *Glue {
-	g := &Glue{env: env}
+// New builds a BSD environment over env for a component that relies on
+// the glue for its exclusion (the file system, sio): giant exclusion on
+// any machine.  The allocator's statistics are exported as a "bsd_malloc"
+// com.Stats set in env's services registry.
+func New(env *core.Env) *Glue { return newGlue(env, false) }
+
+// NewLocked is New for a component that carries its own lock hierarchy
+// (the network stack, net/locks.go).  The discipline is the machine's, not
+// the caller's: on one CPU it is New; on several, spl is vestigial and the
+// component's locks are its only exclusion.
+func NewLocked(env *core.Env) *Glue { return newGlue(env, env.Machine.CPUs() > 1) }
+
+func newGlue(env *core.Env, smp bool) *Glue {
+	g := &Glue{env: env, smp: smp, curprocs: map[uint64]*Proc{}}
 	g.Malloc = newMalloc(g)
 	set := stats.NewSet("bsd_malloc")
 	g.Malloc.initStats(set)
@@ -110,21 +121,6 @@ func New(env *core.Env) *Glue {
 
 // Env returns the kit environment underneath.
 func (g *Glue) Env() *core.Env { return g.env }
-
-// SetSMP switches the glue's concurrency discipline (see the smp field).
-// Call once at boot, before the component sees traffic; never switch
-// back mid-flight.
-func (g *Glue) SetSMP(on bool) {
-	g.curMu.Lock()
-	defer g.curMu.Unlock()
-	g.smp = on
-	if on && g.curprocs == nil {
-		g.curprocs = map[uint64]*Proc{}
-	}
-}
-
-// SMP reports which discipline the glue runs under.
-func (g *Glue) SMP() bool { return g.smp }
 
 // Enter manufactures the current process for one component entry point
 // (§4.7.5), returning the restore to run when the call leaves the

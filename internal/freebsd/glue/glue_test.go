@@ -14,8 +14,9 @@ import (
 func testGlue(t *testing.T) *Glue { return testGlueCPUs(t, 0) }
 
 // testGlueCPUs is testGlue on a cpus-CPU machine (0: the platform
-// default); more than one CPU switches the SMP discipline on — spl is a
-// no-op and the component's locks are its real exclusion.
+// default) for a lock-carrying client; more than one CPU means the SMP
+// discipline — spl is a no-op and the component's locks are its real
+// exclusion.
 func testGlueCPUs(t *testing.T, cpus int) *Glue {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20, CPUs: cpus})
@@ -25,11 +26,7 @@ func testGlueCPUs(t *testing.T, cpus int) *Glue {
 		t.Fatal(err)
 	}
 	arena.AddFree(0x100000, 8<<20)
-	g := New(core.NewEnv(m, arena))
-	if cpus > 1 {
-		g.SetSMP(true)
-	}
-	return g
+	return NewLocked(core.NewEnv(m, arena))
 }
 
 func TestEnterManufacturesCurproc(t *testing.T) {
@@ -179,6 +176,47 @@ func TestSplNesting(t *testing.T) {
 	g.Splx(s1)
 	if s1 != 1 || s2 != 1 {
 		t.Fatalf("spl tokens = %d, %d", s1, s2)
+	}
+}
+
+// TestDisciplineFollowsTheMachine pins the two constructors: New is giant
+// exclusion on any machine (the file system's splbio must stay real cli
+// on 4 CPUs), NewLocked is SMP exactly when the machine has several CPUs,
+// and nothing can change either afterwards.
+func TestDisciplineFollowsTheMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cpus   int
+		locked bool
+		smp    bool
+	}{
+		{"New/1cpu", 1, false, false},
+		{"New/4cpu", 4, false, false},
+		{"NewLocked/1cpu", 1, true, false},
+		{"NewLocked/4cpu", 4, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := testGlueCPUs(t, tc.cpus)
+			if !tc.locked {
+				g = New(g.Env())
+			}
+			clis := 0
+			disable := g.env.IntrDisable
+			g.env.IntrDisable = func() { clis++; disable() }
+			restore := g.Enter("probe")
+			s := g.Splnet()
+			g.Splx(s)
+			perThread := g.Curproc == nil && g.curproc() != nil
+			restore()
+			wantCli := 1
+			if tc.smp {
+				wantCli = 0
+			}
+			if s != wantCli || clis != wantCli || perThread != tc.smp {
+				t.Fatalf("on %d CPUs: spl token %d, %d cli, per-thread curproc %v; want SMP discipline = %v",
+					tc.cpus, s, clis, perThread, tc.smp)
+			}
+		})
 	}
 }
 

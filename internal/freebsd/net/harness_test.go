@@ -13,7 +13,9 @@ import (
 	linuxdev "oskit/internal/linux/dev"
 )
 
-func bsdGlueFor(k *kern.Kernel) *bsdglue.Glue { return bsdglue.New(k.Env) }
+// bsdGlueFor builds the stack's glue the way every rig does: the
+// lock-carrying constructor, whose discipline follows the machine.
+func bsdGlueFor(k *kern.Kernel) *bsdglue.Glue { return bsdglue.NewLocked(k.Env) }
 
 // The integration harness: two simulated machines on one Ethernet wire,
 // each running the FreeBSD stack over an encapsulated Linux driver —
@@ -25,10 +27,16 @@ var (
 	nm  = IPAddr{255, 255, 255, 0}
 )
 
-// bootStack brings up one machine + driver + stack.
+// bootStack brings up one uniprocessor machine + driver + stack.
 func bootStack(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip IPAddr) *Stack {
+	return bootStackCPUs(t, wire, mac, model, ip, 1)
+}
+
+// bootStackCPUs is bootStack on a cpus-CPU machine; more than one CPU puts
+// both glue layers under the SMP discipline, as on any such node.
+func bootStackCPUs(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip IPAddr, cpus int) *Stack {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{Name: "net", MemBytes: 32 << 20})
+	m := hw.NewMachine(hw.Config{Name: "net", MemBytes: 32 << 20, CPUs: cpus})
 	t.Cleanup(m.Halt)
 	m.AttachNIC(wire, [6]byte{2, 0, 0, 0, 0, mac}, model)
 	k, err := kern.Setup(m, nil)
@@ -56,10 +64,12 @@ func bootStack(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip
 	return s
 }
 
-func connectedStacks(t *testing.T) (*Stack, *Stack) {
+func connectedStacks(t *testing.T) (*Stack, *Stack) { return connectedStacksCPUs(t, 1) }
+
+func connectedStacksCPUs(t *testing.T, cpus int) (*Stack, *Stack) {
 	wire := hw.NewEtherWire()
-	a := bootStack(t, wire, 1, hw.ModelNE2K, ipA)
-	b := bootStack(t, wire, 2, hw.Model3C59X, ipB)
+	a := bootStackCPUs(t, wire, 1, hw.ModelNE2K, ipA, cpus)
+	b := bootStackCPUs(t, wire, 2, hw.Model3C59X, ipB, cpus)
 	return a, b
 }
 

@@ -7,10 +7,11 @@ import "sync"
 // On a uniprocessor the stack keeps the §4.7.4 giant-exclusion
 // discipline: every entry point raises spl (disabling interrupts) and at
 // most one thread of control is inside the component, so every mutex
-// below is acquired uncontended and costs one atomic operation.  On an
-// SMP machine (glue.SetSMP) the spl calls become no-ops and these locks
-// are the component's real exclusion — the per-connection-locking
-// rewrite of the donor's spl discipline.
+// below is acquired uncontended and costs one atomic operation.  On a
+// multi-CPU machine (bsdglue.NewLocked reads the CPU count, as the driver
+// glue underneath does; nothing can set it) spl and cli are no-ops and
+// these locks are the component's real exclusion — the per-connection-
+// locking rewrite of the donor's spl discipline.
 //
 // Ranks order acquisition: a thread may only acquire a lock of *higher*
 // rank than any it holds.  The hierarchy (documented in DESIGN.md §13):

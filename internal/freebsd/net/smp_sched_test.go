@@ -17,17 +17,13 @@ import (
 	"oskit/internal/smp"
 )
 
-// connectedStacksSMP boots the usual two-machine rig and switches both
-// stacks' glue to the SMP discipline: spl becomes vestigial, per-thread
+// connectedStacksSMP boots the usual two-machine rig on 4-CPU machines,
+// which is what puts both stacks' glue (and the driver glue under them)
+// in the SMP discipline: spl and cli become vestigial, per-thread
 // current-process tracking engages, and the locks of locks.go are the
 // only exclusion — the configuration every test in this file and in
 // smp_race_test.go exercises.
-func connectedStacksSMP(t *testing.T) (*Stack, *Stack) {
-	a, b := connectedStacks(t)
-	a.Glue().SetSMP(true)
-	b.Glue().SetSMP(true)
-	return a, b
-}
+func connectedStacksSMP(t *testing.T) (*Stack, *Stack) { return connectedStacksCPUs(t, 4) }
 
 // TestPerConnLockingInterleavings drives three virtual CPUs through the
 // full connection lifecycle — create, connect, write, close — against

@@ -43,24 +43,27 @@ type Glue struct {
 	// nativeKmalloc selects Linux's own bucket allocator (the
 	// monolithic baseline) over the glue's client-memory-service
 	// mapping (the encapsulated configuration).
-	nativeKmalloc bool
+	nativeKmalloc bool //oskit:initonly
 
 	// kmHook, when set, may veto a kmalloc before any allocator runs
 	// (fault injection; see SetKmallocFaultHook).  Read with the donor
 	// allocator exclusion held, like the buckets.
 	kmHook func(size uint32) bool //oskit:guardedby klMu
 
-	// smp switches the donor exclusion discipline: off (the default),
+	// smp is the donor exclusion discipline, a fact of the machine read
+	// once when the glue is built (CPUs > 1) and never settable: off,
 	// kmalloc/kfree serialize against interrupt handlers with cli, the
 	// donor contract on a uniprocessor.  On, cli is per-CPU and gives no
 	// cross-CPU exclusion — worse, a process-level thread that disables
 	// interrupts while holding a protocol lock deadlocks against a
 	// dispatcher whose pending handler wants that lock — so the shared
 	// donor allocator state moves under klMu and the cli seam becomes a
-	// no-op (donor driver entry is externally serialized: transmit under
-	// the stack's TX lock, receive by the per-ring pollers that never
-	// run donor ISR code).  Set before traffic, like EnableFastPath.
-	smp atomic.Bool
+	// no-op.  Donor driver entry is externally serialized: transmit
+	// under the stack's TX lock, receive on the donor ISR's single line
+	// (or the per-ring pollers that replace it), and the two share no
+	// driver state beyond kmalloc.  The monolithic baseline (ProbeNative)
+	// keeps real cli on any machine: it is that kernel's only exclusion.
+	smp bool //oskit:initonly
 	// klMu guards the kmalloc buckets, the fault hook and the pool
 	// binding in SMP mode.
 	klMu klLock
@@ -127,17 +130,10 @@ const (
 //oskit:lockrank 75
 type klLock struct{ sync.Mutex }
 
-// SetSMP switches the glue's exclusion discipline (see the smp field).
-// Call before traffic; the single-CPU default is unchanged.
-func (g *Glue) SetSMP(on bool) { g.smp.Store(on) }
-
-// SMP reports whether SetSMP(true) has been called.
-func (g *Glue) SMP() bool { return g.smp.Load() }
-
 // kmLock enters the donor allocator exclusion — klMu in SMP mode,
 // interrupt exclusion otherwise — returning the matching leave.
 func (g *Glue) kmLock() func() {
-	if g.smp.Load() {
+	if g.smp {
 		g.klMu.Lock()
 		return g.klMu.Unlock
 	}
@@ -215,13 +211,20 @@ var (
 
 // GlueFor returns (creating on first use) the machine's Linux glue: the
 // analog of linking the donor code into that machine's kernel image.
-func GlueFor(env *core.Env) *Glue {
+func GlueFor(env *core.Env) *Glue { return glueFor(env, false) }
+
+// glueFor is GlueFor; native builds the monolithic baseline's image.
+func glueFor(env *core.Env, native bool) *Glue {
 	gluesMu.Lock()
 	defer gluesMu.Unlock()
 	if g, ok := glues[env]; ok {
+		if native && !g.nativeKmalloc {
+			panic("linuxdev: ProbeNative on a machine whose drivers are already encapsulated")
+		}
 		return g
 	}
-	g := &Glue{env: env, route: map[*legacy.NetDevice]*etherDev{}}
+	g := &Glue{env: env, route: map[*legacy.NetDevice]*etherDev{},
+		nativeKmalloc: native, smp: !native && env.Machine.CPUs() > 1}
 	set := stats.NewSet("linux_dev")
 	g.scKmallocs = set.Counter("kmalloc.allocs")
 	g.scKfrees = set.Counter("kmalloc.frees")
@@ -382,17 +385,15 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 	// Interrupt exclusion.  At interrupt level these are no-ops: the
 	// dispatcher already holds the exclusion, exactly like EFLAGS.IF
 	// being clear inside a real handler.  In SMP mode the whole seam is
-	// a no-op: per-CPU cli excludes nothing across CPUs, and donor
-	// entry points are serialized by the locks of the code above (the
-	// allocator, the one donor state the packet paths share, has klMu).
+	// a no-op (see the smp field).
 	k.SaveFlags = func() uint32 {
-		if g.smp.Load() || env.InIntr() {
+		if g.smp || env.InIntr() {
 			return 1
 		}
 		return 0
 	}
 	k.Cli = func() {
-		if g.smp.Load() {
+		if g.smp {
 			return
 		}
 		if !env.InIntr() {
@@ -440,9 +441,7 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 	}
 	k.SleepOn = func(q *legacy.WaitQueue) {
 		rec := wqRec(q)
-		saved := k.Current
-		k.Current = nil
-		if g.smp.Load() {
+		if g.smp {
 			// SMP: this kernel's own cli seam is a no-op, but an outer
 			// component (the file system's splbio bracketing a disk
 			// read) may still hold the boot CPU's exclusion — sleep_on
@@ -453,19 +452,21 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 			if depth > 0 {
 				env.Machine.Intr.RestoreAll(depth)
 			}
-		} else {
-			// sleep_on enables interrupts *fully* while blocked (sti,
-			// not one restore_flags level): the caller may be nested
-			// under other components' exclusion sections.
-			depth := env.Machine.Intr.DropAll()
-			env.Sleep(rec)
-			env.Machine.Intr.RestoreAll(depth)
+			return
 		}
+		saved := k.Current
+		k.Current = nil
+		// sleep_on enables interrupts *fully* while blocked (sti, not one
+		// restore_flags level): the caller may be nested under other
+		// components' exclusion sections.
+		depth := env.Machine.Intr.DropAll()
+		env.Sleep(rec)
+		env.Machine.Intr.RestoreAll(depth)
 		k.Current = saved
 	}
 	k.WakeUp = func(q *legacy.WaitQueue) {
 		var rec *core.SleepRec
-		if g.smp.Load() {
+		if g.smp {
 			rec = wqRec(q)
 		} else {
 			exclude := !env.InIntr()
@@ -520,8 +521,7 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 // configured: the Linux protocol stack attaches to the driver directly,
 // donor representation end to end, no glue in the packet path.
 func ProbeNative(env *core.Env) (*legacy.Kernel, []*legacy.NetDevice) {
-	g := GlueFor(env)
-	g.nativeKmalloc = true // the monolithic kernel keeps Linux's fast kmalloc
+	g := glueFor(env, true) // the monolithic kernel keeps Linux's fast kmalloc and cli
 	var devs []*legacy.NetDevice
 	for _, bd := range env.Machine.Bus.Devices() {
 		nic, ok := bd.HW.(*hw.NIC)
@@ -550,8 +550,12 @@ func ProbeNative(env *core.Env) (*legacy.Kernel, []*legacy.NetDevice) {
 // enter manufactures the current process for one component entry point
 // and returns the matching restore, per §4.7.5: "the glue code creates
 // and initializes a minimal temporary process structure … for the
-// duration of this call".
+// duration of this call".  Not under the SMP discipline: one Current
+// global cannot name several running tasks, and no kit driver reads it.
 func (g *Glue) enter(comm string) func() {
+	if g.smp {
+		return func() {}
+	}
 	g.mu.Lock()
 	g.nextPID++
 	pid := g.nextPID

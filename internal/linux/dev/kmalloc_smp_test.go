@@ -23,7 +23,9 @@ func testKmGlue(t *testing.T) (*Glue, *libc.QuickPool) {
 		t.Fatal(err)
 	}
 	g := GlueFor(k.Env)
-	g.SetSMP(true)
+	if !g.smp {
+		t.Fatal("driver glue on a 4-CPU machine is not under the SMP discipline")
+	}
 	pool := libc.NewQuickPoolService(libc.New(k.Env))
 	g.EnableFastPath(pool)
 	return g, pool
@@ -119,5 +121,45 @@ func TestKmallocConcurrentGaugeAudit(t *testing.T) {
 	qFrees, _ := stats.Get(qsnap, "qp.frees")
 	if qAllocs != qFrees {
 		t.Fatalf("qp.allocs %d != qp.frees %d after full free", qAllocs, qFrees)
+	}
+}
+
+// TestCliFollowsTheMachine pins the driver glue's one discipline fact: on
+// a multi-CPU machine the encapsulated image's cli seam is vestigial,
+// while the monolithic baseline (ProbeNative) still takes real cli — its
+// only exclusion — on the same machine size.
+func TestCliFollowsTheMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cpus    int
+		native  bool
+		wantCli int
+	}{
+		{"encapsulated/1cpu", 1, false, 1},
+		{"encapsulated/4cpu", 4, false, 0},
+		{"native/4cpu", 4, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := hw.NewMachine(hw.Config{Name: "cli", MemBytes: 16 << 20, CPUs: tc.cpus})
+			t.Cleanup(m.Halt)
+			k, err := kern.Setup(m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clis := 0
+			disable := k.Env.IntrDisable
+			k.Env.IntrDisable = func() { clis++; disable() }
+			if tc.native {
+				ProbeNative(k.Env)
+			}
+			lk := GlueFor(k.Env).Kernel()
+			flags := lk.SaveFlags()
+			lk.Cli()
+			lk.RestoreFlags(flags)
+			lk.Kfree(lk.Kmalloc(64, legacy.GFPKernel))
+			if want := 3 * tc.wantCli; clis != want {
+				t.Fatalf("cli + kmalloc + kfree took process-level cli %d times, want %d", clis, want)
+			}
+		})
 	}
 }

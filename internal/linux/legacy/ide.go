@@ -1,5 +1,7 @@
 package legacy
 
+import "sync/atomic"
+
 // sIDE: the kit's donor IDE disk driver, in the Linux request-queue
 // style: requests are started on the controller, the caller sleeps on the
 // request's wait queue, and the interrupt handler reaps completions and
@@ -22,7 +24,9 @@ type IDERequest struct {
 	Buf    []byte
 
 	Wait WaitQueue
-	Done bool
+	// Done is atomic (and publishes Err, written before it): on an SMP
+	// machine the handler runs on another CPU and cli orders nothing.
+	Done atomic.Bool
 	Err  error
 }
 
@@ -82,7 +86,7 @@ func (d *IDEDisk) interrupt() {
 		}
 		r := tag.(*IDERequest)
 		r.Err = err
-		r.Done = true
+		r.Done.Store(true)
 		d.Kern.WakeUp(&r.Wait)
 	}
 }
@@ -106,7 +110,7 @@ func (d *IDEDisk) DoRequest(r *IDERequest) error {
 	// completed-before-sleep window against the Done test.
 	flags := k.SaveFlags()
 	k.Cli()
-	for !r.Done {
+	for !r.Done.Load() {
 		k.SleepOn(&r.Wait)
 	}
 	k.RestoreFlags(flags)

@@ -28,22 +28,35 @@ T0=$(date +%s)
 go test ./...
 echo "   go test ./... wall time: $(($(date +%s) - T0)) s"
 
-echo "== tier-1: race (net, stats, hw, faults, libc, linux drivers, kvm, smp, evalrig, com)"
-go test -race ./internal/freebsd/net/... ./internal/stats/... \
-	./internal/hw/... ./internal/faults/... \
-	./internal/libc/... ./internal/linux/dev/... \
-	./internal/kvm/... ./internal/smp/... \
-	./internal/evalrig/... ./internal/com/...
+# Everything that exercises the SMP discipline runs at GOMAXPROCS 1, 2
+# and the host's: a lock-order inversion needs real parallelism to bite
+# and one core hides it.  Every invocation carries its own -timeout, so
+# a deadlock costs two minutes and names its test instead of eating the
+# 10-minute package default.
+PROCS=$(printf '%s\n' 1 2 "$(nproc)" | sort -nu | tr '\n' ' ')
+for P in $PROCS; do
+	export GOMAXPROCS="$P"
+	echo "== tier-1: race at GOMAXPROCS=$P (net, stats, hw, faults, libc, linux drivers, kvm, smp, evalrig, com)"
+	go test -race -count=1 -timeout 300s ./internal/freebsd/net/... ./internal/stats/... \
+		./internal/hw/... ./internal/faults/... \
+		./internal/libc/... ./internal/linux/dev/... \
+		./internal/kvm/... ./internal/smp/... \
+		./internal/evalrig/... ./internal/com/...
+
+	echo "== SMP smoke at GOMAXPROCS=$P (4-CPU cluster churn, stock and fast path, on the per-connection locks, under -race)"
+	go test -race -count=1 -timeout 120s ./internal/evalrig/ \
+		-run 'TestSMP'
+	go test -race -count=1 -timeout 120s ./internal/freebsd/net/ \
+		-run 'TestRace|TestPerConnLockingInterleavings|TestScheduledConnectCloseRace'
+
+	echo "== shuffled multi-CPU re-run at GOMAXPROCS=$P (SMP rigs under a different interleaving)"
+	go test -shuffle=on -count=1 -timeout 120s ./internal/evalrig/ ./internal/freebsd/net/ ./internal/smp/
+done
+unset GOMAXPROCS
 
 echo "== cluster smoke (switched N-node rig, churn reproducibility, under -race)"
-go test -race -count=1 ./internal/evalrig/ \
+go test -race -count=1 -timeout 120s ./internal/evalrig/ \
 	-run 'TestCluster|TestConcurrentCeiling'
-
-echo "== SMP smoke (4-CPU cluster churn on the per-connection locks, under -race)"
-go test -race -count=1 ./internal/evalrig/ \
-	-run 'TestSMP'
-go test -race -count=1 ./internal/freebsd/net/ \
-	-run 'TestRace|TestPerConnLockingInterleavings|TestScheduledConnectCloseRace'
 
 echo "== refcount lifecycle checks (oskitrefdebug build)"
 go test -race -tags oskitrefdebug ./internal/com/
@@ -52,9 +65,6 @@ go test -race -tags oskitrefdebug -count=1 ./internal/faults/soak/ \
 
 echo "== shuffled re-run (order-dependence check)"
 go test -shuffle=on -count=1 ./...
-
-echo "== shuffled multi-CPU re-run (SMP rigs under a different interleaving)"
-go test -shuffle=on -count=1 ./internal/evalrig/ ./internal/freebsd/net/ ./internal/smp/
 
 echo "== bench smoke (E11-E15 matrices, 1x)"
 scripts/bench.sh 1x >/dev/null
@@ -76,6 +86,9 @@ go run ./examples/rtcp -config oskit -rounds 50 -fastpath >/dev/null
 go run ./examples/ttcp -config freebsd -blocks 64 -cpus 4 >/dev/null
 go run ./examples/rtcp -config freebsd -rounds 50 -cpus 4 >/dev/null
 go run ./cmd/oskit-churn -config freebsd -nodes 4 -conns 128 -cpus 4 >/dev/null
+# OSKit stock path (donor ISR, flatten copies) on 4-CPU machines.
+go run ./examples/ttcp -config oskit -blocks 64 -cpus 4 >/dev/null
+go run ./cmd/oskit-churn -config oskit -nodes 4 -conns 128 -cpus 4 >/dev/null
 go run ./cmd/oskit-stats -config oskit -blocks 64 -fastpath -cpus 4 >/dev/null
 go run ./examples/fileserver -stats -fastpath \
 	-faults "seed=7 disk.err=0.05 disk.torn=0.02" >/dev/null
