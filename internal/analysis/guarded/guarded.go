@@ -46,8 +46,13 @@
 // independent bodies with an empty lockset (they run later, locking for
 // themselves), without requirement adoption.  Unexported functions whose
 // requirements are never called from package code (test-only helpers;
-// test files are excluded from analysis) stay silent.  Cross-package
-// field accesses are not checked: annotations live in package syntax.
+// test files are excluded from analysis) stay silent — except a method
+// that implements a package-declared interface: it is called through
+// the interface, so like an exported function it must acquire what it
+// needs (the EtherSwitch.held shape: a field annotated with one sibling
+// mutex, accessed under the other inside Segment.transmitGather).
+// Cross-package field accesses are not checked: annotations live in
+// package syntax.
 package guarded
 
 import (
@@ -1442,9 +1447,15 @@ func (c *checker) discharge() {
 	}
 	// Requirements surviving in exported functions can never be met:
 	// callers outside the package cannot hold package-internal locks.
+	// The same goes for an unexported method reached through an
+	// interface: no static call site exists to discharge them.
 	for fn, reqs := range c.reqs {
+		entry := "exported"
 		if !ast.IsExported(fn.Name()) {
-			continue // unexported and uncalled stays silent (test-only helpers)
+			if !c.dynamicEntry(fn) {
+				continue // unexported and uncalled stays silent (test-only helpers)
+			}
+			entry = "interface method"
 		}
 		for _, r := range reqs {
 			ns := &needSet{all: r.all, write: r.write}
@@ -1455,8 +1466,35 @@ func (c *checker) discharge() {
 				}
 				ns.needs = append(ns.needs, n)
 			}
-			c.pass.Reportf(r.pos, "exported %s reaches %s.%s (%s %s) without %s: acquire the lock inside the exported entry point",
-				fn.Name(), r.strct, r.field, guardedByDirective, r.guard, describe(ns))
+			c.pass.Reportf(r.pos, "%s %s reaches %s.%s (%s %s) without %s: acquire the lock inside the entry point",
+				entry, fn.Name(), r.strct, r.field, guardedByDirective, r.guard, describe(ns))
 		}
 	}
+}
+
+// dynamicEntry reports whether an unexported method is an entry point
+// all the same: its receiver implements a package-declared interface
+// listing the method, so package code calls it through the interface.
+func (c *checker) dynamicEntry(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	scope := c.pass.Pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		iface, ok := tn.Type().Underlying().(*types.Interface)
+		if !ok || !types.Implements(recv.Type(), iface) {
+			continue
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == fn.Name() {
+				return true
+			}
+		}
+	}
+	return false
 }

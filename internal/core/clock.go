@@ -62,14 +62,6 @@ func (c *Clock) After(delay uint64, fn func()) (cancel func()) {
 	}
 }
 
-// Pending reports how many callouts are scheduled (including cancelled
-// ones not yet reaped); for tests.
-func (c *Clock) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.q)
-}
-
 type callout struct {
 	when      uint64
 	seq       uint64 // FIFO among equal deadlines

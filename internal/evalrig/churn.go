@@ -73,169 +73,143 @@ func churnPayload(seed int64, i, n int) []byte {
 	return b
 }
 
+// tickets is the closed-loop worker pool behind ChurnTCP and HTTPGet: a
+// shared counter hands out operation indices 0 … total-1, every worker
+// draws until they run out, and record folds each outcome into one
+// tally under one lock.
+type tickets struct {
+	total int
+	what  string // names one operation in the sampled errors ("conn", "req")
+	next  atomic.Int64
+
+	mu        sync.Mutex
+	done      int      // operations that succeeded
+	failed    int      // operations that errored (counted, not retried)
+	checkSum  uint32   // XOR of the successes' sums (order-independent)
+	bytes     uint64   // payload bytes the successes moved
+	errors    []string // the first eight failures (diagnosis, not accounting)
+	latencies []float64
+	seconds   float64 // wall time over the whole run
+}
+
+// draw hands out the next ticket; ok is false once they have run out.
+func (t *tickets) draw() (i int, ok bool) {
+	i = int(t.next.Add(1) - 1)
+	return i, i < t.total
+}
+
+// record tallies ticket i, started at start: a failure is counted and
+// sampled, a success adds its latency, checksum contribution and bytes.
+func (t *tickets) record(i int, start time.Time, sum uint32, nbytes int, err error) {
+	usec := float64(time.Since(start).Microseconds())
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err != nil {
+		t.failed++
+		if len(t.errors) < 8 {
+			t.errors = append(t.errors, fmt.Sprintf("%s %d: %v", t.what, i, err))
+		}
+		return
+	}
+	t.done++
+	t.checkSum ^= sum
+	t.bytes += uint64(nbytes)
+	t.latencies = append(t.latencies, usec)
+}
+
+// run starts workers goroutines of body on every generator node and
+// waits for the tickets to run out.
+func (t *tickets) run(gens []*Node, workers int, body func(g *Node)) {
+	var wg sync.WaitGroup
+	start := time.Now()
+	for _, g := range gens {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				body(g)
+			}()
+		}
+	}
+	wg.Wait()
+	t.seconds = time.Since(start).Seconds()
+}
+
+// rate is successes per second over the run.
+func (t *tickets) rate() float64 {
+	if t.seconds <= 0 {
+		return 0
+	}
+	return float64(t.done) / t.seconds
+}
+
 // ChurnTCP runs the churn workload against Nodes[0] and reports
 // throughput, tail latency, and the verification checksum.  Cycles that
 // fail are counted, not retried.
 func ChurnTCP(c *Cluster, o ChurnOptions) (ChurnResult, error) {
 	o.defaults()
-	res := ChurnResult{}
 	srv := c.Server()
 	gens := c.Generators()
 	if len(gens) == 0 {
-		return res, fmt.Errorf("evalrig: churn needs at least one generator node")
+		return ChurnResult{}, fmt.Errorf("evalrig: churn needs at least one generator node")
 	}
 
 	// Server: listener plus one echo handler per accepted connection.
 	// The server closes first, so TIME_WAIT accumulates server-side —
 	// deliberately, that is the lifecycle stress under test.
-	var lfd int
-	var err error
-	srv.Do(func() {
-		lfd, err = srv.C.Socket(2, 1, 0)
-		if err != nil {
-			return
-		}
-		if err = srv.C.Bind(lfd, Addr(srv.IP, o.Port)); err != nil {
-			return
-		}
-		err = srv.C.Listen(lfd, o.Backlog)
-	})
+	lfd, err := listen(srv, o.Port, o.Backlog)
 	if err != nil {
-		return res, fmt.Errorf("evalrig: churn server setup: %w", err)
+		return ChurnResult{}, fmt.Errorf("evalrig: churn server setup: %w", err)
 	}
-
-	var handlers sync.WaitGroup
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
-		for {
-			var fd int
-			var aerr error
-			srv.Do(func() { fd, _, aerr = srv.C.Accept(lfd) })
-			if aerr != nil {
-				return // listener closed: run over
-			}
-			handlers.Add(1)
-			go func(fd int) {
-				defer handlers.Done()
-				buf := make([]byte, o.ReqBytes)
-				total := 0
-				for total < o.ReqBytes {
-					var n int
-					var rerr error
-					srv.Do(func() { n, rerr = srv.C.Read(fd, buf[total:]) })
-					if rerr != nil || n == 0 {
-						srv.Do(func() { _ = srv.C.Close(fd) })
-						return
-					}
-					total += n
-				}
-				sent := 0
-				for sent < o.ReqBytes {
-					var n int
-					var werr error
-					srv.Do(func() { n, werr = srv.C.Write(fd, buf[sent:]) })
-					if werr != nil {
-						break
-					}
-					sent += n
-				}
-				srv.Do(func() { _ = srv.C.Close(fd) })
-			}(fd)
+	served := acceptLoop(srv, lfd, -1, func(fd int) {
+		defer closeFD(srv, fd)
+		buf := make([]byte, o.ReqBytes)
+		if readFull(srv, fd, buf) == nil {
+			_ = writeAll(srv, fd, buf)
 		}
-	}()
+	})
 
-	// Generators: a shared ticket counter hands out connection indices;
-	// every worker churns until the tickets run out.
-	var next atomic.Int64
-	var mu sync.Mutex
-	var latencies []float64
-	var workers sync.WaitGroup
-	start := time.Now()
-	for _, g := range gens {
-		for w := 0; w < o.Workers; w++ {
-			workers.Add(1)
-			go func(g *Node) {
-				defer workers.Done()
-				buf := make([]byte, o.ReqBytes)
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= o.Conns {
-						return
-					}
-					payload := churnPayload(o.Seed, i, o.ReqBytes)
-					t0 := time.Now()
-					sum, cerr := churnOne(g, srv.IP, o.Port, payload, buf)
-					usec := float64(time.Since(t0).Microseconds())
-					mu.Lock()
-					if cerr != nil {
-						res.Failed++
-						if len(res.Errors) < 8 {
-							res.Errors = append(res.Errors, fmt.Sprintf("conn %d: %v", i, cerr))
-						}
-					} else {
-						res.Conns++
-						res.CheckSum ^= sum
-						latencies = append(latencies, usec)
-					}
-					mu.Unlock()
-				}
-			}(g)
+	t := &tickets{total: o.Conns, what: "conn"}
+	t.run(gens, o.Workers, func(g *Node) {
+		buf := make([]byte, o.ReqBytes)
+		for i, ok := t.draw(); ok; i, ok = t.draw() {
+			payload := churnPayload(o.Seed, i, o.ReqBytes)
+			start := time.Now()
+			sum, err := churnOne(g, srv.IP, o.Port, payload, buf)
+			t.record(i, start, sum, 0, err)
 		}
-	}
-	workers.Wait()
-	res.Seconds = time.Since(start).Seconds()
+	})
 
 	// Tear the server down: closing the listener ends the accept loop
 	// (and aborts anything still queued on it).
-	srv.Do(func() { _ = srv.C.Close(lfd) })
-	<-acceptDone
-	handlers.Wait()
+	closeFD(srv, lfd)
+	<-served
 
-	if res.Seconds > 0 {
-		res.ConnsPerSec = float64(res.Conns) / res.Seconds
+	res := ChurnResult{
+		Conns: t.done, Failed: t.failed, Seconds: t.seconds, ConnsPerSec: t.rate(),
+		CheckSum: t.checkSum, Errors: t.errors,
 	}
-	res.P50Usec, res.P99Usec = percentiles(latencies)
+	res.P50Usec, res.P99Usec = percentiles(t.latencies)
 	return res, nil
 }
 
 // churnOne runs one connect/request/response/close cycle and returns
 // the verified payload CRC.
 func churnOne(g *Node, serverIP [4]byte, port uint16, payload, buf []byte) (uint32, error) {
-	var fd int
-	var err error
-	g.Do(func() { fd, err = g.C.Socket(2, 1, 0) })
+	fd, err := dial(g, serverIP, port, "", 0)
 	if err != nil {
 		return 0, err
 	}
-	defer g.Do(func() { _ = g.C.Close(fd) })
-	g.Do(func() { err = g.C.Connect(fd, Addr(serverIP, port)) })
-	if err != nil {
-		return 0, fmt.Errorf("connect: %w", err)
+	defer closeFD(g, fd)
+	if err := writeAll(g, fd, payload); err != nil {
+		return 0, err
 	}
-	sent := 0
-	for sent < len(payload) {
-		var n int
-		g.Do(func() { n, err = g.C.Write(fd, payload[sent:]) })
-		if err != nil {
-			return 0, fmt.Errorf("write at %d: %w", sent, err)
-		}
-		sent += n
-	}
-	total := 0
-	for total < len(payload) {
-		var n int
-		g.Do(func() { n, err = g.C.Read(fd, buf[total:]) })
-		if err != nil {
-			return 0, fmt.Errorf("read at %d: %w", total, err)
-		}
-		if n == 0 {
-			return 0, fmt.Errorf("evalrig: churn echo truncated at %d of %d bytes", total, len(payload))
-		}
-		total += n
+	buf = buf[:len(payload)]
+	if err := readFull(g, fd, buf); err != nil {
+		return 0, fmt.Errorf("evalrig: churn echo: %w", err)
 	}
 	want := crc32.ChecksumIEEE(payload)
-	if got := crc32.ChecksumIEEE(buf[:total]); got != want {
+	if got := crc32.ChecksumIEEE(buf); got != want {
 		return 0, fmt.Errorf("evalrig: churn echo corrupted (crc %08x != %08x)", got, want)
 	}
 	return want, nil
@@ -264,18 +238,7 @@ func ConcurrentCeiling(c *Cluster, target int, port uint16) (int, error) {
 	if len(gens) == 0 {
 		return 0, fmt.Errorf("evalrig: ceiling needs at least one generator node")
 	}
-	var lfd int
-	var err error
-	srv.Do(func() {
-		lfd, err = srv.C.Socket(2, 1, 0)
-		if err != nil {
-			return
-		}
-		if err = srv.C.Bind(lfd, Addr(srv.IP, port)); err != nil {
-			return
-		}
-		err = srv.C.Listen(lfd, 512)
-	})
+	lfd, err := listen(srv, port, 512)
 	if err != nil {
 		return 0, fmt.Errorf("evalrig: ceiling server setup: %w", err)
 	}
@@ -284,54 +247,28 @@ func ConcurrentCeiling(c *Cluster, target int, port uint16) (int, error) {
 	// the socket without reading (the connections are idle by design).
 	var held []int
 	var heldMu sync.Mutex
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
-		for {
-			var fd int
-			var aerr error
-			srv.Do(func() { fd, _, aerr = srv.C.Accept(lfd) })
-			if aerr != nil {
-				return
-			}
-			heldMu.Lock()
-			held = append(held, fd)
-			heldMu.Unlock()
-		}
-	}()
+	served := acceptLoop(srv, lfd, -1, func(fd int) {
+		heldMu.Lock()
+		held = append(held, fd)
+		heldMu.Unlock()
+	})
 
 	open := make([]int, 0, target)
-	openNode := make([]*Node, 0, target)
-	reached := 0
-	for reached < target {
-		g := gens[reached%len(gens)]
-		var fd int
-		var oerr error
-		g.Do(func() { fd, oerr = g.C.Socket(2, 1, 0) })
-		if oerr == nil {
-			g.Do(func() { oerr = g.C.Connect(fd, Addr(srv.IP, port)) })
-			if oerr != nil {
-				g.Do(func() { _ = g.C.Close(fd) })
-			}
-		}
-		if oerr != nil {
+	for len(open) < target {
+		fd, err := dial(gens[len(open)%len(gens)], srv.IP, port, "", 0)
+		if err != nil {
 			break
 		}
 		open = append(open, fd)
-		openNode = append(openNode, g)
-		reached++
 	}
 
 	for i, fd := range open {
-		g := openNode[i]
-		g.Do(func() { _ = g.C.Close(fd) })
+		closeFD(gens[i%len(gens)], fd)
 	}
-	srv.Do(func() { _ = srv.C.Close(lfd) })
-	<-acceptDone
-	heldMu.Lock()
+	closeFD(srv, lfd)
+	<-served
 	for _, fd := range held {
-		srv.Do(func() { _ = srv.C.Close(fd) })
+		closeFD(srv, fd)
 	}
-	heldMu.Unlock()
-	return reached, nil
+	return len(open), nil
 }

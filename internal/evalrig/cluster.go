@@ -67,17 +67,8 @@ func (c *Cluster) Generators() []*Node { return c.Nodes[1:] }
 
 // Halt powers every machine off.
 func (c *Cluster) Halt() {
-	if c.Faults != nil {
-		c.Faults.Release()
-		c.Faults = nil
-	}
-	for _, n := range c.Nodes {
-		if n.BSD != nil {
-			n.Do(n.BSD.Close)
-		}
-		n.UnmountFS()
-		n.Machine.Halt()
-	}
+	haltRig(c.Faults, c.Nodes...)
+	c.Faults = nil
 	c.Nodes = nil
 }
 
@@ -88,11 +79,10 @@ func (c *Cluster) Halt() {
 // Call once, after NewCluster and before traffic.  The cluster owns the
 // injector; Halt releases it.
 func (c *Cluster) EnableFaults(plan faults.Plan) *faults.Injector {
-	in := faults.NewInjector(plan)
-	c.Faults = in
-	c.Switch.SetFaultHook(in.WireHook())
-	for i, n := range c.Nodes {
-		n.EnableFaults(in, fmt.Sprintf("n%d", i))
+	names := make([]string, len(c.Nodes))
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i)
 	}
-	return in
+	c.Faults = wireFaults(plan, c.Switch.SetFaultHook, c.Nodes, names)
+	return c.Faults
 }

@@ -203,7 +203,7 @@ func NewMixedPairOpts(sendCfg, recvCfg Config, tickInterval time.Duration, opts 
 	}
 	r, err := newNode(recvCfg, wire, 2, ipReceiver, tickInterval, opts)
 	if err != nil {
-		s.Machine.Halt()
+		s.halt()
 		return nil, err
 	}
 	return &Pair{SendCfg: sendCfg, RecvCfg: recvCfg, Wire: wire, Sender: s, Receiver: r}, nil
@@ -211,18 +211,31 @@ func NewMixedPairOpts(sendCfg, recvCfg Config, tickInterval time.Duration, opts 
 
 // Halt powers both machines off.
 func (p *Pair) Halt() {
-	if p.Faults != nil {
-		p.Faults.Release()
-		p.Faults = nil
+	haltRig(p.Faults, p.Sender, p.Receiver)
+	p.Faults = nil
+}
+
+// haltRig is the teardown under Pair.Halt and Cluster.Halt: release the
+// rig's fault injector, then halt every node.
+func haltRig(in *faults.Injector, nodes ...*Node) {
+	if in != nil {
+		in.Release()
 	}
-	if p.Sender.BSD != nil {
-		p.Sender.BSD.Close()
+	for _, n := range nodes {
+		n.halt()
 	}
-	if p.Receiver.BSD != nil {
-		p.Receiver.BSD.Close()
+}
+
+// halt is the one per-node teardown: stop the stack's timers (through
+// Do — on a Serialized node every component entry takes the node lock),
+// unmount a mounted file system so the reference ledger balances, and
+// power the machine off.
+func (n *Node) halt() {
+	if n.BSD != nil {
+		n.Do(n.BSD.Close)
 	}
-	p.Sender.Machine.Halt()
-	p.Receiver.Machine.Halt()
+	n.UnmountFS()
+	n.Machine.Halt()
 }
 
 func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Duration, opts Options) (*Node, error) {

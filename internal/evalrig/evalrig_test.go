@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"oskit/internal/com"
 	"oskit/internal/hw"
 )
 
@@ -83,18 +84,23 @@ func TestOSKitPathShape(t *testing.T) {
 	if _, err := TTCP(p, 256, 4096, 5003); err != nil {
 		t.Fatal(err)
 	}
-	ss := p.Sender.BSD.StatsSnapshot()
-	rs := p.Receiver.BSD.StatsSnapshot()
-	if ss.TxChained == 0 {
-		t.Errorf("sender sent no chained packets: %+v", ss)
+	chained, contiguous := netStat(p.Sender, "ether.tx_chained"), netStat(p.Sender, "ether.tx_contiguous")
+	if chained == 0 {
+		t.Error("sender sent no chained packets")
 	}
-	if ss.TxChained < ss.TxContiguous {
+	if chained < contiguous {
 		t.Errorf("data segments mostly contiguous (%d chained, %d contiguous): the send-copy story collapses",
-			ss.TxChained, ss.TxContiguous)
+			chained, contiguous)
 	}
-	if rs.RxZeroCopy == 0 || rs.RxCopied != 0 {
-		t.Errorf("receive path not zero-copy: %+v", rs)
+	if zc, copied := netStat(p.Receiver, "ether.rx_zero_copy"), netStat(p.Receiver, "ether.rx_copied"); zc == 0 || copied != 0 {
+		t.Errorf("receive path not zero-copy: %d wrapped, %d copied", zc, copied)
 	}
+}
+
+// netStat reads one row of a node's freebsd_net statistics set.
+func netStat(n *Node, name string) int64 {
+	v, _ := n.Stat("freebsd_net", name)
+	return v
 }
 
 // TestPathShapeMatrix locks down the §4.7.3 decision tree for both OSKit
@@ -143,14 +149,13 @@ func TestPathShapeMatrix(t *testing.T) {
 			// its data segments and the receive side stays zero-copy —
 			// the fast path changes how chains *leave*, not whether
 			// they exist.
-			ss := p.Sender.BSD.StatsSnapshot()
-			rs := p.Receiver.BSD.StatsSnapshot()
-			if ss.TxChained == 0 || ss.TxChained < ss.TxContiguous {
+			chained, contiguous := netStat(p.Sender, "ether.tx_chained"), netStat(p.Sender, "ether.tx_contiguous")
+			if chained == 0 || chained < contiguous {
 				t.Errorf("data segments not predominantly chained (%d chained, %d contiguous)",
-					ss.TxChained, ss.TxContiguous)
+					chained, contiguous)
 			}
-			if rs.RxZeroCopy == 0 || rs.RxCopied != 0 {
-				t.Errorf("receive path not zero-copy: %+v", rs)
+			if zc, copied := netStat(p.Receiver, "ether.rx_zero_copy"), netStat(p.Receiver, "ether.rx_copied"); zc == 0 || copied != 0 {
+				t.Errorf("receive path not zero-copy: %d wrapped, %d copied", zc, copied)
 			}
 
 			stat := func(set, name string) int64 {
@@ -322,11 +327,34 @@ func TestFreeBSDNativePathShape(t *testing.T) {
 	}
 	// The COM receive sink is never involved: no zero-copy/copied
 	// accounting happens on the native path.
-	rs := p.Receiver.BSD.StatsSnapshot()
-	if rs.RxZeroCopy != 0 || rs.RxCopied != 0 {
-		t.Errorf("native path went through the COM sink: %+v", rs)
+	if zc, copied := netStat(p.Receiver, "ether.rx_zero_copy"), netStat(p.Receiver, "ether.rx_copied"); zc != 0 || copied != 0 {
+		t.Errorf("native path went through the COM sink: %d wrapped, %d copied", zc, copied)
 	}
-	if rs.TCPIn == 0 {
-		t.Errorf("no TCP input recorded: %+v", rs)
+	if netStat(p.Receiver, "tcp.segs_in") == 0 {
+		t.Error("no TCP input recorded")
+	}
+}
+
+// TestPairHaltUnmounts: Pair.Halt runs the same per-node teardown as
+// Cluster.Halt, so a file system mounted on a pair's node is unmounted
+// (root reference released, mount synced and closed) before the machine
+// powers off.  Under the oskitrefdebug build an over-release anywhere in
+// that teardown panics here.
+func TestPairHaltUnmounts(t *testing.T) {
+	p, err := NewPairOpts(OSKit, time.Millisecond, Options{DiskSectors: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Halt()
+	if err := p.Receiver.MountFS(); err != nil {
+		t.Fatal(err)
+	}
+	fs := p.Receiver.FS
+	p.Halt()
+	if p.Receiver.FS != nil || p.Receiver.FSRoot != nil {
+		t.Fatal("Pair.Halt left the receiver's file system mounted")
+	}
+	if _, err := fs.GetRoot(); err != com.ErrBadF {
+		t.Fatalf("GetRoot after Halt = %v, want ErrBadF (the mount was never closed)", err)
 	}
 }

@@ -3,6 +3,7 @@ package evalrig
 import (
 	"oskit/internal/com"
 	"oskit/internal/faults"
+	"oskit/internal/hw"
 )
 
 // EnableFaults weaves a fault-injection plan through the whole testbed:
@@ -23,12 +24,19 @@ import (
 // are fixed ("wire.drop", "nic.rx.send", "disk.<node>.err", …) so a
 // soak failure's trace reads the same across runs.
 func (p *Pair) EnableFaults(plan faults.Plan) *faults.Injector {
-	in := faults.NewInjector(plan)
-	p.Faults = in
+	p.Faults = wireFaults(plan, p.Wire.SetFaultHook, []*Node{p.Sender, p.Receiver}, []string{"send", "recv"})
+	return p.Faults
+}
 
-	p.Wire.SetFaultHook(in.WireHook())
-	p.Sender.EnableFaults(in, "send")
-	p.Receiver.EnableFaults(in, "recv")
+// wireFaults is the fault wiring under Pair.EnableFaults and
+// Cluster.EnableFaults: one injector for plan, hooked into the shared
+// segment and into each node under its recorded decision-stream name.
+func wireFaults(plan faults.Plan, segment func(hw.WireFaultHook), nodes []*Node, names []string) *faults.Injector {
+	in := faults.NewInjector(plan)
+	segment(in.WireHook())
+	for i, n := range nodes {
+		n.EnableFaults(in, names[i])
+	}
 	return in
 }
 

@@ -3,11 +3,10 @@ package evalrig
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"oskit/internal/com"
@@ -171,11 +170,12 @@ func httpPayload(seed int64, i, n int) []byte {
 func httpFile(ticket, files int) int { return ticket % files }
 
 // PopulateHTTP lays the workload's file tree onto the node's mounted
-// FFS: /pub/f0 … /pub/f{Files-1} with seed-derived bodies, plus
-// /secrets/plans for the 403 probes, then syncs the cache to disk.
-// Idempotent for one (seed, files, bytes) shape; every operation
-// carries the op-level com.ErrIO retry contract, so a fault plan armed
-// early cannot break setup.
+// FFS through the node's own POSIX layer: /pub/f0 … /pub/f{Files-1} with
+// seed-derived bodies, plus /secrets/plans for the 403 probes, then
+// syncs the cache to disk.  Idempotent for one (seed, files, bytes)
+// shape; every operation carries the op-level com.ErrIO retry contract
+// (a directory that exists, a file rewritten whole), so a fault plan
+// armed early cannot break setup.
 func PopulateHTTP(n *Node, o HTTPOptions) error {
 	o.defaults()
 	key := fmt.Sprintf("%d/%d/%d", o.Seed, o.Files, o.FileBytes)
@@ -185,112 +185,43 @@ func PopulateHTTP(n *Node, o HTTPOptions) error {
 	if err := n.MountFS(); err != nil {
 		return err
 	}
-	mkdir := func(name string) error {
-		return httpRetry(func() error {
-			var e error
-			n.Do(func() { e = n.FSRoot.Mkdir(name, 0o755) })
-			return e
-		})
+	// try runs one idempotent file-system operation under the node lock,
+	// re-attempting it through transient injected disk errors;
+	// com.ErrExist means an earlier attempt took effect.
+	try := func(what string, op func() error) error {
+		var err error
+		for i := 0; i < 64; i++ {
+			n.Do(func() { err = op() })
+			if err == nil || err == com.ErrExist {
+				return nil
+			}
+			if err != com.ErrIO {
+				break
+			}
+		}
+		return fmt.Errorf("evalrig: %s: %w", what, err)
 	}
-	if err := mkdir("pub"); err != nil {
-		return fmt.Errorf("evalrig: mkdir pub: %w", err)
-	}
-	if err := mkdir("secrets"); err != nil {
-		return fmt.Errorf("evalrig: mkdir secrets: %w", err)
-	}
-	for i := 0; i < o.Files; i++ {
-		name := fmt.Sprintf("f%d", i)
-		if err := httpWriteFile(n, "pub", name, httpPayload(o.Seed, i, o.FileBytes)); err != nil {
-			return fmt.Errorf("evalrig: write /pub/%s: %w", name, err)
+	for _, dir := range []string{"/pub", "/secrets"} {
+		if err := try("mkdir "+dir, func() error { return n.C.Mkdir(dir, 0o755) }); err != nil {
+			return err
 		}
 	}
-	if err := httpWriteFile(n, "secrets", "plans", []byte("the secret plans\n")); err != nil {
-		return fmt.Errorf("evalrig: write /secrets/plans: %w", err)
+	write := func(path string, body []byte) error {
+		return try("write "+path, func() error { return n.C.WriteFile(path, body, 0o644) })
 	}
-	if err := httpRetry(func() error {
-		var e error
-		n.Do(func() { e = n.FS.Sync() })
-		return e
-	}); err != nil {
-		return fmt.Errorf("evalrig: sync: %w", err)
+	for i := 0; i < o.Files; i++ {
+		if err := write(fmt.Sprintf("/pub/f%d", i), httpPayload(o.Seed, i, o.FileBytes)); err != nil {
+			return err
+		}
+	}
+	if err := write("/secrets/plans", []byte("the secret plans\n")); err != nil {
+		return err
+	}
+	if err := try("sync", n.FS.Sync); err != nil {
+		return err
 	}
 	n.httpPopKey = key
 	return nil
-}
-
-// httpWriteFile creates dir/name and writes body, chunk by chunk with
-// per-chunk retry (each chunk write is idempotent at its offset).
-func httpWriteFile(n *Node, dir, name string, body []byte) error {
-	var d com.Dir
-	err := httpRetry(func() error {
-		var e error
-		n.Do(func() {
-			var f com.File
-			f, e = n.FSRoot.Lookup(dir)
-			if e != nil {
-				return
-			}
-			var u com.IUnknown
-			u, e = f.QueryInterface(com.DirIID)
-			f.Release()
-			if e == nil {
-				d = u.(com.Dir)
-			}
-		})
-		return e
-	})
-	if err != nil {
-		return err
-	}
-	defer n.Do(func() { d.Release() })
-
-	var file com.File
-	err = httpRetry(func() error {
-		var e error
-		// Non-exclusive create keeps the retry idempotent: an attempt
-		// that failed after entering the directory succeeds as an open.
-		n.Do(func() { file, e = d.Create(name, 0o644, false) })
-		return e
-	})
-	if err != nil {
-		return err
-	}
-	defer n.Do(func() { file.Release() })
-
-	off := 0
-	for off < len(body) {
-		var nn uint
-		err = httpRetry(func() error {
-			var e error
-			n.Do(func() { nn, e = file.WriteAt(body[off:], uint64(off)) })
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		if nn == 0 {
-			return com.ErrIO
-		}
-		off += int(nn)
-	}
-	return nil
-}
-
-// httpRetry re-attempts op through transient injected disk errors;
-// com.ErrExist means an earlier attempt took effect, which is success
-// for the idempotent setup operations used here.
-func httpRetry(op func() error) error {
-	var err error
-	for i := 0; i < 64; i++ {
-		err = op()
-		if err == nil || err == com.ErrExist {
-			return nil
-		}
-		if err != com.ErrIO {
-			return err
-		}
-	}
-	return err
 }
 
 // HTTPGet runs the HTTP workload against Nodes[0] and reports
@@ -299,14 +230,13 @@ func httpRetry(op func() error) error {
 // timing starts).  Requests that fail are counted, not retried.
 func HTTPGet(c *Cluster, o HTTPOptions) (HTTPResult, error) {
 	o.defaults()
-	res := HTTPResult{}
 	srv := c.Server()
 	gens := c.Generators()
 	if len(gens) == 0 {
-		return res, fmt.Errorf("evalrig: HTTP workload needs at least one generator node")
+		return HTTPResult{}, fmt.Errorf("evalrig: HTTP workload needs at least one generator node")
 	}
 	if err := PopulateHTTP(srv, o); err != nil {
-		return res, err
+		return HTTPResult{}, err
 	}
 
 	// The server: the §3.8 security wrapper in front of the FS root (an
@@ -316,111 +246,46 @@ func HTTPGet(c *Cluster, o HTTPOptions) (HTTPResult, error) {
 	root := httpd.NewSecureRoot(srv.FSRoot, 1000)
 	defer srv.Do(root.Release)
 	hs := &httpd.Server{C: srv.C, Root: root, Do: srv.Do}
-
-	var lfd int
-	var err error
-	srv.Do(func() {
-		lfd, err = srv.C.Socket(2, 1, 0)
-		if err != nil {
-			return
-		}
-		// reuseaddr, like any restartable server: a back-to-back run on
-		// the same cluster must be able to rebind the service port while
-		// the previous run's connection pcbs are still tearing down.
-		if err = srv.C.SetSockOpt(lfd, "reuseaddr", 1); err != nil {
-			return
-		}
-		if err = srv.C.Bind(lfd, Addr(srv.IP, o.Port)); err != nil {
-			return
-		}
-		err = srv.C.Listen(lfd, o.Backlog)
-	})
+	lfd, err := listen(srv, o.Port, o.Backlog)
 	if err != nil {
-		return res, fmt.Errorf("evalrig: HTTP server setup: %w", err)
+		return HTTPResult{}, fmt.Errorf("evalrig: HTTP server setup: %w", err)
 	}
+	served := acceptLoop(srv, lfd, -1, hs.Serve)
 
-	var handlers sync.WaitGroup
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
-		for {
-			var fd int
-			var aerr error
-			srv.Do(func() { fd, _, aerr = srv.C.Accept(lfd) })
-			if aerr != nil {
-				return // listener closed: run over
+	// Generators: each worker holds one keep-alive connection, reusing
+	// it for up to PerConn requests before cycling it.
+	t := &tickets{total: o.Requests, what: "req"}
+	t.run(gens, o.Workers, func(g *Node) {
+		conn := &httpConn{g: g, srvIP: srv.IP, port: o.Port}
+		defer conn.close()
+		onConn := 0
+		for i, ok := t.draw(); ok; i, ok = t.draw() {
+			if onConn >= o.PerConn {
+				conn.close()
+				onConn = 0
 			}
-			handlers.Add(1)
-			go func(fd int) {
-				defer handlers.Done()
-				hs.Serve(fd)
-			}(fd)
+			start := time.Now()
+			crc, nbody, err := httpOne(conn, o, i)
+			onConn++
+			if nbody > 0 {
+				crc ^= uint32(i) * 0x9e3779b9
+			}
+			t.record(i, start, crc, nbody, err)
+			if err != nil {
+				conn.close() // framing is suspect: start fresh
+				onConn = 0
+			}
 		}
-	}()
+	})
 
-	// Generators: a shared ticket counter hands out request indices;
-	// each worker holds one keep-alive connection, reusing it for up to
-	// PerConn requests before cycling it.
-	var next atomic.Int64
-	var mu sync.Mutex
-	var latencies []float64
-	var workers sync.WaitGroup
-	start := time.Now()
-	for _, g := range gens {
-		for w := 0; w < o.Workers; w++ {
-			workers.Add(1)
-			go func(g *Node) {
-				defer workers.Done()
-				conn := &httpConn{g: g, srvIP: srv.IP, port: o.Port}
-				defer conn.close()
-				onConn := 0
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= o.Requests {
-						return
-					}
-					if onConn >= o.PerConn {
-						conn.close()
-						onConn = 0
-					}
-					t0 := time.Now()
-					crc, nbody, rerr := httpOne(conn, o, i)
-					usec := float64(time.Since(t0).Microseconds())
-					onConn++
-					mu.Lock()
-					if rerr != nil {
-						res.Failed++
-						if len(res.Errors) < 8 {
-							res.Errors = append(res.Errors, fmt.Sprintf("req %d: %v", i, rerr))
-						}
-					} else {
-						res.Requests++
-						if nbody > 0 {
-							res.CheckSum ^= crc ^ uint32(i)*0x9e3779b9
-						}
-						res.BytesBody += uint64(nbody)
-						latencies = append(latencies, usec)
-					}
-					mu.Unlock()
-					if rerr != nil {
-						conn.close() // framing is suspect: start fresh
-						onConn = 0
-					}
-				}
-			}(g)
-		}
+	closeFD(srv, lfd)
+	<-served
+
+	res := HTTPResult{
+		Requests: t.done, Failed: t.failed, BytesBody: t.bytes, Seconds: t.seconds,
+		ReqsPerSec: t.rate(), CheckSum: t.checkSum, Errors: t.errors,
 	}
-	workers.Wait()
-	res.Seconds = time.Since(start).Seconds()
-
-	srv.Do(func() { _ = srv.C.Close(lfd) })
-	<-acceptDone
-	handlers.Wait()
-
-	if res.Seconds > 0 {
-		res.ReqsPerSec = float64(res.Requests) / res.Seconds
-	}
-	res.P50Usec, res.P99Usec = percentiles(latencies)
+	res.P50Usec, res.P99Usec = percentiles(t.latencies)
 	return res, nil
 }
 
@@ -484,8 +349,7 @@ func (c *httpConn) close() {
 	if !c.open {
 		return
 	}
-	fd := c.fd
-	c.g.Do(func() { _ = c.g.C.Close(fd) })
+	closeFD(c.g, c.fd)
 	c.open = false
 	c.pending = nil
 }
@@ -493,27 +357,15 @@ func (c *httpConn) close() {
 // get issues one GET and returns the response status and full body.
 func (c *httpConn) get(path string) (status int, body []byte, err error) {
 	if !c.open {
-		var fd int
-		c.g.Do(func() { fd, err = c.g.C.Socket(2, 1, 0) })
+		fd, err := dial(c.g, c.srvIP, c.port, "", 0)
 		if err != nil {
 			return 0, nil, err
-		}
-		c.g.Do(func() { err = c.g.C.Connect(fd, Addr(c.srvIP, c.port)) })
-		if err != nil {
-			c.g.Do(func() { _ = c.g.C.Close(fd) })
-			return 0, nil, fmt.Errorf("connect: %w", err)
 		}
 		c.fd, c.open, c.pending = fd, true, nil
 	}
 	req := []byte("GET " + path + " HTTP/1.1\r\nHost: rig\r\nConnection: keep-alive\r\n\r\n")
-	sent := 0
-	for sent < len(req) {
-		var n int
-		c.g.Do(func() { n, err = c.g.C.Write(c.fd, req[sent:]) })
-		if err != nil {
-			return 0, nil, fmt.Errorf("write: %w", err)
-		}
-		sent += n
+	if err := writeAll(c.g, c.fd, req); err != nil {
+		return 0, nil, err
 	}
 	return c.readResponse()
 }
@@ -522,14 +374,22 @@ func (c *httpConn) get(path string) (status int, body []byte, err error) {
 // body), leaving any pipelined surplus in pending.
 func (c *httpConn) readResponse() (status int, body []byte, err error) {
 	buf := make([]byte, 4096)
-	end := httpHeadEnd(c.pending)
-	for end < 0 {
+	// more appends the next chunk off the wire to pending.
+	more := func() error {
 		var n int
+		var err error
 		c.g.Do(func() { n, err = c.g.C.Read(c.fd, buf) })
-		if err != nil || n == 0 {
-			return 0, nil, fmt.Errorf("evalrig: response head truncated (%v)", err)
+		if err == nil && n == 0 {
+			err = io.ErrUnexpectedEOF
 		}
 		c.pending = append(c.pending, buf[:n]...)
+		return err
+	}
+	end := httpHeadEnd(c.pending)
+	for end < 0 {
+		if err := more(); err != nil {
+			return 0, nil, fmt.Errorf("evalrig: response head truncated (%v)", err)
+		}
 		end = httpHeadEnd(c.pending)
 	}
 	head := string(c.pending[:end])
@@ -540,12 +400,9 @@ func (c *httpConn) readResponse() (status int, body []byte, err error) {
 		return 0, nil, err
 	}
 	for len(c.pending) < clen {
-		var n int
-		c.g.Do(func() { n, err = c.g.C.Read(c.fd, buf) })
-		if err != nil || n == 0 {
+		if err := more(); err != nil {
 			return 0, nil, fmt.Errorf("evalrig: response body truncated at %d of %d bytes (%v)", len(c.pending), clen, err)
 		}
-		c.pending = append(c.pending, buf[:n]...)
 	}
 	body = c.pending[:clen]
 	c.pending = append([]byte(nil), c.pending[clen:]...)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -35,102 +34,8 @@ func mbps(bytes int, secs float64) float64 {
 // TTCP streams blocks×blockSize bytes sender→receiver (the paper ran
 // 131072 × 4096 = 512 MB; callers scale) and returns both sides' timing.
 func TTCP(p *Pair, blocks, blockSize int, port uint16) (TTCPResult, error) {
-	res := TTCPResult{Bytes: blocks * blockSize}
-
-	type recvOut struct {
-		secs float64
-		err  error
-	}
-	recvDone := make(chan recvOut, 1)
-	ready := make(chan error, 1)
-	go func() {
-		c := p.Receiver.C
-		lfd, err := c.Socket(2, 1, 0)
-		if err != nil {
-			ready <- err
-			return
-		}
-		defer func() { _ = c.Close(lfd) }()
-		if err := c.Bind(lfd, Addr(p.Receiver.IP, port)); err != nil {
-			ready <- err
-			return
-		}
-		if err := c.Listen(lfd, 1); err != nil {
-			ready <- err
-			return
-		}
-		_ = c.SetSockOpt(lfd, "rcvbuf", 32*1024)
-		ready <- nil
-		fd, _, err := c.Accept(lfd)
-		if err != nil {
-			recvDone <- recvOut{err: err}
-			return
-		}
-		defer func() { _ = c.Close(fd) }()
-		_ = c.SetSockOpt(fd, "rcvbuf", 32*1024)
-		buf := make([]byte, blockSize)
-		start := time.Now()
-		total := 0
-		for {
-			n, err := c.Read(fd, buf)
-			if err != nil {
-				recvDone <- recvOut{err: err}
-				return
-			}
-			if n == 0 {
-				break
-			}
-			total += n
-		}
-		secs := time.Since(start).Seconds()
-		if total != blocks*blockSize {
-			recvDone <- recvOut{err: fmt.Errorf("ttcp: received %d of %d bytes", total, blocks*blockSize)}
-			return
-		}
-		recvDone <- recvOut{secs: secs}
-	}()
-	if err := <-ready; err != nil {
-		return res, err
-	}
-
-	c := p.Sender.C
-	fd, err := c.Socket(2, 1, 0)
-	if err != nil {
-		return res, err
-	}
-	defer func() { _ = c.Close(fd) }()
-	// Real ttcp raises the socket buffers (-b); a deep pipe keeps the
-	// sender from blocking on every ACK round trip.
-	_ = c.SetSockOpt(fd, "sndbuf", 32*1024)
-	if err := c.Connect(fd, Addr(p.Receiver.IP, port)); err != nil {
-		return res, err
-	}
-	block := make([]byte, blockSize)
-	for i := range block {
-		block[i] = byte(i)
-	}
-	start := time.Now()
-	for i := 0; i < blocks; i++ {
-		sent := 0
-		for sent < blockSize {
-			n, err := c.Write(fd, block[sent:])
-			if err != nil {
-				return res, err
-			}
-			sent += n
-		}
-	}
-	if err := c.Shutdown(fd, 1); err != nil {
-		return res, err
-	}
-	res.SendSeconds = time.Since(start).Seconds()
-
-	out := <-recvDone
-	if out.err != nil {
-		return res, out.err
-	}
-	res.RecvSeconds = out.secs
-	return res, nil
+	res, _, _, err := ttcp(p, 1, blocks, blockSize, port, false, 0)
+	return res, err
 }
 
 // TTCPVerified is ttcp with end-to-end integrity: the sender streams
@@ -140,95 +45,8 @@ func TTCP(p *Pair, blocks, blockSize int, port uint16) (TTCPResult, error) {
 // after running the Table-1 transfer under a hostile fault regime,
 // where TCP's own checksums and retransmission are what is on trial.
 func TTCPVerified(p *Pair, blocks, blockSize int, port uint16, seed int64) (sentSum, recvSum uint32, err error) {
-	type recvOut struct {
-		sum uint32
-		err error
-	}
-	recvDone := make(chan recvOut, 1)
-	ready := make(chan error, 1)
-	go func() {
-		c := p.Receiver.C
-		lfd, err := c.Socket(2, 1, 0)
-		if err != nil {
-			ready <- err
-			return
-		}
-		defer func() { _ = c.Close(lfd) }()
-		if err := c.Bind(lfd, Addr(p.Receiver.IP, port)); err != nil {
-			ready <- err
-			return
-		}
-		if err := c.Listen(lfd, 1); err != nil {
-			ready <- err
-			return
-		}
-		ready <- nil
-		fd, _, err := c.Accept(lfd)
-		if err != nil {
-			recvDone <- recvOut{err: err}
-			return
-		}
-		defer func() { _ = c.Close(fd) }()
-		_ = c.SetSockOpt(fd, "rcvbuf", 32*1024)
-		buf := make([]byte, blockSize)
-		sum := crc32.NewIEEE()
-		total := 0
-		for {
-			n, err := c.Read(fd, buf)
-			if err != nil {
-				recvDone <- recvOut{err: err}
-				return
-			}
-			if n == 0 {
-				break
-			}
-			_, _ = sum.Write(buf[:n])
-			total += n
-		}
-		if total != blocks*blockSize {
-			recvDone <- recvOut{err: fmt.Errorf("ttcp: received %d of %d bytes", total, blocks*blockSize)}
-			return
-		}
-		recvDone <- recvOut{sum: sum.Sum32()}
-	}()
-	if err := <-ready; err != nil {
-		return 0, 0, err
-	}
-
-	c := p.Sender.C
-	fd, err := c.Socket(2, 1, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer func() { _ = c.Close(fd) }()
-	_ = c.SetSockOpt(fd, "sndbuf", 32*1024)
-	if err := c.Connect(fd, Addr(p.Receiver.IP, port)); err != nil {
-		return 0, 0, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	block := make([]byte, blockSize)
-	sum := crc32.NewIEEE()
-	for i := 0; i < blocks; i++ {
-		rng.Read(block)
-		_, _ = sum.Write(block)
-		sent := 0
-		for sent < blockSize {
-			n, err := c.Write(fd, block[sent:])
-			if err != nil {
-				return 0, 0, err
-			}
-			sent += n
-		}
-	}
-	sentSum = sum.Sum32()
-	if err := c.Shutdown(fd, 1); err != nil {
-		return sentSum, 0, err
-	}
-	out := <-recvDone
-	if out.err != nil {
-		return sentSum, 0, out.err
-	}
-	return sentSum, out.sum, nil
+	_, sentSum, recvSum, err = ttcp(p, 1, blocks, blockSize, port, true, seed)
+	return sentSum, recvSum, err
 }
 
 // TTCPMulti is ttcp across several concurrent TCP streams — the E14
@@ -248,237 +66,189 @@ func TTCPMulti(p *Pair, streams, blocks, blockSize int, port uint16) (TTCPResult
 	if streams < 1 {
 		streams = 1
 	}
-	res := TTCPResult{Bytes: streams * blocks * blockSize}
+	res, _, _, err := ttcp(p, streams, blocks, blockSize, port, false, 0)
+	return res, err
+}
 
-	rc := p.Receiver
-	var lfd int
-	var err error
-	rc.Do(func() {
-		lfd, err = rc.C.Socket(2, 1, 0)
-		if err != nil {
-			return
-		}
-		if err = rc.C.Bind(lfd, Addr(rc.IP, port)); err != nil {
-			return
-		}
-		err = rc.C.Listen(lfd, streams)
-	})
+// ttcpStream is one stream's outcome on one side: the bytes a receiver
+// drained, the CRC-32 of the stream when verifying, and the interval the
+// side's clock covers (sender: write start to close acked; receiver:
+// first byte to EOF).
+type ttcpStream struct {
+	n           int
+	sum         uint32
+	first, last time.Time
+	err         error
+}
+
+// ttcp is the one transfer behind TTCP, TTCPVerified and TTCPMulti:
+// streams concurrent connections, each carrying blocks×blockSize bytes.
+// With verify, stream i's bytes are the pseudo-random pattern seeded
+// seed+i and both sides CRC what they saw; the per-stream sums are
+// XOR-folded (order-independent) into sentSum and recvSum.
+func ttcp(p *Pair, streams, blocks, blockSize int, port uint16, verify bool, seed int64) (res TTCPResult, sentSum, recvSum uint32, err error) {
+	rc, sc := p.Receiver, p.Sender
+	want := blocks * blockSize
+	res.Bytes = streams * want
+
+	lfd, err := listen(rc, port, streams)
 	if err != nil {
-		return res, err
+		return res, 0, 0, err
 	}
-	defer rc.Do(func() { _ = rc.C.Close(lfd) })
-
-	type out struct {
-		n   int
-		err error
-	}
-	recvDone := make(chan out, streams)
-	var recvStart, recvEnd struct {
-		sync.Mutex
-		first time.Time
-		last  time.Time
-	}
-	for i := 0; i < streams; i++ {
-		go func() {
-			var fd int
-			var err error
-			rc.Do(func() { fd, _, err = rc.C.Accept(lfd) })
-			if err != nil {
-				recvDone <- out{err: err}
-				return
-			}
-			defer rc.Do(func() { _ = rc.C.Close(fd) })
-			rc.Do(func() { _ = rc.C.SetSockOpt(fd, "rcvbuf", 32*1024) })
-			buf := make([]byte, blockSize)
-			started := false
-			total := 0
-			for {
-				var n int
-				rc.Do(func() { n, err = rc.C.Read(fd, buf) })
-				if err != nil {
-					recvDone <- out{err: err}
-					return
-				}
-				if !started {
-					started = true
-					recvStart.Lock()
-					if recvStart.first.IsZero() {
-						recvStart.first = time.Now()
-					}
-					recvStart.Unlock()
-				}
-				if n == 0 {
-					break
-				}
-				total += n
-			}
-			recvEnd.Lock()
-			recvEnd.last = time.Now()
-			recvEnd.Unlock()
-			recvDone <- out{n: total}
-		}()
-	}
-
-	sc := p.Sender
-	sendDone := make(chan out, streams)
-	start := time.Now()
-	for i := 0; i < streams; i++ {
-		go func() {
-			var fd int
-			var err error
-			sc.Do(func() { fd, err = sc.C.Socket(2, 1, 0) })
-			if err != nil {
-				sendDone <- out{err: err}
-				return
-			}
-			defer sc.Do(func() { _ = sc.C.Close(fd) })
-			sc.Do(func() { _ = sc.C.SetSockOpt(fd, "sndbuf", 32*1024) })
-			sc.Do(func() { err = sc.C.Connect(fd, Addr(rc.IP, port)) })
-			if err != nil {
-				sendDone <- out{err: fmt.Errorf("connect: %w", err)}
-				return
-			}
-			block := make([]byte, blockSize)
-			for b := range block {
-				block[b] = byte(b)
-			}
-			total := 0
-			for b := 0; b < blocks; b++ {
-				sent := 0
-				for sent < blockSize {
-					var n int
-					sc.Do(func() { n, err = sc.C.Write(fd, block[sent:]) })
-					if err != nil {
-						sendDone <- out{err: err}
-						return
-					}
-					sent += n
-				}
-				total += blockSize
-			}
-			sc.Do(func() { err = sc.C.Shutdown(fd, 1) })
-			if err != nil {
-				sendDone <- out{err: err}
-				return
-			}
-			sendDone <- out{n: total}
-		}()
-	}
-
-	sendTotal := 0
-	for i := 0; i < streams; i++ {
-		o := <-sendDone
-		if o.err != nil {
-			return res, fmt.Errorf("ttcp-multi send stream: %w", o.err)
+	rc.Do(func() { _ = rc.C.SetSockOpt(lfd, "rcvbuf", 32*1024) })
+	recvd := make(chan ttcpStream, streams)
+	accepted := acceptLoop(rc, lfd, streams, func(fd int) {
+		o := ttcpDrain(rc, fd, blockSize, verify)
+		if o.err == nil && o.n != want {
+			o.err = fmt.Errorf("ttcp: received %d of %d bytes", o.n, want)
 		}
-		sendTotal += o.n
-	}
-	res.SendSeconds = time.Since(start).Seconds()
-	recvTotal := 0
+		recvd <- o
+	})
+
+	sent := make(chan ttcpStream, streams)
 	for i := 0; i < streams; i++ {
-		o := <-recvDone
-		if o.err != nil {
-			return res, fmt.Errorf("ttcp-multi recv stream: %w", o.err)
+		var rng *rand.Rand
+		if verify {
+			rng = rand.New(rand.NewSource(seed + int64(i)))
 		}
-		recvTotal += o.n
+		go func() { sent <- ttcpSend(sc, rc.IP, port, blocks, blockSize, rng) }()
 	}
-	if sendTotal != res.Bytes || recvTotal != res.Bytes {
-		return res, fmt.Errorf("ttcp-multi: moved %d sent / %d received of %d bytes", sendTotal, recvTotal, res.Bytes)
+
+	// fold gathers one side's streams: the first error, the XOR of the
+	// sums, and the seconds from the earliest start to the latest finish.
+	fold := func(c <-chan ttcpStream, side string) (sum uint32, secs float64, err error) {
+		var first, last time.Time
+		for i := 0; i < streams; i++ {
+			o := <-c
+			if o.err != nil && err == nil {
+				err = fmt.Errorf("ttcp %s stream: %w", side, o.err)
+			}
+			sum ^= o.sum
+			if first.IsZero() || (!o.first.IsZero() && o.first.Before(first)) {
+				first = o.first
+			}
+			if o.last.After(last) {
+				last = o.last
+			}
+		}
+		if !first.IsZero() && last.After(first) {
+			secs = last.Sub(first).Seconds()
+		}
+		return sum, secs, err
 	}
-	recvStart.Lock()
-	first := recvStart.first
-	recvStart.Unlock()
-	recvEnd.Lock()
-	last := recvEnd.last
-	recvEnd.Unlock()
-	if !first.IsZero() && last.After(first) {
-		res.RecvSeconds = last.Sub(first).Seconds()
+	if sentSum, res.SendSeconds, err = fold(sent, "send"); err != nil {
+		return res, sentSum, 0, err
 	}
-	return res, nil
+	if err = <-accepted; err != nil {
+		return res, sentSum, 0, err
+	}
+	closeFD(rc, lfd)
+	recvSum, res.RecvSeconds, err = fold(recvd, "recv")
+	return res, sentSum, recvSum, err
+}
+
+// ttcpSend is the one loop that writes ttcp blocks: connect with a
+// raised send buffer (real ttcp's -b; a deep pipe keeps the sender from
+// blocking on every ACK round trip), stream the blocks — each refilled
+// from rng and summed when verifying — and half-close.
+func ttcpSend(n *Node, to [4]byte, port uint16, blocks, blockSize int, rng *rand.Rand) (o ttcpStream) {
+	fd, err := dial(n, to, port, "sndbuf", 32*1024)
+	if err != nil {
+		return ttcpStream{err: err}
+	}
+	defer closeFD(n, fd)
+	block := make([]byte, blockSize)
+	for i := range block {
+		block[i] = byte(i)
+	}
+	sum := crc32.NewIEEE()
+	o.first = time.Now()
+	for i := 0; i < blocks; i++ {
+		if rng != nil {
+			rng.Read(block)
+			_, _ = sum.Write(block)
+		}
+		if o.err = writeAll(n, fd, block); o.err != nil {
+			return o
+		}
+	}
+	o.sum = sum.Sum32()
+	n.Do(func() { o.err = n.C.Shutdown(fd, 1) })
+	o.last = time.Now()
+	return o
+}
+
+// ttcpDrain is the one loop that drains ttcp blocks: read to end of
+// stream, counting (and, when verifying, summing) what arrives.
+func ttcpDrain(n *Node, fd, blockSize int, verify bool) (o ttcpStream) {
+	defer closeFD(n, fd)
+	n.Do(func() { _ = n.C.SetSockOpt(fd, "rcvbuf", 32*1024) })
+	buf := make([]byte, blockSize)
+	sum := crc32.NewIEEE()
+	for {
+		var r int
+		n.Do(func() { r, o.err = n.C.Read(fd, buf) })
+		if o.err != nil {
+			return o
+		}
+		if o.first.IsZero() {
+			o.first = time.Now()
+		}
+		if r == 0 {
+			break
+		}
+		if verify {
+			_, _ = sum.Write(buf[:r])
+		}
+		o.n += r
+	}
+	o.last = time.Now()
+	o.sum = sum.Sum32()
+	return o
 }
 
 // RTCP measures 1-byte round trips (the paper's latency benchmark,
 // similar to hbench's lat_tcp), returning microseconds per round trip.
 func RTCP(p *Pair, rounds int, port uint16) (usec float64, err error) {
-	ready := make(chan error, 1)
-	done := make(chan error, 1)
-	go func() {
-		c := p.Receiver.C
-		lfd, err := c.Socket(2, 1, 0)
-		if err != nil {
-			ready <- err
-			return
-		}
-		defer func() { _ = c.Close(lfd) }()
-		if err := c.Bind(lfd, Addr(p.Receiver.IP, port)); err != nil {
-			ready <- err
-			return
-		}
-		if err := c.Listen(lfd, 1); err != nil {
-			ready <- err
-			return
-		}
-		ready <- nil
-		fd, _, err := c.Accept(lfd)
-		if err != nil {
-			done <- err
-			return
-		}
-		defer func() { _ = c.Close(fd) }()
-		var b [1]byte
-		for {
-			n, err := c.Read(fd, b[:])
-			if err != nil {
-				done <- err
-				return
-			}
-			if n == 0 {
-				done <- nil
-				return
-			}
-			if _, err := c.Write(fd, b[:]); err != nil {
-				done <- err
-				return
-			}
-		}
-	}()
-	if err := <-ready; err != nil {
-		return 0, err
-	}
-
-	c := p.Sender.C
-	fd, err := c.Socket(2, 1, 0)
+	rc, sc := p.Receiver, p.Sender
+	lfd, err := listen(rc, port, 1)
 	if err != nil {
 		return 0, err
 	}
-	defer func() { _ = c.Close(fd) }()
-	if err := c.SetSockOpt(fd, "nodelay", 1); err != nil {
+	echoed := acceptLoop(rc, lfd, 1, func(fd int) {
+		defer closeFD(rc, fd)
+		var b [1]byte
+		for readFull(rc, fd, b[:]) == nil && writeAll(rc, fd, b[:]) == nil {
+		}
+	})
+
+	fd, err := dial(sc, rc.IP, port, "nodelay", 1)
+	if err != nil {
 		return 0, err
 	}
-	if err := c.Connect(fd, Addr(p.Receiver.IP, port)); err != nil {
-		return 0, err
-	}
+	defer closeFD(sc, fd)
 	var b [1]byte
+	roundTrip := func() error {
+		if err := writeAll(sc, fd, b[:]); err != nil {
+			return err
+		}
+		return readFull(sc, fd, b[:])
+	}
 	// Warm up (ARP, caches).
 	for i := 0; i < 4; i++ {
-		if _, err := c.Write(fd, b[:]); err != nil {
-			return 0, err
-		}
-		if _, err := c.Read(fd, b[:]); err != nil {
+		if err := roundTrip(); err != nil {
 			return 0, err
 		}
 	}
 	start := time.Now()
 	for i := 0; i < rounds; i++ {
-		if _, err := c.Write(fd, b[:]); err != nil {
-			return 0, err
-		}
-		if n, err := c.Read(fd, b[:]); err != nil || n != 1 {
-			return 0, fmt.Errorf("rtcp: read %d, %v", n, err)
+		if err := roundTrip(); err != nil {
+			return 0, fmt.Errorf("rtcp: %w", err)
 		}
 	}
 	elapsed := time.Since(start)
-	_ = c.Shutdown(fd, 1)
-	<-done
+	sc.Do(func() { _ = sc.C.Shutdown(fd, 1) })
+	<-echoed
+	closeFD(rc, lfd)
 	return float64(elapsed.Microseconds()) / float64(rounds), nil
 }

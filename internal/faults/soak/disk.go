@@ -132,10 +132,8 @@ func RunDiskSoak(plan faults.Plan, files, payloadLen int) (*DiskResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]uint32, files)
 	for i := 0; i < files; i++ {
 		payload := diskPayload(plan.Seed, i, payloadLen)
-		sums[i] = crc32.ChecksumIEEE(payload)
 		var f com.File
 		// Non-exclusive create keeps the retry idempotent: an attempt
 		// that failed after entering the directory succeeds as an open
@@ -192,27 +190,37 @@ func RunDiskSoak(plan faults.Plan, files, payloadLen int) (*DiskResult, error) {
 		return nil, err
 	}
 	defer root2.Release()
+	if err := reread(root2, files, payloadLen, plan.Seed); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// reread is the verify phase of both workloads: every soak file must
+// read back byte for byte as the seed-determined content written to it.
+func reread(root com.Dir, files, payloadLen int, seed int64) error {
 	buf := make([]byte, payloadLen)
 	for i := 0; i < files; i++ {
-		f, err := root2.Lookup(fileName(i))
+		f, err := root.Lookup(fileName(i))
 		if err != nil {
-			return nil, fmt.Errorf("soak: %s lost: %w", fileName(i), err)
+			return fmt.Errorf("soak: %s lost: %w", fileName(i), err)
 		}
 		var off uint64
 		for off < uint64(payloadLen) {
 			n, err := f.ReadAt(buf[off:], off)
 			if err != nil || n == 0 {
 				f.Release()
-				return nil, fmt.Errorf("soak: reread %s at %d: %d, %v", fileName(i), off, n, err)
+				return fmt.Errorf("soak: reread %s at %d: %d, %v", fileName(i), off, n, err)
 			}
 			off += uint64(n)
 		}
 		f.Release()
-		if got := crc32.ChecksumIEEE(buf); got != sums[i] {
-			return nil, fmt.Errorf("soak: %s corrupted: crc %08x, want %08x", fileName(i), got, sums[i])
+		want := crc32.ChecksumIEEE(diskPayload(seed, i, payloadLen))
+		if got := crc32.ChecksumIEEE(buf); got != want {
+			return fmt.Errorf("soak: %s corrupted: crc %08x, want %08x", fileName(i), got, want)
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // RunBmfsWorkload drives the boot-module RAM file system through the
@@ -240,23 +248,7 @@ func RunBmfsWorkload(files, payloadLen int, seed int64) error {
 		}
 		f.Release()
 	}
-	buf := make([]byte, payloadLen)
-	for i := 0; i < files; i++ {
-		f, err := root.Lookup(fileName(i))
-		if err != nil {
-			return err
-		}
-		n, err := f.ReadAt(buf, 0)
-		f.Release()
-		if err != nil || int(n) != payloadLen {
-			return fmt.Errorf("soak: bmfs reread %s: %d, %v", fileName(i), n, err)
-		}
-		want := diskPayload(seed, i, payloadLen)
-		if crc32.ChecksumIEEE(buf) != crc32.ChecksumIEEE(want) {
-			return fmt.Errorf("soak: bmfs %s corrupted", fileName(i))
-		}
-	}
-	return nil
+	return reread(root, files, payloadLen, seed)
 }
 
 func fileName(i int) string { return fmt.Sprintf("soak%03d", i) }

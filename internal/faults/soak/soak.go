@@ -26,25 +26,25 @@ type Regime struct {
 	Plan faults.Plan
 }
 
+// The two regimes every soak shares: the control run, and a wire doing
+// everything short of losing frames outright — corruption, duplication,
+// reordering, receive-ring overruns and clock jitter together.
+var (
+	clean       = Regime{Name: "clean", Plan: faults.Plan{Seed: 1}}
+	hostileWire = Regime{Name: "hostile-wire", Plan: faults.Plan{
+		Seed: 3, WireCorrupt: 0.05, WireDup: 0.05, WireReorder: 0.05,
+		NICOverflow: 0.05, TimerJitter: 0.10}}
+)
+
 // TTCPRegimes are the fault regimes the ttcp soak runs under.  Each
 // must let the transfer complete with the byte stream intact: TCP's
-// checksums and retransmission are what is on trial.
-//
-//   - clean: no faults; the control run.
-//   - loss-burst-diskerr: 20% burst frame loss plus a disk-error/torn-
-//     write rate (the acceptance regime; the disk knobs drive the disk
-//     soak and are inert on a diskless rig).
-//   - hostile-wire: corruption, duplication, reordering, receive-ring
-//     overruns and clock jitter together.
+// checksums and retransmission are what is on trial.  Besides the
+// shared pair, loss-burst-diskerr is 20% burst frame loss plus a
+// disk-error/torn-write rate (the acceptance regime; the disk knobs
+// drive the disk soak and are inert on a diskless rig).
 func TTCPRegimes() []Regime {
-	return []Regime{
-		{Name: "clean", Plan: faults.Plan{Seed: 1}},
-		{Name: "loss-burst-diskerr", Plan: faults.Plan{
-			Seed: 2, WireDrop: 0.20, WireBurst: 4, DiskErr: 0.05, DiskTorn: 0.02}},
-		{Name: "hostile-wire", Plan: faults.Plan{
-			Seed: 3, WireCorrupt: 0.05, WireDup: 0.05, WireReorder: 0.05,
-			NICOverflow: 0.05, TimerJitter: 0.10}},
-	}
+	return []Regime{clean, {Name: "loss-burst-diskerr", Plan: faults.Plan{
+		Seed: 2, WireDrop: 0.20, WireBurst: 4, DiskErr: 0.05, DiskTorn: 0.02}}, hostileWire}
 }
 
 // RunTTCP drives the checksummed Table-1 transfer under whatever faults
@@ -53,27 +53,36 @@ func TTCPRegimes() []Regime {
 // of hanging the suite.  On success the two CRC-32 sums are equal by
 // construction of the return, so callers assert err == nil.
 func RunTTCP(p *evalrig.Pair, blocks, blockSize int, port uint16, seed int64, timeout time.Duration) error {
+	_, err := watchdog("ttcp", timeout, func() (struct{}, error) {
+		sent, recvd, err := evalrig.TTCPVerified(p, blocks, blockSize, port, seed)
+		if err == nil && sent != recvd {
+			err = fmt.Errorf("soak: checksum mismatch: sent %08x, received %08x", sent, recvd)
+		}
+		return struct{}{}, err
+	})
+	return err
+}
+
+// watchdog runs one workload to completion on its own goroutine and
+// returns what it returned — unless it has not finished within timeout,
+// in which case the run is reported wedged instead of hanging the suite.
+func watchdog[T any](what string, timeout time.Duration, run func() (T, error)) (T, error) {
 	type out struct {
-		sent, recvd uint32
-		err         error
+		res T
+		err error
 	}
 	done := make(chan out, 1)
 	go func() {
-		s, r, err := evalrig.TTCPVerified(p, blocks, blockSize, port, seed)
-		done <- out{s, r, err}
+		res, err := run()
+		done <- out{res, err}
 	}()
 	select {
 	case o := <-done:
-		if o.err != nil {
-			return o.err
-		}
-		if o.sent != o.recvd {
-			return fmt.Errorf("soak: checksum mismatch: sent %08x, received %08x", o.sent, o.recvd)
-		}
-		return nil
+		return o.res, o.err
 	//oskit:allow detsource -- hang watchdog only; fires after the workload is already wedged, never on a decision path
 	case <-time.After(timeout):
-		return fmt.Errorf("soak: ttcp did not complete within %v", timeout)
+		var none T
+		return none, fmt.Errorf("soak: %s did not complete within %v", what, timeout)
 	}
 }
 
@@ -82,60 +91,28 @@ func RunTTCP(p *evalrig.Pair, blocks, blockSize int, port uint16, seed int64, ti
 // rather than the byte count, so a hostile wire here stresses SYN
 // retransmission, FIN recovery, and TIME_WAIT recycling instead of the
 // bulk-transfer window.
-func ChurnRegimes() []Regime {
-	return []Regime{
-		{Name: "clean", Plan: faults.Plan{Seed: 1}},
-		{Name: "hostile-wire", Plan: faults.Plan{
-			Seed: 3, WireCorrupt: 0.05, WireDup: 0.05, WireReorder: 0.05,
-			NICOverflow: 0.05, TimerJitter: 0.10}},
-	}
-}
+func ChurnRegimes() []Regime { return []Regime{clean, hostileWire} }
 
 // RunClusterChurn drives the E13 connection churn on a switched cluster
 // under whatever faults are already enabled, with the same hang
 // watchdog as the ttcp soak: a regime that wedges the churn fails
 // loudly instead of hanging the suite.
 func RunClusterChurn(c *evalrig.Cluster, opts evalrig.ChurnOptions, timeout time.Duration) (evalrig.ChurnResult, error) {
-	type out struct {
-		res evalrig.ChurnResult
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		r, err := evalrig.ChurnTCP(c, opts)
-		done <- out{r, err}
-	}()
-	select {
-	case o := <-done:
-		return o.res, o.err
-	//oskit:allow detsource -- hang watchdog only; fires after the workload is already wedged, never on a decision path
-	case <-time.After(timeout):
-		return evalrig.ChurnResult{}, fmt.Errorf("soak: churn did not complete within %v", timeout)
-	}
+	return watchdog("churn", timeout, func() (evalrig.ChurnResult, error) { return evalrig.ChurnTCP(c, opts) })
 }
 
 // HTTPRegimes are the fault regimes the HTTP file-serving soak (E15)
 // runs under.  File serving stacks a second fault surface on top of the
 // wire: the disk under the buffer cache, whose injected errors the
 // serving path must absorb through its op-level retry contract while
-// the zero-copy machinery keeps pages pinned across retransmissions.
-//
-//   - clean: no faults; the control run.
-//   - hostile-wire: corruption, duplication, reordering, ring overruns
-//     and clock jitter — every retransmission stretches the life of the
-//     pinned pages riding the lost segments.
-//   - loss-burst-diskerr: burst frame loss on the wire plus disk
-//     errors and torn writes under the file system (the acceptance
-//     regime for the serving path's two-sided retry story).
+// the zero-copy machinery keeps pages pinned across retransmissions —
+// on the hostile wire every retransmission stretches the life of the
+// pinned pages riding the lost segments.  loss-burst-diskerr is burst
+// frame loss plus disk errors and torn writes under the file system
+// (the acceptance regime for the serving path's two-sided retry story).
 func HTTPRegimes() []Regime {
-	return []Regime{
-		{Name: "clean", Plan: faults.Plan{Seed: 1}},
-		{Name: "hostile-wire", Plan: faults.Plan{
-			Seed: 3, WireCorrupt: 0.05, WireDup: 0.05, WireReorder: 0.05,
-			NICOverflow: 0.05, TimerJitter: 0.10}},
-		{Name: "loss-burst-diskerr", Plan: faults.Plan{
-			Seed: 2, WireDrop: 0.10, WireBurst: 3, DiskErr: 0.05, DiskTorn: 0.02}},
-	}
+	return []Regime{clean, hostileWire, {Name: "loss-burst-diskerr", Plan: faults.Plan{
+		Seed: 2, WireDrop: 0.10, WireBurst: 3, DiskErr: 0.05, DiskTorn: 0.02}}}
 }
 
 // RunHTTP drives the E15 HTTP file-serving workload on a cluster under
@@ -143,22 +120,7 @@ func HTTPRegimes() []Regime {
 // the other soaks: a regime that wedges the workload fails loudly
 // instead of hanging the suite.
 func RunHTTP(c *evalrig.Cluster, opts evalrig.HTTPOptions, timeout time.Duration) (evalrig.HTTPResult, error) {
-	type out struct {
-		res evalrig.HTTPResult
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		r, err := evalrig.HTTPGet(c, opts)
-		done <- out{r, err}
-	}()
-	select {
-	case o := <-done:
-		return o.res, o.err
-	//oskit:allow detsource -- hang watchdog only; fires after the workload is already wedged, never on a decision path
-	case <-time.After(timeout):
-		return evalrig.HTTPResult{}, fmt.Errorf("soak: http workload did not complete within %v", timeout)
-	}
+	return watchdog("http workload", timeout, func() (evalrig.HTTPResult, error) { return evalrig.HTTPGet(c, opts) })
 }
 
 // AllocPair names one alloc/free counter pair in one stats set.

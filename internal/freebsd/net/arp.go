@@ -81,7 +81,7 @@ func (t *arpTable) request(dst IPAddr) {
 		m.FreeChain()
 		return
 	}
-	bump(&s.Stats.ARPOut)
+	s.sc.arpOut.Inc()
 	s.etherOutput(m, [6]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, EtherTypeARP)
 }
 
@@ -105,7 +105,7 @@ func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 	var srcIP, dstIP IPAddr
 	copy(srcIP[:], p[14:18])
 	copy(dstIP[:], p[24:28])
-	bump(&s.Stats.ARPIn)
+	s.sc.arpIn.Inc()
 
 	// The sender-hardware field must agree with the station that put the
 	// frame on the wire.  ARP carries no checksum, so a payload bit flip
@@ -115,7 +115,6 @@ func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 	// the frame the fabric itself addresses by, so it is the trustworthy
 	// copy of the sender's station.
 	if srcMAC != etherSrc {
-		bump(&s.Stats.ARPBadSender)
 		s.sc.arpBadSender.Inc()
 		return
 	}
@@ -148,7 +147,7 @@ func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 			r.FreeChain()
 			return
 		}
-		bump(&s.Stats.ARPOut)
+		s.sc.arpOut.Inc()
 		s.etherOutput(r, srcMAC, EtherTypeARP)
 	}
 }
@@ -171,7 +170,7 @@ func (t *arpTable) age() {
 				e.held.FreeChain()
 				e.held = nil
 				delete(t.entries, ip)
-				bump(&t.s.Stats.DroppedUnreach)
+				t.s.sc.arpDropUnreach.Inc()
 				continue
 			}
 			t.request(ip)

@@ -40,8 +40,8 @@ func TestARPRejectsMismatchedSender(t *testing.T) {
 	}
 	a.etherInput(m, nil)
 
-	if got := a.Stats.ARPBadSender; got != 1 {
-		t.Errorf("ARPBadSender = %d, want 1", got)
+	if got := stat(t, a, "arp.bad_sender"); got != 1 {
+		t.Errorf("arp.bad_sender = %d, want 1", got)
 	}
 	e := a.arp.entries[ipB]
 	if e == nil || !e.valid {

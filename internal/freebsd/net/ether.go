@@ -50,9 +50,9 @@ func (s *Stack) etherOutput(m *Mbuf, dst [6]byte, etype uint16) {
 	}
 
 	if m.Contiguous() {
-		bump(&s.Stats.TxContiguous)
+		s.sc.txContiguous.Inc()
 	} else {
-		bump(&s.Stats.TxChained)
+		s.sc.txChained.Inc()
 	}
 	out := s.output // config-before-traffic; read unguarded
 	if out == nil {

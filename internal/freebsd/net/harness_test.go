@@ -1,6 +1,7 @@
 package bsdnet
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -104,6 +105,8 @@ func model3C59X() hw.NICModel { return hw.Model3C59X }
 func hw_NewEtherWireLossy(t *testing.T, p float64, seed int64) *hw.EtherWire {
 	t.Helper()
 	w := hw.NewEtherWire()
-	w.SetLoss(p, seed)
+	rng := rand.New(rand.NewSource(seed))
+	// The wire serializes hook calls, so the RNG needs no lock.
+	w.SetFaultHook(func(int) hw.WireFault { return hw.WireFault{Drop: rng.Float64() < p} })
 	return w
 }

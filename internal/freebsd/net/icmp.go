@@ -36,7 +36,7 @@ func (s *Stack) icmpInput(m *Mbuf, src, dst IPAddr) {
 	}
 	switch buf[0] {
 	case icmpEchoRequest:
-		bump(&s.Stats.ICMPEchoReqIn)
+		s.sc.icmpEchoReqIn.Inc()
 		buf[0] = icmpEchoReply
 		buf[2], buf[3] = 0, 0
 		csum := Checksum(buf, 0)
@@ -49,10 +49,10 @@ func (s *Stack) icmpInput(m *Mbuf, src, dst IPAddr) {
 			r.FreeChain()
 			return
 		}
-		bump(&s.Stats.ICMPEchoRepOut)
+		s.sc.icmpEchoRepOut.Inc()
 		s.ipOutput(r, s.ifIP, src, ProtoICMP, 0)
 	case icmpEchoReply:
-		bump(&s.Stats.ICMPEchoRepIn)
+		s.sc.icmpEchoRepIn.Inc()
 		seq := binary.BigEndian.Uint16(buf[6:8])
 		s.mu.Lock()
 		if w := s.pings[seq]; w != nil {

@@ -45,10 +45,10 @@ const (
 // pcbs — TIME_WAIT included — are skipped only while actually held; a
 // full sweep finding nothing free is surfaced as its own error so
 // callers can tell exhaustion from an address conflict.
-func (s *Stack) ephemeral(free func(uint16) bool) (uint16, error) {
+func (s *Stack) ephemeral(held map[uint16]int) (uint16, error) {
 	for i := uint16(0); i < ephemeralCount; i++ {
 		p := ephemeralBase + (s.nextEphemeral+i)%ephemeralCount
-		if free(p) {
+		if held[p] == 0 {
 			s.nextEphemeral = (s.nextEphemeral + i + 1) % ephemeralCount
 			return p, nil
 		}
@@ -214,28 +214,6 @@ type BenchKey struct {
 	Dport uint16
 	Src   IPAddr
 	Sport uint16
-}
-
-// LookupForBench runs the hashed demux once (true on hit).
-func LookupForBench(s *Stack, dst IPAddr, dport uint16, src IPAddr, sport uint16) bool {
-	restore := s.g.Enter("bench")
-	defer restore()
-	spl := s.g.Splnet()
-	defer s.g.Splx(spl)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tcpLookup(dst, dport, src, sport) != nil
-}
-
-// LookupLinearForBench runs the donor's linear demux once (true on hit).
-func LookupLinearForBench(s *Stack, dst IPAddr, dport uint16, src IPAddr, sport uint16) bool {
-	restore := s.g.Enter("bench")
-	defer restore()
-	spl := s.g.Splnet()
-	defer s.g.Splx(spl)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tcpLookupLinear(dst, dport, src, sport) != nil
 }
 
 // LookupBatchForBench runs every probe under ONE component entry — the

@@ -80,7 +80,7 @@ func TestHashedLookupMatchesLinear(t *testing.T) {
 func TestEphemeralRotates(t *testing.T) {
 	s := bareStack(t)
 	withStack(s, func() {
-		free := func(uint16) bool { return true }
+		free := map[uint16]int{} // nothing held
 		for i, want := range []uint16{49152, 49153, 49154} {
 			p, err := s.ephemeral(free)
 			if err != nil {
@@ -102,21 +102,27 @@ func TestEphemeralWraparoundAndExhaustion(t *testing.T) {
 	s := bareStack(t)
 	withStack(s, func() {
 		s.nextEphemeral = ephemeralCount - 1
-		p, err := s.ephemeral(func(uint16) bool { return true })
+		none := map[uint16]int{}
+		p, err := s.ephemeral(none)
 		if err != nil || p != 65535 {
 			t.Fatalf("top of range = %d, %v", p, err)
 		}
-		p, err = s.ephemeral(func(uint16) bool { return true })
+		p, err = s.ephemeral(none)
 		if err != nil || p != 49152 {
 			t.Fatalf("wraparound = %d, %v (want 49152)", p, err)
 		}
 
-		if _, err := s.ephemeral(func(uint16) bool { return false }); err != com.ErrNoPorts {
+		all := map[uint16]int{}
+		for q := ephemeralBase; q < 65536; q++ {
+			all[uint16(q)] = 1
+		}
+		if _, err := s.ephemeral(all); err != com.ErrNoPorts {
 			t.Fatalf("exhaustion error = %v, want ErrNoPorts", err)
 		}
 		// Pre-fix the allocator returned failure permanently once the
 		// range had been swept; a freed port must be allocatable again.
-		p, err = s.ephemeral(func(q uint16) bool { return q == 51000 })
+		delete(all, 51000)
+		p, err = s.ephemeral(all)
 		if err != nil || p != 51000 {
 			t.Fatalf("post-exhaustion allocation = %d, %v", p, err)
 		}
@@ -167,7 +173,11 @@ func TestTimeWaitRecycling(t *testing.T) {
 	// accept loop and the test's pollers), so it gets the §4.7.4
 	// component-lock treatment.
 	lb := lockStack(b)
-	lb.do(func() { b.SetMaxTimeWait(2) })
+	lb.do(func() {
+		b.mu.Lock()
+		b.maxTimeWait = 2 // before any connection lingers
+		b.mu.Unlock()
+	})
 	fb := b.SocketFactory()
 	defer fb.Release()
 	var ls com.Socket

@@ -38,7 +38,7 @@ func (s *Stack) ipInput(m *Mbuf, ctx *rxCtx) {
 	}
 	h = m.Data()[:hlen]
 	if Checksum(h, 0) != 0 {
-		bump(&s.Stats.IPBadCsum)
+		s.sc.ipBadCsum.Inc()
 		m.FreeChain()
 		return
 	}
@@ -59,18 +59,18 @@ func (s *Stack) ipInput(m *Mbuf, ctx *rxCtx) {
 		m.FreeChain() // not ours; the kit does no forwarding
 		return
 	}
-	bump(&s.Stats.IPIn)
+	s.sc.ipIn.Inc()
 
 	fragField := binary.BigEndian.Uint16(h[6:8])
 	if fragField&(ipFlagMF|ipOffMask) != 0 {
-		bump(&s.Stats.IPFragsIn)
+		s.sc.ipFragsIn.Inc()
 		s.mu.Lock()
 		m = s.reasmInput(m, h, src, dst, fragField)
 		s.mu.Unlock()
 		if m == nil {
 			return // still incomplete
 		}
-		bump(&s.Stats.IPReasmOK)
+		s.sc.ipReasmOK.Inc()
 		h = m.Data()[:hlen]
 	}
 
@@ -145,11 +145,11 @@ func (s *Stack) ipSendOne(m *Mbuf, src, dst IPAddr, proto, ttl int, id uint16, f
 
 	nextHop, ok := s.route(dst)
 	if !ok {
-		bump(&s.Stats.DroppedNoRoute)
+		s.sc.ipDropNoRoute.Inc()
 		m.FreeChain()
 		return
 	}
-	bump(&s.Stats.IPOut)
+	s.sc.ipOut.Inc()
 	mac, resolved := s.arp.resolve(nextHop, m, EtherTypeIP)
 	if !resolved {
 		return // held by ARP; sent on reply

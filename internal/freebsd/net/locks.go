@@ -48,7 +48,7 @@ import "sync"
 // Field-ownership rules are machine-checked, not prose: every shared
 // field in this package carries an //oskit:guardedby, //oskit:atomic,
 // or //oskit:initonly annotation on its declaration (see the Stack,
-// tcpcb, udpPCB, sockbuf, arpTable and StackStats types), and the
+// tcpcb, udpPCB, sockbuf and arpTable types), and the
 // `guarded` analyzer in internal/analysis/guarded enforces them on
 // every access.  The annotation forms map to the disciplines that used
 // to be listed here:
@@ -58,7 +58,7 @@ import "sync"
 //     reader may hold either (tcpcb identity, state, err).
 //   - `//oskit:guardedby mu+demuxMu` — same write-both/read-either
 //     shape for Stack.tcpHash (fast path demuxMu.RLock, slow Stack.mu).
-//   - `//oskit:atomic` — sync/atomic only (tcpcb.pcbIdx, StackStats).
+//   - `//oskit:atomic` — sync/atomic only (tcpcb.pcbIdx, Stack.ipID).
 //   - `//oskit:initonly` — written before traffic, read unguarded
 //     (interface configuration, packet pool).
 //

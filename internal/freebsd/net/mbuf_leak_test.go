@@ -8,6 +8,7 @@ package bsdnet
 // which overwrote the old storage pointers without releasing them.
 
 import (
+	"strings"
 	"testing"
 
 	"oskit/internal/com"
@@ -40,6 +41,13 @@ func stat(t *testing.T, s *Stack, name string) int64 {
 		t.Fatalf("statistic %q not exported", name)
 	}
 	return v
+}
+
+// statDump renders the stack's non-zero rows for failure messages.
+func statDump(s *Stack) string {
+	var b strings.Builder
+	stats.WriteTable(&b, []com.Stats{s.StatsSet()}, true)
+	return b.String()
 }
 
 func TestMClGetReleasesPriorCluster(t *testing.T) {

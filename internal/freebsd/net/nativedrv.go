@@ -39,9 +39,7 @@ func (s *Stack) AttachNativeMQ(nic *hw.NIC, queues int) {
 }
 
 func (s *Stack) attachNativeTx(nic *hw.NIC) {
-	s.ifMAC = nic.Mac //oskit:allow guarded -- NIC attach runs once at bring-up before interrupts are unmasked; not a New*-shaped constructor
-	//oskit:allow guarded -- same bring-up window as ifMAC above
-	s.output = func(m *Mbuf) {
+	s.ifAttach(nic.Mac, func(m *Mbuf) {
 		// Gather the chain for the DMA engine.
 		var parts [][]byte
 		for cur := m; cur != nil; cur = cur.Next {
@@ -51,7 +49,7 @@ func (s *Stack) attachNativeTx(nic *hw.NIC) {
 		}
 		nic.TransmitGather(parts)
 		m.FreeChain()
-	}
+	})
 }
 
 // nativeRxDrain empties one receive ring into the stack (interrupt

@@ -288,7 +288,7 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("fragmented datagram corrupted: got %d bytes want %d", len(got), len(payload))
 	}
-	if b.Stats.IPFragsIn == 0 || b.Stats.IPReasmOK == 0 {
-		t.Fatalf("no fragments seen: %+v", b.Stats)
+	if stat(t, b, "ip.frags_in") == 0 || stat(t, b, "ip.reasm_ok") == 0 {
+		t.Fatalf("no fragments seen: %s", statDump(b))
 	}
 }

@@ -20,13 +20,13 @@ func TestDefaultGatewayRouting(t *testing.T) {
 	pcb := a.udpNew()
 	err := a.udpOutput(pcb, []byte("lost"), IPAddr{8, 8, 8, 8}, 53)
 	a.mu.Unlock()
-	drops := a.StatsSnapshot().DroppedNoRoute
+	drops := stat(t, a, "ip.dropped_no_route")
 	a.g.Splx(spl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if drops != 1 {
-		t.Fatalf("DroppedNoRoute = %d", drops)
+		t.Fatalf("ip.dropped_no_route = %d", drops)
 	}
 
 	// With B as the default gateway, the datagram leaves addressed to

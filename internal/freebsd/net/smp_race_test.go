@@ -92,9 +92,10 @@ func TestRaceConnectChurn(t *testing.T) {
 		// A connect on a clean wire must not fail; when one does, the
 		// cause is in the counters (the stacks are fresh, so totals are
 		// this run's deltas): retransmits, listen-queue drops
-		// (AcceptOverflows), ARP traffic and give-ups (DroppedUnreach).
-		t.Fatalf("churn worker: %v\nclient stack: %+v\nserver stack: %+v",
-			err, a.StatsSnapshot(), b.StatsSnapshot())
+		// (tcp.accept_overflows), ARP traffic and give-ups
+		// (arp.dropped_unreach).
+		t.Fatalf("churn worker: %v\nclient stack: %s\nserver stack: %s",
+			err, statDump(a), statDump(b))
 	}
 	_ = ls.Close()
 }

@@ -38,7 +38,6 @@ type Stack struct {
 
 	// Interface state (one Ethernet interface per stack instance, like
 	// the examples in §5; nothing below prevents generalizing).
-	ifSend com.NetIO //oskit:initonly  driver's transmit sink (COM-bound configuration)
 	// output ships one finished frame chain; set by OpenEtherIf (COM
 	// BufIO export) or AttachNative (donor mbuf driver).
 	output func(m *Mbuf) //oskit:initonly
@@ -102,11 +101,6 @@ type Stack struct {
 	stopSlow func() //oskit:guardedby slowMu
 	closed   bool   //oskit:guardedby slowMu
 
-	// Statistics (exposed, open implementation §4.6).  Fields are
-	// updated with atomic adds so the SMP data paths need no lock; read
-	// them through StatsSnapshot.
-	Stats StackStats
-
 	// statsSet is the stack's com.Stats export; sc holds the
 	// pre-resolved handles the hot paths update (see netstats).
 	statsSet *stats.Set //oskit:initonly
@@ -142,46 +136,10 @@ type rxCtx struct {
 	pend     []*tcpcb
 }
 
-// StackStats counts stack-level events.  Fields are plain uint64 for
-// ABI stability but every hot-path update is an atomic add (several CPUs
-// ingest concurrently on an SMP machine); use StatsSnapshot to read.
-//
-//oskit:atomic
-type StackStats struct {
-	IPIn, IPOut   uint64
-	IPBadCsum     uint64
-	IPFragsIn     uint64
-	IPReasmOK     uint64
-	TCPIn, TCPOut uint64
-	TCPRexmt      uint64
-	// AcceptOverflows counts SYNs dropped at a listener whose accept or
-	// syn queue was full (FreeBSD behaviour: silent drop, no RST).
-	AcceptOverflows uint64
-	// TimeWaitRecycled counts TIME_WAIT pcbs reclaimed early because
-	// the stack's lingering-pcb cap was exceeded.
-	TimeWaitRecycled uint64
-	UDPIn, UDPOut    uint64
-	ARPIn, ARPOut    uint64
-	// ARPBadSender counts ARP frames dropped because the sender-hardware
-	// field disagreed with the Ethernet source station (corruption or
-	// spoofing; accepting it would poison the resolution cache).
-	ARPBadSender   uint64
-	RxZeroCopy     uint64 // inbound packets wrapped via Map
-	RxCopied       uint64 // inbound packets copied via Read
-	TxContiguous   uint64 // outbound packets exported as one run
-	TxChained      uint64 // outbound packets exported as chains
-	DroppedNoRoute uint64
-	DroppedUnreach uint64
-	ICMPEchoReqIn  uint64
-	ICMPEchoRepIn  uint64
-	ICMPEchoRepOut uint64
-}
-
 // netstats is the stack's pre-resolved statistics handles, updated
-// lock-free on the packet hot paths (often at interrupt level).  The
-// exported StackStats struct stays for direct inspection; these are the
-// same events published through the discoverable com.Stats interface
-// under the "subsys.counter" naming scheme.
+// lock-free on the packet hot paths (often at interrupt level) and
+// published through the discoverable com.Stats interface under the
+// "subsys.counter" naming scheme.
 type netstats struct {
 	mbufAllocs, mbufFrees       *stats.Counter
 	clAllocs, clFrees, clShares *stats.Counter
@@ -192,7 +150,17 @@ type netstats struct {
 	tcpDropWnd, tcpOOO          *stats.Counter
 	tcpAcceptOvfl               *stats.Counter
 	tcpTWRecycled               *stats.Counter
-	arpBadSender                *stats.Counter
+	arpIn, arpOut, arpBadSender *stats.Counter
+	arpDropUnreach              *stats.Counter
+	ipIn, ipOut, ipBadCsum      *stats.Counter
+	ipFragsIn, ipReasmOK        *stats.Counter
+	ipDropNoRoute               *stats.Counter
+	udpIn, udpOut               *stats.Counter
+	icmpEchoReqIn               *stats.Counter
+	icmpEchoRepIn               *stats.Counter
+	icmpEchoRepOut              *stats.Counter
+	rxZeroCopy, rxCopied        *stats.Counter
+	txContiguous, txChained     *stats.Counter
 	tcpPCBCount                 *stats.Gauge
 	sockbufCC                   *stats.Gauge
 	tcpRxBytes                  *stats.Histogram
@@ -276,6 +244,28 @@ func (s *Stack) initStats() {
 		// ARP frames refused because the sender-hardware field disagreed
 		// with the Ethernet source station (corruption or spoofing).
 		arpBadSender: set.Counter("arp.bad_sender"),
+		arpIn:        set.Counter("arp.in"),
+		arpOut:       set.Counter("arp.out"),
+		// Held packets freed when resolution gave up (BSD's EHOSTDOWN).
+		arpDropUnreach: set.Counter("arp.dropped_unreach"),
+		ipIn:           set.Counter("ip.in"),
+		ipOut:          set.Counter("ip.out"),
+		ipBadCsum:      set.Counter("ip.bad_csum"),
+		ipFragsIn:      set.Counter("ip.frags_in"),
+		ipReasmOK:      set.Counter("ip.reasm_ok"),
+		ipDropNoRoute:  set.Counter("ip.dropped_no_route"),
+		udpIn:          set.Counter("udp.in"),
+		udpOut:         set.Counter("udp.out"),
+		icmpEchoReqIn:  set.Counter("icmp.echo_req_in"),
+		icmpEchoRepIn:  set.Counter("icmp.echo_rep_in"),
+		icmpEchoRepOut: set.Counter("icmp.echo_rep_out"),
+		// Representation crossings at the NetIO seam: inbound packets
+		// wrapped via Map or copied via Read, outbound packets exported
+		// as one contiguous run or as a chain.
+		rxZeroCopy:   set.Counter("ether.rx_zero_copy"),
+		rxCopied:     set.Counter("ether.rx_copied"),
+		txContiguous: set.Counter("ether.tx_contiguous"),
+		txChained:    set.Counter("ether.tx_chained"),
 		tcpPCBCount:  set.Gauge("tcp.pcbs"),
 		sockbufCC:    set.Gauge("sockbuf.occupancy"),
 		// Inbound TCP payload sizes: runts, mid-size, MSS-full segments.
@@ -302,79 +292,8 @@ func (s *Stack) initStats() {
 // §4.6); the same object is discoverable via the services registry.
 func (s *Stack) StatsSet() *stats.Set { return s.statsSet }
 
-// bump atomically increments one StackStats field (SMP data paths hold
-// no lock that covers the stats block).
-func bump(f *uint64) { atomic.AddUint64(f, 1) }
-
-// countTCPOut records one transmitted TCP segment in both the exposed
-// StackStats block and the com.Stats export.
-func (s *Stack) countTCPOut() {
-	bump(&s.Stats.TCPOut)
-	s.sc.tcpSegsOut.Inc()
-}
-
-// countTCPRexmt records one retransmitted segment.
-func (s *Stack) countTCPRexmt() {
-	bump(&s.Stats.TCPRexmt)
-	s.sc.tcpRexmt.Inc()
-}
-
-// countAcceptOverflow records one SYN dropped at a full listen queue.
-func (s *Stack) countAcceptOverflow() {
-	bump(&s.Stats.AcceptOverflows)
-	s.sc.tcpAcceptOvfl.Inc()
-}
-
-// countTWRecycle records one TIME_WAIT pcb reclaimed by the cap.
-func (s *Stack) countTWRecycle() {
-	bump(&s.Stats.TimeWaitRecycled)
-	s.sc.tcpTWRecycled.Inc()
-}
-
-// SetMaxTimeWait bounds how many TIME_WAIT pcbs may linger before the
-// oldest are reclaimed (their ports freed immediately).  The default is
-// tcpDefaultMaxTimeWait; tests shrink it to force recycling.
-func (s *Stack) SetMaxTimeWait(n int) {
-	if n < 1 {
-		n = 1
-	}
-	spl := s.g.Splnet()
-	s.mu.Lock()
-	s.maxTimeWait = n
-	s.mu.Unlock()
-	s.g.Splx(spl)
-}
-
 // Glue returns the stack's BSD environment (tests).
 func (s *Stack) Glue() *bsdglue.Glue { return s.g }
-
-// StatsSnapshot reads the counters with atomic loads (they are updated
-// concurrently from several CPUs on an SMP machine).
-func (s *Stack) StatsSnapshot() StackStats {
-	var out StackStats
-	src := &s.Stats
-	for _, p := range [][2]*uint64{
-		{&out.IPIn, &src.IPIn}, {&out.IPOut, &src.IPOut},
-		{&out.IPBadCsum, &src.IPBadCsum}, {&out.IPFragsIn, &src.IPFragsIn},
-		{&out.IPReasmOK, &src.IPReasmOK}, {&out.TCPIn, &src.TCPIn},
-		{&out.TCPOut, &src.TCPOut}, {&out.TCPRexmt, &src.TCPRexmt},
-		{&out.AcceptOverflows, &src.AcceptOverflows},
-		{&out.TimeWaitRecycled, &src.TimeWaitRecycled},
-		{&out.UDPIn, &src.UDPIn}, {&out.UDPOut, &src.UDPOut},
-		{&out.ARPIn, &src.ARPIn}, {&out.ARPOut, &src.ARPOut},
-		{&out.ARPBadSender, &src.ARPBadSender},
-		{&out.RxZeroCopy, &src.RxZeroCopy}, {&out.RxCopied, &src.RxCopied},
-		{&out.TxContiguous, &src.TxContiguous}, {&out.TxChained, &src.TxChained},
-		{&out.DroppedNoRoute, &src.DroppedNoRoute},
-		{&out.DroppedUnreach, &src.DroppedUnreach},
-		{&out.ICMPEchoReqIn, &src.ICMPEchoReqIn},
-		{&out.ICMPEchoRepIn, &src.ICMPEchoRepIn},
-		{&out.ICMPEchoRepOut, &src.ICMPEchoRepOut},
-	} {
-		*p[0] = atomic.LoadUint64(p[1])
-	}
-	return out
-}
 
 // newEvent mints a tsleep event handle.  Called with mu held.
 func (s *Stack) newEvent() uint32 {
@@ -392,15 +311,23 @@ func (s *Stack) OpenEtherIf(dev com.EtherDev) error {
 	if err != nil {
 		return err
 	}
-	//oskit:allow guarded -- interface attach runs once at bring-up before any traffic exists; OpenEtherIf is not a New*-shaped constructor the initonly heuristic recognizes
-	s.ifSend = send
-	s.ifMAC = dev.GetAddr() //oskit:allow guarded -- same bring-up window as ifSend above
-	//oskit:allow guarded -- same bring-up window as ifSend above
-	s.output = func(m *Mbuf) {
+	s.ifAttach(dev.GetAddr(), func(m *Mbuf) {
 		bio := s.wrapMbuf(m)
 		_ = send.Push(bio, uint(m.PktLen)) // Push consumes the reference
-	}
+	})
 	return nil
+}
+
+// ifAttach publishes the interface binding the way Ifconfig publishes
+// the address: configuration-before-traffic, written under the stack
+// lock.
+func (s *Stack) ifAttach(mac [6]byte, output func(m *Mbuf)) {
+	spl := s.g.Splnet()
+	s.mu.Lock()
+	s.ifMAC = mac
+	s.output = output
+	s.mu.Unlock()
+	s.g.Splx(spl)
 }
 
 // SetPacketPool binds (or, with nil, unbinds) the stack's small-mbuf
@@ -608,7 +535,7 @@ func (s *Stack) rxOne(pkt com.BufIO, size uint, ctx *rxCtx) error {
 	if !s.ForceRxCopy {
 		if data, err := pkt.Map(0, size); err == nil {
 			m = s.MExt(pkt, data) // holds its own reference
-			bump(&s.Stats.RxZeroCopy)
+			s.sc.rxZeroCopy.Inc()
 		}
 	}
 	if m == nil {
@@ -638,7 +565,7 @@ func (s *Stack) rxOne(pkt com.BufIO, size uint, ctx *rxCtx) error {
 		}
 		m.len = int(size)
 		m.PktLen = int(size)
-		bump(&s.Stats.RxCopied)
+		s.sc.rxCopied.Inc()
 	}
 	s.etherInput(m, ctx)
 	pkt.Release()

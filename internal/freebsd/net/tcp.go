@@ -270,7 +270,7 @@ func (s *Stack) tcpBind(tp *tcpcb, port uint16, reuse bool) error {
 		return com.ErrInval
 	}
 	if port == 0 {
-		p, err := s.ephemeral(func(p uint16) bool { return s.tcpPorts[p] == 0 }) //oskit:allow guarded -- the probe closure runs synchronously inside s.ephemeral with the stack lock held; function literals start from an empty lockset
+		p, err := s.ephemeral(s.tcpPorts)
 		if err != nil {
 			return err
 		}
@@ -423,7 +423,7 @@ func (s *Stack) tcpEnterTimeWait(tp *tcpcb) {
 			continue // left TIME_WAIT already (reincarnated or expired)
 		}
 		old.mu.Lock() //oskit:allow lockhook -- same-rank pcb nesting; victim only reachable under the stack lock, which is held
-		s.countTWRecycle()
+		s.sc.tcpTWRecycled.Inc()
 		s.tcpDetach(old)
 		old.mu.Unlock()
 		old.wakeAll()
@@ -490,7 +490,7 @@ func (s *Stack) tcpRespond(laddr IPAddr, lport uint16, faddr IPAddr, fport uint1
 	packTCPHeader(h, lport, fport, seq, ack, flags, 0)
 	csum := s.chainChecksum(m, pseudoSum(laddr, faddr, ProtoTCP, m.PktLen))
 	binary.BigEndian.PutUint16(h[16:18], csum)
-	s.countTCPOut()
+	s.sc.tcpSegsOut.Inc()
 	s.ipOutput(m, laddr, faddr, ProtoTCP, 0)
 }
 

@@ -79,7 +79,6 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 		m.CopyData(off, dataLen, seg.data)
 	}
 	m.FreeChain()
-	bump(&s.Stats.TCPIn)
 	s.sc.tcpSegsIn.Inc()
 	s.sc.tcpRxBytes.Observe(uint64(dataLen))
 
@@ -177,7 +176,7 @@ func (s *Stack) tcpInputListen(lp *tcpcb, seg tcpSeg, src IPAddr, sport uint16, 
 		// behaviour: the client retransmits and may find room later) but
 		// account for it, so a saturated backlog shows up in the stats
 		// instead of masquerading as wire loss.
-		s.countAcceptOverflow()
+		s.sc.tcpAcceptOvfl.Inc()
 		return
 	}
 	// Passive open: manufacture the connection pcb.  The child's lock is
@@ -375,7 +374,7 @@ func (s *Stack) tcpProcessACK(tp *tcpcb, seg tcpSeg) {
 				// The accept queue filled while the handshake was in
 				// flight; this completion has nowhere to go.  Reset the
 				// peer and account it as an overflow.
-				s.countAcceptOverflow()
+				s.sc.tcpAcceptOvfl.Inc()
 				tp.usrAbort()
 				return
 			}
@@ -402,7 +401,7 @@ func (s *Stack) tcpProcessACK(tp *tcpcb, seg tcpSeg) {
 				tp.rtt = 0
 				tp.sndNxt = tp.sndUna
 				tp.cwnd = tp.maxSeg
-				s.countTCPRexmt()
+				s.sc.tcpRexmt.Inc()
 				s.tcpOutput(tp)
 				tp.cwnd = tp.ssthresh + 3*tp.maxSeg
 				if seqGT(onxt, tp.sndNxt) {
@@ -582,7 +581,7 @@ func (s *Stack) tcpRespondACK(tp *tcpcb) {
 	csum := s.chainChecksum(m, pseudoSum(tp.laddr, tp.faddr, ProtoTCP, m.PktLen))
 	binary.BigEndian.PutUint16(h[16:18], csum)
 	tp.rcvAdv = tp.rcvNxt + wnd
-	s.countTCPOut()
+	s.sc.tcpSegsOut.Inc()
 	s.ipOutput(m, tp.laddr, tp.faddr, ProtoTCP, 0)
 }
 

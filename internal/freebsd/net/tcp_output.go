@@ -163,7 +163,7 @@ func (s *Stack) tcpOutputOnce(tp *tcpcb) bool {
 	}
 	tp.rcvAdv = tp.rcvNxt + rcvWnd
 
-	s.countTCPOut()
+	s.sc.tcpSegsOut.Inc()
 	s.ipOutput(m, tp.laddr, tp.faddr, ProtoTCP, 0)
 	// More to send?  Only if data remains within the window.
 	return length > 0 && tp.sndBuf.cc-int(tp.sndNxt-tp.sndUna) > 0 &&

@@ -33,8 +33,8 @@ func TestPing(t *testing.T) {
 		t.Fatal("ping lost")
 	}
 	_ = rtt
-	if b.Stats.ICMPEchoReqIn != 1 || a.Stats.ICMPEchoRepIn != 1 {
-		t.Fatalf("icmp stats: a=%+v b=%+v", a.Stats, b.Stats)
+	if stat(t, b, "icmp.echo_req_in") != 1 || stat(t, a, "icmp.echo_rep_in") != 1 {
+		t.Fatalf("icmp stats:\na: %s\nb: %s", statDump(a), statDump(b))
 	}
 	// Ping an address nobody owns: times out.
 	if _, ok := a.Ping(IPAddr{10, 0, 0, 99}, 2, nil, 20); ok {
@@ -198,7 +198,7 @@ func TestTCPRetransmissionUnderLoss(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("transfer never completed under loss")
 	}
-	if a.Stats.TCPRexmt == 0 {
+	if stat(t, a, "tcp.rexmt") == 0 {
 		t.Error("no retransmissions recorded under 8% loss")
 	}
 }
@@ -307,10 +307,10 @@ func TestZeroCopyReceiveAccounting(t *testing.T) {
 		t.Fatal("ping failed")
 	}
 	// Inbound frames arrived via skbuffs whose Map succeeds: zero-copy.
-	if b.Stats.RxZeroCopy == 0 {
-		t.Fatalf("receive path copied: %+v", b.Stats)
+	if stat(t, b, "ether.rx_zero_copy") == 0 {
+		t.Fatalf("receive path copied: %s", statDump(b))
 	}
-	if b.Stats.RxCopied != 0 {
-		t.Fatalf("unexpected receive copies: %+v", b.Stats)
+	if stat(t, b, "ether.rx_copied") != 0 {
+		t.Fatalf("unexpected receive copies: %s", statDump(b))
 	}
 }

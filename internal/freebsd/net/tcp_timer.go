@@ -38,7 +38,7 @@ func (s *Stack) tcpTimerFire(tp *tcpcb, which int) {
 			tp.drop(com.ErrTimedOut)
 			return
 		}
-		s.countTCPRexmt()
+		s.sc.tcpRexmt.Inc()
 		// Collapse the congestion window and retransmit from snd_una.
 		flight := tp.sndMax - tp.sndUna
 		half := flight / 2
@@ -101,7 +101,7 @@ func (s *Stack) tcpProbe(tp *tcpcb) {
 	packTCPHeader(h, tp.lport, tp.fport, tp.sndNxt, tp.rcvNxt, thACK|thPSH, tp.rcvWindow())
 	csum := s.chainChecksum(m, pseudoSum(tp.laddr, tp.faddr, ProtoTCP, m.PktLen))
 	putU16(h[16:18], csum)
-	s.countTCPOut()
+	s.sc.tcpSegsOut.Inc()
 	s.ipOutput(m, tp.laddr, tp.faddr, ProtoTCP, 0)
 }
 

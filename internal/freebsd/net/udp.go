@@ -59,7 +59,7 @@ func (s *Stack) udpDetach(pcb *udpPCB) {
 // inpcb.go.  Called with the stack lock held.
 func (s *Stack) udpBind(pcb *udpPCB, port uint16) error {
 	if port == 0 {
-		p, err := s.ephemeral(func(p uint16) bool { return s.udpPorts[p] == 0 }) //oskit:allow guarded -- the probe closure runs synchronously inside s.ephemeral with the stack lock held; function literals start from an empty lockset
+		p, err := s.ephemeral(s.udpPorts)
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func (s *Stack) udpInput(m *Mbuf, src, dst IPAddr) {
 	if pcb == nil || pcb.closed {
 		return
 	}
-	bump(&s.Stats.UDPIn)
+	s.sc.udpIn.Inc()
 	if pcb.rcvBytes+len(payload) > pcb.rcvLimit {
 		return // buffer full: drop, as UDP does
 	}
@@ -148,7 +148,7 @@ func (s *Stack) udpOutput(pcb *udpPCB, data []byte, dst IPAddr, dport uint16) er
 		csum = 0xffff
 	}
 	binary.BigEndian.PutUint16(h[6:8], csum)
-	bump(&s.Stats.UDPOut)
+	s.sc.udpOut.Inc()
 	s.ipOutput(m, s.ifIP, dst, ProtoUDP, 0)
 	return nil
 }

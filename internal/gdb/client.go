@@ -171,15 +171,3 @@ func (c *Client) Step() (int, error) {
 func (c *Client) Kill() error {
 	return writePacketTo(c.port, "k", true)
 }
-
-// Detach releases the target.
-func (c *Client) Detach() error {
-	reply, err := c.roundTrip("D")
-	if err != nil {
-		return err
-	}
-	if reply != "OK" {
-		return fmt.Errorf("gdb: Detach: %q", reply)
-	}
-	return nil
-}

@@ -75,15 +75,6 @@ func NewDisk(sectors uint32) *Disk {
 	}
 }
 
-// NewDiskImage creates a disk initialized with an image (rounded up to a
-// whole sector).
-func NewDiskImage(image []byte) *Disk {
-	sectors := (uint32(len(image)) + SectorSize - 1) / SectorSize
-	d := NewDisk(sectors)
-	copy(d.data, image) //oskit:allow guarded -- construction: the disk is unpublished until NewDiskImage returns
-	return d
-}
-
 // Sectors returns the disk capacity in sectors.
 func (d *Disk) Sectors() uint32 {
 	d.mu.Lock()

@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"math/rand"
-	"sync"
-)
+import "sync"
 
 // EtherMTU is the Ethernet payload MTU; frames carry a 14-byte header.
 const (
@@ -65,20 +62,16 @@ type Segment interface {
 // wire is therefore never the bottleneck, which is what makes the paper's
 // software-overhead comparisons (Tables 1 and 2) observable.
 //
-// A loss rate may be configured to exercise protocol retransmission
-// paths; drops are deterministic for a given seed.  Richer hostile
-// behaviour — corruption, duplication, reordering, burst loss — comes
+// Hostile behaviour — loss, corruption, duplication, reordering — comes
 // from a WireFaultHook (see internal/faults).
 type EtherWire struct {
 	mu   sync.Mutex
 	nics []*NIC        //oskit:guardedby mu
-	rng  *rand.Rand    //oskit:guardedby mu
-	loss float64       //oskit:guardedby mu  probability a frame is dropped
 	hook WireFaultHook //oskit:guardedby mu
 	// hookMu serializes fault-hook invocations (the injector's burst
 	// state relies on one-frame-at-a-time calls) without holding w.mu,
 	// so a hook that reads wire or stats state cannot deadlock against
-	// concurrent Stats/SetLoss callers — the NIC.deliver hazard class.
+	// concurrent Stats callers — the NIC.deliver hazard class.
 	hookMu sync.Mutex
 	held   *heldFrame //oskit:guardedby mu  frame held back by a Reorder verdict
 
@@ -87,18 +80,7 @@ type EtherWire struct {
 }
 
 // NewEtherWire creates an empty segment.
-func NewEtherWire() *EtherWire {
-	return &EtherWire{rng: rand.New(rand.NewSource(1))}
-}
-
-// SetLoss configures the frame-drop probability with a deterministic seed.
-// Safe to toggle while traffic is flowing.
-func (w *EtherWire) SetLoss(p float64, seed int64) {
-	w.mu.Lock()
-	w.loss = p
-	w.rng = rand.New(rand.NewSource(seed))
-	w.mu.Unlock()
-}
+func NewEtherWire() *EtherWire { return &EtherWire{} }
 
 // SetFaultHook installs (or, with nil, removes) the frame fault hook.
 // Safe to toggle while traffic is flowing.
@@ -121,7 +103,7 @@ func (w *EtherWire) Attach(n *NIC) {
 	n.mu.Unlock()
 }
 
-// Stats reports frames transmitted and frames dropped by loss injection.
+// Stats reports frames transmitted and frames dropped by the fault hook.
 func (w *EtherWire) Stats() (tx, drops uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -141,7 +123,6 @@ func (w *EtherWire) transmitGather(src *NIC, parts [][]byte) {
 	}
 	w.mu.Lock()
 	w.txFrames++
-	dropped := w.loss > 0 && w.rng.Float64() < w.loss
 	hook := w.hook
 	w.mu.Unlock()
 
@@ -149,16 +130,15 @@ func (w *EtherWire) transmitGather(src *NIC, parts [][]byte) {
 	// wire's stats) but under hookMu, which keeps the injector's
 	// one-frame-at-a-time contract.
 	var fault WireFault
-	if !dropped && hook != nil {
+	if hook != nil {
 		w.hookMu.Lock()
 		//oskit:allow lockhook -- hookMu exists only to serialize this call; nothing else takes it, so no callback can deadlock on it
 		fault = hook(total)
 		w.hookMu.Unlock()
-		dropped = fault.Drop
 	}
 
 	w.mu.Lock()
-	if dropped {
+	if fault.Drop {
 		w.drops++
 		w.mu.Unlock()
 		return
@@ -166,19 +146,7 @@ func (w *EtherWire) transmitGather(src *NIC, parts [][]byte) {
 	frame := parts
 	if fault.Corrupt {
 		flat := flatten(parts, total)
-		// Corrupt the payload, not the station addresses: a flipped MAC
-		// byte is just a filtered (dropped) frame, which Drop already
-		// models.
-		off := fault.CorruptOff
-		if off < 0 {
-			off = -off
-		}
-		if total > EtherHdrLen {
-			off = EtherHdrLen + off%(total-EtherHdrLen)
-		} else {
-			off %= total
-		}
-		flat[off] ^= 0xff
+		corrupt(flat, fault.CorruptOff)
 		frame = [][]byte{flat}
 	}
 	held := w.held
@@ -215,6 +183,22 @@ func (w *EtherWire) deliverFrame(src *NIC, nics []*NIC, parts [][]byte, total in
 			n.receiveGather(parts, total)
 		}
 	}
+}
+
+// corrupt flips one byte of a flattened frame, off bytes (modulo the
+// length) into the payload rather than the station addresses: a flipped
+// MAC byte is just a filtered frame, which Drop already models — and on
+// a switch it would poison the MAC table.
+func corrupt(flat []byte, off int) {
+	if off < 0 {
+		off = -off
+	}
+	if len(flat) > EtherHdrLen {
+		off = EtherHdrLen + off%(len(flat)-EtherHdrLen)
+	} else {
+		off %= len(flat)
+	}
+	flat[off] ^= 0xff
 }
 
 // flatten gathers scattered runs into one contiguous copy.
@@ -268,7 +252,6 @@ type NIC struct {
 
 	txOK     uint64 //oskit:guardedby mu
 	txGather uint64 //oskit:guardedby mu
-	txCsum   uint64 //oskit:guardedby mu
 }
 
 // NewNIC creates a NIC raising the given IRQ line on receive.
@@ -432,18 +415,7 @@ func (n *NIC) TransmitGatherCsum(parts [][]byte, start, off int) {
 	}
 	putByte(start+off, byte(csum>>8))
 	putByte(start+off+1, byte(csum))
-	n.mu.Lock()
-	n.txCsum++
-	n.mu.Unlock()
 	n.TransmitGather(parts)
-}
-
-// TxCsums reports how many transmitted frames had their transport
-// checksum inserted by the controller (FeatCsum offload).
-func (n *NIC) TxCsums() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.txCsum
 }
 
 // RxPop removes and returns the oldest frame in ring 0, or nil when the

@@ -28,7 +28,7 @@ type EtherSwitch struct {
 	// for the same reason EtherWire keeps the two apart: a hook that
 	// reads switch state must not deadlock against concurrent senders.
 	hookMu sync.Mutex
-	held   *switchHeld //oskit:guardedby hookMu  frame held back by a Reorder verdict
+	held   *switchHeld //oskit:guardedby mu  frame held back by a Reorder verdict
 
 	queueLen int //oskit:initonly  per-port egress queue bound
 
@@ -57,8 +57,6 @@ type SwitchPort struct {
 	nic      *NIC     // guarded by sw.mu
 	q        [][]byte // bounded egress queue, guarded by sw.mu
 	draining bool     // a sender's thread is emptying q
-
-	egress uint64 // frames delivered out this port, guarded by sw.mu
 }
 
 // DefaultSwitchQueueLen bounds each port's egress queue: deep enough
@@ -72,18 +70,6 @@ func NewEtherSwitch() *EtherSwitch {
 		macs:     map[[6]byte]*SwitchPort{},
 		queueLen: DefaultSwitchQueueLen,
 	}
-}
-
-// SetPortQueueLen changes the per-port egress bound (tests exercise
-// backpressure with a shallow queue).  Applies to frames enqueued after
-// the call.
-func (sw *EtherSwitch) SetPortQueueLen(n int) {
-	if n < 1 {
-		n = 1
-	}
-	sw.mu.Lock()
-	sw.queueLen = n
-	sw.mu.Unlock()
 }
 
 // NewPort adds one port.  Attach the port to a machine's NIC via
@@ -109,12 +95,8 @@ func (sw *EtherSwitch) Ports() int {
 func (sw *EtherSwitch) SetFaultHook(h WireFaultHook) {
 	sw.mu.Lock()
 	sw.hook = h
-	sw.mu.Unlock()
-	// The held-back frame belongs to hookMu, not mu: clearing it under
-	// mu alone would race a concurrent forward holding hookMu.
-	sw.hookMu.Lock()
 	sw.held = nil
-	sw.hookMu.Unlock()
+	sw.mu.Unlock()
 }
 
 // SwitchStats is the switch's forwarding ledger.
@@ -172,13 +154,6 @@ func (p *SwitchPort) Attach(n *NIC) {
 // Index returns the port's number on its switch.
 func (p *SwitchPort) Index() int { return p.idx }
 
-// Egress reports how many frames were delivered out this port.
-func (p *SwitchPort) Egress() uint64 {
-	p.sw.mu.Lock()
-	defer p.sw.mu.Unlock()
-	return p.egress
-}
-
 // transmitGather implements Segment: one frame arrives at the ingress
 // port.  The switch flattens it (store-and-forward), consults the fault
 // hook, learns the source station, and forwards.
@@ -211,19 +186,7 @@ func (p *SwitchPort) transmitGather(src *NIC, parts [][]byte) {
 	}
 	frame := flatten(parts, total)
 	if fault.Corrupt {
-		// Corrupt the payload, not the station addresses: a flipped MAC
-		// byte is a filtered frame, which Drop already models — and it
-		// would also poison the MAC table.
-		off := fault.CorruptOff
-		if off < 0 {
-			off = -off
-		}
-		if total > EtherHdrLen {
-			off = EtherHdrLen + off%(total-EtherHdrLen)
-		} else {
-			off %= total
-		}
-		frame[off] ^= 0xff
+		corrupt(frame, fault.CorruptOff)
 	}
 
 	sw.mu.Lock()
@@ -299,7 +262,6 @@ func (sw *EtherSwitch) switchFrame(in *SwitchPort, frame []byte) {
 			f = append([]byte(nil), frame...)
 		}
 		out.q = append(out.q, f)
-		out.egress++
 		if !out.draining {
 			out.draining = true
 			drain = append(drain, out)

@@ -130,14 +130,16 @@ func TestSwitchStationMove(t *testing.T) {
 func TestSwitchBackpressure(t *testing.T) {
 	sw, nics := switchRig(2)
 	a, b := nics[0], nics[1]
-	sw.SetPortQueueLen(4)
+	sw.queueLen = 4 // before any frame is enqueued
 	// Teach the switch where b is, so the test traffic is unicast.
 	b.Transmit(frame(a.Mac, b.Mac, "hello"))
 	drainRing(a)
 
 	// Stall b's delivery: the rx fault hook blocks, pinning the drainer
 	// thread mid-frame while later senders enqueue behind it.
-	entered := make(chan struct{}, 1)
+	// Buffered for all five accepted frames: once release closes, the
+	// drainer may run the hook for each queued frame before it is removed.
+	entered := make(chan struct{}, 5)
 	release := make(chan struct{})
 	b.SetRxFaultHook(func() bool {
 		entered <- struct{}{}
@@ -210,6 +212,37 @@ func TestSwitchFaultHook(t *testing.T) {
 	st := sw.Stats()
 	if st.FaultDrops != 1 {
 		t.Fatalf("fault drops = %d, want 1", st.FaultDrops)
+	}
+}
+
+// The held-back frame and the hook that parks it live under one lock:
+// a transmitter on a Reorder regime and a SetFaultHook toggler race
+// here, and -race must stay quiet.
+func TestSwitchFaultHookToggleUnderTraffic(t *testing.T) {
+	sw, nics := switchRig(2)
+	a, b := nics[0], nics[1]
+	hook := func(int) WireFault { return WireFault{Reorder: true} }
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		f := frame(b.Mac, a.Mac, "traffic")
+		for i := 0; i < 400; i++ {
+			a.Transmit(f)
+			drainRing(b) // keep the ring and the egress queue from filling
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			sw.SetFaultHook(hook)
+			sw.SetFaultHook(nil)
+		}
+	}()
+	wg.Wait()
+	if tx := sw.Stats().TxFrames; tx != 400 {
+		t.Fatalf("txFrames = %d, want 400", tx)
 	}
 }
 

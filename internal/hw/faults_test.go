@@ -3,6 +3,7 @@ package hw
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -246,8 +247,16 @@ func TestTimerFaultHookSuppression(t *testing.T) {
 	}
 }
 
+// lossHook is a seeded frame-drop hook: each frame is dropped with
+// probability p.  The wire serializes hook calls, so the private RNG
+// needs no lock.
+func lossHook(p float64, seed int64) WireFaultHook {
+	rng := rand.New(rand.NewSource(seed))
+	return func(int) WireFault { return WireFault{Drop: rng.Float64() < p} }
+}
+
 // All the fault knobs are safe to toggle mid-traffic: transmitters,
-// SetLoss, SetFaultHook and SetRxFaultHook race here, and -race must
+// two SetFaultHook togglers and SetRxFaultHook race here, and -race must
 // stay quiet while every frame is still either delivered or counted.
 func TestFaultKnobTogglingUnderTraffic(t *testing.T) {
 	wire, a, b, macA, macB := twoNICs(t)
@@ -265,8 +274,8 @@ func TestFaultKnobTogglingUnderTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			wire.SetLoss(0.5, int64(i))
-			wire.SetLoss(0, 0)
+			wire.SetFaultHook(lossHook(0.5, int64(i)))
+			wire.SetFaultHook(nil)
 		}
 	}()
 	go func() {

@@ -419,7 +419,7 @@ func TestEtherDelivery(t *testing.T) {
 
 func TestEtherLossInjection(t *testing.T) {
 	wire := NewEtherWire()
-	wire.SetLoss(1.0, 42) // drop everything
+	wire.SetFaultHook(lossHook(1.0, 42)) // drop everything
 	ic := NewIntrController()
 	defer ic.stop()
 	macA := [6]byte{2, 0, 0, 0, 0, 1}

@@ -127,16 +127,6 @@ type VM struct {
 	cur     int
 	nextID  int
 
-	// Per-CPU scheduling (SetCPUs).  With cpus <= 1 the scheduler is the
-	// original single-queue round-robin, byte-for-byte; with more, each
-	// virtual CPU owns a FIFO run queue holding thread indices and the
-	// interpreter advances CPU-by-CPU, stealing deterministically when a
-	// queue drains.
-	cpus   int
-	runq   [][]int
-	curCPU int
-	nextq  int // round-robin enqueue cursor for new threads
-
 	natives map[int32]NativeFunc
 
 	preempt atomic.Bool //oskit:atomic
@@ -161,7 +151,6 @@ type VM struct {
 	scSwitches *stats.Counter
 	scPreempts *stats.Counter
 	scSpawns   *stats.Counter
-	scSteals   *stats.Counter
 }
 
 // New creates a VM for a program.
@@ -179,41 +168,8 @@ func New(code []byte, consts []string) *VM {
 	vm.scSwitches = vm.set.Counter("sched.switches")
 	vm.scPreempts = vm.set.Counter("sched.preemptions")
 	vm.scSpawns = vm.set.Counter("sched.spawns")
-	vm.scSteals = vm.set.Counter("sched.steals")
 	vm.spawn(0)
 	return vm
-}
-
-// SetCPUs gives the VM n virtual CPUs, each with its own run queue;
-// live threads are dealt round-robin across them and later spawns keep
-// rotating.  n <= 1 restores the original single-queue scheduler
-// unchanged.  The interleaving stays deterministic for a given (program,
-// n) — the multiprocessor structure is modeled, the execution replayable.
-func (vm *VM) SetCPUs(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n == 1 {
-		vm.cpus, vm.runq = 0, nil
-		return
-	}
-	vm.cpus = n
-	vm.runq = make([][]int, n)
-	vm.curCPU, vm.nextq = 0, 0
-	for i, t := range vm.threads {
-		if !t.done {
-			vm.runq[vm.nextq%n] = append(vm.runq[vm.nextq%n], i)
-			vm.nextq++
-		}
-	}
-}
-
-// CPUs reports the virtual CPU count (1 for the default scheduler).
-func (vm *VM) CPUs() int {
-	if vm.cpus < 1 {
-		return 1
-	}
-	return vm.cpus
 }
 
 // StatsSet exposes the VM's com.Stats export for registration in a
@@ -229,17 +185,6 @@ func (vm *VM) Preempt() { vm.preempt.Store(true) }
 
 // Steps reports executed instructions (benchmarks).
 func (vm *VM) Steps() uint64 { return vm.steps }
-
-// Threads reports live thread count.
-func (vm *VM) Threads() int {
-	n := 0
-	for _, t := range vm.threads {
-		if !t.done {
-			n++
-		}
-	}
-	return n
-}
 
 // NewBuf allocates a VM buffer and returns its handle.
 func (vm *VM) NewBuf(size int32) int32 {
@@ -274,11 +219,6 @@ func (vm *VM) spawn(pc int) *Thread {
 	t.frames = []frame{{retPC: -1}}
 	vm.nextID++
 	vm.threads = append(vm.threads, t)
-	if vm.cpus > 1 {
-		cpu := vm.nextq % vm.cpus
-		vm.runq[cpu] = append(vm.runq[cpu], len(vm.threads)-1)
-		vm.nextq++
-	}
 	vm.scSpawns.Inc()
 	return t
 }
@@ -290,12 +230,7 @@ var ErrBreak = fmt.Errorf("kvm: breakpoint")
 // program executes HALT; it returns the HALT value (top of stack, or 0).
 func (vm *VM) Run() (int32, error) {
 	for {
-		var t *Thread
-		if vm.cpus > 1 {
-			t = vm.pickSMP()
-		} else {
-			t = vm.pick()
-		}
+		t := vm.pick()
 		if t == nil {
 			return 0, nil // all threads exited
 		}
@@ -323,66 +258,6 @@ func (vm *VM) pick() *Thread {
 		}
 	}
 	return nil
-}
-
-// pickSMP selects the next runnable thread on the multiprocessor model:
-// the interpreter visits virtual CPUs round-robin, each CPU rotating
-// its own FIFO queue (head runs, then goes to the tail).  A CPU whose
-// queue has drained steals the tail of the first sibling holding more
-// than one runnable thread — the classic deque discipline, made
-// deterministic by the fixed scan order.
-func (vm *VM) pickSMP() *Thread {
-	n := vm.cpus
-	for tried := 0; tried < n; tried++ {
-		cpu := (vm.curCPU + tried) % n
-		vm.prune(cpu)
-		if len(vm.runq[cpu]) == 0 {
-			vm.steal(cpu)
-		}
-		q := vm.runq[cpu]
-		if len(q) == 0 {
-			continue
-		}
-		idx := q[0]
-		vm.runq[cpu] = append(q[1:], idx)
-		if idx != vm.cur {
-			vm.scSwitches.Inc()
-		}
-		vm.cur = idx
-		vm.curCPU = (cpu + 1) % n
-		return vm.threads[idx]
-	}
-	return nil
-}
-
-// prune drops finished threads from one CPU's queue.
-func (vm *VM) prune(cpu int) {
-	q := vm.runq[cpu][:0]
-	for _, idx := range vm.runq[cpu] {
-		if !vm.threads[idx].done {
-			q = append(q, idx)
-		}
-	}
-	vm.runq[cpu] = q
-}
-
-// steal moves the tail of the first sibling queue with more than one
-// thread onto cpu's queue.  A sibling's last thread is never taken —
-// its owner will run it without a migration.
-func (vm *VM) steal(cpu int) {
-	n := vm.cpus
-	for d := 1; d < n; d++ {
-		v := (cpu + d) % n
-		vm.prune(v)
-		if len(vm.runq[v]) > 1 {
-			q := vm.runq[v]
-			idx := q[len(q)-1]
-			vm.runq[v] = q[:len(q)-1]
-			vm.runq[cpu] = append(vm.runq[cpu], idx)
-			vm.scSteals.Inc()
-			return
-		}
-	}
 }
 
 // runThread executes until the quantum expires, the thread blocks or

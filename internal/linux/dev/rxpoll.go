@@ -25,7 +25,7 @@ import (
 // used (§4.7: specialization by configuration, never by forking).
 
 // DefaultRxBudget is the per-interrupt frame budget of the polled
-// receive loop (SetRxBudget overrides it before the path engages).
+// receive loop.
 const DefaultRxBudget = 16
 
 // rxRearmTicks is the period of the timer-driven re-arm backstop: a
@@ -68,15 +68,6 @@ type rxPoller struct {
 	mu          sync.Mutex
 	stopped     bool
 	rearmCancel func()
-}
-
-// SetRxBudget overrides the per-interrupt frame budget for pollers
-// engaged after the call (default DefaultRxBudget).  Values < 1 reset
-// to the default.
-func (g *Glue) SetRxBudget(n int) {
-	g.mu.Lock()
-	g.rxBudget = n
-	g.mu.Unlock()
 }
 
 // engageRxPoll switches one open ether node to the polled receive path —

@@ -147,7 +147,10 @@ func TestRxPollBudgetRearm(t *testing.T) {
 	wire := hw.NewEtherWire()
 	a := newRig(t, wire, 1, hw.Model3C59X)
 	b := newRig(t, wire, 2, hw.Model3C59X)
-	GlueFor(b.k.Env).SetRxBudget(4)
+	g := GlueFor(b.k.Env)
+	g.mu.Lock()
+	g.rxBudget = 4 // before the poll path engages
+	g.mu.Unlock()
 	fastPool(b)
 	edA, txA, _ := openEther(t, a)
 	defer txA.Release()

@@ -54,9 +54,6 @@ type Region struct {
 // Flags returns the region's memory-type bits.
 func (r *Region) Flags() Flags { return r.flags }
 
-// Range returns the region's address range [min, max).
-func (r *Region) Range() (min, max uint32) { return r.min, r.max }
-
 // Avail returns the free byte count in the region.
 func (r *Region) Avail() uint32 { return r.freeBytes }
 

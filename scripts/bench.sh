@@ -20,8 +20,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${1:-1x}"
 
 # Host metadata, stamped into every recorded object so numbers can be
-# compared across machines.  Older BENCH_*.json files lack the "host"
-# key; the internal/benchjson loader tolerates both shapes.
+# compared across machines.
 GOVER="$(go version | awk '{print $3}')"
 NCPU="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 MAXPROCS="${GOMAXPROCS:-$NCPU}"
