@@ -66,15 +66,16 @@ var Inventory = []Component{
 	{Name: "com", Dir: "internal/com", Kind: KindNative, MachineDep: false, Deps: nil, Desc: "COM interfaces and support"},
 	{Name: "stats", Dir: "internal/stats", Kind: KindNative, MachineDep: false, Deps: []string{"com"}, Desc: "Statistics component (kstat-style counters exported as com.Stats)"},
 	{Name: "core", Dir: "internal/core", Kind: KindNative, MachineDep: false, Deps: []string{"com", "lmm", "hw"}, Desc: "Component framework (osenv, registry, execution models)"},
-	{Name: "hw", Dir: "internal/hw", Kind: KindNative, MachineDep: true, Deps: nil, Desc: "Simulated PC platform (substitution substrate)"},
+	{Name: "hw", Dir: "internal/hw", Kind: KindNative, MachineDep: true, Deps: []string{"cksum"}, Desc: "Simulated PC platform (substitution substrate)"},
+	{Name: "cksum", Dir: "internal/cksum", Kind: KindNative, MachineDep: false, Deps: nil, Desc: "Internet checksum kernel (RFC 1071, eight bytes at a time)"},
 	{Name: "fdev", Dir: "internal/dev", Kind: KindNative, MachineDep: false, Deps: []string{"core", "com"}, Desc: "Device driver support"},
 	{Name: "gdb", Dir: "internal/gdb", Kind: KindNative, MachineDep: true, Deps: []string{"hw", "kern"}, Desc: "GDB remote-protocol stub"},
 	{Name: "linux_dev", Dir: "internal/linux/dev", Kind: KindGlue, MachineDep: true, Deps: []string{"core", "com", "fdev", "linux_legacy", "stats"}, Desc: "Linux driver glue"},
-	{Name: "linux_legacy", Dir: "internal/linux/legacy", Kind: KindEncapsulated, MachineDep: true, Deps: nil, Desc: "Linux-style drivers and skbuffs (donor code)"},
-	{Name: "linux_net", Dir: "internal/linux/net", Kind: KindEncapsulated, MachineDep: false, Deps: []string{"linux_legacy", "stats"}, Desc: "Linux-style TCP/IP (baseline stack)"},
+	{Name: "linux_legacy", Dir: "internal/linux/legacy", Kind: KindEncapsulated, MachineDep: true, Deps: []string{"cksum"}, Desc: "Linux-style drivers and skbuffs (donor code)"},
+	{Name: "linux_net", Dir: "internal/linux/net", Kind: KindEncapsulated, MachineDep: false, Deps: []string{"linux_legacy", "stats", "cksum"}, Desc: "Linux-style TCP/IP (baseline stack)"},
 	{Name: "freebsd_glue", Dir: "internal/freebsd/glue", Kind: KindGlue, MachineDep: false, Deps: []string{"core", "com", "stats"}, Desc: "FreeBSD environment emulation (curproc, sleep/wakeup, malloc)"},
 	{Name: "freebsd_dev", Dir: "internal/freebsd/dev", Kind: KindGlue, MachineDep: true, Deps: []string{"freebsd_glue", "fdev"}, Desc: "FreeBSD character drivers and support"},
-	{Name: "freebsd_net", Dir: "internal/freebsd/net", Kind: KindEncapsulated, MachineDep: false, Deps: []string{"freebsd_glue", "com", "stats"}, Desc: "FreeBSD-style TCP/IP network stack"},
+	{Name: "freebsd_net", Dir: "internal/freebsd/net", Kind: KindEncapsulated, MachineDep: false, Deps: []string{"freebsd_glue", "com", "stats", "cksum"}, Desc: "FreeBSD-style TCP/IP network stack"},
 	{Name: "netbsd_fs", Dir: "internal/netbsd/fs", Kind: KindEncapsulated, MachineDep: false, Deps: []string{"freebsd_glue", "com", "stats"}, Desc: "NetBSD-style FFS file system"},
 	{Name: "kvm", Dir: "internal/kvm", Kind: KindNative, MachineDep: false, Deps: []string{"c", "stats"}, Desc: "Bytecode VM (language-runtime case study)"},
 	{Name: "bmfs", Dir: "internal/bmfs", Kind: KindNative, MachineDep: false, Deps: []string{"boot", "com", "stats"}, Desc: "Boot-module RAM file system"},

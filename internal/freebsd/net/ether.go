@@ -6,6 +6,9 @@ import "encoding/binary"
 
 const etherHdrLen = 14
 
+// etherPad is the zeros runts are padded to the Ethernet minimum from.
+var etherPad [60]byte
+
 // etherInput demuxes one inbound frame; runs at interrupt level under
 // the dispatcher's per-CPU exclusion.  ctx, when non-nil, is the
 // ingesting batch's deferral state (threaded down to TCP).
@@ -41,9 +44,8 @@ func (s *Stack) etherOutput(m *Mbuf, dst [6]byte, etype uint16) {
 	copy(hdr[6:12], s.ifMAC[:])
 	binary.BigEndian.PutUint16(hdr[12:14], etype)
 
-	if m.PktLen < 60 { // pad runts to the Ethernet minimum
-		pad := make([]byte, 60-m.PktLen)
-		if !m.Append(pad) {
+	if m.PktLen < len(etherPad) { // pad runts to the Ethernet minimum
+		if !m.Append(etherPad[:len(etherPad)-m.PktLen]) {
 			m.FreeChain()
 			return
 		}

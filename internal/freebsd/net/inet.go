@@ -11,15 +11,21 @@
 // and 2 KB clusters, possibly discontiguous.  At the component boundary
 // the glue exports chains as BufIO objects whose Map only succeeds for
 // single-run ranges; the resulting copy on the transmit path into
-// skbuff-native drivers — and the absence of one on the receive path —
-// is exactly the Table 1 asymmetry.
+// skbuff-native drivers — and the absence of one on the receive path,
+// where the driver's buffer is wrapped and, for TCP segments of at least
+// mclMin bytes, linked into the socket buffer as it is (pinning at
+// most 4 × the buffer's limit) — is exactly the Table 1 asymmetry.
 //
 // The stack runs under the blocking execution model of §4.7.4: protocol
 // processing happens at "splnet" (interrupt exclusion), socket calls
 // block with tsleep/wakeup through the BSD glue.
 package bsdnet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"oskit/internal/cksum"
+)
 
 // IPAddr is an IPv4 address in wire (big-endian) byte order.
 type IPAddr [4]byte
@@ -63,42 +69,13 @@ const (
 )
 
 // Checksum computes the Internet checksum over data with an initial
-// partial sum (for pseudo-headers).  RFC 1071.
+// partial sum (for pseudo-headers).  RFC 1071; the summing itself is
+// the kit's one kernel, internal/cksum.
 func Checksum(data []byte, initial uint32) uint16 {
-	sum := initial
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
-	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
-// foldSum reduces a partial ones-complement sum to 16 bits WITHOUT the
-// final complement — the seed a checksum-offload path stores in the
-// checksum field for the transmit engine to finish.  By ones-complement
-// commutativity, summing the packet with this seed in place and
-// complementing yields exactly the software checksum.
-func foldSum(sum uint32) uint16 {
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return uint16(sum)
+	return ^cksum.Fold(cksum.Add(initial, data, false))
 }
 
 // pseudoSum folds the TCP/UDP pseudo-header into a partial sum.
 func pseudoSum(src, dst IPAddr, proto int, length int) uint32 {
-	var sum uint32
-	sum += uint32(src[0])<<8 | uint32(src[1])
-	sum += uint32(src[2])<<8 | uint32(src[3])
-	sum += uint32(dst[0])<<8 | uint32(dst[1])
-	sum += uint32(dst[2])<<8 | uint32(dst[3])
-	sum += uint32(proto)
-	sum += uint32(length)
-	return sum
+	return cksum.Add(cksum.Add(uint32(proto)+uint32(length), src[:], false), dst[:], false)
 }

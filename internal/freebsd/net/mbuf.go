@@ -109,17 +109,7 @@ func (m *Mbuf) MClGet() bool {
 	// MCLGET on a cluster-bearing mbuf must drop the old cluster's
 	// reference (and a foreign-storage mbuf its owner's), or the old
 	// cluster — and anything still sharing it — leaks forever.
-	switch {
-	case m.ext != nil:
-		m.ext.Release()
-		m.ext = nil
-	case m.cluster:
-		m.stk.clRef(m.storeAddr, -1)
-	case m.pooled:
-		m.stk.pktPool.FreeMem(uint32(m.storeAddr), MSIZE)
-	case m.storeAddr != 0:
-		m.stk.g.Malloc.Free(m.storeAddr)
-	}
+	m.releaseStore()
 	m.store = buf
 	m.storeAddr = addr
 	m.cluster = true
@@ -144,10 +134,9 @@ func (s *Stack) MExt(owner com.BufIO, data []byte) *Mbuf {
 	return &Mbuf{stk: s, store: data, ext: owner, len: len(data), PktLen: len(data)}
 }
 
-// Free releases one link, dropping cluster/foreign references.
-func (m *Mbuf) Free() *Mbuf {
-	next := m.Next
-	m.stk.sc.mbufFrees.Inc()
+// releaseStore gives m's storage back to whoever owns it: the foreign
+// owner's reference, a cluster reference, or the small block itself.
+func (m *Mbuf) releaseStore() {
 	switch {
 	case m.ext != nil:
 		m.ext.Release()
@@ -159,6 +148,13 @@ func (m *Mbuf) Free() *Mbuf {
 	case m.storeAddr != 0:
 		m.stk.g.Malloc.Free(m.storeAddr)
 	}
+}
+
+// Free releases one link, dropping cluster/foreign references.
+func (m *Mbuf) Free() *Mbuf {
+	next := m.Next
+	m.stk.sc.mbufFrees.Inc()
+	m.releaseStore()
 	m.store = nil
 	m.Next = nil
 	return next
@@ -234,13 +230,24 @@ func (s *Stack) clRefCount(addr hw.PhysAddr) int16 {
 	return s.mclRefcnt[i]
 }
 
+// last returns the final link of the chain headed by m.
+func (m *Mbuf) last() *Mbuf {
+	for m.Next != nil {
+		m = m.Next
+	}
+	return m
+}
+
 // Append copies data onto the end of the chain headed by m, growing it
 // with clusters (m_append).  Returns false on allocation failure.
 func (m *Mbuf) Append(data []byte) bool {
-	last := m
-	for last.Next != nil {
-		last = last.Next
-	}
+	_, ok := m.appendAfter(m.last(), data)
+	return ok
+}
+
+// appendAfter is Append given the chain's final link (a sockbuf keeps
+// it); it returns the new one, on failure too — what was copied stays.
+func (m *Mbuf) appendAfter(last *Mbuf, data []byte) (*Mbuf, bool) {
 	for len(data) > 0 {
 		space := len(last.store) - last.off - last.len
 		if !last.writable() {
@@ -249,11 +256,11 @@ func (m *Mbuf) Append(data []byte) bool {
 		if space == 0 {
 			n := m.stk.MGet()
 			if n == nil {
-				return false
+				return last, false
 			}
-			if len(data) > MLEN && !n.MClGet() {
+			if len(data) >= mclMin && !n.MClGet() {
 				n.Free()
-				return false
+				return last, false
 			}
 			last.Next = n
 			last = n
@@ -264,7 +271,7 @@ func (m *Mbuf) Append(data []byte) bool {
 		m.PktLen += c
 		data = data[c:]
 	}
-	return true
+	return last, true
 }
 
 // Prepend makes room for n bytes of header in front (M_PREPEND),

@@ -34,7 +34,7 @@ func bareStack(t *testing.T) *Stack {
 }
 
 // stat reads one counter from the stack's com.Stats export.
-func stat(t *testing.T, s *Stack, name string) int64 {
+func stat(t testing.TB, s *Stack, name string) int64 {
 	t.Helper()
 	v, ok := stats.Get(s.StatsSet().Snapshot(), name)
 	if !ok {

@@ -133,41 +133,11 @@ func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, er
 	// cross-component call whose sleeps open the node lock.
 	restore := so.s.g.Enter("sendfile")
 	defer restore()
-	tp := so.tcp
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	sent := uint64(0)
-	data := buf[:n]
-	for len(data) > 0 {
-		if tp.err != 0 {
-			return sent, tp.err
-		}
-		switch tp.state {
-		case tcpsEstablished, tcpsCloseWait:
-		default:
-			return sent, com.ErrPipe
-		}
-		space := tp.sndBuf.space()
-		if space == 0 {
-			tp.armPersistIfNeeded()
-			p := so.s.g.SleepPrepare(tp.sndBuf.event, "sosend")
-			tp.mu.Unlock()
-			so.s.g.SleepCommit(p)
-			tp.mu.Lock()
-			continue
-		}
-		c := minInt(space, len(data))
-		if !tp.sndBuf.appendData(data[:c]) {
-			return sent, com.ErrNoMem
-		}
-		data = data[c:]
-		sent += uint64(c)
-		so.s.tcpOutput(tp)
+	sent, err := so.writeTCP(buf[:n])
+	if err == nil && uint(n) < uint(win) {
+		err = com.ErrInval // short file: caller over-asked
 	}
-	if uint(n) < uint(win) {
-		return sent, com.ErrInval // short file: caller over-asked
-	}
-	return sent, nil
+	return uint64(sent), err
 }
 
 // sendfileAppend blocks for enough send-buffer room, then links the

@@ -3,9 +3,19 @@ package bsdnet
 // Socket buffers, BSD style: an mbuf chain plus occupancy accounting and
 // a sleep event.  TCP's send buffer is the retransmission store (data
 // stays until acked, tcp_output shares it via CopyM); the receive buffer
-// is where tcp_input appends in-order data for readers to drain.
+// is where tcp_input links or copies in-order data for readers to drain.
 
 const defaultSockbufBytes = 16384
+
+// mclMin is the least data worth a cluster-sized buffer, one threshold
+// for both ways of holding one.  Received (4.4BSD's sbcompress rule): a
+// segment of at least this many bytes is linked into the receive buffer
+// in the driver buffer it arrived in (rxOne's wrap); a smaller one is
+// copied into the tail and its buffer released.  Allocated (MINCLSIZE):
+// m_append takes a cluster only for this much, small mbufs below.  So a
+// sockbuf pins at most 4 × hiwat of driver or stack memory however small
+// the segments or writes (the reassembly queue is capped the same).
+const mclMin = MCLBYTES / 4
 
 // A sockbuf is owned by the lock of its embedding pcb: TCP buffers live
 // under the connection's tcpcb.mu, UDP receive state under Stack.mu —
@@ -15,6 +25,7 @@ const defaultSockbufBytes = 16384
 type sockbuf struct {
 	s     *Stack //oskit:initonly
 	head  *Mbuf  //oskit:guardedby tcpcb.mu|Stack.mu
+	tail  *Mbuf  //oskit:guardedby tcpcb.mu|Stack.mu  head's last link (nil with head): appends never walk the chain
 	cc    int    //oskit:guardedby tcpcb.mu|Stack.mu  bytes buffered
 	hiwat int    //oskit:guardedby tcpcb.mu|Stack.mu  limit
 	event uint32 //oskit:initonly
@@ -37,28 +48,24 @@ func (sb *sockbuf) space() int {
 
 // appendData copies user bytes in (sbappend of a fresh chain).
 func (sb *sockbuf) appendData(data []byte) bool {
-	fresh := false
 	if sb.head == nil {
 		m := sb.s.MGetHdr()
 		if m == nil {
 			return false
 		}
-		if len(data) > MHLEN && !m.MClGet() {
+		if len(data) >= mclMin && !m.MClGet() {
 			m.Free()
 			return false
 		}
-		sb.head = m
-		fresh = true
+		sb.head, sb.tail = m, m
 	}
-	if !sb.head.Append(data) {
-		if fresh {
-			// Append ran out of memory after the header (and possibly
-			// its cluster) was allocated.  Release it: leaving the
-			// empty chain attached would leak it and wedge the buffer
-			// in an empty-but-non-nil state after a transient failure.
-			sb.head.FreeChain()
-			sb.head = nil
-		}
+	var ok bool
+	if sb.tail, ok = sb.head.appendAfter(sb.tail, data); !ok {
+		// Memory ran out part-way.  Take back what was copied — bytes cc
+		// does not count would be read (or sent) as stream data — and
+		// have drop release a chain that leaves wholly empty.
+		sb.head.Adj(sb.cc - sb.head.PktLen)
+		sb.drop(0)
 		return false
 	}
 	sb.cc += len(data)
@@ -72,16 +79,27 @@ func (sb *sockbuf) appendChain(m *Mbuf) {
 	if sb.head == nil {
 		sb.head = m
 	} else {
-		last := sb.head
-		for last.Next != nil {
-			last = last.Next
-		}
-		last.Next = m
+		sb.tail.Next = m
 		sb.head.PktLen += n
 		m.PktLen = 0
 	}
+	sb.tail = m.last()
 	sb.cc += n
 	sb.s.sc.sockbufCC.Set(int64(sb.cc))
+}
+
+// appendSeg takes one received segment's data chain: linked in at or
+// above mclMin, copied and freed below it.  A copy that cannot get
+// memory links instead, so acknowledged bytes are never dropped.
+func (sb *sockbuf) appendSeg(m *Mbuf) {
+	if m.PktLen < mclMin {
+		var flat [mclMin]byte
+		if sb.appendData(flat[:m.CopyData(0, m.PktLen, flat[:])]) {
+			m.FreeChain()
+			return
+		}
+	}
+	sb.appendChain(m)
 }
 
 // drop discards n bytes from the front (sbdrop — TCP ack processing).
@@ -92,11 +110,12 @@ func (sb *sockbuf) drop(n int) {
 	sb.cc -= n
 	remain := n
 	m := sb.head
-	for remain > 0 && m != nil {
+	// Empty links (what m_adj leaves of a trimmed segment) go with the
+	// data in front of them, so a drained buffer holds no storage.
+	for m != nil && (remain > 0 || m.len == 0) {
 		if m.len > remain {
 			m.off += remain
 			m.len -= remain
-			remain = 0
 			break
 		}
 		remain -= m.len
@@ -105,6 +124,8 @@ func (sb *sockbuf) drop(n int) {
 	sb.head = m
 	if m != nil {
 		m.PktLen = sb.cc
+	} else {
+		sb.tail = nil
 	}
 	sb.s.sc.sockbufCC.Set(int64(sb.cc))
 }
@@ -127,7 +148,7 @@ func (sb *sockbuf) read(dst []byte) int {
 func (sb *sockbuf) flush() {
 	if sb.head != nil {
 		sb.head.FreeChain()
-		sb.head = nil
+		sb.head, sb.tail = nil, nil
 	}
 	sb.cc = 0
 	sb.s.sc.sockbufCC.Set(0)

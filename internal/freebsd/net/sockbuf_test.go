@@ -70,6 +70,74 @@ func TestSockbufAppendFailureReleasesFreshChain(t *testing.T) {
 	}
 }
 
+// TestSockbufAppendFailureUnappends: an append that runs out of memory
+// part-way — after filling the last link's trailing space — takes back
+// what it copied.  Bytes left in the chain that cc does not count would
+// be read, or transmitted, as if they belonged to the stream.
+func TestSockbufAppendFailureUnappends(t *testing.T) {
+	s := bareStack(t)
+	pat := make([]byte, 250)
+	for i := range pat {
+		pat[i] = byte(i)
+	}
+	var sb sockbuf
+	sb.init(s)
+	if !sb.appendData(pat[:50]) { // half of the header mbuf
+		t.Fatal("appendData failed")
+	}
+
+	// Small blocks remain (the page the header mbuf came from); clusters
+	// cannot be had.
+	env := s.Glue().Env()
+	orig := env.MemAlloc
+	env.MemAlloc = func(size uint32, flags core.MemFlags, align uint32) (hw.PhysAddr, []byte, bool) {
+		return 0, nil, false
+	}
+	if sb.appendData(make([]byte, 5000)) {
+		t.Fatal("appendData succeeded with client memory exhausted")
+	}
+	env.MemAlloc = orig
+	if sb.cc != 50 || sb.head.PktLen != 50 {
+		t.Fatalf("after the failed append cc=%d pktlen=%d, want 50/50", sb.cc, sb.head.PktLen)
+	}
+
+	if !sb.appendData(pat[50:]) {
+		t.Fatal("appendData failed after memory came back")
+	}
+	got := make([]byte, 400)
+	if n := sb.read(got); n != len(pat) || !bytes.Equal(got[:n], pat) {
+		t.Fatalf("read %d bytes, want the %d appended successfully and nothing of the failed append", n, len(pat))
+	}
+	if sb.head != nil {
+		t.Fatal("head != nil after draining the buffer")
+	}
+}
+
+// TestSockbufAppendClusterThreshold: m_append takes a cluster only for
+// mclMin bytes or more; a shorter append rides small mbufs, so no 2 KB
+// buffer is held for a few hundred bytes.
+func TestSockbufAppendClusterThreshold(t *testing.T) {
+	s := bareStack(t)
+	for _, tc := range []struct {
+		n        int
+		clusters int64
+	}{{mclMin - 1, 0}, {mclMin, 1}, {MCLBYTES + mclMin - 1, 1}} {
+		var sb sockbuf
+		sb.init(s)
+		before := stat(t, s, "mbuf.cluster_allocs")
+		if !sb.appendData(stream(tc.n)) {
+			t.Fatal("appendData failed")
+		}
+		if got := stat(t, s, "mbuf.cluster_allocs") - before; got != tc.clusters {
+			t.Errorf("appending %d bytes allocated %d clusters, want %d", tc.n, got, tc.clusters)
+		}
+		got := make([]byte, tc.n+1)
+		if n := sb.read(got); n != tc.n || !bytes.Equal(got[:n], stream(tc.n)) {
+			t.Errorf("read %d bytes back, want the %d appended", n, tc.n)
+		}
+	}
+}
+
 // TestSockbufDropRead drives sbdrop/read edge cases against a known
 // two-link chain: 100 bytes filling the header mbuf exactly, 50 more in
 // a plain second link.

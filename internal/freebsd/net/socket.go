@@ -237,36 +237,7 @@ func (so *socket) Read(buf []byte) (uint, error) {
 		so.s.mu.Unlock()
 		return uint(n), err
 	}
-	tp := so.tcp
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	for {
-		if tp.rcvBuf.cc > 0 {
-			n := tp.rcvBuf.read(buf)
-			// Window update: tell the peer when substantial room
-			// reopens (BSD's tcp_output-after-PRU_RCVD behaviour).
-			if tp.state != tcpsClosed &&
-				seqGEQ(tp.rcvNxt+tp.rcvWindow(), tp.rcvAdv+2*tp.maxSeg) {
-				so.s.tcpRespondACK(tp)
-			}
-			return uint(n), nil
-		}
-		if tp.err != 0 {
-			err := tp.err
-			return 0, err
-		}
-		switch tp.state {
-		case tcpsCloseWait, tcpsClosing, tcpsLastAck, tcpsTimeWait, tcpsClosed:
-			return 0, nil // orderly EOF
-		}
-		if so.closed {
-			return 0, com.ErrBadF
-		}
-		p := so.s.g.SleepPrepare(tp.rcvBuf.event, "soread")
-		tp.mu.Unlock()
-		so.s.g.SleepCommit(p)
-		tp.mu.Lock()
-	}
+	return so.readTCP(buf)
 }
 
 // Write implements com.Socket, blocking for send-buffer space.  The TCP
@@ -285,6 +256,12 @@ func (so *socket) Write(buf []byte) (uint, error) {
 		}
 		return uint(len(buf)), nil
 	}
+	return so.writeTCP(buf)
+}
+
+// writeTCP is the stream send under Write and sendfile's copy fallback:
+// append as room opens, drive output.  Takes the pcb lock itself.
+func (so *socket) writeTCP(buf []byte) (uint, error) {
 	tp := so.tcp
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
@@ -307,7 +284,7 @@ func (so *socket) Write(buf []byte) (uint, error) {
 			tp.mu.Lock()
 			continue
 		}
-		n := minInt(space, len(buf))
+		n := min(space, len(buf))
 		if !tp.sndBuf.appendData(buf[:n]) {
 			return total, com.ErrNoMem
 		}
@@ -337,22 +314,32 @@ func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
 	return uint(n), addr, err
 }
 
-// readTCP is Read's body for the RecvFrom alias; takes the pcb lock
-// itself.
+// readTCP is the stream receive under Read and RecvFrom; takes the pcb
+// lock itself.
 func (so *socket) readTCP(buf []byte) (uint, error) {
 	tp := so.tcp
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	for {
 		if tp.rcvBuf.cc > 0 {
-			return uint(tp.rcvBuf.read(buf)), nil
+			n := tp.rcvBuf.read(buf)
+			// Window update: tell the peer when substantial room
+			// reopens (BSD's tcp_output-after-PRU_RCVD behaviour).
+			if tp.state != tcpsClosed &&
+				seqGEQ(tp.rcvNxt+tp.rcvWindow(), tp.rcvAdv+2*tp.maxSeg) {
+				so.s.tcpRespondACK(tp)
+			}
+			return uint(n), nil
 		}
 		if tp.err != 0 {
 			return 0, tp.err
 		}
 		switch tp.state {
 		case tcpsCloseWait, tcpsClosing, tcpsLastAck, tcpsTimeWait, tcpsClosed:
-			return 0, nil
+			return 0, nil // orderly EOF
+		}
+		if so.closed {
+			return 0, com.ErrBadF
 		}
 		p := so.s.g.SleepPrepare(tp.rcvBuf.event, "soread")
 		tp.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 
 	"oskit/internal/com"
 	bsdglue "oskit/internal/freebsd/glue"
-	"oskit/internal/hw"
 	"oskit/internal/stats"
 )
 
@@ -148,6 +147,7 @@ type netstats struct {
 	tcpRexmt                    *stats.Counter
 	tcpDropBadCsum, tcpDropDup  *stats.Counter
 	tcpDropWnd, tcpOOO          *stats.Counter
+	tcpDropReass                *stats.Counter
 	tcpAcceptOvfl               *stats.Counter
 	tcpTWRecycled               *stats.Counter
 	arpIn, arpOut, arpBadSender *stats.Counter
@@ -236,6 +236,7 @@ func (s *Stack) initStats() {
 		tcpDropDup:     set.Counter("tcp.drop_dup"),
 		tcpDropWnd:     set.Counter("tcp.drop_out_of_window"),
 		tcpOOO:         set.Counter("tcp.ooo_segs"),
+		tcpDropReass:   set.Counter("tcp.drop_reass_full"),
 		// Connection-churn observability: SYNs dropped at a full listen
 		// queue (the backlog ceiling made visible), TIME_WAIT pcbs
 		// reclaimed by the lingering-pcb cap, and the live pcb count.
@@ -698,7 +699,11 @@ func (b *mbufIO) MapSG(offset, amount uint) ([][]byte, error) {
 	if uint64(offset)+uint64(amount) > uint64(b.m.PktLen) {
 		return nil, com.ErrInval
 	}
-	var parts [][]byte
+	links := 0
+	for cur := b.m; cur != nil; cur = cur.Next {
+		links++
+	}
+	parts := make([][]byte, 0, links)
 	off := int(offset)
 	remain := int(amount)
 	for cur := b.m; cur != nil && remain > 0; cur = cur.Next {
@@ -738,7 +743,6 @@ func (b *mbufIO) Unwire() error { return nil }
 var _ com.SGBufIO = (*mbufIO)(nil)
 var _ com.TxCsum = (*mbufIO)(nil)
 var _ com.NetIOBatch = (*stackRecv)(nil)
-var _ hw.PhysAddr = 0
 
 // WrapMbufForTest exports a chain as the transmit path does; a hook for
 // the repository's bench harness (open implementation, §4.6).

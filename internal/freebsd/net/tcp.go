@@ -84,7 +84,24 @@ type tcpSeg struct {
 	flags byte
 	wnd   uint16
 	mss   uint16 // from options; 0 if absent
-	data  []byte
+	// m is the data: the received chain trimmed to the payload, nil when
+	// there is none.  A receive buffer or the reassembly queue takes it
+	// (and nils it); whoever drops the segment instead calls free.
+	m *Mbuf
+}
+
+// free releases a data chain nothing took ownership of.
+func (seg *tcpSeg) free() {
+	seg.m.FreeChain()
+	seg.m = nil
+}
+
+// freeReass releases the reassembly queue and the chains it holds.
+func (tp *tcpcb) freeReass() {
+	for i := range tp.reass {
+		tp.reass[i].free()
+	}
+	tp.reass = nil
 }
 
 // tcpcb is the connection control block.
@@ -246,7 +263,7 @@ func (s *Stack) tcpDetach(tp *tcpcb) {
 	}
 	tp.sndBuf.flush()
 	tp.rcvBuf.flush()
-	tp.reass = nil
+	tp.freeReass()
 	tp.state = tcpsClosed
 }
 
@@ -400,7 +417,7 @@ func (s *Stack) tcpEnterTimeWait(tp *tcpcb) {
 	tp.timers[tRexmt] = 0
 	tp.timers[tPersist] = 0
 	tp.timers[t2MSL] = 2 * tcpMSLTicks
-	tp.reass = nil
+	tp.freeReass()
 	// Lazily prune entries whose pcb already left TIME_WAIT (2MSL timer
 	// expiry or SYN reincarnation) so the queue stays bounded.  state is
 	// readable under the stack lock alone; pcbIdx is atomic.
@@ -435,7 +452,7 @@ func (s *Stack) tcpEnterTimeWait(tp *tcpcb) {
 func (tp *tcpcb) usrAbort() {
 	if tp.state == tcpsEstablished || tp.state == tcpsSynRcvd ||
 		tp.state == tcpsFinWait1 || tp.state == tcpsFinWait2 || tp.state == tcpsCloseWait {
-		tp.s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, tp.sndNxt, 0, thRST)
+		tp.s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, tp.sndNxt, 0, thRST, 0)
 	}
 	tp.drop(com.ErrConnReset)
 }
@@ -465,9 +482,6 @@ func (tp *tcpcb) wakeAll() {
 // rcvWindow computes the advertised window from receive-buffer room.
 func (tp *tcpcb) rcvWindow() uint32 {
 	w := tp.rcvBuf.space()
-	if w < 0 {
-		return 0
-	}
 	if w > 65535 {
 		w = 65535
 	}
@@ -475,23 +489,24 @@ func (tp *tcpcb) rcvWindow() uint32 {
 }
 
 // tcpRespond emits a bare control segment (RST or ACK) without a pcb
-// send buffer — BSD's tcp_respond.
-func (s *Stack) tcpRespond(laddr IPAddr, lport uint16, faddr IPAddr, fport uint16, seq, ack uint32, flags byte) {
+// send buffer — BSD's tcp_respond.  It reports false when no mbuf could
+// be had and nothing was sent.
+func (s *Stack) tcpRespond(laddr IPAddr, lport uint16, faddr IPAddr, fport uint16, seq, ack uint32, flags byte, wnd uint32) bool {
 	m := s.MGetHdr()
 	if m == nil {
-		return
+		return false
 	}
-	m.Append(make([]byte, 0))
 	m = m.Prepend(tcpHdrLen)
 	if m == nil {
-		return
+		return false
 	}
 	h := m.Data()[:tcpHdrLen]
-	packTCPHeader(h, lport, fport, seq, ack, flags, 0)
+	packTCPHeader(h, lport, fport, seq, ack, flags, wnd)
 	csum := s.chainChecksum(m, pseudoSum(laddr, faddr, ProtoTCP, m.PktLen))
 	binary.BigEndian.PutUint16(h[16:18], csum)
 	s.sc.tcpSegsOut.Inc()
 	s.ipOutput(m, laddr, faddr, ProtoTCP, 0)
+	return true
 }
 
 func packTCPHeader(h []byte, sport, dport uint16, seq, ack uint32, flags byte, wnd uint32) {

@@ -9,7 +9,7 @@ import (
 // tcp_input: segment arrival processing.  Runs under splnet, usually at
 // interrupt level straight from the driver's Push.
 //
-// SMP structure (locks.go): parsing, checksum, and the data copy touch
+// SMP structure (locks.go): parsing, checksum, and the header trim touch
 // only the private segment, lock-free.  A plain data/ACK segment for an
 // established connection then runs the fast path — demux under the
 // read lock, processing under the pcb lock alone — so several CPUs
@@ -20,7 +20,7 @@ import (
 // tcpInput parses, validates, and processes one inbound segment.
 func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 	tlen := m.PktLen
-	m = m.Pullup(minInt(tlen, tcpHdrLen))
+	m = m.Pullup(min(tlen, tcpHdrLen))
 	if m == nil {
 		return
 	}
@@ -73,12 +73,17 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 			}
 		}
 	}
+	// The payload stays where the driver put it: the segment carries the
+	// received chain, header trimmed off (m_adj).  What no receive buffer
+	// or reassembly queue takes is still in seg afterwards, and seg.free
+	// — called after the fast path, deferred over the slow one — drops it.
 	dataLen := tlen - off
 	if dataLen > 0 {
-		seg.data = make([]byte, dataLen)
-		m.CopyData(off, dataLen, seg.data)
+		m.Adj(off)
+		seg.m = m
+	} else {
+		m.FreeChain()
 	}
-	m.FreeChain()
 	s.sc.tcpSegsIn.Inc()
 	s.sc.tcpRxBytes.Observe(uint64(dataLen))
 
@@ -98,8 +103,9 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 				tp.state == tcpsEstablished &&
 				tp.laddr == dst && tp.lport == dport &&
 				tp.faddr == src && tp.fport == sport {
-				s.tcpInputConn(tp, seg, dataLen, ctx) //oskit:allow guarded -- fast path: no SYN|FIN|RST means tcpInputConn cannot reach the state-machine exit, detach, or listener branches that need the stack lock; identity and state were revalidated under tp.mu above (see locks.go)
+				s.tcpInputConn(tp, &seg, dataLen, ctx) //oskit:allow guarded -- fast path: no SYN|FIN|RST means tcpInputConn cannot reach the state-machine exit, detach, or listener branches that need the stack lock; identity and state were revalidated under tp.mu above (see locks.go)
 				tp.mu.Unlock()
+				seg.free()
 				return
 			}
 			tp.mu.Unlock()
@@ -108,6 +114,7 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 		}
 	}
 
+	defer seg.free()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tp := s.tcpLookup(dst, dport, src, sport)
@@ -138,13 +145,13 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 		return
 	}
 	tp.mu.Lock()
-	s.tcpInputConn(tp, seg, dataLen, ctx)
+	s.tcpInputConn(tp, &seg, dataLen, ctx)
 	tp.mu.Unlock()
 }
 
 func (s *Stack) respondToOrphan(src IPAddr, sport uint16, dst IPAddr, dport uint16, seg tcpSeg, dataLen int) {
 	if seg.flags&thACK != 0 {
-		s.tcpRespond(dst, dport, src, sport, seg.ack, 0, thRST)
+		s.tcpRespond(dst, dport, src, sport, seg.ack, 0, thRST, 0)
 	} else {
 		add := uint32(dataLen)
 		if seg.flags&thSYN != 0 {
@@ -153,7 +160,7 @@ func (s *Stack) respondToOrphan(src IPAddr, sport uint16, dst IPAddr, dport uint
 		if seg.flags&thFIN != 0 {
 			add++
 		}
-		s.tcpRespond(dst, dport, src, sport, 0, seg.seq+add, thRST|thACK)
+		s.tcpRespond(dst, dport, src, sport, 0, seg.seq+add, thRST|thACK, 0)
 	}
 }
 
@@ -165,7 +172,7 @@ func (s *Stack) tcpInputListen(lp *tcpcb, seg tcpSeg, src IPAddr, sport uint16, 
 		return
 	}
 	if seg.flags&thACK != 0 {
-		s.tcpRespond(dst, dport, src, sport, seg.ack, 0, thRST)
+		s.tcpRespond(dst, dport, src, sport, seg.ack, 0, thRST, 0)
 		return
 	}
 	if seg.flags&thSYN == 0 {
@@ -219,7 +226,7 @@ func (s *Stack) tcpInputListen(lp *tcpcb, seg tcpSeg, src IPAddr, sport uint16, 
 // additionally holds the stack lock, which every branch that can leave
 // the established state (SYN/FIN/RST handling, TIME_WAIT entry, detach)
 // requires — the fast path excludes those by flag and state check.
-func (s *Stack) tcpInputConn(tp *tcpcb, seg tcpSeg, dataLen int, ctx *rxCtx) {
+func (s *Stack) tcpInputConn(tp *tcpcb, seg *tcpSeg, dataLen int, ctx *rxCtx) {
 	// RST processing.
 	if seg.flags&thRST != 0 {
 		if seqGEQ(seg.seq, tp.rcvNxt-1) && seqLT(seg.seq, tp.rcvNxt+tp.rcvWindow()+1) {
@@ -231,7 +238,7 @@ func (s *Stack) tcpInputConn(tp *tcpcb, seg tcpSeg, dataLen int, ctx *rxCtx) {
 	switch tp.state {
 	case tcpsSynSent:
 		if seg.flags&thACK != 0 && (seqLEQ(seg.ack, tp.iss) || seqGT(seg.ack, tp.sndMax)) {
-			s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, seg.ack, 0, thRST)
+			s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, seg.ack, 0, thRST, 0)
 			return
 		}
 		if seg.flags&thSYN == 0 {
@@ -275,18 +282,13 @@ func (s *Stack) tcpInputConn(tp *tcpcb, seg tcpSeg, dataLen int, ctx *rxCtx) {
 				// Entirely duplicate: ack it again (the peer may have
 				// lost our ACK), then continue with ACK processing.
 				s.sc.tcpDropDup.Inc()
-				seg.data = nil
+				seg.free()
 				seg.flags &^= thFIN
-				if dup > dataLen {
-					// Old FIN retransmission etc.: force an ACK.
-					s.tcpRespondACK(tp)
-				} else {
-					s.tcpRespondACK(tp)
-				}
+				s.tcpRespondACK(tp)
 				dataLen = 0
 				seg.seq = tp.rcvNxt
 			} else {
-				seg.data = seg.data[dup:]
+				seg.m.Adj(dup)
 				dataLen -= dup
 				seg.seq = tp.rcvNxt
 			}
@@ -299,7 +301,7 @@ func (s *Stack) tcpInputConn(tp *tcpcb, seg tcpSeg, dataLen int, ctx *rxCtx) {
 				s.tcpRespondACK(tp)
 				return
 			}
-			seg.data = seg.data[:dataLen-over]
+			seg.m.Adj(-over)
 			dataLen -= over
 			seg.flags &^= thFIN
 		}
@@ -353,10 +355,10 @@ func (s *Stack) tcpInputConn(tp *tcpcb, seg tcpSeg, dataLen int, ctx *rxCtx) {
 // need the stack lock, which their callers (the slow input path, the
 // timer sweep) hold — the fast path never reaches them (Established +
 // no FIN outstanding).
-func (s *Stack) tcpProcessACK(tp *tcpcb, seg tcpSeg) {
+func (s *Stack) tcpProcessACK(tp *tcpcb, seg *tcpSeg) {
 	if tp.state == tcpsSynRcvd {
 		if seqLT(seg.ack, tp.iss+1) || seqGT(seg.ack, tp.sndMax) {
-			s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, seg.ack, 0, thRST)
+			s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, seg.ack, 0, thRST, 0)
 			return
 		}
 		// Handshake complete.
@@ -386,7 +388,7 @@ func (s *Stack) tcpProcessACK(tp *tcpcb, seg tcpSeg) {
 
 	if seqLEQ(seg.ack, tp.sndUna) {
 		// Duplicate ACK.  Fast retransmit after three, BSD style.
-		if len(seg.data) == 0 && seg.ack == tp.sndUna && tp.sndBuf.cc > 0 &&
+		if seg.m == nil && seg.ack == tp.sndUna && tp.sndBuf.cc > 0 &&
 			uint32(seg.wnd) == tp.sndWnd {
 			tp.dupacks++
 			if tp.dupacks == 3 {
@@ -503,22 +505,28 @@ func (s *Stack) tcpProcessACK(tp *tcpcb, seg tcpSeg) {
 	}
 }
 
-// tcpReceiveData appends in-order data (and any newly contiguous
-// reassembly segments) to the receive buffer.  Called with tp.mu held;
-// the deferral flags and ctx.pend are written under it (the flushing
+// tcpReceiveData moves in-order data (and any newly contiguous
+// reassembly segments) into the receive buffer, or queues an
+// out-of-order segment, taking seg.m.  Called with tp.mu held; the
+// deferral flags and ctx.pend are written under it (the flushing
 // goroutine re-takes tp.mu per connection).
-func (s *Stack) tcpReceiveData(tp *tcpcb, seg tcpSeg, ctx *rxCtx) {
+func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
+	dataLen := seg.m.PktLen
 	if seg.seq == tp.rcvNxt &&
 		(tp.state == tcpsEstablished || tp.state == tcpsFinWait1 || tp.state == tcpsFinWait2) {
-		tp.rcvBuf.appendData(seg.data)
-		tp.rcvNxt += uint32(len(seg.data))
+		tp.rcvBuf.appendSeg(seg.m)
+		seg.m = nil
+		tp.rcvNxt += uint32(dataLen)
 		// Drain the reassembly queue while contiguous.
 		for len(tp.reass) > 0 && seqLEQ(tp.reass[0].seq, tp.rcvNxt) {
-			q := tp.reass[0]
-			if over := int(tp.rcvNxt - q.seq); over < len(q.data) {
-				tp.rcvBuf.appendData(q.data[over:])
-				tp.rcvNxt += uint32(len(q.data) - over)
+			q := &tp.reass[0]
+			if over := int(tp.rcvNxt - q.seq); over < q.m.PktLen {
+				q.m.Adj(over)
+				tp.rcvNxt += uint32(q.m.PktLen)
+				tp.rcvBuf.appendSeg(q.m)
+				q.m = nil
 			}
+			q.free()
 			tp.reass = tp.reass[1:]
 		}
 		if ctx != nil && ctx.batching {
@@ -543,16 +551,32 @@ func (s *Stack) tcpReceiveData(tp *tcpcb, seg tcpSeg, ctx *rxCtx) {
 		return
 	}
 	if seqGT(seg.seq, tp.rcvNxt) {
-		// Out of order: insert sorted, dedup naively.
+		// Out of order: insert sorted by seq, unless one queued segment
+		// already covers it — a replaying peer cannot grow the queue.
+		end := seg.seq + uint32(dataLen)
 		i := 0
 		for ; i < len(tp.reass); i++ {
-			if seqLT(seg.seq, tp.reass[i].seq) {
+			q := &tp.reass[i]
+			if seqLT(seg.seq, q.seq) {
 				break
 			}
+			if seqGEQ(q.seq+uint32(q.m.PktLen), end) {
+				s.sc.tcpDropDup.Inc()
+				s.tcpRespondACK(tp)
+				return
+			}
+		}
+		if len(tp.reass) >= 4*tp.rcvBuf.hiwat/MCLBYTES {
+			// Every entry pins a driver buffer however few bytes it carries:
+			// past the receive buffer's own bound the sender retransmits.
+			s.sc.tcpDropReass.Inc()
+			s.tcpRespondACK(tp)
+			return
 		}
 		tp.reass = append(tp.reass, tcpSeg{})
 		copy(tp.reass[i+1:], tp.reass[i:])
-		tp.reass[i] = tcpSeg{seq: seg.seq, data: append([]byte(nil), seg.data...)}
+		tp.reass[i] = tcpSeg{seq: seg.seq, m: seg.m}
+		seg.m = nil
 		s.sc.tcpOOO.Inc()
 		// Duplicate ACK tells the sender what we still need.
 		s.tcpRespondACK(tp)
@@ -568,21 +592,9 @@ func (s *Stack) tcpRespondACK(tp *tcpcb) {
 	// dup-ACK for a stale segment).  The deferred *wakeup* stays owed.
 	tp.rxAckOwed = false
 	wnd := tp.rcvWindow()
-	m := s.MGetHdr()
-	if m == nil {
-		return
+	if s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, tp.sndNxt, tp.rcvNxt, thACK, wnd) {
+		tp.rcvAdv = tp.rcvNxt + wnd
 	}
-	m = m.Prepend(tcpHdrLen)
-	if m == nil {
-		return
-	}
-	h := m.Data()[:tcpHdrLen]
-	packTCPHeader(h, tp.lport, tp.fport, tp.sndNxt, tp.rcvNxt, thACK, wnd)
-	csum := s.chainChecksum(m, pseudoSum(tp.laddr, tp.faddr, ProtoTCP, m.PktLen))
-	binary.BigEndian.PutUint16(h[16:18], csum)
-	tp.rcvAdv = tp.rcvNxt + wnd
-	s.sc.tcpSegsOut.Inc()
-	s.ipOutput(m, tp.laddr, tp.faddr, ProtoTCP, 0)
 }
 
 // updateRTT is the Van Jacobson smoothed estimator, BSD scaling.
@@ -619,11 +631,4 @@ func (tp *tcpcb) rexmtTimeout() int {
 		rto = tcpRexmtMax
 	}
 	return rto
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,10 @@
 package bsdnet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"oskit/internal/cksum"
+)
 
 // tcp_output: the send-side engine.  Decides how much may be sent
 // (offered window vs congestion window), carves segments out of the send
@@ -56,7 +60,7 @@ func (s *Stack) tcpOutputOnce(tp *tcpcb) bool {
 		if allowed < 0 {
 			allowed = 0
 		}
-		length = minInt(avail, allowed)
+		length = min(avail, allowed)
 		if length > int(tp.maxSeg) {
 			length = int(tp.maxSeg)
 		}
@@ -126,12 +130,14 @@ func (s *Stack) tcpOutputOnce(tp *tcpcb) bool {
 		binary.BigEndian.PutUint16(h[22:24], uint16(tp.maxSeg))
 	}
 	if s.csumOffload {
-		// Checksum offload (FeatCsum): seed the field with the folded
-		// pseudo-header sum and leave the chain walk to the transmit
-		// engine — the software cost this branch avoids is exactly the
-		// per-byte sum over the (possibly page-sized) payload runs.
+		// Checksum offload (FeatCsum): seed the field with the folded,
+		// uncomplemented pseudo-header sum and leave the chain walk to
+		// the transmit engine — the software cost this branch avoids is
+		// the sum over the (possibly page-sized) payload runs.  Summing
+		// the packet with the seed in place and complementing yields
+		// exactly the software checksum (the sum commutes).
 		binary.BigEndian.PutUint16(h[16:18],
-			foldSum(pseudoSum(tp.laddr, tp.faddr, ProtoTCP, m.PktLen)))
+			cksum.Fold(pseudoSum(tp.laddr, tp.faddr, ProtoTCP, m.PktLen)))
 		m.NeedsCsum = true
 		m.CsumStart = 0
 		m.CsumOff = 16

@@ -3,6 +3,7 @@ package bsdnet
 import (
 	"encoding/binary"
 
+	"oskit/internal/cksum"
 	"oskit/internal/com"
 )
 
@@ -90,14 +91,12 @@ func (s *Stack) udpInput(m *Mbuf, src, dst IPAddr) {
 		m.FreeChain()
 		return
 	}
-	if binary.BigEndian.Uint16(h[6:8]) != 0 {
-		// Checksum present: verify over pseudo-header + datagram.
-		buf := make([]byte, ulen)
-		m.CopyData(0, ulen, buf)
-		if Checksum(buf, pseudoSum(src, dst, ProtoUDP, ulen)) != 0 {
-			m.FreeChain()
-			return
-		}
+	m.Adj(ulen - m.PktLen) // trim anything past the datagram
+	if binary.BigEndian.Uint16(h[6:8]) != 0 &&
+		s.chainChecksum(m, pseudoSum(src, dst, ProtoUDP, ulen)) != 0 {
+		// Checksum present and wrong over pseudo-header + datagram.
+		m.FreeChain()
+		return
 	}
 	payload := make([]byte, ulen-udpHdrLen)
 	m.CopyData(udpHdrLen, len(payload), payload)
@@ -174,28 +173,14 @@ func (s *Stack) udpRecv(pcb *udpPCB, buf []byte) (int, IPAddr, uint16, error) {
 }
 
 // chainChecksum computes the Internet checksum over a whole chain with
-// an initial pseudo-header sum, handling odd-length links (in_cksum).
+// an initial pseudo-header sum (in_cksum): one kernel call per link,
+// the parity of the stream offset carried across odd-length links.
 func (s *Stack) chainChecksum(m *Mbuf, initial uint32) uint16 {
 	sum := initial
 	odd := false
 	for cur := m; cur != nil; cur = cur.Next {
-		d := cur.Data()
-		i := 0
-		if odd && len(d) > 0 {
-			sum += uint32(d[0])
-			i = 1
-			odd = false
-		}
-		for ; i+1 < len(d); i += 2 {
-			sum += uint32(d[i])<<8 | uint32(d[i+1])
-		}
-		if i < len(d) {
-			sum += uint32(d[i]) << 8
-			odd = true
-		}
+		sum = cksum.Add(sum, cur.Data(), odd)
+		odd = odd != (cur.len&1 == 1)
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	return ^cksum.Fold(sum)
 }

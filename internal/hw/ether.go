@@ -1,6 +1,10 @@
 package hw
 
-import "sync"
+import (
+	"sync"
+
+	"oskit/internal/cksum"
+)
 
 // EtherMTU is the Ethernet payload MTU; frames carry a 14-byte header.
 const (
@@ -331,18 +335,7 @@ func (n *NIC) SetRxFaultHook(h func() bool) {
 
 // Transmit sends one complete Ethernet frame.  Called by the driver from
 // any level; returns once the frame is on the wire.
-func (n *NIC) Transmit(frame []byte) {
-	n.mu.Lock()
-	w := n.wire
-	if w != nil {
-		n.txOK++
-	}
-	n.mu.Unlock()
-	if w == nil {
-		return
-	}
-	w.transmitGather(n, [][]byte{frame})
-}
+func (n *NIC) Transmit(frame []byte) { n.TransmitGather([][]byte{frame}) }
 
 // TransmitGather sends one frame scattered across several memory runs —
 // the gather-DMA engine of busmaster controllers, which is how
@@ -387,23 +380,17 @@ func (n *NIC) TransmitGatherCsum(parts [][]byte, start, off int) {
 		return
 	}
 	var sum uint32
-	pos := 0
+	skip, odd := start, false
 	for _, p := range parts {
-		for _, b := range p {
-			if pos >= start {
-				if (pos-start)%2 == 0 {
-					sum += uint32(b) << 8
-				} else {
-					sum += uint32(b)
-				}
-			}
-			pos++
+		if skip >= len(p) {
+			skip -= len(p)
+			continue
 		}
+		p, skip = p[skip:], 0
+		sum = cksum.Add(sum, p, odd)
+		odd = odd != (len(p)&1 == 1)
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	csum := ^uint16(sum)
+	csum := ^cksum.Fold(sum)
 	putByte := func(at int, v byte) {
 		for _, p := range parts {
 			if at < len(p) {
@@ -470,13 +457,7 @@ func (n *NIC) accepts(dst [6]byte) bool {
 	return n.promisc || dst == n.Mac || dst == BroadcastMAC
 }
 
-func (n *NIC) receiveGather(parts [][]byte, total int) {
-	f := make([]byte, 0, total)
-	for _, p := range parts {
-		f = append(f, p...)
-	}
-	n.deliver(f)
-}
+func (n *NIC) receiveGather(parts [][]byte, total int) { n.deliver(flatten(parts, total)) }
 
 func (n *NIC) receive(frame []byte) {
 	n.deliver(append([]byte(nil), frame...))

@@ -1,6 +1,10 @@
 package legacy
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"oskit/internal/cksum"
+)
 
 // SKBuff is the Linux network packet buffer: one contiguous allocation
 // whose implementation details are "thoroughly known throughout" the
@@ -202,45 +206,22 @@ func (skb *SKBuff) Users() int32 { return skb.users.Load() }
 
 // FinishCsum completes a deferred transport checksum in software: the
 // ones-complement sum over the packet from CsumStart (the seeded field
-// included), complemented and stored at CsumStart+CsumOff.  The store
-// lands in the packet's header run, which is private to the frame.
-// Used by transmit paths that cannot offload (no CsumChip engine).
+// included), complemented and stored at CsumStart+CsumOff.  Used by
+// transmit paths that cannot offload (no CsumChip engine) — the slow
+// path, so a scattered packet is flattened first, as a non-gather driver
+// would: the store cannot straddle runs.  A descriptor that does not fit
+// the packet is dropped, as the NIC's engine drops it: the frame leaves
+// with only its seed and the receiver's verify rejects it.
 func (skb *SKBuff) FinishCsum() {
 	if !skb.NeedsCsum {
 		return
 	}
-	start, off := skb.CsumStart, skb.CsumOff
-	var sum uint32
-	pos := 0
-	for _, run := range skb.Runs() {
-		for _, b := range run {
-			if pos >= start {
-				if (pos-start)%2 == 0 {
-					sum += uint32(b) << 8
-				} else {
-					sum += uint32(b)
-				}
-			}
-			pos++
-		}
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	csum := ^uint16(sum)
-	// Store byte-wise across runs: the field never straddles a run in
-	// practice (it sits in the header run), but stay correct if it does.
-	want0, want1 := start+off, start+off+1
-	pos = 0
-	for _, run := range skb.Runs() {
-		for i := range run {
-			if pos == want0 {
-				run[i] = byte(csum >> 8)
-			} else if pos == want1 {
-				run[i] = byte(csum)
-			}
-			pos++
-		}
-	}
 	skb.NeedsCsum = false
+	field := skb.CsumStart + skb.CsumOff
+	if skb.CsumStart < 0 || skb.CsumOff < 0 || field+2 > skb.Len {
+		return
+	}
+	skb.Data, skb.frags = skb.Flatten(), nil
+	csum := ^cksum.Fold(cksum.Add(0, skb.Data[skb.CsumStart:], false))
+	skb.Data[field], skb.Data[field+1] = byte(csum>>8), byte(csum)
 }

@@ -24,6 +24,7 @@ package linuxnet
 import (
 	"encoding/binary"
 
+	"oskit/internal/cksum"
 	"oskit/internal/linux/legacy"
 	"oskit/internal/stats"
 )
@@ -296,26 +297,9 @@ func (s *Stack) icmpInput(p []byte, src [4]byte) {
 }
 
 func checksum(data []byte, initial uint32) uint16 {
-	sum := initial
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
-	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	return ^cksum.Fold(cksum.Add(initial, data, false))
 }
 
 func pseudo(src, dst [4]byte, proto byte, length int) uint32 {
-	var sum uint32
-	sum += uint32(src[0])<<8 | uint32(src[1])
-	sum += uint32(src[2])<<8 | uint32(src[3])
-	sum += uint32(dst[0])<<8 | uint32(dst[1])
-	sum += uint32(dst[2])<<8 | uint32(dst[3])
-	sum += uint32(proto)
-	sum += uint32(length)
-	return sum
+	return cksum.Add(cksum.Add(uint32(proto)+uint32(length), src[:], false), dst[:], false)
 }

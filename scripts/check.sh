@@ -12,7 +12,7 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=32548
+MAX_LOC=32546
 MAX_WAIVERS=18
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
@@ -68,7 +68,8 @@ echo "== refcount lifecycle checks (oskitrefdebug build)"
 go test -race -tags oskitrefdebug ./internal/com/
 go test -race -tags oskitrefdebug -count=1 ./internal/faults/soak/ \
 	-run 'TestHTTPPinLedgerUnderRetransmits|TestSMPChurnHaltLedger'
-go test -race -tags oskitrefdebug -count=1 ./internal/evalrig/ -run 'TestPairHaltUnmounts'
+go test -race -tags oskitrefdebug -count=1 ./internal/evalrig/ \
+	-run 'TestPairHaltUnmounts|TestTCPReceiveLinksDriverBuffer'
 
 echo "== shuffled re-run (order-dependence check)"
 go test -shuffle=on -count=1 ./...
@@ -104,6 +105,7 @@ go run ./examples/fileserver -stats -fastpath -cpus 2 \
 
 if [ "$FUZZTIME" != "0" ]; then
 	echo "== fuzz smoke ($FUZZTIME per target)"
+	go test ./internal/cksum/ -run '^$' -fuzz '^FuzzInetSum$' -fuzztime "$FUZZTIME"
 	go test ./internal/freebsd/net/ -run '^$' -fuzz '^FuzzIPInput$' -fuzztime "$FUZZTIME"
 	go test ./internal/freebsd/net/ -run '^$' -fuzz '^FuzzTCPSegInput$' -fuzztime "$FUZZTIME"
 	go test ./internal/freebsd/net/ -run '^$' -fuzz '^FuzzEtherBatchInput$' -fuzztime "$FUZZTIME"
