@@ -32,6 +32,7 @@ import (
 	linuxdev "oskit/internal/linux/dev"
 	"oskit/internal/lmm"
 	netbsdfs "oskit/internal/netbsd/fs"
+	"oskit/internal/stats"
 )
 
 // ---------------------------------------------------------------------
@@ -664,10 +665,10 @@ func BenchmarkS6210_BSDMalloc(b *testing.B) {
 // driver on a gather-capable chip, BSD stack for mbufs, open transmit
 // NetIO.
 type e11Rig struct {
-	glue *linuxdev.Glue
-	st   *bsdnet.Stack
-	nic  *hw.NIC
-	tx   com.NetIO
+	env *core.Env
+	st  *bsdnet.Stack
+	nic *hw.NIC
+	tx  com.NetIO
 }
 
 // e11NullRecv is the receive callback for a rig that only transmits.
@@ -699,6 +700,11 @@ func newE11Rig(b *testing.B, fastpath bool) *e11Rig {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if fastpath {
+		// The fast path is assembled: the pool is registered before the
+		// probe builds the glue and before the stack is built.
+		libc.NewQuickPoolService(libc.New(k.Env)).Release()
+	}
 	fw := dev.NewFramework(k.Env)
 	linuxdev.InitEthernet(fw)
 	if fw.Probe() != 1 {
@@ -716,14 +722,22 @@ func newE11Rig(b *testing.B, fastpath bool) *e11Rig {
 	ed.Release()
 	st := bsdnet.NewStack(bsdglue.New(k.Env))
 	b.Cleanup(st.Close)
-	g := linuxdev.GlueFor(k.Env)
-	if fastpath {
-		pool := libc.NewQuickPoolService(libc.New(k.Env))
-		g.EnableFastPath(pool)
-		st.SetPacketPool(pool)
-		pool.Release()
+	return &e11Rig{env: k.Env, st: st, nic: nic, tx: tx}
+}
+
+// linuxDevRows snapshots the driver glue's "linux_dev" stats set as
+// discovered in env's registry: the xmit.* and rx.* path-shape rows.
+func linuxDevRows(env *core.Env) map[string]int64 {
+	rows := map[string]int64{}
+	for _, s := range stats.Discover(env.Registry) {
+		if s.StatsName() == "linux_dev" {
+			for _, st := range s.Snapshot() {
+				rows[st.Name] = st.Value
+			}
+		}
+		s.Release()
 	}
-	return &e11Rig{glue: g, st: st, nic: nic, tx: tx}
+	return rows
 }
 
 // sendPackets pushes pkts chained MTU-size packets through the rig's
@@ -782,7 +796,8 @@ func BenchmarkE11_FastPath_Matrix(b *testing.B) {
 			ns := rig.sendPackets(b, pkts, payload)
 			perPkt[row.name] = append(perPkt[row.name], ns)
 
-			_, _, sg, flattened := rig.glue.XmitCounters()
+			rows := linuxDevRows(rig.env)
+			sg, flattened := rows["xmit.sg"], rows["xmit.flattened"]
 			if row.fastpath {
 				if sg != pkts || flattened != 0 {
 					b.Fatalf("fastpath row: sg=%d flattened=%d, want %d/0", sg, flattened, pkts)
@@ -824,8 +839,7 @@ func BenchmarkE11_FastPath_Matrix(b *testing.B) {
 // real COM sink), and a bare peer NIC on the same wire as the traffic
 // source.
 type e12Rig struct {
-	m    *hw.Machine
-	glue *linuxdev.Glue
+	env  *core.Env
 	st   *bsdnet.Stack
 	nic  *hw.NIC
 	peer *hw.NIC
@@ -848,6 +862,10 @@ func newE12Rig(b *testing.B, fastpath bool) *e12Rig {
 	// (GFP_DMA) draws from: the per-packet first-fit walk the paper's
 	// §6.2.10 profiling blamed only shows on a fragmented free list.
 	fragmentArena(b, k.Env.Arena(), core.LMMFlagDMA)
+	if fastpath {
+		// Registered before the probe and the stack: the assembly.
+		libc.NewQuickPoolService(libc.New(k.Env)).Release()
+	}
 	fw := dev.NewFramework(k.Env)
 	linuxdev.InitEthernet(fw)
 	if fw.Probe() != 1 {
@@ -862,16 +880,9 @@ func newE12Rig(b *testing.B, fastpath bool) *e12Rig {
 	}
 	ed.Release()
 	st.Ifconfig(bsdnet.IPAddr{10, 1, 1, 2}, bsdnet.IPAddr{255, 255, 255, 0})
-	g := linuxdev.GlueFor(k.Env)
-	if fastpath {
-		pool := libc.NewQuickPoolService(libc.New(k.Env))
-		g.EnableFastPath(pool)
-		st.SetPacketPool(pool)
-		pool.Release()
-	}
 	peer := hw.NewNIC(nil, 0, [6]byte{2, 0, 0, 0, 0, 0x13})
 	wire.Attach(peer)
-	return &e12Rig{m: m, glue: g, st: st, nic: nic, peer: peer, mac: mac}
+	return &e12Rig{env: k.Env, st: st, nic: nic, peer: peer, mac: mac}
 }
 
 // e12Frame builds one MTU-size IP frame for the receiver.  The
@@ -976,7 +987,8 @@ func BenchmarkE12_RxBatch_Matrix(b *testing.B) {
 			if rx, _, drops := rig.nic.Stats(); rx != pkts || drops != 0 {
 				b.Fatalf("%s row: NIC rx=%d drops=%d, want %d/0", row.name, rx, drops, pkts)
 			}
-			_, batched, _, suppressed := rig.glue.RxCounters()
+			rows := linuxDevRows(rig.env)
+			batched, suppressed := rows["rx.batched-frames"], rows["rx.intr-suppressed"]
 			if row.fastpath {
 				if batched != pkts {
 					b.Fatalf("fastpath row: %d of %d frames drained through the poll loop", batched, pkts)
@@ -1133,35 +1145,6 @@ func BenchmarkE13_Demux_Matrix(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Ablations (DESIGN.md §5).
-
-// BenchmarkAblation_ZeroCopyRecv_O{n,ff}: Table 1's receive story with
-// the Map fast path disabled — every inbound packet is copied.
-func BenchmarkAblation_ZeroCopyRecv_On(b *testing.B)  { benchRecvAblation(b, false) }
-func BenchmarkAblation_ZeroCopyRecv_Off(b *testing.B) { benchRecvAblation(b, true) }
-
-func benchRecvAblation(b *testing.B, forceCopy bool) {
-	p, err := evalrig.NewMixedPair(evalrig.FreeBSD, evalrig.OSKit, time.Millisecond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Halt()
-	p.Receiver.BSD.ForceRxCopy = forceCopy
-	blocks := b.N
-	if blocks < 4096 {
-		blocks = 4096
-	}
-	b.SetBytes(ttcpBlockSize)
-	b.ResetTimer()
-	res, err := evalrig.TTCP(p, blocks, ttcpBlockSize, 5403)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(res.RecvMbps(), "recv-Mb/s")
-	if zc, _ := p.Receiver.Stat("freebsd_net", "ether.rx_zero_copy"); forceCopy && zc != 0 {
-		b.Fatal("ablation did not disable the fast path")
-	}
-}
 
 // BenchmarkAblation_BSDMallocDispersion: §4.7.7's admitted weakness —
 // the allocation table's footprint when client memory is dispersed.
@@ -1461,12 +1444,12 @@ func BenchmarkE14_SMP_Matrix(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // E15: the zero-copy sendfile path, measured end to end as HTTP file
-// serving.  The grid sets the SendFile read-and-copy loop against the
-// buffer-cache page seam over small, medium and large files.  Every cell
-// re-verifies the path shape in-measurement: a zero-copy cell that
-// copied a single payload byte (or a copy cell that mapped a page) fails
-// the benchmark, so the recorded throughput can never silently come
-// from the wrong path.
+// serving.  The grid sets SendFile's per-window copy fallback (the file
+// declines the page seam) against the buffer-cache page seam over
+// small, medium and large files.  Every cell re-verifies the path shape
+// in-measurement: a zero-copy cell that copied a single payload byte (or
+// a copy cell that mapped a page) fails the benchmark, so the recorded
+// throughput can never silently come from the wrong path.
 // Measured shape (seven 1x runs, 2-vCPU host, GOMAXPROCS=1, zc/copy
 // per run): 1.05× at 4 KB (0.93–1.17), 1.10× at 64 KB (0.97–1.38) and
 // 1.30× at 1 MB (0.95–1.37) over the five runs where neither 1 MB cell
@@ -1483,12 +1466,46 @@ var e15SizeRows = []struct {
 	{"1m", 1 << 20, 4},
 }
 
+// Both columns boot the fast-path assembly.  The copy column serves
+// through a root that declines the file side of the page seam
+// (noSendfileDir), so it measures the stack's per-window copy fallback.
 var e15ModeRows = []struct {
-	name string
-	opts evalrig.Options
+	name    string
+	decline bool
 }{
-	{"copy", evalrig.Options{FastPath: true, SendfileCopy: true}},
-	{"zc", evalrig.Options{FastPath: true}},
+	{"copy", true},
+	{"zc", false},
+}
+
+// noSendfile wraps a file-system node so that it never answers
+// com.SendfileIID; every directory reached through it is wrapped the
+// same way.  The wrappers hold no reference of their own: AddRef and
+// Release reach the wrapped node.
+type noSendfile struct{ com.File }
+
+func (f noSendfile) QueryInterface(iid com.GUID) (com.IUnknown, error) {
+	if iid == com.SendfileIID {
+		return nil, com.ErrNoInterface
+	}
+	obj, err := f.File.QueryInterface(iid)
+	if err == nil && iid == com.DirIID {
+		return noSendfileDir{obj.(com.Dir)}, nil
+	}
+	return obj, err
+}
+
+type noSendfileDir struct{ com.Dir }
+
+func (d noSendfileDir) QueryInterface(iid com.GUID) (com.IUnknown, error) {
+	return noSendfile{d.Dir}.QueryInterface(iid)
+}
+
+func (d noSendfileDir) Lookup(name string) (com.File, error) {
+	f, err := d.Dir.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return noSendfile{f}, nil
 }
 
 func BenchmarkE15_Sendfile_Matrix(b *testing.B) {
@@ -1504,11 +1521,17 @@ func BenchmarkE15_Sendfile_Matrix(b *testing.B) {
 	for r := 0; r < rounds; r++ {
 		for _, mode := range e15ModeRows {
 			for _, sz := range e15SizeRows {
-				opts := mode.opts
-				opts.DiskSectors = 16384
-				c, err := evalrig.NewCluster(evalrig.OSKit, 2, time.Millisecond, opts)
+				c, err := evalrig.NewCluster(evalrig.OSKit, 2, time.Millisecond,
+					evalrig.Options{FastPath: true, DiskSectors: 16384})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if mode.decline {
+					srv := c.Server()
+					if err := srv.MountFS(); err != nil {
+						b.Fatal(err)
+					}
+					srv.FSRoot = noSendfileDir{srv.FSRoot}
 				}
 				res, herr := evalrig.HTTPGet(c, evalrig.HTTPOptions{
 					Requests: sz.reqs, Workers: 2, Files: 2, FileBytes: sz.bytes,
@@ -1530,7 +1553,7 @@ func BenchmarkE15_Sendfile_Matrix(b *testing.B) {
 						cell, res.Failed, res.Failed+res.Requests, res.Errors)
 				}
 				// The in-measurement path-shape pins.
-				if mode.opts.SendfileCopy {
+				if mode.decline {
 					if copied == 0 {
 						b.Fatalf("%s: copy path moved no payload bytes", cell)
 					}

@@ -111,15 +111,17 @@ func (n *Node) Do(fn func()) {
 
 // Options selects optional rig configuration beyond the Config row.
 type Options struct {
-	// FastPath boots OSKit nodes in the opt-in fast-path configuration:
-	// the E11 send side (scatter-gather transmit through the
-	// encapsulated driver, no mbuf-chain flatten copy, per-packet
-	// allocations from a QuickPool registered as a discoverable
-	// allocator service) plus the E12 receive side (NIC interrupt
-	// mitigation, a budgeted poll loop replacing the donor ISR, and
-	// batched delivery into the stack through com.NetIOBatch).  Ignored
-	// by the Linux and FreeBSD configurations, which have no
-	// representation boundary to shortcut.
+	// FastPath assembles OSKit nodes fast-path: a QuickPool is
+	// registered as the allocator service (com.AllocatorIID) before the
+	// driver glue and the stack are built, and each binds it there.
+	// That one fact yields the E11 send side (scatter-gather transmit
+	// through the encapsulated driver, no mbuf-chain flatten copy,
+	// per-packet allocations from the pool), the E12 receive side (NIC
+	// interrupt mitigation, a budgeted poll loop replacing the donor
+	// ISR, batched delivery into the stack through com.NetIOBatch) and
+	// E15's zero-copy SendFile.  Ignored by the Linux and FreeBSD
+	// configurations, which have no representation boundary to
+	// shortcut.
 	FastPath bool
 
 	// CPUs powers each machine on with N logical CPUs (interrupt
@@ -144,12 +146,6 @@ type Options struct {
 	// Node.MountFS.  In a Cluster only the server node (Nodes[0])
 	// receives the disk; generators have no use for one.
 	DiskSectors uint32
-
-	// SendfileCopy peels the E15 leg off the fast-path configuration,
-	// for the sendfile ablation benchmark: SendFile stays on its
-	// read-and-copy loop (the page seam stays un-negotiated).  Ignored
-	// without FastPath — the stock configuration has no seam to peel.
-	SendfileCopy bool
 }
 
 // Pair is a two-machine testbed.  Sender and receiver may run different
@@ -297,12 +293,19 @@ func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Durati
 		//   fdev_device_lookup(&fdev_ethernet_iid, &dev);
 		//   oskit_freebsd_net_open_ether_if(dev[0], &eif);
 		//   oskit_freebsd_net_ifconfig(eif, IPADDR, NETMASK);
-		if smp && opts.FastPath {
-			// Grow the controller to one RSS-hashed receive ring per
-			// CPU before the encapsulated driver opens it; the polled
-			// receive path then engages one drain loop per ring
-			// (linuxdev/rxpoll.go).
-			nic.ConfigureRxQueues(cpus)
+		if opts.FastPath {
+			// The fast-path assembly: one QuickPool per node, registered
+			// as the allocator service before any component is built, so
+			// the glue's kmalloc and the stack's small mbufs both draw
+			// from it (§4.2.2: components find services in the registry).
+			n.QP = libc.NewQuickPoolService(n.C)
+			if smp {
+				// One RSS-hashed receive ring per CPU before the
+				// encapsulated driver opens the controller; the polled
+				// receive path engages one drain loop per ring
+				// (linuxdev/rxpoll.go).
+				nic.ConfigureRxQueues(cpus)
+			}
 		}
 		fw := dev.NewFramework(k.Env)
 		linuxdev.InitEthernet(fw)
@@ -323,23 +326,6 @@ func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Durati
 		devs[0].Release()
 		st.Ifconfig(bsdnet.IPAddr(ip), bsdnet.IPAddr(netmask))
 		n.BSD = st
-		if opts.FastPath {
-			// The opt-in fast-path configuration: one QuickPool per
-			// node, published as the allocator service, feeding both
-			// the glue's kmalloc and the stack's small mbufs, with the
-			// glue's scatter-gather transmit switched on.
-			pool := libc.NewQuickPoolService(n.C)
-			linuxdev.GlueFor(k.Env).EnableFastPath(pool)
-			st.SetPacketPool(pool)
-			n.QP = pool
-			// The E15 addition to the same opt-in configuration: file
-			// serving exports buffer-cache pages as external mbufs
-			// (zero payload copies file→NIC) unless the ablation knob
-			// keeps the copy loop.
-			if !opts.SendfileCopy {
-				st.EnableSendfileZeroCopy()
-			}
-		}
 
 	default:
 		m.Halt()

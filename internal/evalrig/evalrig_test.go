@@ -7,6 +7,7 @@ import (
 
 	"oskit/internal/com"
 	"oskit/internal/hw"
+	"oskit/internal/libc"
 )
 
 // allocSetRows lists the statistic names the node's three allocator
@@ -323,6 +324,46 @@ func TestPathShapeMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFastPathIsAssembled pins that the fast path is a fact of the
+// assembly, not a switch: a QuickPool registered as the allocator
+// service only after the driver glue and the stack were built engages
+// nothing.  The pool serves no allocation across a whole HTTP run, and
+// every fast-path row — gather transmit, polled receive, zero-copy
+// sendfile — stays at zero.
+func TestFastPathIsAssembled(t *testing.T) {
+	c, err := NewCluster(OSKit, 2, time.Millisecond, Options{DiskSectors: 16384})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Halt()
+	pools := make([]*libc.QuickPool, len(c.Nodes))
+	for i, n := range c.Nodes {
+		pools[i] = libc.NewQuickPoolService(n.C)
+	}
+	res, err := HTTPGet(c, HTTPOptions{
+		Requests: 12, Workers: 2, Files: 2, FileBytes: 20000, Seed: 3, Port: 5090,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 0 {
+		t.Fatalf("HTTP workload failed %d of %d requests: %v", res.Failed, res.Failed+res.Requests, res.Errors)
+	}
+	for i, n := range c.Nodes {
+		if a := pools[i].StatsSet().Counter("qp.allocs").Load(); a != 0 {
+			t.Errorf("%s: a pool registered after assembly served %d allocations", n.Machine.Name, a)
+		}
+		for _, row := range []string{"xmit.sg", "rx.polls"} {
+			if v, _ := n.Stat("linux_dev", row); v != 0 {
+				t.Errorf("%s: linux_dev %s = %d after a late registration", n.Machine.Name, row, v)
+			}
+		}
+	}
+	if v := netStat(c.Server(), "sendfile.pages_mapped"); v != 0 {
+		t.Errorf("server mapped %d sendfile pages after a late registration", v)
 	}
 }
 

@@ -34,7 +34,6 @@ type Mbuf struct {
 	store     []byte
 	storeAddr hw.PhysAddr // 0 for external (foreign BufIO) storage
 	cluster   bool
-	pooled    bool      // small-mbuf storage from the stack's packet pool
 	ext       com.BufIO // foreign storage owner, if any
 
 	off int // data start within store
@@ -71,7 +70,7 @@ func (s *Stack) mget(leading int) *Mbuf {
 			return nil
 		}
 		s.sc.mbufAllocs.Inc()
-		return &Mbuf{stk: s, store: buf, storeAddr: hw.PhysAddr(addr), pooled: true, off: leading}
+		return &Mbuf{stk: s, store: buf, storeAddr: hw.PhysAddr(addr), off: leading}
 	}
 	addr, buf, ok := s.g.Malloc.Alloc(MSIZE)
 	if !ok {
@@ -103,7 +102,6 @@ func (m *Mbuf) MClGet() bool {
 	m.store = buf
 	m.storeAddr = addr
 	m.cluster = true
-	m.pooled = false
 	m.off = 0
 	m.len = 0
 	return true
@@ -125,7 +123,9 @@ func (s *Stack) MExt(owner com.BufIO, data []byte) *Mbuf {
 }
 
 // releaseStore gives m's storage back to whoever owns it: the foreign
-// owner's reference, a cluster reference, or the small block itself.
+// owner's reference, a cluster reference, or the small block itself —
+// to the stack's packet pool when it has one, since every small mbuf
+// of such a stack came from it.
 func (m *Mbuf) releaseStore() {
 	switch {
 	case m.ext != nil:
@@ -133,9 +133,11 @@ func (m *Mbuf) releaseStore() {
 		m.ext = nil
 	case m.cluster:
 		m.stk.clRef(m.storeAddr, -1)
-	case m.pooled:
+	case m.storeAddr == 0:
+		// No storage of its own.
+	case m.stk.pktPool != nil:
 		m.stk.pktPool.FreeMem(uint32(m.storeAddr), MSIZE)
-	case m.storeAddr != 0:
+	default:
 		m.stk.g.Malloc.Free(m.storeAddr)
 	}
 }

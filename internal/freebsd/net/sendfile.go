@@ -3,13 +3,13 @@ package bsdnet
 import "oskit/internal/com"
 
 // The socket-side half of the zero-copy serving path (E15): SendFile
-// moves a file's bytes into a TCP connection.  When the stack's
-// zero-copy configuration is on AND the file answers com.SendfileIID,
-// each window of the file arrives as pinned cache pages (an SGBufIO)
-// that are wrapped as external mbufs — every mbuf holds a reference on
-// the pin, CopyM's ext branch re-references it for each segment and
-// retransmission, and the final Free (ACK-driven sbdrop, or teardown
-// flush) releases the pages.  No payload byte is copied between the
+// moves a file's bytes into a TCP connection.  When the stack was
+// assembled fast-path (it holds a packet pool) AND the file answers
+// com.SendfileIID, each window of the file arrives as pinned cache
+// pages (an SGBufIO) that are wrapped as external mbufs — every mbuf
+// holds a reference on the pin, CopyM's ext branch re-references it for
+// each segment and retransmission, and the final Free (ACK-driven
+// sbdrop, or teardown flush) releases the pages.  No payload byte is copied between the
 // buffer cache and the NIC's gather engine.  In every other
 // configuration — or per-window, when the file declines a range
 // (holes, EOF races) — SendFile falls back to an internal
@@ -31,11 +31,10 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 		return 0, com.ErrInval
 	}
 
-	// Negotiate the page seam once per call (§4.4.2): only the
-	// zero-copy configuration ever asks, so default bindings never see
-	// the extension.
+	// Negotiate the page seam once per call (§4.4.2): only a fast-path
+	// stack ever asks, so default bindings never see the extension.
 	var sf com.Sendfile
-	if so.s.sendfileZC {
+	if so.s.pktPool != nil {
 		if obj, err := f.QueryInterface(com.SendfileIID); err == nil {
 			sf = obj.(com.Sendfile)
 			defer sf.Release()
@@ -49,7 +48,7 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 			win = sendfileWindow
 		}
 		if sf != nil {
-			n, err := so.sendfileZCWindow(sf, offset+total, win)
+			n, err := so.sendfileMapWindow(sf, offset+total, win)
 			total += n
 			if err == nil {
 				continue
@@ -69,11 +68,11 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 	return total, nil
 }
 
-// sendfileZCWindow maps one window of the file as pinned pages and
+// sendfileMapWindow maps one window of the file as pinned pages and
 // appends them to the send buffer as external mbufs.  The component
 // call into the file system happens before the pcb lock is taken — the
 // file side sleeps in its own buffer cache under its own discipline.
-func (so *socket) sendfileZCWindow(sf com.Sendfile, offset, win uint64) (uint64, error) {
+func (so *socket) sendfileMapWindow(sf com.Sendfile, offset, win uint64) (uint64, error) {
 	pin, err := sf.MapFileSG(offset, win)
 	if err != nil {
 		return 0, err

@@ -55,12 +55,15 @@ type Stack struct {
 	mclBase   uint32  //oskit:guardedby mclMu
 	mclRefcnt []int16 //oskit:guardedby mclMu
 
-	// pktPool, when bound (SetPacketPool), supplies small-mbuf storage
-	// from a fast allocator service instead of the BSD malloc — half of
-	// the E11 fast-path configuration.  Clusters stay on the BSD malloc
+	// pktPool is the allocator service registered under
+	// com.AllocatorIID when the stack was built, or nil: the stack's
+	// fast-path fact.  Bound, it supplies small-mbuf storage instead of
+	// the BSD malloc (the E11 configuration) and SendFile negotiates the
+	// file's zero-copy page seam (E15).  Clusters stay on the BSD malloc
 	// regardless: the refcount table above indexes by address arithmetic
 	// and needs its natural-alignment guarantee (§4.7.7, property 1),
-	// which header-keeping pools cannot give.
+	// which header-keeping pools cannot give.  The stack holds one COM
+	// reference.
 	pktPool com.Allocator //oskit:initonly
 
 	// Protocol state.  The pcb slices feed the timer sweeps; the maps
@@ -104,17 +107,6 @@ type Stack struct {
 	// pre-resolved handles the hot paths update (see netstats).
 	statsSet *stats.Set //oskit:initonly
 	sc       netstats   //oskit:initonly
-
-	// ForceRxCopy disables the receive-side Map fast path (ablation:
-	// every inbound packet is copied instead of wrapped).
-	ForceRxCopy bool //oskit:initonly
-
-	// sendfileZC enables the zero-copy SendFile path: payload travels
-	// as external mbufs referencing the file's pinned pages.  Off (the
-	// default), SendFile uses its internal read-and-copy loop and the
-	// wire behaviour is byte-identical to a Write of the same bytes.
-	// Config-before-traffic, like the interface address.
-	sendfileZC bool //oskit:initonly
 }
 
 // rxCtx is one receive pass's batching state, threaded down the input
@@ -165,9 +157,15 @@ type netstats struct {
 }
 
 // NewStack creates the networking component over a BSD glue environment
-// (oskit_freebsd_net_init).
+// (oskit_freebsd_net_init), binding the allocator service registered
+// under com.AllocatorIID at this moment, if any (see pktPool).
 func NewStack(g *bsdglue.Glue) *Stack {
+	var pool com.Allocator
+	if obj := g.Env().Registry.First(com.AllocatorIID); obj != nil {
+		pool = obj.(com.Allocator) // First's reference becomes the stack's
+	}
 	s := &Stack{
+		pktPool:     pool,
 		g:           g,
 		ipReasm:     map[reasmKey]*reasmQ{},
 		issSeed:     uint32(g.Ticks())*2654435761 + 12345,
@@ -320,39 +318,6 @@ func (s *Stack) ifAttach(mac [6]byte, output func(m *Mbuf)) {
 	s.mu.Lock()
 	s.ifMAC = mac
 	s.output = output
-	s.mu.Unlock()
-	s.g.Splx(spl)
-}
-
-// SetPacketPool binds (or, with nil, unbinds) the stack's small-mbuf
-// storage to a discoverable fast allocator service — the §6.2.10 remedy
-// applied to the packet path.  The stack takes one COM reference.  Call
-// before traffic; the default configuration never does, so the stock
-// allocation story of Tables 1/2 is untouched.
-func (s *Stack) SetPacketPool(pool com.Allocator) {
-	if pool != nil {
-		pool.AddRef()
-	}
-	spl := s.g.Splnet()
-	s.mu.Lock()
-	old := s.pktPool
-	s.pktPool = pool
-	s.mu.Unlock()
-	s.g.Splx(spl)
-	if old != nil {
-		old.Release()
-	}
-}
-
-// EnableSendfileZeroCopy switches SendFile onto the zero-copy page
-// seam: payload bytes travel as external mbufs referencing the served
-// file's pinned cache pages.  Call before traffic (fast-path
-// configuration, like SetPacketPool); the default configuration never
-// does, so the stock path-shape pins are untouched.
-func (s *Stack) EnableSendfileZeroCopy() {
-	spl := s.g.Splnet()
-	s.mu.Lock()
-	s.sendfileZC = true
 	s.mu.Unlock()
 	s.g.Splx(spl)
 }
@@ -510,13 +475,10 @@ func (s *Stack) rxFlush(ctx *rxCtx) {
 // with zero copies; otherwise it is read into a fresh chain.
 func (s *Stack) rxOne(pkt com.BufIO, size uint, ctx *rxCtx) error {
 	var m *Mbuf
-	if !s.ForceRxCopy {
-		if data, err := pkt.Map(0, size); err == nil {
-			m = s.MExt(pkt, data) // holds its own reference
-			s.sc.rxZeroCopy.Inc()
-		}
-	}
-	if m == nil {
+	if data, err := pkt.Map(0, size); err == nil {
+		m = s.MExt(pkt, data) // holds its own reference
+		s.sc.rxZeroCopy.Inc()
+	} else {
 		m = s.MGetHdr()
 		if m == nil {
 			pkt.Release()

@@ -126,8 +126,8 @@ func (e *etherDev) Open(recv com.NetIO) (com.NetIO, error) {
 		recv.Release()
 		return nil, com.ErrNoDev
 	}
-	// On a fast-path node the open device switches to the polled
-	// receive loop; EnableFastPath catches devices opened earlier.
+	// On a fast-path glue the open device switches to the polled
+	// receive loop.
 	e.g.engageRxPoll(e)
 	s := &etherSend{g: e.g, node: e}
 	s.Init()
@@ -178,11 +178,12 @@ func (s *etherSend) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 // §4.7.3 decision tree: a native skbuff is used as is; a foreign BufIO
 // that can be mapped contiguously becomes a "fake" skbuff pointing at
 // its data with no copy; anything else is read (copied) into a fresh
-// skbuff.  In the opt-in fast-path configuration one more branch sits
-// between those two: if the device can gather (FeatSG) and the producer
-// exports its fragment list (com.SGBufIO), a scattered packet becomes a
-// gather skbuff — no flatten copy, which is the Table-1 send cost E11
-// measures the recovery of.
+// skbuff.  On a fast-path glue (one assembled with an allocator
+// service) one more branch sits between those two: if the device can
+// gather (FeatSG) and the producer exports its fragment list
+// (com.SGBufIO), a scattered packet becomes a gather skbuff — no
+// flatten copy, which is the Table-1 send cost E11 measures the
+// recovery of.
 func (s *etherSend) Push(pkt com.BufIO, size uint) error {
 	restore := s.g.enter("ether-xmit")
 	defer restore()
@@ -201,7 +202,7 @@ func (s *etherSend) Push(pkt com.BufIO, size uint) error {
 		_ = pkt.Unmap(data)
 		return mapXmitErr(err)
 	}
-	if s.g.fastpath.Load() && ldev.Features&legacy.FeatSG != 0 {
+	if s.g.pool != nil && ldev.Features&legacy.FeatSG != 0 {
 		if obj, err := pkt.QueryInterface(com.SGBufIOIID); err == nil {
 			sg := obj.(com.SGBufIO)
 			if parts, err := sg.MapSG(0, size); err == nil {

@@ -15,9 +15,7 @@
 package linuxdev
 
 import (
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"oskit/internal/com"
 	"oskit/internal/core"
@@ -46,43 +44,36 @@ type Glue struct {
 	nativeKmalloc bool //oskit:initonly
 
 	// kmHook, when set, may veto a kmalloc before any allocator runs
-	// (fault injection; see SetKmallocFaultHook).  Read with the donor
-	// allocator exclusion held, like the buckets.
+	// (fault injection; see SetKmallocFaultHook).
 	kmHook func(size uint32) bool //oskit:guardedby klMu
 
 	// smp is the donor exclusion discipline, a fact of the machine read
 	// once when the glue is built (CPUs > 1) and never settable: off,
-	// kmalloc/kfree serialize against interrupt handlers with cli, the
-	// donor contract on a uniprocessor.  On, cli is per-CPU and gives no
+	// the donor's cli seam is real interrupt exclusion, the donor
+	// contract on a uniprocessor.  On, cli is per-CPU and gives no
 	// cross-CPU exclusion — worse, a process-level thread that disables
 	// interrupts while holding a protocol lock deadlocks against a
-	// dispatcher whose pending handler wants that lock — so the shared
-	// donor allocator state moves under klMu and the cli seam becomes a
-	// no-op.  Donor driver entry is externally serialized: transmit
-	// under the stack's TX lock, receive on the donor ISR's single line
-	// (or the per-ring pollers that replace it), and the two share no
-	// driver state beyond kmalloc.  The monolithic baseline (ProbeNative)
-	// keeps real cli on any machine: it is that kernel's only exclusion.
+	// dispatcher whose pending handler wants that lock — so the cli seam
+	// becomes a no-op.  Donor driver entry is externally serialized:
+	// transmit under the stack's TX lock, receive on the donor ISR's
+	// single line (or the per-ring pollers that replace it), and the two
+	// share no driver state beyond kmalloc, which has klMu.  The
+	// monolithic baseline (ProbeNative) keeps real cli on any machine:
+	// it is that kernel's only exclusion.
 	smp bool //oskit:initonly
-	// klMu guards the kmalloc buckets, the fault hook and the pool
-	// binding in SMP mode.
+	// klMu is the donor allocator exclusion on every machine size and in
+	// both image kinds: it guards the kmalloc buckets and the fault hook.
 	klMu klLock
 
-	// fastpath is the opt-in send configuration of E11 (EnableFastPath):
-	// the transmit path may hand FeatSG devices gather skbuffs built
-	// from a producer's com.SGBufIO fragment list instead of flattening,
-	// and kmalloc routes small blocks through the bound allocator
-	// service.  The flag is atomic so the hot paths read it without the
-	// exclusion; pool is written before the flag flips and only read
-	// after it tests true.
-	fastpath atomic.Bool
-	// pool is the discoverable fast allocator (normally a
-	// libc.QuickPool) kmalloc draws packet-sized blocks from on the
-	// fast path.  The glue holds one COM reference.
-	pool com.Allocator //oskit:guardedby klMu
-	// rxBudget is the per-interrupt frame budget of the polled receive
-	// loop (rxpoll.go); 0 means DefaultRxBudget.
-	rxBudget int //oskit:guardedby mu
+	// pool is the allocator service registered under com.AllocatorIID
+	// when the glue was built (normally a libc.QuickPool), or nil: the
+	// glue's fast-path fact, fixed at construction.  A glue holding one
+	// hands FeatSG devices gather skbuffs built from a producer's
+	// com.SGBufIO fragment list instead of flattening, drains open
+	// devices through the polled receive loop (rxpoll.go), and draws
+	// packet-sized kmalloc blocks from it.  The glue holds one COM
+	// reference.
+	pool com.Allocator //oskit:initonly
 
 	// com.Stats export: driver-glue hot-path counters, registered as
 	// "linux_dev" in the environment's services registry.
@@ -109,8 +100,7 @@ type Glue struct {
 	scRxIntrRaised     *stats.Counter
 	scRxIntrSuppressed *stats.Counter
 	// kmalloc bucket free lists: [class][dma?]; class i holds blocks of
-	// 32<<i bytes.  Protected by the donor allocator exclusion (klMu in
-	// SMP mode, cli otherwise), not mu (the donor contract).
+	// 32<<i bytes.
 	buckets [kmBuckets][2][]*legacy.KBuf //oskit:guardedby klMu
 }
 
@@ -119,29 +109,16 @@ const (
 	kmBuckets  = 8 // up to 32<<7 = 4096
 )
 
-// klLock is the SMP-mode donor allocator lock: taken on the packet
-// paths while the stack's TX hand-off lock is held, and above the
-// QuickPool leaf the fast-path kmalloc route draws from.
+// klLock is the donor allocator lock: taken on the packet paths while
+// the stack's TX hand-off lock is held, at interrupt level by receive
+// allocations, and above the QuickPool leaf the fast-path kmalloc route
+// draws from.  Nothing under it takes cli.
 //
 //oskit:lockrank 75
 type klLock struct{ sync.Mutex }
 
-// kmLock enters the donor allocator exclusion — klMu in SMP mode,
-// interrupt exclusion otherwise — returning the matching leave.
-func (g *Glue) kmLock() func() {
-	if g.smp {
-		g.klMu.Lock()
-		return g.klMu.Unlock
-	}
-	if g.env.InIntr() {
-		return func() {}
-	}
-	g.env.IntrDisable()
-	return g.env.IntrEnable
-}
-
 // bucketAlloc is the Linux-2.0-style power-of-two allocator.  Called
-// with interrupt exclusion held.
+// with klMu held.
 func (g *Glue) bucketAlloc(size uint32, gfp int) *legacy.KBuf {
 	dma := 0
 	var flags core.MemFlags
@@ -175,7 +152,7 @@ func (g *Glue) bucketAlloc(size uint32, gfp int) *legacy.KBuf {
 }
 
 // bucketFree returns a block to its free list (large blocks go back to
-// the client).  Called with interrupt exclusion held.
+// the client).  Called with klMu held.
 func (g *Glue) bucketFree(b *legacy.KBuf) {
 	cls, _ := kmClass(uint32(len(b.Data)))
 	if cls < 0 {
@@ -207,9 +184,13 @@ var (
 
 // GlueFor returns (creating on first use) the machine's Linux glue: the
 // analog of linking the donor code into that machine's kernel image.
+// An encapsulated image binds the allocator service registered under
+// com.AllocatorIID at that moment, if any — the fast path is part of
+// the assembly, so it is registered before the first probe.
 func GlueFor(env *core.Env) *Glue { return glueFor(env, false) }
 
-// glueFor is GlueFor; native builds the monolithic baseline's image.
+// glueFor is GlueFor; native builds the monolithic baseline's image,
+// which keeps Linux's own allocator and binds no service.
 func glueFor(env *core.Env, native bool) *Glue {
 	gluesMu.Lock()
 	defer gluesMu.Unlock()
@@ -219,8 +200,14 @@ func glueFor(env *core.Env, native bool) *Glue {
 		}
 		return g
 	}
+	var pool com.Allocator
+	if !native {
+		if obj := env.Registry.First(com.AllocatorIID); obj != nil {
+			pool = obj.(com.Allocator) // First's reference becomes the glue's
+		}
+	}
 	g := &Glue{env: env, route: map[*legacy.NetDevice]*etherDev{},
-		nativeKmalloc: native, smp: !native && env.Machine.CPUs() > 1}
+		nativeKmalloc: native, smp: !native && env.Machine.CPUs() > 1, pool: pool}
 	set := stats.NewSet("linux_dev")
 	g.scKmallocs = set.Counter("kmalloc.allocs")
 	g.scKfrees = set.Counter("kmalloc.frees")
@@ -250,70 +237,12 @@ func (g *Glue) Kernel() *legacy.Kernel { return g.kern }
 // SetKmallocFaultHook installs (or, with nil, removes) a kmalloc
 // fault-injection hook: when it returns true the allocation fails as
 // GFP exhaustion would (counted in kmalloc.failures).  The write is
-// made under the donor's interrupt exclusion so the hook may be
-// toggled while drivers allocate.
+// made under the donor allocator lock so the hook may be toggled while
+// drivers allocate.
 func (g *Glue) SetKmallocFaultHook(h func(size uint32) bool) {
-	unlock := g.kmLock()
-	g.kmHook = h //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
-	unlock()
-}
-
-// EnableFastPath switches the glue into the opt-in fast-path send
-// configuration: gather skbuffs flow to FeatSG drivers without the
-// §4.7.3 flatten copy, and kmalloc draws packet-sized blocks from pool
-// (a com.Allocator service, normally a QuickPool) instead of the client
-// memory service.  pool may be nil to enable scatter-gather alone.  The
-// glue takes one COM reference on pool.  Call before traffic; the
-// default configuration never calls it, which is what keeps Table 1/2
-// and the E9 asymmetry reproducible.
-func (g *Glue) EnableFastPath(pool com.Allocator) {
-	if pool != nil {
-		pool.AddRef()
-	}
-	unlock := g.kmLock()
-	if g.pool != nil { //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, cli otherwise; opaque to the tracker
-		g.pool.Release()
-	}
-	g.pool = pool //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
-	unlock()
-	g.fastpath.Store(true)
-	// The receive side engages per open device: devices opened before
-	// the switch pick up the polled path here, devices opened after pick
-	// it up in Open.
-	g.mu.Lock()
-	nodes := make([]*etherDev, 0, len(g.route))
-	for _, e := range g.route {
-		nodes = append(nodes, e)
-	}
-	g.mu.Unlock()
-	// Engage in stable device order, not map order: the mitigation
-	// counters and rearm timers start in a replayable sequence
-	// (detsource).
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ldev.Name < nodes[j].ldev.Name })
-	for _, e := range nodes {
-		g.engageRxPoll(e)
-	}
-}
-
-// FastPath reports whether EnableFastPath has been called.
-func (g *Glue) FastPath() bool { return g.fastpath.Load() }
-
-// RxCounters snapshots the polled-receive path-shape counters: drain
-// passes, frames delivered in batches, and the mirrored NIC interrupt
-// ledger.  The same values are discoverable as "rx.*" in the
-// "linux_dev" stats set.
-func (g *Glue) RxCounters() (polls, batched, raised, suppressed uint64) {
-	return g.scRxPolls.Load(), g.scRxBatchFrames.Load(),
-		g.scRxIntrRaised.Load(), g.scRxIntrSuppressed.Load()
-}
-
-// XmitCounters snapshots the transmit path-shape counters: how many
-// Push calls took the native-skbuff, mapped (FakeSKB), scatter-gather,
-// and flatten-copy branches.  The same values are discoverable as
-// "xmit.*" in the "linux_dev" stats set.
-func (g *Glue) XmitCounters() (native, mapped, sg, flattened uint64) {
-	return g.scTxNative.Load(), g.scTxMapped.Load(),
-		g.scTxSG.Load(), g.scTxFlattened.Load()
+	g.klMu.Lock()
+	g.kmHook = h
+	g.klMu.Unlock()
 }
 
 // buildKernel wires every donor service to the kit environment.
@@ -328,22 +257,22 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 	// profiling names exactly this overhead.  In the *monolithic* Linux
 	// baseline (ProbeNative), kmalloc is Linux's own power-of-two
 	// bucket allocator, which is what the real Linux kernel ran.
-	// Everything is serialized against interrupt handlers with cli, as
-	// the original was.
+	// Either way the allocator state sits behind one lock, klMu, on
+	// every machine size.
 	k.Kmalloc = func(size uint32, gfp int) *legacy.KBuf {
-		unlock := g.kmLock()
+		g.klMu.Lock()
 		var b *legacy.KBuf
-		if g.kmHook != nil && g.kmHook(size) { //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
+		if g.kmHook != nil && g.kmHook(size) {
 			// Injected exhaustion: fail before either allocator runs.
 		} else if g.nativeKmalloc {
-			b = g.bucketAlloc(size, gfp) //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
-		} else if g.fastpath.Load() && g.pool != nil && size <= 4096 { //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
+			b = g.bucketAlloc(size, gfp)
+		} else if g.pool != nil && size <= 4096 {
 			// Fast path: packet-sized blocks (skbuff data areas, driver
 			// staging) come from the bound allocator service.  The GFP
 			// DMA constraint is waived: the simulated busmaster engine
 			// addresses all memory, like PCI-era hardware without the
 			// ISA 16 MB limit.
-			if addr, buf, ok := g.pool.AllocMem(size); ok { //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
+			if addr, buf, ok := g.pool.AllocMem(size); ok {
 				b = &legacy.KBuf{Addr: addr, Data: buf, Pooled: true}
 			}
 		} else {
@@ -355,7 +284,7 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 				b = &legacy.KBuf{Addr: addr, Data: buf}
 			}
 		}
-		unlock()
+		g.klMu.Unlock()
 		if b != nil {
 			g.scKmallocs.Inc()
 		} else {
@@ -364,16 +293,16 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 		return b
 	}
 	k.Kfree = func(b *legacy.KBuf) {
-		unlock := g.kmLock()
+		g.klMu.Lock()
 		switch {
 		case b.Pooled:
-			g.pool.FreeMem(b.Addr, uint32(len(b.Data))) //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
+			g.pool.FreeMem(b.Addr, uint32(len(b.Data)))
 		case g.nativeKmalloc:
-			g.bucketFree(b) //oskit:allow guarded -- under g.kmLock(): klMu in SMP mode, interrupt exclusion (cli) on the uniprocessor default; the lock wrapper is opaque to the tracker
+			g.bucketFree(b)
 		default:
 			env.MemFree(b.Addr, uint32(len(b.Data)))
 		}
-		unlock()
+		g.klMu.Unlock()
 		g.scKfrees.Inc()
 	}
 

@@ -11,8 +11,8 @@ import (
 	"oskit/internal/stats"
 )
 
-// testKmGlue builds an SMP-discipline glue on a 4-CPU machine with the
-// fast-path pool bound — what an evalrig FastPath node with CPUs > 1
+// testKmGlue builds an SMP-discipline glue on a 4-CPU machine assembled
+// with the fast-path pool — what an evalrig FastPath node with CPUs > 1
 // boots — and returns the pool for ledger checks.
 func testKmGlue(t *testing.T) (*Glue, *libc.QuickPool) {
 	t.Helper()
@@ -22,12 +22,11 @@ func testKmGlue(t *testing.T) (*Glue, *libc.QuickPool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := libc.NewQuickPoolService(libc.New(k.Env))
 	g := GlueFor(k.Env)
 	if !g.smp {
 		t.Fatal("driver glue on a 4-CPU machine is not under the SMP discipline")
 	}
-	pool := libc.NewQuickPoolService(libc.New(k.Env))
-	g.EnableFastPath(pool)
 	return g, pool
 }
 
@@ -124,10 +123,13 @@ func TestKmallocConcurrentGaugeAudit(t *testing.T) {
 	}
 }
 
-// TestCliFollowsTheMachine pins the driver glue's one discipline fact: on
-// a multi-CPU machine the encapsulated image's cli seam is vestigial,
-// while the monolithic baseline (ProbeNative) still takes real cli — its
-// only exclusion — on the same machine size.
+// TestCliFollowsTheMachine pins the driver glue's two exclusions.  The
+// donor allocator has one, klMu, on every machine size and in both
+// image kinds: kmalloc and kfree never take process-level cli.  The
+// donor's own cli seam follows the machine: real on a uniprocessor,
+// vestigial in the encapsulated image on a multi-CPU machine, while the
+// monolithic baseline (ProbeNative) keeps it on any size — that
+// kernel's only exclusion.
 func TestCliFollowsTheMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -137,6 +139,7 @@ func TestCliFollowsTheMachine(t *testing.T) {
 	}{
 		{"encapsulated/1cpu", 1, false, 1},
 		{"encapsulated/4cpu", 4, false, 0},
+		{"native/1cpu", 1, true, 1},
 		{"native/4cpu", 4, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -153,12 +156,15 @@ func TestCliFollowsTheMachine(t *testing.T) {
 				ProbeNative(k.Env)
 			}
 			lk := GlueFor(k.Env).Kernel()
+			lk.Kfree(lk.Kmalloc(64, legacy.GFPKernel))
+			if clis != 0 {
+				t.Fatalf("kmalloc + kfree took process-level cli %d times, want 0", clis)
+			}
 			flags := lk.SaveFlags()
 			lk.Cli()
 			lk.RestoreFlags(flags)
-			lk.Kfree(lk.Kmalloc(64, legacy.GFPKernel))
-			if want := 3 * tc.wantCli; clis != want {
-				t.Fatalf("cli + kmalloc + kfree took process-level cli %d times, want %d", clis, want)
+			if clis != tc.wantCli {
+				t.Fatalf("the donor's cli took process-level cli %d times, want %d", clis, tc.wantCli)
 			}
 		})
 	}

@@ -12,17 +12,18 @@ import (
 // transmit branch.  In the stock configuration every accepted frame
 // raises the NIC's interrupt and the donor ISR allocates, copies and
 // pushes one skbuff per frame — the per-packet interrupt and allocation
-// overhead the paper's §6.2.10 profiling names.  When the glue is in
-// the opt-in fast-path configuration, the ether node replaces the donor
-// ISR with a budgeted poll loop: the NIC mitigates interrupts (only the
-// ring's empty→non-empty edge fires), each interrupt drains up to
-// RxBudget frames in one pass, the skbuffs draw their data areas from
-// the discoverable QuickPool service via the fast-path kmalloc route,
-// and the whole batch is handed to the protocol stack through the
-// GUID-negotiated com.NetIOBatch extension so its per-packet completion
-// work amortizes too.  The donor driver itself is untouched — the poll
-// loop is glue, installed through the same RequestIRQ seam the donor
-// used (§4.7: specialization by configuration, never by forking).
+// overhead the paper's §6.2.10 profiling names.  On a fast-path glue
+// (one assembled with an allocator service, glue.go), the ether node
+// replaces the donor ISR with a budgeted poll loop at Open: the NIC
+// mitigates interrupts (only the ring's empty→non-empty edge fires),
+// each interrupt drains up to DefaultRxBudget frames in one pass, the
+// skbuffs draw their data areas from the discoverable QuickPool service
+// via the fast-path kmalloc route, and the whole batch is handed to the
+// protocol stack through the GUID-negotiated com.NetIOBatch extension
+// so its per-packet completion work amortizes too.  The donor driver
+// itself is untouched — the poll loop is glue, installed through the
+// same RequestIRQ seam the donor used (§4.7: specialization by
+// configuration, never by forking).
 
 // DefaultRxBudget is the per-interrupt frame budget of the polled
 // receive loop.
@@ -70,23 +71,14 @@ type rxPoller struct {
 	rearmCancel func()
 }
 
-// engageRxPoll switches one open ether node to the polled receive path —
-// one poller per receive ring (a stock NIC has one; ConfigureRxQueues
-// grows more).  Idempotent; a no-op unless the glue is in the fast-path
-// configuration, the node is open, and its chip is the simulated NIC.
+// engageRxPoll switches a freshly opened ether node to the polled
+// receive path — one poller per receive ring (a stock NIC has one;
+// ConfigureRxQueues grows more).  A no-op unless the glue is fast-path
+// and the node's chip is the simulated NIC.
 func (g *Glue) engageRxPoll(e *etherDev) {
-	if !g.FastPath() || e.recv == nil || len(e.pollers) > 0 {
-		return
-	}
 	chip, ok := e.ldev.Chip.(*nicChip)
-	if !ok {
+	if g.pool == nil || !ok {
 		return
-	}
-	g.mu.Lock()
-	budget := g.rxBudget
-	g.mu.Unlock()
-	if budget < 1 {
-		budget = DefaultRxBudget
 	}
 	nic := chip.nic
 	// §4.4.2 negotiation: does the sink ingest batches?  One negotiated
@@ -98,9 +90,9 @@ func (g *Glue) engageRxPoll(e *etherDev) {
 			nic:     nic,
 			ring:    q,
 			mirror:  q == 0,
-			scratch: make([][]byte, budget),
-			bios:    make([]com.BufIO, 0, budget),
-			sizes:   make([]uint, 0, budget),
+			scratch: make([][]byte, DefaultRxBudget),
+			bios:    make([]com.BufIO, 0, DefaultRxBudget),
+			sizes:   make([]uint, 0, DefaultRxBudget),
 		}
 		if obj, err := e.recv.QueryInterface(com.NetIOBatchIID); err == nil {
 			p.batch = obj.(com.NetIOBatch)

@@ -57,12 +57,11 @@ func openEtherSink(t *testing.T, r *rig, rx com.NetIO) (com.EtherDev, com.NetIO)
 	return ed, tx
 }
 
-// fastPool builds and binds a QuickPool fast-path configuration on a
-// rig's glue, returning the pool for ledger assertions.
+// fastPool registers a QuickPool as the rig's allocator service before
+// anything probes, so the glue the probe builds is fast-path; it returns
+// the pool for ledger assertions.
 func fastPool(r *rig) *libc.QuickPool {
-	pool := libc.NewQuickPoolService(libc.New(r.k.Env))
-	GlueFor(r.k.Env).EnableFastPath(pool)
-	return pool
+	return libc.NewQuickPoolService(libc.New(r.k.Env))
 }
 
 // TestRxPollBatchedReceive pins the whole E12 receive pipeline in
@@ -110,12 +109,11 @@ func TestRxPollBatchedReceive(t *testing.T) {
 	}
 
 	// The whole burst left the ring through the poll loop, in one batch.
-	g := GlueFor(b.k.Env)
-	polls, batched, raised, suppressed := g.RxCounters()
-	if polls != 1 || batched != burst {
+	snap := kmSnap(GlueFor(b.k.Env))
+	if polls, batched := snap["rx.polls"], snap["rx.batched-frames"]; polls != 1 || batched != burst {
 		t.Fatalf("polls=%d batched=%d, want 1/%d", polls, batched, burst)
 	}
-	if raised != 1 || suppressed != burst-1 {
+	if raised, suppressed := snap["rx.intr-raised"], snap["rx.intr-suppressed"]; raised != 1 || suppressed != burst-1 {
 		t.Fatalf("raised=%d suppressed=%d, want 1/%d", raised, suppressed, burst-1)
 	}
 	if nb := b.nic.RxBatched(); nb != burst {
@@ -147,10 +145,6 @@ func TestRxPollBudgetRearm(t *testing.T) {
 	wire := hw.NewEtherWire()
 	a := newRig(t, wire, 1, hw.Model3C59X)
 	b := newRig(t, wire, 2, hw.Model3C59X)
-	g := GlueFor(b.k.Env)
-	g.mu.Lock()
-	g.rxBudget = 4 // before the poll path engages
-	g.mu.Unlock()
 	fastPool(b)
 	edA, txA, _ := openEther(t, a)
 	defer txA.Release()
@@ -161,7 +155,7 @@ func TestRxPollBudgetRearm(t *testing.T) {
 	defer edB.Release()
 	defer txB.Release()
 
-	const burst = 10
+	const burst = 2*DefaultRxBudget + 2 // well inside the 256-frame ring
 	f := ethFrame([6]byte{2, 0, 0, 0, 0, 2}, edA.GetAddr(), make([]byte, 200))
 	b.m.Intr.Disable()
 	for i := 0; i < burst; i++ {
@@ -173,11 +167,11 @@ func TestRxPollBudgetRearm(t *testing.T) {
 	b.m.Intr.Enable()
 	rxB.wait(t, burst)
 
-	polls, batched, _, _ := GlueFor(b.k.Env).RxCounters()
-	if batched != burst {
+	snap := kmSnap(GlueFor(b.k.Env))
+	if batched := snap["rx.batched-frames"]; batched != burst {
 		t.Fatalf("batched=%d, want %d", batched, burst)
 	}
-	if polls != 3 { // 4 + 4 + 2
+	if polls := snap["rx.polls"]; polls != 3 { // budget + budget + 2
 		t.Fatalf("polls=%d, want 3 budget-sized passes", polls)
 	}
 	if _, _, rearms := b.nic.RxIntrCounters(); rearms < 2 {
@@ -187,8 +181,8 @@ func TestRxPollBudgetRearm(t *testing.T) {
 	batches := append([]int(nil), rxB.batches...)
 	rxB.mu.Unlock()
 	for _, n := range batches {
-		if n > 4 {
-			t.Fatalf("batch of %d frames exceeded the budget of 4 (%v)", n, batches)
+		if n > DefaultRxBudget {
+			t.Fatalf("batch of %d frames exceeded the budget of %d (%v)", n, DefaultRxBudget, batches)
 		}
 	}
 }
@@ -247,10 +241,11 @@ func TestRxPollDefaultOff(t *testing.T) {
 	}
 	rxB.wait(t, burst)
 
-	polls, batched, raised, suppressed := GlueFor(b.k.Env).RxCounters()
-	if polls != 0 || batched != 0 || raised != 0 || suppressed != 0 {
-		t.Fatalf("stock path moved polled-receive counters: polls=%d batched=%d raised=%d suppressed=%d",
-			polls, batched, raised, suppressed)
+	snap := kmSnap(GlueFor(b.k.Env))
+	for _, row := range []string{"rx.polls", "rx.batched-frames", "rx.intr-raised", "rx.intr-suppressed"} {
+		if v := snap[row]; v != 0 {
+			t.Errorf("stock path moved polled-receive counter %s to %d", row, v)
+		}
 	}
 	if _, suppr, _ := b.nic.RxIntrCounters(); suppr != 0 {
 		t.Fatalf("NIC suppressed %d interrupts without mitigation", suppr)
