@@ -1256,7 +1256,12 @@ func benchLockGranularity(b *testing.B, mode string) {
 	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20})
 	defer m.Halt()
 	disk := hw.NewDisk(16384)
-	disk.SetLatency(100 * time.Microsecond)
+	// Simulated seek: the hook runs on the disk's service goroutine, so
+	// every request waits its turn behind the previous one's sleep.
+	disk.SetFaultHook(func(bool, uint32, uint32) hw.DiskFault {
+		time.Sleep(100 * time.Microsecond)
+		return hw.DiskFault{}
+	})
 	m.AttachDisk(disk)
 	k, err := kern.Setup(m, nil)
 	if err != nil {

@@ -277,15 +277,33 @@ func TestPathShapeMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Halt()
-			res, err := HTTPGet(c, HTTPOptions{
-				Requests: 24, Workers: 2, Files: 3, FileBytes: 20000,
+			// Three 64 KiB files overflow the 64 KiB buffer cache, so
+			// every GET reads its body from the disk.
+			opts := HTTPOptions{
+				Requests: 24, Workers: 2, Files: 3, FileBytes: 64 << 10,
 				Seed: 7, Port: tc.port + 100, Probes: true,
-			})
+			}
+			if err := PopulateHTTP(c.Server(), opts); err != nil {
+				t.Fatal(err)
+			}
+			cstat := func(set, name string) int64 {
+				v, _ := c.Server().Stat(set, name)
+				return v
+			}
+			reads0 := cstat("linux_dev", "blkio.reads")
+			res, err := HTTPGet(c, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Failed != 0 {
 				t.Fatalf("HTTP workload failed %d of %d requests: %v", res.Failed, res.Failed+res.Requests, res.Errors)
+			}
+			// The buffer cache reads each contiguous run of a file in one
+			// IDE request: a 64 KiB body is 8 sendfile windows of 8
+			// blocks plus the indirect block — about 10 requests, not 66.
+			gets := int64(res.BytesBody) / int64(opts.FileBytes)
+			if reads := cstat("linux_dev", "blkio.reads") - reads0; gets == 0 || reads > 12*gets {
+				t.Errorf("%d IDE reads for %d GETs of 64 KiB, want at most 12 each", reads, gets)
 			}
 			if wantFrom == "" {
 				wantSum, wantFrom = res.CheckSum, tc.name
@@ -300,10 +318,6 @@ func TestPathShapeMatrix(t *testing.T) {
 				if v := netStat(c.Generators()[0], row); v != 0 {
 					t.Errorf("generator %s = %d", row, v)
 				}
-			}
-			cstat := func(set, name string) int64 {
-				v, _ := c.Server().Stat(set, name)
-				return v
 			}
 			if tc.opts.FastPath {
 				if v := cstat("freebsd_net", "sendfile.pages_mapped"); v == 0 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // SectorSize is the simulated disk's sector size.
@@ -47,8 +46,8 @@ type DiskReq struct {
 	Err  error
 }
 
-// Disk is a simulated fixed disk with a request queue, an optional
-// per-request latency, and completion interrupts.
+// Disk is a simulated fixed disk with a request queue and completion
+// interrupts.
 type Disk struct {
 	ic   *IntrController
 	line int
@@ -57,7 +56,6 @@ type Disk struct {
 	data    []byte        //oskit:guardedby mu
 	queue   []*DiskReq    //oskit:guardedby mu
 	done    []*DiskReq    //oskit:guardedby mu
-	latency time.Duration //oskit:guardedby mu
 	hook    DiskFaultHook //oskit:guardedby mu
 	wake    chan struct{} //oskit:initonly
 	quit    chan struct{} //oskit:initonly
@@ -80,13 +78,6 @@ func (d *Disk) Sectors() uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return uint32(len(d.data) / SectorSize)
-}
-
-// SetLatency configures the simulated per-request service time.
-func (d *Disk) SetLatency(l time.Duration) {
-	d.mu.Lock()
-	d.latency = l
-	d.mu.Unlock()
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook
@@ -170,7 +161,6 @@ func (d *Disk) serve() {
 			r = d.queue[0]
 			d.queue = d.queue[1:]
 		}
-		latency := d.latency
 		hook := d.hook
 		d.mu.Unlock()
 
@@ -179,18 +169,6 @@ func (d *Disk) serve() {
 			case <-d.wake:
 				continue
 			case <-d.quit:
-				return
-			}
-		}
-
-		if latency > 0 {
-			select {
-			//oskit:allow detsource -- fixed configured pacing of a serial queue; request order and fault decisions are unaffected
-			case <-time.After(latency):
-			case <-d.quit:
-				// Power-off caught this request in flight: fail it
-				// rather than drop it, so the driver's wait terminates.
-				d.complete(r, ErrDiskStopped)
 				return
 			}
 		}

@@ -21,7 +21,12 @@ var errMedia = errors.New("test: injected media error")
 func TestDiskStopDrainsInFlight(t *testing.T) {
 	m := NewMachine(Config{Name: "t", MemBytes: 1 << 20})
 	d := m.AttachDisk(NewDisk(64))
-	d.SetLatency(2 * time.Millisecond)
+	// Pace the queue: the hook runs on the service goroutine, one
+	// request at a time, so power-off lands with requests still queued.
+	d.SetFaultHook(func(bool, uint32, uint32) DiskFault {
+		time.Sleep(2 * time.Millisecond)
+		return DiskFault{}
+	})
 
 	const n = 8
 	reqs := make([]*DiskReq, n)

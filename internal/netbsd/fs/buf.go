@@ -61,6 +61,16 @@ type bcache struct {
 	// LRU list: head = most recent.
 	lruHead, lruTail *buf
 
+	// stage receives a cluster read before it is copied into the run's
+	// buffers.  It is taken for the read, so a reader entering while
+	// another sleeps in the driver (the node lock opens there) makes one.
+	stage []byte
+
+	// needbuf is NetBSD's needbuffer: a getblk found no victim and
+	// sleeps on bufEvent until a brelse or an unpin makes one.
+	needbuf  bool
+	bufEvent uint32
+
 	// com.Stats export: the buffer-cache behaviour counters, registered
 	// as "netbsd_fs" so ttcp-style rigs and oskit-stats see hit rates
 	// next to the disk traffic.
@@ -74,7 +84,7 @@ type bcache struct {
 }
 
 func newBcache(g *bsdglue.Glue, dev com.BlkIO, eventBase uint32) *bcache {
-	c := &bcache{g: g, dev: dev, hash: map[uint32]*buf{}}
+	c := &bcache{g: g, dev: dev, hash: map[uint32]*buf{}, bufEvent: eventBase + nbufs*8}
 	set := stats.NewSet("netbsd_fs")
 	c.scReads = set.Counter("bcache.disk_reads")
 	c.scWrites = set.Counter("bcache.disk_writes")
@@ -121,7 +131,7 @@ func (c *bcache) lruRemove(b *buf) {
 
 // getblk locks the buffer for blkno, evicting the LRU victim if needed.
 // Blocks (tsleep) while the wanted buffer is busy — the donor
-// B_BUSY/B_WANTED protocol.
+// B_BUSY/B_WANTED protocol — and while no buffer is evictable.
 func (c *bcache) getblk(blkno uint32) (*buf, error) {
 	for {
 		if b, ok := c.hash[blkno]; ok {
@@ -135,76 +145,125 @@ func (c *bcache) getblk(blkno uint32) (*buf, error) {
 			c.scHits.Inc()
 			return b, nil
 		}
-		// Miss: evict the least recently used idle buffer.  Pinned
-		// buffers (pages on the wire via sendfile) are not victims:
-		// eviction would re-point b.data at another block while
-		// external mbufs still reference it.
-		victim := c.lruTail
-		for victim != nil && (victim.busy || victim.pins.Load() > 0) {
-			victim = victim.lruPrev
-		}
-		if victim == nil {
-			// Everything busy or pinned: wait for any release/unpin.
-			c.g.Tsleep(c.bufs[0].event, "bufwait")
-			continue
-		}
-		if victim.dirty {
-			if err := c.writeback(victim); err != nil {
+		v := c.victim(false)
+		switch {
+		case v == nil:
+			// Everything busy or pinned: wait for a brelse or an unpin.
+			c.needbuf = true
+			c.g.Tsleep(c.bufEvent, "bufwait")
+		case v.dirty:
+			// The write sleeps in the driver, where another entry may
+			// cache blkno or re-dirty v, so clean it and rescan.
+			if err := c.writeback(v); err != nil {
 				return nil, err
 			}
+		default:
+			c.assign(v, blkno)
+			return v, nil
 		}
-		// Unhash the victim under its old identity even when it is
-		// *invalid* (a fault-failed read leaves the buffer in the hash
-		// with valid clear): a stale entry would alias the old block
-		// number to this buffer after it re-reads as the new block, and
-		// bread would then serve the wrong block's bytes as the old one.
-		if c.hash[victim.blkno] == victim {
-			delete(c.hash, victim.blkno)
-		}
-		victim.blkno = blkno
-		victim.valid = false
-		victim.dirty = false
-		victim.busy = true
-		c.lruRemove(victim)
-		c.hash[blkno] = victim
-		c.scMisses.Inc()
-		return victim, nil
 	}
+}
+
+// victim returns the least recently used buffer that is idle, unpinned
+// and — when clean is set — not dirty, or nil.  Pinned buffers (pages
+// on the wire via sendfile) are never victims: eviction would re-point
+// b.data at another block while external mbufs still reference it.
+func (c *bcache) victim(clean bool) *buf {
+	v := c.lruTail
+	for v != nil && (v.busy || v.pins.Load() > 0 || clean && v.dirty) {
+		v = v.lruPrev
+	}
+	return v
+}
+
+// assign re-identifies the clean victim v as blkno, locked and invalid,
+// unhashing its old identity.
+func (c *bcache) assign(v *buf, blkno uint32) {
+	if c.hash[v.blkno] == v {
+		delete(c.hash, v.blkno)
+	}
+	v.blkno, v.valid, v.busy = blkno, false, true
+	c.lruRemove(v)
+	c.hash[blkno] = v
+	c.scMisses.Inc()
 }
 
 // bread returns the locked, filled buffer for blkno.
-func (c *bcache) bread(blkno uint32) (*buf, error) {
+func (c *bcache) bread(blkno uint32) (*buf, error) { return c.breadRun(blkno, 1) }
+
+// breadRun returns the locked, filled buffer for blkno.  On a miss the
+// same device request also fills up to n−1 following blocks, which the
+// caller vouches it asked for (McVoy & Kleiman's cluster read, USENIX
+// 1991), at most maxPinBlocks in all.  The run's tail never sleeps or
+// writes back: it stops at the first block already cached, in any
+// state, or with no clean, idle, unpinned victim left, so a cached or
+// dirty block is never overwritten.  Tail buffers come back released.
+// A failed read unhashes the whole run — none of it stays valid or
+// aliases its block number — and wakes every waiter; bread retries.
+func (c *bcache) breadRun(blkno, n uint32) (*buf, error) {
 	b, err := c.getblk(blkno)
-	if err != nil {
-		return nil, err
+	if err != nil || b.valid {
+		return b, err
 	}
-	if !b.valid {
-		// The device read blocks inside the driver component, whose
-		// sleep opens the node lock; while this thread waited, another
-		// may have entered and left this component, clobbering the
-		// uniprocessor glue's single current process (§4.7.5).
-		// Re-manufacture it for the rest of the caller's component call
-		// — the entry epilogue still restores the true outer value.
-		n, err := c.dev.Read(b.data, uint64(blkno)*BlockSize)
-		_ = c.g.Enter("bread")
-		if err != nil || n != BlockSize {
-			b.busy = false
-			c.lruPush(b)
-			return nil, com.ErrIO
+	var run [maxPinBlocks]*buf
+	run[0] = b
+	k := uint32(1)
+	for ; k < min(n, maxPinBlocks); k++ {
+		if _, cached := c.hash[blkno+k]; cached {
+			break
 		}
-		b.valid = true
-		c.scReads.Inc()
+		v := c.victim(true)
+		if v == nil {
+			break
+		}
+		c.assign(v, blkno+k)
+		run[k] = v
 	}
+	stage := c.stage
+	c.stage = nil
+	if stage == nil {
+		stage = make([]byte, maxPinBlocks*BlockSize)
+	}
+	// The device read blocks inside the driver component, whose sleep
+	// opens the node lock; while this thread waited, another may have
+	// entered and left this component, clobbering the uniprocessor
+	// glue's single current process (§4.7.5).  Re-manufacture it for the
+	// rest of the caller's component call — the entry epilogue still
+	// restores the true outer value.
+	got, err := c.dev.Read(stage[:k*BlockSize], uint64(blkno)*BlockSize)
+	_ = c.g.Enter("bread")
+	c.stage = stage
+	ok := err == nil && got == uint(k)*BlockSize
+	for i, t := range run[:k] {
+		if ok {
+			copy(t.data, stage[i*BlockSize:])
+			t.valid = true
+		} else {
+			delete(c.hash, t.blkno)
+		}
+		if i > 0 || !ok {
+			c.brelse(t)
+		}
+	}
+	if !ok {
+		return nil, com.ErrIO
+	}
+	c.scReads.Add(uint64(k))
 	return b, nil
 }
 
-// brelse unlocks a buffer, waking waiters.
+// brelse unlocks a buffer, waking its waiters and any getblk that found
+// no victim.
 func (c *bcache) brelse(b *buf) {
 	b.busy = false
 	c.lruPush(b)
 	if b.want {
 		b.want = false
 		c.g.Wakeup(b.event)
+	}
+	if c.needbuf {
+		c.needbuf = false
+		c.g.Wakeup(c.bufEvent)
 	}
 }
 
@@ -245,7 +304,7 @@ func (c *bcache) pin(b *buf) {
 // pinned rescans once a buffer becomes evictable again.
 func (c *bcache) unpin(b *buf) {
 	if b.pins.Add(-1) == 0 {
-		c.g.Wakeup(c.bufs[0].event)
+		c.g.Wakeup(c.bufEvent)
 	}
 	c.scUnpins.Inc()
 	c.gPinned.Add(-1)

@@ -2,36 +2,49 @@ package netbsdfs
 
 import (
 	"testing"
+	"time"
 
 	"oskit/internal/com"
 )
 
-// flakyDev wraps a BlkIO, failing reads at scripted byte offsets.
+// flakyDev wraps a BlkIO, logging every read request and failing any
+// read that covers a scripted block.
 type flakyDev struct {
 	com.BlkIO
-	failReads map[uint64]int // byte offset → remaining failures
+	failReads map[uint32]int // block number → remaining failures
+	reads     []span         // every read request, in issue order
+	before    func()         // runs at the start of each read, when set
 }
 
+// span is one read request in blocks.
+type span struct{ blk, n uint32 }
+
 func (d *flakyDev) Read(buf []byte, off uint64) (uint, error) {
-	if n := d.failReads[off]; n > 0 {
-		d.failReads[off] = n - 1
-		return 0, com.ErrIO
+	if d.before != nil {
+		d.before()
+	}
+	s := span{uint32(off / BlockSize), uint32(len(buf) / BlockSize)}
+	d.reads = append(d.reads, s)
+	for blk := s.blk; blk < s.blk+s.n; blk++ {
+		if n := d.failReads[blk]; n > 0 {
+			d.failReads[blk] = n - 1
+			return 0, com.ErrIO
+		}
 	}
 	return d.BlkIO.Read(buf, off)
 }
 
 // TestBcacheFailedReadNoStaleAlias is the regression test for the
-// wrong-block serve: a fault-failed read leaves its buffer in the hash
-// with valid clear; when that buffer is later recycled for another
-// block, the eviction must unhash it under its old block number even
-// though it is invalid.  A stale entry would alias the old number to
-// the recycled buffer, and once the new block's read succeeds, bread of
-// the old number would hash-hit and return the *new* block's bytes as
-// the old block — stable corruption until the next recycle.
+// wrong-block serve: the buffer of a fault-failed read is later
+// recycled for another block, and no hash entry may still map the
+// failed block number to it.  A stale entry would alias the old number
+// to the recycled buffer, and once the new block's read succeeds, bread
+// of the old number would hash-hit and return the *new* block's bytes
+// as the old block — stable corruption until the next recycle.
 func TestBcacheFailedReadNoStaleAlias(t *testing.T) {
 	g, dev := ramDisk(t, 512)
 	defer dev.Release()
-	flaky := &flakyDev{BlkIO: dev, failReads: map[uint64]int{}}
+	flaky := &flakyDev{BlkIO: dev, failReads: map[uint32]int{}}
 	c := newBcache(g, flaky, 0)
 
 	// Distinct content per block, far from the Mkfs metadata.
@@ -48,7 +61,7 @@ func TestBcacheFailedReadNoStaleAlias(t *testing.T) {
 
 	// The faulted read: bread fails, leaving the buffer hashed invalid.
 	const victim = base
-	flaky.failReads[victim*BlockSize] = 1
+	flaky.failReads[victim] = 1
 	if _, err := c.bread(victim); err != com.ErrIO {
 		t.Fatalf("faulted bread = %v, want ErrIO", err)
 	}
@@ -84,7 +97,7 @@ func TestBcacheFailedReadNoStaleAlias(t *testing.T) {
 func TestBcacheFailedReadRetries(t *testing.T) {
 	g, dev := ramDisk(t, 512)
 	defer dev.Release()
-	flaky := &flakyDev{BlkIO: dev, failReads: map[uint64]int{}}
+	flaky := &flakyDev{BlkIO: dev, failReads: map[uint32]int{}}
 	c := newBcache(g, flaky, 0)
 
 	blk := make([]byte, BlockSize)
@@ -94,7 +107,7 @@ func TestBcacheFailedReadRetries(t *testing.T) {
 	if _, err := dev.Write(blk, 200*BlockSize); err != nil {
 		t.Fatal(err)
 	}
-	flaky.failReads[200*BlockSize] = 2
+	flaky.failReads[200] = 2
 	if _, err := c.bread(200); err != com.ErrIO {
 		t.Fatalf("first bread = %v, want ErrIO", err)
 	}
@@ -108,5 +121,106 @@ func TestBcacheFailedReadRetries(t *testing.T) {
 	defer c.brelse(b)
 	if b.data[0] != 0x5A || !b.valid {
 		t.Fatalf("retried read returned %#x valid=%v", b.data[0], b.valid)
+	}
+}
+
+// waitSleeper polls until a process sleeps on event.
+func waitSleeper(t *testing.T, c *bcache, event uint32) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); c.g.SleepersOn(event) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("nobody went to sleep")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// await returns the error a goroutine sends on ch, failing the test if
+// it never comes.
+func await(t *testing.T, ch <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never returned: a lost wakeup", what)
+		return nil
+	}
+}
+
+// A reader that sleeps on a buffer whose read then fails must be woken:
+// the failing reader releases the buffer through brelse, and the second
+// reader retries the read itself instead of sleeping until some
+// unrelated access touches the block.
+func TestBcacheFailedReadWakesWaiter(t *testing.T) {
+	g := testGlue(t, 2)
+	entered, release := make(chan struct{}), make(chan struct{})
+	dev := &flakyDev{BlkIO: com.NewMemBuf(make([]byte, 16*BlockSize)), failReads: map[uint32]int{7: 1}}
+	dev.before = func() {
+		if len(dev.reads) == 0 {
+			close(entered)
+			<-release
+		}
+	}
+	c := newBcache(g, dev, 0)
+
+	first, second := make(chan error, 1), make(chan error, 1)
+	read := func(out chan<- error) {
+		defer g.Enter("reader")()
+		b, err := c.bread(7)
+		if err == nil {
+			c.brelse(b)
+		}
+		out <- err
+	}
+	go read(first)
+	<-entered // the first reader holds block 7 busy inside the driver
+	event := c.hash[7].event
+	go read(second)
+	waitSleeper(t, c, event)
+	close(release)
+
+	if err := await(t, first, "the failing read"); err != com.ErrIO {
+		t.Fatalf("failing read = %v, want ErrIO", err)
+	}
+	if err := await(t, second, "the waiting read"); err != nil {
+		t.Fatalf("waiting read = %v, want its own successful retry", err)
+	}
+	if len(dev.reads) != 2 {
+		t.Fatalf("%d device reads, want the failure and one retry", len(dev.reads))
+	}
+}
+
+// A getblk that finds every buffer busy and none pinned sleeps on the
+// cache's own "bufwait" event, and one brelse wakes it.
+func TestBcacheBufwaitWokenByBrelse(t *testing.T) {
+	g := testGlue(t, 2)
+	c := newBcache(g, com.NewMemBuf(make([]byte, 2*nbufs*BlockSize)), 0)
+	held := make([]*buf, nbufs)
+	for i := range held {
+		b, err := c.getblk(uint32(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = b
+	}
+	got := make(chan *buf, 1)
+	go func() {
+		defer g.Enter("waiter")()
+		b, err := c.getblk(nbufs)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- b
+	}()
+	waitSleeper(t, c, c.bufEvent)
+	c.brelse(held[5])
+	select {
+	case b := <-got:
+		if b != held[5] {
+			t.Fatalf("getblk took %p, want the one released buffer %p", b, held[5])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("getblk still asleep after a brelse freed a victim")
 	}
 }

@@ -440,6 +440,26 @@ func (fs *FFS) indWalk(root *uint32, slot uint32, alloc bool) (uint32, error) {
 	return ptr, nil
 }
 
+// breadFile returns the locked buffer of blk, the device block of the
+// file's logical block lbn, in a caller's range of want blocks from lbn
+// on.  Only on a miss does it walk bmap ahead: the request then also
+// fills the range's next blocks while they follow blk on the device; a
+// hole, a jump (the indirect block FFS lays out after lbn 7) or an
+// unreadable mapping ends the run.
+func (fs *FFS) breadFile(di *dinode, lbn, blk, want uint32) (*buf, error) {
+	n := uint32(1)
+	if b := fs.cache.hash[blk]; b == nil || !b.valid {
+		for n < min(want, maxPinBlocks) {
+			next, err := fs.bmap(di, lbn+n, false)
+			if err != nil || next != blk+n {
+				break
+			}
+			n++
+		}
+	}
+	return fs.cache.breadRun(blk, n)
+}
+
 // readi reads from an inode's data.
 func (fs *FFS) readi(di *dinode, dst []byte, off uint64) (uint, error) {
 	if off >= di.size {
@@ -465,7 +485,7 @@ func (fs *FFS) readi(di *dinode, dst []byte, off uint64) (uint, error) {
 				dst[i] = 0
 			}
 		} else {
-			b, err := fs.cache.bread(blk)
+			b, err := fs.breadFile(di, lbn, blk, uint32((boff+len(dst)+BlockSize-1)/BlockSize))
 			if err != nil {
 				return done, err
 			}

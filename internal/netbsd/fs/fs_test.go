@@ -16,21 +16,29 @@ import (
 // ramDisk formats a memory-backed BlkIO (unit tests run without the IDE
 // driver; the integration test in the examples drives the real one —
 // run-time binding means the FS cannot tell).
-func ramDisk(t *testing.T, blocks uint32) (*bsdglue.Glue, com.BlkIO) {
+func ramDisk(t testing.TB, blocks uint32) (*bsdglue.Glue, com.BlkIO) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20})
+	g := testGlue(t, 1)
+	dev := com.NewMemBuf(make([]byte, blocks*BlockSize))
+	if err := Mkfs(dev, 0); err != nil {
+		t.Fatal(err)
+	}
+	return g, dev
+}
+
+// testGlue boots a machine with cpus CPUs and returns a BSD environment
+// on it: the giant discipline on one CPU, the SMP one — per-thread
+// curproc, so several test goroutines can sleep inside — on more.
+func testGlue(t testing.TB, cpus int) *bsdglue.Glue {
+	t.Helper()
+	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20, CPUs: cpus})
 	t.Cleanup(m.Halt)
 	arena := lmm.NewArena()
 	if err := arena.AddRegion(0x100000, 8<<20, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	arena.AddFree(0x100000, 8<<20)
-	g := bsdglue.New(core.NewEnv(m, arena))
-	dev := com.NewMemBuf(make([]byte, blocks*BlockSize))
-	if err := Mkfs(dev, 0); err != nil {
-		t.Fatal(err)
-	}
-	return g, dev
+	return bsdglue.NewLocked(core.NewEnv(m, arena))
 }
 
 func mountTest(t *testing.T, blocks uint32) *FFS {

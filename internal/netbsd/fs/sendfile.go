@@ -18,7 +18,8 @@ import (
 // and FFS metadata reads (indirect blocks, inodes) need evictable ones,
 // so a single export may not pin more than a quarter of the cache;
 // callers serve large files in windows, which the socket layer's
-// send-buffer flow control forces anyway.
+// send-buffer flow control forces anyway.  The same bound caps one
+// cluster read (breadRun), the other way one caller holds buffers busy.
 const maxPinBlocks = nbufs / 4
 
 // filePin is one pinned scatter-gather export of a file range.
@@ -49,30 +50,33 @@ func (v *vnode) MapFileSG(offset, amount uint64) (com.SGBufIO, error) {
 		return nil, com.ErrInval
 	}
 	firstLbn := uint32(offset / BlockSize)
-	lastLbn := uint32((offset + amount - 1) / BlockSize)
-	if lastLbn-firstLbn+1 > maxPinBlocks {
+	count := uint32((offset+amount-1)/BlockSize) - firstLbn + 1
+	if count > maxPinBlocks {
 		return nil, com.ErrInval
 	}
-
-	p := &filePin{cache: v.fs.cache, size: uint(amount)}
-	unwind := func() {
-		for _, b := range p.pinned {
-			v.fs.cache.unpin(b)
-		}
-	}
-	for lbn := firstLbn; lbn <= lastLbn; lbn++ {
-		blk, err := v.fs.bmap(di, lbn, false)
+	// Resolve the whole window first, so a hole is refused with nothing
+	// pinned.
+	var blks [maxPinBlocks]uint32
+	for i := range count {
+		blk, err := v.fs.bmap(di, firstLbn+i, false)
 		if err != nil {
-			unwind()
 			return nil, err
 		}
 		if blk == 0 { // hole: nothing in place to export
-			unwind()
 			return nil, com.ErrIO
 		}
-		b, err := v.fs.cache.bread(blk)
+		blks[i] = blk
+	}
+
+	p := &filePin{cache: v.fs.cache, size: uint(amount),
+		pinned: make([]*buf, 0, count), parts: make([][]byte, 0, count)}
+	for i, blk := range blks[:count] {
+		lbn := firstLbn + uint32(i)
+		b, err := v.fs.breadFile(di, lbn, blk, count-uint32(i))
 		if err != nil {
-			unwind()
+			for _, b := range p.pinned {
+				v.fs.cache.unpin(b)
+			}
 			return nil, err
 		}
 		// Pin under B_BUSY, then release the buffer lock: the pin only

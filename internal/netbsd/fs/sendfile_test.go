@@ -151,13 +151,13 @@ func TestMapFileSGHoleFailsAndUnwinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := f.(*vnode)
-	// A range touching the hole cannot be exported in place — and the
-	// failure must unwind the pins it already took on block 0.
+	// A range touching the hole cannot be exported in place, and it is
+	// refused before block 0 is pinned.
 	if _, err := v.MapFileSG(0, 2*BlockSize); err != com.ErrIO {
 		t.Fatalf("hole range: %v, want ErrIO", err)
 	}
-	if got := fs.cache.gPinned.Load(); got != 0 {
-		t.Fatalf("%d buffers left pinned by the unwound export", got)
+	if got := fs.cache.scPins.Load(); got != 0 {
+		t.Fatalf("the refused export took %d pins", got)
 	}
 	// The written blocks each side still export fine.
 	p, err := v.MapFileSG(2*BlockSize, BlockSize)
