@@ -164,6 +164,24 @@ func TestPathShapeMatrix(t *testing.T) {
 				t.Errorf("receive path not zero-copy: %d wrapped, %d copied", zc, copied)
 			}
 
+			// Delayed ACKs, in segments: a bulk receiver ACKs at most
+			// every second data segment, and a 1-byte round trip is the
+			// request and the echo, each carrying the other's ACK — the
+			// rest is the handshake, the close and the warm-up rounds.
+			rx, tx := netStat(p.Receiver, "tcp.segs_out"), netStat(p.Sender, "tcp.segs_out")
+			if rx >= tx {
+				t.Errorf("TTCP receiver sent %d segments for the sender's %d: ACKs are not delayed", rx, tx)
+			}
+			const rounds = 200
+			if _, err := RTCP(p, rounds, tc.port+200); err != nil {
+				t.Fatal(err)
+			}
+			moved := netStat(p.Receiver, "tcp.segs_out") + netStat(p.Sender, "tcp.segs_out") - rx - tx
+			if moved > 2*rounds+20 {
+				t.Errorf("%d RTCP rounds sent %d segments, want at most %d", rounds, moved, 2*rounds+20)
+			}
+			t.Logf("TTCP segments out: receiver %d, sender %d; %d RTCP rounds: %d", rx, tx, rounds, moved)
+
 			stat := func(set, name string) int64 {
 				v, _ := p.Sender.Stat(set, name)
 				return v

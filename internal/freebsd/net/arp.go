@@ -2,8 +2,9 @@ package bsdnet
 
 import "encoding/binary"
 
-// ARP: the address-resolution table with one held packet per unresolved
-// entry, request/reply processing, and slow-timer aging.
+// ARP: the address-resolution table with a bounded queue of held
+// packets per unresolved entry, request/reply processing, and
+// slow-timer aging.
 //
 // The table lives under Stack.arpMu (rank 50), taken by these functions
 // themselves: the resolution step sits below the TCP/UDP locks on the
@@ -16,6 +17,10 @@ const (
 	arpOpReply    = 2
 	arpEntryTTL   = 1200 // slow ticks: 10 minutes
 	arpRetryTicks = 2    // slow ticks between re-requests
+	// arpMaxHeld bounds the packets parked on one unresolved neighbour.
+	// BSD holds one, so a burst of connects to a fresh neighbour lost
+	// all but the last SYN to a retransmit timer.
+	arpMaxHeld = 16
 )
 
 // arpEntry state lives under its stack's arpMu; entries have no
@@ -23,11 +28,10 @@ const (
 //
 //oskit:guardedby Stack.arpMu
 type arpEntry struct {
-	mac     [6]byte
-	valid   bool
-	age     uint32 // slow ticks since created/last request
-	held    *Mbuf  // one packet waiting on resolution
-	heldEty uint16
+	mac   [6]byte
+	valid bool
+	age   uint32  // slow ticks since created
+	held  []*Mbuf // IP packets waiting on resolution, oldest first
 }
 
 type arpTable struct {
@@ -40,9 +44,11 @@ func (t *arpTable) init(s *Stack) {
 	t.entries = map[IPAddr]*arpEntry{}
 }
 
-// resolve returns dst's MAC, or queues m and emits a request.  Called at
-// splnet; takes the ARP lock itself.
-func (t *arpTable) resolve(dst IPAddr, m *Mbuf, etype uint16) (mac [6]byte, ok bool) {
+// resolve returns dst's MAC, or queues the IP packet m.  Only a new
+// entry emits a request here; age re-requests once per retry period
+// however many packets wait.  Called at splnet; takes the ARP lock
+// itself.
+func (t *arpTable) resolve(dst IPAddr, m *Mbuf) (mac [6]byte, ok bool) {
 	if dst.IsBroadcast() {
 		return [6]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, true
 	}
@@ -52,18 +58,20 @@ func (t *arpTable) resolve(dst IPAddr, m *Mbuf, etype uint16) (mac [6]byte, ok b
 	if e != nil && e.valid {
 		return e.mac, true
 	}
-	if e == nil {
+	fresh := e == nil
+	if fresh {
 		e = &arpEntry{}
 		t.entries[dst] = e
 	}
-	// Hold the newest packet (BSD holds one), drop any previous.
-	if e.held != nil {
-		e.held.FreeChain()
+	if len(e.held) == arpMaxHeld {
+		e.held[0].FreeChain()
+		e.held = append(e.held[:0], e.held[1:]...)
+		t.s.sc.arpHeldDrop.Inc()
 	}
-	e.held = m
-	e.heldEty = etype
-	e.age = 0
-	t.request(dst)
+	e.held = append(e.held, m)
+	if fresh {
+		t.request(dst)
+	}
 	return [6]byte{}, false
 }
 
@@ -129,11 +137,11 @@ func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 	e.mac = srcMAC
 	e.valid = true
 	e.age = 0
-	held, heldEty := e.held, e.heldEty
+	held := e.held
 	e.held = nil
 	s.arpMu.Unlock()
-	if held != nil {
-		s.etherOutput(held, srcMAC, heldEty)
+	for _, h := range held {
+		s.etherOutput(h, srcMAC, EtherTypeIP)
 	}
 
 	if op == arpOpRequest && dstIP == s.ifIP {
@@ -163,14 +171,15 @@ func (t *arpTable) age() {
 		switch {
 		case e.valid && e.age > arpEntryTTL:
 			delete(t.entries, ip)
-		case !e.valid && e.age%arpRetryTicks == 0 && e.held != nil:
+		case !e.valid && e.age%arpRetryTicks == 0 && len(e.held) > 0:
 			if e.age > 10*arpRetryTicks {
-				// Give up: drop the held packet (BSD returned
+				// Give up: drop the held packets (BSD returned
 				// EHOSTDOWN to the next sender).
-				e.held.FreeChain()
-				e.held = nil
+				for _, h := range e.held {
+					h.FreeChain()
+				}
+				t.s.sc.arpDropUnreach.Add(uint64(len(e.held)))
 				delete(t.entries, ip)
-				t.s.sc.arpDropUnreach.Inc()
 				continue
 			}
 			t.request(ip)

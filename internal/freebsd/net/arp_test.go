@@ -1,6 +1,13 @@
 package bsdnet
 
-import "testing"
+import (
+	"encoding/binary"
+	"slices"
+	"strconv"
+	"testing"
+
+	"oskit/internal/com"
+)
 
 // A forged (or payload-corrupted) ARP reply whose sender-hardware field
 // disagrees with the Ethernet source station must not be learned.  ARP
@@ -56,5 +63,88 @@ func TestARPRejectsMismatchedSender(t *testing.T) {
 	// The path must still work end to end.
 	if _, ok := a.Ping(ipB, 2, nil, 500); !ok {
 		t.Fatal("ping after forged reply failed: cache poisoned")
+	}
+}
+
+// TestARPHoldsABurst: packets to an unresolved neighbour queue on its
+// entry behind one request, and its reply sends every one of them, in
+// order.  Past arpMaxHeld the oldest is dropped and counted.  With one
+// held packet per entry, a burst of connects to a fresh neighbour lost
+// every SYN but the last to a retransmit timer.
+func TestARPHoldsABurst(t *testing.T) {
+	s := bareStack(t)
+	mac := [6]byte{2, 0, 0, 0, 0, 1}
+	requests := 0
+	var sent []string // UDP payloads that left, in order
+	s.ifAttach(mac, func(m *Mbuf) {
+		frame := make([]byte, m.PktLen)
+		m.CopyData(0, m.PktLen, frame)
+		m.FreeChain()
+		switch binary.BigEndian.Uint16(frame[12:14]) {
+		case EtherTypeARP:
+			requests++
+		case EtherTypeIP:
+			ip := frame[etherHdrLen:]
+			sent = append(sent, string(ip[ipHdrLen+udpHdrLen:binary.BigEndian.Uint16(ip[2:4])]))
+		}
+	})
+	s.Ifconfig(fuzzIP, IPAddr{255, 255, 255, 0})
+	idle := stat(t, s, "mbuf.allocs") - stat(t, s, "mbuf.frees")
+	var udp *udpPCB
+	withStack(s, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		udp = s.udpNew()
+		if err := s.udpBind(udp, 5353); err != nil {
+			t.Fatal(err)
+		}
+	})
+	burst := func(dst IPAddr, n int) []string {
+		var want []string
+		withStack(s, func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			for i := range n {
+				want = append(want, strconv.Itoa(i))
+				if err := s.udpOutput(udp, []byte(want[i]), dst, 53); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		return want
+	}
+	reply := func(ip IPAddr, station byte) {
+		hw := [6]byte{2, 0, 0, 0, 0, station}
+		p := make([]byte, arpHdrLen)
+		packARP(p, arpOpReply, hw, ip, mac, fuzzIP)
+		f := etherFrame(EtherTypeARP, p)
+		copy(f[6:12], hw[:])
+		withStack(s, func() { _ = s.rxOne(com.NewMemBuf(f), uint(len(f)), nil) })
+	}
+
+	want := burst(fuzzPeer, 8)
+	if requests != 1 || len(sent) != 0 {
+		t.Fatalf("8 packets to an unresolved neighbour: %d requests, %d sent; want 1 and 0", requests, len(sent))
+	}
+	reply(fuzzPeer, 2)
+	if !slices.Equal(sent, want) {
+		t.Fatalf("the reply released %q, want %q", sent, want)
+	}
+
+	sent = nil
+	other := IPAddr{10, 0, 0, 3}
+	want = burst(other, arpMaxHeld+1)
+	if requests != 2 {
+		t.Errorf("%d requests after a second neighbour's burst, want 2", requests)
+	}
+	if got := stat(t, s, "arp.held_dropped"); got != 1 {
+		t.Errorf("arp.held_dropped = %d after %d packets, want 1", got, arpMaxHeld+1)
+	}
+	reply(other, 3)
+	if !slices.Equal(sent, want[1:]) {
+		t.Fatalf("the reply released %q, want all but the oldest: %q", sent, want[1:])
+	}
+	if got := stat(t, s, "mbuf.allocs") - stat(t, s, "mbuf.frees"); got != idle {
+		t.Errorf("live mbufs = %d after both replies, %d before the bursts", got, idle)
 	}
 }

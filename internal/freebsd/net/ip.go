@@ -150,7 +150,7 @@ func (s *Stack) ipSendOne(m *Mbuf, src, dst IPAddr, proto, ttl int, id uint16, f
 		return
 	}
 	s.sc.ipOut.Inc()
-	mac, resolved := s.arp.resolve(nextHop, m, EtherTypeIP)
+	mac, resolved := s.arp.resolve(nextHop, m)
 	if !resolved {
 		return // held by ARP; sent on reply
 	}

@@ -112,9 +112,9 @@ type Stack struct {
 // rxCtx is one receive pass's batching state, threaded down the input
 // path by the goroutine ingesting the batch (so concurrent receive
 // contexts on an SMP machine never share it).  While batching, the
-// in-order TCP data path defers its per-segment wakeup + ACK onto pend,
-// and rxFlush runs them once per (connection, batch) — delayed-ACK
-// coalescing across the batch.
+// in-order TCP data path defers its per-segment wakeup, and any ACK the
+// delayed-ACK rule makes due, onto pend, and rxFlush runs them once per
+// (connection, batch).
 type rxCtx struct {
 	batching bool
 	pend     []*tcpcb
@@ -135,8 +135,9 @@ type netstats struct {
 	tcpDropReass                *stats.Counter
 	tcpAcceptOvfl               *stats.Counter
 	tcpTWRecycled               *stats.Counter
+	tcpDelackTimeouts           *stats.Counter
 	arpIn, arpOut, arpBadSender *stats.Counter
-	arpDropUnreach              *stats.Counter
+	arpDropUnreach, arpHeldDrop *stats.Counter
 	ipIn, ipOut, ipBadCsum      *stats.Counter
 	ipFragsIn, ipReasmOK        *stats.Counter
 	ipDropNoRoute               *stats.Counter
@@ -233,6 +234,9 @@ func (s *Stack) initStats() {
 		// reclaimed by the lingering-pcb cap, and the live pcb count.
 		tcpAcceptOvfl: set.Counter("tcp.accept_overflows"),
 		tcpTWRecycled: set.Counter("tcp.timewait_recycled"),
+		// Delayed ACKs nothing carried before the slow-timer sweep sent
+		// them bare: the latency the delay cost.
+		tcpDelackTimeouts: set.Counter("tcp.delack_timeouts"),
 		// ARP frames refused because the sender-hardware field disagreed
 		// with the Ethernet source station (corruption or spoofing).
 		arpBadSender: set.Counter("arp.bad_sender"),
@@ -240,6 +244,8 @@ func (s *Stack) initStats() {
 		arpOut:       set.Counter("arp.out"),
 		// Held packets freed when resolution gave up (BSD's EHOSTDOWN).
 		arpDropUnreach: set.Counter("arp.dropped_unreach"),
+		// Held packets pushed out of a full per-entry queue, oldest first.
+		arpHeldDrop:    set.Counter("arp.held_dropped"),
 		ipIn:           set.Counter("ip.in"),
 		ipOut:          set.Counter("ip.out"),
 		ipBadCsum:      set.Counter("ip.bad_csum"),
@@ -421,7 +427,7 @@ func (r *stackRecv) Push(pkt com.BufIO, size uint) error {
 
 // PushBatch implements com.NetIOBatch: one softint pass ingests the
 // whole batch, then rxFlush runs the deferred per-connection wakeup and
-// ACK once each — so a 16-frame batch into one connection costs one
+// due ACK once each — so a 16-frame batch into one connection costs one
 // reader wakeup and one ACK instead of sixteen, while each frame is
 // still individually wrapped zero-copy (the RxZeroCopy property is
 // per-packet and unchanged).  The batching state lives in an rxCtx owned
@@ -449,8 +455,9 @@ func (r *stackRecv) PushBatch(pkts []com.BufIO, sizes []uint) error {
 
 // rxFlush completes one batched receive pass: every connection that
 // accepted in-order data during the batch gets its single deferred
-// reader wakeup and (unless something already ACKed on its behalf, or
-// the connection died mid-batch) its single ACK.
+// reader wakeup, and its single ACK if one fell due (unless something
+// already ACKed on its behalf, or the connection died mid-batch).  An
+// ACK not yet due stays delayed, exactly as after a per-frame Push.
 func (s *Stack) rxFlush(ctx *rxCtx) {
 	for i, tp := range ctx.pend {
 		ctx.pend[i] = nil

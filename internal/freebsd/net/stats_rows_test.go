@@ -13,8 +13,9 @@ import (
 var eventRows = []string{
 	"ip.in", "ip.out", "ip.bad_csum", "ip.frags_in", "ip.reasm_ok", "ip.dropped_no_route",
 	"tcp.segs_in", "tcp.segs_out", "tcp.rexmt", "tcp.accept_overflows", "tcp.timewait_recycled",
+	"tcp.delack_timeouts",
 	"udp.in", "udp.out",
-	"arp.in", "arp.out", "arp.bad_sender", "arp.dropped_unreach",
+	"arp.in", "arp.out", "arp.bad_sender", "arp.dropped_unreach", "arp.held_dropped",
 	"ether.rx_zero_copy", "ether.rx_copied", "ether.tx_contiguous", "ether.tx_chained",
 	"icmp.echo_req_in", "icmp.echo_rep_in", "icmp.echo_rep_out",
 }
@@ -144,6 +145,16 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 			s.arpMu.Unlock()
 			s.arp.age()
 		}, row{"arp.dropped_unreach": 1}},
+		{"arp hold queue full", func() {
+			s.arpMu.Lock()
+			e := &arpEntry{}
+			for range arpMaxHeld {
+				e.held = append(e.held, s.MGetHdr())
+			}
+			s.arp.entries[IPAddr{10, 0, 0, 77}] = e
+			s.arpMu.Unlock()
+			send(IPAddr{10, 0, 0, 77}, []byte("one too many"))()
+		}, row{"udp.out": 1, "ip.out": 1, "arp.held_dropped": 1}},
 		{"echo request answered", input(icmp(icmpEchoRequest)),
 			row{"ip.in": 1, "icmp.echo_req_in": 1, "icmp.echo_rep_out": 1, "ip.out": 1, "ether.tx_chained": 1}},
 		{"echo reply in", input(icmp(icmpEchoReply)), row{"ip.in": 1, "icmp.echo_rep_in": 1}},
@@ -187,9 +198,19 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 				tp.mu.Unlock()
 			}
 		}, row{"tcp.timewait_recycled": 1}},
+		{"sweep sends a delayed ack", func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			tp := s.tcpLookup(fuzzIP, 80, fuzzPeer, 3002)
+			tp.mu.Lock()
+			tp.delack = true
+			tp.mu.Unlock()
+			s.tcpSlowTimo()
+		}, row{"tcp.delack_timeouts": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_chained": 1}},
 	}
 	AddConnForBench(s, fuzzIP, 80, fuzzPeer, 3000)
 	AddConnForBench(s, fuzzIP, 80, fuzzPeer, 3001)
+	AddConnForBench(s, fuzzIP, 80, fuzzPeer, 3002)
 
 	moved := map[string]bool{}
 	read := func() row {

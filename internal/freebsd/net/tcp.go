@@ -176,10 +176,16 @@ type tcpcb struct {
 	connEvent   uint32 //oskit:initonly
 	acceptEvent uint32 //oskit:initonly
 
+	// delack is BSD's TF_DELACK: in-order data arrived and its ACK is
+	// being held for the next segment this side sends, for a second
+	// data segment (which makes it due), or for the slow-timer sweep.
+	// Any segment carrying an ACK clears it (ackSent).
+	delack bool //oskit:guardedby mu
+
 	// Batched-receive deferral (see Stack.rxFlush): while a PushBatch is
 	// ingesting, in-order data sets these instead of waking the reader
-	// and ACKing per segment.  rxAckOwed is cleared by any ACK sent on
-	// the connection's behalf meanwhile (tcpRespondACK), so the flush
+	// and sending a due ACK per segment.  rxAckOwed is cleared by any ACK
+	// sent on the connection's behalf meanwhile (ackSent), so the flush
 	// never duplicates one.
 	rxPendWake bool //oskit:guardedby mu
 	rxAckOwed  bool //oskit:guardedby mu
@@ -477,6 +483,21 @@ func (tp *tcpcb) wakeAll() {
 	if tp.parent != nil {
 		g.Wakeup(tp.parent.acceptEvent)
 	}
+}
+
+// ackSent records that a segment acknowledging rcvNxt is leaving: no
+// delayed or batch-deferred ACK is owed any more.  Called with tp.mu
+// held.
+func (tp *tcpcb) ackSent() {
+	tp.delack = false
+	tp.rxAckOwed = false
+}
+
+// initialWindow is the RFC 3390 first flight, min(4·MSS, max(2·MSS,
+// 4380 bytes)): with delayed ACKs a one-segment flight would wait for
+// the slow-timer sweep before its ACK came back.
+func (tp *tcpcb) initialWindow() uint32 {
+	return min(4*tp.maxSeg, max(2*tp.maxSeg, 4380))
 }
 
 // rcvWindow computes the advertised window from receive-buffer room.

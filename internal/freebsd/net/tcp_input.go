@@ -211,7 +211,7 @@ func (s *Stack) tcpInputListen(lp *tcpcb, seg tcpSeg, src IPAddr, sport uint16, 
 	if seg.mss != 0 && uint32(seg.mss) < tp.maxSeg {
 		tp.maxSeg = uint32(seg.mss)
 	}
-	tp.cwnd = tp.maxSeg
+	tp.cwnd = tp.initialWindow()
 	tp.iss = s.newISS()
 	tp.sndUna, tp.sndNxt, tp.sndMax = tp.iss, tp.iss, tp.iss
 	tp.sndWnd = uint32(seg.wnd)
@@ -249,7 +249,7 @@ func (s *Stack) tcpInputConn(tp *tcpcb, seg *tcpSeg, dataLen int, ctx *rxCtx) {
 		if seg.mss != 0 && uint32(seg.mss) < tp.maxSeg {
 			tp.maxSeg = uint32(seg.mss)
 		}
-		tp.cwnd = tp.maxSeg
+		tp.cwnd = tp.initialWindow()
 		tp.sndWnd = uint32(seg.wnd)
 		if seg.flags&thACK != 0 {
 			// Active open completed.
@@ -514,6 +514,13 @@ func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
 	dataLen := seg.m.PktLen
 	if seg.seq == tp.rcvNxt &&
 		(tp.state == tcpsEstablished || tp.state == tcpsFinWait1 || tp.state == tcpsFinWait2) {
+		// Delayed ACK (RFC 1122 §4.2.3.2, counted in segments as BSD
+		// does): the first in-order segment only sets delack, so the ACK
+		// can ride this side's next segment; a second one finds it set
+		// and the ACK is due.  A segment that fills a hole is ACKed at
+		// once, so the sender learns of the repair without waiting.
+		due := tp.delack || len(tp.reass) > 0
+		tp.delack = true
 		tp.rcvBuf.appendSeg(seg.m)
 		seg.m = nil
 		tp.rcvNxt += uint32(dataLen)
@@ -530,9 +537,8 @@ func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
 			tp.reass = tp.reass[1:]
 		}
 		if ctx != nil && ctx.batching {
-			// Batched delivery: defer the wakeup and the ACK to the
-			// end-of-batch flush, one of each per connection — the
-			// delayed-ACK coalescing the batch exists for.  Only the
+			// Batched delivery: defer the wakeup, and a due ACK, to the
+			// end-of-batch flush, one of each per connection.  Only the
 			// in-order path defers; duplicate ACKs (below) must stay
 			// immediate for fast retransmit.
 			if !tp.rxPendWake {
@@ -541,13 +547,13 @@ func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
 			} else {
 				s.sc.rxAcksCoalesced.Inc()
 			}
-			tp.rxAckOwed = true
+			tp.rxAckOwed = tp.rxAckOwed || due
 			return
 		}
 		s.g.Wakeup(tp.rcvBuf.event)
-		// Immediate ACK (the kit's stack doesn't delay ACKs; see
-		// package comment).
-		s.tcpRespondACK(tp)
+		if due {
+			s.tcpRespondACK(tp)
+		}
 		return
 	}
 	if seqGT(seg.seq, tp.rcvNxt) {
@@ -585,14 +591,14 @@ func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
 
 // tcpRespondACK sends a bare ACK reflecting the current receive state.
 // Called with tp.mu held (it reads the receive sequence space and
-// writes rcvAdv/rxAckOwed).
+// writes rcvAdv and the owed-ACK flags).
 func (s *Stack) tcpRespondACK(tp *tcpcb) {
-	// Any ACK reflects the latest rcvNxt, so a deferred batch ACK it
-	// would duplicate is no longer owed (FIN processing mid-batch, a
-	// dup-ACK for a stale segment).  The deferred *wakeup* stays owed.
-	tp.rxAckOwed = false
+	// Any ACK reflects the latest rcvNxt, so a delayed or batch-deferred
+	// ACK it would duplicate is no longer owed (FIN processing mid-batch,
+	// a dup-ACK for a stale segment).  The deferred *wakeup* stays owed.
 	wnd := tp.rcvWindow()
 	if s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, tp.sndNxt, tp.rcvNxt, thACK, wnd) {
+		tp.ackSent()
 		tp.rcvAdv = tp.rcvNxt + wnd
 	}
 }

@@ -150,6 +150,9 @@ func (s *Stack) tcpOutputOnce(tp *tcpcb) bool {
 		tp.timers[tRexmt] = tp.rexmtTimeout()
 	}
 	tp.rcvAdv = tp.rcvNxt + rcvWnd
+	if flags&thACK != 0 {
+		tp.ackSent() // the echo, the response: the ACK rides the data
+	}
 
 	s.sc.tcpSegsOut.Inc()
 	s.ipOutput(m, tp.laddr, tp.faddr, ProtoTCP, 0)

@@ -15,15 +15,23 @@ import (
 )
 
 // segPeer is one established connection whose remote end the test
-// plays.
+// plays.  Nothing runs the slow timer but the test (slowTimo), so a
+// delayed ACK stays pending until the test sweeps it.
 type segPeer struct {
 	t    *testing.T
 	s    *Stack
 	conn com.Socket
 	tp   *tcpcb
-	seq  uint32   // the peer's first data sequence number
-	ack  uint32   // what the peer acknowledges: the stack's ISS + 1
-	acks []uint32 // ack field of every TCP segment the stack sent
+	seq  uint32    // the peer's first data sequence number
+	ack  uint32    // what the peer acknowledges: the stack's ISS + 1
+	out  []sentSeg // every TCP segment the stack sent, in order
+}
+
+// sentSeg is one segment the stack put on the wire.
+type sentSeg struct {
+	seq, ack uint32
+	flags    byte
+	n        int // payload bytes
 }
 
 const segPeerPort = 2000
@@ -42,8 +50,14 @@ func newSegPeer(t *testing.T) *segPeer {
 		frame := make([]byte, m.PktLen)
 		m.CopyData(0, m.PktLen, frame)
 		m.FreeChain()
-		if tcp := frame[etherHdrLen+ipHdrLen:]; frame[etherHdrLen+9] == ProtoTCP {
-			p.acks = append(p.acks, binary.BigEndian.Uint32(tcp[8:12]))
+		if ip := frame[etherHdrLen:]; ip[9] == ProtoTCP {
+			tcp := ip[ipHdrLen:binary.BigEndian.Uint16(ip[2:4])] // runt padding off
+			p.out = append(p.out, sentSeg{
+				seq:   binary.BigEndian.Uint32(tcp[4:8]),
+				ack:   binary.BigEndian.Uint32(tcp[8:12]),
+				flags: tcp[13],
+				n:     len(tcp) - int(tcp[12]>>4)*4,
+			})
 		}
 	})
 
@@ -80,9 +94,21 @@ func newSegPeer(t *testing.T) *segPeer {
 	return p
 }
 
+// inject delivers one segment the way a per-frame Push would.
 func (p *segPeer) inject(seg []byte) {
 	p.t.Helper()
-	inject(p.t, p.s, seg, func(m *Mbuf) { p.s.tcpInput(m, fuzzPeer, fuzzIP, nil) })
+	m := p.s.MGetHdr()
+	if m == nil || !m.Append(seg) {
+		p.t.Fatal("mbuf exhausted")
+	}
+	p.s.tcpInput(m, fuzzPeer, fuzzIP, nil)
+}
+
+// slowTimo runs one slow-timer sweep, returning the segments it sent.
+func (p *segPeer) slowTimo() []sentSeg {
+	n := len(p.out)
+	p.s.slowTimo()
+	return p.out[n:]
 }
 
 // data injects payload at offset off of the peer's stream.
@@ -166,7 +192,7 @@ func TestReassDuplicateOOOBounded(t *testing.T) {
 	if len(p.tp.reass) != 0 {
 		t.Fatalf("reassembly queue not drained: %d entries", len(p.tp.reass))
 	}
-	if last := p.acks[len(p.acks)-1]; last != p.seq+uint32(len(src)) {
+	if last := p.out[len(p.out)-1].ack; last != p.seq+uint32(len(src)) {
 		t.Errorf("last ACK = %d, want %d", last-p.seq, len(src))
 	}
 	if got := p.outstanding(); got != idle {
@@ -309,5 +335,190 @@ func TestSockbufAppendSegThreshold(t *testing.T) {
 	}
 	if sb.head != nil || sb.tail != nil {
 		t.Fatal("a drained buffer still holds links")
+	}
+}
+
+// The delayed-ACK policy, counted in segments.  In-order data with
+// nothing queued behind it holds its ACK: a second segment makes it
+// due, any segment this side sends carries it, and the slow-timer sweep
+// sends whatever is still pending.  Everything that tells the sender
+// something it must hear now — a hole, its repair, a duplicate, a
+// segment outside the window, a FIN — is ACKed at once.
+
+// withWindow rewrites a tcpSegment's advertised window.
+func withWindow(seg []byte, wnd uint16) []byte {
+	binary.BigEndian.PutUint16(seg[14:16], wnd)
+	seg[16], seg[17] = 0, 0
+	binary.BigEndian.PutUint16(seg[16:18], Checksum(seg, pseudoSum(fuzzPeer, fuzzIP, ProtoTCP, len(seg))))
+	return seg
+}
+
+// TestDelayedACKEverySecondSegment: two in-order segments draw one
+// bare ACK, and it covers both.
+func TestDelayedACKEverySecondSegment(t *testing.T) {
+	p := newSegPeer(t)
+	n := len(p.out)
+	p.fill(stream(2000))
+	if got := p.out[n:]; len(got) != 1 || got[0].n != 0 || got[0].ack != p.seq+2000 {
+		t.Fatalf("two in-order segments drew %+v, want one bare ACK at %d", got, p.seq+2000)
+	}
+	if got := p.slowTimo(); len(got) != 0 {
+		t.Errorf("the sweep sent %+v with no ACK pending", got)
+	}
+}
+
+// TestDelayedACKRidesReply: the reply a request provokes carries the
+// request's ACK, and nothing is left for the sweep.
+func TestDelayedACKRidesReply(t *testing.T) {
+	p := newSegPeer(t)
+	timeouts := stat(t, p.s, "tcp.delack_timeouts")
+	n := len(p.out)
+	p.data(0, []byte("ping"))
+	if got := p.out[n:]; len(got) != 0 {
+		t.Fatalf("one in-order segment drew %+v at once, want its ACK delayed", got)
+	}
+	if _, err := p.conn.Write([]byte("pong")); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.out[n:]; len(got) != 1 || got[0].n != 4 || got[0].ack != p.seq+4 || got[0].flags&thACK == 0 {
+		t.Fatalf("the reply went out as %+v, want one 4-byte segment acknowledging %d", got, p.seq+4)
+	}
+	if got := p.slowTimo(); len(got) != 0 {
+		t.Errorf("the sweep sent %+v after the reply carried the ACK", got)
+	}
+	if got := stat(t, p.s, "tcp.delack_timeouts") - timeouts; got != 0 {
+		t.Errorf("tcp.delack_timeouts moved by %d, want 0", got)
+	}
+}
+
+// TestDelayedACKSweep: a lone segment's ACK waits for one slow-timer
+// sweep, which sends exactly one and counts it.
+func TestDelayedACKSweep(t *testing.T) {
+	p := newSegPeer(t)
+	timeouts := stat(t, p.s, "tcp.delack_timeouts")
+	n := len(p.out)
+	p.data(0, stream(100))
+	if got := p.out[n:]; len(got) != 0 {
+		t.Fatalf("a lone segment drew %+v before the sweep", got)
+	}
+	if got := p.slowTimo(); len(got) != 1 || got[0].n != 0 || got[0].ack != p.seq+100 {
+		t.Fatalf("the sweep sent %+v, want one bare ACK at %d", got, p.seq+100)
+	}
+	if got := stat(t, p.s, "tcp.delack_timeouts") - timeouts; got != 1 {
+		t.Errorf("tcp.delack_timeouts moved by %d, want 1", got)
+	}
+	if got := p.slowTimo(); len(got) != 0 {
+		t.Errorf("a second sweep sent %+v", got)
+	}
+}
+
+// TestImmediateACKs: segments the sender must hear about at once are
+// ACKed by themselves, one ACK each, with no sweep.
+func TestImmediateACKs(t *testing.T) {
+	src := stream(2000)
+	cases := []struct {
+		name  string
+		setup func(p *segPeer)
+		step  func(p *segPeer)
+		ack   uint32 // relative to the peer's first data byte
+	}{
+		{"out of order", func(*segPeer) {}, func(p *segPeer) { p.data(1000, src[1000:]) }, 0},
+		{"hole filled", func(p *segPeer) { p.data(1000, src[1000:]) }, func(p *segPeer) { p.data(0, src[:1000]) }, 2000},
+		{"duplicate", func(p *segPeer) { p.data(0, src[:1000]); p.slowTimo() }, func(p *segPeer) { p.data(0, src[:1000]) }, 1000},
+		{"out of window", func(*segPeer) {}, func(p *segPeer) { p.data(int(p.tp.rcvWindow()), src[:100]) }, 0},
+		{"fin", func(*segPeer) {}, func(p *segPeer) {
+			p.inject(tcpSegment(segPeerPort, fuzzPort, p.seq, p.ack, thACK|thFIN, src[:100]))
+		}, 101},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newSegPeer(t)
+			tc.setup(p)
+			n := len(p.out)
+			tc.step(p)
+			if got := p.out[n:]; len(got) != 1 || got[0].n != 0 || got[0].ack != p.seq+tc.ack {
+				t.Fatalf("drew %+v, want one bare ACK at %d", got, p.seq+tc.ack)
+			}
+		})
+	}
+}
+
+// TestDelayedACKBatch: a PushBatch follows the per-frame policy and
+// defers only a due ACK to its flush — batches of one, two and three
+// in-order frames draw no ACK, one and one.
+func TestDelayedACKBatch(t *testing.T) {
+	for _, tc := range []struct{ frames, acks int }{{1, 0}, {2, 1}, {3, 1}} {
+		p := newSegPeer(t)
+		recv := &stackRecv{s: p.s}
+		recv.Init()
+		src := stream(1000 * tc.frames)
+		var pkts []com.BufIO
+		var sizes []uint
+		for off := 0; off < len(src); off += 1000 {
+			seg := tcpSegment(segPeerPort, fuzzPort, p.seq+uint32(off), p.ack, thACK, src[off:off+1000])
+			f := etherFrame(EtherTypeIP, ipDatagram(ProtoTCP, seg))
+			pkts = append(pkts, com.NewMemBuf(f))
+			sizes = append(sizes, uint(len(f)))
+		}
+		n := len(p.out)
+		if err := recv.PushBatch(pkts, sizes); err != nil {
+			t.Fatal(err)
+		}
+		recv.Release()
+		got := p.out[n:]
+		if len(got) != tc.acks || (tc.acks == 1 && got[0].ack != p.seq+uint32(len(src))) {
+			t.Errorf("a batch of %d in-order frames drew %+v, want %d ACK(s) of all %d bytes", tc.frames, got, tc.acks, len(src))
+		}
+		if got := p.drain(); !bytes.Equal(got, src) {
+			t.Errorf("batch of %d: delivered %d bytes, want the %d-byte stream intact", tc.frames, len(got), len(src))
+		}
+	}
+}
+
+// TestInitialWindow: both open paths start with the RFC 3390 window of
+// three full segments, so a first flight does not wait on a delayed
+// ACK; after a retransmit timeout the window is one segment again.
+func TestInitialWindow(t *testing.T) {
+	p := newSegPeer(t)
+	// The peer opens its window wide, so only cwnd limits the flight.
+	p.inject(withWindow(tcpSegment(segPeerPort, fuzzPort, p.seq, p.ack, thACK, nil), 65535))
+	n := len(p.out)
+	if _, err := p.conn.Write(stream(10000)); err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	for _, sg := range p.out[n:] {
+		sent += sg.n
+	}
+	if got := p.out[n:]; len(got) != 3 || sent != 4380 {
+		t.Fatalf("a fresh connection sent %d bytes in %d segments before its first ACK, want 4380 in 3", sent, len(got))
+	}
+	n = len(p.out)
+	withStack(p.s, func() {
+		p.s.mu.Lock()
+		p.tp.mu.Lock()
+		p.s.tcpTimerFire(p.tp, tRexmt)
+		p.tp.mu.Unlock()
+		p.s.mu.Unlock()
+	})
+	if got := p.out[n:]; len(got) != 1 || got[0].seq != p.ack || got[0].n != tcpMSS {
+		t.Fatalf("after the timeout the stack sent %+v, want one %d-byte segment from %d", got, tcpMSS, p.ack)
+	}
+
+	// The active open: SYN_SENT completes with the same window.
+	var tp *tcpcb
+	withStack(p.s, func() {
+		p.s.mu.Lock()
+		defer p.s.mu.Unlock()
+		tp = p.s.tcpNew()
+		tp.mu.Lock()
+		defer tp.mu.Unlock()
+		if err := tp.usrConnect(fuzzPeer, segPeerPort+1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	p.inject(tcpSegment(segPeerPort+1, tp.lport, 9000, tp.iss+1, thSYN|thACK, nil))
+	if tp.state != tcpsEstablished || tp.cwnd != 3*tcpMSS {
+		t.Fatalf("active open: state %d, cwnd %d, want established with %d", tp.state, tp.cwnd, 3*tcpMSS)
 	}
 }

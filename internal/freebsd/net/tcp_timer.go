@@ -8,11 +8,19 @@ import "oskit/internal/com"
 // tcpSlowTimo ages every connection.  Called with the stack lock held;
 // each pcb is swept under its own lock so timer actions (retransmit,
 // drop, 2MSL detach) hold both, as they require.
+//
+// The sweep also sends every delayed ACK still pending, so no ACK waits
+// longer than one sweep period (BSD runs a separate 200 ms fast timer
+// for this; one pcb walk serves both here).
 func (s *Stack) tcpSlowTimo() {
 	// Copy the list: timer actions may detach pcbs.
 	pcbs := append([]*tcpcb(nil), s.tcpPCBs...)
 	for _, tp := range pcbs {
 		tp.mu.Lock()
+		if tp.delack {
+			s.sc.tcpDelackTimeouts.Inc()
+			s.tcpRespondACK(tp)
+		}
 		if tp.rtt > 0 {
 			tp.rtt++ // active RTT measurement, in slow ticks
 		}
@@ -101,6 +109,7 @@ func (s *Stack) tcpProbe(tp *tcpcb) {
 	packTCPHeader(h, tp.lport, tp.fport, tp.sndNxt, tp.rcvNxt, thACK|thPSH, tp.rcvWindow())
 	csum := s.chainChecksum(m, pseudoSum(tp.laddr, tp.faddr, ProtoTCP, m.PktLen))
 	putU16(h[16:18], csum)
+	tp.ackSent()
 	s.sc.tcpSegsOut.Inc()
 	s.ipOutput(m, tp.laddr, tp.faddr, ProtoTCP, 0)
 }

@@ -59,9 +59,9 @@ func TestRSSFlowAffinity(t *testing.T) {
 // MF bit is set) must hash by addresses only, to one common ring.
 func TestRSSFragmentsFollowFirst(t *testing.T) {
 	src, dst := uint32(0x0a020001), uint32(0x0a020002)
-	first := rssFrame(rssProtoUDP, src, dst, 7777, 9999, 0x2000, 64)     // MF set, offset 0
-	mid := rssFrame(rssProtoUDP, src, dst, 0xdead, 0xbeef, 0x2005, 64)   // MF set, offset 5 (garbage "ports")
-	last := rssFrame(rssProtoUDP, src, dst, 0x1234, 0x5678, 0x000a, 64)  // offset 10
+	first := rssFrame(rssProtoUDP, src, dst, 7777, 9999, 0x2000, 64)    // MF set, offset 0
+	mid := rssFrame(rssProtoUDP, src, dst, 0xdead, 0xbeef, 0x2005, 64)  // MF set, offset 5 (garbage "ports")
+	last := rssFrame(rssProtoUDP, src, dst, 0x1234, 0x5678, 0x000a, 64) // offset 10
 	for nrings := 2; nrings <= 8; nrings++ {
 		r0 := RSSRing(first, nrings)
 		if RSSRing(mid, nrings) != r0 || RSSRing(last, nrings) != r0 {
@@ -110,7 +110,7 @@ func FuzzRSSHash(f *testing.F) {
 	f.Add(make([]byte, EtherHdrLen))
 	f.Add(rssFrame(rssProtoTCP, 1, 2, 3, 4, 0, 32))
 	f.Add(rssFrame(rssProtoUDP, 5, 6, 7, 8, 0x2000, 8))
-	f.Add(rssFrame(rssProtoTCP, 1, 2, 3, 4, 0, 0)[:EtherHdrLen+21]) // truncated transport
+	f.Add(rssFrame(rssProtoTCP, 1, 2, 3, 4, 0, 0)[:EtherHdrLen+21])     // truncated transport
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x08, 0x00, 0x4f}) // IHL=15, short
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		h1 := RSSHash(frame)
