@@ -695,7 +695,7 @@ func newE11Rig(b *testing.B, fastpath bool) *e11Rig {
 	b.Helper()
 	m := hw.NewMachine(hw.Config{Name: "e11", MemBytes: 32 << 20})
 	b.Cleanup(m.Halt)
-	nic := m.AttachNIC(hw.NewEtherWire(), [6]byte{2, 0, 0, 0, 0, 0x11}, hw.Model3C59X)
+	nic := m.AttachNIC(hw.NewEtherSwitch(), [6]byte{2, 0, 0, 0, 0, 0x11}, hw.Model3C59X)
 	k, err := kern.Setup(m, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -848,11 +848,11 @@ type e12Rig struct {
 
 func newE12Rig(b *testing.B, fastpath bool) *e12Rig {
 	b.Helper()
-	wire := hw.NewEtherWire()
+	sw := hw.NewEtherSwitch()
 	m := hw.NewMachine(hw.Config{Name: "e12", MemBytes: 64 << 20})
 	b.Cleanup(m.Halt)
 	mac := [6]byte{2, 0, 0, 0, 0, 0x12}
-	nic := m.AttachNIC(wire, mac, hw.Model3C59X)
+	nic := m.AttachNIC(sw, mac, hw.Model3C59X)
 	k, err := kern.Setup(m, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -881,7 +881,7 @@ func newE12Rig(b *testing.B, fastpath bool) *e12Rig {
 	ed.Release()
 	st.Ifconfig(bsdnet.IPAddr{10, 1, 1, 2}, bsdnet.IPAddr{255, 255, 255, 0})
 	peer := hw.NewNIC(nil, 0, [6]byte{2, 0, 0, 0, 0, 0x13})
-	wire.Attach(peer)
+	sw.Attach(peer)
 	return &e12Rig{env: k.Env, st: st, nic: nic, peer: peer, mac: mac}
 }
 
@@ -1359,8 +1359,8 @@ func benchFFS(b *testing.B, env *core.Env) *netbsdfs.FFS {
 // per-connection-locked stack).  One matrix sweeps the CPU count over
 // the same three workloads the paper's tables use — multi-stream ttcp
 // bandwidth, rtcp round-trip latency, and cluster connection churn —
-// on the FreeBSD-native configuration (AttachNativeMQ grows one
-// RSS-hashed receive ring per CPU).  The uniprocessor row is the
+// on the FreeBSD-native configuration (AttachNative(nic, queues) grows
+// one RSS-hashed receive ring per CPU).  The uniprocessor row is the
 // unchanged giant-exclusion rig (nodes Serialized, §4.7.4); the SMP
 // rows run on the per-connection locks alone.  Expected shape: all
 // three improve with CPUs — ttcp and churn because the uniprocessor

@@ -10,7 +10,8 @@
 //     simulated time comes from hw.Timer ticks);
 //   - the math/rand and math/rand/v2 package-level convenience functions,
 //     which draw from the global, process-seeded source (rand.New over an
-//     explicit seeded Source remains fine and is what EtherWire does);
+//     explicit seeded Source remains fine: it is how the seeded workloads
+//     draw their streams);
 //   - ranging over a map while producing an ordered side effect (append
 //     to an outer slice, channel send, or stream write): Go randomizes
 //     map iteration order per run, so the output order diverges between

@@ -20,7 +20,7 @@ func entropy(t0 time.Time) (time.Duration, int) {
 	return d, rand.Intn(8) // want `rand\.Intn draws from the global process-seeded source`
 }
 
-// seeded draws from an explicitly-seeded source, the EtherWire idiom.
+// seeded draws from an explicitly-seeded source, the seeded-workload idiom.
 func seeded(seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	return rng.Float64()

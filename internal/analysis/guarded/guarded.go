@@ -49,8 +49,8 @@
 // test files are excluded from analysis) stay silent — except a method
 // that implements a package-declared interface: it is called through
 // the interface, so like an exported function it must acquire what it
-// needs (the EtherSwitch.held shape: a field annotated with one sibling
-// mutex, accessed under the other inside Segment.transmitGather).
+// needs (a field annotated with one sibling mutex, accessed under the
+// other inside an interface method).
 // Cross-package field accesses are not checked: annotations live in
 // package syntax.
 package guarded

@@ -35,14 +35,13 @@ func NewCluster(cfg Config, n int, tickInterval time.Duration, opts Options) (*C
 	}
 	c := &Cluster{Cfg: cfg, Switch: hw.NewEtherSwitch()}
 	for i := 0; i < n; i++ {
-		port := c.Switch.NewPort()
 		nodeOpts := opts
 		if i != 0 {
 			// Only the conventional server node carries a disk; load
 			// generators are pure network machines.
 			nodeOpts.DiskSectors = 0
 		}
-		node, err := newNode(cfg, port, byte(i+1), [4]byte{10, 2, 0, byte(i + 1)}, tickInterval, nodeOpts)
+		node, err := newNode(cfg, c.Switch, byte(i+1), [4]byte{10, 2, 0, byte(i + 1)}, tickInterval, nodeOpts)
 		if err != nil {
 			c.Halt()
 			return nil, fmt.Errorf("evalrig: cluster node %d: %w", i, err)
@@ -74,7 +73,7 @@ func (c *Cluster) Halt() {
 
 // EnableFaults weaves a fault-injection plan through the whole cluster:
 // the switch fabric (loss, corruption, duplication, reordering — the
-// same WireFaultHook contract as the two-node wire), every NIC's
+// same WireFaultHook regime as a Pair's), every NIC's
 // receive ring, every machine's clock, and every node's memory service.
 // Call once, after NewCluster and before traffic.  The cluster owns the
 // injector; Halt releases it.
@@ -83,6 +82,6 @@ func (c *Cluster) EnableFaults(plan faults.Plan) *faults.Injector {
 	for i := range names {
 		names[i] = fmt.Sprintf("n%d", i)
 	}
-	c.Faults = wireFaults(plan, c.Switch.SetFaultHook, c.Nodes, names)
+	c.Faults = wireFaults(plan, c.Switch, c.Nodes, names)
 	return c.Faults
 }

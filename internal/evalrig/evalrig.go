@@ -1,6 +1,7 @@
 // Package evalrig assembles the three system configurations of the
 // paper's evaluation (§5, Tables 1 and 2) as pairs of simulated
-// machines on one Ethernet wire:
+// machines on one Ethernet segment, a two-port learning switch (the
+// N-node Cluster puts N machines on the same kind of switch):
 //
 //   - Linux: the monolithic baseline — Linux-style stack bound natively
 //     to the donor driver, skbuffs end to end.
@@ -131,7 +132,7 @@ type Options struct {
 	// glue's spl and the Linux driver glue's cli are vestigial and the
 	// per-connection locks of internal/freebsd/net are the exclusion
 	// (E14); the file system keeps giant exclusion.  A FreeBSD-native
-	// node attaches its NIC with N receive rings (AttachNativeMQ); an
+	// node attaches its NIC with N receive rings (AttachNative); an
 	// OSKit node with FastPath grows N RSS-hashed rings drained by N
 	// polled receive loops, without it the donor ISR keeps its one line.
 	// 0 or 1 means the unchanged uniprocessor rig — every default path is
@@ -154,7 +155,7 @@ type Options struct {
 // fixed peer is not the bottleneck under measurement).
 type Pair struct {
 	SendCfg, RecvCfg Config
-	Wire             *hw.EtherWire
+	Switch           *hw.EtherSwitch
 	Sender, Receiver *Node
 
 	// Faults is the pair's fault injector, nil until EnableFaults.
@@ -188,17 +189,17 @@ func NewMixedPair(sendCfg, recvCfg Config, tickInterval time.Duration) (*Pair, e
 // NewMixedPairOpts is NewMixedPair with rig options, applied to both
 // nodes.
 func NewMixedPairOpts(sendCfg, recvCfg Config, tickInterval time.Duration, opts Options) (*Pair, error) {
-	wire := hw.NewEtherWire()
-	s, err := newNode(sendCfg, wire, 1, ipSender, tickInterval, opts)
+	sw := hw.NewEtherSwitch()
+	s, err := newNode(sendCfg, sw, 1, ipSender, tickInterval, opts)
 	if err != nil {
 		return nil, err
 	}
-	r, err := newNode(recvCfg, wire, 2, ipReceiver, tickInterval, opts)
+	r, err := newNode(recvCfg, sw, 2, ipReceiver, tickInterval, opts)
 	if err != nil {
 		s.halt()
 		return nil, err
 	}
-	return &Pair{SendCfg: sendCfg, RecvCfg: recvCfg, Wire: wire, Sender: s, Receiver: r}, nil
+	return &Pair{SendCfg: sendCfg, RecvCfg: recvCfg, Switch: sw, Sender: s, Receiver: r}, nil
 }
 
 // Halt powers both machines off.
@@ -230,14 +231,13 @@ func (n *Node) halt() {
 	n.Machine.Halt()
 }
 
-func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Duration, opts Options) (*Node, error) {
+func newNode(cfg Config, sw *hw.EtherSwitch, unit byte, ip [4]byte, tick time.Duration, opts Options) (*Node, error) {
 	cpus := opts.CPUs
 	if cpus < 1 {
 		cpus = 1
 	}
-	smp := cpus > 1
 	m := hw.NewMachine(hw.Config{Name: fmt.Sprintf("%s-%d", cfg, unit), MemBytes: 64 << 20, CPUs: cpus})
-	nic := m.AttachNIC(seg, [6]byte{2, 0, 0, 2, 0, unit}, hw.Model3C59X)
+	nic := m.AttachNIC(sw, [6]byte{2, 0, 0, 2, 0, unit}, hw.Model3C59X)
 	var disk *hw.Disk
 	if opts.DiskSectors > 0 {
 		disk = hw.NewDisk(opts.DiskSectors)
@@ -273,13 +273,9 @@ func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Durati
 
 	case FreeBSD:
 		st := bsdnet.NewStack(bsdglue.NewLocked(k.Env))
-		if smp {
-			// N RSS-hashed receive rings, one per CPU, each ring's
-			// interrupt line affinity-routed so drains run concurrently.
-			st.AttachNativeMQ(nic, cpus)
-		} else {
-			st.AttachNative(nic)
-		}
+		// One RSS-hashed receive ring per CPU, each ring's interrupt line
+		// affinity-routed so drains run concurrently.
+		st.AttachNative(nic, cpus)
 		st.Ifconfig(bsdnet.IPAddr(ip), bsdnet.IPAddr(netmask))
 		n.BSD = st
 		f := st.SocketFactory()
@@ -299,13 +295,10 @@ func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Durati
 			// the glue's kmalloc and the stack's small mbufs both draw
 			// from it (§4.2.2: components find services in the registry).
 			n.QP = libc.NewQuickPoolService(n.C)
-			if smp {
-				// One RSS-hashed receive ring per CPU before the
-				// encapsulated driver opens the controller; the polled
-				// receive path engages one drain loop per ring
-				// (linuxdev/rxpoll.go).
-				nic.ConfigureRxQueues(cpus)
-			}
+			// One RSS-hashed receive ring per CPU before the encapsulated
+			// driver opens the controller; the polled receive path
+			// engages one drain loop per ring (linuxdev/rxpoll.go).
+			nic.ConfigureRxQueues(cpus)
 		}
 		fw := dev.NewFramework(k.Env)
 		linuxdev.InitEthernet(fw)

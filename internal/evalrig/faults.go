@@ -7,7 +7,7 @@ import (
 )
 
 // EnableFaults weaves a fault-injection plan through the whole testbed:
-// the shared wire (loss, corruption, duplication, reordering), each
+// the pair's switch (loss, corruption, duplication, reordering), each
 // NIC's receive ring (forced overruns), each machine's clock (jitter),
 // and each node's memory service (allocation failure, via the §4.2.1
 // overridable-functions seam that the LMM default allocator, the BSD
@@ -24,16 +24,16 @@ import (
 // are fixed ("wire.drop", "nic.rx.send", "disk.<node>.err", …) so a
 // soak failure's trace reads the same across runs.
 func (p *Pair) EnableFaults(plan faults.Plan) *faults.Injector {
-	p.Faults = wireFaults(plan, p.Wire.SetFaultHook, []*Node{p.Sender, p.Receiver}, []string{"send", "recv"})
+	p.Faults = wireFaults(plan, p.Switch, []*Node{p.Sender, p.Receiver}, []string{"send", "recv"})
 	return p.Faults
 }
 
 // wireFaults is the fault wiring under Pair.EnableFaults and
-// Cluster.EnableFaults: one injector for plan, hooked into the shared
-// segment and into each node under its recorded decision-stream name.
-func wireFaults(plan faults.Plan, segment func(hw.WireFaultHook), nodes []*Node, names []string) *faults.Injector {
+// Cluster.EnableFaults: one injector for plan, hooked into the rig's
+// switch and into each node under its recorded decision-stream name.
+func wireFaults(plan faults.Plan, sw *hw.EtherSwitch, nodes []*Node, names []string) *faults.Injector {
 	in := faults.NewInjector(plan)
-	segment(in.WireHook())
+	sw.SetFaultHook(in.WireHook())
 	for i, n := range nodes {
 		n.EnableFaults(in, names[i])
 	}

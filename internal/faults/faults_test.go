@@ -266,18 +266,18 @@ func TestInjectorCOMContract(t *testing.T) {
 	}
 }
 
-// End-to-end through the simulated wire: a hooked EtherWire under a
+// End-to-end through the simulated switch: a hooked EtherSwitch under a
 // corrupt-everything plan flips exactly one payload byte per frame.
-func TestWireHookOnEtherWire(t *testing.T) {
+func TestWireHookOnSwitch(t *testing.T) {
 	in := NewInjector(Plan{Seed: 29, WireCorrupt: 1})
 	defer in.Release()
 
-	w := hw.NewEtherWire()
+	sw := hw.NewEtherSwitch()
 	a := hw.NewNIC(nil, 0, [6]byte{2, 0, 0, 0, 0, 1})
 	b := hw.NewNIC(nil, 0, [6]byte{2, 0, 0, 0, 0, 2})
-	w.Attach(a)
-	w.Attach(b)
-	w.SetFaultHook(in.WireHook())
+	sw.Attach(a)
+	sw.Attach(b)
+	sw.SetFaultHook(in.WireHook())
 
 	frame := make([]byte, 64)
 	copy(frame[0:6], b.Mac[:])
@@ -314,11 +314,11 @@ func TestNICRxHookDecisionStreamIgnoresRingOccupancy(t *testing.T) {
 	in := NewInjector(plan)
 	defer in.Release()
 
-	w := hw.NewEtherWire()
+	sw := hw.NewEtherSwitch()
 	a := hw.NewNIC(nil, 0, [6]byte{2, 0, 0, 0, 0, 1})
 	b := hw.NewNIC(nil, 0, [6]byte{2, 0, 0, 0, 0, 2}) // never drained
-	w.Attach(a)
-	w.Attach(b)
+	sw.Attach(a)
+	sw.Attach(b)
 	b.SetRxFaultHook(in.NICRxHook("nic.rx.test"))
 
 	// Offer far more frames than the ring holds: the tail arrives with

@@ -18,7 +18,7 @@ import (
 // lock-carrying constructor, whose discipline follows the machine.
 func bsdGlueFor(k *kern.Kernel) *bsdglue.Glue { return bsdglue.NewLocked(k.Env) }
 
-// The integration harness: two simulated machines on one Ethernet wire,
+// The integration harness: two simulated machines on one Ethernet switch,
 // each running the FreeBSD stack over an encapsulated Linux driver —
 // precisely the §5 configuration.
 
@@ -29,17 +29,17 @@ var (
 )
 
 // bootStack brings up one uniprocessor machine + driver + stack.
-func bootStack(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip IPAddr) *Stack {
-	return bootStackCPUs(t, wire, mac, model, ip, 1)
+func bootStack(t *testing.T, sw *hw.EtherSwitch, mac byte, model hw.NICModel, ip IPAddr) *Stack {
+	return bootStackCPUs(t, sw, mac, model, ip, 1)
 }
 
 // bootStackCPUs is bootStack on a cpus-CPU machine; more than one CPU puts
 // both glue layers under the SMP discipline, as on any such node.
-func bootStackCPUs(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip IPAddr, cpus int) *Stack {
+func bootStackCPUs(t *testing.T, sw *hw.EtherSwitch, mac byte, model hw.NICModel, ip IPAddr, cpus int) *Stack {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{Name: "net", MemBytes: 32 << 20, CPUs: cpus})
 	t.Cleanup(m.Halt)
-	m.AttachNIC(wire, [6]byte{2, 0, 0, 0, 0, mac}, model)
+	m.AttachNIC(sw, [6]byte{2, 0, 0, 0, 0, mac}, model)
 	k, err := kern.Setup(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +68,9 @@ func bootStackCPUs(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel
 func connectedStacks(t *testing.T) (*Stack, *Stack) { return connectedStacksCPUs(t, 1) }
 
 func connectedStacksCPUs(t *testing.T, cpus int) (*Stack, *Stack) {
-	wire := hw.NewEtherWire()
-	a := bootStackCPUs(t, wire, 1, hw.ModelNE2K, ipA, cpus)
-	b := bootStackCPUs(t, wire, 2, hw.Model3C59X, ipB, cpus)
+	sw := hw.NewEtherSwitch()
+	a := bootStackCPUs(t, sw, 1, hw.ModelNE2K, ipA, cpus)
+	b := bootStackCPUs(t, sw, 2, hw.Model3C59X, ipB, cpus)
 	return a, b
 }
 
@@ -102,11 +102,12 @@ func (ls *lockedStack) do(fn func()) {
 func modelNE2K() hw.NICModel  { return hw.ModelNE2K }
 func model3C59X() hw.NICModel { return hw.Model3C59X }
 
-func hw_NewEtherWireLossy(t *testing.T, p float64, seed int64) *hw.EtherWire {
+// lossySwitch is a switch that drops each frame with probability p.
+func lossySwitch(t *testing.T, p float64, seed int64) *hw.EtherSwitch {
 	t.Helper()
-	w := hw.NewEtherWire()
+	sw := hw.NewEtherSwitch()
 	rng := rand.New(rand.NewSource(seed))
-	// The wire serializes hook calls, so the RNG needs no lock.
-	w.SetFaultHook(func(int) hw.WireFault { return hw.WireFault{Drop: rng.Float64() < p} })
-	return w
+	// The switch serializes hook calls, so the RNG needs no lock.
+	sw.SetFaultHook(func(int) hw.WireFault { return hw.WireFault{Drop: rng.Float64() < p} })
+	return sw
 }

@@ -13,21 +13,14 @@ import "oskit/internal/hw"
 // talks to a Linux driver through COM and the chain must be copied into
 // an skbuff on transmit.)
 
-// AttachNative binds the stack directly to a NIC with the donor driver.
-func (s *Stack) AttachNative(nic *hw.NIC) {
-	s.attachNativeTx(nic)
-	ic := s.g.Env().Machine.Intr
-	ic.SetHandler(nic.IRQ(), func(int) { s.nativeRxDrain(nic, 0) })
-	ic.SetMask(nic.IRQ(), false)
-}
-
-// AttachNativeMQ is AttachNative with the NIC grown to queues receive
-// rings (RSS).  Each ring gets its own interrupt line, so on a
-// multi-CPU machine with affinity-routed lines the per-ring drains run
-// concurrently — the configuration BenchmarkE14_SMP_Matrix measures.
-// The rings' handlers share no driver state: each drains only its own
-// ring, and the protocol input path above is per-connection locked.
-func (s *Stack) AttachNativeMQ(nic *hw.NIC, queues int) {
+// AttachNative binds the stack directly to a NIC with the donor driver,
+// the NIC grown to queues receive rings (RSS; below 2, ring 0 alone).
+// Each ring gets its own interrupt line, so on a multi-CPU machine with
+// affinity-routed lines the per-ring drains run concurrently — the
+// configuration BenchmarkE14_SMP_Matrix measures.  The rings' handlers
+// share no driver state: each drains only its own ring, and the
+// protocol input path above is per-connection locked.
+func (s *Stack) AttachNative(nic *hw.NIC, queues int) {
 	s.attachNativeTx(nic)
 	lines := nic.ConfigureRxQueues(queues)
 	ic := s.g.Env().Machine.Intr

@@ -5,88 +5,70 @@ import (
 	"time"
 
 	"oskit/internal/com"
-	"oskit/internal/hw"
 )
 
 // TestDefaultGatewayRouting: an off-subnet destination goes to the
 // configured gateway's MAC; without a gateway it is dropped and
-// counted.
+// counted.  The stack runs driverless, so its output routine sees every
+// frame it sends.
 func TestDefaultGatewayRouting(t *testing.T) {
-	a, b := connectedStacks(t)
+	s := bareStack(t)
+	mac := [6]byte{2, 0, 0, 0, 0, 1}
+	var sent [][]byte
+	s.ifAttach(mac, func(m *Mbuf) {
+		f := make([]byte, m.PktLen)
+		m.CopyData(0, m.PktLen, f)
+		m.FreeChain()
+		sent = append(sent, f)
+	})
+	s.Ifconfig(fuzzIP, IPAddr{255, 255, 255, 0})
+	far := IPAddr{8, 8, 8, 8}
+	var pcb *udpPCB
+	withStack(s, func() {
+		s.mu.Lock()
+		pcb = s.udpNew()
+		s.mu.Unlock()
+	})
+	send := func(payload string) {
+		withStack(s, func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if err := s.udpOutput(pcb, []byte(payload), far, 53); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 
 	// No route: off-subnet traffic drops.
-	spl := a.g.Splnet()
-	a.mu.Lock()
-	pcb := a.udpNew()
-	err := a.udpOutput(pcb, []byte("lost"), IPAddr{8, 8, 8, 8}, 53)
-	a.mu.Unlock()
-	drops := stat(t, a, "ip.dropped_no_route")
-	a.g.Splx(spl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if drops != 1 {
-		t.Fatalf("ip.dropped_no_route = %d", drops)
+	send("lost")
+	if drops := stat(t, s, "ip.dropped_no_route"); drops != 1 || len(sent) != 0 {
+		t.Fatalf("ip.dropped_no_route = %d, %d frames sent", drops, len(sent))
 	}
 
-	// With B as the default gateway, the datagram leaves addressed to
-	// B's MAC while carrying the far IP destination.
-	a.SetGateway(ipB)
-	// Prime ARP for the gateway.
-	if _, ok := a.Ping(ipB, 3, nil, 500); !ok {
-		t.Fatal("gateway ping failed")
-	}
+	// With fuzzPeer as the default gateway, the datagram leaves addressed
+	// to the gateway's MAC while carrying the far IP destination, once an
+	// ARP reply resolves the gateway.
+	s.SetGateway(fuzzPeer)
+	send("routed")
+	gwMAC := [6]byte{2, 0, 0, 0, 0, 2}
+	p := make([]byte, arpHdrLen)
+	packARP(p, arpOpReply, gwMAC, fuzzPeer, mac, fuzzIP)
+	f := etherFrame(EtherTypeARP, p)
+	copy(f[6:12], gwMAC[:])
+	withStack(s, func() { _ = s.rxOne(com.NewMemBuf(f), uint(len(f)), nil) })
 
-	// A promiscuous sniffer on the wire sees the routed frame.
-	snifferIC := hw.NewIntrController()
-	sniffer := hw.NewNIC(snifferIC, hw.IRQNIC0, [6]byte{2, 0xff, 0, 0, 0, 1})
-	sniffer.SetPromiscuous(true)
-	wireOf(t, a).Attach(sniffer)
-
-	spl = a.g.Splnet()
-	a.mu.Lock()
-	err = a.udpOutput(pcb, []byte("routed"), IPAddr{8, 8, 8, 8}, 53)
-	a.mu.Unlock()
-	a.g.Splx(spl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(2 * time.Second)
-	for {
-		f := sniffer.RxPop()
-		if f != nil && len(f) > 34 && f[12] == 0x08 && f[13] == 0x00 && f[23] == ProtoUDP {
-			var dstMAC [6]byte
-			copy(dstMAC[:], f[0:6])
-			gwMAC := b.ifMAC
-			if dstMAC != gwMAC {
-				t.Fatalf("routed frame to MAC %v, want gateway %v", dstMAC, gwMAC)
+	for _, f := range sent {
+		if len(f) > 34 && f[12] == 0x08 && f[13] == 0x00 && f[23] == ProtoUDP {
+			if [6]byte(f[0:6]) != gwMAC {
+				t.Fatalf("routed frame to MAC %v, want gateway %v", f[0:6], gwMAC)
 			}
-			if IPAddr(f[30:34]) != (IPAddr{8, 8, 8, 8}) {
+			if IPAddr(f[30:34]) != far {
 				t.Fatalf("IP dst = %v", f[30:34])
 			}
 			return
 		}
-		select {
-		case <-deadline:
-			t.Fatal("routed frame never appeared on the wire")
-		default:
-			time.Sleep(time.Millisecond)
-		}
 	}
-}
-
-// wireOf digs the test wire back out (the harness built it).
-func wireOf(t *testing.T, s *Stack) *hw.EtherWire {
-	t.Helper()
-	// connectedStacks attaches both machines' NICs to one wire; reach
-	// it through the machine bus.
-	for _, d := range s.g.Env().Machine.Bus.Devices() {
-		if nic, ok := d.HW.(*hw.NIC); ok {
-			return hw.WireOfForTest(nic)
-		}
-	}
-	t.Fatal("no NIC on bus")
-	return nil
+	t.Fatalf("routed datagram never left (%d frames sent)", len(sent))
 }
 
 // TestUDPBroadcast: a datagram to 255.255.255.255 reaches every
@@ -140,5 +122,4 @@ func TestUDPBroadcast(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("broadcast never arrived")
 	}
-	_ = com.ErrNoEnt
 }

@@ -301,9 +301,11 @@ func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
 	defer done()
 	if so.udp == nil {
 		n, err := so.readTCP(buf)
-		so.tcp.mu.Lock()
-		a, _ := so.peerLocked() //oskit:allow guarded -- TCP branch: so.udp is nil here, so peerLocked's UDP-side read (which would need Stack.mu) is unreachable; the analyzer cannot correlate the two branches
-		so.tcp.mu.Unlock()
+		tp := so.tcp
+		a := com.SockAddr{Family: com.AFInet}
+		tp.mu.Lock()
+		tp.peerAddr(&a)
+		tp.mu.Unlock()
 		return n, a, err
 	}
 	so.s.mu.Lock()
@@ -425,9 +427,7 @@ func (so *socket) GetPeerName() (com.SockAddr, error) {
 func (so *socket) peerLocked() (com.SockAddr, error) {
 	a := com.SockAddr{Family: com.AFInet}
 	switch {
-	case so.tcp != nil && so.tcp.fport != 0:
-		copy(a.Addr[:], so.tcp.faddr[:])
-		a.Port = so.tcp.fport
+	case so.tcp != nil && so.tcp.peerAddr(&a):
 	case so.udp != nil && so.udp.fport != 0:
 		copy(a.Addr[:], so.udp.faddr[:])
 		a.Port = so.udp.fport
@@ -437,40 +437,51 @@ func (so *socket) peerLocked() (com.SockAddr, error) {
 	return a, nil
 }
 
+// peerAddr fills a with the connection's foreign endpoint and reports
+// whether there is one; the caller holds tp.mu or the stack lock.
+func (tp *tcpcb) peerAddr(a *com.SockAddr) bool {
+	if tp.fport == 0 {
+		return false
+	}
+	copy(a.Addr[:], tp.faddr[:])
+	a.Port = tp.fport
+	return true
+}
+
 // SetSockOpt implements com.Socket.
 func (so *socket) SetSockOpt(name string, value int) error {
 	done := so.enter("setsockopt")
 	defer done()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
-	if so.tcp != nil {
-		so.tcp.mu.Lock()
-		defer so.tcp.mu.Unlock()
-	}
 	switch name {
-	case "rcvbuf":
-		if value <= 0 {
-			return com.ErrInval
-		}
-		if so.tcp != nil {
-			so.tcp.rcvBuf.hiwat = value
-		} else {
-			so.udp.rcvLimit = value
-		}
-	case "sndbuf":
-		if value <= 0 {
-			return com.ErrInval
-		}
-		if so.tcp != nil {
-			so.tcp.sndBuf.hiwat = value
-		}
-	case "nodelay":
-		if so.tcp == nil {
-			return com.ErrInval
-		}
-		so.tcp.nodelay = value != 0 //oskit:allow guarded -- both locks are held: tcp.mu was acquired under the `if so.tcp != nil` guard above, which the analyzer's branch merge cannot correlate with this one
 	case "reuseaddr":
 		so.reuse = value != 0
+		return nil
+	case "rcvbuf", "sndbuf":
+		if value <= 0 {
+			return com.ErrInval
+		}
+	}
+	if so.tcp == nil {
+		switch name {
+		case "rcvbuf":
+			so.udp.rcvLimit = value
+		case "sndbuf":
+		default:
+			return com.ErrInval
+		}
+		return nil
+	}
+	so.tcp.mu.Lock()
+	defer so.tcp.mu.Unlock()
+	switch name {
+	case "rcvbuf":
+		so.tcp.rcvBuf.hiwat = value
+	case "sndbuf":
+		so.tcp.sndBuf.hiwat = value
+	case "nodelay":
+		so.tcp.nodelay = value != 0
 	default:
 		return com.ErrInval
 	}

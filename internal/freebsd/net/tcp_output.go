@@ -81,6 +81,7 @@ func (s *Stack) tcpOutputOnce(tp *tcpcb) bool {
 	}
 
 	if length == 0 && !synPending && !sendFin {
+		tp.armPersistIfNeeded()
 		return false
 	}
 
@@ -147,6 +148,12 @@ func (s *Stack) tcpOutputOnce(tp *tcpcb) bool {
 		}
 	}
 	if adv > 0 && tp.timers[tRexmt] == 0 {
+		if tp.timers[tPersist] != 0 {
+			// The window opened: the retransmit timer replaces the
+			// probes, without their backoff.
+			tp.timers[tPersist] = 0
+			tp.rxtShift = 0
+		}
 		tp.timers[tRexmt] = tp.rexmtTimeout()
 	}
 	tp.rcvAdv = tp.rcvNxt + rcvWnd

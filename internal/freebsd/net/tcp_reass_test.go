@@ -522,3 +522,52 @@ func TestInitialWindow(t *testing.T) {
 		t.Fatalf("active open: state %d, cwnd %d, want established with %d", tp.state, tp.cwnd, 3*tcpMSS)
 	}
 }
+
+// TestPersistProbes: a peer that closes its window holds the queued data
+// back; each persist firing then sends one 1-byte probe, each interval
+// longer than the last, and the window update that reopens the window
+// releases the data.
+func TestPersistProbes(t *testing.T) {
+	p := newSegPeer(t)
+	p.inject(withWindow(tcpSegment(segPeerPort, fuzzPort, p.seq, p.ack, thACK, nil), 0))
+	src := stream(3000)
+	n := len(p.out)
+	if _, err := p.conn.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.out[n:]; len(got) != 0 || p.tp.sndBuf.cc != len(src) {
+		t.Fatalf("a closed window let %+v out, %d of %d bytes queued", got, p.tp.sndBuf.cc, len(src))
+	}
+
+	var intervals []int
+	for sweeps := 1; len(intervals) < 3 && sweeps <= 1000; sweeps++ {
+		got := p.slowTimo()
+		if len(got) == 0 {
+			continue
+		}
+		if len(got) != 1 || got[0].n != 1 || got[0].seq != p.ack {
+			t.Fatalf("a persist firing sent %+v, want one 1-byte probe at %d", got, p.ack)
+		}
+		intervals = append(intervals, sweeps)
+		sweeps = 0
+	}
+	if len(intervals) != 3 || intervals[0] >= intervals[1] || intervals[1] >= intervals[2] {
+		t.Fatalf("probes after %v sweeps, want three, each interval longer than the last", intervals)
+	}
+	if p.tp.sndBuf.cc != len(src) {
+		t.Fatalf("%d of %d bytes queued after the probes", p.tp.sndBuf.cc, len(src))
+	}
+
+	n = len(p.out)
+	p.inject(withWindow(tcpSegment(segPeerPort, fuzzPort, p.seq, p.ack, thACK, nil), 65535))
+	sent := 0
+	for _, sg := range p.out[n:] {
+		sent += sg.n
+	}
+	if sent != len(src) {
+		t.Fatalf("the window update released %d bytes in %+v, want %d", sent, p.out[n:], len(src))
+	}
+	if p.tp.timers[tPersist] != 0 || p.tp.rxtShift != 0 {
+		t.Errorf("persist timer %d, backoff %d after the window opened; want both 0", p.tp.timers[tPersist], p.tp.rxtShift)
+	}
+}

@@ -151,9 +151,9 @@ func TestTCPRetransmissionUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loss test is slow")
 	}
-	wire := hw_NewEtherWireLossy(t, 0.08, 1234)
-	a := bootStack(t, wire, 1, modelNE2K(), ipA)
-	b := bootStack(t, wire, 2, model3C59X(), ipB)
+	sw := lossySwitch(t, 0.08, 1234)
+	a := bootStack(t, sw, 1, modelNE2K(), ipA)
+	b := bootStack(t, sw, 2, model3C59X(), ipB)
 
 	ls := sockOn(t, b)
 	if err := ls.Bind(addrOf(ipB, 7001)); err != nil {

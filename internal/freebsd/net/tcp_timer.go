@@ -66,9 +66,12 @@ func (s *Stack) tcpTimerFire(tp *tcpcb, which int) {
 		s.tcpOutput(tp)
 
 	case tPersist:
-		// Window probe: force a single byte past the window edge.
+		// Window probe: force a single byte past the window edge, and
+		// back the next probe off as a retransmission would (BSD's
+		// tcp_setpersist; RFC 1122 §4.2.2.17).
 		s.tcpProbe(tp)
 		if tp.sndBuf.cc > 0 && tp.sndWnd == 0 {
+			tp.rxtShift = min(tp.rxtShift+1, tcpMaxRxtShift)
 			tp.timers[tPersist] = tp.rexmtTimeout()
 		}
 
@@ -117,7 +120,8 @@ func (s *Stack) tcpProbe(tp *tcpcb) {
 func putU16(b []byte, v uint16) { b[0], b[1] = byte(v>>8), byte(v) }
 
 // armPersistIfNeeded starts the persist timer when the window closed
-// with data pending (called from the socket write path, tp.mu held).
+// with data pending and nothing in flight (called from tcp_output and
+// the socket write path, tp.mu held).
 func (tp *tcpcb) armPersistIfNeeded() {
 	if tp.sndWnd == 0 && tp.sndBuf.cc > 0 && tp.timers[tPersist] == 0 && tp.timers[tRexmt] == 0 {
 		tp.timers[tPersist] = tp.rexmtTimeout()

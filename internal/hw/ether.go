@@ -32,158 +32,10 @@ type WireFault struct {
 	Reorder bool
 }
 
-// WireFaultHook decides the fate of one frame.  It is called with the
-// wire serialized (one frame at a time, in transmit order), so decisions
-// see a deterministic event sequence for deterministic traffic.
+// WireFaultHook decides the fate of one frame.  The switch calls it
+// serialized (one frame at a time, in ingress order), so decisions see a
+// deterministic event sequence for deterministic traffic.
 type WireFaultHook func(frameLen int) WireFault
-
-// heldFrame is a frame stashed by a Reorder verdict, remembering its
-// sender so the late delivery still skips the right NIC.
-type heldFrame struct {
-	src   *NIC
-	frame []byte
-}
-
-// Segment is the link a NIC transmits onto: a shared EtherWire (the
-// two-PC testbeds of Tables 1 and 2) or one port of an EtherSwitch (the
-// N-node cluster rig).  The transmit method is unexported so every
-// segment implementation lives in this package, next to the NIC whose
-// delivery contract (deliver/receiveGather) it depends on.
-type Segment interface {
-	// Attach joins a NIC to the segment and publishes the binding under
-	// the NIC's own lock.
-	Attach(n *NIC)
-	transmitGather(src *NIC, parts [][]byte)
-}
-
-// EtherWire is a shared Ethernet segment.  Transmission is synchronous:
-// delivery happens on the sender's thread of control, ending in the
-// receiving NIC's ring and an interrupt on the receiving machine.  The
-// wire is therefore never the bottleneck, which is what makes the paper's
-// software-overhead comparisons (Tables 1 and 2) observable.
-//
-// Hostile behaviour — loss, corruption, duplication, reordering — comes
-// from a WireFaultHook (see internal/faults).
-type EtherWire struct {
-	mu   sync.Mutex
-	nics []*NIC        //oskit:guardedby mu
-	hook WireFaultHook //oskit:guardedby mu
-	// hookMu serializes fault-hook invocations (the injector's burst
-	// state relies on one-frame-at-a-time calls) without holding w.mu,
-	// so a hook that reads wire or stats state cannot deadlock against
-	// concurrent Stats callers — the NIC.deliver hazard class.
-	hookMu sync.Mutex
-	held   *heldFrame //oskit:guardedby mu  frame held back by a Reorder verdict
-
-	txFrames uint64 //oskit:guardedby mu
-	drops    uint64 //oskit:guardedby mu
-}
-
-// NewEtherWire creates an empty segment.
-func NewEtherWire() *EtherWire { return &EtherWire{} }
-
-// SetFaultHook installs (or, with nil, removes) the frame fault hook.
-// Safe to toggle while traffic is flowing.
-func (w *EtherWire) SetFaultHook(h WireFaultHook) {
-	w.mu.Lock()
-	w.hook = h
-	w.held = nil
-	w.mu.Unlock()
-}
-
-// Attach joins a NIC to the segment.
-func (w *EtherWire) Attach(n *NIC) {
-	w.mu.Lock()
-	w.nics = append(w.nics, n)
-	w.mu.Unlock()
-	// The NIC's wire binding is published under the NIC's own lock so a
-	// mid-traffic Attach on the segment races cleanly with transmits.
-	n.mu.Lock()
-	n.wire = w
-	n.mu.Unlock()
-}
-
-// Stats reports frames transmitted and frames dropped by the fault hook.
-func (w *EtherWire) Stats() (tx, drops uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.txFrames, w.drops
-}
-
-// transmitGather is transmit for scattered frames: the per-receiver copy
-// gathers the runs directly, so scattered and contiguous transmission
-// cost the same single DMA copy.
-func (w *EtherWire) transmitGather(src *NIC, parts [][]byte) {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total < EtherHdrLen || len(parts[0]) < 6 {
-		return
-	}
-	w.mu.Lock()
-	w.txFrames++
-	hook := w.hook
-	w.mu.Unlock()
-
-	// The hook runs outside w.mu (it may take its own locks or read the
-	// wire's stats) but under hookMu, which keeps the injector's
-	// one-frame-at-a-time contract.
-	var fault WireFault
-	if hook != nil {
-		w.hookMu.Lock()
-		//oskit:allow lockhook -- hookMu exists only to serialize this call; nothing else takes it, so no callback can deadlock on it
-		fault = hook(total)
-		w.hookMu.Unlock()
-	}
-
-	w.mu.Lock()
-	if fault.Drop {
-		w.drops++
-		w.mu.Unlock()
-		return
-	}
-	frame := parts
-	if fault.Corrupt {
-		flat := flatten(parts, total)
-		corrupt(flat, fault.CorruptOff)
-		frame = [][]byte{flat}
-	}
-	held := w.held
-	w.held = nil
-	if fault.Reorder && held == nil {
-		// Hold this frame back; the next transmission flushes it after
-		// itself, swapping the pair on the wire.
-		w.held = &heldFrame{src: src, frame: flatten(frame, total)}
-		w.mu.Unlock()
-		return
-	}
-	nics := append([]*NIC(nil), w.nics...)
-	w.mu.Unlock()
-
-	w.deliverFrame(src, nics, frame, total)
-	if fault.Duplicate {
-		w.deliverFrame(src, nics, frame, total)
-	}
-	if held != nil {
-		w.deliverFrame(held.src, nics, [][]byte{held.frame}, len(held.frame))
-	}
-}
-
-// deliverFrame carries one (possibly faulted) frame to every other NIC
-// whose address filter accepts it.
-func (w *EtherWire) deliverFrame(src *NIC, nics []*NIC, parts [][]byte, total int) {
-	var dst [6]byte
-	copy(dst[:], parts[0][0:6])
-	for _, n := range nics {
-		if n == src {
-			continue
-		}
-		if n.accepts(dst) {
-			n.receiveGather(parts, total)
-		}
-	}
-}
 
 // corrupt flips one byte of a flattened frame, off bytes (modulo the
 // length) into the payload rather than the station addresses: a flipped
@@ -225,18 +77,18 @@ type nicRing struct {
 	rxRaised  uint64 //oskit:guardedby mu  receive interrupts raised
 	rxSuppr   uint64 //oskit:guardedby mu  receive interrupts suppressed by mitigation
 	rxRearms  uint64 //oskit:guardedby mu  poller/timer re-arms that re-raised the line
-	rxBatched uint64 //oskit:guardedby mu  frames drained through RxPopBatch
+	rxBatched uint64 //oskit:guardedby mu  frames drained through RxPopBatchOn
 }
 
-// NIC is a simulated Ethernet controller: a transmit path onto the wire
-// and one or more fixed-size receive rings drained at interrupt level by
+// NIC is a simulated Ethernet controller: a transmit path onto its
+// switch port and one or more fixed-size receive rings drained at interrupt level by
 // its driver.  A single-queue NIC (the default) behaves exactly as the
 // PCI-era controllers the donor drivers were written for; a multi-queue
 // NIC spreads inbound flows across rings by RSS hash, each ring raising
 // its own interrupt line with its own CPU affinity.
 type NIC struct {
 	Mac  [6]byte
-	wire Segment
+	wire *SwitchPort
 	ic   *IntrController
 	line int // ring 0's line (the legacy single-queue IRQ)
 
@@ -351,7 +203,7 @@ func (n *NIC) TransmitGather(parts [][]byte) {
 	if w == nil {
 		return
 	}
-	w.transmitGather(n, parts)
+	w.transmitGather(parts)
 }
 
 // RxPop removes and returns the oldest frame in ring 0, or nil when the
@@ -406,8 +258,6 @@ func (n *NIC) accepts(dst [6]byte) bool {
 	return n.promisc || dst == n.Mac || dst == BroadcastMAC
 }
 
-func (n *NIC) receiveGather(parts [][]byte, total int) { n.deliver(flatten(parts, total)) }
-
 func (n *NIC) receive(frame []byte) {
 	n.deliver(append([]byte(nil), frame...))
 }
@@ -455,7 +305,7 @@ func (n *NIC) deliver(f []byte) {
 // SetRxIntrMitigation switches the receive-interrupt policy.  Off (the
 // default), every accepted frame raises the line — the stock per-frame
 // interrupt model.  On, only the ring's empty→non-empty transition
-// raises it; a polling driver drains batches and re-arms via RxRearm.
+// raises it; a polling driver drains batches and re-arms via RxRearmOn.
 // Turning mitigation off re-raises the line if frames are pending, so
 // no frame is stranded across the switch.
 func (n *NIC) SetRxIntrMitigation(on bool) {
@@ -479,12 +329,9 @@ func (n *NIC) SetRxIntrMitigation(on bool) {
 	}
 }
 
-// RxPopBatch removes up to max frames (bounded by len(dst)) from ring 0
-// into dst and returns the count — the polled drain a budgeted receive
-// loop uses instead of per-frame RxPop.
-func (n *NIC) RxPopBatch(dst [][]byte, max int) int { return n.RxPopBatchOn(0, dst, max) }
-
-// RxPopBatchOn is RxPopBatch against one receive ring.
+// RxPopBatchOn removes up to max frames (bounded by len(dst)) from
+// ring q into dst and returns the count — the polled drain a budgeted
+// receive loop uses instead of per-frame RxPopOn.
 func (n *NIC) RxPopBatchOn(q int, dst [][]byte, max int) int {
 	r := n.ringOf(q)
 	if r == nil {
@@ -508,13 +355,10 @@ func (n *NIC) RxPopBatchOn(q int, dst [][]byte, max int) int {
 	return c
 }
 
-// RxRearm re-raises ring 0's receive interrupt if frames are still
+// RxRearmOn re-raises ring q's receive interrupt if frames are still
 // pending — the poller's "budget exhausted, reschedule me" edge, and the
 // timer backstop's recovery path for a stalled poller.  Returns whether
 // the line was raised.
-func (n *NIC) RxRearm() bool { return n.RxRearmOn(0) }
-
-// RxRearmOn is RxRearm against one receive ring.
 func (n *NIC) RxRearmOn(q int) bool {
 	r := n.ringOf(q)
 	if r == nil || n.ic == nil {
@@ -550,7 +394,7 @@ func (n *NIC) RxIntrCounters() (raised, suppressed, rearms uint64) {
 	return raised, suppressed, rearms
 }
 
-// RxBatched reports how many frames left the rings through RxPopBatch.
+// RxBatched reports how many frames left the rings through RxPopBatchOn.
 func (n *NIC) RxBatched() uint64 {
 	n.mu.Lock()
 	rings := n.rings
@@ -562,18 +406,4 @@ func (n *NIC) RxBatched() uint64 {
 		r.mu.Unlock()
 	}
 	return c
-}
-
-// WireOfForTest exposes the shared wire a NIC is attached to, or nil
-// when the NIC sits on some other segment kind (test hook).
-func WireOfForTest(n *NIC) *EtherWire {
-	w, _ := SegmentOfForTest(n).(*EtherWire)
-	return w
-}
-
-// SegmentOfForTest exposes the segment a NIC is attached to (test hook).
-func SegmentOfForTest(n *NIC) Segment {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.wire
 }

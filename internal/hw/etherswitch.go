@@ -2,9 +2,10 @@ package hw
 
 import "sync"
 
-// EtherSwitch is a learning Ethernet switch: the N-node fabric the
-// cluster rig scales the paper's two-PC testbed onto.  Each port is a
-// point-to-point segment for one NIC; the switch floods frames with
+// EtherSwitch is a learning Ethernet switch, the one segment a NIC
+// attaches to: the paper's two-PC testbed (Tables 1 and 2) is a
+// two-port switch, and the cluster rig scales it to N ports.  Each port
+// is a point-to-point link for one NIC; the switch floods frames with
 // unknown or broadcast destinations to every other port, learns source
 // stations as traffic arrives, and thereafter forwards unicast frames
 // to the learned port alone.
@@ -14,19 +15,22 @@ import "sync"
 // (backpressure), like an output-buffered switch under congestion.
 // Delivery happens on the thread of whichever sender first finds the
 // port idle; concurrent senders enqueue behind it, so per-port frame
-// order is FIFO regardless of contention.
+// order is FIFO regardless of contention.  No queueing stage is added
+// for an idle port: the sender's own thread carries its frame into the
+// receiving NIC's ring, so the fabric is never the bottleneck, which is
+// what makes the paper's software-overhead comparisons observable.
 //
-// A WireFaultHook may be installed exactly as on an EtherWire, so the
-// chaos regimes built for the two-node rig apply unchanged to switched
-// clusters.
+// Hostile behaviour — loss, corruption, duplication, reordering — comes
+// from a WireFaultHook (see internal/faults).
 type EtherSwitch struct {
 	mu    sync.Mutex
 	ports []*SwitchPort           //oskit:guardedby mu
 	macs  map[[6]byte]*SwitchPort //oskit:guardedby mu
 	hook  WireFaultHook           //oskit:guardedby mu
-	// hookMu serializes fault-hook invocations without holding sw.mu,
-	// for the same reason EtherWire keeps the two apart: a hook that
-	// reads switch state must not deadlock against concurrent senders.
+	// hookMu serializes fault-hook invocations (the injector's burst
+	// state relies on one-frame-at-a-time calls) without holding sw.mu,
+	// so a hook that reads switch state cannot deadlock against
+	// concurrent senders or Stats callers.
 	hookMu sync.Mutex
 	held   *switchHeld //oskit:guardedby mu  frame held back by a Reorder verdict
 
@@ -48,13 +52,13 @@ type switchHeld struct {
 	frame []byte
 }
 
-// SwitchPort is one switch port; it implements Segment for exactly one
-// NIC.
+// SwitchPort is one switch port, bound to exactly one NIC by
+// EtherSwitch.Attach.
 type SwitchPort struct {
 	sw  *EtherSwitch
 	idx int
+	nic *NIC
 
-	nic      *NIC     // guarded by sw.mu
 	q        [][]byte // bounded egress queue, guarded by sw.mu
 	draining bool     // a sender's thread is emptying q
 }
@@ -72,14 +76,21 @@ func NewEtherSwitch() *EtherSwitch {
 	}
 }
 
-// NewPort adds one port.  Attach the port to a machine's NIC via
-// Machine.AttachNIC, which calls Attach.
-func (sw *EtherSwitch) NewPort() *SwitchPort {
+// NewEtherWire returns NewEtherSwitch().  It exists only because
+// bench/rig.go compiles against that name; everything else calls
+// NewEtherSwitch.
+func NewEtherWire() *EtherSwitch { return NewEtherSwitch() }
+
+// Attach adds a port and binds n to it, publishing the binding under the
+// NIC's own lock.  Machine.AttachNIC calls it.
+func (sw *EtherSwitch) Attach(n *NIC) {
 	sw.mu.Lock()
-	p := &SwitchPort{sw: sw, idx: len(sw.ports)}
+	p := &SwitchPort{sw: sw, idx: len(sw.ports), nic: n}
 	sw.ports = append(sw.ports, p)
 	sw.mu.Unlock()
-	return p
+	n.mu.Lock()
+	n.wire = p
+	n.mu.Unlock()
 }
 
 // Ports reports how many ports the switch has.
@@ -89,9 +100,9 @@ func (sw *EtherSwitch) Ports() int {
 	return len(sw.ports)
 }
 
-// SetFaultHook installs (or, with nil, removes) the frame fault hook —
-// the same contract as EtherWire.SetFaultHook, called once per offered
-// frame in ingress order.
+// SetFaultHook installs (or, with nil, removes) the frame fault hook,
+// called once per offered frame in ingress order.  Safe to toggle while
+// traffic is flowing.
 func (sw *EtherSwitch) SetFaultHook(h WireFaultHook) {
 	sw.mu.Lock()
 	sw.hook = h
@@ -137,27 +148,13 @@ func (sw *EtherSwitch) PortOf(mac [6]byte) int {
 	return -1
 }
 
-// Attach implements Segment: binds the port's single NIC.
-func (p *SwitchPort) Attach(n *NIC) {
-	p.sw.mu.Lock()
-	if p.nic != nil {
-		p.sw.mu.Unlock()
-		panic("hw: switch port already has a NIC")
-	}
-	p.nic = n
-	p.sw.mu.Unlock()
-	n.mu.Lock()
-	n.wire = p
-	n.mu.Unlock()
-}
-
-// Index returns the port's number on its switch.
-func (p *SwitchPort) Index() int { return p.idx }
-
-// transmitGather implements Segment: one frame arrives at the ingress
-// port.  The switch flattens it (store-and-forward), consults the fault
-// hook, learns the source station, and forwards.
-func (p *SwitchPort) transmitGather(src *NIC, parts [][]byte) {
+// transmitGather carries one frame from the port's NIC into the switch,
+// which flattens it (store-and-forward), consults the fault hook, learns
+// the source station, and forwards.  The frame, its duplicate and a
+// released held frame are switched in one critical section and delivered
+// after it; a second handoff to the same port queues behind the first,
+// so per-port order is frame, duplicate, held.
+func (p *SwitchPort) transmitGather(parts [][]byte) {
 	sw := p.sw
 	total := 0
 	for _, part := range parts {
@@ -166,30 +163,26 @@ func (p *SwitchPort) transmitGather(src *NIC, parts [][]byte) {
 	if total < EtherHdrLen || len(parts[0]) < 6 {
 		return
 	}
+	frame := flatten(parts, total)
 	sw.mu.Lock()
 	sw.txFrames++
-	hook := sw.hook
-	sw.mu.Unlock()
-
 	var fault WireFault
-	if hook != nil {
+	if hook := sw.hook; hook != nil {
+		sw.mu.Unlock()
 		sw.hookMu.Lock()
 		//oskit:allow lockhook -- hookMu exists only to serialize this call; nothing else takes it, so no callback can deadlock on it
 		fault = hook(total)
 		sw.hookMu.Unlock()
+		if fault.Corrupt {
+			corrupt(frame, fault.CorruptOff)
+		}
+		sw.mu.Lock()
 	}
 	if fault.Drop {
-		sw.mu.Lock()
 		sw.faultDrops++
 		sw.mu.Unlock()
 		return
 	}
-	frame := flatten(parts, total)
-	if fault.Corrupt {
-		corrupt(frame, fault.CorruptOff)
-	}
-
-	sw.mu.Lock()
 	held := sw.held
 	sw.held = nil
 	if fault.Reorder && held == nil {
@@ -199,25 +192,35 @@ func (p *SwitchPort) transmitGather(src *NIC, parts [][]byte) {
 		sw.mu.Unlock()
 		return
 	}
-	sw.mu.Unlock()
-
-	sw.switchFrame(p, frame)
+	var buf [1]handoff
+	idle := sw.switchLocked(p, frame, buf[:0])
 	if fault.Duplicate {
-		sw.switchFrame(p, append([]byte(nil), frame...))
+		idle = sw.switchLocked(p, append([]byte(nil), frame...), idle)
 	}
 	if held != nil {
-		sw.switchFrame(held.in, held.frame)
+		idle = sw.switchLocked(held.in, held.frame, idle)
 	}
+	sw.mu.Unlock()
+	deliverAll(idle)
 }
 
-// switchFrame makes the forwarding decision for one flattened frame and
-// enqueues it on the chosen egress ports.  The switch owns frame.
-func (sw *EtherSwitch) switchFrame(in *SwitchPort, frame []byte) {
+// handoff is a frame for an egress port that was idle: the thread that
+// made the forwarding decision now owns the port's drain and delivers
+// the frame itself, so it never passes through the queue.
+type handoff struct {
+	out   *SwitchPort
+	frame []byte
+}
+
+// switchLocked makes the forwarding decision for one flattened frame:
+// it queues the frame on each busy egress port and appends a handoff to
+// idle for each idle one, which the caller delivers once sw.mu is
+// released.
+func (sw *EtherSwitch) switchLocked(in *SwitchPort, frame []byte, idle []handoff) []handoff {
 	var dst, src [6]byte
 	copy(dst[:], frame[0:6])
 	copy(src[:], frame[6:12])
 
-	sw.mu.Lock()
 	// Learn (or move) the source station to the ingress port.  The
 	// broadcast address is never a valid source; don't let a corrupt
 	// frame teach it.
@@ -227,90 +230,79 @@ func (sw *EtherSwitch) switchFrame(in *SwitchPort, frame []byte) {
 			sw.learned++
 		}
 	}
-	var egress []*SwitchPort
-	if dst == BroadcastMAC {
-		egress = sw.floodListLocked(in)
-		sw.flooded++
-	} else if out, ok := sw.macs[dst]; ok {
+	if out, ok := sw.macs[dst]; ok {
 		if out == in {
 			// The station sits behind the ingress port: filter, the way
 			// a real switch suppresses same-segment traffic.
 			sw.filtered++
-			sw.mu.Unlock()
-			return
+			return idle
 		}
-		egress = []*SwitchPort{out}
 		sw.forwarded++
-	} else {
-		egress = sw.floodListLocked(in)
-		sw.flooded++
+		return sw.enqueueLocked(out, frame, idle)
 	}
-
-	var drain []*SwitchPort
-	for i, out := range egress {
-		if out.nic == nil {
-			continue // unpopulated port: frame falls on the floor
-		}
-		if len(out.q) >= sw.queueLen {
-			sw.drops++ // backpressure: egress queue full
+	// Broadcast (never learned) or unknown station: flood in port order
+	// (deterministic: ports, not the MAC map, drive iteration).
+	sw.flooded++
+	first := true
+	for _, out := range sw.ports {
+		if out == in {
 			continue
 		}
 		f := frame
-		if i > 0 {
-			// Each NIC ring takes ownership of its slice; flooding
-			// needs per-port copies beyond the first.
+		if !first {
+			// Each NIC ring takes ownership of its slice; flooding needs
+			// per-port copies beyond the first.
 			f = append([]byte(nil), frame...)
 		}
+		first = false
+		idle = sw.enqueueLocked(out, f, idle)
+	}
+	return idle
+}
+
+// enqueueLocked offers f to one egress port: an idle port (whose queue
+// is empty) becomes busy and is handed to the caller, a busy one queues
+// f behind its drainer, and a full queue drops it.
+func (sw *EtherSwitch) enqueueLocked(out *SwitchPort, f []byte, idle []handoff) []handoff {
+	switch {
+	case len(out.q) >= sw.queueLen:
+		sw.drops++ // backpressure: egress queue full
+	case !out.draining:
+		out.draining = true
+		idle = append(idle, handoff{out, f})
+	default:
 		out.q = append(out.q, f)
-		if !out.draining {
-			out.draining = true
-			drain = append(drain, out)
-		}
 	}
-	sw.mu.Unlock()
+	return idle
+}
 
-	for _, out := range drain {
-		out.drain()
+// deliverAll drains every port handed over by switchLocked.
+func deliverAll(idle []handoff) {
+	for _, h := range idle {
+		h.out.drain(h.frame)
 	}
 }
 
-// floodListLocked returns every port but the ingress, in port order
-// (deterministic: ports, not the MAC map, drive iteration).
-func (sw *EtherSwitch) floodListLocked(in *SwitchPort) []*SwitchPort {
-	out := make([]*SwitchPort, 0, len(sw.ports)-1)
-	for _, p := range sw.ports {
-		if p != in {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// drain empties the port's egress queue, delivering into the attached
-// NIC's receive ring outside the switch lock.  Exactly one thread
-// drains a port at a time (the draining flag); frames enqueued while it
-// runs are picked up before it exits.
-func (p *SwitchPort) drain() {
+// drain delivers f into the attached NIC's receive ring outside the
+// switch lock, then empties the port's egress queue the same way.
+// Exactly one thread drains a port at a time (the draining flag);
+// frames enqueued while it runs are picked up before it exits.
+func (p *SwitchPort) drain(f []byte) {
 	sw := p.sw
 	for {
+		var dst [6]byte
+		copy(dst[:], f[0:6])
+		if p.nic.accepts(dst) {
+			p.nic.deliver(f)
+		}
 		sw.mu.Lock()
 		if len(p.q) == 0 {
 			p.draining = false
 			sw.mu.Unlock()
 			return
 		}
-		f := p.q[0]
+		f = p.q[0]
 		p.q = p.q[1:]
-		nic := p.nic
 		sw.mu.Unlock()
-		if nic != nil {
-			var dst [6]byte
-			copy(dst[:], f[0:6])
-			if nic.accepts(dst) {
-				nic.deliver(f)
-			}
-		}
 	}
 }
-
-var _ Segment = (*SwitchPort)(nil)

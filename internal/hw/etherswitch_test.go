@@ -16,7 +16,7 @@ func switchRig(n int) (*EtherSwitch, []*NIC) {
 		// Promiscuous: the tests observe what reaches each port, so the
 		// NIC's own station filter must not eat flooded frames.
 		nics[i].SetPromiscuous(true)
-		sw.NewPort().Attach(nics[i])
+		sw.Attach(nics[i])
 	}
 	return sw, nics
 }
@@ -243,16 +243,5 @@ func TestSwitchFaultHookToggleUnderTraffic(t *testing.T) {
 	wg.Wait()
 	if tx := sw.Stats().TxFrames; tx != 400 {
 		t.Fatalf("txFrames = %d, want 400", tx)
-	}
-}
-
-func TestSwitchUnattachedPort(t *testing.T) {
-	sw, nics := switchRig(1)
-	sw.NewPort() // never attached
-	a := nics[0]
-	// Flooding across an unpopulated port must not panic or wedge.
-	a.Transmit(frame(BroadcastMAC, a.Mac, "into the void"))
-	if tx := sw.Stats().TxFrames; tx != 1 {
-		t.Fatalf("txFrames = %d", tx)
 	}
 }

@@ -125,9 +125,9 @@ func TestDiskFaultHookTornWrite(t *testing.T) {
 	}
 }
 
-func twoNICs(t *testing.T) (*EtherWire, *NIC, *NIC, [6]byte, [6]byte) {
+func twoNICs(t *testing.T) (*EtherSwitch, *NIC, *NIC, [6]byte, [6]byte) {
 	t.Helper()
-	wire := NewEtherWire()
+	sw := NewEtherSwitch()
 	icA, icB := NewIntrController(), NewIntrController()
 	t.Cleanup(icA.stop)
 	t.Cleanup(icB.stop)
@@ -135,17 +135,17 @@ func twoNICs(t *testing.T) (*EtherWire, *NIC, *NIC, [6]byte, [6]byte) {
 	macB := [6]byte{2, 0, 0, 0, 0, 2}
 	a := NewNIC(icA, IRQNIC0, macA)
 	b := NewNIC(icB, IRQNIC0, macB)
-	wire.Attach(a)
-	wire.Attach(b)
-	return wire, a, b, macA, macB
+	sw.Attach(a)
+	sw.Attach(b)
+	return sw, a, b, macA, macB
 }
 
 // Corrupt flips exactly one byte, never in the Ethernet header;
 // Duplicate delivers twice; Reorder swaps adjacent frames.
 func TestWireFaultVerdicts(t *testing.T) {
-	wire, a, b, macA, macB := twoNICs(t)
+	sw, a, b, macA, macB := twoNICs(t)
 
-	wire.SetFaultHook(func(frameLen int) WireFault {
+	sw.SetFaultHook(func(frameLen int) WireFault {
 		return WireFault{Corrupt: true, CorruptOff: 0}
 	})
 	orig := frame(macB, macA, "payload-under-test")
@@ -167,7 +167,7 @@ func TestWireFaultVerdicts(t *testing.T) {
 		t.Errorf("corruption flipped %d payload bytes, want 1", diff)
 	}
 
-	wire.SetFaultHook(func(frameLen int) WireFault {
+	sw.SetFaultHook(func(frameLen int) WireFault {
 		return WireFault{Duplicate: true}
 	})
 	a.Transmit(frame(macB, macA, "twice"))
@@ -181,7 +181,7 @@ func TestWireFaultVerdicts(t *testing.T) {
 	}
 
 	reorderFirst := true
-	wire.SetFaultHook(func(frameLen int) WireFault {
+	sw.SetFaultHook(func(frameLen int) WireFault {
 		f := WireFault{Reorder: reorderFirst}
 		reorderFirst = false
 		return f
@@ -253,7 +253,7 @@ func TestTimerFaultHookSuppression(t *testing.T) {
 }
 
 // lossHook is a seeded frame-drop hook: each frame is dropped with
-// probability p.  The wire serializes hook calls, so the private RNG
+// probability p.  The switch serializes hook calls, so the private RNG
 // needs no lock.
 func lossHook(p float64, seed int64) WireFaultHook {
 	rng := rand.New(rand.NewSource(seed))
@@ -264,7 +264,7 @@ func lossHook(p float64, seed int64) WireFaultHook {
 // two SetFaultHook togglers and SetRxFaultHook race here, and -race must
 // stay quiet while every frame is still either delivered or counted.
 func TestFaultKnobTogglingUnderTraffic(t *testing.T) {
-	wire, a, b, macA, macB := twoNICs(t)
+	sw, a, b, macA, macB := twoNICs(t)
 
 	const frames = 400
 	var wg sync.WaitGroup
@@ -279,16 +279,16 @@ func TestFaultKnobTogglingUnderTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			wire.SetFaultHook(lossHook(0.5, int64(i)))
-			wire.SetFaultHook(nil)
+			sw.SetFaultHook(lossHook(0.5, int64(i)))
+			sw.SetFaultHook(nil)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		hook := func(frameLen int) WireFault { return WireFault{Duplicate: true} }
 		for i := 0; i < 100; i++ {
-			wire.SetFaultHook(hook)
-			wire.SetFaultHook(nil)
+			sw.SetFaultHook(hook)
+			sw.SetFaultHook(nil)
 		}
 	}()
 	go func() {
@@ -308,10 +308,11 @@ func TestFaultKnobTogglingUnderTraffic(t *testing.T) {
 	for b.RxPop() != nil {
 		delivered++
 	}
-	tx, wireDrops := wire.Stats()
+	st := sw.Stats()
+	wireDrops := st.FaultDrops + st.Drops
 	rx, _, rxDrops := b.Stats()
-	if tx != frames {
-		t.Errorf("wire counted %d transmits, want %d", tx, frames)
+	if st.TxFrames != frames {
+		t.Errorf("switch counted %d transmits, want %d", st.TxFrames, frames)
 	}
 	if uint64(delivered) != rx {
 		t.Errorf("ring had %d frames, NIC counted %d", delivered, rx)

@@ -84,16 +84,15 @@ func NewMachine(cfg Config) *Machine {
 	return m
 }
 
-// AttachNIC creates a NIC on the given segment — a shared EtherWire or
-// one EtherSwitch port — and registers it on the bus.  model selects the
-// (vendor, device) ID pair drivers probe for.
-func (m *Machine) AttachNIC(wire Segment, mac [6]byte, model NICModel) *NIC {
+// AttachNIC creates a NIC on a new port of sw and registers it on the
+// bus.  model selects the (vendor, device) ID pair drivers probe for.
+func (m *Machine) AttachNIC(sw *EtherSwitch, mac [6]byte, model NICModel) *NIC {
 	irq := IRQNIC0 + m.nextNIC
 	if m.nextNIC >= 2 {
 		panic("hw: too many NICs")
 	}
 	n := NewNIC(m.Intr, irq, mac)
-	wire.Attach(n)
+	sw.Attach(n)
 	name := fmt.Sprintf("nic%d", m.nextNIC)
 	m.nextNIC++
 	m.Bus.Add(BusDevice{Name: name, Vendor: model.Vendor, Device: model.Device, IRQ: irq, HW: n})

@@ -362,7 +362,7 @@ func frame(dst, src [6]byte, payload string) []byte {
 }
 
 func TestEtherDelivery(t *testing.T) {
-	wire := NewEtherWire()
+	sw := NewEtherSwitch()
 	icA, icB := NewIntrController(), NewIntrController()
 	defer icA.stop()
 	defer icB.stop()
@@ -370,8 +370,8 @@ func TestEtherDelivery(t *testing.T) {
 	macB := [6]byte{2, 0, 0, 0, 0, 2}
 	a := NewNIC(icA, IRQNIC0, macA)
 	b := NewNIC(icB, IRQNIC0, macB)
-	wire.Attach(a)
-	wire.Attach(b)
+	sw.Attach(a)
+	sw.Attach(b)
 	gotIRQ := make(chan struct{}, 8)
 	icB.SetHandler(IRQNIC0, func(int) { gotIRQ <- struct{}{} })
 	icB.SetMask(IRQNIC0, false)
@@ -418,22 +418,21 @@ func TestEtherDelivery(t *testing.T) {
 }
 
 func TestEtherLossInjection(t *testing.T) {
-	wire := NewEtherWire()
-	wire.SetFaultHook(lossHook(1.0, 42)) // drop everything
+	sw := NewEtherSwitch()
+	sw.SetFaultHook(lossHook(1.0, 42)) // drop everything
 	ic := NewIntrController()
 	defer ic.stop()
 	macA := [6]byte{2, 0, 0, 0, 0, 1}
 	macB := [6]byte{2, 0, 0, 0, 0, 2}
 	a := NewNIC(ic, IRQNIC0, macA)
 	b := NewNIC(ic, IRQNIC1, macB)
-	wire.Attach(a)
-	wire.Attach(b)
+	sw.Attach(a)
+	sw.Attach(b)
 	for i := 0; i < 10; i++ {
 		a.Transmit(frame(macB, macA, "x"))
 	}
-	tx, drops := wire.Stats()
-	if tx != 10 || drops != 10 {
-		t.Fatalf("stats = %d tx, %d drops", tx, drops)
+	if st := sw.Stats(); st.TxFrames != 10 || st.FaultDrops != 10 {
+		t.Fatalf("stats = %d tx, %d drops", st.TxFrames, st.FaultDrops)
 	}
 	if b.RxPop() != nil {
 		t.Fatal("frame survived 100% loss")
@@ -441,15 +440,15 @@ func TestEtherLossInjection(t *testing.T) {
 }
 
 func TestEtherRingOverrun(t *testing.T) {
-	wire := NewEtherWire()
+	sw := NewEtherSwitch()
 	ic := NewIntrController()
 	defer ic.stop()
 	macA := [6]byte{2, 0, 0, 0, 0, 1}
 	macB := [6]byte{2, 0, 0, 0, 0, 2}
 	a := NewNIC(ic, IRQNIC0, macA)
 	b := NewNIC(ic, IRQNIC1, macB) // IRQ masked: nothing drains the ring
-	wire.Attach(a)
-	wire.Attach(b)
+	sw.Attach(a)
+	sw.Attach(b)
 	for i := 0; i < EtherRingLen+10; i++ {
 		a.Transmit(frame(macB, macA, "x"))
 	}
@@ -501,13 +500,13 @@ func TestDiskReadWrite(t *testing.T) {
 }
 
 func TestMachineAssembly(t *testing.T) {
-	wire := NewEtherWire()
+	sw := NewEtherSwitch()
 	m := NewMachine(Config{Name: "box"})
 	defer m.Halt()
 	if m.Mem.Size() != 32<<20 {
 		t.Fatalf("default memory = %d", m.Mem.Size())
 	}
-	nic := m.AttachNIC(wire, [6]byte{2, 0, 0, 0, 0, 9}, ModelNE2K)
+	nic := m.AttachNIC(sw, [6]byte{2, 0, 0, 0, 0, 9}, ModelNE2K)
 	if nic.IRQ() != IRQNIC0 {
 		t.Fatalf("nic irq = %d", nic.IRQ())
 	}

@@ -83,8 +83,8 @@ func TestRxIntrMitigationEdgeOnly(t *testing.T) {
 
 	// Drain the ring: the next frame is a fresh edge.
 	dst := make([][]byte, 8)
-	if n := b.RxPopBatch(dst, 8); n != 5 {
-		t.Fatalf("RxPopBatch drained %d, want 5", n)
+	if n := b.RxPopBatchOn(0, dst, 8); n != 5 {
+		t.Fatalf("RxPopBatchOn drained %d, want 5", n)
 	}
 	a.Transmit(frame(macB, macA, "fresh edge"))
 	raised, suppr, _ = b.RxIntrCounters()
@@ -107,7 +107,7 @@ func TestRxIntrMitigationEdgeOnly(t *testing.T) {
 	}
 }
 
-// RxPopBatch bounds by both max and len(dst), preserves FIFO order,
+// RxPopBatchOn bounds by both max and len(dst), preserves FIFO order,
 // and ledgers the drained frames.
 func TestRxPopBatchBounds(t *testing.T) {
 	_, a, b, macA, macB := twoNICs(t)
@@ -117,23 +117,23 @@ func TestRxPopBatchBounds(t *testing.T) {
 	}
 
 	dst := make([][]byte, 2)
-	if n := b.RxPopBatch(dst, 8); n != 2 { // bounded by len(dst)
+	if n := b.RxPopBatchOn(0, dst, 8); n != 2 { // bounded by len(dst)
 		t.Fatalf("pop = %d, want 2", n)
 	}
 	if string(dst[0][EtherHdrLen:]) != "one" || string(dst[1][EtherHdrLen:]) != "two" {
 		t.Fatalf("order broken: %q %q", dst[0][EtherHdrLen:], dst[1][EtherHdrLen:])
 	}
 	dst = make([][]byte, 8)
-	if n := b.RxPopBatch(dst, 1); n != 1 { // bounded by max
+	if n := b.RxPopBatchOn(0, dst, 1); n != 1 { // bounded by max
 		t.Fatalf("pop = %d, want 1", n)
 	}
 	if string(dst[0][EtherHdrLen:]) != "three" {
 		t.Fatalf("order broken: %q", dst[0][EtherHdrLen:])
 	}
-	if n := b.RxPopBatch(dst, 8); n != 2 { // bounded by ring occupancy
+	if n := b.RxPopBatchOn(0, dst, 8); n != 2 { // bounded by ring occupancy
 		t.Fatalf("pop = %d, want 2", n)
 	}
-	if n := b.RxPopBatch(dst, 8); n != 0 { // empty
+	if n := b.RxPopBatchOn(0, dst, 8); n != 0 { // empty
 		t.Fatalf("pop on empty ring = %d", n)
 	}
 	if b.RxBatched() != 5 {
@@ -141,14 +141,14 @@ func TestRxPopBatchBounds(t *testing.T) {
 	}
 }
 
-// RxRearm raises only when frames are pending, and ledgers the re-arm.
+// RxRearmOn raises only when frames are pending, and ledgers the re-arm.
 func TestRxRearm(t *testing.T) {
 	_, a, b, macA, macB := twoNICs(t)
-	if b.RxRearm() {
+	if b.RxRearmOn(0) {
 		t.Fatal("re-arm fired on an empty ring")
 	}
 	a.Transmit(frame(macB, macA, "pending"))
-	if !b.RxRearm() {
+	if !b.RxRearmOn(0) {
 		t.Fatal("re-arm did not fire with a pending frame")
 	}
 	raised, _, rearms := b.RxIntrCounters()
@@ -166,7 +166,7 @@ func TestRxRearm(t *testing.T) {
 // frame must be conserved — accepted frames equal popped plus still
 // ringed, and accepted plus dropped equals offered.
 func TestRxBatchOverrunRace(t *testing.T) {
-	wire, a, b, macA, macB := twoNICs(t)
+	sw, a, b, macA, macB := twoNICs(t)
 
 	const frames = 2000
 	var wg sync.WaitGroup
@@ -185,7 +185,7 @@ func TestRxBatchOverrunRace(t *testing.T) {
 		defer wg.Done()
 		dst := make([][]byte, 16)
 		for {
-			n := b.RxPopBatch(dst, 16)
+			n := b.RxPopBatchOn(0, dst, 16)
 			popped += n
 			if n == 0 {
 				select {
@@ -209,16 +209,15 @@ func TestRxBatchOverrunRace(t *testing.T) {
 	// Final drain: anything still ringed.
 	dst := make([][]byte, 64)
 	for {
-		n := b.RxPopBatch(dst, 64)
+		n := b.RxPopBatchOn(0, dst, 64)
 		if n == 0 {
 			break
 		}
 		popped += n
 	}
 	rx, _, rxDrops := b.Stats()
-	tx, wireDrops := wire.Stats()
-	if tx != frames || wireDrops != 0 {
-		t.Fatalf("wire: tx=%d drops=%d", tx, wireDrops)
+	if st := sw.Stats(); st.TxFrames != frames || st.FaultDrops+st.Drops != 0 {
+		t.Fatalf("switch: %+v", st)
 	}
 	if uint64(popped) != rx {
 		t.Errorf("popped %d frames, NIC accepted %d", popped, rx)

@@ -125,7 +125,7 @@ func TestAllocLine(t *testing.T) {
 func TestConfigureRxQueuesRSSDelivery(t *testing.T) {
 	m := NewMachine(Config{Name: "rx", CPUs: 4})
 	defer m.Halt()
-	w := NewEtherWire()
+	w := NewEtherSwitch()
 	src := m.AttachNIC(w, [6]byte{2, 0, 0, 0, 0, 1}, Model3C59X)
 	dst := m.AttachNIC(w, [6]byte{2, 0, 0, 0, 0, 2}, Model3C59X)
 	lines := dst.ConfigureRxQueues(4)

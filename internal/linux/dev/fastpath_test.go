@@ -59,9 +59,9 @@ var _ com.SGBufIO = (*sgBuf)(nil)
 // the gather path on a FeatSG device (no flatten copy), and the frame
 // on the wire is intact.
 func TestFastPathSGXmit(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := newRig(t, wire, 1, hw.Model3C59X)
-	b := newRig(t, wire, 2, hw.Model3C59X)
+	sw := hw.NewEtherSwitch()
+	a := newRig(t, sw, 1, hw.Model3C59X)
+	b := newRig(t, sw, 2, hw.Model3C59X)
 	fastPool(a)
 	edA, txA, _ := openEther(t, a)
 	_, _, rxB := openEther(t, b)
@@ -93,9 +93,9 @@ func TestFastPathSGXmit(t *testing.T) {
 // allocation).  Run under -race by the tier-1 suite; the burst must
 // leave the pool balanced.
 func TestFastPathConcurrentAllocXmit(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := newRig(t, wire, 1, hw.Model3C59X)
-	b := newRig(t, wire, 2, hw.Model3C59X)
+	sw := hw.NewEtherSwitch()
+	a := newRig(t, sw, 1, hw.Model3C59X)
+	b := newRig(t, sw, 2, hw.Model3C59X)
 	pool := fastPool(a)
 	edA, txA, _ := openEther(t, a)
 	_, _, rxB := openEther(t, b)

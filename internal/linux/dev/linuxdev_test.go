@@ -22,13 +22,13 @@ type rig struct {
 	nic *hw.NIC
 }
 
-func newRig(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel) *rig {
+func newRig(t *testing.T, sw *hw.EtherSwitch, mac byte, model hw.NICModel) *rig {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{Name: "rig", MemBytes: 8 << 20})
 	t.Cleanup(m.Halt)
 	var nic *hw.NIC
-	if wire != nil {
-		nic = m.AttachNIC(wire, [6]byte{2, 0, 0, 0, 0, mac}, model)
+	if sw != nil {
+		nic = m.AttachNIC(sw, [6]byte{2, 0, 0, 0, 0, mac}, model)
 	}
 	k, err := kern.Setup(m, nil)
 	if err != nil {
@@ -129,9 +129,9 @@ func ethFrame(dst, src [6]byte, payload []byte) []byte {
 // sne2k machine talking to a busmaster-style s3c59x machine, each through
 // the COM interfaces only.
 func TestEtherEndToEnd(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := newRig(t, wire, 1, hw.ModelNE2K)
-	b := newRig(t, wire, 2, hw.Model3C59X)
+	sw := hw.NewEtherSwitch()
+	a := newRig(t, sw, 1, hw.ModelNE2K)
+	b := newRig(t, sw, 2, hw.Model3C59X)
 	edA, txA, rxA := openEther(t, a)
 	edB, txB, rxB := openEther(t, b)
 
@@ -194,9 +194,9 @@ func TestEtherEndToEnd(t *testing.T) {
 
 // TestForeignUnmappablePacket exercises the read-copy fallback of §4.7.3.
 func TestForeignUnmappablePacket(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := newRig(t, wire, 1, hw.ModelNE2K)
-	b := newRig(t, wire, 2, hw.ModelNE2K)
+	sw := hw.NewEtherSwitch()
+	a := newRig(t, sw, 1, hw.ModelNE2K)
+	b := newRig(t, sw, 2, hw.ModelNE2K)
 	edA, txA, _ := openEther(t, a)
 	_, _, rxB := openEther(t, b)
 

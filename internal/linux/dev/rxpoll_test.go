@@ -71,9 +71,9 @@ func fastPool(r *rig) *libc.QuickPool {
 // burst is raised with interrupt dispatch held (the donor cli/sti
 // seam), so the edge/suppression arithmetic is deterministic.
 func TestRxPollBatchedReceive(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := newRig(t, wire, 1, hw.Model3C59X)
-	b := newRig(t, wire, 2, hw.Model3C59X)
+	sw := hw.NewEtherSwitch()
+	a := newRig(t, sw, 1, hw.Model3C59X)
+	b := newRig(t, sw, 2, hw.Model3C59X)
 	pool := fastPool(b)
 	edA, txA, _ := openEther(t, a)
 	defer txA.Release()
@@ -142,9 +142,9 @@ func TestRxPollBatchedReceive(t *testing.T) {
 // budget-sized passes, the exhausted poll re-arming the line each time
 // (the NAPI "not done" reschedule) — no frame strands.
 func TestRxPollBudgetRearm(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := newRig(t, wire, 1, hw.Model3C59X)
-	b := newRig(t, wire, 2, hw.Model3C59X)
+	sw := hw.NewEtherSwitch()
+	a := newRig(t, sw, 1, hw.Model3C59X)
+	b := newRig(t, sw, 2, hw.Model3C59X)
 	fastPool(b)
 	edA, txA, _ := openEther(t, a)
 	defer txA.Release()
@@ -190,9 +190,9 @@ func TestRxPollBudgetRearm(t *testing.T) {
 // TestRxPollPlainSinkFallback: a sink that only speaks per-frame NetIO
 // still receives everything — negotiation fails closed onto Push.
 func TestRxPollPlainSinkFallback(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := newRig(t, wire, 1, hw.Model3C59X)
-	b := newRig(t, wire, 2, hw.Model3C59X)
+	sw := hw.NewEtherSwitch()
+	a := newRig(t, sw, 1, hw.Model3C59X)
+	b := newRig(t, sw, 2, hw.Model3C59X)
 	fastPool(b)
 	edA, txA, _ := openEther(t, a)
 	defer txA.Release()
@@ -220,9 +220,9 @@ func TestRxPollPlainSinkFallback(t *testing.T) {
 // the donor ISR keeps draining per frame, and every polled-receive
 // counter stays zero.  This is the stock half of the E12 contract.
 func TestRxPollDefaultOff(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := newRig(t, wire, 1, hw.Model3C59X)
-	b := newRig(t, wire, 2, hw.Model3C59X)
+	sw := hw.NewEtherSwitch()
+	a := newRig(t, sw, 1, hw.Model3C59X)
+	b := newRig(t, sw, 2, hw.Model3C59X)
 	edA, txA, _ := openEther(t, a)
 	defer txA.Release()
 	defer edA.Release()
@@ -259,9 +259,9 @@ func TestRxPollDefaultOff(t *testing.T) {
 // mitigation off; a reopened device engages a fresh poller and traffic
 // still flows.
 func TestRxPollCloseRestoresStock(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := newRig(t, wire, 1, hw.Model3C59X)
-	b := newRig(t, wire, 2, hw.Model3C59X)
+	sw := hw.NewEtherSwitch()
+	a := newRig(t, sw, 1, hw.Model3C59X)
+	b := newRig(t, sw, 2, hw.Model3C59X)
 	fastPool(b)
 	edA, txA, _ := openEther(t, a)
 	defer txA.Release()

@@ -15,11 +15,11 @@ import (
 
 // bootLinuxGlue is bootLinux, but hands back the donor glue so the test
 // can reach the kmalloc fault hook underneath the stack.
-func bootLinuxGlue(t *testing.T, wire *hw.EtherWire, mac byte, ip [4]byte) (*Stack, *linuxdev.Glue) {
+func bootLinuxGlue(t *testing.T, sw *hw.EtherSwitch, mac byte, ip [4]byte) (*Stack, *linuxdev.Glue) {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{Name: "linux-faulty", MemBytes: 32 << 20})
 	t.Cleanup(m.Halt)
-	m.AttachNIC(wire, [6]byte{2, 0, 0, 1, 0, mac}, hw.ModelNE2K)
+	m.AttachNIC(sw, [6]byte{2, 0, 0, 1, 0, mac}, hw.ModelNE2K)
 	k, err := kern.Setup(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -120,9 +120,9 @@ func kmTransfer(a, b *Stack, port uint16, payload []byte, limit time.Duration) e
 // or wedge — and once the hook is removed the same stacks must carry a
 // clean transfer byte-exact.
 func TestLinuxKmallocFaultDegradation(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a, glueA := bootLinuxGlue(t, wire, 7, ipA)
-	b := bootLinux(t, wire, 8, ipB)
+	sw := hw.NewEtherSwitch()
+	a, glueA := bootLinuxGlue(t, sw, 7, ipA)
+	b := bootLinux(t, sw, 8, ipB)
 
 	plan := faults.Plan{Seed: 9, AllocFailNth: 1, AllocRate: 0.02}
 	in := faults.NewInjector(plan)

@@ -22,11 +22,11 @@ var (
 
 // bootLinux brings up a machine running the monolithic Linux
 // configuration: donor driver + Linux stack, skbuffs end to end.
-func bootLinux(t *testing.T, wire *hw.EtherWire, mac byte, ip [4]byte) *Stack {
+func bootLinux(t *testing.T, sw *hw.EtherSwitch, mac byte, ip [4]byte) *Stack {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{Name: "linux", MemBytes: 32 << 20})
 	t.Cleanup(m.Halt)
-	m.AttachNIC(wire, [6]byte{2, 0, 0, 1, 0, mac}, hw.ModelNE2K)
+	m.AttachNIC(sw, [6]byte{2, 0, 0, 1, 0, mac}, hw.ModelNE2K)
 	k, err := kern.Setup(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +57,9 @@ func tcpSock(t *testing.T, f com.SocketFactory) com.Socket {
 }
 
 func TestLinuxTCPTransfer(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := bootLinux(t, wire, 1, ipA)
-	b := bootLinux(t, wire, 2, ipB)
+	sw := hw.NewEtherSwitch()
+	a := bootLinux(t, sw, 1, ipA)
+	b := bootLinux(t, sw, 2, ipB)
 	fa, fb := a.SocketFactory(), b.SocketFactory()
 	defer fa.Release()
 	defer fb.Release()
@@ -124,9 +124,9 @@ func TestLinuxTCPTransfer(t *testing.T) {
 }
 
 func TestLinuxUDP(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := bootLinux(t, wire, 1, ipA)
-	b := bootLinux(t, wire, 2, ipB)
+	sw := hw.NewEtherSwitch()
+	a := bootLinux(t, sw, 1, ipA)
+	b := bootLinux(t, sw, 2, ipB)
 	fa, fb := a.SocketFactory(), b.SocketFactory()
 	defer fa.Release()
 	defer fb.Release()
@@ -163,9 +163,9 @@ func TestLinuxUDP(t *testing.T) {
 }
 
 func TestLinuxRefusedConnect(t *testing.T) {
-	wire := hw.NewEtherWire()
-	a := bootLinux(t, wire, 1, ipA)
-	_ = bootLinux(t, wire, 2, ipB)
+	sw := hw.NewEtherSwitch()
+	a := bootLinux(t, sw, 1, ipA)
+	_ = bootLinux(t, sw, 2, ipB)
 	fa := a.SocketFactory()
 	defer fa.Release()
 	cs := tcpSock(t, fa)
@@ -174,17 +174,13 @@ func TestLinuxRefusedConnect(t *testing.T) {
 	}
 }
 
-// TestInteropLinuxToBSD runs the baseline Linux stack against the
-// FreeBSD-derived stack: both implement wire-standard TCP, so a transfer
-// between them validates each against the other.
-func TestInteropLinuxToBSD(t *testing.T) {
-	wire := hw.NewEtherWire()
-	lx := bootLinux(t, wire, 1, ipA)
-
-	// BSD machine.
+// bootBSD brings up a machine running the FreeBSD-derived stack over
+// the encapsulated driver, the peer of the mixed-stack tests.
+func bootBSD(t *testing.T, sw *hw.EtherSwitch, mac byte, ip [4]byte) *bsdnet.Stack {
+	t.Helper()
 	m := hw.NewMachine(hw.Config{Name: "bsd", MemBytes: 32 << 20})
 	t.Cleanup(m.Halt)
-	m.AttachNIC(wire, [6]byte{2, 0, 0, 1, 0, 2}, hw.Model3C59X)
+	m.AttachNIC(sw, [6]byte{2, 0, 0, 1, 0, mac}, hw.Model3C59X)
 	k, err := kern.Setup(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +195,31 @@ func TestInteropLinuxToBSD(t *testing.T) {
 		t.Fatal(err)
 	}
 	eths[0].Release()
-	bs.Ifconfig(bsdnet.IPAddr(ipB), bsdnet.IPAddr(nm))
+	bs.Ifconfig(bsdnet.IPAddr(ip), bsdnet.IPAddr(nm))
 	m.Timer.Start(time.Millisecond)
+	return bs
+}
+
+// TestLinuxAnswersPing: a BSD stack on the same switch pings a Linux
+// node, whose ICMP input turns the echo request into a reply.
+func TestLinuxAnswersPing(t *testing.T) {
+	sw := hw.NewEtherSwitch()
+	bootLinux(t, sw, 1, ipA)
+	bs := bootBSD(t, sw, 2, ipB)
+	for seq := uint16(1); seq <= 3; seq++ {
+		if _, ok := bs.Ping(bsdnet.IPAddr(ipA), seq, []byte("echo me"), 500); !ok {
+			t.Fatalf("ping %d to the Linux node got no reply", seq)
+		}
+	}
+}
+
+// TestInteropLinuxToBSD runs the baseline Linux stack against the
+// FreeBSD-derived stack: both implement wire-standard TCP, so a transfer
+// between them validates each against the other.
+func TestInteropLinuxToBSD(t *testing.T) {
+	sw := hw.NewEtherSwitch()
+	lx := bootLinux(t, sw, 1, ipA)
+	bs := bootBSD(t, sw, 2, ipB)
 
 	// BSD listens, Linux connects and streams.
 	bf := bs.SocketFactory()

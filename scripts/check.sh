@@ -12,8 +12,8 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=32253
-MAX_WAIVERS=8
+MAX_LOC=32082
+MAX_WAIVERS=5
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
 go build ./...
