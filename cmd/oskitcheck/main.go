@@ -7,7 +7,9 @@
 // namespace must stay collision-free, and the fault substrate must stay
 // deterministic.
 //
-// Standalone:
+// One driver loads the whole program at once, so the cross-package
+// analyzers (guidreg) see every package; test files are skipped — the
+// invariants govern production code, not test-harness idioms:
 //
 //	oskitcheck ./...                 # whole tree (the tier-1 gate)
 //	oskitcheck -analyzers comref ./internal/libc/
@@ -15,14 +17,7 @@
 //	oskitcheck -waivers ./...        # every applied //oskit:allow + reason
 //	oskitcheck -timing -budget 10s ./...  # per-analyzer wall clock, gated
 //
-// As a vet tool (one package per invocation, so guidreg degrades to
-// per-package scope; test files are skipped in both modes — the
-// invariants govern production code, not test-harness idioms):
-//
-//	go vet -vettool=$(which oskitcheck) ./...
-//
-// Exit status: 0 clean, 1 unsuppressed diagnostics (2 in vet-config
-// mode, matching vet tool conventions), other non-zero on failure.
+// Exit status: 0 clean, 1 unsuppressed diagnostics, 2 on failure.
 //
 // Diagnostics are waived with a reviewed comment on or directly above
 // the flagged line:
@@ -34,7 +29,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,7 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
 	"time"
 
 	"oskit/internal/analysis"
@@ -51,42 +44,11 @@ import (
 )
 
 func main() {
-	// Vet-tool protocol: the go command probes with -V=full and -flags
-	// before handing over per-package config files.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full" || os.Args[1] == "--V=full":
-			// The go command requires a devel version's last field to be
-			// buildID=<content-id>; hashing the executable itself makes
-			// vet's result cache invalidate when the analyzers change.
-			fmt.Printf("%s version devel buildID=%s\n", progName(), buildID())
-			return
-		case os.Args[1] == "-flags" || os.Args[1] == "--flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(runVetConfig(os.Args[1]))
-		}
-	}
-	os.Exit(runStandalone(os.Args[1:]))
+	os.Exit(run(os.Args[1:]))
 }
 
 func progName() string {
 	return filepath.Base(os.Args[0])
-}
-
-// buildID content-addresses this binary for the vet-tool handshake.
-func buildID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "oskitcheck-1"
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return "oskitcheck-1"
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%x", sum[:12])
 }
 
 func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
@@ -117,7 +79,7 @@ func analyzerNames(as []*analysis.Analyzer) string {
 	return strings.Join(names, ", ")
 }
 
-func runStandalone(args []string) int {
+func run(args []string) int {
 	fs := flag.NewFlagSet("oskitcheck", flag.ExitOnError)
 	analyzerList := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list the registered analyzers and exit")
@@ -286,74 +248,4 @@ func printDiagnostics(w io.Writer, fset *token.FileSet, ds []analysis.Diagnostic
 		pos := fset.Position(d.Pos)
 		fmt.Fprintf(w, "%s: [%s] %s\n", pos, d.Analyzer, d.Message)
 	}
-}
-
-// vetConfig is the per-package JSON config the go command hands a
-// -vettool (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetConfig(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progName(), err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: reading %s: %v\n", progName(), cfgFile, err)
-		return 2
-	}
-	// The kit's analyzers exchange no facts, but the protocol requires
-	// the output file to exist for downstream packages.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progName(), err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	prog, err := analysis.LoadVetPackage(analysis.VetPackage{
-		Dir:         cfg.Dir,
-		ImportPath:  cfg.ImportPath,
-		GoFiles:     cfg.GoFiles,
-		ImportMap:   cfg.ImportMap,
-		PackageFile: cfg.PackageFile,
-	})
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progName(), err)
-		return 2
-	}
-	res, err := analysis.Run(prog, suite.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progName(), err)
-		return 2
-	}
-	for _, d := range res.Diagnostics {
-		pos := prog.Fset.Position(d.Pos)
-		fmt.Fprintf(os.Stderr, "%s: %s\n", pos, d.Message)
-	}
-	if len(res.Diagnostics) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -54,11 +54,19 @@ type Pass struct {
 	Analyzer *Analyzer
 	*Package
 	report func(Diagnostic)
+	allows allowSet
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
+}
+
+// Waived reports whether an //oskit:allow would suppress this pass's
+// diagnostic at pos, for analyzers that report at a waived site instead
+// of propagating an obligation past it.
+func (p *Pass) Waived(pos token.Pos) bool {
+	return p.allows.allows(p.Fset, Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name}) != nil
 }
 
 // Analyzer is one invariant checker.  Exactly one of Run and RunProgram
@@ -127,14 +135,6 @@ type Timing struct {
 // driver counts applied waivers so suppressions stay visible in output.
 const AllowPrefix = "//oskit:allow"
 
-// ParseAllow exposes the //oskit:allow parser to analyzers that adapt
-// their behavior at waived sites — e.g. reporting at a waived call site
-// (where the driver suppresses it and counts the waiver used) instead
-// of propagating the obligation to every transitive caller.
-func ParseAllow(text string) (names []string, reason string, ok bool) {
-	return parseAllow(text)
-}
-
 // allowSet maps filename → line → analyzer name → the waiver directive
 // covering that (line, analyzer), so a match can be attributed back to
 // the //oskit:allow comment that granted it.
@@ -198,6 +198,17 @@ func parseAllow(text string) (names []string, reason string, ok bool) {
 	return names, reason, len(names) > 0
 }
 
+// allRan reports whether every analyzer in names ran ("all" names none
+// in particular, so it never has).
+func allRan(ran map[string]bool, names []string) bool {
+	for _, n := range names {
+		if !ran[n] {
+			return false
+		}
+	}
+	return true
+}
+
 func (a allowSet) allows(fset *token.FileSet, d Diagnostic) *Waiver {
 	pos := fset.Position(d.Pos)
 	byLine := a[pos.Filename]
@@ -223,7 +234,8 @@ func Run(prog *Program, analyzers []*Analyzer) (*Result, error) {
 	}
 	var all []Diagnostic
 	report := func(d Diagnostic) { all = append(all, d) }
-	res := &Result{}
+	allows, waivers := collectAllows(prog)
+	res := &Result{Waivers: waivers}
 	for _, a := range analyzers {
 		start := time.Now()
 		if a.RunProgram != nil {
@@ -238,15 +250,13 @@ func Run(prog *Program, analyzers []*Analyzer) (*Result, error) {
 			continue
 		}
 		for _, pkg := range prog.Packages {
-			pass := &Pass{Analyzer: a, Package: pkg, report: report}
+			pass := &Pass{Analyzer: a, Package: pkg, report: report, allows: allows}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
 			}
 		}
 		res.Timings = append(res.Timings, Timing{Analyzer: a.Name, Elapsed: time.Since(start)})
 	}
-	allows, waivers := collectAllows(prog)
-	res.Waivers = waivers
 	// A waiver is a reviewed exception: one without a reason after `--`
 	// is unreviewed by definition and is itself a diagnostic (reported
 	// under the pseudo-analyzer "allow", which //oskit:allow cannot
@@ -267,6 +277,22 @@ func Run(prog *Program, analyzers []*Analyzer) (*Result, error) {
 		} else {
 			res.Diagnostics = append(res.Diagnostics, d)
 		}
+	}
+	// A waiver that suppressed nothing is stale, or was never needed: it
+	// is a diagnostic too, once every analyzer it names has run.
+	ran := map[string]bool{}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for _, w := range waivers {
+		if w.Suppressed > 0 || !allRan(ran, w.Analyzers) {
+			continue
+		}
+		res.Diagnostics = append(res.Diagnostics, Diagnostic{
+			Pos:      w.Pos,
+			Analyzer: "allow",
+			Message:  fmt.Sprintf("%s waiver for %s suppressed nothing: delete it, or keep its reason as a plain comment", AllowPrefix, strings.Join(w.Analyzers, ",")),
+		})
 	}
 	byPos := func(ds []Diagnostic) func(i, j int) bool {
 		return func(i, j int) bool {

@@ -21,14 +21,15 @@
 // that type is held" — for state whose owner lives on another object with
 // no backpointer (a sockbuf's pcb, a Proc's sleep queue).
 //
-// The checker tracks locksets intraprocedurally with lockhook's held-mutex
-// discipline — Lock/RLock open a region closed by Unlock/RUnlock, defer
-// Unlock holds to function end, nested blocks get copies so branch
-// acquisitions do not leak — and resolves guards through calls: an
-// unguarded access whose base is the function's receiver or a parameter
-// becomes a lock *requirement* of that function, discharged at every
-// intra-package call site (and propagated transitively when the caller
-// passes its own receiver/parameter through).  A requirement that survives
+// The checker tracks locksets intraprocedurally with the walk the lock
+// analyzers share (analysis.WalkLocks) — Lock/RLock open a region closed
+// by Unlock/RUnlock, defer Unlock holds to function end, nested blocks
+// and clauses get copies so branch acquisitions do not leak — and
+// resolves guards through calls: an unguarded access whose base is the
+// function's receiver or a parameter becomes a lock *requirement* of
+// that function, discharged at every intra-package call site (and
+// propagated transitively when the caller passes its own
+// receiver/parameter through).  A requirement that survives
 // into an exported function is reported there: callers outside the package
 // cannot hold package-internal locks, so exported entry points must
 // acquire them.
@@ -60,6 +61,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 
 	"oskit/internal/analysis"
@@ -155,7 +157,6 @@ type requirement struct {
 	field  string
 	guard  string
 	pos    token.Pos
-	key    string
 }
 
 // callSite is one intra-package static call with the caller's lockset.
@@ -179,25 +180,16 @@ type checker struct {
 	anns  map[token.Pos]*fieldAnn
 	reqs  map[*types.Func]map[string]*requirement
 	sites map[*types.Func][]*callSite
-
-	// absorb maps filename → lines covered by an //oskit:allow that
-	// names this analyzer.  A waived call site absorbs the callee's
-	// obligations: the finding is reported there (and suppressed by
-	// the driver, marking the waiver used) instead of propagating to
-	// every transitive caller.
-	absorb map[string]map[int]bool
 }
 
 func run(pass *analysis.Pass) error {
 	c := &checker{
-		pass:   pass,
-		anns:   map[token.Pos]*fieldAnn{},
-		reqs:   map[*types.Func]map[string]*requirement{},
-		sites:  map[*types.Func][]*callSite{},
-		absorb: map[string]map[int]bool{},
+		pass:  pass,
+		anns:  map[token.Pos]*fieldAnn{},
+		reqs:  map[*types.Func]map[string]*requirement{},
+		sites: map[*types.Func][]*callSite{},
 	}
 	c.collectAnnotations()
-	c.collectAbsorbs()
 	if len(c.anns) == 0 {
 		return nil // unannotated package: nothing to track
 	}
@@ -216,46 +208,6 @@ func run(pass *analysis.Pass) error {
 	}
 	c.discharge()
 	return nil
-}
-
-// collectAbsorbs records the lines covered by //oskit:allow directives
-// naming this analyzer, mirroring the driver's coverage rule (the
-// directive's own line for trailing comments, the next line for a
-// comment above).
-func (c *checker) collectAbsorbs() {
-	for _, file := range c.pass.Files {
-		for _, cg := range file.Comments {
-			for _, cm := range cg.List {
-				names, _, ok := analysis.ParseAllow(cm.Text)
-				if !ok {
-					continue
-				}
-				covers := false
-				for _, n := range names {
-					if n == "guarded" || n == "all" {
-						covers = true
-					}
-				}
-				if !covers {
-					continue
-				}
-				pos := c.pass.Fset.Position(cm.Pos())
-				lines := c.absorb[pos.Filename]
-				if lines == nil {
-					lines = map[int]bool{}
-					c.absorb[pos.Filename] = lines
-				}
-				lines[pos.Line] = true
-				lines[pos.Line+1] = true
-			}
-		}
-	}
-}
-
-// allowedAt reports whether a diagnostic at pos would be waived.
-func (c *checker) allowedAt(pos token.Pos) bool {
-	p := c.pass.Fset.Position(pos)
-	return c.absorb[p.Filename][p.Line]
 }
 
 // --- annotation collection.
@@ -374,7 +326,7 @@ func (c *checker) resolvePath(tn *types.TypeName, path string) (*guardPath, stri
 			if f == nil {
 				return nil, fmt.Sprintf("type %s has no field %q", segs[0], segs[1])
 			}
-			if !isMutexType(f.Type()) {
+			if !analysis.IsMutex(f.Type()) {
 				return nil, fmt.Sprintf("%s.%s is not a sync.Mutex/RWMutex (or a wrapper embedding one)", segs[0], segs[1])
 			}
 			return &guardPath{raw: path, typeQual: true, owner: qtn, lock: segs[1]}, ""
@@ -388,7 +340,7 @@ func (c *checker) resolvePath(tn *types.TypeName, path string) (*guardPath, stri
 			return nil, fmt.Sprintf("no field %q in %s", seg, typeName(cur))
 		}
 		if i == len(segs)-1 {
-			if !isMutexType(f.Type()) {
+			if !analysis.IsMutex(f.Type()) {
 				return nil, fmt.Sprintf("%q is not a sync.Mutex/RWMutex (or a wrapper embedding one)", path)
 			}
 		} else {
@@ -435,27 +387,6 @@ func typeName(t types.Type) string {
 		return tn.Name()
 	}
 	return t.String()
-}
-
-// isMutexType reports whether t is sync.Mutex/RWMutex or a struct
-// embedding one (the //oskit:lockrank wrapper shape).
-func isMutexType(t types.Type) bool {
-	t = deref(t)
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			return true
-		}
-	}
-	if st, ok := t.Underlying().(*types.Struct); ok {
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Embedded() && isMutexType(f.Type()) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // --- function scanning.
@@ -505,7 +436,7 @@ func (c *checker) scanFunc(fd *ast.FuncDecl, fn *types.Func) {
 			fs.params = append(fs.params, c.pass.Info.Defs[n])
 		}
 	}
-	fs.scanBlock(fd.Body, map[string]*heldLock{})
+	analysis.WalkLocks[*heldLock](c.pass.Info, fs, fd.Body)
 }
 
 // scanLit scans a function literal as an independent body: empty lockset
@@ -525,7 +456,7 @@ func (c *checker) scanLit(lit *ast.FuncLit, outer *funcScan) {
 	for k, v := range outer.roots {
 		fs.roots[k] = v
 	}
-	fs.scanBlock(lit.Body, map[string]*heldLock{})
+	analysis.WalkLocks[*heldLock](c.pass.Info, fs, lit.Body)
 }
 
 func (fs *funcScan) targetOf(o types.Object) (int, bool) {
@@ -623,178 +554,29 @@ func (fs *funcScan) valueLocal(o types.Object) bool {
 	return false
 }
 
-// --- the lockset-tracking statement walk (lockhook's discipline plus
-// IncDec, mutating builtins and write-mode propagation).
+// --- the analysis.LockVisitor side of the lockset walk.
 
-func copyHeld(in map[string]*heldLock) map[string]*heldLock {
-	out := make(map[string]*heldLock, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-func (fs *funcScan) scanBlock(block *ast.BlockStmt, heldIn map[string]*heldLock) {
-	held := copyHeld(heldIn)
-	for _, stmt := range block.List {
-		fs.scanStmt(stmt, held)
-	}
-}
-
-// lockOp classifies call as Lock/Unlock family on a mutex-typed
-// receiver, returning the canonical lock path and owner identity.
-func (fs *funcScan) lockOp(call *ast.CallExpr) (path string, h *heldLock, op string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", nil, "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock", "TryLock", "TryRLock":
-	default:
-		return "", nil, "", false
-	}
-	t := fs.c.pass.Info.TypeOf(sel.X)
-	if t == nil || !isMutexType(t) {
-		return "", nil, "", false
-	}
-	segs, _ := fs.canon(sel.X)
+// Mutex keys a held lock by its canonical path (local aliases expanded)
+// and records how it is held and whose lock it is.
+func (fs *funcScan) Mutex(x ast.Expr, exclusive bool) (string, *heldLock) {
+	segs, _ := fs.canon(x)
 	if segs == nil {
-		segs = []string{analysis.ExprPath(sel.X)}
+		segs = []string{analysis.ExprPath(x)}
 	}
-	h = &heldLock{lock: segs[len(segs)-1]}
-	if s2, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-		if ot := fs.c.pass.Info.TypeOf(s2.X); ot != nil {
+	h := &heldLock{write: exclusive, lock: segs[len(segs)-1]}
+	if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+		if ot := fs.c.pass.Info.TypeOf(sel.X); ot != nil {
 			h.owner = namedTypeName(ot)
 		}
 	}
-	return strings.Join(segs, "."), h, sel.Sel.Name, true
+	return strings.Join(segs, "."), h
 }
 
-func (fs *funcScan) scanStmt(stmt ast.Stmt, held map[string]*heldLock) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if path, h, op, ok := fs.lockOp(call); ok {
-				switch op {
-				case "Lock", "TryLock":
-					h.write = true
-					held[path] = h
-				case "RLock", "TryRLock":
-					held[path] = h
-				case "Unlock", "RUnlock":
-					delete(held, path)
-				}
-				return
-			}
-		}
-		fs.visit(s.X, held, false)
-	case *ast.IncDecStmt:
-		fs.visit(s.X, held, true)
-	case *ast.DeferStmt:
-		if _, _, op, ok := fs.lockOp(s.Call); ok && (op == "Unlock" || op == "RUnlock") {
-			return // held to the end of the function
-		}
-		// The deferred call runs at exit; defer-unlocked locks are still
-		// held there, explicitly-unlocked ones may not be — recording the
-		// current set is the usual case (defers pair with defer Unlock).
-		fs.visitCall(s.Call, held)
-	case *ast.GoStmt:
-		// The goroutine runs outside this critical section: record its
-		// callee with an empty lockset.
-		fs.visitCallHeld(s.Call, held, map[string]*heldLock{})
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			fs.visit(r, held, false)
-		}
-		for _, l := range s.Lhs {
-			if id, ok := l.(*ast.Ident); ok && id.Name == "_" {
-				continue
-			}
-			fs.visit(l, held, true)
-		}
-		fs.recordLocals(s)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			fs.visit(r, held, false)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			fs.scanStmt(s.Init, held)
-		}
-		fs.visit(s.Cond, held, false)
-		fs.scanBlock(s.Body, held)
-		if s.Else != nil {
-			fs.scanStmt(s.Else, held)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			fs.scanStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			fs.visit(s.Cond, held, false)
-		}
-		if s.Post != nil {
-			fs.scanStmt(s.Post, held)
-		}
-		fs.scanBlock(s.Body, held)
-	case *ast.RangeStmt:
-		fs.visit(s.X, held, false)
-		fs.scanBlock(s.Body, held)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			fs.scanStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			fs.visit(s.Tag, held, false)
-		}
-		for _, cc := range s.Body.List {
-			if cl, ok := cc.(*ast.CaseClause); ok {
-				inner := copyHeld(held)
-				for _, st := range cl.Body {
-					fs.scanStmt(st, inner)
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if cl, ok := cc.(*ast.CaseClause); ok {
-				inner := copyHeld(held)
-				for _, st := range cl.Body {
-					fs.scanStmt(st, inner)
-				}
-			}
-		}
-	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			if cl, ok := cc.(*ast.CommClause); ok {
-				inner := copyHeld(held)
-				for _, st := range cl.Body {
-					fs.scanStmt(st, inner)
-				}
-			}
-		}
-	case *ast.BlockStmt:
-		fs.scanBlock(s, held)
-	case *ast.SendStmt:
-		fs.visit(s.Chan, held, false)
-		fs.visit(s.Value, held, false)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						fs.visit(v, held, false)
-					}
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		fs.scanStmt(s.Stmt, held)
-	}
-}
+// Acquire has nothing to check: ownership is about accesses, not order.
+func (fs *funcScan) Acquire(token.Pos, string, *heldLock, map[string]*heldLock) {}
 
-// recordLocals updates the alias and freshness maps after an assignment.
-func (fs *funcScan) recordLocals(s *ast.AssignStmt) {
+// Assigned updates the alias and freshness maps after an assignment.
+func (fs *funcScan) Assigned(s *ast.AssignStmt) {
 	if len(s.Lhs) != len(s.Rhs) {
 		return
 	}
@@ -842,7 +624,9 @@ const (
 	accessRecv
 )
 
-func (fs *funcScan) visit(e ast.Expr, held map[string]*heldLock, write bool) {
+// Expr checks every annotated field e touches under held; write marks
+// e itself as a store.
+func (fs *funcScan) Expr(e ast.Expr, held map[string]*heldLock, write bool) {
 	switch e := e.(type) {
 	case nil:
 	case *ast.Ident, *ast.BasicLit:
@@ -856,69 +640,65 @@ func (fs *funcScan) visit(e ast.Expr, held map[string]*heldLock, write bool) {
 				write = false
 			}
 		}
-		fs.visit(e.X, held, write)
+		fs.Expr(e.X, held, write)
 	case *ast.StarExpr:
-		fs.visit(e.X, held, write)
+		fs.Expr(e.X, held, write)
 	case *ast.ParenExpr:
-		fs.visit(e.X, held, write)
+		fs.Expr(e.X, held, write)
 	case *ast.IndexExpr:
-		fs.visit(e.X, held, write)
-		fs.visit(e.Index, held, false)
+		fs.Expr(e.X, held, write)
+		fs.Expr(e.Index, held, false)
 	case *ast.IndexListExpr:
-		fs.visit(e.X, held, write)
+		fs.Expr(e.X, held, write)
 	case *ast.SliceExpr:
-		fs.visit(e.X, held, write)
-		fs.visit(e.Low, held, false)
-		fs.visit(e.High, held, false)
-		fs.visit(e.Max, held, false)
+		fs.Expr(e.X, held, write)
+		fs.Expr(e.Low, held, false)
+		fs.Expr(e.High, held, false)
+		fs.Expr(e.Max, held, false)
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
 			if sel, ok := ast.Unparen(e.X).(*ast.SelectorExpr); ok {
 				fs.checkAccess(sel, held, true, accessAddr)
-				fs.visit(sel.X, held, false)
+				fs.Expr(sel.X, held, false)
 				return
 			}
 		}
-		fs.visit(e.X, held, false)
+		fs.Expr(e.X, held, false)
 	case *ast.BinaryExpr:
-		fs.visit(e.X, held, false)
-		fs.visit(e.Y, held, false)
+		fs.Expr(e.X, held, false)
+		fs.Expr(e.Y, held, false)
 	case *ast.CallExpr:
-		fs.visitCall(e, held)
+		fs.Call(e, held, held)
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				fs.visit(kv.Key, held, false)
-				fs.visit(kv.Value, held, false)
+				fs.Expr(kv.Key, held, false)
+				fs.Expr(kv.Value, held, false)
 				continue
 			}
-			fs.visit(el, held, false)
+			fs.Expr(el, held, false)
 		}
 	case *ast.KeyValueExpr:
-		fs.visit(e.Key, held, false)
-		fs.visit(e.Value, held, false)
+		fs.Expr(e.Key, held, false)
+		fs.Expr(e.Value, held, false)
 	case *ast.TypeAssertExpr:
-		fs.visit(e.X, held, false)
+		fs.Expr(e.X, held, false)
 	case *ast.FuncLit:
 		fs.c.scanLit(e, fs)
 	}
 }
 
-func (fs *funcScan) visitCall(call *ast.CallExpr, held map[string]*heldLock) {
-	fs.visitCallHeld(call, held, held)
-}
-
-// visitCallHeld walks a call's operands under `held` but records the
-// call site with `siteHeld` (empty for go statements: the callee runs
-// outside the caller's critical section).
-func (fs *funcScan) visitCallHeld(call *ast.CallExpr, held, siteHeld map[string]*heldLock) {
+// Call walks a call's operands under held but records the call site
+// with siteHeld (empty for go statements: the callee runs outside the
+// caller's critical section).
+func (fs *funcScan) Call(call *ast.CallExpr, held, siteHeld map[string]*heldLock) {
 	info := fs.c.pass.Info
 	// Mutating builtins write their first argument.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			for i, a := range call.Args {
 				w := i == 0 && (b.Name() == "delete" || b.Name() == "clear" || b.Name() == "copy")
-				fs.visit(a, held, w)
+				fs.Expr(a, held, w)
 			}
 			return
 		}
@@ -939,32 +719,32 @@ func (fs *funcScan) visitCallHeld(call *ast.CallExpr, held, siteHeld map[string]
 						w = false
 					}
 					fs.checkAccess(rsel, held, w, accessRecv)
-					fs.visit(rsel.X, held, false)
+					fs.Expr(rsel.X, held, false)
 				} else {
-					fs.visit(sel.X, held, false)
+					fs.Expr(sel.X, held, false)
 				}
 			case types.FieldVal:
 				// Calling a function-typed field reads the field.
 				fs.checkAccess(sel, held, false, accessNormal)
-				fs.visit(sel.X, held, false)
+				fs.Expr(sel.X, held, false)
 			default:
-				fs.visit(sel.X, held, false)
+				fs.Expr(sel.X, held, false)
 			}
 		}
 		// Package-qualified calls (atomic.AddUint64): nothing to check
 		// on the Fun itself.
 	} else {
-		fs.visit(call.Fun, held, false)
+		fs.Expr(call.Fun, held, false)
 	}
 	for _, a := range call.Args {
-		fs.visit(a, held, false)
+		fs.Expr(a, held, false)
 	}
 	// Record intra-package static call sites for requirement discharge.
 	callee := analysis.CalleeFunc(info, call)
 	if callee == nil || callee.Pkg() != fs.c.pass.Pkg {
 		return
 	}
-	site := &callSite{caller: fs, call: call, held: copyHeld(siteHeld)}
+	site := &callSite{caller: fs, call: call, held: maps.Clone(siteHeld)}
 	if recvExpr != nil {
 		site.recv = fs.argInfoOf(recvExpr)
 	}
@@ -1051,7 +831,7 @@ func (fs *funcScan) checkAccess(sel *ast.SelectorExpr, held map[string]*heldLock
 		// A waiver on the access line absorbs the obligation: report
 		// here (the driver suppresses it and counts the waiver used)
 		// rather than pushing the requirement onto every caller.
-		if fs.c.allowedAt(sel.Sel.Pos()) {
+		if fs.c.pass.Waived(sel.Sel.Pos()) {
 			fs.c.pass.Reportf(sel.Sel.Pos(), "%s %s.%s needs %s (%s %s)",
 				rwTo(w), ann.strct, ann.field, describe(ns), guardedByDirective, ann.raw)
 			return
@@ -1069,7 +849,7 @@ func (fs *funcScan) checkAccess(sel *ast.SelectorExpr, held map[string]*heldLock
 		// Package-level vars stay exact: their path is globally
 		// meaningful, so the precise report here beats a degraded one.
 		if fs.fn != nil && isFuncLocal(baseRoot) {
-			if r := ambientReq(ann, paths, w, sel.Sel.Pos()); r != nil {
+			if r := annReq(ann, w).ambient(pathRels(paths), sel.Sel.Pos()); r != nil {
 				fs.c.addReq(fs.fn, r)
 				return
 			}
@@ -1196,34 +976,42 @@ func describe(ns *needSet) string {
 
 // --- requirements: guard obligations discharged at call sites.
 
-func reqFor(ann *fieldAnn, paths []*guardPath, target int, baseSegs []string, write bool, pos token.Pos) *requirement {
-	r := &requirement{
-		target: target, all: ann.all && len(paths) > 1, write: write,
-		strct: ann.strct, field: ann.field, guard: ann.raw, pos: pos,
+// annReq is the template of every obligation an access to ann makes.
+func annReq(ann *fieldAnn, write bool) *requirement {
+	return &requirement{all: ann.all, write: write, strct: ann.strct, field: ann.field, guard: ann.raw}
+}
+
+// derive is r's obligation carried to target with the given needs.
+func (r *requirement) derive(target int, rels []relNeed, pos token.Pos) *requirement {
+	return &requirement{
+		target: target, rels: rels, all: r.all && len(rels) > 1, write: r.write,
+		strct: r.strct, field: r.field, guard: r.guard, pos: pos,
 	}
-	below := baseSegs[1:] // path from the target object down to the base
+}
+
+// pathRels are the needs of guard paths, before any rebasing.
+func pathRels(paths []*guardPath) []relNeed {
+	var rels []relNeed
 	for _, gp := range paths {
-		rn := relNeed{owner: gp.owner, ownTn: gp.owner, lock: gp.lock}
+		rels = append(rels, relNeed{owner: gp.owner, ownTn: gp.owner, lock: gp.lock})
+	}
+	return rels
+}
+
+func reqFor(ann *fieldAnn, paths []*guardPath, target int, baseSegs []string, write bool, pos token.Pos) *requirement {
+	rels := pathRels(paths)
+	below := baseSegs[1:] // path from the target object down to the base
+	for i, gp := range paths {
 		if !gp.typeQual {
-			rn.rel = append(append([]string{}, below...), gp.segs...)
+			rels[i].rel = append(append([]string{}, below...), gp.segs...)
 			if len(gp.segs) == 1 && len(below) == 0 {
 				// Sibling guard rooted directly at the target keeps its
 				// exact-instance discipline at call sites too.
-				rn.owner = nil
+				rels[i].owner = nil
 			}
 		}
-		r.rels = append(r.rels, rn)
 	}
-	var keys []string
-	for _, rn := range r.rels {
-		o := ""
-		if rn.owner != nil {
-			o = rn.owner.Name()
-		}
-		keys = append(keys, strings.Join(rn.rel, ".")+"@"+o+"."+rn.lock)
-	}
-	r.key = fmt.Sprintf("%d|%v|%v|%s", target, write, r.all, strings.Join(keys, "&"))
-	return r
+	return annReq(ann, write).derive(target, rels, pos)
 }
 
 // isFuncLocal reports whether o is a variable declared inside some
@@ -1240,60 +1028,44 @@ func isFuncLocal(o types.Object) bool {
 	return scope != v.Pkg().Scope() && scope.Parent() != types.Universe
 }
 
-// ambientReq expresses an obligation on an object the function's
-// callers cannot name: every guard degrades to "any holder of the
-// owner type's lock" (target -2, no argument binding).  Nil if some
-// guard has no named owner to degrade to.
-func ambientReq(ann *fieldAnn, paths []*guardPath, write bool, pos token.Pos) *requirement {
-	r := &requirement{
-		target: -2, all: ann.all && len(paths) > 1, write: write,
-		strct: ann.strct, field: ann.field, guard: ann.raw, pos: pos,
-	}
-	var keys []string
-	for _, gp := range paths {
-		if gp.owner == nil {
-			return nil
-		}
-		r.rels = append(r.rels, relNeed{owner: gp.owner, ownTn: gp.owner, lock: gp.lock})
-		keys = append(keys, "@"+gp.owner.Name()+"."+gp.lock)
-	}
-	r.key = fmt.Sprintf("-2|%v|%v|%s", write, r.all, strings.Join(keys, "&"))
-	return r
-}
-
-// ambientFromRels degrades a rebased requirement the same way: every
-// remaining rel becomes "any holder of the owner type's lock".  Nil if
-// some rel lacks a recorded owner type.
-func ambientFromRels(rels []relNeed, r *requirement, pos token.Pos) *requirement {
-	nr := &requirement{
-		target: -2, all: r.all && len(rels) > 1, write: r.write,
-		strct: r.strct, field: r.field, guard: r.guard, pos: pos,
-	}
-	var keys []string
+// ambient expresses r's obligation, with the needs rels, on an object
+// the function's callers cannot name: every need degrades to "any
+// holder of the owner type's lock" (target -2, no argument binding).
+// Nil if some need has no owner type to degrade to.
+func (r *requirement) ambient(rels []relNeed, pos token.Pos) *requirement {
+	var out []relNeed
 	for _, rn := range rels {
 		if rn.ownTn == nil {
 			return nil
 		}
-		nr.rels = append(nr.rels, relNeed{owner: rn.ownTn, ownTn: rn.ownTn, lock: rn.lock})
-		keys = append(keys, "@"+rn.ownTn.Name()+"."+rn.lock)
+		out = append(out, relNeed{owner: rn.ownTn, ownTn: rn.ownTn, lock: rn.lock})
 	}
-	nr.key = fmt.Sprintf("-2|%v|%v|%s", nr.write, nr.all, strings.Join(keys, "&"))
-	return nr
+	return r.derive(-2, out, pos)
 }
 
+// addReq records r on fn unless an identical obligation is there.
 func (c *checker) addReq(fn *types.Func, r *requirement) bool {
 	if fn == nil {
 		return false
 	}
+	var keys []string
+	for _, rn := range r.rels {
+		o := ""
+		if rn.owner != nil {
+			o = rn.owner.Name()
+		}
+		keys = append(keys, strings.Join(rn.rel, ".")+"@"+o+"."+rn.lock)
+	}
+	key := fmt.Sprintf("%d|%v|%v|%s", r.target, r.write, r.all, strings.Join(keys, "&"))
 	m := c.reqs[fn]
 	if m == nil {
 		m = map[string]*requirement{}
 		c.reqs[fn] = m
 	}
-	if _, ok := m[r.key]; ok {
+	if _, ok := m[key]; ok {
 		return false
 	}
-	m[r.key] = r
+	m[key] = r
 	return true
 }
 
@@ -1368,7 +1140,7 @@ func (c *checker) discharge() {
 					// obligations at this site: report here (the
 					// driver suppresses it, marking the waiver used)
 					// instead of propagating further up.
-					if c.allowedAt(site.call.Pos()) {
+					if c.pass.Waived(site.call.Pos()) {
 						c.pass.Reportf(site.call.Pos(), "call to %s needs %s: the callee accesses %s.%s (%s %s)",
 							fn.Name(), describe(ns), r.strct, r.field, guardedByDirective, r.guard)
 						continue
@@ -1376,28 +1148,14 @@ func (c *checker) discharge() {
 					if r.target == -2 && site.caller != nil && site.caller.fn != nil {
 						// Ambient obligations forward unchanged: they
 						// carry no argument binding to rebase.
-						nr := &requirement{
-							target: -2, all: r.all && len(rels) > 1, write: r.write,
-							strct: r.strct, field: r.field, guard: r.guard,
-							pos: site.call.Pos(), rels: rels,
-						}
-						var keys []string
-						for _, rn := range nr.rels {
-							keys = append(keys, "@"+rn.owner.Name()+"."+rn.lock)
-						}
-						nr.key = fmt.Sprintf("-2|%v|%v|%s", r.write, nr.all, strings.Join(keys, "&"))
-						if c.addReq(site.caller.fn, nr) {
+						if c.addReq(site.caller.fn, r.derive(-2, rels, site.call.Pos())) {
 							changed = true
 						}
 						continue
 					}
 					if ai != nil && ai.root != nil && ai.segs != nil && site.caller != nil {
 						if t, ok := site.caller.targetOf(ai.root); ok {
-							nr := &requirement{
-								target: t, all: r.all && len(rels) > 1, write: r.write,
-								strct: r.strct, field: r.field, guard: r.guard,
-								pos: site.call.Pos(),
-							}
+							var nrels []relNeed
 							below := ai.segs[1:]
 							for _, rn := range rels {
 								nrn := relNeed{owner: rn.owner, ownTn: rn.ownTn, lock: rn.lock}
@@ -1410,18 +1168,9 @@ func (c *checker) discharge() {
 									// fall back to owner-type matching.
 									nrn.owner = rn.ownTn
 								}
-								nr.rels = append(nr.rels, nrn)
+								nrels = append(nrels, nrn)
 							}
-							var keys []string
-							for _, rn := range nr.rels {
-								o := ""
-								if rn.owner != nil {
-									o = rn.owner.Name()
-								}
-								keys = append(keys, strings.Join(rn.rel, ".")+"@"+o+"."+rn.lock)
-							}
-							nr.key = fmt.Sprintf("%d|%v|%v|%s", t, r.write, r.all, strings.Join(keys, "&"))
-							if c.addReq(site.caller.fn, nr) {
+							if c.addReq(site.caller.fn, r.derive(t, nrels, site.call.Pos())) {
 								changed = true
 							}
 							continue
@@ -1431,7 +1180,7 @@ func (c *checker) discharge() {
 							// lookup result): degrade the unmet
 							// obligation to its type-qualified form and
 							// keep walking the call graph.
-							if nr := ambientFromRels(rels, r, site.call.Pos()); nr != nil {
+							if nr := r.ambient(rels, site.call.Pos()); nr != nil {
 								if c.addReq(site.caller.fn, nr) {
 									changed = true
 								}

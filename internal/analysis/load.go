@@ -5,9 +5,8 @@
 // `go list -export -deps -json` yields compiled export data for every
 // dependency (standard library included), and the packages under analysis
 // are then parsed and type-checked from source with a gc importer whose
-// lookup function reads those export files.  This is the same division of
-// labor vet's unitchecker uses — full syntax for the packages being
-// checked, export data for everything below them.
+// lookup function reads those export files: full syntax for the packages
+// being checked, export data for everything below them.
 package analysis
 
 import (
@@ -169,62 +168,6 @@ func Load(cfg LoadConfig) (*Program, error) {
 		prog.Packages = append(prog.Packages, pkg)
 	}
 	return prog, nil
-}
-
-// VetPackage is the slice of a vet-tool config the loader needs: one
-// package's sources plus the import→export-file maps the go command
-// computed.
-type VetPackage struct {
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-}
-
-// LoadVetPackage type-checks the single package described by a vet-tool
-// config, resolving imports through the export files the go command
-// already built.
-func LoadVetPackage(vp VetPackage) (*Program, error) {
-	fset := token.NewFileSet()
-	exports := map[string]string{}
-	for path, mapped := range vp.ImportMap {
-		if file, ok := vp.PackageFile[mapped]; ok {
-			exports[path] = file
-		}
-	}
-	for path, file := range vp.PackageFile {
-		if _, ok := exports[path]; !ok {
-			exports[path] = file
-		}
-	}
-	var goFiles []string
-	for _, f := range vp.GoFiles {
-		// The go command hands vet tools test files too; skip them so
-		// vet mode checks the same sources as the standalone driver
-		// (test-harness idioms — QueryInterface existence probes,
-		// time.After select timeouts — are not under the invariants).
-		if strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		if filepath.IsAbs(f) {
-			rel, err := filepath.Rel(vp.Dir, f)
-			if err != nil {
-				return nil, err
-			}
-			f = rel
-		}
-		goFiles = append(goFiles, f)
-	}
-	if len(goFiles) == 0 {
-		// A pure test package (pkg_test): nothing under analysis.
-		return &Program{Fset: fset}, nil
-	}
-	pkg, err := typeCheckDir(fset, vp.Dir, vp.ImportPath, goFiles, exports)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{Fset: fset, Packages: []*Package{pkg}}, nil
 }
 
 // LoadFixtureDir type-checks a single directory of Go files (typically an

@@ -11,23 +11,25 @@
 // function-typed struct field (directly, or via a local variable the
 // field was copied into), and the property propagates through the
 // package-local call graph, so a helper that fires a hook taints its
-// callers too.  Mutex state is tracked linearly per block: x.mu.Lock()
-// opens a held region closed by x.mu.Unlock(); defer x.mu.Unlock() holds
-// to the end of the function.  Function literals are not scanned as part
-// of the enclosing region (a callback built under a lock runs later, not
-// under it) unless invoked on the spot.
+// callers too.  Which mutexes are held at each statement is decided by
+// the walk the lock analyzers share (analysis.WalkLocks): x.mu.Lock()
+// opens a held region closed by x.mu.Unlock(), defer x.mu.Unlock() holds
+// to the end of the function, and every clause gets its own copy of the
+// set.  Function literals are not scanned as part of the enclosing region
+// (a callback built under a lock runs later, not under it).
 //
-// The pass also enforces the documented lock hierarchy (E14).  A named
-// struct type that embeds sync.Mutex or sync.RWMutex and carries an
+// The pass also enforces the documented lock hierarchy (E14).  A mutex
+// type (sync.Mutex, sync.RWMutex, or a struct embedding one) whose named
+// type carries an
 //
 //	//oskit:lockrank N
 //
 // directive in its doc comment is a ranked lock.  Ranks order
 // acquisition: while any ranked lock is held, only locks of strictly
 // higher rank may be acquired.  Acquiring an equal or lower rank is
-// reported — the deadlock-prone shape — and deliberate same-rank
-// nestings (the TIME_WAIT pcb recycle) carry //oskit:allow waivers at
-// the site, keeping every exception visible.  Like the hook rule the
+// reported — the deadlock-prone shape — and a deliberate same-rank
+// nesting written in one body carries an //oskit:allow waiver at the
+// site, keeping every exception visible.  Like the hook rule the
 // rank rule is intra-package and linear per function: it catches
 // inversions written in one function body, not orders threaded through
 // call chains or across packages.
@@ -46,7 +48,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strconv"
 	"strings"
 
 	"oskit/internal/analysis"
@@ -59,16 +60,13 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// rankDirective is the doc-comment marker declaring a ranked lock type.
-const rankDirective = "//oskit:lockrank"
-
 func run(pass *analysis.Pass) error {
-	c := &checker{pass: pass, mayHook: map[*types.Func]bool{}, ranks: map[*types.TypeName]int{}}
-	c.collectRanks()
-	// Round 1: functions that call a hook field directly.
+	c := &checker{pass: pass, mayHook: map[*types.Func]bool{}, ranks: analysis.CollectLockRanks(pass.Package)}
+	// Round 1: functions that call a hook field, or a local copy of one.
 	type fnDecl struct {
-		fn   *types.Func
-		decl *ast.FuncDecl
+		fn     *types.Func
+		decl   *ast.FuncDecl
+		locals map[types.Object]string
 	}
 	var decls []fnDecl
 	for _, file := range pass.Files {
@@ -81,8 +79,9 @@ func run(pass *analysis.Pass) error {
 			if obj == nil {
 				continue
 			}
-			decls = append(decls, fnDecl{obj, fd})
-			if c.callsHookDirectly(fd.Body) {
+			c.hookLocals = c.collectHookLocals(fd.Body)
+			decls = append(decls, fnDecl{obj, fd, c.hookLocals})
+			if calls(fd.Body, func(call *ast.CallExpr) bool { return c.hookCall(call) != "" }) {
 				c.mayHook[obj] = true
 			}
 		}
@@ -91,25 +90,10 @@ func run(pass *analysis.Pass) error {
 	for changed := true; changed; {
 		changed = false
 		for _, d := range decls {
-			if c.mayHook[d.fn] {
-				continue
-			}
-			tainted := false
-			ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-				if tainted {
-					return false
-				}
-				if _, isLit := n.(*ast.FuncLit); isLit {
-					return false // runs later, not at this call site
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee := analysis.CalleeFunc(pass.Info, call); callee != nil && c.mayHook[callee] {
-						tainted = true
-					}
-				}
-				return true
-			})
-			if tainted {
+			if !c.mayHook[d.fn] && calls(d.decl.Body, func(call *ast.CallExpr) bool {
+				callee := analysis.CalleeFunc(pass.Info, call)
+				return callee != nil && c.mayHook[callee]
+			}) {
 				c.mayHook[d.fn] = true
 				changed = true
 			}
@@ -117,68 +101,36 @@ func run(pass *analysis.Pass) error {
 	}
 	// Round 2: scan each function's lock regions.
 	for _, d := range decls {
-		c.hookLocals = map[types.Object]string{}
-		c.collectHookLocals(d.decl.Body)
-		c.scanBlock(d.decl.Body, map[string]int{})
+		c.hookLocals = d.locals
+		analysis.WalkLocks[int](pass.Info, c, d.decl.Body)
 	}
 	return nil
+}
+
+// calls reports whether body makes a call satisfying pred, ignoring
+// nested function literals (they run later, not at this call site).
+func calls(body *ast.BlockStmt, pred func(*ast.CallExpr) bool) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			found = found || pred(n)
+		}
+		return !found
+	})
+	return found
 }
 
 type checker struct {
 	pass    *analysis.Pass
 	mayHook map[*types.Func]bool
-	// hookLocals are local vars holding a copy of a hook field
-	// (hook := n.rxHook), mapped to a description of their origin.
+	// hookLocals are the current function's local copies of hook
+	// fields, mapped to the field they copy.
 	hookLocals map[types.Object]string
-	// ranks maps package-local lock wrapper types to their declared
-	// //oskit:lockrank, collected before scanning.
-	ranks map[*types.TypeName]int
-}
-
-// collectRanks finds ranked lock declarations: named struct types whose
-// doc comment carries an //oskit:lockrank directive.
-func (c *checker) collectRanks() {
-	for _, file := range c.pass.Files {
-		for _, d := range file.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				rank, ok := rankOf(gd.Doc, ts.Doc)
-				if !ok {
-					continue
-				}
-				if tn, ok := c.pass.Info.Defs[ts.Name].(*types.TypeName); ok {
-					c.ranks[tn] = rank
-				}
-			}
-		}
-	}
-}
-
-// rankOf parses the first //oskit:lockrank directive in the doc groups.
-func rankOf(groups ...*ast.CommentGroup) (int, bool) {
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, line := range g.List {
-			rest, ok := strings.CutPrefix(line.Text, rankDirective)
-			if !ok {
-				continue
-			}
-			n, err := strconv.Atoi(strings.TrimSpace(rest))
-			if err == nil && n > 0 {
-				return n, true
-			}
-		}
-	}
-	return 0, false
+	// ranks holds the package's //oskit:lockrank declarations.
+	ranks analysis.LockRanks
 }
 
 // hookField returns a description if expr selects a function-typed
@@ -198,252 +150,51 @@ func (c *checker) hookField(e ast.Expr) (string, bool) {
 	return analysis.ExprPath(sel), true
 }
 
-// callsHookDirectly reports whether the body invokes a hook field or a
-// local copy of one (ignoring nested function literals).
-func (c *checker) callsHookDirectly(body *ast.BlockStmt) bool {
-	locals := map[types.Object]bool{}
-	found := false
+// collectHookLocals finds the local variables assigned from hook fields
+// (hook := n.rxHook), so calls through them are recognized too.
+func (c *checker) collectHookLocals(body *ast.BlockStmt) map[types.Object]string {
+	locals := map[types.Object]string{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			for i, r := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if _, ok := c.hookField(r); ok {
-					if id, ok := n.Lhs[i].(*ast.Ident); ok {
-						if obj := c.pass.Info.Defs[id]; obj != nil {
-							locals[obj] = true
-						} else if obj := c.pass.Info.Uses[id]; obj != nil {
-							locals[obj] = true
-						}
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if _, ok := c.hookField(n.Fun); ok {
-				found = true
-				return false
-			}
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if obj := c.pass.Info.Uses[id]; obj != nil && locals[obj] {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// collectHookLocals records local variables assigned from hook fields so
-// calls through them are recognized inside lock regions.
-func (c *checker) collectHookLocals(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
 			for i, r := range as.Rhs {
-				if i >= len(as.Lhs) {
-					break
-				}
-				desc, ok := c.hookField(r)
-				if !ok {
-					continue
-				}
-				if id, ok := as.Lhs[i].(*ast.Ident); ok {
-					if obj := c.pass.Info.Defs[id]; obj != nil {
-						c.hookLocals[obj] = desc
-					} else if obj := c.pass.Info.Uses[id]; obj != nil {
-						c.hookLocals[obj] = desc
+				id, isID := as.Lhs[i].(*ast.Ident)
+				if desc, ok := c.hookField(r); ok && isID {
+					if obj := c.pass.Info.ObjectOf(id); obj != nil {
+						locals[obj] = desc
 					}
 				}
 			}
 		}
 		return true
 	})
+	return locals
 }
 
-// mutexRecv returns the normalized path of m in a call m.Lock() and its
-// declared rank (0 if unranked) if m's type is sync.Mutex, sync.RWMutex,
-// or a package-local ranked wrapper around one.
-func (c *checker) mutexRecv(sel *ast.SelectorExpr) (string, int, bool) {
-	t := c.pass.Info.TypeOf(sel.X)
-	if t == nil {
-		return "", 0, false
+// hookCall describes call if it invokes a hook field ("n.rxHook") or a
+// local copy of one ("n.rxHook (via hook)"), and is "" otherwise.
+func (c *checker) hookCall(call *ast.CallExpr) string {
+	if desc, ok := c.hookField(call.Fun); ok {
+		return desc
 	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if desc, ok := c.hookLocals[c.pass.Info.Uses[id]]; ok {
+			return desc + " (via " + id.Name + ")"
+		}
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", 0, false
-	}
-	if rank, ok := c.ranks[named.Obj()]; ok {
-		return analysis.ExprPath(sel.X), rank, true
-	}
-	if named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", 0, false
-	}
-	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" {
-		return "", 0, false
-	}
-	return analysis.ExprPath(sel.X), 0, true
+	return ""
 }
 
-// lockOp classifies a statement as a Lock/Unlock on a mutex path.
-func (c *checker) lockOp(call *ast.CallExpr) (path, op string, rank int, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", 0, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock", "TryLock", "TryRLock":
-	default:
-		return "", "", 0, false
-	}
-	path, rank, isMu := c.mutexRecv(sel)
-	if !isMu {
-		return "", "", 0, false
-	}
-	return path, sel.Sel.Name, rank, true
+// Mutex keys a held lock by its receiver path and records its rank.
+func (c *checker) Mutex(x ast.Expr, _ bool) (string, int) {
+	return analysis.ExprPath(x), c.ranks.Of(c.pass.Info.TypeOf(x))
 }
 
-// scanBlock walks statements in order, tracking the held-mutex set, and
-// reports hook-like calls made while anything is held.  Nested blocks
-// get a copy of the current set: acquisitions inside a branch do not leak
-// into the code after it (a deliberate under-approximation).
-func (c *checker) scanBlock(block *ast.BlockStmt, heldIn map[string]int) {
-	held := map[string]int{}
-	for k, v := range heldIn {
-		held[k] = v
-	}
-	for _, stmt := range block.List {
-		c.scanStmt(stmt, held)
-	}
-}
-
-func (c *checker) scanStmt(stmt ast.Stmt, held map[string]int) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if path, op, rank, ok := c.lockOp(call); ok {
-				switch op {
-				case "Lock", "RLock":
-					c.checkRank(call, path, rank, held)
-					held[path] = rank
-				case "Unlock", "RUnlock":
-					delete(held, path)
-				}
-				return
-			}
-		}
-		c.checkExpr(s.X, held)
-	case *ast.DeferStmt:
-		if _, op, _, ok := c.lockOp(s.Call); ok && (op == "Unlock" || op == "RUnlock") {
-			// Held to the end of the function; the set stays as-is.
-			return
-		}
-		// Arguments are evaluated now; the deferred body runs at exit,
-		// possibly after an unlock — only scan the arguments.
-		for _, a := range s.Call.Args {
-			c.checkExpr(a, held)
-		}
-	case *ast.GoStmt:
-		for _, a := range s.Call.Args {
-			c.checkExpr(a, held)
-		}
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			c.checkExpr(r, held)
-		}
-		for _, l := range s.Lhs {
-			c.checkExpr(l, held)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			c.checkExpr(r, held)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			c.scanStmt(s.Init, held)
-		}
-		c.checkExpr(s.Cond, held)
-		c.scanBlock(s.Body, held)
-		if s.Else != nil {
-			c.scanStmt(s.Else, held)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			c.scanStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			c.checkExpr(s.Cond, held)
-		}
-		c.scanBlock(s.Body, held)
-	case *ast.RangeStmt:
-		c.checkExpr(s.X, held)
-		c.scanBlock(s.Body, held)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			c.scanStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			c.checkExpr(s.Tag, held)
-		}
-		for _, cc := range s.Body.List {
-			if cl, ok := cc.(*ast.CaseClause); ok {
-				for _, st := range cl.Body {
-					c.scanStmt(st, held)
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if cl, ok := cc.(*ast.CaseClause); ok {
-				for _, st := range cl.Body {
-					c.scanStmt(st, held)
-				}
-			}
-		}
-	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			if cl, ok := cc.(*ast.CommClause); ok {
-				for _, st := range cl.Body {
-					c.scanStmt(st, held)
-				}
-			}
-		}
-	case *ast.BlockStmt:
-		c.scanBlock(s, held)
-	case *ast.SendStmt:
-		c.checkExpr(s.Chan, held)
-		c.checkExpr(s.Value, held)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						c.checkExpr(v, held)
-					}
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		c.scanStmt(s.Stmt, held)
-	}
-}
-
-// checkExpr reports hook-like calls inside e made while an unranked
-// mutex is held.  Nested function literals are skipped: they execute
-// later.  Ranked locks are exempt from the hook rule — their contents
-// are the component's own data path, policed by the rank rule.
-func (c *checker) checkExpr(e ast.Expr, held map[string]int) {
-	if e == nil || !hasUnranked(held) {
+// Expr reports hook-like calls inside e made while an unranked mutex is
+// held.  Nested function literals are skipped: they execute later.
+// Ranked locks are exempt from the hook rule — their contents are the
+// component's own data path, policed by the rank rule.
+func (c *checker) Expr(e ast.Expr, held map[string]int, _ bool) {
+	if !hasUnranked(held) {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
@@ -451,16 +202,32 @@ func (c *checker) checkExpr(e ast.Expr, held map[string]int) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			c.checkCall(n, held)
+			c.Call(n, held, held)
+			return false
 		}
 		return true
 	})
 }
 
-// checkRank reports an acquisition that violates the declared lock
+// Call checks a call's operands under one set and its callee under
+// another (they differ only for a go statement).
+func (c *checker) Call(call *ast.CallExpr, operands, callee map[string]int) {
+	c.Expr(call.Fun, operands, false)
+	for _, a := range call.Args {
+		c.Expr(a, operands, false)
+	}
+	if hasUnranked(callee) {
+		c.checkCall(call, callee)
+	}
+}
+
+// Assigned has nothing to record: the hook locals are collected up front.
+func (c *checker) Assigned(*ast.AssignStmt) {}
+
+// Acquire reports an acquisition that violates the declared lock
 // hierarchy: while a ranked lock is held, only strictly higher ranks
-// may be taken.  Unranked sync mutexes (rank 0) stay outside the rule.
-func (c *checker) checkRank(call *ast.CallExpr, path string, rank int, held map[string]int) {
+// may be taken.  Unranked mutexes (rank 0) stay outside the rule.
+func (c *checker) Acquire(pos token.Pos, path string, rank int, held map[string]int) {
 	if rank == 0 {
 		return
 	}
@@ -468,7 +235,7 @@ func (c *checker) checkRank(call *ast.CallExpr, path string, rank int, held map[
 		if heldRank == 0 || heldRank < rank {
 			continue
 		}
-		c.pass.Reportf(call.Pos(), "acquiring %s (lockrank %d) while holding %s (lockrank %d) violates the lock hierarchy (acquire in increasing rank order)", path, rank, heldPath, heldRank)
+		c.pass.Reportf(pos, "acquiring %s (lockrank %d) while holding %s (lockrank %d) violates the lock hierarchy (acquire in increasing rank order)", path, rank, heldPath, heldRank)
 	}
 }
 
@@ -495,19 +262,11 @@ func heldList(held map[string]int) string {
 }
 
 func (c *checker) checkCall(call *ast.CallExpr, held map[string]int) {
-	if desc, ok := c.hookField(call.Fun); ok {
-		c.pass.Reportf(call.Pos(), "call to hook/interposer field %s while mutex %s is held (hooks may call back or take their own locks)", desc, heldList(held))
-		return
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if obj := c.pass.Info.Uses[id]; obj != nil {
-			if desc, ok := c.hookLocals[obj]; ok {
-				c.pass.Reportf(call.Pos(), "call to hook/interposer %s (via %s) while mutex %s is held", desc, id.Name, heldList(held))
-				return
-			}
-		}
-	}
-	if callee := analysis.CalleeFunc(c.pass.Info, call); callee != nil && c.mayHook[callee] {
+	if _, isField := c.hookField(call.Fun); isField {
+		c.pass.Reportf(call.Pos(), "call to hook/interposer field %s while mutex %s is held (hooks may call back or take their own locks)", c.hookCall(call), heldList(held))
+	} else if desc := c.hookCall(call); desc != "" {
+		c.pass.Reportf(call.Pos(), "call to hook/interposer %s while mutex %s is held", desc, heldList(held))
+	} else if callee := analysis.CalleeFunc(c.pass.Info, call); callee != nil && c.mayHook[callee] {
 		c.pass.Reportf(call.Pos(), "call to %s, which may invoke a hook/interposer, while mutex %s is held", callee.Name(), heldList(held))
 	}
 }

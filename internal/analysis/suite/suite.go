@@ -1,6 +1,5 @@
 // Package suite registers the kit's analyzers in one place, so the
-// oskitcheck driver, the vet integration, and the structure tests all see
-// the same set.
+// oskitcheck driver and the structure tests see the same set.
 package suite
 
 import (

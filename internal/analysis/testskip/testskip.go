@@ -1,9 +1,8 @@
 // Package testskip is a structure-test fixture: its only non-test file
 // is clean under the analyzer suite, while its _test.go deliberately
-// violates a guarded annotation.  TestLintSkipsTestFiles drives both
-// oskitcheck modes (standalone and `go vet -vettool`) over this package
-// and expects silence, pinning the contract that test files stay
-// outside the invariants in both.
+// violates a guarded annotation.  TestLintSkipsTestFiles runs oskitcheck
+// over this package and expects silence, pinning the contract that test
+// files stay outside the invariants.
 package testskip
 
 import "sync"

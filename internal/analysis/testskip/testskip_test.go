@@ -2,8 +2,8 @@ package testskip
 
 import "testing"
 
-// TestRacyBump touches Box.n without its lock: if either oskitcheck
-// mode analyzed test files, this would be a guarded diagnostic and
+// TestRacyBump touches Box.n without its lock: if oskitcheck analyzed
+// test files, this would be a guarded diagnostic and
 // TestLintSkipsTestFiles (structure_test.go) would fail.
 func TestRacyBump(t *testing.T) {
 	var b Box

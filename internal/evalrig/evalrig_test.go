@@ -1,6 +1,7 @@
 package evalrig
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -442,5 +443,44 @@ func TestPairHaltUnmounts(t *testing.T) {
 	}
 	if _, err := fs.GetRoot(); err != com.ErrBadF {
 		t.Fatalf("GetRoot after Halt = %v, want ErrBadF (the mount was never closed)", err)
+	}
+}
+
+// TestRxPollNeedsNoClock: the polled receive path loses no interrupt
+// edge, so it needs no timer to recover one.  A fast-path OSKit pair
+// booted with tick 0 never fires a callout; RTCP and TTCP must still
+// finish, on one CPU and on two (two receive rings, two poll loops).
+func TestRxPollNeedsNoClock(t *testing.T) {
+	for _, cpus := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cpus=%d", cpus), func(t *testing.T) {
+			p, err := NewPairOpts(OSKit, 0, Options{FastPath: true, CPUs: cpus})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				if _, err := RTCP(p, 2000, 5010); err != nil {
+					done <- err
+					return
+				}
+				_, err := TTCP(p, 512, 4096, 5011)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				// The rig is wedged; halting it could wedge too.
+				t.Fatal("a frame stranded in a receive ring: RTCP+TTCP did not finish with the clock stopped")
+			}
+			defer p.Halt()
+			for _, n := range []*Node{p.Sender, p.Receiver} {
+				if v, _ := n.Stat("linux_dev", "rx.polls"); v == 0 {
+					t.Errorf("%s: rx.polls = 0, the polled receive path never ran", n.Machine.Name)
+				}
+			}
+		})
 	}
 }

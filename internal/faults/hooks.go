@@ -113,10 +113,10 @@ func (in *Injector) TimerHook(name string) hw.TickFaultHook {
 }
 
 // AllocFailFunc builds an allocation-failure decision for one
-// allocator (the LMM arena, the BSD kernel malloc, the Linux kmalloc
-// buckets): rate-based plus the fail-the-Nth schedule.  The Nth is
-// 1-based and per-point, so "alloc.nth=3" fails the third allocation
-// each named allocator attempts.
+// allocator (the QuickPool service, the BSD kernel malloc, the Linux
+// kmalloc buckets): rate-based plus the fail-the-Nth schedule.  The
+// Nth is 1-based and per-point, so "alloc.nth=3" fails the third
+// allocation each named allocator attempts.
 func (in *Injector) AllocFailFunc(name string) func(size uint32) bool {
 	plan := in.plan
 	p := in.Point(name)

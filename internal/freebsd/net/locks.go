@@ -39,11 +39,15 @@ import "sync"
 // pcb-before-demux order the registration paths need (detach holds the
 // pcb lock while unhooking its hash entry) and deadlock.
 //
-// Two same-rank pcbLock nestings exist, both deadlock-free because the
-// inner pcb is only ever reachable under Stack.mu (which the outer
-// holder also holds), and are waived where they occur:
+// One same-rank pcbLock nesting exists, deadlock-free because the inner
+// pcb is only ever reachable under Stack.mu (which the outer holder also
+// holds):
 //
 //	current pcb  -> recycled TIME_WAIT pcb   (tcpEnterTimeWait)
+//
+// The outer pcb lock is taken by tcpEnterTimeWait's caller, so the
+// intra-procedural rank check never sees the pair; the reason is a plain
+// comment at the inner acquisition, not a waiver.
 //
 // Field-ownership rules are machine-checked, not prose: every shared
 // field in this package carries an //oskit:guardedby, //oskit:atomic,

@@ -445,7 +445,9 @@ func (s *Stack) tcpEnterTimeWait(tp *tcpcb) {
 		if old.state != tcpsTimeWait || old.pcbIdx.Load() < 0 {
 			continue // left TIME_WAIT already (reincarnated or expired)
 		}
-		old.mu.Lock() //oskit:allow lockhook -- same-rank pcb nesting; victim only reachable under the stack lock, which is held
+		// Same-rank pcb nesting (the caller holds tp.mu): deadlock-free,
+		// the victim is only reachable under the stack lock, which is held.
+		old.mu.Lock()
 		s.sc.tcpTWRecycled.Inc()
 		s.tcpDetach(old)
 		old.mu.Unlock()

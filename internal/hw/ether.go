@@ -76,7 +76,7 @@ type nicRing struct {
 	rxOK      uint64 //oskit:guardedby mu
 	rxRaised  uint64 //oskit:guardedby mu  receive interrupts raised
 	rxSuppr   uint64 //oskit:guardedby mu  receive interrupts suppressed by mitigation
-	rxRearms  uint64 //oskit:guardedby mu  poller/timer re-arms that re-raised the line
+	rxRearms  uint64 //oskit:guardedby mu  poller re-arms that re-raised the line
 	rxBatched uint64 //oskit:guardedby mu  frames drained through RxPopBatchOn
 }
 
@@ -356,9 +356,8 @@ func (n *NIC) RxPopBatchOn(q int, dst [][]byte, max int) int {
 }
 
 // RxRearmOn re-raises ring q's receive interrupt if frames are still
-// pending — the poller's "budget exhausted, reschedule me" edge, and the
-// timer backstop's recovery path for a stalled poller.  Returns whether
-// the line was raised.
+// pending — the poller's "budget exhausted, reschedule me" edge.
+// Returns whether the line was raised.
 func (n *NIC) RxRearmOn(q int) bool {
 	r := n.ringOf(q)
 	if r == nil || n.ic == nil {

@@ -1,7 +1,6 @@
 package linuxdev
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"oskit/internal/com"
@@ -24,15 +23,15 @@ import (
 // itself is untouched — the poll loop is glue, installed through the
 // same RequestIRQ seam the donor used (§4.7: specialization by
 // configuration, never by forking).
+//
+// The loop needs no clock: the NIC raises the line on every
+// empty→non-empty ring transition, only this poller drains its ring, and
+// the dispatcher clears a line's pending bit before running the handler,
+// so a frame that lands as a poll exits raises the line again.
 
 // DefaultRxBudget is the per-interrupt frame budget of the polled
 // receive loop.
 const DefaultRxBudget = 16
-
-// rxRearmTicks is the period of the timer-driven re-arm backstop: a
-// stalled poller (a lost edge, a budget miscount) strands frames in the
-// ring for at most this many clock ticks.
-const rxRearmTicks = 1
 
 // rxPoller is the budgeted poll loop bound to one receive ring of one
 // open ether node.  A single-queue NIC gets one poller on ring 0; a NIC
@@ -65,10 +64,6 @@ type rxPoller struct {
 	// into the glue's stats rows.  Touched only by this ring's handler
 	// (one dispatch context), so unsynchronized.
 	lastRaised, lastSuppr uint64
-
-	mu          sync.Mutex
-	stopped     bool
-	rearmCancel func()
 }
 
 // engageRxPoll switches a freshly opened ether node to the polled
@@ -110,24 +105,12 @@ func (g *Glue) engageRxPoll(e *etherDev) {
 		g.env.Machine.Intr.SetMask(line, false)
 	}
 	nic.SetRxIntrMitigation(true)
-	for _, p := range e.pollers {
-		p.startRearmTimer()
-	}
 }
 
-// stop disengages the poller: the timer backstop dies, mitigation is
-// switched off (re-raising the line if frames are pending, so nothing
-// strands across the switch), and the negotiated batch sink is
-// released.
+// stop disengages the poller: mitigation is switched off (re-raising
+// the line if frames are pending, so nothing strands across the
+// switch), and the negotiated batch sink is released.
 func (p *rxPoller) stop() {
-	p.mu.Lock()
-	p.stopped = true
-	cancel := p.rearmCancel
-	p.rearmCancel = nil
-	p.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 	p.nic.SetRxIntrMitigation(false)
 	if p.batch != nil {
 		p.batch.Release()
@@ -205,28 +188,4 @@ func (p *rxPoller) mirrorIntrStats() {
 	p.g.scRxIntrRaised.Add(raised - p.lastRaised)
 	p.g.scRxIntrSuppressed.Add(suppr - p.lastSuppr)
 	p.lastRaised, p.lastSuppr = raised, suppr
-}
-
-// startRearmTimer schedules the periodic backstop on the machine's
-// existing callout clock: if the poller ever stalls with frames ringed,
-// the next tick re-raises the line.
-func (p *rxPoller) startRearmTimer() {
-	var tick func()
-	tick = func() {
-		p.mu.Lock()
-		if p.stopped {
-			p.mu.Unlock()
-			return
-		}
-		p.mu.Unlock()
-		p.nic.RxRearmOn(p.ring)
-		p.mu.Lock()
-		if !p.stopped {
-			p.rearmCancel = p.g.env.AfterTicks(rxRearmTicks, tick)
-		}
-		p.mu.Unlock()
-	}
-	p.mu.Lock()
-	p.rearmCancel = p.g.env.AfterTicks(rxRearmTicks, tick)
-	p.mu.Unlock()
 }

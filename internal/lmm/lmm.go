@@ -68,10 +68,6 @@ type Arena struct {
 	mu      sync.Mutex
 	regions []*Region // sorted by priority descending, then address
 
-	// hook, when set, may veto an allocation before the free lists are
-	// searched (fault injection; see SetFaultHook).
-	hook func(size uint32) bool
-
 	// Optional com.Stats handles (see AttachStats).  All updates are
 	// nil-safe, so an unattached arena pays one branch per operation.
 	scAllocs *stats.Counter
@@ -91,16 +87,6 @@ func (a *Arena) AttachStats(set *stats.Set) {
 	a.scFrees = set.Counter("lmm.frees")
 	a.scFails = set.Counter("lmm.failures")
 	a.scLive = set.Gauge("lmm.bytes_live")
-}
-
-// SetFaultHook installs (or, with nil, removes) an allocation-failure
-// hook: when it returns true the allocation fails as if no region could
-// satisfy it (counted in lmm.failures).  Like every other arena
-// operation it relies on the client's serialization (§4.5).
-func (a *Arena) SetFaultHook(h func(size uint32) bool) {
-	a.mu.Lock()
-	a.hook = h
-	a.mu.Unlock()
 }
 
 // AddRegion introduces the address range [addr, addr+size) with the given
@@ -196,16 +182,6 @@ func (a *Arena) AllocPage(flags Flags) (uint32, bool) {
 // alignment (as in AllocAligned), within the address bounds [min, max].
 func (a *Arena) AllocGen(size uint32, flags Flags, alignBits uint, alignOfs uint32, min, max uint32) (uint32, bool) {
 	if size == 0 || alignBits >= 32 {
-		return 0, false
-	}
-	// The fault hook runs outside a.mu: it is an interposed callback (it
-	// may read arena stats or take its own locks), the hazard class the
-	// lockhook analyzer exists for.
-	a.mu.Lock()
-	hook := a.hook
-	a.mu.Unlock()
-	if hook != nil && hook(size) {
-		a.scFails.Inc()
 		return 0, false
 	}
 	align := uint32(1) << alignBits

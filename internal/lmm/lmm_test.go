@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"oskit/internal/stats"
 )
 
 // Flags used throughout the tests, mirroring how the kernel support
@@ -97,6 +99,25 @@ func TestAllocGenBounds(t *testing.T) {
 	// Impossible bounds.
 	if _, ok := a.AllocGen(0x20000, 0, 0, 0, lo, lo+0x100); ok {
 		t.Fatal("allocation larger than its bounds succeeded")
+	}
+	// Exhaustion: a request no free block can hold fails, is counted,
+	// and consumes nothing.
+	small := NewArena()
+	set := stats.NewSet("lmm")
+	small.AttachStats(set)
+	if err := small.AddRegion(0x1000, 0x1000, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	small.AddFree(0x1000, 0x1000)
+	avail := small.Avail(0)
+	if _, ok := small.Alloc(0x2000, 0); ok {
+		t.Fatal("allocation larger than the arena succeeded")
+	}
+	if n, _ := stats.Get(set.Snapshot(), "lmm.failures"); n != 1 {
+		t.Fatalf("lmm.failures = %d, want 1", n)
+	}
+	if small.Avail(0) != avail {
+		t.Fatal("failed allocation consumed free memory")
 	}
 }
 
@@ -291,30 +312,3 @@ func TestAlignmentContractProperty(t *testing.T) {
 // A fault hook must fail allocations exactly as exhaustion would —
 // counted as a failure, free lists untouched — and removal must restore
 // normal service.
-func TestArenaFaultHook(t *testing.T) {
-	a := NewArena()
-	if err := a.AddRegion(0x1000, 0x1000, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	a.AddFree(0x1000, 0x1000)
-	avail := a.Avail(0)
-
-	deny := true
-	a.SetFaultHook(func(size uint32) bool { return deny })
-	if _, ok := a.Alloc(64, 0); ok {
-		t.Fatal("hooked allocation succeeded")
-	}
-	if a.Avail(0) != avail {
-		t.Fatal("failed allocation consumed free memory")
-	}
-	deny = false
-	addr, ok := a.Alloc(64, 0)
-	if !ok {
-		t.Fatal("allocation failed with hook returning false")
-	}
-	a.Free(addr, 64)
-	a.SetFaultHook(nil)
-	if _, ok := a.Alloc(64, 0); !ok {
-		t.Fatal("allocation failed after hook removal")
-	}
-}

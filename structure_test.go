@@ -94,8 +94,7 @@ func TestSubstrateDoesNoProtocolArithmetic(t *testing.T) {
 
 // TestAnalyzerSuite: the oskitcheck analyzers register without name
 // conflicts and each declares exactly one run hook, and the driver
-// speaks the `go vet -vettool` handshake (-V=full / -flags) so the
-// suite can ride vet's build cache.
+// lists them all.
 func TestAnalyzerSuite(t *testing.T) {
 	if err := analysis.Validate(suite.All()); err != nil {
 		t.Fatal(err)
@@ -107,14 +106,6 @@ func TestAnalyzerSuite(t *testing.T) {
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("suite analyzers = %v, want %v", got, want)
-	}
-	out, err := exec.Command("go", "run", "./cmd/oskitcheck", "-V=full").CombinedOutput()
-	if err != nil {
-		t.Fatalf("oskitcheck -V=full: %v\n%s", err, out)
-	}
-	fields := strings.Fields(string(out))
-	if len(fields) < 3 || fields[1] != "version" {
-		t.Fatalf("oskitcheck -V=full = %q, want \"name version ...\" (the vet -vettool handshake)", out)
 	}
 	list, err := exec.Command("go", "run", "./cmd/oskitcheck", "-list").CombinedOutput()
 	if err != nil {
@@ -129,21 +120,12 @@ func TestAnalyzerSuite(t *testing.T) {
 
 // TestLintSkipsTestFiles: internal/analysis/testskip has a clean
 // non-test file and a _test.go that violates its guarded annotation.
-// Both oskitcheck modes — the standalone driver and the `go vet
-// -vettool` protocol — must stay silent on it: test files are outside
-// the invariants in both.
+// oskitcheck must stay silent on it: test files are outside the
+// invariants.
 func TestLintSkipsTestFiles(t *testing.T) {
 	out, err := exec.Command("go", "run", "./cmd/oskitcheck", "./internal/analysis/testskip/").CombinedOutput()
 	if err != nil {
-		t.Fatalf("standalone oskitcheck flagged the test-only violation: %v\n%s", err, out)
-	}
-	bin := filepath.Join(t.TempDir(), "oskitcheck")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/oskitcheck").CombinedOutput(); err != nil {
-		t.Fatalf("building oskitcheck: %v\n%s", err, out)
-	}
-	out, err = exec.Command("go", "vet", "-vettool="+bin, "./internal/analysis/testskip/").CombinedOutput()
-	if err != nil {
-		t.Fatalf("vet-mode oskitcheck flagged the test-only violation: %v\n%s", err, out)
+		t.Fatalf("oskitcheck flagged the test-only violation: %v\n%s", err, out)
 	}
 }
 
