@@ -5,8 +5,8 @@
 //
 // It provides, over nothing but the kit's Env services:
 //
-//   - curproc manufactured on demand at each component entry point and
-//     saved across blocking calls (§4.7.5);
+//   - curproc manufactured on demand at each component entry point, one
+//     per thread, and saved across blocking calls (§4.7.5);
 //   - BSD's sleep/wakeup with its original event hash table design, each
 //     component instance getting its own private table, blocking bottoms
 //     out in one sleep record per sleeping process (§4.7.6);
@@ -65,33 +65,26 @@ type mallocLock struct{ sync.Mutex }
 type Glue struct {
 	env *core.Env
 
-	// Curproc is the current process pointer donor code dereferences
-	// freely.  One process-level thread of control runs inside a
-	// component at a time (the documented execution model), so a plain
-	// field reproduces the donor global exactly.  Under the SMP discipline
-	// (see NewLocked) several threads run inside the component
-	// concurrently and the current process becomes per-thread state in
-	// curprocs instead; the field stays nil there.
-	Curproc *Proc
-
 	// smp is fixed by the constructor.  Off (New) is the §4.7.4
 	// giant-exclusion discipline: spl calls disable interrupts, one
 	// process inside the component.  On (NewLocked on a multi-CPU machine)
 	// is the SMP discipline: spl calls become no-ops — the component
-	// carries its own fine-grained locks — and curproc is tracked per
-	// thread.
+	// carries its own fine-grained locks.
 	smp bool //oskit:initonly
 
-	// curprocs is keyed by hw.GoID, which is unique only among live
-	// goroutines: every entry is deleted when its thread leaves the
-	// component (Enter's restore, setCurproc(nil)), before the goroutine
-	// can exit and its identity be handed to another.
+	// curprocs is the current process, one per thread of control inside
+	// the component, on every machine: a thread that blocks in another
+	// component keeps its own even while others enter and sleep here.
+	// It is keyed by hw.GoID, which is unique only among live goroutines:
+	// every entry is deleted when its thread leaves the component
+	// (Enter's restore, SleepCommit), before the goroutine can exit
+	// and its identity be handed to another.
 	curMu    sync.Mutex
-	curprocs map[uint64]*Proc //oskit:guardedby curMu  thread identity -> current process (SMP)
+	curprocs map[uint64]*Proc //oskit:guardedby curMu  thread identity -> current process
+	nextPid  int              //oskit:guardedby curMu
 
-	nextPid int
-	slpMu   sleepLock
-	slpque  [slpqueSize]*Proc //oskit:guardedby slpMu
+	slpMu  sleepLock
+	slpque [slpqueSize]*Proc //oskit:guardedby slpMu
 
 	// Malloc is the component's BSD kernel allocator.
 	Malloc *Malloc
@@ -122,51 +115,29 @@ func newGlue(env *core.Env, smp bool) *Glue {
 // Env returns the kit environment underneath.
 func (g *Glue) Env() *core.Env { return g.env }
 
-// Enter manufactures the current process for one component entry point
-// (§4.7.5), returning the restore to run when the call leaves the
-// component.
+// Enter manufactures the calling thread's current process for one
+// component entry point (§4.7.5), returning the restore to run when the
+// call leaves the component.
 func (g *Glue) Enter(comm string) func() {
-	if g.smp {
-		id := hw.GoID()
-		g.curMu.Lock()
-		g.nextPid++
-		prev := g.curprocs[id]
-		g.curprocs[id] = &Proc{Pid: g.nextPid, Comm: comm}
-		g.curMu.Unlock()
-		return func() {
-			g.curMu.Lock()
-			if prev == nil {
-				delete(g.curprocs, id)
-			} else {
-				g.curprocs[id] = prev
-			}
-			g.curMu.Unlock()
-		}
-	}
+	id := hw.GoID()
+	g.curMu.Lock()
 	g.nextPid++
-	prev := g.Curproc
-	g.Curproc = &Proc{Pid: g.nextPid, Comm: comm}
-	return func() { g.Curproc = prev }
+	prev := g.curprocs[id]
+	g.curprocs[id] = &Proc{Pid: g.nextPid, Comm: comm}
+	g.curMu.Unlock()
+	return func() { g.setCurproc(id, prev) }
 }
 
 // curproc returns the calling thread's current process.
 func (g *Glue) curproc() *Proc {
-	if !g.smp {
-		return g.Curproc
-	}
 	g.curMu.Lock()
 	defer g.curMu.Unlock()
 	return g.curprocs[hw.GoID()]
 }
 
-// setCurproc clears or restores the calling thread's current process
-// around a block (§4.7.5).
-func (g *Glue) setCurproc(p *Proc) {
-	if !g.smp {
-		g.Curproc = p
-		return
-	}
-	id := hw.GoID()
+// setCurproc clears or restores thread id's current process, around a
+// block (§4.7.5) and on leaving the component.
+func (g *Glue) setCurproc(id uint64, p *Proc) {
 	g.curMu.Lock()
 	if p == nil {
 		delete(g.curprocs, id)
@@ -270,7 +241,8 @@ func (g *Glue) SleepPrepare(event uint32, wmesg string) *Proc {
 // caller must have dropped every lock ranked under the sleep queue
 // (i.e. all of them) first.
 func (g *Glue) SleepCommit(p *Proc) {
-	g.setCurproc(nil)
+	id := hw.GoID()
+	g.setCurproc(id, nil)
 	if g.smp {
 		g.env.Sleep(p.rec)
 	} else {
@@ -282,7 +254,7 @@ func (g *Glue) SleepCommit(p *Proc) {
 		g.env.Sleep(p.rec)
 		g.env.Machine.Intr.RestoreAll(depth)
 	}
-	g.setCurproc(p)
+	g.setCurproc(id, p)
 	g.slpMu.Lock()
 	p.WChan = 0
 	p.WMesg = ""

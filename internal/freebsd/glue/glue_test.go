@@ -11,6 +11,10 @@ import (
 	"oskit/internal/lmm"
 )
 
+// raceEnabled is set by race_test.go under -race, whose instrumentation
+// allocates.
+var raceEnabled bool
+
 func testGlue(t *testing.T) *Glue { return testGlueCPUs(t, 0) }
 
 // testGlueCPUs is testGlue on a cpus-CPU machine (0: the platform
@@ -31,15 +35,15 @@ func testGlueCPUs(t *testing.T, cpus int) *Glue {
 
 func TestEnterManufacturesCurproc(t *testing.T) {
 	g := testGlue(t)
-	if g.Curproc != nil {
+	if g.curproc() != nil {
 		t.Fatal("curproc before entry")
 	}
 	restore := g.Enter("read")
-	if g.Curproc == nil || g.Curproc.Comm != "read" || g.Curproc.Pid == 0 {
-		t.Fatalf("curproc = %+v", g.Curproc)
+	if p := g.curproc(); p == nil || p.Comm != "read" || p.Pid == 0 {
+		t.Fatalf("curproc = %+v", p)
 	}
 	restore()
-	if g.Curproc != nil {
+	if g.curproc() != nil {
 		t.Fatal("curproc after restore")
 	}
 }
@@ -56,22 +60,7 @@ func TestTsleepWakeup(t *testing.T) {
 		g.Splx(s)
 		close(woke)
 	}()
-	// Wait for the proc to appear in the hash chain.
-	deadline := time.After(2 * time.Second)
-	for {
-		s := g.Splnet()
-		n := g.SleepersOn(event)
-		g.Splx(s)
-		if n == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("sleeper never enqueued")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	waitSleepers(t, g, event, 1)
 	// Wakeup on a different event is a no-op.
 	s := g.Splnet()
 	g.Wakeup(event + 8)
@@ -88,6 +77,82 @@ func TestTsleepWakeup(t *testing.T) {
 	case <-woke:
 	case <-time.After(2 * time.Second):
 		t.Fatal("wakeup lost")
+	}
+}
+
+// TestEnterAllocs pins what one component crossing costs the Go heap:
+// the manufactured Proc and the restore closure.  A change that takes
+// either out lowers the pin.
+func TestEnterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	g := testGlueCPUs(t, 1)
+	if n := testing.AllocsPerRun(100, func() { g.Enter("probe")() }); n != 2 {
+		t.Fatalf("Enter+restore allocates %v times, want 2", n)
+	}
+}
+
+// TestCurprocSurvivesAnotherThreadsSleep is §4.7.5 across a sleep on one
+// CPU: thread A enters and blocks outside the glue (in another
+// component, say); thread B enters and sleeps here at raised spl.  A's
+// current process stays its own, while B sleeps and after B was woken.
+func TestCurprocSurvivesAnotherThreadsSleep(t *testing.T) {
+	g := testGlueCPUs(t, 1)
+	const event = 0x2000
+	entered, resume, read := make(chan *Proc), make(chan struct{}), make(chan *Proc)
+	go func() {
+		restore := g.Enter("A")
+		defer restore()
+		entered <- g.curproc()
+		for range 2 {
+			<-resume // blocked outside the glue
+			read <- g.curproc()
+		}
+	}()
+	pA := <-entered
+
+	bDone := make(chan struct{})
+	go func() {
+		defer close(bDone)
+		restore := g.Enter("B")
+		defer restore()
+		s := g.Splnet()
+		g.Tsleep(event, "B")
+		g.Splx(s)
+	}()
+	waitSleepers(t, g, event, 1)
+	resume <- struct{}{}
+	if got := <-read; got != pA {
+		t.Fatalf("while B sleeps, A's curproc = %+v, want %+v", got, pA)
+	}
+	s := g.Splnet()
+	g.Wakeup(event)
+	g.Splx(s)
+	<-bDone
+	resume <- struct{}{}
+	if got := <-read; got != pA {
+		t.Fatalf("after B woke, A's curproc = %+v, want %+v", got, pA)
+	}
+}
+
+// waitSleepers polls until n processes sleep on event.
+func waitSleepers(t *testing.T, g *Glue, event uint32, n int) {
+	t.Helper()
+	deadline := time.After(2 * time.Second)
+	for {
+		s := g.Splnet()
+		got := g.SleepersOn(event)
+		g.Splx(s)
+		if got == n {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("%d sleepers on %#x, want %d", got, event, n)
+		default:
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
@@ -182,7 +247,8 @@ func TestSplNesting(t *testing.T) {
 // TestDisciplineFollowsTheMachine pins the two constructors: New is giant
 // exclusion on any machine (the file system's splbio must stay real cli
 // on 4 CPUs), NewLocked is SMP exactly when the machine has several CPUs,
-// and nothing can change either afterwards.
+// and nothing can change either afterwards.  Under either discipline the
+// current process is the entering thread's own.
 func TestDisciplineFollowsTheMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -206,14 +272,16 @@ func TestDisciplineFollowsTheMachine(t *testing.T) {
 			restore := g.Enter("probe")
 			s := g.Splnet()
 			g.Splx(s)
-			perThread := g.Curproc == nil && g.curproc() != nil
+			other := make(chan *Proc)
+			go func() { other <- g.curproc() }()
+			perThread := g.curproc() != nil && <-other == nil
 			restore()
 			wantCli := 1
 			if tc.smp {
 				wantCli = 0
 			}
-			if s != wantCli || clis != wantCli || perThread != tc.smp {
-				t.Fatalf("on %d CPUs: spl token %d, %d cli, per-thread curproc %v; want SMP discipline = %v",
+			if s != wantCli || clis != wantCli || !perThread {
+				t.Fatalf("on %d CPUs: spl token %d, %d cli, per-thread curproc %v; want SMP discipline = %v and per-thread curproc",
 					tc.cpus, s, clis, perThread, tc.smp)
 			}
 		})

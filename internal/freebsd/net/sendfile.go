@@ -101,14 +101,6 @@ func (so *socket) sendfileMapWindow(sf com.Sendfile, offset, win uint64) (uint64
 	so.s.sc.sfPagesMapped.Add(uint64(len(parts)))
 	so.s.sc.sfZCBytes.Add(win)
 
-	// Re-manufacture the current process before the socket-side phase:
-	// on a uniprocessor the glue's curproc is the donor's single global,
-	// and while this call waited inside the file component (the node
-	// lock opens across its sleeps) another process may have entered and
-	// slept inside *this* component, leaving curproc cleared (§4.7.5 is
-	// per-thread state only on SMP).
-	restore := so.s.g.Enter("sendfile")
-	defer restore()
 	if err := so.sendfileAppend(head, int(win)); err != nil {
 		return 0, err
 	}
@@ -128,10 +120,6 @@ func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, er
 	}
 	so.s.sc.sfBytesCopied.Add(uint64(n))
 
-	// Same curproc re-manufacture as the zero-copy window: ReadAt was a
-	// cross-component call whose sleeps open the node lock.
-	restore := so.s.g.Enter("sendfile")
-	defer restore()
 	sent, err := so.writeTCP(buf[:n])
 	if err == nil && uint(n) < uint(win) {
 		err = com.ErrInval // short file: caller over-asked

@@ -34,13 +34,25 @@ func TestRaceConnectChurn(t *testing.T) {
 	if err := ls.Listen(16); err != nil {
 		t.Fatal(err)
 	}
+	// The server's goroutines end before the machines halt: the
+	// listener closes once the workers are done (or the test fails),
+	// which ends the accept loop, and every reader sees its client's EOF.
+	var server sync.WaitGroup
+	defer func() {
+		_ = ls.Close()
+		server.Wait()
+	}()
+	server.Add(1)
 	go func() {
+		defer server.Done()
 		for {
 			cs, _, err := ls.Accept()
 			if err != nil {
 				return
 			}
+			server.Add(1)
 			go func(cs com.Socket) {
+				defer server.Done()
 				buf := make([]byte, 64)
 				for {
 					// EOF is (0, nil), POSIX style: a reader that only
@@ -97,7 +109,6 @@ func TestRaceConnectChurn(t *testing.T) {
 		t.Fatalf("churn worker: %v\nclient stack: %s\nserver stack: %s",
 			err, statDump(a), statDump(b))
 	}
-	_ = ls.Close()
 }
 
 // TestRaceAcceptVsListenerClose parks several goroutines in Accept and

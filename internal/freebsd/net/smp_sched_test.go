@@ -111,6 +111,8 @@ func TestPerConnLockingInterleavings(t *testing.T) {
 			if err := ls.Close(); err != nil {
 				t.Fatal(err)
 			}
+			for range served { // the accept loop ends before the machines halt
+			}
 		})
 	}
 }

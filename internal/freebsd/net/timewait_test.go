@@ -25,7 +25,9 @@ func TestSequentialConnectionsReusePorts(t *testing.T) {
 	if err := ls.Listen(4); err != nil {
 		t.Fatal(err)
 	}
+	served := make(chan struct{})
 	go func() {
+		defer close(served)
 		for {
 			cs, _, err := ls.Accept()
 			if err != nil {
@@ -60,4 +62,8 @@ func TestSequentialConnectionsReusePorts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The accept loop ends, and with it the last server-side close,
+	// before the machines halt.
+	_ = ls.Close()
+	<-served
 }

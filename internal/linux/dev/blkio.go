@@ -100,8 +100,6 @@ func (d *ideDev) Read(buf []byte, offset uint64) (uint, error) {
 	if count == 0 {
 		return 0, nil
 	}
-	restore := d.g.enter("ide-read")
-	defer restore()
 	if err := d.disk.ReadSectors(sector, count, buf); err != nil {
 		return 0, com.ErrIO
 	}
@@ -119,8 +117,6 @@ func (d *ideDev) Write(buf []byte, offset uint64) (uint, error) {
 	if count == 0 {
 		return 0, nil
 	}
-	restore := d.g.enter("ide-write")
-	defer restore()
 	if err := d.disk.WriteSectors(sector, count, buf); err != nil {
 		return 0, com.ErrIO
 	}

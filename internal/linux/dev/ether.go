@@ -114,8 +114,6 @@ func (e *etherDev) GetAddr() [6]byte { return e.ldev.MAC }
 // Open implements com.EtherDev: brings the donor device up and exchanges
 // NetIO callbacks (§5).
 func (e *etherDev) Open(recv com.NetIO) (com.NetIO, error) {
-	restore := e.g.enter("ether-open")
-	defer restore()
 	if e.recv != nil {
 		return nil, com.ErrBusy
 	}
@@ -136,8 +134,6 @@ func (e *etherDev) Open(recv com.NetIO) (com.NetIO, error) {
 
 // Close implements com.EtherDev.
 func (e *etherDev) Close() error {
-	restore := e.g.enter("ether-close")
-	defer restore()
 	if e.recv == nil {
 		return com.ErrInval
 	}
@@ -185,8 +181,6 @@ func (s *etherSend) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 // flatten copy, which is the Table-1 send cost E11 measures the
 // recovery of.
 func (s *etherSend) Push(pkt com.BufIO, size uint) error {
-	restore := s.g.enter("ether-xmit")
-	defer restore()
 	defer pkt.Release() // Push consumes the caller's reference
 
 	ldev := s.node.ldev

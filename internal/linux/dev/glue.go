@@ -5,13 +5,13 @@
 // The glue has two faces.  Downward, it implements the donor-internal
 // environment the drivers were written against: kmalloc honouring GFP
 // flags (§4.7.7), cli/sti mapped to the machine's interrupt exclusion,
-// sleep_on/wake_up emulated over the kit's sleep records (§4.7.6), the
-// current task manufactured on demand at every component entry point and
-// saved across blocking (§4.7.5), and the direct physical-memory map some
-// drivers assume (§4.7.8).  Upward, it exports each probed device as an
-// fdev device node answering for EtherDev or BlkIO, and wraps skbuffs as
-// BufIO objects without copying by planting a pointer in the skbuff's
-// one-word COM slot (§4.7.3).
+// sleep_on/wake_up emulated over the kit's sleep records (§4.7.6), and
+// the direct physical-memory map some drivers assume (§4.7.8).  It
+// manufactures no current task (§4.7.5): no donor driver here reads one.
+// Upward, it exports each probed device as an fdev device node answering
+// for EtherDev or BlkIO, and wraps skbuffs as BufIO objects without
+// copying by planting a pointer in the skbuff's one-word COM slot
+// (§4.7.3).
 package linuxdev
 
 import (
@@ -31,7 +31,6 @@ type Glue struct {
 	kern *legacy.Kernel
 
 	mu      sync.Mutex
-	nextPID int //oskit:guardedby mu
 	nextEth int //oskit:guardedby mu
 	nextHD  int //oskit:guardedby mu
 	// route maps donor net devices to their COM nodes for the netif_rx
@@ -343,9 +342,7 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 	// §4.7.6: sleep/wakeup over sleep records.  SleepOn follows the
 	// donor contract: entered with interrupts disabled, atomically
 	// registers the sleeper, re-enables while blocked, returns with
-	// interrupts disabled again.  The current task is saved across the
-	// block so other activities entering the component meanwhile don't
-	// see a stale pointer (§4.7.5).
+	// interrupts disabled again.
 	//
 	// wqRec materializes a queue's sleep record under a lock: in SMP
 	// mode the completion handler races the sleeper's registration with
@@ -378,15 +375,12 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 			}
 			return
 		}
-		saved := k.Current
-		k.Current = nil
 		// sleep_on enables interrupts *fully* while blocked (sti, not one
 		// restore_flags level): the caller may be nested under other
 		// components' exclusion sections.
 		depth := env.Machine.Intr.DropAll()
 		env.Sleep(rec)
 		env.Machine.Intr.RestoreAll(depth)
-		k.Current = saved
 	}
 	k.WakeUp = func(q *legacy.WaitQueue) {
 		var rec *core.SleepRec
@@ -407,7 +401,6 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 		}
 	}
 
-	k.Jiffies = env.Ticks
 	k.AddTimer = env.AfterTicks
 	k.Printk = func(format string, args ...any) { env.Log("linux: "+trimNL(format), args...) }
 
@@ -469,24 +462,6 @@ func ProbeNative(env *core.Env) (*legacy.Kernel, []*legacy.NetDevice) {
 		devs = append(devs, ldev)
 	}
 	return g.kern, devs
-}
-
-// enter manufactures the current process for one component entry point
-// and returns the matching restore, per §4.7.5: "the glue code creates
-// and initializes a minimal temporary process structure … for the
-// duration of this call".  Not under the SMP discipline: one Current
-// global cannot name several running tasks, and no kit driver reads it.
-func (g *Glue) enter(comm string) func() {
-	if g.smp {
-		return func() {}
-	}
-	g.mu.Lock()
-	g.nextPID++
-	pid := g.nextPID
-	g.mu.Unlock()
-	prev := g.kern.Current
-	g.kern.Current = &legacy.Task{PID: pid, Comm: comm}
-	return func() { g.kern.Current = prev }
 }
 
 func trimNL(s string) string {

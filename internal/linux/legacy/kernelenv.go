@@ -1,7 +1,7 @@
 // Package legacy is the kit's donor-style Linux code: device drivers and
 // the kernel-internal machinery they expect (skbuffs, kmalloc, cli/sti,
-// sleep_on/wake_up, the current task), written exactly as they would be
-// inside Linux 2.0 and **never importing any kit package**.  The glue in
+// sleep_on/wake_up), written exactly as they would be inside Linux 2.0
+// and **never importing any kit package**.  The glue in
 // oskit/internal/linux/dev supplies this environment and exports the
 // drivers through COM interfaces — the encapsulation technique of paper
 // §4.7.
@@ -31,14 +31,6 @@ type KBuf struct {
 	// rather than kmalloc's usual backing; Kfree must return it there.
 	// Donor code never touches it (glue-reserved, like SKBuff.COMSlot).
 	Pooled bool
-}
-
-// Task is the donor's process structure, pruned to what driver code
-// touches.  The glue manufactures these on demand (§4.7.5).
-type Task struct {
-	PID   int
-	Comm  string
-	State int
 }
 
 // WaitQueue is the donor sleep/wakeup rendezvous.  Its one field is
@@ -72,9 +64,6 @@ type Kernel struct {
 	SleepOn func(q *WaitQueue)
 	WakeUp  func(q *WaitQueue)
 
-	// Jiffies is the donor clock tick counter.
-	Jiffies func() uint64
-
 	// AddTimer schedules fn after delay jiffies at interrupt level
 	// (add_timer); the returned cancel is del_timer.
 	AddTimer func(delay uint64, fn func()) (cancel func())
@@ -93,11 +82,6 @@ type Kernel struct {
 	// skbuff; "higher-level networking code" — here the glue — installs
 	// it.
 	NetifRx func(*SKBuff)
-
-	// Current is the running process; donor code reads it freely.  The
-	// glue points it at a manufactured Task at every component entry
-	// and saves/restores it across blocking (§4.7.5).
-	Current *Task
 
 	// netDevs and disks are the donor registration lists.
 	netDevs []*NetDevice

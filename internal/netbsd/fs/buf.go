@@ -224,14 +224,7 @@ func (c *bcache) breadRun(blkno, n uint32) (*buf, error) {
 	if stage == nil {
 		stage = make([]byte, maxPinBlocks*BlockSize)
 	}
-	// The device read blocks inside the driver component, whose sleep
-	// opens the node lock; while this thread waited, another may have
-	// entered and left this component, clobbering the uniprocessor
-	// glue's single current process (§4.7.5).  Re-manufacture it for the
-	// rest of the caller's component call — the entry epilogue still
-	// restores the true outer value.
 	got, err := c.dev.Read(stage[:k*BlockSize], uint64(blkno)*BlockSize)
-	_ = c.g.Enter("bread")
 	c.stage = stage
 	ok := err == nil && got == uint(k)*BlockSize
 	for i, t := range run[:k] {
@@ -275,10 +268,7 @@ func (c *bcache) bdwrite(b *buf) {
 
 // writeback flushes one buffer.
 func (c *bcache) writeback(b *buf) error {
-	// Same cross-component discipline as bread: the driver sleep may
-	// have let another thread clobber the UP glue's current process.
 	n, err := c.dev.Write(b.data, uint64(b.blkno)*BlockSize)
-	_ = c.g.Enter("bwrite")
 	if err != nil || n != BlockSize {
 		return com.ErrIO
 	}

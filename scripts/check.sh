@@ -12,7 +12,7 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=31829
+MAX_LOC=31728
 MAX_WAIVERS=4
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
@@ -50,8 +50,9 @@ echo "   go test ./... wall time: $(($(date +%s) - T0)) s"
 PROCS=$(printf '%s\n' 1 2 "$(nproc)" | sort -nu | tr '\n' ' ')
 for P in $PROCS; do
 	export GOMAXPROCS="$P"
-	echo "== tier-1: race at GOMAXPROCS=$P (net, stats, hw, faults, libc, linux drivers, kvm, smp, evalrig, com)"
-	go test -race -count=1 -timeout 300s ./internal/freebsd/net/... ./internal/stats/... \
+	echo "== tier-1: race at GOMAXPROCS=$P (net, BSD glue, BSD drivers, file system, stats, hw, faults, libc, linux drivers, kvm, smp, evalrig, com)"
+	go test -race -count=1 -timeout 300s ./internal/freebsd/net/... ./internal/freebsd/glue/... \
+		./internal/freebsd/dev/... ./internal/netbsd/... ./internal/stats/... \
 		./internal/hw/... ./internal/faults/... \
 		./internal/libc/... ./internal/linux/dev/... \
 		./internal/kvm/... ./internal/smp/... \
