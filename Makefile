@@ -1,7 +1,7 @@
 # Convenience targets; scripts/check.sh is the source of truth for the
 # verification sequence.
 
-.PHONY: build test race lint lint-json lint-fix-fixtures check check-quick bench
+.PHONY: build test race lint lint-fix-fixtures check check-quick bench
 
 build:
 	go build ./...
@@ -14,7 +14,8 @@ test:
 race:
 	for p in $$(printf '%s\n' 1 2 $$(nproc) | sort -nu); do \
 		echo "== race at GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p go test -race -count=1 -timeout 300s ./internal/freebsd/net/... ./internal/stats/... \
+		GOMAXPROCS=$$p go test -race -count=1 -timeout 300s ./internal/freebsd/net/... ./internal/freebsd/glue/... \
+			./internal/freebsd/dev/... ./internal/netbsd/... ./internal/stats/... \
 			./internal/hw/... ./internal/faults/... \
 			./internal/libc/... ./internal/linux/dev/... \
 			./internal/kvm/... ./internal/smp/... \
@@ -27,11 +28,6 @@ race:
 # on stderr.
 lint:
 	go run ./cmd/oskitcheck ./...
-
-# Same findings as machine-readable JSON on stdout (file/line/analyzer/
-# message plus applied waivers and per-analyzer timings), for CI.
-lint-json:
-	go run ./cmd/oskitcheck -json ./...
 
 # The analyzer golden fixtures live under testdata/ where go fmt cannot
 # see them; format them and re-run the analyzer test suites.

@@ -1,9 +1,9 @@
 // oskit-graph renders the paper's Figure 1 for this repository: the
 // overall structure of the kit — client OS on top, native and glue
 // components beneath it, encapsulated donor-style code shaded at the
-// bottom — with each component's dependencies.
+// bottom — with each component's dependencies, read from its imports.
 //
-// Run:  go run ./cmd/oskit-graph
+// Run from the repository root:  go run ./cmd/oskit-graph
 package main
 
 import (
@@ -11,12 +11,14 @@ import (
 	"os"
 
 	"oskit/internal/core"
+	"oskit/internal/structure"
 )
 
 func main() {
-	if err := core.CheckInventory(); err != nil {
+	edges, err := structure.Edges(".")
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "oskit-graph:", err)
 		os.Exit(1)
 	}
-	core.WriteStructure(os.Stdout)
+	core.WriteStructure(os.Stdout, edges)
 }

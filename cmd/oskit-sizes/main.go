@@ -1,6 +1,8 @@
 // oskit-sizes regenerates the paper's Table 3: the "filtered" source
 // size of every kit component, broken down by provenance (native vs
-// glue vs donor-style encapsulated code) and machine dependence.
+// glue vs donor-style encapsulated code) and machine dependence.  An
+// encapsulated row's lines split into donor lines and the lines of the
+// glue files its inventory row lists.
 //
 // The paper's filter — applied here line for line — drops comments,
 // blank lines, preprocessor directives, and punctuation-only lines
@@ -11,7 +13,7 @@
 // Run from the repository root:
 //
 //	go run ./cmd/oskit-sizes            # whole kit (Table 3)
-//	go run ./cmd/oskit-sizes -config netcomputer   # §6.2.5's configuration
+//	go run ./cmd/oskit-sizes -config netcomputer   # what examples/netcomputer links
 package main
 
 import (
@@ -19,20 +21,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"oskit/internal/core"
+	"oskit/internal/structure"
 )
-
-// netcomputerComponents is the §6.2.5 configuration: networking, the VM
-// and its libc, drivers and their glue — no file system, no disk.
-var netcomputerComponents = map[string]bool{
-	"hw": true, "com": true, "core": true, "kern": true, "boot": true,
-	"lmm": true, "c": true, "fdev": true,
-	"linux_dev": true, "linux_legacy": true,
-	"freebsd_glue": true, "freebsd_net": true,
-	"kvm": true,
-}
 
 func main() {
 	config := flag.String("config", "", "restrict to a named configuration (netcomputer)")
@@ -43,17 +37,17 @@ func main() {
 	switch *config {
 	case "":
 	case "netcomputer":
-		filter = netcomputerComponents
+		// The §6.2.5 configuration is whatever the example links.
+		var err error
+		if filter, err = structure.Closure(*root, "examples/netcomputer"); err != nil {
+			fatal(err.Error())
+		}
 	default:
 		fatal("unknown -config " + *config)
 	}
 
-	if err := core.CheckInventory(); err != nil {
-		fatal(err.Error())
-	}
-
-	fmt.Printf("%-14s %-13s %-4s %8s %8s  %s\n",
-		"component", "kind", "arch", "impl", "test", "description")
+	fmt.Printf("%-14s %-13s %-4s %8s %8s %8s %8s  %s\n",
+		"component", "kind", "arch", "impl", "donor", "glue", "test", "description")
 	type totals struct{ impl, test int }
 	byKind := map[core.Kind]*totals{}
 	grand := &totals{}
@@ -61,7 +55,7 @@ func main() {
 		if filter != nil && !filter[c.Name] {
 			continue
 		}
-		impl, test, err := countDir(filepath.Join(*root, c.Dir))
+		impl, glue, test, err := countDir(filepath.Join(*root, c.Dir), c.Glue)
 		if err != nil {
 			fatal(fmt.Sprintf("%s: %v", c.Dir, err))
 		}
@@ -69,8 +63,12 @@ func main() {
 		if c.MachineDep {
 			arch = "x86*" // simulated-PC-specific, the x86 column's analog
 		}
-		fmt.Printf("%-14s %-13s %-4s %8d %8d  %s\n",
-			c.Name, c.Kind, arch, impl, test, c.Desc)
+		donor, glueCol := "-", "-"
+		if c.Kind == core.KindEncapsulated {
+			donor, glueCol = fmt.Sprint(impl-glue), fmt.Sprint(glue)
+		}
+		fmt.Printf("%-14s %-13s %-4s %8d %8s %8s %8d  %s\n",
+			c.Name, c.Kind, arch, impl, donor, glueCol, test, c.Desc)
 		t := byKind[c.Kind]
 		if t == nil {
 			t = &totals{}
@@ -95,11 +93,12 @@ func main() {
 }
 
 // countDir filters one component directory (non-recursive: components
-// are leaf packages).
-func countDir(dir string) (impl, test int, err error) {
+// are leaf packages); glue counts the implementation lines of the named
+// glue files.
+func countDir(dir string, glueFiles []string) (impl, glue, test int, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -108,15 +107,18 @@ func countDir(dir string) (impl, test int, err error) {
 		}
 		n, err := countFile(filepath.Join(dir, name))
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		if strings.HasSuffix(name, "_test.go") {
 			test += n
-		} else {
-			impl += n
+			continue
+		}
+		impl += n
+		if slices.Contains(glueFiles, name) {
+			glue += n
 		}
 	}
-	return impl, test, nil
+	return impl, glue, test, nil
 }
 
 // countFile applies the paper's filter to one file.
@@ -157,22 +159,9 @@ func counted(line string, inBlock *bool) bool {
 	if i := strings.Index(s, "//"); i >= 0 && strings.Count(s[:i], `"`)%2 == 0 {
 		s = strings.TrimSpace(s[:i])
 	}
-	if s == "" {
-		return false
-	}
-	// Punctuation-only lines: a lone brace, parenthesis, etc.
-	onlyPunct := true
-	for _, r := range s {
-		switch r {
-		case '{', '}', '(', ')', ',', ';':
-		default:
-			onlyPunct = false
-		}
-		if !onlyPunct {
-			break
-		}
-	}
-	return !onlyPunct
+	// Blank and punctuation-only lines (a lone brace, parenthesis, etc.)
+	// are dropped.
+	return strings.Trim(s, "{}(),;") != ""
 }
 
 func fatal(msg string) {

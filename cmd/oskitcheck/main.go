@@ -12,8 +12,7 @@
 // invariants govern production code, not test-harness idioms:
 //
 //	oskitcheck ./...                 # whole tree (the tier-1 gate)
-//	oskitcheck -analyzers comref ./internal/libc/
-//	oskitcheck -json ./...           # machine-readable findings for CI
+//	oskitcheck -list                 # the registered analyzers
 //	oskitcheck -waivers ./...        # every applied //oskit:allow + reason
 //	oskitcheck -timing -budget 10s ./...  # per-analyzer wall clock, gated
 //
@@ -29,7 +28,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
@@ -51,45 +49,15 @@ func progName() string {
 	return filepath.Base(os.Args[0])
 }
 
-func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
-	all := suite.All()
-	if names == "" {
-		return all, nil
-	}
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, n := range strings.Split(names, ",") {
-		a, ok := byName[strings.TrimSpace(n)]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have: %s)", n, analyzerNames(all))
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func analyzerNames(as []*analysis.Analyzer) string {
-	names := make([]string, len(as))
-	for i, a := range as {
-		names[i] = a.Name
-	}
-	return strings.Join(names, ", ")
-}
-
 func run(args []string) int {
 	fs := flag.NewFlagSet("oskitcheck", flag.ExitOnError)
-	analyzerList := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list the registered analyzers and exit")
 	quiet := fs.Bool("q", false, "suppress the summary line")
-	jsonOut := fs.Bool("json", false, "emit findings/waivers/timings as JSON on stdout (text stays the default)")
 	waiversOut := fs.Bool("waivers", false, "list every applied //oskit:allow waiver with its reviewed reason")
 	timing := fs.Bool("timing", false, "print per-analyzer wall-clock timing")
 	budget := fs.Duration("budget", 0, "fail if any single analyzer exceeds this wall-clock budget (0 = off)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-analyzers a,b] [-list] [-json] [-waivers] [-timing] [-budget d] [packages...]\n", progName())
+		fmt.Fprintf(os.Stderr, "usage: %s [-list] [-q] [-waivers] [-timing] [-budget d] [packages...]\n", progName())
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -101,11 +69,6 @@ func run(args []string) int {
 		}
 		return 0
 	}
-	analyzers, err := selectAnalyzers(*analyzerList)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progName(), err)
-		return 2
-	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -115,20 +78,13 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progName(), err)
 		return 2
 	}
-	res, err := analysis.Run(prog, analyzers)
+	res, err := analysis.Run(prog, suite.All())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progName(), err)
 		return 2
 	}
 	over := overBudget(res, *budget)
-	if *jsonOut {
-		if err := writeJSON(os.Stdout, prog.Fset, res); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progName(), err)
-			return 2
-		}
-	} else {
-		printDiagnostics(os.Stdout, prog.Fset, res.Diagnostics)
-	}
+	printDiagnostics(os.Stdout, prog.Fset, res.Diagnostics)
 	if *waiversOut {
 		printWaivers(os.Stdout, prog.Fset, res.Waivers)
 	}
@@ -140,7 +96,7 @@ func run(args []string) int {
 	for _, tm := range over {
 		fmt.Fprintf(os.Stderr, "%s: analyzer %s took %v, over the %v budget\n", progName(), tm.Analyzer, tm.Elapsed.Round(time.Millisecond), *budget)
 	}
-	if !*quiet && !*jsonOut {
+	if !*quiet {
 		fmt.Fprintf(os.Stderr, "%s: %d package(s), %d diagnostic(s), %d suppressed by %s\n",
 			progName(), len(prog.Packages), len(res.Diagnostics), len(res.Suppressed), analysis.AllowPrefix)
 		for _, d := range res.Suppressed {
@@ -166,66 +122,6 @@ func overBudget(res *analysis.Result, budget time.Duration) []analysis.Timing {
 		}
 	}
 	return out
-}
-
-// jsonFinding is one finding in -json output; waived findings (those an
-// //oskit:allow suppressed) are included so CI can render annotations.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Waived   bool   `json:"waived"`
-}
-
-type jsonWaiver struct {
-	File       string   `json:"file"`
-	Line       int      `json:"line"`
-	Analyzers  []string `json:"analyzers"`
-	Reason     string   `json:"reason"`
-	Suppressed int      `json:"suppressed"`
-}
-
-type jsonTiming struct {
-	Analyzer string  `json:"analyzer"`
-	Millis   float64 `json:"ms"`
-}
-
-type jsonReport struct {
-	Findings []jsonFinding `json:"findings"`
-	Waivers  []jsonWaiver  `json:"waivers"`
-	Timings  []jsonTiming  `json:"timings"`
-}
-
-func writeJSON(w io.Writer, fset *token.FileSet, res *analysis.Result) error {
-	rep := jsonReport{Findings: []jsonFinding{}, Waivers: []jsonWaiver{}, Timings: []jsonTiming{}}
-	add := func(d analysis.Diagnostic, waived bool) {
-		pos := fset.Position(d.Pos)
-		rep.Findings = append(rep.Findings, jsonFinding{
-			File: pos.Filename, Line: pos.Line, Col: pos.Column,
-			Analyzer: d.Analyzer, Message: d.Message, Waived: waived,
-		})
-	}
-	for _, d := range res.Diagnostics {
-		add(d, false)
-	}
-	for _, d := range res.Suppressed {
-		add(d, true)
-	}
-	for _, wv := range res.Waivers {
-		pos := fset.Position(wv.Pos)
-		rep.Waivers = append(rep.Waivers, jsonWaiver{
-			File: pos.Filename, Line: pos.Line,
-			Analyzers: wv.Analyzers, Reason: wv.Reason, Suppressed: wv.Suppressed,
-		})
-	}
-	for _, tm := range res.Timings {
-		rep.Timings = append(rep.Timings, jsonTiming{Analyzer: tm.Analyzer, Millis: float64(tm.Elapsed.Microseconds()) / 1000})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // printWaivers lists every //oskit:allow directive in the analyzed tree

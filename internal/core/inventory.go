@@ -19,17 +19,7 @@ const (
 )
 
 // String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindNative:
-		return "native"
-	case KindGlue:
-		return "glue"
-	case KindEncapsulated:
-		return "encapsulated"
-	}
-	return "?"
-}
+func (k Kind) String() string { return [...]string{"native", "glue", "encapsulated"}[k] }
 
 // Component is one entry in the kit's structural inventory.
 type Component struct {
@@ -42,82 +32,58 @@ type Component struct {
 	Kind Kind
 	// MachineDep is true for components tied to the (simulated) x86 PC.
 	MachineDep bool
-	// Deps names the inventory components this one uses.
-	Deps []string
+	// Glue lists an encapsulated component's glue files, the only ones
+	// that may speak COM; its other files are donor code, which imports
+	// nothing from com, hw, core or libc (structure_test.go).
+	Glue []string
 	// Desc is the one-line description printed in structure dumps.
 	Desc string
 }
 
 // Inventory is the kit's component list, mirroring Table 3 row for row
 // (minus the paper's in-progress X11 row and its math library, per
-// DESIGN.md §6).  cmd/oskit-graph renders it as Figure 1;
-// cmd/oskit-sizes joins it with source-line counts to regenerate Table 3.
+// DESIGN.md §6), plus every package a component imports.
+// cmd/oskit-graph renders it as Figure 1 with edges read from the
+// imports; cmd/oskit-sizes joins it with source-line counts to
+// regenerate Table 3.
 var Inventory = []Component{
-	{Name: "boot", Dir: "internal/boot", Kind: KindNative, MachineDep: true, Deps: []string{"lmm"}, Desc: "Bootstrap support (MultiBoot-style images and modules)"},
-	{Name: "kern", Dir: "internal/kern", Kind: KindNative, MachineDep: true, Deps: []string{"core", "lmm", "boot", "hw", "stats"}, Desc: "Kernel support library"},
-	{Name: "smp", Dir: "internal/smp", Kind: KindNative, MachineDep: true, Deps: []string{"core"}, Desc: "Multiprocessor support"},
-	{Name: "lmm", Dir: "internal/lmm", Kind: KindNative, MachineDep: false, Deps: []string{"stats"}, Desc: "List memory manager"},
-	{Name: "amm", Dir: "internal/amm", Kind: KindNative, MachineDep: false, Deps: []string{"stats"}, Desc: "Address map manager"},
-	{Name: "c", Dir: "internal/libc", Kind: KindNative, MachineDep: false, Deps: []string{"core", "com"}, Desc: "Minimal C library"},
-	{Name: "memdebug", Dir: "internal/memdebug", Kind: KindNative, MachineDep: false, Deps: []string{"core"}, Desc: "Malloc debugging"},
-	{Name: "diskpart", Dir: "internal/diskpart", Kind: KindNative, MachineDep: false, Deps: []string{"com"}, Desc: "Disk partitioning"},
-	{Name: "fsread", Dir: "internal/fsread", Kind: KindNative, MachineDep: false, Deps: []string{"com"}, Desc: "File system reading"},
-	{Name: "exec", Dir: "internal/exec", Kind: KindNative, MachineDep: false, Deps: []string{"amm", "com"}, Desc: "Program loading"},
-	{Name: "com", Dir: "internal/com", Kind: KindNative, MachineDep: false, Deps: nil, Desc: "COM interfaces and support"},
-	{Name: "stats", Dir: "internal/stats", Kind: KindNative, MachineDep: false, Deps: []string{"com"}, Desc: "Statistics component (kstat-style counters exported as com.Stats)"},
-	{Name: "core", Dir: "internal/core", Kind: KindNative, MachineDep: false, Deps: []string{"com", "lmm", "hw"}, Desc: "Component framework (osenv, registry, execution models)"},
-	{Name: "hw", Dir: "internal/hw", Kind: KindNative, MachineDep: true, Deps: nil, Desc: "Simulated PC platform (substitution substrate)"},
-	{Name: "cksum", Dir: "internal/cksum", Kind: KindNative, MachineDep: false, Deps: nil, Desc: "Internet checksum kernel (RFC 1071, eight bytes at a time)"},
-	{Name: "fdev", Dir: "internal/dev", Kind: KindNative, MachineDep: false, Deps: []string{"core", "com"}, Desc: "Device driver support"},
-	{Name: "gdb", Dir: "internal/gdb", Kind: KindNative, MachineDep: true, Deps: []string{"hw", "kern"}, Desc: "GDB remote-protocol stub"},
-	{Name: "linux_dev", Dir: "internal/linux/dev", Kind: KindGlue, MachineDep: true, Deps: []string{"core", "com", "fdev", "linux_legacy", "stats"}, Desc: "Linux driver glue"},
-	{Name: "linux_legacy", Dir: "internal/linux/legacy", Kind: KindEncapsulated, MachineDep: true, Deps: nil, Desc: "Linux-style drivers and skbuffs (donor code)"},
-	{Name: "linux_net", Dir: "internal/linux/net", Kind: KindEncapsulated, MachineDep: false, Deps: []string{"linux_legacy", "stats", "cksum"}, Desc: "Linux-style TCP/IP (baseline stack)"},
-	{Name: "freebsd_glue", Dir: "internal/freebsd/glue", Kind: KindGlue, MachineDep: false, Deps: []string{"core", "com", "stats"}, Desc: "FreeBSD environment emulation (curproc, sleep/wakeup, malloc)"},
-	{Name: "freebsd_dev", Dir: "internal/freebsd/dev", Kind: KindGlue, MachineDep: true, Deps: []string{"freebsd_glue", "fdev"}, Desc: "FreeBSD character drivers and support"},
-	{Name: "freebsd_net", Dir: "internal/freebsd/net", Kind: KindEncapsulated, MachineDep: false, Deps: []string{"freebsd_glue", "com", "stats", "cksum"}, Desc: "FreeBSD-style TCP/IP network stack"},
-	{Name: "netbsd_fs", Dir: "internal/netbsd/fs", Kind: KindEncapsulated, MachineDep: false, Deps: []string{"freebsd_glue", "com", "stats"}, Desc: "NetBSD-style FFS file system"},
-	{Name: "kvm", Dir: "internal/kvm", Kind: KindNative, MachineDep: false, Deps: []string{"c", "stats"}, Desc: "Bytecode VM (language-runtime case study)"},
-	{Name: "bmfs", Dir: "internal/bmfs", Kind: KindNative, MachineDep: false, Deps: []string{"boot", "com", "stats"}, Desc: "Boot-module RAM file system"},
-	{Name: "linux_fs", Dir: "internal/linux/fs", Kind: KindEncapsulated, MachineDep: false, Deps: []string{"linux_legacy", "com"}, Desc: "Linux-style ext2-flavoured file system (the paper's in-progress row)"},
-	{Name: "evalrig", Dir: "internal/evalrig", Kind: KindNative, MachineDep: false, Deps: []string{"kern", "c", "fdev", "linux_dev", "linux_net", "freebsd_net"}, Desc: "Evaluation testbed (Tables 1-2 configurations)"},
-}
-
-// FindComponent looks a component up by name.
-func FindComponent(name string) (Component, bool) {
-	for _, c := range Inventory {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Component{}, false
-}
-
-// CheckInventory validates the inventory's internal consistency: unique
-// names and resolvable dependencies.  Returning an error rather than
-// panicking lets tools print something useful.
-func CheckInventory() error {
-	seen := map[string]bool{}
-	for _, c := range Inventory {
-		if seen[c.Name] {
-			return fmt.Errorf("core: duplicate inventory component %q", c.Name)
-		}
-		seen[c.Name] = true
-	}
-	for _, c := range Inventory {
-		for _, d := range c.Deps {
-			if !seen[d] {
-				return fmt.Errorf("core: component %q depends on unknown %q", c.Name, d)
-			}
-		}
-	}
-	return nil
+	{Name: "boot", Dir: "internal/boot", Kind: KindNative, MachineDep: true, Desc: "Bootstrap support (MultiBoot-style images and modules)"},
+	{Name: "kern", Dir: "internal/kern", Kind: KindNative, MachineDep: true, Desc: "Kernel support library"},
+	{Name: "smp", Dir: "internal/smp", Kind: KindNative, MachineDep: true, Desc: "Multiprocessor support"},
+	{Name: "lmm", Dir: "internal/lmm", Kind: KindNative, MachineDep: false, Desc: "List memory manager"},
+	{Name: "amm", Dir: "internal/amm", Kind: KindNative, MachineDep: false, Desc: "Address map manager"},
+	{Name: "c", Dir: "internal/libc", Kind: KindNative, MachineDep: false, Desc: "Minimal C library"},
+	{Name: "memdebug", Dir: "internal/memdebug", Kind: KindNative, MachineDep: false, Desc: "Malloc debugging"},
+	{Name: "diskpart", Dir: "internal/diskpart", Kind: KindNative, MachineDep: false, Desc: "Disk partitioning"},
+	{Name: "fsread", Dir: "internal/fsread", Kind: KindNative, MachineDep: false, Desc: "File system reading"},
+	{Name: "exec", Dir: "internal/exec", Kind: KindNative, MachineDep: false, Desc: "Program loading"},
+	{Name: "com", Dir: "internal/com", Kind: KindNative, MachineDep: false, Desc: "COM interfaces and support"},
+	{Name: "stats", Dir: "internal/stats", Kind: KindNative, MachineDep: false, Desc: "Statistics component (kstat-style counters exported as com.Stats)"},
+	{Name: "core", Dir: "internal/core", Kind: KindNative, MachineDep: false, Desc: "Component framework (osenv, registry, execution models)"},
+	{Name: "hw", Dir: "internal/hw", Kind: KindNative, MachineDep: true, Desc: "Simulated PC platform (substitution substrate)"},
+	{Name: "cksum", Dir: "internal/cksum", Kind: KindNative, MachineDep: false, Desc: "Internet checksum kernel (RFC 1071, eight bytes at a time)"},
+	{Name: "fdev", Dir: "internal/dev", Kind: KindNative, MachineDep: false, Desc: "Device driver support"},
+	{Name: "gdb", Dir: "internal/gdb", Kind: KindNative, MachineDep: true, Desc: "GDB remote-protocol stub"},
+	{Name: "linux_dev", Dir: "internal/linux/dev", Kind: KindGlue, MachineDep: true, Desc: "Linux driver glue"},
+	{Name: "linux_legacy", Dir: "internal/linux/legacy", Kind: KindEncapsulated, MachineDep: true, Desc: "Linux-style drivers and skbuffs (donor code)"},
+	{Name: "linux_net", Dir: "internal/linux/net", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"socket.go"}, Desc: "Linux-style TCP/IP (baseline stack)"},
+	{Name: "freebsd_glue", Dir: "internal/freebsd/glue", Kind: KindGlue, MachineDep: false, Desc: "FreeBSD environment emulation (curproc, sleep/wakeup, malloc)"},
+	{Name: "freebsd_dev", Dir: "internal/freebsd/dev", Kind: KindGlue, MachineDep: true, Desc: "FreeBSD character drivers and support"},
+	{Name: "freebsd_net", Dir: "internal/freebsd/net", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"stack.go", "socket.go", "sendfile.go", "nativedrv.go"}, Desc: "FreeBSD-style TCP/IP network stack"},
+	{Name: "netbsd_fs", Dir: "internal/netbsd/fs", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"glue.go", "sendfile.go"}, Desc: "NetBSD-style FFS file system"},
+	{Name: "kvm", Dir: "internal/kvm", Kind: KindNative, MachineDep: false, Desc: "Bytecode VM (language-runtime case study)"},
+	{Name: "bmfs", Dir: "internal/bmfs", Kind: KindNative, MachineDep: false, Desc: "Boot-module RAM file system"},
+	{Name: "linux_fs", Dir: "internal/linux/fs", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"glue.go"}, Desc: "Linux-style ext2-flavoured file system (the paper's in-progress row)"},
+	{Name: "faults", Dir: "internal/faults", Kind: KindNative, MachineDep: false, Desc: "Deterministic fault-injection plane (disk, wire, NIC, clock, allocator)"},
+	{Name: "httpd", Dir: "internal/httpd", Kind: KindNative, MachineDep: false, Desc: "HTTP/1.1 static file server over the POSIX layer"},
+	{Name: "evalrig", Dir: "internal/evalrig", Kind: KindNative, MachineDep: false, Desc: "Evaluation testbed (Tables 1-2 configurations)"},
 }
 
 // WriteStructure renders the Figure 1 structure: the client OS on top,
 // native and glue components in the middle, encapsulated donor code
-// shaded at the bottom, with dependency edges.
-func WriteStructure(w io.Writer) {
+// shaded at the bottom, with the edges given (component name to the
+// components it imports).
+func WriteStructure(w io.Writer, edges map[string][]string) {
 	byKind := map[Kind][]Component{}
 	for _, c := range Inventory {
 		byKind[c.Kind] = append(byKind[c.Kind], c)
@@ -130,8 +96,8 @@ func WriteStructure(w io.Writer) {
 		fmt.Fprintf(w, "[%s]\n", k)
 		for _, c := range list {
 			fmt.Fprintf(w, "  %-14s %s\n", c.Name, c.Desc)
-			if len(c.Deps) > 0 {
-				fmt.Fprintf(w, "  %-14s -> %v\n", "", c.Deps)
+			if len(edges[c.Name]) > 0 {
+				fmt.Fprintf(w, "  %-14s -> %v\n", "", edges[c.Name])
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"oskit/internal/com"
 	"oskit/internal/core"
 	"oskit/internal/hw"
 	"oskit/internal/lmm"
@@ -469,5 +470,23 @@ func TestMallocFaultHook(t *testing.T) {
 	m.SetFaultHook(nil)
 	if _, _, ok := m.Alloc(64); !ok {
 		t.Fatal("allocation failed after hook removal")
+	}
+}
+
+// TestCOMErrorTranslatesEveryErrno: each donor errno leaves as a COM
+// error with the same text, and anything else passes unchanged.
+func TestCOMErrorTranslatesEveryErrno(t *testing.T) {
+	for _, e := range []Errno{ENOENT, EIO, EBADF, ENOMEM, EINVAL, ENOSPC,
+		EADDRINUSE, EADDRNOTAVAIL, ECONNRESET, ETIMEDOUT, ENAMETOOLONG} {
+		c, ok := COMError(e).(com.Error)
+		if !ok || c.Error() != e.Error() {
+			t.Errorf("COMError(%d) = %v, want a com.Error with text %q", int(e), COMError(e), e.Error())
+		}
+	}
+	if COMError(nil) != nil || COMError(com.ErrPipe) != com.ErrPipe {
+		t.Error("COMError changed nil or a COM error")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = COMError(EIO) }); n != 0 && !raceEnabled {
+		t.Errorf("COMError allocates %v times", n)
 	}
 }

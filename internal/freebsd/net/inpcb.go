@@ -1,6 +1,6 @@
 package bsdnet
 
-import "oskit/internal/com"
+import bsdglue "oskit/internal/freebsd/glue"
 
 // Hashed protocol-control-block demux and the ephemeral port allocator.
 //
@@ -53,7 +53,7 @@ func (s *Stack) ephemeral(held map[uint16]int) (uint16, error) {
 			return p, nil
 		}
 	}
-	return 0, com.ErrNoPorts
+	return 0, bsdglue.EADDRNOTAVAIL
 }
 
 // --- TCP registration.
@@ -66,7 +66,7 @@ func (s *Stack) ephemeral(held map[uint16]int) (uint16, error) {
 func (s *Stack) tcpRegisterConn(tp *tcpcb) error {
 	k := tcpKey{tp.laddr, tp.lport, tp.faddr, tp.fport}
 	if _, taken := s.tcpHash[k]; taken {
-		return com.ErrAddrInUse
+		return bsdglue.EADDRINUSE
 	}
 	s.demuxMu.Lock()
 	s.tcpHash[k] = tp
@@ -169,24 +169,6 @@ func (s *Stack) udpLookup(dst IPAddr, dport uint16, src IPAddr, sport uint16) *u
 	return nil
 }
 
-// udpLookupLinear is the donor's linear demux (baseline/oracle twin of
-// tcpLookupLinear).
-func (s *Stack) udpLookupLinear(dst IPAddr, dport uint16, src IPAddr, sport uint16) *udpPCB {
-	var wild *udpPCB
-	for _, pcb := range s.udpPCBs {
-		if pcb.lport != dport {
-			continue
-		}
-		if pcb.fport == sport && pcb.faddr == src {
-			return pcb
-		}
-		if pcb.fport == 0 {
-			wild = pcb
-		}
-	}
-	return wild
-}
-
 // --- bench/test hooks (open implementation, §4.6).
 
 // AddConnForBench attaches one established-looking TCP pcb with the
@@ -240,15 +222,4 @@ func LookupBatchForBench(s *Stack, keys []BenchKey, linear bool) int {
 		}
 	}
 	return hits
-}
-
-// TCPPCBCountForTest reports how many TCP pcbs are attached.
-func TCPPCBCountForTest(s *Stack) int {
-	restore := s.g.Enter("pcbcount")
-	defer restore()
-	spl := s.g.Splnet()
-	defer s.g.Splx(spl)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tcpPCBs)
 }

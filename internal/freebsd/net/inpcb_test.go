@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
 )
 
 // withStack runs fn as a component entry (current process + splnet),
@@ -116,7 +117,7 @@ func TestEphemeralWraparoundAndExhaustion(t *testing.T) {
 		for q := ephemeralBase; q < 65536; q++ {
 			all[uint16(q)] = 1
 		}
-		if _, err := s.ephemeral(all); err != com.ErrNoPorts {
+		if _, err := s.ephemeral(all); err != bsdglue.EADDRNOTAVAIL {
 			t.Fatalf("exhaustion error = %v, want ErrNoPorts", err)
 		}
 		// Pre-fix the allocator returned failure permanently once the
@@ -139,7 +140,7 @@ func TestUDPBindConflictAndConnectRekey(t *testing.T) {
 			t.Fatal(err)
 		}
 		p2 := s.udpNew()
-		if err := s.udpBind(p2, 5000); err != com.ErrAddrInUse {
+		if err := s.udpBind(p2, 5000); err != bsdglue.EADDRINUSE {
 			t.Fatalf("conflicting bind = %v, want ErrAddrInUse", err)
 		}
 		peer := IPAddr{10, 0, 0, 9}
@@ -244,8 +245,37 @@ func TestTimeWaitRecycling(t *testing.T) {
 	// Bounded population: listener + at most the cap's worth of
 	// TIME_WAIT pcbs (plus any connection still mid-teardown).
 	var n int
-	lb.do(func() { n = TCPPCBCountForTest(b) })
+	lb.do(func() { n = tcpPCBCount(b) })
 	if n > 1+2+2 {
 		t.Fatalf("server pcb population = %d, want bounded by the cap", n)
 	}
+}
+
+// udpLookupLinear is the donor's linear UDP demux, the oracle the
+// hashed lookup is checked against (twin of tcpLookupLinear).
+func (s *Stack) udpLookupLinear(dst IPAddr, dport uint16, src IPAddr, sport uint16) *udpPCB {
+	var wild *udpPCB
+	for _, pcb := range s.udpPCBs {
+		if pcb.lport != dport {
+			continue
+		}
+		if pcb.fport == sport && pcb.faddr == src {
+			return pcb
+		}
+		if pcb.fport == 0 {
+			wild = pcb
+		}
+	}
+	return wild
+}
+
+// tcpPCBCount reports how many TCP pcbs are attached.
+func tcpPCBCount(s *Stack) int {
+	restore := s.g.Enter("pcbcount")
+	defer restore()
+	spl := s.g.Splnet()
+	defer s.g.Splx(spl)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.tcpPCBs)
 }

@@ -83,7 +83,7 @@ func TestListenerCloseAbortsQueued(t *testing.T) {
 	// queued children); lingering pcbs are exactly the pre-fix leak.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if n := TCPPCBCountForTest(b); n == 0 {
+		if n := tcpPCBCount(b); n == 0 {
 			break
 		} else if time.Now().After(deadline) {
 			t.Fatalf("server still holds %d pcbs after listener close", n)

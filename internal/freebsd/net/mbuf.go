@@ -1,10 +1,5 @@
 package bsdnet
 
-import (
-	"oskit/internal/com"
-	"oskit/internal/hw"
-)
-
 // The donor packet-buffer abstraction: mbufs.  Small (128-byte) mbufs
 // chain together, optionally carrying 2 KB external clusters; a packet is
 // a chain, and its storage is in general discontiguous — the fact the
@@ -15,6 +10,16 @@ import (
 // MCLSHIFT), which is only sound because the BSD malloc underneath
 // guarantees natural alignment (§4.7.7, property 1) — the same
 // dependency the real mbuf code had.
+
+// vmOffset is the donor's kernel address type (vm_offset_t).
+type vmOffset = uint32
+
+// extOwner is foreign storage's owner, referenced once per mbuf that
+// points into it: BSD's ext_ref/ext_free pair.
+type extOwner interface {
+	AddRef() uint32
+	Release() uint32
+}
 
 // Donor constants.
 const (
@@ -32,9 +37,9 @@ type Mbuf struct {
 
 	// store is the current storage; data is the live view within it.
 	store     []byte
-	storeAddr hw.PhysAddr // 0 for external (foreign BufIO) storage
+	storeAddr vmOffset // 0 for external (foreign) storage
 	cluster   bool
-	ext       com.BufIO // foreign storage owner, if any
+	ext       extOwner // foreign storage owner, if any
 
 	off int // data start within store
 	len int
@@ -70,7 +75,7 @@ func (s *Stack) mget(leading int) *Mbuf {
 			return nil
 		}
 		s.sc.mbufAllocs.Inc()
-		return &Mbuf{stk: s, store: buf, storeAddr: hw.PhysAddr(addr), off: leading}
+		return &Mbuf{stk: s, store: buf, storeAddr: addr, off: leading}
 	}
 	addr, buf, ok := s.g.Malloc.Alloc(MSIZE)
 	if !ok {
@@ -112,7 +117,7 @@ func (m *Mbuf) MClGet() bool {
 // is able to obtain a direct pointer to the packet data using the map
 // method, and therefore never has to copy the incoming data."  The mbuf
 // holds one reference on the owner.
-func (s *Stack) MExt(owner com.BufIO, data []byte) *Mbuf {
+func (s *Stack) MExt(owner extOwner, data []byte) *Mbuf {
 	owner.AddRef()
 	// Counts as an mbuf allocation even though the storage is foreign:
 	// Free charges mbuf.frees for every link, so every construction must
@@ -161,7 +166,7 @@ func (m *Mbuf) FreeChain() {
 
 // clRef adjusts a cluster's reference count, freeing at zero.  The table
 // is indexed by address — the alignment-dependent scheme described above.
-func (s *Stack) clRef(addr hw.PhysAddr, delta int) {
+func (s *Stack) clRef(addr vmOffset, delta int) {
 	idx := addr >> MCLSHIFT
 	spl := s.g.Splhigh() // UP interrupt exclusion; a no-op under SMP
 	s.mclMu.Lock()
@@ -206,7 +211,7 @@ func (m *Mbuf) writable() bool {
 }
 
 // clRefCount reads a cluster's reference count.
-func (s *Stack) clRefCount(addr hw.PhysAddr) int16 {
+func (s *Stack) clRefCount(addr vmOffset) int16 {
 	spl := s.g.Splhigh() // UP interrupt exclusion; a no-op under SMP
 	defer s.g.Splx(spl)
 	s.mclMu.Lock()

@@ -1,6 +1,9 @@
 package bsdnet
 
-import "oskit/internal/com"
+import (
+	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
+)
 
 // The socket-side half of the zero-copy serving path (E15): SendFile
 // moves a file's bytes into a TCP connection.  When the stack was
@@ -25,8 +28,7 @@ const sendfileWindow = 8192
 
 // SendFile implements com.SockSendfile.
 func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
-	done := so.enter("sendfile")
-	defer done()
+	defer so.enter("sendfile").leave()
 	if so.tcp == nil || f == nil {
 		return 0, com.ErrInval
 	}
@@ -137,9 +139,8 @@ func (so *socket) sendfileAppend(head *Mbuf, n int) error {
 	defer tp.mu.Unlock()
 	for {
 		if tp.err != 0 {
-			err := tp.err
 			head.FreeChain()
-			return err
+			return bsdglue.COMError(tp.err)
 		}
 		switch tp.state {
 		case tcpsEstablished, tcpsCloseWait:

@@ -1,6 +1,9 @@
 package bsdnet
 
-import "oskit/internal/com"
+import (
+	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
+)
 
 // The socket layer: the COM Socket/SocketFactory exported by the stack
 // (§5).  Every method is a component entry point: it manufactures a
@@ -99,21 +102,26 @@ func (so *socket) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 	return nil, com.ErrNoInterface
 }
 
-// enter is the standard component prologue; the returned func is the
-// epilogue.
-func (so *socket) enter(what string) func() {
-	restore := so.s.g.Enter(what)
-	spl := so.s.g.Splnet()
-	return func() {
-		so.s.g.Splx(spl)
-		restore()
-	}
+// entry is one socket call's stay in the component.
+type entry struct {
+	g       *bsdglue.Glue
+	restore func()
+	spl     int
+}
+
+// enter is the standard component prologue; leave is the epilogue.
+func (so *socket) enter(what string) entry {
+	return entry{so.s.g, so.s.g.Enter(what), so.s.g.Splnet()}
+}
+
+func (e entry) leave() {
+	e.g.Splx(e.spl)
+	e.restore()
 }
 
 // Bind implements com.Socket.
 func (so *socket) Bind(addr com.SockAddr) error {
-	done := so.enter("bind")
-	defer done()
+	defer so.enter("bind").leave()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
 	if so.closed {
@@ -122,16 +130,15 @@ func (so *socket) Bind(addr com.SockAddr) error {
 	if so.tcp != nil {
 		so.tcp.mu.Lock()
 		defer so.tcp.mu.Unlock()
-		return so.s.tcpBind(so.tcp, addr.Port, so.reuse)
+		return bsdglue.COMError(so.s.tcpBind(so.tcp, addr.Port, so.reuse))
 	}
-	return so.s.udpBind(so.udp, addr.Port)
+	return bsdglue.COMError(so.s.udpBind(so.udp, addr.Port))
 }
 
 // Connect implements com.Socket: for TCP it blocks until the handshake
 // completes or fails.
 func (so *socket) Connect(addr com.SockAddr) error {
-	done := so.enter("connect")
-	defer done()
+	defer so.enter("connect").leave()
 	s := so.s
 	s.mu.Lock()
 	if so.closed {
@@ -143,7 +150,7 @@ func (so *socket) Connect(addr com.SockAddr) error {
 		copy(dst[:], addr.Addr[:])
 		err := s.udpConnect(so.udp, dst, addr.Port)
 		s.mu.Unlock()
-		return err
+		return bsdglue.COMError(err)
 	}
 	tp := so.tcp
 	var dst IPAddr
@@ -153,7 +160,7 @@ func (so *socket) Connect(addr com.SockAddr) error {
 	tp.mu.Unlock()
 	if err != nil {
 		s.mu.Unlock()
-		return err
+		return bsdglue.COMError(err)
 	}
 	// Wait under the stack lock (state/err are readable there; writers
 	// hold both locks), sleeping two-phase across the unlock.
@@ -164,10 +171,10 @@ func (so *socket) Connect(addr com.SockAddr) error {
 			tp.err = 0
 			tp.mu.Unlock()
 			s.mu.Unlock()
-			if err == com.ErrConnReset {
+			if err == bsdglue.ECONNRESET {
 				return com.ErrConnRef // RST during handshake = refused
 			}
-			return err
+			return bsdglue.COMError(err)
 		}
 		if tp.state == tcpsClosed {
 			s.mu.Unlock()
@@ -184,8 +191,7 @@ func (so *socket) Connect(addr com.SockAddr) error {
 
 // Listen implements com.Socket.
 func (so *socket) Listen(backlog int) error {
-	done := so.enter("listen")
-	defer done()
+	defer so.enter("listen").leave()
 	if so.tcp == nil {
 		return com.ErrInval
 	}
@@ -193,13 +199,12 @@ func (so *socket) Listen(backlog int) error {
 	defer so.s.mu.Unlock()
 	so.tcp.mu.Lock()
 	defer so.tcp.mu.Unlock()
-	return so.tcp.usrListen(backlog)
+	return bsdglue.COMError(so.tcp.usrListen(backlog))
 }
 
 // Accept implements com.Socket.
 func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
-	done := so.enter("accept")
-	defer done()
+	defer so.enter("accept").leave()
 	tp := so.tcp
 	s := so.s
 	s.mu.Lock()
@@ -229,13 +234,12 @@ func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
 // the scaling-critical entry, sharing nothing with the stack's global
 // state.
 func (so *socket) Read(buf []byte) (uint, error) {
-	done := so.enter("soread")
-	defer done()
+	defer so.enter("soread").leave()
 	if so.udp != nil {
 		so.s.mu.Lock()
 		n, _, _, err := so.s.udpRecv(so.udp, buf)
 		so.s.mu.Unlock()
-		return uint(n), err
+		return uint(n), bsdglue.COMError(err)
 	}
 	return so.readTCP(buf)
 }
@@ -243,8 +247,7 @@ func (so *socket) Read(buf []byte) (uint, error) {
 // Write implements com.Socket, blocking for send-buffer space.  The TCP
 // path takes only the pcb lock, like Read.
 func (so *socket) Write(buf []byte) (uint, error) {
-	done := so.enter("sowrite")
-	defer done()
+	defer so.enter("sowrite").leave()
 	if so.udp != nil {
 		so.s.mu.Lock()
 		defer so.s.mu.Unlock()
@@ -252,7 +255,7 @@ func (so *socket) Write(buf []byte) (uint, error) {
 			return 0, com.ErrNotConn
 		}
 		if err := so.s.udpOutput(so.udp, buf, so.udp.faddr, so.udp.fport); err != nil {
-			return 0, err
+			return 0, bsdglue.COMError(err)
 		}
 		return uint(len(buf)), nil
 	}
@@ -268,7 +271,7 @@ func (so *socket) writeTCP(buf []byte) (uint, error) {
 	total := uint(0)
 	for len(buf) > 0 {
 		if tp.err != 0 {
-			return total, tp.err
+			return total, bsdglue.COMError(tp.err)
 		}
 		switch tp.state {
 		case tcpsEstablished, tcpsCloseWait:
@@ -297,8 +300,7 @@ func (so *socket) writeTCP(buf []byte) (uint, error) {
 
 // RecvFrom implements com.Socket (datagram).
 func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
-	done := so.enter("recvfrom")
-	defer done()
+	defer so.enter("recvfrom").leave()
 	if so.udp == nil {
 		n, err := so.readTCP(buf)
 		tp := so.tcp
@@ -313,7 +315,7 @@ func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
 	so.s.mu.Unlock()
 	addr := com.SockAddr{Family: com.AFInet, Port: port}
 	copy(addr.Addr[:], from[:])
-	return uint(n), addr, err
+	return uint(n), addr, bsdglue.COMError(err)
 }
 
 // readTCP is the stream receive under Read and RecvFrom; takes the pcb
@@ -334,7 +336,7 @@ func (so *socket) readTCP(buf []byte) (uint, error) {
 			return uint(n), nil
 		}
 		if tp.err != 0 {
-			return 0, tp.err
+			return 0, bsdglue.COMError(tp.err)
 		}
 		switch tp.state {
 		case tcpsCloseWait, tcpsClosing, tcpsLastAck, tcpsTimeWait, tcpsClosed:
@@ -352,8 +354,7 @@ func (so *socket) readTCP(buf []byte) (uint, error) {
 
 // SendTo implements com.Socket (datagram).
 func (so *socket) SendTo(buf []byte, to com.SockAddr) (uint, error) {
-	done := so.enter("sendto")
-	defer done()
+	defer so.enter("sendto").leave()
 	if so.udp == nil {
 		return 0, com.ErrInval
 	}
@@ -362,15 +363,14 @@ func (so *socket) SendTo(buf []byte, to com.SockAddr) (uint, error) {
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
 	if err := so.s.udpOutput(so.udp, buf, dst, to.Port); err != nil {
-		return 0, err
+		return 0, bsdglue.COMError(err)
 	}
 	return uint(len(buf)), nil
 }
 
 // Shutdown implements com.Socket.
 func (so *socket) Shutdown(how int) error {
-	done := so.enter("shutdown")
-	defer done()
+	defer so.enter("shutdown").leave()
 	tp := so.tcp
 	if tp == nil {
 		return nil
@@ -398,8 +398,7 @@ func (so *socket) Shutdown(how int) error {
 
 // GetSockName implements com.Socket.
 func (so *socket) GetSockName() (com.SockAddr, error) {
-	done := so.enter("getsockname")
-	defer done()
+	defer so.enter("getsockname").leave()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
 	a := com.SockAddr{Family: com.AFInet}
@@ -415,8 +414,7 @@ func (so *socket) GetSockName() (com.SockAddr, error) {
 
 // GetPeerName implements com.Socket.
 func (so *socket) GetPeerName() (com.SockAddr, error) {
-	done := so.enter("getpeername")
-	defer done()
+	defer so.enter("getpeername").leave()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
 	return so.peerLocked()
@@ -450,8 +448,7 @@ func (tp *tcpcb) peerAddr(a *com.SockAddr) bool {
 
 // SetSockOpt implements com.Socket.
 func (so *socket) SetSockOpt(name string, value int) error {
-	done := so.enter("setsockopt")
-	defer done()
+	defer so.enter("setsockopt").leave()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
 	switch name {
@@ -490,8 +487,7 @@ func (so *socket) SetSockOpt(name string, value int) error {
 
 // GetSockOpt implements com.Socket.
 func (so *socket) GetSockOpt(name string) (int, error) {
-	done := so.enter("getsockopt")
-	defer done()
+	defer so.enter("getsockopt").leave()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
 	if so.tcp != nil {
@@ -525,8 +521,7 @@ func (so *socket) GetSockOpt(name string) (int, error) {
 
 // Close implements com.Socket: orderly TCP close, immediate UDP detach.
 func (so *socket) Close() error {
-	done := so.enter("soclose")
-	defer done()
+	defer so.enter("soclose").leave()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
 	if so.closed {

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 
-	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
 )
 
 // TCP: the 4.4BSD-shaped implementation — sequence space arithmetic,
@@ -190,10 +190,10 @@ type tcpcb struct {
 	rxPendWake bool //oskit:guardedby mu
 	rxAckOwed  bool //oskit:guardedby mu
 
-	nodelay bool      //oskit:guardedby mu+s.mu
-	sentFin bool      //oskit:guardedby mu
-	err     com.Error //oskit:guardedby mu+s.mu  sticky socket error
-	refcnt  int       //oskit:guardedby s.mu  socket references; pcb freed at 0
+	nodelay bool          //oskit:guardedby mu+s.mu
+	sentFin bool          //oskit:guardedby mu
+	err     bsdglue.Errno //oskit:guardedby mu+s.mu  sticky socket error
+	refcnt  int           //oskit:guardedby s.mu  socket references; pcb freed at 0
 }
 
 // tcpNew creates an attached pcb.  Called with the stack lock held.
@@ -290,7 +290,7 @@ func removePCB(q *[]*tcpcb, tp *tcpcb) {
 // held (port maps; identity write).
 func (s *Stack) tcpBind(tp *tcpcb, port uint16, reuse bool) error {
 	if tp.lport != 0 {
-		return com.ErrInval
+		return bsdglue.EINVAL
 	}
 	if port == 0 {
 		p, err := s.ephemeral(s.tcpPorts)
@@ -300,7 +300,7 @@ func (s *Stack) tcpBind(tp *tcpcb, port uint16, reuse bool) error {
 		port = p
 	} else if s.tcpPorts[port] > 0 {
 		if s.tcpListen[port] != nil || !reuse {
-			return com.ErrAddrInUse
+			return bsdglue.EADDRINUSE
 		}
 	}
 	tp.laddr = s.ifIP
@@ -344,13 +344,13 @@ func (tp *tcpcb) usrConnect(dst IPAddr, dport uint16) error {
 // tp.mu held.
 func (tp *tcpcb) usrListen(backlog int) error {
 	if tp.lport == 0 {
-		return com.ErrInval
+		return bsdglue.EINVAL
 	}
 	if backlog < 1 {
 		backlog = 1
 	}
 	if lp := tp.s.tcpListen[tp.lport]; lp != nil && lp != tp {
-		return com.ErrAddrInUse
+		return bsdglue.EADDRINUSE
 	}
 	tp.listening = true
 	tp.backlog = backlog
@@ -462,12 +462,12 @@ func (tp *tcpcb) usrAbort() {
 		tp.state == tcpsFinWait1 || tp.state == tcpsFinWait2 || tp.state == tcpsCloseWait {
 		tp.s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, tp.sndNxt, 0, thRST, 0)
 	}
-	tp.drop(com.ErrConnReset)
+	tp.drop(bsdglue.ECONNRESET)
 }
 
 // drop kills the connection with a sticky error and wakes everyone.
 // Called with the stack lock and tp.mu held.
-func (tp *tcpcb) drop(err com.Error) {
+func (tp *tcpcb) drop(err bsdglue.Errno) {
 	tp.err = err
 	tp.s.tcpDetach(tp)
 	tp.wakeAll()

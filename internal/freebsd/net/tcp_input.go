@@ -3,7 +3,7 @@ package bsdnet
 import (
 	"encoding/binary"
 
-	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
 )
 
 // tcp_input: segment arrival processing.  Runs under splnet, usually at
@@ -230,7 +230,7 @@ func (s *Stack) tcpInputConn(tp *tcpcb, seg *tcpSeg, dataLen int, ctx *rxCtx) {
 	// RST processing.
 	if seg.flags&thRST != 0 {
 		if seqGEQ(seg.seq, tp.rcvNxt-1) && seqLT(seg.seq, tp.rcvNxt+tp.rcvWindow()+1) {
-			tp.drop(com.ErrConnReset)
+			tp.drop(bsdglue.ECONNRESET)
 		}
 		return
 	}

@@ -1,6 +1,6 @@
 package bsdnet
 
-import "oskit/internal/com"
+import bsdglue "oskit/internal/freebsd/glue"
 
 // TCP timers, BSD structure: per-pcb countdown slots decremented by the
 // stack's slow timer (500 ms) at interrupt level.
@@ -43,7 +43,7 @@ func (s *Stack) tcpTimerFire(tp *tcpcb, which int) {
 	case tRexmt:
 		tp.rxtShift++
 		if tp.rxtShift > tcpMaxRxtShift {
-			tp.drop(com.ErrTimedOut)
+			tp.drop(bsdglue.ETIMEDOUT)
 			return
 		}
 		s.sc.tcpRexmt.Inc()
@@ -78,7 +78,7 @@ func (s *Stack) tcpTimerFire(tp *tcpcb, which int) {
 	case tKeep:
 		// Handshake never completed (or idle drop for SYN_RCVD).
 		if tp.state == tcpsSynRcvd || tp.state == tcpsSynSent {
-			tp.drop(com.ErrTimedOut)
+			tp.drop(bsdglue.ETIMEDOUT)
 		}
 
 	case t2MSL:

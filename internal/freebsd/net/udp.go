@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 
 	"oskit/internal/cksum"
-	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
 )
 
 // UDP: protocol control blocks, input demux, output.
@@ -66,7 +66,7 @@ func (s *Stack) udpBind(pcb *udpPCB, port uint16) error {
 		}
 		port = p
 	} else if s.udpPorts[port] > 0 && pcb.lport != port {
-		return com.ErrAddrInUse
+		return bsdglue.EADDRINUSE
 	}
 	s.udpUnregister(pcb)
 	pcb.laddr = s.ifIP
@@ -127,15 +127,15 @@ func (s *Stack) udpOutput(pcb *udpPCB, data []byte, dst IPAddr, dport uint16) er
 	}
 	m := s.MGetHdr()
 	if m == nil {
-		return com.ErrNoMem
+		return bsdglue.ENOMEM
 	}
 	if !m.Append(data) {
 		m.FreeChain()
-		return com.ErrNoMem
+		return bsdglue.ENOMEM
 	}
 	m = m.Prepend(udpHdrLen)
 	if m == nil {
-		return com.ErrNoMem
+		return bsdglue.ENOMEM
 	}
 	h := m.Data()[:udpHdrLen]
 	binary.BigEndian.PutUint16(h[0:2], pcb.lport)
@@ -158,7 +158,7 @@ func (s *Stack) udpOutput(pcb *udpPCB, data []byte, dst IPAddr, dport uint16) er
 func (s *Stack) udpRecv(pcb *udpPCB, buf []byte) (int, IPAddr, uint16, error) {
 	for len(pcb.rcv) == 0 {
 		if pcb.closed {
-			return 0, IPAddr{}, 0, com.ErrBadF
+			return 0, IPAddr{}, 0, bsdglue.EBADF
 		}
 		p := s.g.SleepPrepare(pcb.rcvEvent, "udprcv")
 		s.mu.Unlock()

@@ -3,7 +3,7 @@ package linuxfs
 import (
 	"encoding/binary"
 
-	"oskit/internal/com"
+	"oskit/internal/linux/legacy"
 )
 
 // ext2 directories: each block is a chain of variable-length records
@@ -75,7 +75,7 @@ func (fs *FS) dirScan(di *inode, fn func(lbn uint32, off int, d dirent) bool) er
 		for off < BlockSize {
 			d, ok := decodeDirent(blockBuf[:], off)
 			if !ok {
-				return com.ErrIO // corrupt tiling
+				return legacy.EIO // corrupt tiling
 			}
 			if !fn(lbn, off, d) {
 				return nil
@@ -100,7 +100,7 @@ func (fs *FS) dirLookup(di *inode, name string) (uint32, error) {
 		return 0, err
 	}
 	if found == 0 {
-		return 0, com.ErrNoEnt
+		return 0, legacy.ENOENT
 	}
 	return found, nil
 }
@@ -109,7 +109,7 @@ func (fs *FS) dirLookup(di *inode, name string) (uint32, error) {
 // or appends a fresh block whose single record spans it entirely.
 func (fs *FS) dirEnter(dd *inode, ddIno uint32, name string, ino uint32, ftype uint8) error {
 	if len(name) > MaxNameLen {
-		return com.ErrNameLong
+		return legacy.ENAMETOOLONG
 	}
 	need := direntSize(len(name))
 
@@ -165,9 +165,7 @@ func (fs *FS) dirEnter(dd *inode, ddIno uint32, name string, ino uint32, ftype u
 
 	// Pass 2: grow the directory by one block; the new record's rec_len
 	// covers the whole block.
-	for i := range blockBuf {
-		blockBuf[i] = 0
-	}
+	clear(blockBuf[:])
 	encodeDirent(blockBuf[:], 0, dirent{
 		ino: ino, recLen: BlockSize,
 		nameLen: uint8(len(name)), fileType: ftype, name: name,
@@ -206,7 +204,7 @@ func (fs *FS) dirRemove(dd *inode, ddIno uint32, name string) error {
 		return err
 	}
 	if off < 0 {
-		return com.ErrNoEnt
+		return legacy.ENOENT
 	}
 	var blockBuf [BlockSize]byte
 	if _, err := fs.readi(dd, blockBuf[:], uint64(lbn)*BlockSize); err != nil {
@@ -244,11 +242,11 @@ func (fs *FS) dirEmpty(di *inode) (bool, error) {
 }
 
 // dirList returns the live entries in record order.
-func (fs *FS) dirList(di *inode) ([]com.Dirent, error) {
-	var out []com.Dirent
+func (fs *FS) dirList(di *inode) ([]dirent, error) {
+	var out []dirent
 	err := fs.dirScan(di, func(_ uint32, _ int, d dirent) bool {
 		if d.ino != 0 {
-			out = append(out, com.Dirent{Ino: d.ino, Name: d.name})
+			out = append(out, d)
 		}
 		return true
 	})
@@ -258,14 +256,14 @@ func (fs *FS) dirList(di *inode) ([]com.Dirent, error) {
 // checkName enforces the single-component rule (§3.8).
 func checkName(name string) error {
 	if name == "" || name == "." || name == ".." {
-		return com.ErrInval
+		return legacy.EINVAL
 	}
 	if len(name) > MaxNameLen {
-		return com.ErrNameLong
+		return legacy.ENAMETOOLONG
 	}
 	for i := 0; i < len(name); i++ {
 		if name[i] == '/' || name[i] == 0 {
-			return com.ErrInval
+			return legacy.EINVAL
 		}
 	}
 	return nil

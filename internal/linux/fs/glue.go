@@ -2,12 +2,38 @@ package linuxfs
 
 import (
 	"oskit/internal/com"
+	"oskit/internal/linux/legacy"
 )
 
 // The COM export: identical interface shape to the NetBSD-derived
 // component — which is the whole point.  (sext2 runs single-threaded
 // per the simplest documented execution model; a multithreaded client
-// wraps it in a component lock, §4.7.4.)
+// wraps it in a component lock, §4.7.4.)  Every method that reaches
+// donor code defers comError, so a donor errno leaves as its COM error.
+
+// comErrors maps each donor errno to the COM error it leaves as.
+var comErrors = [...]error{
+	legacy.ENOENT: com.ErrNoEnt, legacy.EIO: com.ErrIO, legacy.EINVAL: com.ErrInval,
+	legacy.ENOSPC: com.ErrNoSpace, legacy.ENAMETOOLONG: com.ErrNameLong,
+}
+
+// comError translates the donor errno in *err, if any.
+func comError(err *error) {
+	if e, ok := (*err).(legacy.Errno); ok {
+		*err = comErrors[e]
+	}
+}
+
+// Mount reads and checks the superblock of the sext2 on dev, holding a
+// reference on dev until Unmount.
+func Mount(dev com.BlkIO, ticks func() uint64) (fs *FS, err error) {
+	defer comError(&err)
+	dev.AddRef()
+	if fs, err = mount(dev, ticks); err != nil {
+		dev.Release()
+	}
+	return fs, err
+}
 
 // Mkfs formats a BlkIO with an empty sext2.
 func Mkfs(dev com.BlkIO, ninodes uint32) error {
@@ -61,9 +87,7 @@ func Mkfs(dev com.BlkIO, ninodes uint32) error {
 		return err
 	}
 	// Block bitmap: metadata + tail marked used.
-	for i := range blk {
-		blk[i] = 0
-	}
+	clear(blk)
 	for b := uint32(0); b < BlockSize*8; b++ {
 		if b < sb.dataStart || b >= nblocks {
 			blk[b/8] |= 1 << (b % 8)
@@ -73,19 +97,15 @@ func Mkfs(dev com.BlkIO, ninodes uint32) error {
 		return err
 	}
 	// Inode bitmap: 0, 1 (bad blocks), 2 (root) used.
-	for i := range blk {
-		blk[i] = 0
-	}
+	clear(blk)
 	blk[0] = 0b111
 	if err := write(sb.inodeBitmap, blk); err != nil {
 		return err
 	}
 	// Inode table with the root directory.
-	root := inode{mode: uint16(com.ModeIFDIR) | 0o755, links: 2}
+	root := inode{mode: sIFDIR | 0o755, links: 2}
 	for i := uint32(0); i < ninodes/inosPerBlk; i++ {
-		for j := range blk {
-			blk[j] = 0
-		}
+		clear(blk)
 		if i == RootIno/inosPerBlk {
 			off := (RootIno % inosPerBlk) * InodeSize
 			root.encode(blk[off : off+InodeSize])
@@ -155,7 +175,7 @@ func (fs *FS) Unmount() error {
 		return com.ErrBadF
 	}
 	fs.unmounted = true
-	fs.dev.Release()
+	fs.dev.(com.BlkIO).Release()
 	return nil
 }
 
@@ -180,7 +200,8 @@ func (v *vnode) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 }
 
 // ReadAt implements com.File.
-func (v *vnode) ReadAt(buf []byte, offset uint64) (uint, error) {
+func (v *vnode) ReadAt(buf []byte, offset uint64) (n uint, err error) {
+	defer comError(&err)
 	di, err := v.fs.iget(v.ino)
 	if err != nil {
 		return 0, err
@@ -192,7 +213,8 @@ func (v *vnode) ReadAt(buf []byte, offset uint64) (uint, error) {
 }
 
 // WriteAt implements com.File.
-func (v *vnode) WriteAt(buf []byte, offset uint64) (uint, error) {
+func (v *vnode) WriteAt(buf []byte, offset uint64) (n uint, err error) {
+	defer comError(&err)
 	di, err := v.fs.iget(v.ino)
 	if err != nil {
 		return 0, err
@@ -208,7 +230,8 @@ func (v *vnode) WriteAt(buf []byte, offset uint64) (uint, error) {
 }
 
 // GetStat implements com.File.
-func (v *vnode) GetStat() (com.Stat, error) {
+func (v *vnode) GetStat() (st com.Stat, err error) {
+	defer comError(&err)
 	di, err := v.fs.iget(v.ino)
 	if err != nil {
 		return com.Stat{}, err
@@ -227,7 +250,8 @@ func (v *vnode) GetStat() (com.Stat, error) {
 }
 
 // SetSize implements com.File.
-func (v *vnode) SetSize(size uint64) error {
+func (v *vnode) SetSize(size uint64) (err error) {
+	defer comError(&err)
 	di, err := v.fs.iget(v.ino)
 	if err != nil {
 		return err
@@ -248,7 +272,8 @@ func (v *vnode) SetSize(size uint64) error {
 func (v *vnode) Sync() error { return nil }
 
 // Lookup implements com.Dir.
-func (v *vnode) Lookup(name string) (com.File, error) {
+func (v *vnode) Lookup(name string) (f com.File, err error) {
+	defer comError(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return nil, err
@@ -268,7 +293,8 @@ func (v *vnode) Lookup(name string) (com.File, error) {
 }
 
 // Create implements com.Dir.
-func (v *vnode) Create(name string, mode uint32, excl bool) (com.File, error) {
+func (v *vnode) Create(name string, mode uint32, excl bool) (f com.File, err error) {
+	defer comError(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return nil, err
@@ -300,7 +326,8 @@ func (v *vnode) Create(name string, mode uint32, excl bool) (com.File, error) {
 }
 
 // Mkdir implements com.Dir.
-func (v *vnode) Mkdir(name string, mode uint32) error {
+func (v *vnode) Mkdir(name string, mode uint32) (err error) {
+	defer comError(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return err
@@ -335,7 +362,8 @@ func (v *vnode) Mkdir(name string, mode uint32) error {
 }
 
 // Unlink implements com.Dir.
-func (v *vnode) Unlink(name string) error {
+func (v *vnode) Unlink(name string) (err error) {
+	defer comError(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return err
@@ -365,7 +393,8 @@ func (v *vnode) Unlink(name string) error {
 }
 
 // Rmdir implements com.Dir.
-func (v *vnode) Rmdir(name string) error {
+func (v *vnode) Rmdir(name string) (err error) {
+	defer comError(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return err
@@ -406,11 +435,12 @@ func (v *vnode) Rmdir(name string) error {
 }
 
 // Rename implements com.Dir (same file system only).
-func (v *vnode) Rename(old string, newDir com.Dir, newName string) error {
+func (v *vnode) Rename(old string, newDir com.Dir, newName string) (err error) {
 	nd, ok := newDir.(*vnode)
 	if !ok || nd.fs != v.fs {
 		return com.ErrXDev
 	}
+	defer comError(&err)
 	sdi, err := v.dirInode()
 	if err != nil {
 		return err
@@ -475,7 +505,8 @@ func (v *vnode) Rename(old string, newDir com.Dir, newName string) error {
 }
 
 // ReadDir implements com.Dir.
-func (v *vnode) ReadDir(start, count int) ([]com.Dirent, error) {
+func (v *vnode) ReadDir(start, count int) (ents []com.Dirent, err error) {
+	defer comError(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return nil, err
@@ -491,7 +522,11 @@ func (v *vnode) ReadDir(start, count int) ([]com.Dirent, error) {
 	if count > 0 && count < len(all) {
 		all = all[:count]
 	}
-	return all, nil
+	ents = make([]com.Dirent, len(all))
+	for i, d := range all {
+		ents[i] = com.Dirent{Ino: d.ino, Name: d.name}
+	}
+	return ents, nil
 }
 
 func (v *vnode) dirInode() (*inode, error) {

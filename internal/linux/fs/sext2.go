@@ -24,7 +24,7 @@ package linuxfs
 import (
 	"encoding/binary"
 
-	"oskit/internal/com"
+	"oskit/internal/linux/legacy"
 )
 
 // Geometry and magic numbers (ext2 conventions).
@@ -48,6 +48,12 @@ const (
 	ftUnknown = 0
 	ftRegular = 1
 	ftDir     = 2
+)
+
+// Inode mode type bits (Linux S_IFMT family, POSIX values).
+const (
+	sIFMT  = 0o170000
+	sIFDIR = 0o040000
 )
 
 type superblock struct {
@@ -125,11 +131,18 @@ func (di *inode) decode(b []byte) {
 	}
 }
 
-func (di *inode) isDir() bool { return di.mode&uint16(com.ModeIFMT) == uint16(com.ModeIFDIR) }
+func (di *inode) isDir() bool { return di.mode&sIFMT == sIFDIR }
+
+// blockDevice is the device under a mount: the methods this component
+// calls on it, which the glue's com.BlkIO provides.
+type blockDevice interface {
+	Read(buf []byte, offset uint64) (uint, error)
+	Write(buf []byte, offset uint64) (uint, error)
+}
 
 // FS is one mounted sext2.
 type FS struct {
-	dev com.BlkIO
+	dev blockDevice
 	sb  superblock
 
 	// A tiny write-through block cache keeps the donor code simple;
@@ -143,19 +156,16 @@ type FS struct {
 	unmounted bool
 }
 
-// Mount reads and checks the superblock.
-func Mount(dev com.BlkIO, ticks func() uint64) (*FS, error) {
-	dev.AddRef()
+// mount reads and checks the superblock.
+func mount(dev blockDevice, ticks func() uint64) (*FS, error) {
 	fs := &FS{dev: dev, ticks: ticks}
 	var b [BlockSize]byte
 	if err := fs.readRaw(superBlock, b[:]); err != nil {
-		dev.Release()
 		return nil, err
 	}
 	fs.sb.decode(b[:])
 	if fs.sb.magic != Magic {
-		dev.Release()
-		return nil, com.ErrInval
+		return nil, legacy.EINVAL
 	}
 	return fs, nil
 }
@@ -170,7 +180,7 @@ func (fs *FS) now() uint32 {
 func (fs *FS) readRaw(blk uint32, dst []byte) error {
 	n, err := fs.dev.Read(dst, uint64(blk)*BlockSize)
 	if err != nil || n != BlockSize {
-		return com.ErrIO
+		return legacy.EIO
 	}
 	return nil
 }
@@ -178,7 +188,7 @@ func (fs *FS) readRaw(blk uint32, dst []byte) error {
 func (fs *FS) writeRaw(blk uint32, src []byte) error {
 	n, err := fs.dev.Write(src, uint64(blk)*BlockSize)
 	if err != nil || n != BlockSize {
-		return com.ErrIO
+		return legacy.EIO
 	}
 	return nil
 }
@@ -235,7 +245,7 @@ func (fs *FS) bitmapAlloc(bitmapBlk, n uint32) (uint32, error) {
 			return i, nil
 		}
 	}
-	return 0, com.ErrNoSpace
+	return 0, legacy.ENOSPC
 }
 
 func (fs *FS) bitmapFree(bitmapBlk, idx uint32) error {
@@ -244,7 +254,7 @@ func (fs *FS) bitmapFree(bitmapBlk, idx uint32) error {
 		return err
 	}
 	if b[idx/8]&(1<<(idx%8)) == 0 {
-		return com.ErrIO // freeing free item: corruption
+		return legacy.EIO // freeing free item: corruption
 	}
 	tmp := make([]byte, BlockSize)
 	copy(tmp, b)
@@ -307,7 +317,7 @@ func (fs *FS) ifree(ino uint32) error {
 
 func (fs *FS) iget(ino uint32) (*inode, error) {
 	if ino == 0 || ino >= fs.sb.ninodes {
-		return nil, com.ErrInval
+		return nil, legacy.EINVAL
 	}
 	blk := fs.sb.inodeTable + ino/(BlockSize/InodeSize)
 	b, err := fs.readBlock(blk)
@@ -369,7 +379,7 @@ func (fs *FS) bmap(di *inode, lbn uint32, alloc bool) (uint32, error) {
 		}
 		return fs.indSlotValue(l1, lbn%ptrsPerBl, alloc)
 	}
-	return 0, com.ErrNoSpace
+	return 0, legacy.ENOSPC
 }
 
 func (fs *FS) indWalk(root *uint32, slot uint32, alloc bool) (uint32, error) {
@@ -440,9 +450,7 @@ func (fs *FS) readi(di *inode, dst []byte, off uint64) (uint, error) {
 			return done, err
 		}
 		if blk == 0 {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		} else {
 			b, err := fs.readBlock(blk)
 			if err != nil {
@@ -459,7 +467,7 @@ func (fs *FS) readi(di *inode, dst []byte, off uint64) (uint, error) {
 
 func (fs *FS) writei(di *inode, src []byte, off uint64) (uint, error) {
 	if off+uint64(len(src)) > 1<<31 {
-		return 0, com.ErrNoSpace // size field is 32-bit
+		return 0, legacy.ENOSPC // size field is 32-bit
 	}
 	done := uint(0)
 	for len(src) > 0 {
@@ -525,9 +533,7 @@ func (fs *FS) itrunc(di *inode, size uint64) error {
 			if err == nil {
 				tmp := make([]byte, BlockSize)
 				copy(tmp, b)
-				for i := size % BlockSize; i < BlockSize; i++ {
-					tmp[i] = 0
-				}
+				clear(tmp[size%BlockSize:])
 				if err := fs.writeBlock(blk, tmp); err != nil {
 					return err
 				}

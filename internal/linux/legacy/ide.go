@@ -97,10 +97,10 @@ func (d *IDEDisk) interrupt() {
 // check and sleep.
 func (d *IDEDisk) DoRequest(r *IDERequest) error {
 	if !d.opened {
-		return errNotRunning
+		return ENETDOWN
 	}
 	if uint32(len(r.Buf)) < r.Count*IDESectorSize {
-		return errIO
+		return EIO
 	}
 	k := d.Kern
 	d.Chip.Start(r.Write, r.Sector, r.Count, r.Buf, r)

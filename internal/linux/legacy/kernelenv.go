@@ -14,6 +14,27 @@
 // Donor code treats its *Kernel exactly as it treated the ambient kernel.
 package legacy
 
+import "strconv"
+
+// Errno is a Linux kernel error number (the negative int of the C
+// original), the only error donor code returns; a component's glue
+// translates it where it leaves through a COM interface.
+type Errno int
+
+// The error numbers donor code returns (Linux i386 values).
+const (
+	ENOENT       Errno = 2
+	EIO          Errno = 5
+	ENOMEM       Errno = 12
+	EINVAL       Errno = 22
+	ENOSPC       Errno = 28
+	ENAMETOOLONG Errno = 36
+	ENETDOWN     Errno = 100
+)
+
+// Error implements error.
+func (e Errno) Error() string { return "linux: -" + strconv.Itoa(int(e)) }
+
 // GFP allocation flags (Linux 2.0 names).
 const (
 	GFPKernel = 0x01 // may sleep

@@ -57,7 +57,7 @@ func s3c59xOpen(dev *NetDevice) error {
 	priv := dev.Priv.(*s3c59xPriv)
 	priv.ring = k.Kmalloc(s3cRingEntries*8, GFPKernel)
 	if priv.ring == nil {
-		return errNoMem
+		return ENOMEM
 	}
 	// Initialize the descriptor ring through the direct physical map —
 	// deliberately NOT through priv.ring.Data, because that is how the
@@ -135,7 +135,7 @@ func s3c59xXmit(skb *SKBuff, dev *NetDevice) error {
 	if !dev.opened {
 		skb.Free()
 		dev.Stats.TxErrors++
-		return errNotRunning
+		return ENETDOWN
 	}
 	flags := dev.Kern.SaveFlags()
 	dev.Kern.Cli()

@@ -43,7 +43,7 @@ func sne2kOpen(dev *NetDevice) error {
 	priv := dev.Priv.(*sne2kPriv)
 	priv.txStage = dev.Kern.Kmalloc(1536, GFPKernel|GFPDMA)
 	if priv.txStage == nil {
-		return errNoMem
+		return ENOMEM
 	}
 	if err := dev.Kern.RequestIRQ(dev.IRQ, func(int) { sne2kInterrupt(dev) }, dev.Name); err != nil {
 		dev.Kern.Kfree(priv.txStage)
@@ -101,7 +101,7 @@ func sne2kXmit(skb *SKBuff, dev *NetDevice) error {
 	if !dev.opened || priv.txStage == nil {
 		skb.Free()
 		dev.Stats.TxErrors++
-		return errNotRunning
+		return ENETDOWN
 	}
 	flags := dev.Kern.SaveFlags()
 	dev.Kern.Cli()
@@ -122,15 +122,3 @@ func sne2kXmit(skb *SKBuff, dev *NetDevice) error {
 	skb.Free()
 	return nil
 }
-
-// Donor-internal error values.
-type linuxErr string
-
-func (e linuxErr) Error() string { return string(e) }
-
-const (
-	errNoMem      = linuxErr("linux: -ENOMEM")
-	errNotRunning = linuxErr("linux: -ENETDOWN")
-	errBusy       = linuxErr("linux: -EBUSY")
-	errIO         = linuxErr("linux: -EIO")
-)

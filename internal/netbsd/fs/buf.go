@@ -19,7 +19,6 @@ package netbsdfs
 import (
 	"sync/atomic"
 
-	"oskit/internal/com"
 	bsdglue "oskit/internal/freebsd/glue"
 	"oskit/internal/stats"
 )
@@ -51,10 +50,18 @@ type buf struct {
 	pins atomic.Int32
 }
 
+// blkdev is the device under the cache: the methods this component
+// calls on it, which the glue's com.BlkIO provides.
+type blkdev interface {
+	Read(buf []byte, offset uint64) (uint, error)
+	Write(buf []byte, offset uint64) (uint, error)
+	Size() (uint64, error)
+}
+
 // bcache is the buffer cache for one mounted file system.
 type bcache struct {
 	g    *bsdglue.Glue
-	dev  com.BlkIO
+	dev  blkdev
 	bufs [nbufs]*buf
 	// hash by block number; small and simple.
 	hash map[uint32]*buf
@@ -71,9 +78,10 @@ type bcache struct {
 	needbuf  bool
 	bufEvent uint32
 
-	// com.Stats export: the buffer-cache behaviour counters, registered
-	// as "netbsd_fs" so ttcp-style rigs and oskit-stats see hit rates
-	// next to the disk traffic.
+	// The buffer-cache behaviour counters, set "netbsd_fs", which the
+	// glue registers at mount so ttcp-style rigs and oskit-stats see hit
+	// rates next to the disk traffic.
+	set      *stats.Set
 	scReads  *stats.Counter
 	scWrites *stats.Counter
 	scHits   *stats.Counter
@@ -83,9 +91,9 @@ type bcache struct {
 	gPinned  *stats.Gauge
 }
 
-func newBcache(g *bsdglue.Glue, dev com.BlkIO, eventBase uint32) *bcache {
-	c := &bcache{g: g, dev: dev, hash: map[uint32]*buf{}, bufEvent: eventBase + nbufs*8}
+func newBcache(g *bsdglue.Glue, dev blkdev, eventBase uint32) *bcache {
 	set := stats.NewSet("netbsd_fs")
+	c := &bcache{g: g, dev: dev, hash: map[uint32]*buf{}, bufEvent: eventBase + nbufs*8, set: set}
 	c.scReads = set.Counter("bcache.disk_reads")
 	c.scWrites = set.Counter("bcache.disk_writes")
 	c.scHits = set.Counter("bcache.hits")
@@ -93,8 +101,6 @@ func newBcache(g *bsdglue.Glue, dev com.BlkIO, eventBase uint32) *bcache {
 	c.scPins = set.Counter("bcache.pins")
 	c.scUnpins = set.Counter("bcache.unpins")
 	c.gPinned = set.Gauge("bcache.pinned")
-	g.Env().Registry.Register(com.StatsIID, set)
-	set.Release()
 	for i := range c.bufs {
 		b := &buf{data: make([]byte, BlockSize), blkno: ^uint32(0), event: eventBase + uint32(i)*8}
 		c.bufs[i] = b
@@ -239,7 +245,7 @@ func (c *bcache) breadRun(blkno, n uint32) (*buf, error) {
 		}
 	}
 	if !ok {
-		return nil, com.ErrIO
+		return nil, bsdglue.EIO
 	}
 	c.scReads.Add(uint64(k))
 	return b, nil
@@ -270,7 +276,7 @@ func (c *bcache) bdwrite(b *buf) {
 func (c *bcache) writeback(b *buf) error {
 	n, err := c.dev.Write(b.data, uint64(b.blkno)*BlockSize)
 	if err != nil || n != BlockSize {
-		return com.ErrIO
+		return bsdglue.EIO
 	}
 	b.dirty = false
 	c.scWrites.Inc()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
 )
 
 // flakyDev wraps a BlkIO, logging every read request and failing any
@@ -62,8 +63,8 @@ func TestBcacheFailedReadNoStaleAlias(t *testing.T) {
 	// The faulted read: bread fails, leaving the buffer hashed invalid.
 	const victim = base
 	flaky.failReads[victim] = 1
-	if _, err := c.bread(victim); err != com.ErrIO {
-		t.Fatalf("faulted bread = %v, want ErrIO", err)
+	if _, err := c.bread(victim); err != bsdglue.EIO {
+		t.Fatalf("faulted bread = %v, want EIO", err)
 	}
 
 	// Cache pressure recycles every idle buffer — including the invalid
@@ -108,11 +109,11 @@ func TestBcacheFailedReadRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky.failReads[200] = 2
-	if _, err := c.bread(200); err != com.ErrIO {
-		t.Fatalf("first bread = %v, want ErrIO", err)
+	if _, err := c.bread(200); err != bsdglue.EIO {
+		t.Fatalf("first bread = %v, want EIO", err)
 	}
-	if _, err := c.bread(200); err != com.ErrIO {
-		t.Fatalf("second bread = %v, want ErrIO", err)
+	if _, err := c.bread(200); err != bsdglue.EIO {
+		t.Fatalf("second bread = %v, want EIO", err)
 	}
 	b, err := c.bread(200)
 	if err != nil {
@@ -180,8 +181,8 @@ func TestBcacheFailedReadWakesWaiter(t *testing.T) {
 	waitSleeper(t, c, event)
 	close(release)
 
-	if err := await(t, first, "the failing read"); err != com.ErrIO {
-		t.Fatalf("failing read = %v, want ErrIO", err)
+	if err := await(t, first, "the failing read"); err != bsdglue.EIO {
+		t.Fatalf("failing read = %v, want EIO", err)
 	}
 	if err := await(t, second, "the waiting read"); err != nil {
 		t.Fatalf("waiting read = %v, want its own successful retry", err)

@@ -3,7 +3,7 @@ package netbsdfs
 import (
 	"encoding/binary"
 
-	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
 )
 
 // Directories are regular files of fixed 64-byte entries:
@@ -18,14 +18,21 @@ const DirentSize = 64
 // MaxNameLen is the longest component name.
 const MaxNameLen = 59
 
-// File type bits stored in the inode mode (POSIX values).
+// File type bits stored in the inode mode (BSD's S_IFMT family, POSIX
+// values).
 const (
-	modeDir  = uint16(com.ModeIFDIR >> 0)
-	modeReg  = uint16(com.ModeIFREG >> 0)
-	modeMask = uint16(com.ModeIFMT)
+	ifmt  = 0o170000
+	ifdir = 0o040000
 )
 
-func isDir(di *dinode) bool { return di.mode&modeMask == uint16(com.ModeIFDIR) }
+func isDir(di *dinode) bool { return di.mode&ifmt == ifdir }
+
+// direct is one live directory entry as dirList returns it (struct
+// direct, pruned).
+type direct struct {
+	ino  uint32
+	name string
+}
 
 // dirLookup finds name in directory di, returning the entry's inode and
 // the byte offset of its slot.
@@ -44,13 +51,13 @@ func (fs *FFS) dirLookup(di *dinode, name string) (ino uint32, slotOff uint64, e
 			return eIno, off, nil
 		}
 	}
-	return 0, 0, com.ErrNoEnt
+	return 0, 0, bsdglue.ENOENT
 }
 
 // dirEnter adds (name, ino) to directory dd, reusing a free slot.
 func (fs *FFS) dirEnter(dd *dinode, name string, ino uint32) error {
 	if len(name) > MaxNameLen {
-		return com.ErrNameLong
+		return bsdglue.ENAMETOOLONG
 	}
 	var ent [DirentSize]byte
 	slot := dd.size
@@ -63,9 +70,7 @@ func (fs *FFS) dirEnter(dd *dinode, name string, ino uint32) error {
 			break
 		}
 	}
-	for i := range ent {
-		ent[i] = 0
-	}
+	clear(ent[:])
 	binary.LittleEndian.PutUint32(ent[0:4], ino)
 	ent[4] = byte(len(name))
 	copy(ent[5:], name)
@@ -95,8 +100,8 @@ func (fs *FFS) dirEmpty(di *dinode) (bool, error) {
 }
 
 // dirList returns the live entries in slot order.
-func (fs *FFS) dirList(di *dinode) ([]com.Dirent, error) {
-	var out []com.Dirent
+func (fs *FFS) dirList(di *dinode) ([]direct, error) {
+	var out []direct
 	var ent [DirentSize]byte
 	for off := uint64(0); off < di.size; off += DirentSize {
 		if _, err := fs.readi(di, ent[:], off); err != nil {
@@ -110,7 +115,7 @@ func (fs *FFS) dirList(di *dinode) ([]com.Dirent, error) {
 		if n > MaxNameLen {
 			n = MaxNameLen
 		}
-		out = append(out, com.Dirent{Ino: ino, Name: string(ent[5 : 5+n])})
+		out = append(out, direct{ino, string(ent[5 : 5+n])})
 	}
 	return out, nil
 }
@@ -118,14 +123,14 @@ func (fs *FFS) dirList(di *dinode) ([]com.Dirent, error) {
 // checkName enforces the single-component rule (§3.8).
 func checkName(name string) error {
 	if name == "" || name == "." || name == ".." {
-		return com.ErrInval
+		return bsdglue.EINVAL
 	}
 	if len(name) > MaxNameLen {
-		return com.ErrNameLong
+		return bsdglue.ENAMETOOLONG
 	}
 	for i := 0; i < len(name); i++ {
 		if name[i] == '/' || name[i] == 0 {
-			return com.ErrInval
+			return bsdglue.EINVAL
 		}
 	}
 	return nil

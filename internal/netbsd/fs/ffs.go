@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"sync"
 
-	"oskit/internal/com"
 	bsdglue "oskit/internal/freebsd/glue"
 )
 
@@ -113,7 +112,7 @@ func (di *dinode) decode(b []byte) {
 // FFS is one mounted file system.
 type FFS struct {
 	g     *bsdglue.Glue
-	dev   com.BlkIO
+	dev   blkdev
 	cache *bcache
 	sb    superblock
 
@@ -149,42 +148,20 @@ type ffsEntryLock struct{ sync.Mutex }
 // Call once, after Mount, before concurrent traffic.
 func (fs *FFS) SetConcurrent() { fs.concurrent = true }
 
-// Mount reads the superblock and prepares the cache.  The device is any
-// BlkIO — run-time binding per §4.2.2: this component has no link-time
-// dependency on any driver.
-func Mount(g *bsdglue.Glue, dev com.BlkIO) (*FFS, error) {
-	dev.AddRef()
+// mount reads the superblock and prepares the cache.
+func mount(g *bsdglue.Glue, dev blkdev) (*FFS, error) {
 	fs := &FFS{g: g, dev: dev}
 	fs.cache = newBcache(g, dev, 0x70000000)
 	b, err := fs.cache.bread(0)
 	if err != nil {
-		dev.Release()
 		return nil, err
 	}
 	fs.sb.decode(b.data)
 	fs.cache.brelse(b)
 	if fs.sb.magic != Magic {
-		dev.Release()
-		return nil, com.ErrInval
+		return nil, bsdglue.EINVAL
 	}
 	return fs, nil
-}
-
-// enter is the component prologue (manufactured curproc + splbio; plus
-// the component-wide entry lock on a concurrent mount).
-func (fs *FFS) enter(what string) func() {
-	if fs.concurrent {
-		fs.entryMu.Lock()
-	}
-	restore := fs.g.Enter(what)
-	spl := fs.g.Splbio()
-	return func() {
-		fs.g.Splx(spl)
-		restore()
-		if fs.concurrent {
-			fs.entryMu.Unlock()
-		}
-	}
 }
 
 // flushSuper writes the superblock back.
@@ -227,7 +204,7 @@ func (fs *FFS) bitmapAlloc(startBlk, n uint32) (uint32, error) {
 		}
 		fs.cache.brelse(b)
 	}
-	return 0, com.ErrNoSpace
+	return 0, bsdglue.ENOSPC
 }
 
 // bitmapFree clears one bit; freeing a free item is a corruption panic
@@ -241,7 +218,7 @@ func (fs *FFS) bitmapFree(startBlk, idx uint32) error {
 	if b.data[off/8]&(1<<(off%8)) == 0 {
 		fs.cache.brelse(b)
 		fs.g.Printf("ffs: freeing free item %d", idx)
-		return com.ErrIO
+		return bsdglue.EIO
 	}
 	b.data[off/8] &^= 1 << (off % 8)
 	fs.cache.bdwrite(b)
@@ -263,9 +240,7 @@ func (fs *FFS) balloc() (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	for i := range b.data {
-		b.data[i] = 0
-	}
+	clear(b.data)
 	b.valid = true
 	fs.cache.bdwrite(b)
 	return idx, nil
@@ -322,7 +297,7 @@ func (fs *FFS) ifree(ino uint32) error {
 // iget reads an inode.
 func (fs *FFS) iget(ino uint32) (*dinode, error) {
 	if ino == 0 || ino >= fs.sb.ninodes {
-		return nil, com.ErrInval
+		return nil, bsdglue.EINVAL
 	}
 	blk := fs.sb.inodeTableStart + ino/(BlockSize/InodeSize)
 	b, err := fs.cache.bread(blk)
@@ -405,7 +380,7 @@ func (fs *FFS) bmap(di *dinode, lbn uint32, alloc bool) (uint32, error) {
 		}
 		return fs.indWalk(&l1, lbn%ptrsPerBl, alloc)
 	}
-	return 0, com.ErrNoSpace // beyond maximum file size
+	return 0, bsdglue.ENOSPC // beyond maximum file size
 }
 
 // indWalk resolves one level of indirection rooted at *root.
@@ -481,9 +456,7 @@ func (fs *FFS) readi(di *dinode, dst []byte, off uint64) (uint, error) {
 			return done, err
 		}
 		if blk == 0 { // hole
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		} else {
 			b, err := fs.breadFile(di, lbn, blk, uint32((boff+len(dst)+BlockSize-1)/BlockSize))
 			if err != nil {
@@ -558,9 +531,7 @@ func (fs *FFS) itrunc(di *dinode, size uint64) error {
 		if blk, err := fs.bmap(di, uint32(size/BlockSize), false); err == nil && blk != 0 {
 			b, err := fs.cache.bread(blk)
 			if err == nil {
-				for i := size % BlockSize; i < BlockSize; i++ {
-					b.data[i] = 0
-				}
+				clear(b.data[size%BlockSize:])
 				fs.cache.bdwrite(b)
 			}
 		}

@@ -2,13 +2,61 @@ package netbsdfs
 
 import (
 	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
 )
 
 // The COM export: FileSystem/Dir/File nodes over the donor FFS code.
 // The exported interfaces are of VFS granularity — Lookup takes exactly
 // one pathname component — so wrapping code can interpose on every
 // operation (§3.8).  Every method is a component entry point through
-// FFS.enter (manufactured curproc + splbio, §4.7.5).
+// FFS.enter (manufactured curproc + splbio, §4.7.5), and every donor
+// errno leaves through entry.leave as its COM error.
+
+// Mount reads the superblock and prepares the cache.  The device is any
+// BlkIO — run-time binding per §4.2.2: this component has no link-time
+// dependency on any driver.  The mount holds a reference on dev until
+// Unmount and exports the cache's "netbsd_fs" statistics in g's registry.
+func Mount(g *bsdglue.Glue, dev com.BlkIO) (fs *FFS, err error) {
+	dev.AddRef()
+	if fs, err = mount(g, dev); err != nil {
+		dev.Release()
+		return nil, bsdglue.COMError(err)
+	}
+	g.Env().Registry.Register(com.StatsIID, fs.cache.set)
+	fs.cache.set.Release()
+	return fs, nil
+}
+
+// Mkfs formats a BlkIO device with an empty file system (newfs).  The
+// given inode count is rounded up to fill whole table blocks.
+func Mkfs(dev com.BlkIO, ninodes uint32) error { return bsdglue.COMError(mkfs(dev, ninodes)) }
+
+// entry is one COM call's stay in the component, from enter to leave.
+type entry struct {
+	fs      *FFS
+	restore func()
+	spl     int
+}
+
+// enter is the component prologue (manufactured curproc + splbio; plus
+// the component-wide entry lock on a concurrent mount).
+func (fs *FFS) enter(what string) entry {
+	if fs.concurrent {
+		fs.entryMu.Lock()
+	}
+	return entry{fs, fs.g.Enter(what), fs.g.Splbio()}
+}
+
+// leave is the epilogue.  It translates the donor errno in *err, if
+// any, to the COM error the caller sees.
+func (e entry) leave(err *error) {
+	e.fs.g.Splx(e.spl)
+	e.restore()
+	if e.fs.concurrent {
+		e.fs.entryMu.Unlock()
+	}
+	*err = bsdglue.COMError(*err)
+}
 
 // vnode is one COM file/directory node.  Nodes are created per lookup
 // (stateless: the inode number is the identity; metadata is re-read from
@@ -33,9 +81,9 @@ func (v *vnode) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 		v.AddRef()
 		return v, nil
 	case com.DirIID:
-		done := v.fs.enter("query")
+		e := v.fs.enter("query")
 		di, err := v.fs.iget(v.ino)
-		done()
+		e.leave(&err)
 		if err != nil {
 			// A faulted inode read is not "no such interface": the
 			// caller must see the transient error and retry, or a 404
@@ -50,9 +98,9 @@ func (v *vnode) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 		// Regular files additionally export the zero-copy page seam
 		// (E15); directories do not, and clients that never ask keep
 		// the plain File contract untouched (§4.4.2).
-		done := v.fs.enter("query")
+		e := v.fs.enter("query")
 		di, err := v.fs.iget(v.ino)
-		done()
+		e.leave(&err)
 		if err != nil {
 			return nil, err
 		}
@@ -92,9 +140,8 @@ func (fs *FFS) GetRoot() (com.Dir, error) {
 }
 
 // StatFS implements com.FileSystem.
-func (fs *FFS) StatFS() (com.StatFS, error) {
-	done := fs.enter("statfs")
-	defer done()
+func (fs *FFS) StatFS() (st com.StatFS, err error) {
+	defer fs.enter("statfs").leave(&err)
 	return com.StatFS{
 		BlockSize:   BlockSize,
 		TotalBlocks: uint64(fs.sb.nblocks),
@@ -105,16 +152,14 @@ func (fs *FFS) StatFS() (com.StatFS, error) {
 }
 
 // Sync implements com.FileSystem: flush the buffer cache.
-func (fs *FFS) Sync() error {
-	done := fs.enter("sync")
-	defer done()
+func (fs *FFS) Sync() (err error) {
+	defer fs.enter("sync").leave(&err)
 	return fs.cache.sync()
 }
 
 // Unmount implements com.FileSystem.
-func (fs *FFS) Unmount() error {
-	done := fs.enter("unmount")
-	defer done()
+func (fs *FFS) Unmount() (err error) {
+	defer fs.enter("unmount").leave(&err)
 	if fs.unmounted {
 		return com.ErrBadF
 	}
@@ -122,7 +167,7 @@ func (fs *FFS) Unmount() error {
 		return err
 	}
 	fs.unmounted = true
-	fs.dev.Release()
+	fs.dev.(com.BlkIO).Release()
 	return nil
 }
 
@@ -131,9 +176,8 @@ var _ com.FileSystem = (*FFS)(nil)
 // --- com.File on vnode.
 
 // ReadAt implements com.File.
-func (v *vnode) ReadAt(buf []byte, offset uint64) (uint, error) {
-	done := v.fs.enter("read")
-	defer done()
+func (v *vnode) ReadAt(buf []byte, offset uint64) (n uint, err error) {
+	defer v.fs.enter("read").leave(&err)
 	di, err := v.fs.iget(v.ino)
 	if err != nil {
 		return 0, err
@@ -145,9 +189,8 @@ func (v *vnode) ReadAt(buf []byte, offset uint64) (uint, error) {
 }
 
 // WriteAt implements com.File.
-func (v *vnode) WriteAt(buf []byte, offset uint64) (uint, error) {
-	done := v.fs.enter("write")
-	defer done()
+func (v *vnode) WriteAt(buf []byte, offset uint64) (n uint, err error) {
+	defer v.fs.enter("write").leave(&err)
 	di, err := v.fs.iget(v.ino)
 	if err != nil {
 		return 0, err
@@ -163,9 +206,8 @@ func (v *vnode) WriteAt(buf []byte, offset uint64) (uint, error) {
 }
 
 // GetStat implements com.File.
-func (v *vnode) GetStat() (com.Stat, error) {
-	done := v.fs.enter("stat")
-	defer done()
+func (v *vnode) GetStat() (st com.Stat, err error) {
+	defer v.fs.enter("stat").leave(&err)
 	di, err := v.fs.iget(v.ino)
 	if err != nil {
 		return com.Stat{}, err
@@ -184,9 +226,8 @@ func (v *vnode) GetStat() (com.Stat, error) {
 }
 
 // SetSize implements com.File.
-func (v *vnode) SetSize(size uint64) error {
-	done := v.fs.enter("truncate")
-	defer done()
+func (v *vnode) SetSize(size uint64) (err error) {
+	defer v.fs.enter("truncate").leave(&err)
 	di, err := v.fs.iget(v.ino)
 	if err != nil {
 		return err
@@ -201,18 +242,16 @@ func (v *vnode) SetSize(size uint64) error {
 }
 
 // Sync implements com.File (whole-cache flush, as small FFSes did).
-func (v *vnode) Sync() error {
-	done := v.fs.enter("fsync")
-	defer done()
+func (v *vnode) Sync() (err error) {
+	defer v.fs.enter("fsync").leave(&err)
 	return v.fs.cache.sync()
 }
 
 // --- com.Dir on vnode.
 
 // Lookup implements com.Dir: one component.
-func (v *vnode) Lookup(name string) (com.File, error) {
-	done := v.fs.enter("lookup")
-	defer done()
+func (v *vnode) Lookup(name string) (f com.File, err error) {
+	defer v.fs.enter("lookup").leave(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return nil, err
@@ -232,9 +271,8 @@ func (v *vnode) Lookup(name string) (com.File, error) {
 }
 
 // Create implements com.Dir.
-func (v *vnode) Create(name string, mode uint32, excl bool) (com.File, error) {
-	done := v.fs.enter("create")
-	defer done()
+func (v *vnode) Create(name string, mode uint32, excl bool) (f com.File, err error) {
+	defer v.fs.enter("create").leave(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return nil, err
@@ -269,9 +307,8 @@ func (v *vnode) Create(name string, mode uint32, excl bool) (com.File, error) {
 }
 
 // Mkdir implements com.Dir.
-func (v *vnode) Mkdir(name string, mode uint32) error {
-	done := v.fs.enter("mkdir")
-	defer done()
+func (v *vnode) Mkdir(name string, mode uint32) (err error) {
+	defer v.fs.enter("mkdir").leave(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return err
@@ -303,9 +340,8 @@ func (v *vnode) Mkdir(name string, mode uint32) error {
 }
 
 // Unlink implements com.Dir.
-func (v *vnode) Unlink(name string) error {
-	done := v.fs.enter("unlink")
-	defer done()
+func (v *vnode) Unlink(name string) (err error) {
+	defer v.fs.enter("unlink").leave(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return err
@@ -335,9 +371,8 @@ func (v *vnode) Unlink(name string) error {
 }
 
 // Rmdir implements com.Dir.
-func (v *vnode) Rmdir(name string) error {
-	done := v.fs.enter("rmdir")
-	defer done()
+func (v *vnode) Rmdir(name string) (err error) {
+	defer v.fs.enter("rmdir").leave(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return err
@@ -374,13 +409,12 @@ func (v *vnode) Rmdir(name string) error {
 }
 
 // Rename implements com.Dir (same file system only).
-func (v *vnode) Rename(old string, newDir com.Dir, newName string) error {
+func (v *vnode) Rename(old string, newDir com.Dir, newName string) (err error) {
 	nd, ok := newDir.(*vnode)
 	if !ok || nd.fs != v.fs {
 		return com.ErrXDev
 	}
-	done := v.fs.enter("rename")
-	defer done()
+	defer v.fs.enter("rename").leave(&err)
 	sdi, err := v.dirInode()
 	if err != nil {
 		return err
@@ -445,9 +479,8 @@ func (v *vnode) Rename(old string, newDir com.Dir, newName string) error {
 }
 
 // ReadDir implements com.Dir.
-func (v *vnode) ReadDir(start, count int) ([]com.Dirent, error) {
-	done := v.fs.enter("readdir")
-	defer done()
+func (v *vnode) ReadDir(start, count int) (ents []com.Dirent, err error) {
+	defer v.fs.enter("readdir").leave(&err)
 	di, err := v.dirInode()
 	if err != nil {
 		return nil, err
@@ -463,7 +496,11 @@ func (v *vnode) ReadDir(start, count int) ([]com.Dirent, error) {
 	if count > 0 && count < len(all) {
 		all = all[:count]
 	}
-	return all, nil
+	ents = make([]com.Dirent, len(all))
+	for i, d := range all {
+		ents[i] = com.Dirent{Ino: d.ino, Name: d.name}
+	}
+	return ents, nil
 }
 
 // dirInode fetches v's inode, requiring a directory.

@@ -3,19 +3,19 @@ package netbsdfs
 import (
 	"fmt"
 
-	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
 )
 
-// Mkfs formats a BlkIO device with an empty file system (newfs).  The
-// given inode count is rounded up to fill whole table blocks.
-func Mkfs(dev com.BlkIO, ninodes uint32) error {
+// mkfs formats dev with an empty file system (newfs).  The given inode
+// count is rounded up to fill whole table blocks.
+func mkfs(dev blkdev, ninodes uint32) error {
 	size, err := dev.Size()
 	if err != nil {
-		return err
+		return bsdglue.EIO
 	}
 	nblocks := uint32(size / BlockSize)
 	if nblocks < 16 {
-		return com.ErrNoSpace
+		return bsdglue.ENOSPC
 	}
 	if ninodes == 0 {
 		ninodes = nblocks / 4
@@ -37,7 +37,7 @@ func Mkfs(dev com.BlkIO, ninodes uint32) error {
 	}
 	sb.dataStart = sb.inodeTableStart + inodeTableBlks
 	if sb.dataStart >= nblocks {
-		return com.ErrNoSpace
+		return bsdglue.ENOSPC
 	}
 	sb.freeBlocks = nblocks - sb.dataStart
 	sb.freeInodes = ninodes - 2 // inode 0 reserved + root
@@ -45,11 +45,10 @@ func Mkfs(dev com.BlkIO, ninodes uint32) error {
 	writeBlock := func(blk uint32, data []byte) error {
 		n, err := dev.Write(data, uint64(blk)*BlockSize)
 		if err != nil || n != BlockSize {
-			return com.ErrIO
+			return bsdglue.EIO
 		}
 		return nil
 	}
-	zero := make([]byte, BlockSize)
 
 	// Superblock.
 	blk := make([]byte, BlockSize)
@@ -60,7 +59,7 @@ func Mkfs(dev com.BlkIO, ninodes uint32) error {
 
 	// Inode bitmap: inode 0 (reserved) and RootIno allocated.
 	for i := uint32(0); i < inodeBitmapBlks; i++ {
-		copy(blk, zero)
+		clear(blk)
 		if i == 0 {
 			blk[0] = 0b11 // inodes 0 and 1
 		}
@@ -72,7 +71,7 @@ func Mkfs(dev com.BlkIO, ninodes uint32) error {
 	// Block bitmap: metadata blocks allocated, plus the tail bits past
 	// nblocks so the allocator never wanders off the device.
 	for i := uint32(0); i < blockBitmapBlks; i++ {
-		copy(blk, zero)
+		clear(blk)
 		base := i * BlockSize * 8
 		for bit := uint32(0); bit < BlockSize*8; bit++ {
 			abs := base + bit
@@ -86,9 +85,9 @@ func Mkfs(dev com.BlkIO, ninodes uint32) error {
 	}
 
 	// Inode table: zeroed, with the root directory in place.
-	root := dinode{mode: uint16(com.ModeIFDIR) | 0o755, nlink: 2, mtime: 0}
+	root := dinode{mode: ifdir | 0o755, nlink: 2, mtime: 0}
 	for i := uint32(0); i < inodeTableBlks; i++ {
-		copy(blk, zero)
+		clear(blk)
 		if i == RootIno/inosPerBlk {
 			off := (RootIno % inosPerBlk) * InodeSize
 			root.encode(blk[off : off+InodeSize])
@@ -100,24 +99,15 @@ func Mkfs(dev com.BlkIO, ninodes uint32) error {
 	return nil
 }
 
-// FsckError describes one inconsistency found by Fsck.
-type FsckError struct {
-	What string
-}
-
-func (e FsckError) Error() string { return "fsck: " + e.What }
-
 // Fsck checks the file system's structural consistency: every reachable
 // block marked allocated, no block reachable twice, bitmap counts
 // matching the superblock, directory entries pointing at allocated
 // inodes.  It reads through a private cache and does not modify the
 // device.  The returned slice is empty for a clean file system.
-func (fs *FFS) Fsck() []error {
-	done := fs.enter("fsck")
-	defer done()
-	var errs []error
+func (fs *FFS) Fsck() (errs []error) {
+	defer fs.enter("fsck").leave(new(error))
 	report := func(format string, args ...any) {
-		errs = append(errs, FsckError{What: fmt.Sprintf(format, args...)})
+		errs = append(errs, fmt.Errorf("fsck: "+format, args...))
 	}
 
 	blockSeen := make(map[uint32]uint32) // block -> owning inode
@@ -168,11 +158,11 @@ func (fs *FFS) Fsck() []error {
 				return
 			}
 			for _, e := range ents {
-				if e.Ino >= fs.sb.ninodes {
-					report("directory %d entry %q points at bad inode %d", ino, e.Name, e.Ino)
+				if e.ino >= fs.sb.ninodes {
+					report("directory %d entry %q points at bad inode %d", ino, e.name, e.ino)
 					continue
 				}
-				walk(e.Ino)
+				walk(e.ino)
 			}
 		}
 	}

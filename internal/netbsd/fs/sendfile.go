@@ -36,9 +36,8 @@ type filePin struct {
 // the fragment list.  Ranges spanning holes fail with ErrIO (there is
 // no backing page to export; the caller's copy fallback zero-fills),
 // oversized ranges with ErrInval.
-func (v *vnode) MapFileSG(offset, amount uint64) (com.SGBufIO, error) {
-	done := v.fs.enter("sendfile")
-	defer done()
+func (v *vnode) MapFileSG(offset, amount uint64) (sg com.SGBufIO, err error) {
+	defer v.fs.enter("sendfile").leave(&err)
 	di, err := v.fs.iget(v.ino)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,7 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=31728
+MAX_LOC=30588
 MAX_WAIVERS=4
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
@@ -128,9 +128,9 @@ if [ "$FUZZTIME" != "0" ]; then
 fi
 
 echo "== trajectory"
-LOC=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)
+LOC=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)
 WAIVERS=$(go run ./cmd/oskitcheck -q -waivers ./... | grep -c ': allow ' || true)
-echo "   non-test Go LOC outside bench/: $LOC (bound $MAX_LOC)"
+echo "   non-test Go LOC outside bench/ and testdata/: $LOC (bound $MAX_LOC)"
 echo "   oskitcheck waivers: $WAIVERS (bound $MAX_WAIVERS)"
 if [ "$LOC" -gt "$MAX_LOC" ] || [ "$WAIVERS" -gt "$MAX_WAIVERS" ]; then
 	echo "trajectory ratchet exceeded: delete code or waivers, or justify raising the bound in scripts/check.sh" >&2

@@ -5,25 +5,37 @@ package oskit_test
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"oskit/internal/analysis"
 	"oskit/internal/analysis/suite"
 	"oskit/internal/core"
+	"oskit/internal/structure"
 )
 
-// TestTable3Inventory: every inventory row names a real directory with
-// Go source in it, the dependency graph resolves, and the Table 3 rows
-// the paper lists (minus the documented exclusions) are all present.
+// TestTable3Inventory: every inventory row has a unique name and names
+// a real directory with Go source in it, every glue file it lists
+// exists, and the Table 3 rows the paper lists (minus the documented
+// exclusions) are all present.
 func TestTable3Inventory(t *testing.T) {
-	if err := core.CheckInventory(); err != nil {
-		t.Fatal(err)
-	}
+	names := map[string]bool{}
 	for _, c := range core.Inventory {
+		if names[c.Name] {
+			t.Errorf("duplicate inventory component %q", c.Name)
+		}
+		names[c.Name] = true
+		for _, f := range c.Glue {
+			if _, err := os.Stat(filepath.Join(c.Dir, f)); err != nil {
+				t.Errorf("component %s: glue file: %v", c.Name, err)
+			}
+		}
 		entries, err := os.ReadDir(c.Dir)
 		if err != nil {
 			t.Errorf("component %s: %v", c.Name, err)
@@ -47,17 +59,74 @@ func TestTable3Inventory(t *testing.T) {
 		"linux_dev", "freebsd_dev", "freebsd_net", "netbsd_fs",
 	}
 	for _, name := range want {
-		if _, ok := core.FindComponent(name); !ok {
+		if !names[name] {
 			t.Errorf("Table 3 row %q missing from the inventory", name)
 		}
 	}
 }
 
-// TestFigure1Structure: the rendering carries the figure's three layers
-// and distinguishes encapsulated donor code as the figure's shading did.
+// forEachDonorImport calls fn with every import of every donor file: an
+// encapsulated component's non-test files outside its inventory glue
+// list, parsed for their imports only.
+func forEachDonorImport(t *testing.T, fn func(file, imp string)) {
+	t.Helper()
+	for _, c := range core.Inventory {
+		if c.Kind != core.KindEncapsulated {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(c.Dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") || slices.Contains(c.Glue, filepath.Base(f)) {
+				continue
+			}
+			af, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range af.Imports {
+				fn(f, strings.Trim(imp.Path.Value, `"`))
+			}
+		}
+	}
+}
+
+// TestDonorCodeNamesNoKitType: the encapsulation line of §4.7.  Donor
+// code never sees the kit's interfaces — only an encapsulated
+// component's glue files speak COM — so no donor file imports com, hw,
+// core or libc.
+func TestDonorCodeNamesNoKitType(t *testing.T) {
+	forEachDonorImport(t, func(file, imp string) {
+		switch imp {
+		case "oskit/internal/com", "oskit/internal/hw", "oskit/internal/core", "oskit/internal/libc":
+			t.Errorf("donor file %s imports %s", file, imp)
+		}
+	})
+}
+
+// TestFigure1Structure: the figure is computed from the code.  Every
+// kit package a component imports is an inventory row, donor files
+// import only their environment package and the leaf libraries, and the
+// rendering carries the figure's three layers and distinguishes
+// encapsulated donor code as the figure's shading did.
 func TestFigure1Structure(t *testing.T) {
+	edges, err := structure.Edges(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := map[string]bool{
+		"oskit/internal/freebsd/glue": true, "oskit/internal/linux/legacy": true,
+		"oskit/internal/stats": true, "oskit/internal/cksum": true,
+	}
+	forEachDonorImport(t, func(file, imp string) {
+		if strings.HasPrefix(imp, "oskit/") && !env[imp] {
+			t.Errorf("donor file %s imports %s: not its environment package or a leaf library", file, imp)
+		}
+	})
 	var buf bytes.Buffer
-	core.WriteStructure(&buf)
+	core.WriteStructure(&buf, edges)
 	out := buf.String()
 	cli := strings.Index(out, "Client Operating System")
 	nat := strings.Index(out, "[native]")
