@@ -19,7 +19,8 @@ race:
 			./internal/hw/... ./internal/faults/... \
 			./internal/libc/... ./internal/linux/dev/... \
 			./internal/kvm/... ./internal/smp/... \
-			./internal/evalrig/... ./internal/com/... || exit 1; \
+			./internal/evalrig/... ./internal/com/... \
+			./internal/core/... ./internal/linux/legacy/... || exit 1; \
 	done
 
 # oskitcheck: the kit's own analyzers (COM refcounts, hooks under locks,

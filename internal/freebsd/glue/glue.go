@@ -30,6 +30,11 @@ import (
 
 // Proc is the donor's process structure, pruned to the fields the
 // encapsulated code touches: identification plus the sleep linkage.
+//
+// A Proc is recycled, the way BSD reuses a proc slot: Enter takes one
+// from the glue's free list and its restore puts it back, so a crossing
+// allocates nothing, and each Proc keeps the one sleep record and the
+// one restore func it was built with.
 type Proc struct {
 	Pid   int
 	Comm  string
@@ -38,6 +43,11 @@ type Proc struct {
 
 	rec   *core.SleepRec
 	qnext *Proc //oskit:guardedby Glue.slpMu  slpque hash chain
+
+	leave    func() //oskit:initonly  Enter's restore, bound to this Proc
+	tid      uint64 //oskit:guardedby Glue.curMu  thread that entered with it
+	prev     *Proc  //oskit:guardedby Glue.curMu  that thread's current process before
+	nextFree *Proc  //oskit:guardedby Glue.curMu  free-list linkage
 }
 
 // slpqueSize is BSD's sleep-queue hash size (a power of two).
@@ -79,9 +89,10 @@ type Glue struct {
 	// every entry is deleted when its thread leaves the component
 	// (Enter's restore, SleepCommit), before the goroutine can exit
 	// and its identity be handed to another.
-	curMu    sync.Mutex
-	curprocs map[uint64]*Proc //oskit:guardedby curMu  thread identity -> current process
-	nextPid  int              //oskit:guardedby curMu
+	curMu     sync.Mutex
+	curprocs  map[uint64]*Proc //oskit:guardedby curMu  thread identity -> current process
+	nextPid   int              //oskit:guardedby curMu
+	freeProcs *Proc            //oskit:guardedby curMu  procs no thread is using
 
 	slpMu  sleepLock
 	slpque [slpqueSize]*Proc //oskit:guardedby slpMu
@@ -117,15 +128,40 @@ func (g *Glue) Env() *core.Env { return g.env }
 
 // Enter manufactures the calling thread's current process for one
 // component entry point (§4.7.5), returning the restore to run when the
-// call leaves the component.
+// call leaves the component.  The process comes from the glue's free
+// list and the restore returns it there.
 func (g *Glue) Enter(comm string) func() {
 	id := hw.GoID()
 	g.curMu.Lock()
+	p := g.freeProcs
+	if p == nil {
+		p = &Proc{}
+		p.leave = func() { g.leave(p) }
+	} else {
+		g.freeProcs = p.nextFree
+		p.nextFree = nil
+	}
 	g.nextPid++
-	prev := g.curprocs[id]
-	g.curprocs[id] = &Proc{Pid: g.nextPid, Comm: comm}
+	p.Pid, p.Comm, p.tid = g.nextPid, comm, id
+	p.prev = g.curprocs[id]
+	g.curprocs[id] = p
 	g.curMu.Unlock()
-	return func() { g.setCurproc(id, prev) }
+	return p.leave
+}
+
+// leave is Enter's restore: the thread's previous current process comes
+// back and p goes to the free list.
+func (g *Glue) leave(p *Proc) {
+	g.curMu.Lock()
+	if p.prev == nil {
+		delete(g.curprocs, p.tid)
+	} else {
+		g.curprocs[p.tid] = p.prev
+	}
+	p.prev = nil
+	p.nextFree = g.freeProcs
+	g.freeProcs = p
+	g.curMu.Unlock()
 }
 
 // curproc returns the calling thread's current process.
@@ -267,8 +303,10 @@ func (g *Glue) SleepCommit(p *Proc) {
 func (g *Glue) Wakeup(event uint32) {
 	// Unlink under the queue lock; post the wakeups after dropping it
 	// (env.Wakeup is an interposable service — never call out under a
-	// lock).
-	var recs []*core.SleepRec
+	// lock).  The records collect on the stack unless an unusual number
+	// of processes sleep on one event.
+	var stack [8]*core.SleepRec
+	recs := stack[:0]
 	g.slpMu.Lock()
 	h := slpHash(event)
 	var prev *Proc

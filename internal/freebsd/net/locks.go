@@ -26,6 +26,8 @@ import "sync"
 //	rank 50  arpLock    Stack.arpMu   resolution cache + held packets
 //	rank 60  txLock     Stack.txMu    the interface output hand-off
 //	rank 70  mclLock    Stack.mclMu   cluster refcount table
+//	rank 72  freeLock   Stack.freeMu  mbuf-header and receive-context
+//	                                  free lists (leaf)
 //	rank 75  klLock     linuxdev klMu donor kmalloc in SMP mode
 //	                                  (cross-package)
 //	rank 80  sleepLock  glue.slpMu    sleep-queue hash (cross-package)
@@ -86,3 +88,6 @@ type txLock struct{ sync.Mutex }
 
 //oskit:lockrank 70
 type mclLock struct{ sync.Mutex }
+
+//oskit:lockrank 72
+type freeLock struct{ sync.Mutex }

@@ -46,6 +46,31 @@ type Mbuf struct {
 
 	// PktLen is the whole-packet length, valid in the first mbuf.
 	PktLen int
+
+	// io is the chain's COM BufIO export when this mbuf heads a packet
+	// handed to a driver (wrapMbuf): embedded, like the skbuff's one-word
+	// COM slot (§4.7.3), so exporting a packet allocates nothing.
+	io mbufIO
+}
+
+// newMbuf takes a header from the stack's free list — the donor's
+// mbuf free list: header storage is recycled and only the counters
+// (mbuf.allocs, mbuf.frees) see each use.  A header is built once, with
+// its BufIO export bound to it.
+func (s *Stack) newMbuf() *Mbuf {
+	s.freeMu.Lock()
+	m := s.mbufFree
+	if m != nil {
+		s.mbufFree = m.Next
+		s.freeMu.Unlock()
+		m.Next = nil
+		return m
+	}
+	s.freeMu.Unlock()
+	m = &Mbuf{stk: s}
+	m.io.m = m
+	m.io.OnLastRelease = m.FreeChain
+	return m
 }
 
 // Data returns the live bytes of this link.
@@ -74,15 +99,20 @@ func (s *Stack) mget(leading int) *Mbuf {
 		if !ok {
 			return nil
 		}
-		s.sc.mbufAllocs.Inc()
-		return &Mbuf{stk: s, store: buf, storeAddr: addr, off: leading}
+		return s.mgetStore(buf, addr, leading)
 	}
 	addr, buf, ok := s.g.Malloc.Alloc(MSIZE)
 	if !ok {
 		return nil
 	}
+	return s.mgetStore(buf, addr, leading)
+}
+
+func (s *Stack) mgetStore(buf []byte, addr vmOffset, leading int) *Mbuf {
 	s.sc.mbufAllocs.Inc()
-	return &Mbuf{stk: s, store: buf, storeAddr: addr, off: leading}
+	m := s.newMbuf()
+	m.store, m.storeAddr, m.off = buf, addr, leading
+	return m
 }
 
 // MClGet attaches a fresh 2 KB cluster to m, replacing its current
@@ -124,7 +154,9 @@ func (s *Stack) MExt(owner extOwner, data []byte) *Mbuf {
 	// charge mbuf.allocs or the pair won't balance over a quiesced run.
 	s.sc.mbufAllocs.Inc()
 	s.sc.extWraps.Inc()
-	return &Mbuf{stk: s, store: data, ext: owner, len: len(data), PktLen: len(data)}
+	m := s.newMbuf()
+	m.store, m.ext, m.len, m.PktLen = data, owner, len(data), len(data)
+	return m
 }
 
 // releaseStore gives m's storage back to whoever owns it: the foreign
@@ -147,13 +179,20 @@ func (m *Mbuf) releaseStore() {
 	}
 }
 
-// Free releases one link, dropping cluster/foreign references.
+// Free releases one link, dropping cluster/foreign references, and
+// returns its header to the stack's free list: m must not be touched
+// after.
 func (m *Mbuf) Free() *Mbuf {
 	next := m.Next
-	m.stk.sc.mbufFrees.Inc()
+	s := m.stk
+	s.sc.mbufFrees.Inc()
 	m.releaseStore()
-	m.store = nil
-	m.Next = nil
+	m.store, m.storeAddr, m.cluster, m.ext = nil, 0, false, nil
+	m.off, m.len, m.PktLen = 0, 0, 0
+	s.freeMu.Lock()
+	m.Next = s.mbufFree
+	s.mbufFree = m
+	s.freeMu.Unlock()
 	return next
 }
 
@@ -411,8 +450,9 @@ func (m *Mbuf) CopyM(off, length int) *Mbuf {
 		switch {
 		case cur.cluster:
 			// Share the cluster.
-			n := &Mbuf{stk: m.stk, store: cur.store, storeAddr: cur.storeAddr,
-				cluster: true, off: cur.off + off, len: take}
+			n := m.stk.newMbuf()
+			n.store, n.storeAddr, n.cluster = cur.store, cur.storeAddr, true
+			n.off, n.len = cur.off+off, take
 			m.stk.clRef(cur.storeAddr, +1)
 			m.stk.sc.mbufAllocs.Inc() // every constructed link balances a later mbuf.frees
 			m.stk.sc.clShares.Inc()

@@ -32,15 +32,19 @@ func (s *Stack) AttachNative(nic *hw.NIC, queues int) {
 }
 
 func (s *Stack) attachNativeTx(nic *hw.NIC) {
+	// The fragment list is reused: output runs under txMu, one frame at
+	// a time.
+	var parts [][]byte
 	s.ifAttach(nic.Mac, func(m *Mbuf) {
 		// Gather the chain for the DMA engine.
-		var parts [][]byte
+		parts = parts[:0]
 		for cur := m; cur != nil; cur = cur.Next {
 			if cur.len > 0 {
 				parts = append(parts, cur.Data())
 			}
 		}
 		nic.TransmitGather(parts)
+		clear(parts)
 		m.FreeChain()
 	})
 }

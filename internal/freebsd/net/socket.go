@@ -222,7 +222,7 @@ func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
 		s.mu.Lock()
 	}
 	child := tp.acceptQ[0]
-	tp.acceptQ = tp.acceptQ[1:]
+	removePCB(&tp.acceptQ, child) // in place: the queue keeps its storage
 	ns := &socket{s: so.s, tcp: child}
 	ns.Init()
 	peer := com.SockAddr{Family: com.AFInet, Port: child.fport}

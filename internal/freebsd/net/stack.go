@@ -34,6 +34,11 @@ type Stack struct {
 	arpMu arpLock // rank 50: the ARP cache (arp.go)
 	txMu  txLock  // rank 60: serializes the interface output hand-off
 	mclMu mclLock // rank 70: the cluster refcount table (mbuf.go)
+	// freeMu (rank 72) guards the stack's free lists: mbuf headers
+	// (mbuf.go) and batched-receive contexts (PushBatch).
+	freeMu    freeLock
+	mbufFree  *Mbuf  //oskit:guardedby freeMu  linked through Next
+	rxCtxFree *rxCtx //oskit:guardedby freeMu
 
 	// Interface state (one Ethernet interface per stack instance, like
 	// the examples in §5; nothing below prevents generalizing).
@@ -118,6 +123,7 @@ type Stack struct {
 type rxCtx struct {
 	batching bool
 	pend     []*tcpcb
+	next     *rxCtx // the stack's free list
 }
 
 // netstats is the stack's pre-resolved statistics handles, updated
@@ -440,7 +446,17 @@ func (r *stackRecv) PushBatch(pkts []com.BufIO, sizes []uint) error {
 		}
 		return com.ErrInval
 	}
-	ctx := &rxCtx{batching: true}
+	// The batching state comes from the stack's free list, so its pend
+	// list keeps the storage it grew.
+	s.freeMu.Lock()
+	ctx := s.rxCtxFree
+	if ctx != nil {
+		s.rxCtxFree = ctx.next
+	}
+	s.freeMu.Unlock()
+	if ctx == nil {
+		ctx = &rxCtx{batching: true}
+	}
 	var firstErr error
 	for i, pkt := range pkts {
 		if err := s.rxOne(pkt, sizes[i], ctx); err != nil && firstErr == nil {
@@ -448,6 +464,10 @@ func (r *stackRecv) PushBatch(pkts []com.BufIO, sizes []uint) error {
 		}
 	}
 	s.rxFlush(ctx)
+	s.freeMu.Lock()
+	ctx.next = s.rxCtxFree
+	s.rxCtxFree = ctx
+	s.freeMu.Unlock()
 	s.sc.rxBatches.Inc()
 	s.sc.rxBatchFrames.Add(uint64(len(pkts)))
 	return firstErr
@@ -531,16 +551,19 @@ func (r *stackRecv) AllocBufIO(size uint) (com.BufIO, error) {
 // the requested range lies in one contiguous run — for a chained packet
 // it fails and the consumer must Read (copy), which is the documented
 // §4.7.3 behaviour and the source of the send-path copy in Table 1.
+//
+// It lives inside the chain's first mbuf (Mbuf.io); the last Release
+// frees the chain, and with it the export.
 type mbufIO struct {
 	com.RefCount
-	s *Stack
-	m *Mbuf
+	m     *Mbuf    // the mbuf it is embedded in
+	parts [][]byte // MapSG's fragment list, reused across exports
 }
 
+// wrapMbuf exports the chain headed by m, handing over the chain.
 func (s *Stack) wrapMbuf(m *Mbuf) *mbufIO {
-	b := &mbufIO{s: s, m: m}
+	b := &m.io
 	b.Init()
-	b.OnLastRelease = func() { m.FreeChain() }
 	return b
 }
 
@@ -631,11 +654,7 @@ func (b *mbufIO) MapSG(offset, amount uint) ([][]byte, error) {
 	if uint64(offset)+uint64(amount) > uint64(b.m.PktLen) {
 		return nil, com.ErrInval
 	}
-	links := 0
-	for cur := b.m; cur != nil; cur = cur.Next {
-		links++
-	}
-	parts := make([][]byte, 0, links)
+	parts := b.parts[:0]
 	off := int(offset)
 	remain := int(amount)
 	for cur := b.m; cur != nil && remain > 0; cur = cur.Next {
@@ -651,14 +670,19 @@ func (b *mbufIO) MapSG(offset, amount uint) ([][]byte, error) {
 		remain -= take
 		off = 0
 	}
+	b.parts = parts
 	if remain > 0 {
 		return nil, com.ErrInval
 	}
 	return parts, nil
 }
 
-// UnmapSG implements com.SGBufIO.
-func (b *mbufIO) UnmapSG(parts [][]byte) error { return nil }
+// UnmapSG implements com.SGBufIO: the fragment list is the export's own
+// and is reused by its next MapSG.
+func (b *mbufIO) UnmapSG(parts [][]byte) error {
+	clear(b.parts)
+	return nil
+}
 
 // Wire implements com.BufIO; chains have no single address.
 func (b *mbufIO) Wire() (uint32, error) {

@@ -9,7 +9,6 @@
 package httpd
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 )
@@ -129,14 +128,16 @@ func ParseRequest(head []byte) (*Request, error) {
 // continuations (a line starting with SP or HTAB extends the previous
 // header, RFC 7230 §3.2.4) onto their field with a single space.
 func splitHead(head []byte) ([]string, error) {
-	var lines []string
-	for len(head) > 0 {
-		i := bytes.IndexByte(head, '\n')
-		var raw []byte
+	// One conversion for the whole head; each line is a substring of it.
+	rest := string(head)
+	lines := make([]string, 0, 8)
+	for len(rest) > 0 {
+		i := strings.IndexByte(rest, '\n')
+		var raw string
 		if i < 0 {
-			raw, head = head, nil
+			raw, rest = rest, ""
 		} else {
-			raw, head = head[:i], head[i+1:]
+			raw, rest = rest[:i], rest[i+1:]
 		}
 		if n := len(raw); n > 0 && raw[n-1] == '\r' {
 			raw = raw[:n-1]
@@ -145,17 +146,16 @@ func splitHead(head []byte) ([]string, error) {
 			break // blank line: end of head (anything after is not ours)
 		}
 		if raw[0] == ' ' || raw[0] == '\t' {
-			// Folded continuation: only valid inside the header block.
 			if len(lines) < 2 {
 				return nil, ErrMalformed
 			}
-			lines[len(lines)-1] += " " + strings.Trim(string(raw), " \t")
+			lines[len(lines)-1] += " " + strings.Trim(raw, " \t")
 			continue
 		}
 		if len(lines) > MaxHeaders {
 			return nil, ErrMalformed
 		}
-		lines = append(lines, string(raw))
+		lines = append(lines, raw)
 	}
 	return lines, nil
 }
@@ -197,6 +197,7 @@ func parseRequestLine(line string) (*Request, error) {
 
 // parseHeaders fills req.Headers from "Name: value" lines.
 func parseHeaders(req *Request, lines []string) error {
+	req.Headers = make([]Header, 0, len(lines))
 	for _, line := range lines {
 		colon := strings.IndexByte(line, ':')
 		if colon <= 0 {
@@ -237,10 +238,12 @@ func isToken(s string) bool {
 // tokenListHas reports whether the comma-separated list contains token
 // (case-insensitive).
 func tokenListHas(list, token string) bool {
-	for _, t := range strings.Split(list, ",") {
+	for list != "" {
+		t, rest, _ := strings.Cut(list, ",")
 		if strings.EqualFold(strings.Trim(t, " \t"), token) {
 			return true
 		}
+		list = rest
 	}
 	return false
 }

@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"fmt"
+	"strconv"
 
 	"oskit/internal/com"
 	"oskit/internal/libc"
@@ -33,45 +34,78 @@ func (s *Server) do(fn func()) {
 // harness and examples/fileserver prove.
 const ioRetries = 64
 
+// conn is one connection's state.  Every component call goes through
+// Server.do as a closure built once per connection, with its arguments
+// and results in the struct, so serving a request builds none.
+type conn struct {
+	s  *Server
+	fd int
+
+	buf     []byte // one Read's worth of input
+	pending []byte // input not yet consumed as a request head
+	out     []byte // response head being written
+	rest    []byte // what writeAll has still to write
+
+	path string   // open: the request path
+	file com.File // open: its result
+	ffd  int      // the open file's descriptor
+	st   com.Stat
+	off  uint64 // sendfile: offset reached
+
+	n   int
+	nb  uint64
+	err error
+
+	read, write, open, fstat, sendfile, closeFile, closeConn func()
+}
+
+func (s *Server) newConn(fd int) *conn {
+	c := &conn{s: s, fd: fd, buf: make([]byte, 2048)}
+	c.read = func() { c.n, c.err = c.s.C.Read(c.fd, c.buf) }
+	c.write = func() { c.n, c.err = c.s.C.Write(c.fd, c.rest) }
+	c.open = func() { c.file, c.err = c.s.Root.Open(c.path) }
+	c.fstat = func() { c.st, c.err = c.s.C.Fstat(c.ffd) }
+	c.sendfile = func() { c.nb, c.err = c.s.C.Sendfile(c.fd, c.ffd, c.off, c.st.Size-c.off) }
+	c.closeFile = func() { _ = c.s.C.Close(c.ffd) }
+	c.closeConn = func() { _ = c.s.C.Close(c.fd) }
+	return c
+}
+
 // Serve handles one accepted connection until it closes: a keep-alive
 // request loop with pipelined bytes carried between requests.  The
 // descriptor is closed on return.
 func (s *Server) Serve(fd int) {
-	defer s.do(func() { _ = s.C.Close(fd) })
-	var pending []byte
-	buf := make([]byte, 2048)
+	c := s.newConn(fd)
+	defer s.do(c.closeConn)
 	for {
-		end := findHeadEnd(pending)
+		end := findHeadEnd(c.pending)
 		for end < 0 {
-			if len(pending) > MaxHeaderBytes {
-				s.respond(fd, "400 Bad Request", "bad request\n", false)
+			if len(c.pending) > MaxHeaderBytes {
+				c.respond("400 Bad Request", "bad request\n", false)
 				return
 			}
-			var n int
-			var err error
-			s.do(func() { n, err = s.C.Read(fd, buf) })
-			if err != nil || n == 0 {
-				if len(pending) > 0 {
+			s.do(c.read)
+			if c.err != nil || c.n == 0 {
+				if len(c.pending) > 0 {
 					// The peer quit mid-head: fail closed.
-					s.respond(fd, "400 Bad Request", "bad request\n", false)
+					c.respond("400 Bad Request", "bad request\n", false)
 				}
 				return
 			}
-			pending = append(pending, buf[:n]...)
-			end = findHeadEnd(pending)
+			c.pending = append(c.pending, c.buf[:c.n]...)
+			end = findHeadEnd(c.pending)
 		}
-		head := pending[:end]
-		pending = append([]byte(nil), pending[end:]...)
-
-		req, err := ParseRequest(head)
+		req, err := ParseRequest(c.pending[:end])
+		// Keep the pipelined remainder at the front of the same storage.
+		c.pending = c.pending[:copy(c.pending, c.pending[end:])]
 		if err != nil {
 			// Fail closed: a 400 answer, then the connection dies —
 			// pipelined garbage after a malformed head is never
 			// reinterpreted as a fresh request.
-			s.respond(fd, "400 Bad Request", "bad request\n", false)
+			c.respond("400 Bad Request", "bad request\n", false)
 			return
 		}
-		if !s.handle(fd, req) {
+		if !c.handle(req) {
 			return
 		}
 	}
@@ -79,49 +113,40 @@ func (s *Server) Serve(fd int) {
 
 // handle answers one parsed request, reporting whether the connection
 // stays open.
-func (s *Server) handle(fd int, req *Request) bool {
+func (c *conn) handle(req *Request) bool {
+	s := c.s
 	// This server never accepts a request body; a declared one would
 	// desynchronize the keep-alive framing, so refuse and close.
 	if req.ContentLength > 0 {
-		return s.respond(fd, "400 Bad Request", "no request bodies\n", false)
+		return c.respond("400 Bad Request", "no request bodies\n", false)
 	}
 	if req.Method != "GET" && req.Method != "HEAD" {
-		return s.respond(fd, "405 Method Not Allowed", "method not allowed\n", false)
+		return c.respond("405 Method Not Allowed", "method not allowed\n", false)
 	}
 
 	// Resolve through the §3.8 wrapper, retrying injected disk errors.
-	var f com.File
-	err := s.retryIO(func() error {
-		var e error
-		s.do(func() { f, e = s.Root.Open(req.Path) })
-		return e
-	})
-	if err != nil {
-		status, body := errStatus(err)
-		return s.respond(fd, status, body, req.KeepAlive)
+	c.path = req.Path
+	c.retryIO(c.open)
+	c.path = ""
+	if c.err != nil {
+		status, body := errStatus(c.err)
+		return c.respond(status, body, req.KeepAlive)
 	}
-	ffd := s.C.InstallFile(f)
-	f.Release()
-	defer s.do(func() { _ = s.C.Close(ffd) })
+	c.ffd = s.C.InstallFile(c.file)
+	c.file.Release()
+	c.file = nil
+	defer s.do(c.closeFile)
 
-	var st com.Stat
-	err = s.retryIO(func() error {
-		var e error
-		s.do(func() { st, e = s.C.Fstat(ffd) })
-		return e
-	})
-	if err != nil {
-		return s.respond(fd, "500 Internal Server Error", "stat failed\n", false)
+	if c.retryIO(c.fstat); c.err != nil {
+		return c.respond("500 Internal Server Error", "stat failed\n", false)
 	}
 
-	conn := "close"
-	if req.KeepAlive {
-		conn = "keep-alive"
-	}
-	head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"+
-		"Content-Type: application/octet-stream\r\nConnection: %s\r\n\r\n",
-		st.Size, conn)
-	if s.writeAll(fd, []byte(head)) != nil {
+	c.out = append(c.out[:0], "HTTP/1.1 200 OK\r\nContent-Length: "...)
+	c.out = strconv.AppendUint(c.out, c.st.Size, 10)
+	c.out = append(c.out, "\r\nContent-Type: application/octet-stream\r\nConnection: "...)
+	c.out = append(c.out, connection(req.KeepAlive)...)
+	c.out = append(c.out, "\r\n\r\n"...)
+	if c.writeAll(c.out) != nil {
 		return false
 	}
 	if req.Method == "HEAD" {
@@ -133,17 +158,15 @@ func (s *Server) handle(fd int, req *Request) bool {
 	// configuration produces the identical bytes through its copy
 	// path.  Transient ErrIO resumes from the delivered offset (bytes
 	// already queued on the socket are never resent).
-	var off uint64
+	c.off = 0
 	tries := 0
-	for off < st.Size {
-		var n uint64
-		var e error
-		s.do(func() { n, e = s.C.Sendfile(fd, ffd, off, st.Size-off) })
-		off += n
-		if e == nil {
+	for c.off < c.st.Size {
+		s.do(c.sendfile)
+		c.off += c.nb
+		if c.err == nil {
 			continue
 		}
-		if e == com.ErrIO && tries < ioRetries {
+		if c.err == com.ErrIO && tries < ioRetries {
 			tries++
 			continue
 		}
@@ -152,16 +175,23 @@ func (s *Server) handle(fd int, req *Request) bool {
 	return req.KeepAlive
 }
 
-// retryIO re-attempts op while it fails with transient com.ErrIO.
-func (s *Server) retryIO(op func() error) error {
-	var err error
+// retryIO re-attempts call while it fails with transient com.ErrIO;
+// the last error is left in c.err.
+func (c *conn) retryIO(call func()) {
 	for i := 0; i < ioRetries; i++ {
-		err = op()
-		if err != com.ErrIO {
-			return err
+		c.s.do(call)
+		if c.err != com.ErrIO {
+			return
 		}
 	}
-	return err
+}
+
+// connection is the Connection header value for a keep-alive choice.
+func connection(keep bool) string {
+	if keep {
+		return "keep-alive"
+	}
+	return "close"
 }
 
 // errStatus maps a wrapper error to its HTTP answer.
@@ -177,27 +207,23 @@ func errStatus(err error) (status, body string) {
 
 // respond writes a small complete response, reporting whether the
 // connection stays open.
-func (s *Server) respond(fd int, status, body string, keep bool) bool {
-	conn := "close"
-	if keep {
-		conn = "keep-alive"
-	}
+func (c *conn) respond(status, body string, keep bool) bool {
 	msg := fmt.Sprintf("HTTP/1.1 %s\r\nContent-Length: %d\r\n"+
 		"Content-Type: text/plain\r\nConnection: %s\r\n\r\n%s",
-		status, len(body), conn, body)
-	return s.writeAll(fd, []byte(msg)) == nil && keep
+		status, len(body), connection(keep), body)
+	return c.writeAll([]byte(msg)) == nil && keep
 }
 
 // writeAll pushes the whole buffer through the socket.
-func (s *Server) writeAll(fd int, b []byte) error {
-	for len(b) > 0 {
-		var n int
-		var err error
-		s.do(func() { n, err = s.C.Write(fd, b) })
-		if err != nil {
-			return err
+func (c *conn) writeAll(b []byte) error {
+	c.rest = b
+	defer func() { c.rest = nil }()
+	for len(c.rest) > 0 {
+		c.s.do(c.write)
+		if c.err != nil {
+			return c.err
 		}
-		b = b[n:]
+		c.rest = c.rest[c.n:]
 	}
 	return nil
 }

@@ -40,10 +40,25 @@ type DiskReq struct {
 	Sector uint32
 	Count  uint32
 	Buf    []byte
+	// Tag is the driver's own cookie, carried and never touched.
+	Tag any
 
 	// Done and Err are valid once the completion interrupt fires.
 	Done bool
 	Err  error
+}
+
+// popFront removes the oldest request of a queue, keeping its storage
+// so that queueing allocates nothing once the queue has grown.
+func popFront(q *[]*DiskReq) *DiskReq {
+	if len(*q) == 0 {
+		return nil
+	}
+	r := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = nil
+	*q = (*q)[:n]
+	return r
 }
 
 // Disk is a simulated fixed disk with a request queue and completion
@@ -52,7 +67,11 @@ type Disk struct {
 	ic   *IntrController
 	line int
 
-	mu      sync.Mutex
+	sectors uint32 //oskit:initonly
+
+	mu sync.Mutex
+	// data is the image: an anonymous mapping like machine memory
+	// (mapMem), released when the owning machine halts (nil after).
 	data    []byte        //oskit:guardedby mu
 	queue   []*DiskReq    //oskit:guardedby mu
 	done    []*DiskReq    //oskit:guardedby mu
@@ -67,18 +86,15 @@ type Disk struct {
 // NewDisk creates a zero-filled disk of the given number of sectors.
 func NewDisk(sectors uint32) *Disk {
 	return &Disk{
-		data: make([]byte, uint64(sectors)*SectorSize),
-		wake: make(chan struct{}, 1),
-		quit: make(chan struct{}),
+		sectors: sectors,
+		data:    mapMem(uint64(sectors) * SectorSize),
+		wake:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
 	}
 }
 
 // Sectors returns the disk capacity in sectors.
-func (d *Disk) Sectors() uint32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return uint32(len(d.data) / SectorSize)
-}
+func (d *Disk) Sectors() uint32 { return d.sectors }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook
 // consulted before each media transfer.
@@ -88,7 +104,8 @@ func (d *Disk) SetFaultHook(h DiskFaultHook) {
 	d.mu.Unlock()
 }
 
-// Image returns a copy of the raw disk contents (for test inspection).
+// Image returns a copy of the raw disk contents (for test inspection);
+// empty once the owning machine has halted.
 func (d *Disk) Image() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -144,23 +161,14 @@ func (d *Disk) Submit(r *DiskReq) {
 func (d *Disk) Reap() *DiskReq {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.done) == 0 {
-		return nil
-	}
-	r := d.done[0]
-	d.done = d.done[1:]
-	return r
+	return popFront(&d.done)
 }
 
 func (d *Disk) serve() {
 	defer d.wg.Done()
 	for {
 		d.mu.Lock()
-		var r *DiskReq
-		if len(d.queue) > 0 {
-			r = d.queue[0]
-			d.queue = d.queue[1:]
-		}
+		r := popFront(&d.queue)
 		hook := d.hook
 		d.mu.Unlock()
 
@@ -245,16 +253,25 @@ func (d *Disk) stop() {
 		d.wg.Wait()
 	}
 	d.mu.Lock()
-	failed := d.queue
-	d.queue = nil
-	for _, r := range failed {
+	failed := len(d.queue) > 0
+	for r := popFront(&d.queue); r != nil; r = popFront(&d.queue) {
 		r.Err = ErrDiskStopped
 		r.Done = true
 		d.done = append(d.done, r)
 	}
 	ic, line := d.ic, d.line
 	d.mu.Unlock()
-	if len(failed) > 0 && ic != nil {
+	if failed && ic != nil {
 		ic.Raise(line)
 	}
+}
+
+// release gives the image back once the service goroutine has stopped
+// (Machine.Halt); idempotent.  Later transfers fail as beyond the end.
+func (d *Disk) release() {
+	d.mu.Lock()
+	data := d.data
+	d.data = nil
+	d.mu.Unlock()
+	unmapMem(data)
 }

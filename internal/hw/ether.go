@@ -37,40 +37,78 @@ type WireFault struct {
 // deterministic event sequence for deterministic traffic.
 type WireFaultHook func(frameLen int) WireFault
 
-// corrupt flips one byte of a flattened frame, off bytes (modulo the
-// length) into the payload rather than the station addresses: a flipped
-// MAC byte is just a filtered frame, which Drop already models — and on
-// a switch it would poison the MAC table.
-func corrupt(flat []byte, off int) {
+// corruptAt picks the byte a Corrupt verdict flips in a frame of n
+// bytes: off (modulo the length) into the payload rather than the
+// station addresses — a flipped MAC byte is just a filtered frame, which
+// Drop already models, and on a switch it would poison the MAC table.
+func corruptAt(n, off int) int {
 	if off < 0 {
 		off = -off
 	}
-	if len(flat) > EtherHdrLen {
-		off = EtherHdrLen + off%(len(flat)-EtherHdrLen)
-	} else {
-		off %= len(flat)
+	if n > EtherHdrLen {
+		return EtherHdrLen + off%(n-EtherHdrLen)
 	}
-	flat[off] ^= 0xff
+	return off % n
 }
 
-// flatten gathers scattered runs into one contiguous copy.
-func flatten(parts [][]byte, total int) []byte {
-	flat := make([]byte, 0, total)
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	return flat
+// wireFrame is one frame crossing the switch: the sender's gather list
+// (parts) or contiguous run (buf) while the sender's own thread carries
+// it, or a switch-owned copy in buf once it waits in an egress queue or
+// behind a Reorder verdict.  Delivery copies it into a receive-ring slot
+// — the one copy a busmaster's DMA makes — so no frame is ever
+// flattened on its way.
+type wireFrame struct {
+	parts   [][]byte
+	buf     []byte
+	len     int
+	corrupt int // byte flipped in every delivered copy, or -1
 }
+
+// read copies the frame's first len(dst) bytes (all of it, if dst is
+// that long) into dst and returns the count; header peeks read a prefix.
+// Corruption is not applied: it never reaches the station addresses.
+func (f *wireFrame) read(dst []byte) int {
+	if f.parts == nil {
+		return copy(dst, f.buf[:f.len])
+	}
+	n := 0
+	for _, p := range f.parts {
+		n += copy(dst[n:], p)
+	}
+	return n
+}
+
+// copyTo writes the whole frame into dst[:f.len], corruption applied.
+func (f *wireFrame) copyTo(dst []byte) {
+	f.read(dst[:f.len])
+	if f.corrupt >= 0 {
+		dst[f.corrupt] ^= 0xff
+	}
+}
+
+// rssPrefix is the most of a frame RSSHash reads: Ethernet header, a
+// maximal IPv4 header and the two ports.
+const rssPrefix = EtherHdrLen + 60 + 4
 
 // nicRing is one receive queue: a descriptor ring, the interrupt line it
 // raises, and its share of the receive ledger.  Every NIC has ring 0 on
 // its legacy line; ConfigureRxQueues adds more for RSS spreading.  Each
 // ring has its own lock so drain paths on different CPUs never contend.
+//
+// Slots own recycled storage: a frame is copied into a buffer from the
+// ring's free list, and a popped buffer is lent to the consumer until
+// its next pop on the ring, when it returns to the free list.  So a
+// frame from RxPop or RxPopBatchOn is valid only until the next pop on
+// the same ring; a consumer that keeps it longer copies it first.
 type nicRing struct {
 	line int
 
-	mu   sync.Mutex
-	ring [][]byte //oskit:guardedby mu
+	mu    sync.Mutex
+	slots [EtherRingLen][]byte //oskit:guardedby mu  occupied: slots[head], … (n of them)
+	head  int                  //oskit:guardedby mu
+	n     int                  //oskit:guardedby mu
+	free  frameBufs            //oskit:guardedby mu  buffers no frame occupies
+	lent  [][]byte             //oskit:guardedby mu  buffers handed out by the last pop
 
 	rxDrops   uint64 //oskit:guardedby mu
 	rxOK      uint64 //oskit:guardedby mu
@@ -183,7 +221,9 @@ func (n *NIC) SetRxFaultHook(h func() bool) {
 
 // Transmit sends one complete Ethernet frame.  Called by the driver from
 // any level; returns once the frame is on the wire.
-func (n *NIC) Transmit(frame []byte) { n.TransmitGather([][]byte{frame}) }
+func (n *NIC) Transmit(frame []byte) {
+	n.transmit(wireFrame{buf: frame, len: len(frame), corrupt: -1}, false)
+}
 
 // TransmitGather sends one frame scattered across several memory runs —
 // the gather-DMA engine of busmaster controllers, which is how
@@ -191,11 +231,23 @@ func (n *NIC) Transmit(frame []byte) { n.TransmitGather([][]byte{frame}) }
 // in software.  The single gather into the receiving ring models the DMA
 // transfer itself (the same one copy a contiguous Transmit incurs).
 func (n *NIC) TransmitGather(parts [][]byte) {
+	if len(parts) == 1 {
+		n.Transmit(parts[0])
+		return
+	}
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	n.transmit(wireFrame{parts: parts, len: total, corrupt: -1}, len(parts) > 1)
+}
+
+func (n *NIC) transmit(f wireFrame, gather bool) {
 	n.mu.Lock()
 	w := n.wire
 	if w != nil {
 		n.txOK++
-		if len(parts) > 1 {
+		if gather {
 			n.txGather++
 		}
 	}
@@ -203,12 +255,25 @@ func (n *NIC) TransmitGather(parts [][]byte) {
 	if w == nil {
 		return
 	}
-	w.transmitGather(parts)
+	w.transmit(&f)
+}
+
+// detach unplugs the NIC from its switch port (Machine.Halt): it
+// transmits nothing more, and the switch delivers nothing more to it.
+func (n *NIC) detach() {
+	n.mu.Lock()
+	p := n.wire
+	n.wire = nil
+	n.mu.Unlock()
+	if p != nil {
+		p.sw.detach(p)
+	}
 }
 
 // RxPop removes and returns the oldest frame in ring 0, or nil when the
 // ring is empty.  Drivers call it repeatedly from their interrupt handler
-// until it returns nil (the controller coalesces interrupts).
+// until it returns nil (the controller coalesces interrupts).  The frame
+// is valid until the next pop on the ring (see nicRing).
 func (n *NIC) RxPop() []byte { return n.RxPopOn(0) }
 
 // RxPopOn is RxPop against one receive ring.
@@ -219,12 +284,51 @@ func (n *NIC) RxPopOn(q int) []byte {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ring) == 0 {
+	r.reclaimLocked()
+	if r.n == 0 {
 		return nil
 	}
-	f := r.ring[0]
-	r.ring = r.ring[1:]
+	return r.popLocked()
+}
+
+// reclaimLocked returns the buffers lent by the previous pop to the
+// free list: their frames' lifetime ends with this pop.
+func (r *nicRing) reclaimLocked() {
+	r.free = append(r.free, r.lent...)
+	clear(r.lent)
+	r.lent = r.lent[:0]
+}
+
+// popLocked removes the oldest frame, lending its buffer out.
+func (r *nicRing) popLocked() []byte {
+	f := r.slots[r.head]
+	r.slots[r.head] = nil
+	r.head = (r.head + 1) % EtherRingLen
+	r.n--
+	r.lent = append(r.lent, f)
 	return f
+}
+
+// frameBufs is a free list of frame buffers: a ring's, or the switch's
+// for the copies it owns.
+type frameBufs [][]byte
+
+// get returns a buffer of size bytes, allocating only while the list's
+// working set is still growing.
+func (fb *frameBufs) get(size int) []byte {
+	if k := len(*fb) - 1; k >= 0 && cap((*fb)[k]) >= size {
+		b := (*fb)[k]
+		(*fb)[k] = nil
+		*fb = (*fb)[:k]
+		return b[:size]
+	}
+	return make([]byte, size, max(size, EtherMaxLen))
+}
+
+func (fb *frameBufs) put(b []byte) {
+	if b != nil {
+		*fb = append(*fb, b)
+	}
 }
 
 // Stats reports receive/transmit counters and ring-overflow drops,
@@ -252,18 +356,16 @@ func (n *NIC) TxGathers() uint64 {
 	return n.txGather
 }
 
-func (n *NIC) accepts(dst [6]byte) bool {
+// deliver offers one frame from the switch: the station filter, the
+// fault hook, then a copy into a slot of the frame's receive ring.
+func (n *NIC) deliver(f *wireFrame) {
+	var dst [6]byte
+	f.read(dst[:])
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.promisc || dst == n.Mac || dst == BroadcastMAC
-}
-
-func (n *NIC) receive(frame []byte) {
-	n.deliver(append([]byte(nil), frame...))
-}
-
-func (n *NIC) deliver(f []byte) {
-	n.mu.Lock()
+	if !n.promisc && dst != n.Mac && dst != BroadcastMAC {
+		n.mu.Unlock()
+		return
+	}
 	hook := n.rxHook
 	rings := n.rings
 	mitigate := n.rxMitigate
@@ -276,16 +378,20 @@ func (n *NIC) deliver(f []byte) {
 	injected := hook != nil && hook()
 	r := rings[0]
 	if len(rings) > 1 {
-		r = rings[RSSRing(f, len(rings))]
+		var hdr [rssPrefix]byte
+		r = rings[RSSRing(hdr[:f.read(hdr[:])], len(rings))]
 	}
 	r.mu.Lock()
-	if injected || len(r.ring) >= EtherRingLen {
+	if injected || r.n >= EtherRingLen {
 		r.rxDrops++ // ring overrun, real or injected
 		r.mu.Unlock()
 		return
 	}
-	wasEmpty := len(r.ring) == 0
-	r.ring = append(r.ring, f)
+	wasEmpty := r.n == 0
+	b := r.free.get(f.len)
+	f.copyTo(b)
+	r.slots[(r.head+r.n)%EtherRingLen] = b
+	r.n++
 	r.rxOK++
 	raise := n.ic != nil
 	if raise && mitigate && !wasEmpty {
@@ -318,7 +424,7 @@ func (n *NIC) SetRxIntrMitigation(on bool) {
 	}
 	for _, r := range rings {
 		r.mu.Lock()
-		pending := len(r.ring) > 0
+		pending := r.n > 0
 		if pending {
 			r.rxRaised++
 		}
@@ -331,7 +437,8 @@ func (n *NIC) SetRxIntrMitigation(on bool) {
 
 // RxPopBatchOn removes up to max frames (bounded by len(dst)) from
 // ring q into dst and returns the count — the polled drain a budgeted
-// receive loop uses instead of per-frame RxPopOn.
+// receive loop uses instead of per-frame RxPopOn.  The frames are valid
+// until the next pop on the ring.
 func (n *NIC) RxPopBatchOn(q int, dst [][]byte, max int) int {
 	r := n.ringOf(q)
 	if r == nil {
@@ -342,15 +449,14 @@ func (n *NIC) RxPopBatchOn(q int, dst [][]byte, max int) int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := len(r.ring)
-	if c > max {
-		c = max
-	}
+	r.reclaimLocked()
+	c := min(r.n, max)
 	if c <= 0 {
 		return 0
 	}
-	copy(dst, r.ring[:c])
-	r.ring = r.ring[c:]
+	for i := range c {
+		dst[i] = r.popLocked()
+	}
 	r.rxBatched += uint64(c)
 	return c
 }
@@ -364,7 +470,7 @@ func (n *NIC) RxRearmOn(q int) bool {
 		return false
 	}
 	r.mu.Lock()
-	fire := len(r.ring) > 0
+	fire := r.n > 0
 	if fire {
 		r.rxRearms++
 		r.rxRaised++

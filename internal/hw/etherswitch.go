@@ -32,7 +32,8 @@ type EtherSwitch struct {
 	// so a hook that reads switch state cannot deadlock against
 	// concurrent senders or Stats callers.
 	hookMu sync.Mutex
-	held   *switchHeld //oskit:guardedby mu  frame held back by a Reorder verdict
+	held   switchHeld //oskit:guardedby mu  frame held back by a Reorder verdict
+	bufs   frameBufs  //oskit:guardedby mu  storage for the frame copies the switch owns
 
 	queueLen int //oskit:initonly  per-port egress queue bound
 
@@ -45,22 +46,26 @@ type EtherSwitch struct {
 	learned    uint64 //oskit:guardedby mu  MAC table inserts and moves
 }
 
-// switchHeld is a frame stashed by a Reorder verdict, remembering its
-// ingress port so the late delivery re-runs the forwarding decision.
+// switchHeld is a frame stashed by a Reorder verdict (a switch-owned
+// copy), remembering its ingress port so the late delivery re-runs the
+// forwarding decision.  in is nil when nothing is held.
 type switchHeld struct {
 	in    *SwitchPort
-	frame []byte
+	frame wireFrame
 }
 
 // SwitchPort is one switch port, bound to exactly one NIC by
-// EtherSwitch.Attach.
+// EtherSwitch.Attach until that NIC's machine halts.
 type SwitchPort struct {
 	sw  *EtherSwitch
 	idx int
-	nic *NIC
+	nic *NIC // guarded by sw.mu; nil once the machine has halted
 
-	q        [][]byte // bounded egress queue, guarded by sw.mu
-	draining bool     // a sender's thread is emptying q
+	// q is the bounded egress queue, a ring of switch-owned copies:
+	// q[qh], … (qn of them).  Guarded by sw.mu.
+	q        []wireFrame
+	qh, qn   int
+	draining bool // a sender's thread is emptying q
 }
 
 // DefaultSwitchQueueLen bounds each port's egress queue: deep enough
@@ -106,7 +111,8 @@ func (sw *EtherSwitch) Ports() int {
 func (sw *EtherSwitch) SetFaultHook(h WireFaultHook) {
 	sw.mu.Lock()
 	sw.hook = h
-	sw.held = nil
+	sw.bufs.put(sw.held.frame.buf)
+	sw.held = switchHeld{}
 	sw.mu.Unlock()
 }
 
@@ -148,22 +154,30 @@ func (sw *EtherSwitch) PortOf(mac [6]byte) int {
 	return -1
 }
 
-// transmitGather carries one frame from the port's NIC into the switch,
-// which flattens it (store-and-forward), consults the fault hook, learns
-// the source station, and forwards.  The frame, its duplicate and a
-// released held frame are switched in one critical section and delivered
-// after it; a second handoff to the same port queues behind the first,
-// so per-port order is frame, duplicate, held.
-func (p *SwitchPort) transmitGather(parts [][]byte) {
-	sw := p.sw
-	total := 0
-	for _, part := range parts {
-		total += len(part)
+// detach unbinds p from its NIC (the machine halted): frames the switch
+// forwards to the port from now on are lost on the dead link, and the
+// frames queued for it are discarded.
+func (sw *EtherSwitch) detach(p *SwitchPort) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	p.nic = nil
+	for p.qn > 0 {
+		sw.bufs.put(p.popLocked().buf)
 	}
-	if total < EtherHdrLen || len(parts[0]) < 6 {
+}
+
+// transmit carries one frame from the port's NIC into the switch, which
+// consults the fault hook, learns the source station, and forwards.  The
+// frame, its duplicate and a released held frame are switched in one
+// critical section and delivered after it; a second handoff to the same
+// port queues behind the first, so per-port order is frame, duplicate,
+// held.  Only a frame that has to wait is copied (store-and-forward);
+// one handed to an idle port is copied once, into the receiving ring.
+func (p *SwitchPort) transmit(f *wireFrame) {
+	sw := p.sw
+	if f.len < EtherHdrLen {
 		return
 	}
-	frame := flatten(parts, total)
 	sw.mu.Lock()
 	sw.txFrames++
 	var fault WireFault
@@ -171,10 +185,10 @@ func (p *SwitchPort) transmitGather(parts [][]byte) {
 		sw.mu.Unlock()
 		sw.hookMu.Lock()
 		//oskit:allow lockhook -- hookMu exists only to serialize this call; nothing else takes it, so no callback can deadlock on it
-		fault = hook(total)
+		fault = hook(f.len)
 		sw.hookMu.Unlock()
 		if fault.Corrupt {
-			corrupt(frame, fault.CorruptOff)
+			f.corrupt = corruptAt(f.len, fault.CorruptOff)
 		}
 		sw.mu.Lock()
 	}
@@ -184,24 +198,29 @@ func (p *SwitchPort) transmitGather(parts [][]byte) {
 		return
 	}
 	held := sw.held
-	sw.held = nil
-	if fault.Reorder && held == nil {
+	sw.held = switchHeld{}
+	if fault.Reorder && held.in == nil {
 		// Hold this frame back; the next ingress flushes it after
 		// itself, swapping the pair in fabric order.
-		sw.held = &switchHeld{in: p, frame: frame}
+		sw.held = switchHeld{in: p, frame: sw.ownLocked(f)}
 		sw.mu.Unlock()
 		return
 	}
-	var buf [1]handoff
-	idle := sw.switchLocked(p, frame, buf[:0])
+	var buf [4]handoff
+	idle := sw.switchLocked(p, f, buf[:0])
 	if fault.Duplicate {
-		idle = sw.switchLocked(p, append([]byte(nil), frame...), idle)
+		idle = sw.switchLocked(p, f, idle)
 	}
-	if held != nil {
-		idle = sw.switchLocked(held.in, held.frame, idle)
+	if held.in != nil {
+		idle = sw.switchLocked(held.in, &held.frame, idle)
 	}
 	sw.mu.Unlock()
 	deliverAll(idle)
+	if held.in != nil {
+		sw.mu.Lock()
+		sw.bufs.put(held.frame.buf)
+		sw.mu.Unlock()
+	}
 }
 
 // handoff is a frame for an egress port that was idle: the thread that
@@ -209,17 +228,17 @@ func (p *SwitchPort) transmitGather(parts [][]byte) {
 // the frame itself, so it never passes through the queue.
 type handoff struct {
 	out   *SwitchPort
-	frame []byte
+	nic   *NIC
+	frame wireFrame
 }
 
-// switchLocked makes the forwarding decision for one flattened frame:
-// it queues the frame on each busy egress port and appends a handoff to
-// idle for each idle one, which the caller delivers once sw.mu is
-// released.
-func (sw *EtherSwitch) switchLocked(in *SwitchPort, frame []byte, idle []handoff) []handoff {
-	var dst, src [6]byte
-	copy(dst[:], frame[0:6])
-	copy(src[:], frame[6:12])
+// switchLocked makes the forwarding decision for one frame: it queues a
+// copy on each busy egress port and appends a handoff to idle for each
+// idle one, which the caller delivers once sw.mu is released.
+func (sw *EtherSwitch) switchLocked(in *SwitchPort, f *wireFrame, idle []handoff) []handoff {
+	var hdr [12]byte
+	f.read(hdr[:])
+	dst, src := [6]byte(hdr[0:6]), [6]byte(hdr[6:12])
 
 	// Learn (or move) the source station to the ingress port.  The
 	// broadcast address is never a valid source; don't let a corrupt
@@ -238,71 +257,86 @@ func (sw *EtherSwitch) switchLocked(in *SwitchPort, frame []byte, idle []handoff
 			return idle
 		}
 		sw.forwarded++
-		return sw.enqueueLocked(out, frame, idle)
+		return sw.enqueueLocked(out, f, idle)
 	}
 	// Broadcast (never learned) or unknown station: flood in port order
 	// (deterministic: ports, not the MAC map, drive iteration).
 	sw.flooded++
-	first := true
 	for _, out := range sw.ports {
-		if out == in {
-			continue
+		if out != in {
+			idle = sw.enqueueLocked(out, f, idle)
 		}
-		f := frame
-		if !first {
-			// Each NIC ring takes ownership of its slice; flooding needs
-			// per-port copies beyond the first.
-			f = append([]byte(nil), frame...)
-		}
-		first = false
-		idle = sw.enqueueLocked(out, f, idle)
 	}
 	return idle
 }
 
 // enqueueLocked offers f to one egress port: an idle port (whose queue
 // is empty) becomes busy and is handed to the caller, a busy one queues
-// f behind its drainer, and a full queue drops it.
-func (sw *EtherSwitch) enqueueLocked(out *SwitchPort, f []byte, idle []handoff) []handoff {
+// a copy of f behind its drainer, and a full queue drops it.  A port
+// whose machine halted loses the frame.
+func (sw *EtherSwitch) enqueueLocked(out *SwitchPort, f *wireFrame, idle []handoff) []handoff {
 	switch {
-	case len(out.q) >= sw.queueLen:
+	case out.nic == nil:
+	case out.qn >= sw.queueLen:
 		sw.drops++ // backpressure: egress queue full
 	case !out.draining:
 		out.draining = true
-		idle = append(idle, handoff{out, f})
+		idle = append(idle, handoff{out, out.nic, *f})
 	default:
-		out.q = append(out.q, f)
+		if out.q == nil {
+			out.q = make([]wireFrame, sw.queueLen)
+		}
+		out.q[(out.qh+out.qn)%len(out.q)] = sw.ownLocked(f)
+		out.qn++
 	}
 	return idle
 }
 
+// popLocked removes the oldest queued frame.
+func (p *SwitchPort) popLocked() wireFrame {
+	f := p.q[p.qh]
+	p.q[p.qh] = wireFrame{}
+	p.qh = (p.qh + 1) % len(p.q)
+	p.qn--
+	return f
+}
+
+// ownLocked copies f into switch-owned storage, corruption applied.
+func (sw *EtherSwitch) ownLocked(f *wireFrame) wireFrame {
+	b := sw.bufs.get(f.len)
+	f.copyTo(b)
+	return wireFrame{buf: b, len: f.len, corrupt: -1}
+}
+
 // deliverAll drains every port handed over by switchLocked.
 func deliverAll(idle []handoff) {
-	for _, h := range idle {
-		h.out.drain(h.frame)
+	for i := range idle {
+		h := &idle[i]
+		h.out.drain(h.nic, &h.frame)
 	}
 }
 
-// drain delivers f into the attached NIC's receive ring outside the
-// switch lock, then empties the port's egress queue the same way.
-// Exactly one thread drains a port at a time (the draining flag);
-// frames enqueued while it runs are picked up before it exits.
-func (p *SwitchPort) drain(f []byte) {
+// drain delivers f into nic's receive ring outside the switch lock,
+// then empties the port's egress queue the same way, recycling each
+// queued copy once delivered.  Exactly one thread drains a port at a
+// time (the draining flag); frames enqueued while it runs are picked up
+// before it exits.
+func (p *SwitchPort) drain(nic *NIC, f *wireFrame) {
 	sw := p.sw
+	nic.deliver(f)
+	var delivered []byte
 	for {
-		var dst [6]byte
-		copy(dst[:], f[0:6])
-		if p.nic.accepts(dst) {
-			p.nic.deliver(f)
-		}
 		sw.mu.Lock()
-		if len(p.q) == 0 {
+		sw.bufs.put(delivered)
+		if p.qn == 0 {
 			p.draining = false
 			sw.mu.Unlock()
 			return
 		}
-		f = p.q[0]
-		p.q = p.q[1:]
+		q := p.popLocked()
+		nic = p.nic
 		sw.mu.Unlock()
+		nic.deliver(&q)
+		delivered = q.buf
 	}
 }

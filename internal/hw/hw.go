@@ -17,7 +17,10 @@
 // file systems — is written exactly as it would be against real hardware.
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Config selects the shape of a simulated machine.
 type Config struct {
@@ -44,6 +47,18 @@ type Machine struct {
 
 	nextNIC  int
 	nextDisk int
+
+	haltMu sync.Mutex
+	atHalt []func() //oskit:guardedby haltMu
+}
+
+// AtHalt registers fn to run once, at the end of Halt: how software that
+// keeps per-machine state outside the machine (a driver glue's
+// registry) forgets a machine that has powered off.
+func (m *Machine) AtHalt(fn func()) {
+	m.haltMu.Lock()
+	m.atHalt = append(m.atHalt, fn)
+	m.haltMu.Unlock()
 }
 
 // CPUs reports the number of logical CPUs the machine was powered on with.
@@ -112,17 +127,40 @@ func (m *Machine) AttachDisk(d *Disk) *Disk {
 	return d
 }
 
-// Halt powers the machine off: the timer stops and the interrupt
-// dispatcher exits.  Matching the paper's §6.2.10 deficiency, no device
-// cleanup is performed — an OSKit application that "exits" just reboots.
+// Halt powers the machine off: its NICs leave their switch ports, so no
+// other machine's thread delivers into it; the timer, the disks and the
+// interrupt dispatchers stop; then memory and disk images are unmapped.
+// A slice of either must not be touched after Halt returns (under
+// oskitrefdebug it faults).  Matching the paper's §6.2.10 deficiency, no
+// driver cleanup is performed — an OSKit application that "exits" just
+// reboots.  Halt is idempotent.
 func (m *Machine) Halt() {
+	devs := m.Bus.Devices()
+	for _, d := range devs {
+		if nic, ok := d.HW.(*NIC); ok {
+			nic.detach()
+		}
+	}
 	m.Timer.Stop()
-	for _, d := range m.Bus.Devices() {
+	for _, d := range devs {
 		if disk, ok := d.HW.(*Disk); ok {
 			disk.stop()
 		}
 	}
 	m.Intr.stop()
+	for _, d := range devs {
+		if disk, ok := d.HW.(*Disk); ok {
+			disk.release()
+		}
+	}
+	m.Mem.release()
+	m.haltMu.Lock()
+	hooks := m.atHalt
+	m.atHalt = nil
+	m.haltMu.Unlock()
+	for _, fn := range hooks {
+		fn()
+	}
 }
 
 // Device ID constants used by the simulated bus.

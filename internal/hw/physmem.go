@@ -1,6 +1,9 @@
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // PhysAddr is a simulated physical memory address.
 type PhysAddr = uint32
@@ -20,13 +23,25 @@ const DMALimit PhysAddr = 16 << 20
 // Code that needs to translate a buffer back to its physical address (for
 // DMA programming, §4.7.8) must carry the address alongside the slice; the
 // kit's allocators all hand out (address, slice) pairs for this reason.
+//
+// The backing array is an anonymous mapping, not a Go slice (mapMem):
+// it is released when the machine halts, after which no slice of it may
+// be touched.
 type PhysMem struct {
-	data []byte
+	data     []byte
+	released atomic.Bool
 }
 
-// NewPhysMem allocates size bytes of zeroed physical memory.
+// NewPhysMem maps size bytes of zeroed physical memory.
 func NewPhysMem(size uint32) *PhysMem {
-	return &PhysMem{data: make([]byte, size)}
+	return &PhysMem{data: mapMem(uint64(size))}
+}
+
+// release gives the memory back (Machine.Halt); idempotent.
+func (p *PhysMem) release() {
+	if !p.released.Swap(true) {
+		unmapMem(p.data)
+	}
 }
 
 // Size returns the physical memory size in bytes.

@@ -216,7 +216,9 @@ func TestSingleQueueUnchanged(t *testing.T) {
 	if n.RxQueues() != 1 || n.RxIRQ(0) != IRQNIC0 || n.RxIRQ(1) != -1 {
 		t.Fatalf("queues=%d irq0=%d irq1=%d", n.RxQueues(), n.RxIRQ(0), n.RxIRQ(1))
 	}
-	n.receive(rssFrame(rssProtoTCP, 1, 2, 3, 4, 0, 8))
+	n.SetPromiscuous(true) // the frame names no station
+	f := rssFrame(rssProtoTCP, 1, 2, 3, 4, 0, 8)
+	n.deliver(&wireFrame{buf: f, len: len(f), corrupt: -1})
 	if f := n.RxPop(); f == nil {
 		t.Fatal("RxPop returned nil after receive")
 	}

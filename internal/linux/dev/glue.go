@@ -101,6 +101,9 @@ type Glue struct {
 	// kmalloc bucket free lists: [class][dma?]; class i holds blocks of
 	// 32<<i bytes.
 	buckets [kmBuckets][2][]*legacy.KBuf //oskit:guardedby klMu
+	// kbufs recycles the descriptors of blocks kfreed back to a client
+	// service or the pool: the block is freed, its Go header reused.
+	kbufs []*legacy.KBuf //oskit:guardedby klMu
 }
 
 const (
@@ -132,7 +135,7 @@ func (g *Glue) bucketAlloc(size uint32, gfp int) *legacy.KBuf {
 		if !ok {
 			return nil
 		}
-		return &legacy.KBuf{Addr: addr, Data: buf}
+		return g.kbufLocked(addr, buf, false)
 	}
 	list := g.buckets[cls][dma]
 	if len(list) == 0 {
@@ -156,6 +159,7 @@ func (g *Glue) bucketFree(b *legacy.KBuf) {
 	cls, _ := kmClass(uint32(len(b.Data)))
 	if cls < 0 {
 		g.env.MemFree(b.Addr, uint32(len(b.Data)))
+		g.putKbufLocked(b)
 		return
 	}
 	dma := 0
@@ -163,6 +167,28 @@ func (g *Glue) bucketFree(b *legacy.KBuf) {
 		dma = 1
 	}
 	g.buckets[cls][dma] = append(g.buckets[cls][dma], b)
+}
+
+// kbufLocked returns a descriptor for a block, reusing a recycled one.
+// Called with klMu held.
+func (g *Glue) kbufLocked(addr uint32, data []byte, pooled bool) *legacy.KBuf {
+	var b *legacy.KBuf
+	if n := len(g.kbufs); n > 0 {
+		b = g.kbufs[n-1]
+		g.kbufs[n-1] = nil
+		g.kbufs = g.kbufs[:n-1]
+	} else {
+		b = new(legacy.KBuf)
+	}
+	*b = legacy.KBuf{Addr: addr, Data: data, Pooled: pooled}
+	return b
+}
+
+// putKbufLocked recycles the descriptor of a freed block.  Called with
+// klMu held.
+func (g *Glue) putKbufLocked(b *legacy.KBuf) {
+	*b = legacy.KBuf{}
+	g.kbufs = append(g.kbufs, b)
 }
 
 func kmClass(size uint32) (int, uint32) {
@@ -183,6 +209,7 @@ var (
 
 // GlueFor returns (creating on first use) the machine's Linux glue: the
 // analog of linking the donor code into that machine's kernel image.
+// The registry forgets the glue when the machine halts.
 // An encapsulated image binds the allocator service registered under
 // com.AllocatorIID at that moment, if any — the fast path is part of
 // the assembly, so it is registered before the first probe.
@@ -227,6 +254,11 @@ func glueFor(env *core.Env, native bool) *Glue {
 	set.Release()
 	g.kern = g.buildKernel()
 	glues[env] = g
+	env.Machine.AtHalt(func() {
+		gluesMu.Lock()
+		delete(glues, env)
+		gluesMu.Unlock()
+	})
 	return g
 }
 
@@ -272,7 +304,7 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 			// addresses all memory, like PCI-era hardware without the
 			// ISA 16 MB limit.
 			if addr, buf, ok := g.pool.AllocMem(size); ok {
-				b = &legacy.KBuf{Addr: addr, Data: buf, Pooled: true}
+				b = g.kbufLocked(addr, buf, true)
 			}
 		} else {
 			var flags core.MemFlags
@@ -280,7 +312,7 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 				flags |= core.MemDMA
 			}
 			if addr, buf, ok := env.MemAlloc(size, flags, 8); ok {
-				b = &legacy.KBuf{Addr: addr, Data: buf}
+				b = g.kbufLocked(addr, buf, false)
 			}
 		}
 		g.klMu.Unlock()
@@ -296,10 +328,12 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 		switch {
 		case b.Pooled:
 			g.pool.FreeMem(b.Addr, uint32(len(b.Data)))
+			g.putKbufLocked(b)
 		case g.nativeKmalloc:
 			g.bucketFree(b)
 		default:
 			env.MemFree(b.Addr, uint32(len(b.Data)))
+			g.putKbufLocked(b)
 		}
 		g.klMu.Unlock()
 		g.scKfrees.Inc()
@@ -504,27 +538,35 @@ func (c *nicChip) RxFrameInto(dst []byte) int {
 	return copy(dst, f)
 }
 
-// diskChip adapts hw.Disk to legacy.DiskChip.
+// diskChip adapts hw.Disk to legacy.DiskChip.  Request records are
+// recycled: one goes back to the free list when its completion is
+// reaped.
 type diskChip struct {
 	disk           *hw.Disk
 	vendor, device uint16
 
 	mu   sync.Mutex
-	tags map[*hw.DiskReq]any
+	free []*hw.DiskReq //oskit:guardedby mu
 }
 
 func newDiskChip(d *hw.Disk, vendor, device uint16) *diskChip {
-	return &diskChip{disk: d, vendor: vendor, device: device, tags: map[*hw.DiskReq]any{}}
+	return &diskChip{disk: d, vendor: vendor, device: device}
 }
 
 func (c *diskChip) IDs() (uint16, uint16) { return c.vendor, c.device }
 func (c *diskChip) Sectors() uint32       { return c.disk.Sectors() }
 
 func (c *diskChip) Start(write bool, sector, count uint32, buf []byte, tag any) {
-	r := &hw.DiskReq{Write: write, Sector: sector, Count: count, Buf: buf}
 	c.mu.Lock()
-	c.tags[r] = tag
+	var r *hw.DiskReq
+	if n := len(c.free); n > 0 {
+		r = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		r = new(hw.DiskReq)
+	}
 	c.mu.Unlock()
+	*r = hw.DiskReq{Write: write, Sector: sector, Count: count, Buf: buf, Tag: tag}
 	c.disk.Submit(r)
 }
 
@@ -533,9 +575,10 @@ func (c *diskChip) Done() (any, error, bool) {
 	if r == nil {
 		return nil, nil, false
 	}
+	tag, err := r.Tag, r.Err
+	*r = hw.DiskReq{}
 	c.mu.Lock()
-	tag := c.tags[r]
-	delete(c.tags, r)
+	c.free = append(c.free, r)
 	c.mu.Unlock()
-	return tag, r.Err, true
+	return tag, err, true
 }

@@ -19,12 +19,18 @@ type skbIO struct {
 	skb *legacy.SKBuff
 }
 
-// wrapSKB wraps an skbuff, consuming the caller's skb reference.
+// wrapSKB wraps an skbuff, consuming the caller's skb reference.  The
+// wrapper is built the first time its skbuff header is exported and
+// stays in the COM slot as the kernel recycles the header, so later
+// exports allocate nothing.
 func (g *Glue) wrapSKB(skb *legacy.SKBuff) *skbIO {
-	b := &skbIO{g: g, skb: skb}
+	b, _ := skb.COMSlot.(*skbIO)
+	if b == nil {
+		b = &skbIO{g: g, skb: skb}
+		b.OnLastRelease = skb.Free
+		skb.COMSlot = b
+	}
 	b.Init()
-	b.OnLastRelease = func() { skb.COMSlot = nil; skb.Free() }
-	skb.COMSlot = b
 	return b
 }
 

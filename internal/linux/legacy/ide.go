@@ -1,6 +1,9 @@
 package legacy
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // sIDE: the kit's donor IDE disk driver, in the Linux request-queue
 // style: requests are started on the controller, the caller sleeps on the
@@ -38,6 +41,12 @@ type IDEDisk struct {
 	Chip DiskChip
 
 	opened bool
+
+	// reqs is the driver's free list of request records (Linux's
+	// all_requests[]): a record and its wait queue are reused, so a
+	// sector transfer allocates nothing.
+	reqMu sync.Mutex
+	reqs  []*IDERequest
 }
 
 // IDEProbe examines one candidate controller and registers a disk when it
@@ -119,10 +128,33 @@ func (d *IDEDisk) DoRequest(r *IDERequest) error {
 
 // ReadSectors is the convenience read path.
 func (d *IDEDisk) ReadSectors(sector, count uint32, buf []byte) error {
-	return d.DoRequest(&IDERequest{Sector: sector, Count: count, Buf: buf})
+	return d.transfer(false, sector, count, buf)
 }
 
 // WriteSectors is the convenience write path.
 func (d *IDEDisk) WriteSectors(sector, count uint32, buf []byte) error {
-	return d.DoRequest(&IDERequest{Write: true, Sector: sector, Count: count, Buf: buf})
+	return d.transfer(true, sector, count, buf)
+}
+
+// transfer runs one request on a record from the free list.  A record
+// goes back only once DoRequest has returned, when the interrupt
+// handler is done with it.
+func (d *IDEDisk) transfer(write bool, sector, count uint32, buf []byte) error {
+	d.reqMu.Lock()
+	var r *IDERequest
+	if n := len(d.reqs); n > 0 {
+		r = d.reqs[n-1]
+		d.reqs = d.reqs[:n-1]
+	} else {
+		r = &IDERequest{}
+	}
+	d.reqMu.Unlock()
+	r.Write, r.Sector, r.Count, r.Buf, r.Err = write, sector, count, buf, nil
+	r.Done.Store(false)
+	err := d.DoRequest(r)
+	r.Buf = nil
+	d.reqMu.Lock()
+	d.reqs = append(d.reqs, r)
+	d.reqMu.Unlock()
+	return err
 }

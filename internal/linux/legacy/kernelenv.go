@@ -107,6 +107,8 @@ type Kernel struct {
 	// netDevs and disks are the donor registration lists.
 	netDevs []*NetDevice
 	disks   []*IDEDisk
+
+	skbs skbCache
 }
 
 // RegisterNetdev adds a probed network device to the donor's device list.

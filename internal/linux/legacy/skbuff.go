@@ -1,6 +1,9 @@
 package legacy
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // SKBuff is the Linux network packet buffer: one contiguous allocation
 // whose implementation details are "thoroughly known throughout" the
@@ -38,6 +41,47 @@ type SKBuff struct {
 	// skbuffs exist only on the transmit path and only drivers that
 	// declare FeatSG ever see one; everything else must Flatten first.
 	frags [][]byte
+
+	one      [1][]byte // Runs' list for a contiguous skbuff
+	nextFree *SKBuff   // the kernel's skbuff free list
+}
+
+// skbCache is the kernel's free list of skbuff headers (Linux's
+// skbuff_head_cache): only the header is recycled; every packet's data
+// area is still kmalloc'd and kfreed, so the kmalloc counters see each
+// one.
+type skbCache struct {
+	mu   sync.Mutex
+	free *SKBuff
+}
+
+// newSKB takes a header from the free list, or builds one.
+func (k *Kernel) newSKB() *SKBuff {
+	k.skbs.mu.Lock()
+	skb := k.skbs.free
+	if skb != nil {
+		k.skbs.free = skb.nextFree
+		skb.nextFree = nil
+	}
+	k.skbs.mu.Unlock()
+	if skb == nil {
+		skb = &SKBuff{Kern: k}
+	}
+	skb.users.Store(1)
+	return skb
+}
+
+// recycle clears a header whose last reference is gone and puts it on
+// the free list.  COMSlot survives: the glue's wrapper is recycled with
+// the header it lives in.
+func (skb *SKBuff) recycle() {
+	skb.buf, skb.Head, skb.Data, skb.Len, skb.dataOff = nil, nil, nil, 0, 0
+	skb.Dev, skb.fake, skb.frags, skb.one[0] = nil, false, nil, nil
+	k := skb.Kern
+	k.skbs.mu.Lock()
+	skb.nextFree = k.skbs.free
+	k.skbs.free = skb
+	k.skbs.mu.Unlock()
 }
 
 // AllocSKB allocates a buffer with room for size bytes of packet data
@@ -48,9 +92,9 @@ func (k *Kernel) AllocSKB(size int) *SKBuff {
 	if buf == nil {
 		return nil
 	}
-	skb := &SKBuff{Kern: k, buf: buf, Head: buf.Data[:size]}
+	skb := k.newSKB()
+	skb.buf, skb.Head = buf, buf.Data[:size]
 	skb.Data = skb.Head[:0]
-	skb.users.Store(1)
 	return skb
 }
 
@@ -58,8 +102,8 @@ func (k *Kernel) AllocSKB(size int) *SKBuff {
 // the glue's trick for transmit packets whose BufIO could be mapped
 // (§4.7.3).  The result must not outlive data.
 func (k *Kernel) FakeSKB(data []byte) *SKBuff {
-	skb := &SKBuff{Kern: k, Head: data, Data: data, Len: len(data), fake: true}
-	skb.users.Store(1)
+	skb := k.newSKB()
+	skb.Head, skb.Data, skb.Len, skb.fake = data, data, len(data), true
 	return skb
 }
 
@@ -72,12 +116,12 @@ func (k *Kernel) FakeSKBGather(parts [][]byte) *SKBuff {
 	for _, p := range parts {
 		total += len(p)
 	}
-	skb := &SKBuff{Kern: k, Len: total, frags: parts, fake: true}
+	skb := k.newSKB()
+	skb.Len, skb.frags, skb.fake = total, parts, true
 	if len(parts) > 0 {
 		skb.Head = parts[0]
 		skb.Data = parts[0]
 	}
-	skb.users.Store(1)
 	return skb
 }
 
@@ -91,7 +135,8 @@ func (skb *SKBuff) Runs() [][]byte {
 	if skb.frags != nil {
 		return skb.frags
 	}
-	return [][]byte{skb.Data}
+	skb.one[0] = skb.Data
+	return skb.one[:]
 }
 
 // Flatten returns the packet as one contiguous byte run, copying only
@@ -176,15 +221,16 @@ func (skb *SKBuff) Get() *SKBuff {
 }
 
 // Free drops one reference, kfreeing the backing storage at zero
-// (kfree_skb).
+// (kfree_skb) and returning the header to the kernel's free list: the
+// skbuff must not be touched after its last Free.
 func (skb *SKBuff) Free() {
-	if skb.users.Add(-1) > 0 {
-		return
+	if skb.users.Add(-1) != 0 {
+		return // still referenced, or an over-free, which is ignored
 	}
 	if skb.buf != nil && !skb.fake {
 		skb.Kern.Kfree(skb.buf)
-		skb.buf = nil
 	}
+	skb.recycle()
 }
 
 // Users reports the current reference count (tests).

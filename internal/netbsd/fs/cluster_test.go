@@ -57,7 +57,7 @@ func newClusterFS(t *testing.T, nblk int, holes ...int) *clusterFS {
 		t.Fatal(err)
 	}
 	for lbn := range uint32(nblk) {
-		blk, err := fs.bmap(di, lbn, false)
+		blk, err := fs.bmap(&di, lbn, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,6 +119,8 @@ type FFS struct {
 	nextEvent uint32
 	unmounted bool
 
+	pins pinCache // sendfile's recycled pin objects (sendfile.go)
+
 	// concurrent arms entryMu (see SetConcurrent).
 	concurrent bool
 	entryMu    ffsEntryLock
@@ -295,20 +297,19 @@ func (fs *FFS) ifree(ino uint32) error {
 }
 
 // iget reads an inode.
-func (fs *FFS) iget(ino uint32) (*dinode, error) {
+func (fs *FFS) iget(ino uint32) (di dinode, err error) {
 	if ino == 0 || ino >= fs.sb.ninodes {
-		return nil, bsdglue.EINVAL
+		return di, bsdglue.EINVAL
 	}
 	blk := fs.sb.inodeTableStart + ino/(BlockSize/InodeSize)
 	b, err := fs.cache.bread(blk)
 	if err != nil {
-		return nil, err
+		return di, err
 	}
-	var di dinode
 	off := (ino % (BlockSize / InodeSize)) * InodeSize
 	di.decode(b.data[off : off+InodeSize])
 	fs.cache.brelse(b)
-	return &di, nil
+	return di, nil
 }
 
 // iput writes an inode back.

@@ -90,7 +90,7 @@ func (v *vnode) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 			// would be manufactured out of a disk fault.
 			return nil, err
 		}
-		if isDir(di) {
+		if isDir(&di) {
 			v.AddRef()
 			return v, nil
 		}
@@ -104,7 +104,7 @@ func (v *vnode) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !isDir(di) {
+		if !isDir(&di) {
 			v.AddRef()
 			return v, nil
 		}
@@ -182,10 +182,10 @@ func (v *vnode) ReadAt(buf []byte, offset uint64) (n uint, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if isDir(di) {
+	if isDir(&di) {
 		return 0, com.ErrIsDir
 	}
-	return v.fs.readi(di, buf, offset)
+	return v.fs.readi(&di, buf, offset)
 }
 
 // WriteAt implements com.File.
@@ -195,11 +195,11 @@ func (v *vnode) WriteAt(buf []byte, offset uint64) (n uint, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if isDir(di) {
+	if isDir(&di) {
 		return 0, com.ErrIsDir
 	}
-	n, werr := v.fs.writei(di, buf, offset)
-	if err := v.fs.iput(v.ino, di); err != nil {
+	n, werr := v.fs.writei(&di, buf, offset)
+	if err := v.fs.iput(v.ino, &di); err != nil {
 		return n, err
 	}
 	return n, werr
@@ -232,13 +232,13 @@ func (v *vnode) SetSize(size uint64) (err error) {
 	if err != nil {
 		return err
 	}
-	if isDir(di) {
+	if isDir(&di) {
 		return com.ErrIsDir
 	}
-	if err := v.fs.itrunc(di, size); err != nil {
+	if err := v.fs.itrunc(&di, size); err != nil {
 		return err
 	}
-	return v.fs.iput(v.ino, di)
+	return v.fs.iput(v.ino, &di)
 }
 
 // Sync implements com.File (whole-cache flush, as small FFSes did).
@@ -288,7 +288,7 @@ func (v *vnode) Create(name string, mode uint32, excl bool) (f com.File, err err
 		if err != nil {
 			return nil, err
 		}
-		if isDir(edi) {
+		if isDir(&edi) {
 			return nil, com.ErrIsDir
 		}
 		return v.fs.newVnode(ino), nil
@@ -329,7 +329,7 @@ func (v *vnode) Mkdir(name string, mode uint32) (err error) {
 		return err
 	}
 	ndi.nlink = 2
-	if err := v.fs.iput(ino, ndi); err != nil {
+	if err := v.fs.iput(ino, &ndi); err != nil {
 		return err
 	}
 	if err := v.fs.dirEnter(di, name, ino); err != nil {
@@ -357,7 +357,7 @@ func (v *vnode) Unlink(name string) (err error) {
 	if err != nil {
 		return err
 	}
-	if isDir(tdi) {
+	if isDir(&tdi) {
 		return com.ErrIsDir
 	}
 	if err := v.fs.dirRemove(di, slot); err != nil {
@@ -365,9 +365,9 @@ func (v *vnode) Unlink(name string) (err error) {
 	}
 	tdi.nlink--
 	if tdi.nlink == 0 {
-		return v.fs.ifreeData(ino, tdi)
+		return v.fs.ifreeData(ino, &tdi)
 	}
-	return v.fs.iput(ino, tdi)
+	return v.fs.iput(ino, &tdi)
 }
 
 // Rmdir implements com.Dir.
@@ -388,10 +388,10 @@ func (v *vnode) Rmdir(name string) (err error) {
 	if err != nil {
 		return err
 	}
-	if !isDir(tdi) {
+	if !isDir(&tdi) {
 		return com.ErrNotDir
 	}
-	empty, err := v.fs.dirEmpty(tdi)
+	empty, err := v.fs.dirEmpty(&tdi)
 	if err != nil {
 		return err
 	}
@@ -401,7 +401,7 @@ func (v *vnode) Rmdir(name string) (err error) {
 	if err := v.fs.dirRemove(di, slot); err != nil {
 		return err
 	}
-	if err := v.fs.ifreeData(ino, tdi); err != nil {
+	if err := v.fs.ifreeData(ino, &tdi); err != nil {
 		return err
 	}
 	di.nlink--
@@ -439,7 +439,7 @@ func (v *vnode) Rename(old string, newDir com.Dir, newName string) (err error) {
 		if err != nil {
 			return err
 		}
-		if isDir(ddi2) {
+		if isDir(&ddi2) {
 			return com.ErrIsDir
 		}
 		if err := v.fs.dirRemove(ddi, dstSlot); err != nil {
@@ -447,10 +447,10 @@ func (v *vnode) Rename(old string, newDir com.Dir, newName string) (err error) {
 		}
 		ddi2.nlink--
 		if ddi2.nlink == 0 {
-			if err := v.fs.ifreeData(dstIno, ddi2); err != nil {
+			if err := v.fs.ifreeData(dstIno, &ddi2); err != nil {
 				return err
 			}
-		} else if err := v.fs.iput(dstIno, ddi2); err != nil {
+		} else if err := v.fs.iput(dstIno, &ddi2); err != nil {
 			return err
 		}
 		// Re-read the directory inode if it is the same as the source.
@@ -509,10 +509,10 @@ func (v *vnode) dirInode() (*dinode, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !isDir(di) {
+	if !isDir(&di) {
 		return nil, com.ErrNotDir
 	}
-	return di, nil
+	return &di, nil
 }
 
 var _ com.Dir = (*vnode)(nil)

@@ -131,7 +131,7 @@ func (fs *FFS) Fsck() (errs []error) {
 		// Claim data blocks.
 		nblks := uint32((di.size + BlockSize - 1) / BlockSize)
 		for lbn := uint32(0); lbn < nblks; lbn++ {
-			blk, err := fs.bmap(di, lbn, false)
+			blk, err := fs.bmap(&di, lbn, false)
 			if err != nil || blk == 0 {
 				continue
 			}
@@ -151,8 +151,8 @@ func (fs *FFS) Fsck() (errs []error) {
 				}
 			}
 		}
-		if isDir(di) {
-			ents, err := fs.dirList(di)
+		if isDir(&di) {
+			ents, err := fs.dirList(&di)
 			if err != nil {
 				report("directory %d unreadable", ino)
 				return

@@ -1,6 +1,8 @@
 package netbsdfs
 
 import (
+	"sync"
+
 	"oskit/internal/com"
 )
 
@@ -22,13 +24,58 @@ import (
 // cluster read (breadRun), the other way one caller holds buffers busy.
 const maxPinBlocks = nbufs / 4
 
-// filePin is one pinned scatter-gather export of a file range.
+// filePin is one pinned scatter-gather export of a file range.  Pins
+// are recycled through the file system's pinCache: the last Release
+// unpins the pages and returns the object, lists and all, so a window
+// exported in steady state allocates nothing.
 type filePin struct {
 	com.RefCount
 	cache  *bcache
+	free   *pinCache
 	pinned []*buf
 	parts  [][]byte
+	sg     [][]byte // MapSG's result, reused
 	size   uint
+	next   *filePin
+}
+
+// pinCache is a file system's free list of filePin objects.  A pin is
+// released from transmit completion, outside the component, so the
+// list has its own lock.
+type pinCache struct {
+	mu   sync.Mutex
+	free *filePin
+}
+
+// get returns a cleared pin bound to cache.
+func (pc *pinCache) get(cache *bcache) *filePin {
+	pc.mu.Lock()
+	p := pc.free
+	if p != nil {
+		pc.free = p.next
+		p.next = nil
+	}
+	pc.mu.Unlock()
+	if p == nil {
+		p = &filePin{cache: cache, free: pc}
+		p.OnLastRelease = p.unpinAll
+	}
+	return p
+}
+
+// unpinAll is the last Release: unpin every page, then recycle.
+func (p *filePin) unpinAll() {
+	for _, b := range p.pinned {
+		p.cache.unpin(b)
+	}
+	clear(p.pinned)
+	clear(p.parts)
+	p.pinned, p.parts, p.size = p.pinned[:0], p.parts[:0], 0
+	pc := p.free
+	pc.mu.Lock()
+	p.next = pc.free
+	pc.free = p
+	pc.mu.Unlock()
 }
 
 // MapFileSG implements com.Sendfile on a regular file: resolve every
@@ -42,7 +89,7 @@ func (v *vnode) MapFileSG(offset, amount uint64) (sg com.SGBufIO, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if isDir(di) {
+	if isDir(&di) {
 		return nil, com.ErrIsDir
 	}
 	if amount == 0 || offset+amount < offset || offset+amount > di.size {
@@ -57,7 +104,7 @@ func (v *vnode) MapFileSG(offset, amount uint64) (sg com.SGBufIO, err error) {
 	// pinned.
 	var blks [maxPinBlocks]uint32
 	for i := range count {
-		blk, err := v.fs.bmap(di, firstLbn+i, false)
+		blk, err := v.fs.bmap(&di, firstLbn+i, false)
 		if err != nil {
 			return nil, err
 		}
@@ -67,15 +114,13 @@ func (v *vnode) MapFileSG(offset, amount uint64) (sg com.SGBufIO, err error) {
 		blks[i] = blk
 	}
 
-	p := &filePin{cache: v.fs.cache, size: uint(amount),
-		pinned: make([]*buf, 0, count), parts: make([][]byte, 0, count)}
+	p := v.fs.pins.get(v.fs.cache)
+	p.size = uint(amount)
 	for i, blk := range blks[:count] {
 		lbn := firstLbn + uint32(i)
-		b, err := v.fs.breadFile(di, lbn, blk, count-uint32(i))
+		b, err := v.fs.breadFile(&di, lbn, blk, count-uint32(i))
 		if err != nil {
-			for _, b := range p.pinned {
-				v.fs.cache.unpin(b)
-			}
+			p.unpinAll()
 			return nil, err
 		}
 		// Pin under B_BUSY, then release the buffer lock: the pin only
@@ -94,11 +139,6 @@ func (v *vnode) MapFileSG(offset, amount uint64) (sg com.SGBufIO, err error) {
 		p.parts = append(p.parts, b.data[lo:hi])
 	}
 	p.Init()
-	p.OnLastRelease = func() {
-		for _, b := range p.pinned {
-			p.cache.unpin(b)
-		}
-	}
 	return p, nil
 }
 
@@ -180,12 +220,13 @@ func (p *filePin) Wire() (uint32, error) { return 0, com.ErrNotImplemented }
 // Unwire implements com.BufIO.
 func (p *filePin) Unwire() error { return nil }
 
-// MapSG implements com.SGBufIO: the fragment list, in file order.
+// MapSG implements com.SGBufIO: the fragment list, in file order, valid
+// until the pin's next MapSG.
 func (p *filePin) MapSG(offset, amount uint) ([][]byte, error) {
 	if uint64(offset)+uint64(amount) > uint64(p.size) {
 		return nil, com.ErrInval
 	}
-	var out [][]byte
+	out := p.sg[:0]
 	skip := offset
 	left := amount
 	for _, part := range p.parts {
@@ -204,6 +245,7 @@ func (p *filePin) MapSG(offset, amount uint) ([][]byte, error) {
 		out = append(out, run)
 		left -= uint(len(run))
 	}
+	p.sg = out
 	return out, nil
 }
 
