@@ -292,8 +292,9 @@ func newNode(cfg Config, sw *hw.EtherSwitch, unit byte, ip [4]byte, tick time.Du
 		if opts.FastPath {
 			// The fast-path assembly: one QuickPool per node, registered
 			// as the allocator service before any component is built, so
-			// the glue's kmalloc and the stack's small mbufs both draw
-			// from it (§4.2.2: components find services in the registry).
+			// the glue's kmalloc draws skbuff data from it and the stack's
+			// SendFile finds the page seam (§4.2.2: components find
+			// services in the registry).
 			n.QP = libc.NewQuickPoolService(n.C)
 			// One RSS-hashed receive ring per CPU before the encapsulated
 			// driver opens the controller; the polled receive path

@@ -10,7 +10,7 @@ import (
 )
 
 // The fast-path soak regime: the opt-in E11 configuration (scatter-
-// gather transmit, QuickPool packet allocation) carries the CRC-
+// gather transmit, QuickPool skbuff allocation) carries the CRC-
 // verified transfer through the harness's hostile-wire regime.  The
 // fast path removes a copy from the send side, so every corrupted or
 // reordered frame now carries bytes the NIC gathered straight out of
@@ -73,8 +73,10 @@ func TestFastPathSoakHostileWire(t *testing.T) {
 }
 
 // Allocation-failure chaos at the QuickPool seam: the injector fails
-// allocations inside the very allocator the fast-path packet code
-// draws from (small mbufs, receive skbuffs).  The transfer may fail
+// allocations inside the very allocator the fast-path driver glue
+// draws skbuff data from (the stack's mbufs and clusters come from the
+// BSD malloc through its free lists, so a sender's pool decides about
+// one event per received frame, not one per mbuf).  The transfer may fail
 // gracefully — an injected exhaustion inside a send can surface as
 // ErrNoMem, exactly like real exhaustion — but nothing may crash or
 // leak, and the qp decision stream must replay bit-identically from
@@ -95,14 +97,15 @@ func TestFastPathAllocFaults(t *testing.T) {
 	defer p.Halt()
 	in := p.EnableFaults(plan)
 
-	if err := RunTTCP(p, 16, 4096, 5661, plan.Seed, 60*time.Second); err != nil {
+	if err := RunTTCP(p, 48, 4096, 5661, plan.Seed, 60*time.Second); err != nil {
 		t.Logf("transfer failed gracefully under qp alloc faults: %v", err)
 	}
 
 	// The qp seam was exercised and fired (alloc.nth=40 is guaranteed
-	// once the sender's pool has decided 40 allocations, which a
-	// 16-block transfer always reaches).
+	// once the sender's pool has decided 40 allocations; a 48-block
+	// transfer decides about twice that).
 	qp := in.Point("qp.send")
+	t.Logf("qp.send decided %d events, fired %d", qp.Events(), qp.Injected())
 	if qp.Events() < 40 {
 		t.Fatalf("qp.send decided only %d events", qp.Events())
 	}

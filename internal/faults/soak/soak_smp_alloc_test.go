@@ -31,11 +31,12 @@ func TestSMPAllocFaultsReplay(t *testing.T) {
 	defer p.Halt()
 	in := p.EnableFaults(plan)
 
-	if err := RunTTCP(p, 16, 4096, 5662, plan.Seed, 60*time.Second); err != nil {
+	if err := RunTTCP(p, 48, 4096, 5662, plan.Seed, 60*time.Second); err != nil {
 		t.Logf("transfer failed gracefully under qp alloc faults: %v", err)
 	}
 
 	qp := in.Point("qp.send")
+	t.Logf("qp.send decided %d events, fired %d", qp.Events(), qp.Injected())
 	if qp.Events() < 40 {
 		t.Fatalf("qp.send decided only %d events", qp.Events())
 	}

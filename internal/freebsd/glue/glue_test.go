@@ -444,34 +444,6 @@ func TestMallocInvariantProperty(t *testing.T) {
 	}
 }
 
-// An injected malloc failure must look exactly like memory exhaustion:
-// Alloc reports failure, live bytes do not move, and service resumes
-// when the hook stops firing.
-func TestMallocFaultHook(t *testing.T) {
-	g := testGlue(t)
-	m := g.Malloc
-
-	fails := 0
-	m.SetFaultHook(func(size uint32) bool { fails++; return fails <= 2 })
-	for i := 0; i < 2; i++ {
-		if _, _, ok := m.Alloc(64); ok {
-			t.Fatal("hooked allocation succeeded")
-		}
-	}
-	if m.LiveBytes() != 0 {
-		t.Fatalf("failed allocations left %d live bytes", m.LiveBytes())
-	}
-	addr, _, ok := m.Alloc(64)
-	if !ok {
-		t.Fatal("allocation failed after hook stopped firing")
-	}
-	m.Free(addr)
-	m.SetFaultHook(nil)
-	if _, _, ok := m.Alloc(64); !ok {
-		t.Fatal("allocation failed after hook removal")
-	}
-}
-
 // TestCOMErrorTranslatesEveryErrno: each donor errno leaves as a COM
 // error with the same text, and anything else passes unchanged.
 func TestCOMErrorTranslatesEveryErrno(t *testing.T) {

@@ -66,10 +66,6 @@ type Malloc struct {
 
 	allocated uint64 //oskit:guardedby mu  live bytes, for statistics
 
-	// hook, when set, may veto an allocation before the buckets are
-	// consulted (fault injection; see SetFaultHook).
-	hook func(size uint32) bool //oskit:guardedby mu
-
 	// com.Stats export handles (nil-safe; see initStats).
 	scAllocs *stats.Counter
 	scFrees  *stats.Counter
@@ -91,19 +87,6 @@ func (m *Malloc) initStats(set *stats.Set) {
 	m.scTable = set.Gauge("malloc.table_bytes")
 }
 
-// SetFaultHook installs (or, with nil, removes) an allocation-failure
-// hook: when it returns true the allocation fails exactly as memory
-// exhaustion would (counted in malloc.failures).  The write is made
-// under the allocator's own exclusion so the hook may be toggled while
-// donor code allocates.
-func (m *Malloc) SetFaultHook(h func(size uint32) bool) {
-	s := m.g.Splhigh()
-	m.mu.Lock()
-	m.hook = h
-	m.mu.Unlock()
-	m.g.Splx(s)
-}
-
 // bucketFor returns the bucket index whose block size holds size.
 func bucketFor(size uint32) (idx int, blockSize uint32) {
 	bs := uint32(1) << minBucketShift
@@ -117,31 +100,16 @@ func bucketFor(size uint32) (idx int, blockSize uint32) {
 }
 
 // Alloc allocates size bytes with the three BSD properties.  Callable at
-// interrupt level (the mbuf code does).
+// interrupt level (the mbuf code does).  It fails only when the client
+// has no page to give (env.MemAlloc, where fault injection fails it too).
 func (m *Malloc) Alloc(size uint32) (hw.PhysAddr, []byte, bool) {
 	if size == 0 {
 		return 0, nil, false
 	}
 	s := m.g.Splhigh()
 	defer m.g.Splx(s)
-
-	// The fault hook is an interposed callback; read it under the lock,
-	// run it outside (the lockhook hazard class).
-	m.mu.Lock()
-	hook := m.hook
-	m.mu.Unlock()
-	if hook != nil && hook(size) {
-		m.scFails.Inc()
-		return 0, nil, false
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.allocLocked(size)
-}
-
-// allocLocked is the bucket/large path after the fault hook has been
-// consulted.  Called with mu held.
-func (m *Malloc) allocLocked(size uint32) (hw.PhysAddr, []byte, bool) {
 	if size > PageSize {
 		return m.allocLarge(size)
 	}

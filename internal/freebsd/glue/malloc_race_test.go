@@ -26,8 +26,8 @@ func mallocSnap(g *Glue) map[string]int64 {
 // malloc.bytes_live, the page table behind malloc.table_bytes, the
 // size table behind SizeOf) happens under the allocator lock, and the
 // exported gauge/counter handles are single atomic words — so an SMP
-// glue can be hammered by allocators, gauge readers, snapshot takers
-// and hook togglers at once with the race detector on.
+// glue can be hammered by allocators, gauge readers and snapshot takers
+// at once with the race detector on.
 func TestMallocConcurrentGaugeAudit(t *testing.T) {
 	g := testGlueCPUs(t, 4)
 
@@ -77,30 +77,9 @@ func TestMallocConcurrentGaugeAudit(t *testing.T) {
 			_ = mallocSnap(g)
 		}
 	}()
-	// Hook toggler: SetFaultHook must be safe mid-traffic.
-	pollers.Add(1)
-	go func() {
-		defer pollers.Done()
-		n := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			n++
-			if n%2 == 0 {
-				g.Malloc.SetFaultHook(func(size uint32) bool { return false })
-			} else {
-				g.Malloc.SetFaultHook(nil)
-			}
-		}
-	}()
-
 	traffic.Wait()
 	close(stop)
 	pollers.Wait()
-	g.Malloc.SetFaultHook(nil)
 
 	if v := g.Malloc.LiveBytes(); v != 0 {
 		t.Fatalf("LiveBytes = %d after all frees", v)

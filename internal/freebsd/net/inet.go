@@ -10,8 +10,9 @@
 // Internally the stack is mbuf-native: packets are chains of small mbufs
 // and 2 KB clusters, possibly discontiguous.  At the component boundary
 // the glue exports chains as BufIO objects whose Map only succeeds for
-// single-run ranges; the resulting copy on the transmit path into
-// skbuff-native drivers — and the absence of one on the receive path,
+// single-run ranges (a small segment is one mbuf, a bulk one a header
+// mbuf plus clusters); the resulting copy of bulk data on the transmit
+// path into skbuff-native drivers — and the absence of one on receive,
 // where the driver's buffer is wrapped and, for TCP segments of at least
 // mclMin bytes, linked into the socket buffer as it is (pinning at
 // most 4 × the buffer's limit) — is exactly the Table 1 asymmetry.

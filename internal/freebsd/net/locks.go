@@ -25,9 +25,8 @@ import "sync"
 //	                                  (readers; writers also hold mu)
 //	rank 50  arpLock    Stack.arpMu   resolution cache + held packets
 //	rank 60  txLock     Stack.txMu    the interface output hand-off
-//	rank 70  mclLock    Stack.mclMu   cluster refcount table
-//	rank 72  freeLock   Stack.freeMu  mbuf-header and receive-context
-//	                                  free lists (leaf)
+//	rank 72  freeLock   Stack.freeMu  mbuf, cluster and receive-context
+//	                                  free lists, cluster refcounts (leaf)
 //	rank 75  klLock     linuxdev klMu donor kmalloc in SMP mode
 //	                                  (cross-package)
 //	rank 80  sleepLock  glue.slpMu    sleep-queue hash (cross-package)
@@ -85,9 +84,6 @@ type arpLock struct{ sync.Mutex }
 
 //oskit:lockrank 60
 type txLock struct{ sync.Mutex }
-
-//oskit:lockrank 70
-type mclLock struct{ sync.Mutex }
 
 //oskit:lockrank 72
 type freeLock struct{ sync.Mutex }

@@ -9,7 +9,8 @@ package bsdnet
 // reference-count table is indexed by *address arithmetic* (addr >>
 // MCLSHIFT), which is only sound because the BSD malloc underneath
 // guarantees natural alignment (§4.7.7, property 1) — the same
-// dependency the real mbuf code had.
+// dependency the real mbuf code had.  Freed mbufs and clusters go on the
+// stack's free lists (mmbfree, mclfree) with their storage.
 
 // vmOffset is the donor's kernel address type (vm_offset_t).
 type vmOffset = uint32
@@ -35,7 +36,14 @@ type Mbuf struct {
 	stk  *Stack
 	Next *Mbuf // next link in this packet
 
-	// store is the current storage; data is the live view within it.
+	// blk is the MSIZE block this header owns for life, nil until mget
+	// first needs one: a donor mbuf *is* its 128 bytes, so header and
+	// block leave and return to the free list together.
+	blk     []byte
+	blkAddr vmOffset
+
+	// store is the current storage (blk, a cluster or foreign memory);
+	// data is the live view within it.
 	store     []byte
 	storeAddr vmOffset // 0 for external (foreign) storage
 	cluster   bool
@@ -53,8 +61,14 @@ type Mbuf struct {
 	io mbufIO
 }
 
-// newMbuf takes a header from the stack's free list — the donor's
-// mbuf free list: header storage is recycled and only the counters
+// mcluster is a cluster on the stack's free list (the donor's mclfree).
+type mcluster struct {
+	addr vmOffset
+	buf  []byte
+}
+
+// newMbuf takes a header from the stack's free list (the donor's
+// mmbfree), with the block it owns if it has one; only the counters
 // (mbuf.allocs, mbuf.frees) see each use.  A header is built once, with
 // its BufIO export bound to it.
 func (s *Stack) newMbuf() *Mbuf {
@@ -62,14 +76,17 @@ func (s *Stack) newMbuf() *Mbuf {
 	m := s.mbufFree
 	if m != nil {
 		s.mbufFree = m.Next
-		s.freeMu.Unlock()
-		m.Next = nil
-		return m
+		if m.blk != nil {
+			s.sc.mbufFree.Add(-1)
+		}
 	}
 	s.freeMu.Unlock()
-	m = &Mbuf{stk: s}
-	m.io.m = m
-	m.io.OnLastRelease = m.FreeChain
+	if m == nil {
+		m = &Mbuf{stk: s}
+		m.io.m = m
+		m.io.OnLastRelease = m.FreeChain
+	}
+	m.Next = nil
 	return m
 }
 
@@ -79,8 +96,8 @@ func (m *Mbuf) Data() []byte { return m.store[m.off : m.off+m.len] }
 // Len returns this link's byte count.
 func (m *Mbuf) Len() int { return m.len }
 
-// MGetHdr allocates a packet-header mbuf (leading space reserved so
-// protocol headers can be prepended without another allocation).
+// MGetHdr allocates a packet-header mbuf: its data area is the MHLEN
+// bytes behind the packet header, empty, at the front.
 func (s *Stack) MGetHdr() *Mbuf {
 	return s.mget(MSIZE - MHLEN)
 }
@@ -90,55 +107,81 @@ func (s *Stack) MGet() *Mbuf {
 	return s.mget(MSIZE - MLEN)
 }
 
+// mget is MGET: a header and its block off the free list, the BSD
+// malloc asked only for a header that has no block yet (one that cannot
+// get one is left to the collector).
 func (s *Stack) mget(leading int) *Mbuf {
-	if pool := s.pktPool; pool != nil {
-		// Fast path: small mbufs come from the bound allocator service.
-		// A pool failure is exhaustion, not a cue to fall back — the
-		// fault-injection plane relies on failures being visible.
-		addr, buf, ok := pool.AllocMem(MSIZE)
-		if !ok {
+	m := s.newMbuf()
+	if m.blk == nil {
+		var ok bool
+		if m.blkAddr, m.blk, ok = s.g.Malloc.Alloc(MSIZE); !ok {
 			return nil
 		}
-		return s.mgetStore(buf, addr, leading)
 	}
-	addr, buf, ok := s.g.Malloc.Alloc(MSIZE)
-	if !ok {
-		return nil
-	}
-	return s.mgetStore(buf, addr, leading)
-}
-
-func (s *Stack) mgetStore(buf []byte, addr vmOffset, leading int) *Mbuf {
 	s.sc.mbufAllocs.Inc()
-	m := s.newMbuf()
-	m.store, m.storeAddr, m.off = buf, addr, leading
+	m.store, m.storeAddr, m.off = m.blk, m.blkAddr, leading
 	return m
 }
 
-// MClGet attaches a fresh 2 KB cluster to m, replacing its current
-// storage for bulk data (MCLGET).
+// maxLinkHdr is the donor's max_linkhdr: the link-header room a
+// protocol leaves in front of the headers it builds.
+const maxLinkHdr = 16
+
+// mgetSeg is tcp_output's header mbuf: an empty MGetHdr whose data
+// starts behind max_linkhdr, the IP header and hdrLen bytes of
+// transport header, so those headers and the link header prepend into
+// the same mbuf and a payload copied in behind them rides along.
+func (s *Stack) mgetSeg(hdrLen int) *Mbuf {
+	m := s.MGetHdr()
+	if m != nil {
+		m.off += maxLinkHdr + ipHdrLen + hdrLen
+	}
+	return m
+}
+
+// segRoom is the payload that rides in a segment's header mbuf.
+func segRoom(hdrLen int) int { return MHLEN - maxLinkHdr - ipHdrLen - hdrLen }
+
+// MClGet attaches a 2 KB cluster to m, replacing its current storage
+// for bulk data (MCLGET): off the cluster free list, or from the BSD
+// malloc when the list is empty.
 func (m *Mbuf) MClGet() bool {
-	addr, buf, ok := m.stk.g.Malloc.Alloc(MCLBYTES)
-	if !ok {
-		return false
+	s := m.stk
+	var cl mcluster
+	s.freeMu.Lock()
+	if n := len(s.mclFree); n > 0 {
+		cl = s.mclFree[n-1]
+		s.mclFree = s.mclFree[:n-1]
+		s.sc.clFree.Set(int64(n - 1))
+		s.clRefLocked(cl.addr, nil, +1)
 	}
-	if addr&(MCLBYTES-1) != 0 {
-		// The refcount table below depends on alignment; the BSD
-		// malloc guarantees it (property 1).
-		m.stk.g.Env().Panic("bsdnet: misaligned cluster %#x", addr)
+	s.freeMu.Unlock()
+	if cl.buf == nil {
+		var ok bool
+		if cl.addr, cl.buf, ok = s.g.Malloc.Alloc(MCLBYTES); !ok {
+			return false
+		}
+		if cl.addr&(MCLBYTES-1) != 0 {
+			// The refcount table below depends on alignment; the BSD
+			// malloc guarantees it (property 1).
+			s.g.Env().Panic("bsdnet: misaligned cluster %#x", cl.addr)
+		}
+		s.clRef(cl.addr, nil, +1)
 	}
-	m.stk.clRef(addr, +1)
-	m.stk.sc.clAllocs.Inc()
+	s.sc.clAllocs.Inc()
 	// Release the prior storage; the new cluster takes over.  A second
 	// MCLGET on a cluster-bearing mbuf must drop the old cluster's
 	// reference (and a foreign-storage mbuf its owner's), or the old
-	// cluster — and anything still sharing it — leaks forever.
-	m.releaseStore()
-	m.store = buf
-	m.storeAddr = addr
-	m.cluster = true
-	m.off = 0
-	m.len = 0
+	// cluster — and anything still sharing it — leaks forever.  The
+	// header's own block stays with it.
+	if m.ext != nil {
+		m.ext.Release()
+		m.ext = nil
+	} else if m.cluster {
+		s.clRef(m.storeAddr, m.store, -1)
+	}
+	m.store, m.storeAddr, m.cluster = cl.buf, cl.addr, true
+	m.off, m.len = 0, 0
 	return true
 }
 
@@ -159,79 +202,84 @@ func (s *Stack) MExt(owner extOwner, data []byte) *Mbuf {
 	return m
 }
 
-// releaseStore gives m's storage back to whoever owns it: the foreign
-// owner's reference, a cluster reference, or the small block itself —
-// to the stack's packet pool when it has one, since every small mbuf
-// of such a stack came from it.
-func (m *Mbuf) releaseStore() {
-	switch {
-	case m.ext != nil:
-		m.ext.Release()
-		m.ext = nil
-	case m.cluster:
-		m.stk.clRef(m.storeAddr, -1)
-	case m.storeAddr == 0:
-		// No storage of its own.
-	case m.stk.pktPool != nil:
-		m.stk.pktPool.FreeMem(uint32(m.storeAddr), MSIZE)
-	default:
-		m.stk.g.Malloc.Free(m.storeAddr)
-	}
-}
-
 // Free releases one link, dropping cluster/foreign references, and
 // returns its header to the stack's free list: m must not be touched
 // after.
 func (m *Mbuf) Free() *Mbuf {
 	next := m.Next
-	s := m.stk
-	s.sc.mbufFrees.Inc()
-	m.releaseStore()
-	m.store, m.storeAddr, m.cluster, m.ext = nil, 0, false, nil
-	m.off, m.len, m.PktLen = 0, 0, 0
-	s.freeMu.Lock()
-	m.Next = s.mbufFree
-	s.mbufFree = m
-	s.freeMu.Unlock()
+	m.Next = nil
+	m.FreeChain()
 	return next
 }
 
-// FreeChain releases a whole packet.
+// FreeChain releases a whole packet: foreign owners first, outside the
+// lock (an owner's release may run foreign code), then every link's
+// cluster reference and header, with its block, under one freeMu pair.
 func (m *Mbuf) FreeChain() {
+	n := uint64(0)
+	for cur := m; cur != nil; cur = cur.Next {
+		if cur.ext != nil {
+			cur.ext.Release()
+			cur.ext = nil
+		}
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	s := m.stk
+	s.sc.mbufFrees.Add(n)
+	s.freeMu.Lock()
 	for m != nil {
-		m = m.Free()
+		next := m.Next
+		if m.cluster {
+			s.clRefLocked(m.storeAddr, m.store, -1)
+		}
+		if m.blk != nil {
+			s.sc.mbufFree.Add(1)
+		}
+		m.store, m.storeAddr, m.cluster = nil, 0, false
+		m.off, m.len, m.PktLen = 0, 0, 0
+		m.Next, s.mbufFree = s.mbufFree, m
+		m = next
+	}
+	s.freeMu.Unlock()
+}
+
+// clRef adjusts a cluster's reference count (see clRefLocked).
+func (s *Stack) clRef(addr vmOffset, buf []byte, delta int) {
+	s.freeMu.Lock()
+	s.clRefLocked(addr, buf, delta)
+	s.freeMu.Unlock()
+}
+
+// clRefLocked adjusts a cluster's reference count; at zero the cluster
+// (buf, its whole storage) goes on the cluster free list.  The table is
+// indexed by address — the alignment-dependent scheme described above.
+// Called with freeMu held.
+func (s *Stack) clRefLocked(addr vmOffset, buf []byte, delta int) {
+	n := s.clSlot(addr)
+	if *n += int16(delta); *n == 0 && delta < 0 {
+		s.mclFree = append(s.mclFree, mcluster{addr, buf})
+		s.sc.clFree.Set(int64(len(s.mclFree)))
+		s.sc.clFrees.Inc()
 	}
 }
 
-// clRef adjusts a cluster's reference count, freeing at zero.  The table
-// is indexed by address — the alignment-dependent scheme described above.
-func (s *Stack) clRef(addr vmOffset, delta int) {
+// clSlot returns addr's refcount cell, growing the table to cover it.
+// Called with freeMu held.
+func (s *Stack) clSlot(addr vmOffset) *int16 {
 	idx := addr >> MCLSHIFT
-	spl := s.g.Splhigh() // UP interrupt exclusion; a no-op under SMP
-	s.mclMu.Lock()
-	defer s.mclMu.Unlock()
 	if s.mclRefcnt == nil {
 		s.mclBase = idx
-		s.mclRefcnt = make([]int16, 1)
 	}
-	if idx < s.mclBase {
-		grown := make([]int16, uint32(len(s.mclRefcnt))+(s.mclBase-idx))
-		copy(grown[s.mclBase-idx:], s.mclRefcnt)
-		s.mclRefcnt = grown
-		s.mclBase = idx
+	lo, hi := min(idx, s.mclBase), max(idx+1, s.mclBase+uint32(len(s.mclRefcnt)))
+	if lo != s.mclBase || hi-lo != uint32(len(s.mclRefcnt)) {
+		grown := make([]int16, hi-lo)
+		copy(grown[s.mclBase-lo:], s.mclRefcnt)
+		s.mclBase, s.mclRefcnt = lo, grown
 	}
-	if i := idx - s.mclBase; i >= uint32(len(s.mclRefcnt)) {
-		grown := make([]int16, i+1)
-		copy(grown, s.mclRefcnt)
-		s.mclRefcnt = grown
-	}
-	i := idx - s.mclBase
-	s.mclRefcnt[i] += int16(delta)
-	if s.mclRefcnt[i] == 0 && delta < 0 {
-		s.g.Malloc.Free(addr)
-		s.sc.clFrees.Inc()
-	}
-	s.g.Splx(spl)
+	return &s.mclRefcnt[idx-lo]
 }
 
 // writable reports whether m's storage may be scribbled on beyond the
@@ -251,19 +299,9 @@ func (m *Mbuf) writable() bool {
 
 // clRefCount reads a cluster's reference count.
 func (s *Stack) clRefCount(addr vmOffset) int16 {
-	spl := s.g.Splhigh() // UP interrupt exclusion; a no-op under SMP
-	defer s.g.Splx(spl)
-	s.mclMu.Lock()
-	defer s.mclMu.Unlock()
-	idx := addr >> MCLSHIFT
-	if s.mclRefcnt == nil || idx < s.mclBase {
-		return 0
-	}
-	i := idx - s.mclBase
-	if i >= uint32(len(s.mclRefcnt)) {
-		return 0
-	}
-	return s.mclRefcnt[i]
+	s.freeMu.Lock()
+	defer s.freeMu.Unlock()
+	return *s.clSlot(addr)
 }
 
 // last returns the final link of the chain headed by m.
@@ -313,6 +351,8 @@ func (m *Mbuf) appendAfter(last *Mbuf, data []byte) (*Mbuf, bool) {
 // Prepend makes room for n bytes of header in front (M_PREPEND),
 // allocating a new header mbuf if the first link lacks headroom or its
 // storage is shared (M_LEADINGSPACE is zero for referenced clusters).
+// The new header is MH_ALIGNed — placed at the end of its data area, on
+// an 8-byte boundary — so the headers prepended after it land in it too.
 func (m *Mbuf) Prepend(n int) *Mbuf {
 	if m.writable() && m.off >= n {
 		m.off -= n
@@ -325,12 +365,12 @@ func (m *Mbuf) Prepend(n int) *Mbuf {
 		m.FreeChain()
 		return nil
 	}
-	if n > h.off {
+	if n > MHLEN {
 		h.Free()
 		m.FreeChain()
 		return nil
 	}
-	h.off -= n
+	h.off = MSIZE - MHLEN + (MHLEN-n)&^7
 	h.len = n
 	h.Next = m
 	h.PktLen = m.PktLen + n
@@ -453,7 +493,7 @@ func (m *Mbuf) CopyM(off, length int) *Mbuf {
 			n := m.stk.newMbuf()
 			n.store, n.storeAddr, n.cluster = cur.store, cur.storeAddr, true
 			n.off, n.len = cur.off+off, take
-			m.stk.clRef(cur.storeAddr, +1)
+			m.stk.clRef(cur.storeAddr, nil, +1)
 			m.stk.sc.mbufAllocs.Inc() // every constructed link balances a later mbuf.frees
 			m.stk.sc.clShares.Inc()
 			appendLink(n)

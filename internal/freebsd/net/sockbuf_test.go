@@ -34,6 +34,8 @@ func TestSockbufAppendFailureReleasesFreshChain(t *testing.T) {
 	// Prime the allocator's free lists so the failure lands exactly one
 	// cluster into the append: a page of small blocks, and exactly one
 	// free cluster block (clB stays allocated so the bucket holds one).
+	// The stack's own free lists hand back what they hold first.
+	drainFreeLists(s)
 	clA, _, okA := g.Malloc.Alloc(MCLBYTES)
 	clB, _, okB := g.Malloc.Alloc(MCLBYTES)
 	small, _, okS := g.Malloc.Alloc(MSIZE)
@@ -65,8 +67,11 @@ func TestSockbufAppendFailureReleasesFreshChain(t *testing.T) {
 	if sb.cc != 0 {
 		t.Fatalf("cc = %d after failed append, want 0", sb.cc)
 	}
-	if got := g.Malloc.LiveBytes(); got != live {
-		t.Fatalf("malloc live bytes %d != %d before the failed append: the partial chain leaked", got, live)
+	if got, held := g.Malloc.LiveBytes(), freeListBytes(t, s); got != live+held {
+		t.Fatalf("malloc live bytes %d != %d before the failed append + %d on the free lists: the partial chain leaked", got, live, held)
+	}
+	if a, f := stat(t, s, "mbuf.allocs"), stat(t, s, "mbuf.frees"); a != f {
+		t.Fatalf("mbuf.allocs %d != mbuf.frees %d after the failed append", a, f)
 	}
 }
 

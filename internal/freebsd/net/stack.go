@@ -33,12 +33,14 @@ type Stack struct {
 
 	arpMu arpLock // rank 50: the ARP cache (arp.go)
 	txMu  txLock  // rank 60: serializes the interface output hand-off
-	mclMu mclLock // rank 70: the cluster refcount table (mbuf.go)
-	// freeMu (rank 72) guards the stack's free lists: mbuf headers
-	// (mbuf.go) and batched-receive contexts (PushBatch).
+	// freeMu (rank 72) guards the free lists of mbufs, clusters (mbuf.go)
+	// and batched-receive contexts (PushBatch), and cluster refcounts.
 	freeMu    freeLock
-	mbufFree  *Mbuf  //oskit:guardedby freeMu  linked through Next
-	rxCtxFree *rxCtx //oskit:guardedby freeMu
+	mbufFree  *Mbuf      //oskit:guardedby freeMu  linked through Next
+	mclFree   []mcluster //oskit:guardedby freeMu
+	mclBase   uint32     //oskit:guardedby freeMu  refcount table base (addr >> MCLSHIFT)
+	mclRefcnt []int16    //oskit:guardedby freeMu
+	rxCtxFree *rxCtx     //oskit:guardedby freeMu
 
 	// Interface state (one Ethernet interface per stack instance, like
 	// the examples in §5; nothing below prevents generalizing).
@@ -56,19 +58,10 @@ type Stack struct {
 	// section — the serialization witness of the TX convergence point.
 	txSeq uint64 //oskit:guardedby txMu
 
-	// mbuf cluster refcounts (see mbuf.go).
-	mclBase   uint32  //oskit:guardedby mclMu
-	mclRefcnt []int16 //oskit:guardedby mclMu
-
 	// pktPool is the allocator service registered under
 	// com.AllocatorIID when the stack was built, or nil: the stack's
-	// fast-path fact.  Bound, it supplies small-mbuf storage instead of
-	// the BSD malloc (the E11 configuration) and SendFile negotiates the
-	// file's zero-copy page seam (E15).  Clusters stay on the BSD malloc
-	// regardless: the refcount table above indexes by address arithmetic
-	// and needs its natural-alignment guarantee (§4.7.7, property 1),
-	// which header-keeping pools cannot give.  The stack holds one COM
-	// reference.
+	// fast-path fact, on which SendFile negotiates the file's zero-copy
+	// page seam (E15).  The stack holds one COM reference.
 	pktPool com.Allocator //oskit:initonly
 
 	// Protocol state.  The pcb slices feed the timer sweeps; the maps
@@ -133,6 +126,7 @@ type rxCtx struct {
 type netstats struct {
 	mbufAllocs, mbufFrees       *stats.Counter
 	clAllocs, clFrees, clShares *stats.Counter
+	mbufFree, clFree            *stats.Gauge
 	extWraps                    *stats.Counter
 	tcpSegsIn, tcpSegsOut       *stats.Counter
 	tcpRexmt                    *stats.Counter
@@ -221,12 +215,15 @@ func (s *Stack) initStats() {
 	set := stats.NewSet("freebsd_net")
 	s.statsSet = set
 	s.sc = netstats{
-		mbufAllocs:     set.Counter("mbuf.allocs"),
-		mbufFrees:      set.Counter("mbuf.frees"),
-		clAllocs:       set.Counter("mbuf.cluster_allocs"),
-		clFrees:        set.Counter("mbuf.cluster_frees"),
-		clShares:       set.Counter("mbuf.cluster_shares"),
-		extWraps:       set.Counter("mbuf.ext_wraps"),
+		mbufAllocs: set.Counter("mbuf.allocs"),
+		mbufFrees:  set.Counter("mbuf.frees"),
+		clAllocs:   set.Counter("mbuf.cluster_allocs"),
+		clFrees:    set.Counter("mbuf.cluster_frees"),
+		clShares:   set.Counter("mbuf.cluster_shares"),
+		extWraps:   set.Counter("mbuf.ext_wraps"),
+		// Free-list blocks and clusters (mbstat's MT_FREE, m_clfree).
+		mbufFree:       set.Gauge("mbuf.free"),
+		clFree:         set.Gauge("mbuf.cluster_free"),
 		tcpSegsIn:      set.Counter("tcp.segs_in"),
 		tcpSegsOut:     set.Counter("tcp.segs_out"),
 		tcpRexmt:       set.Counter("tcp.rexmt"),

@@ -31,9 +31,9 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 	mac, peerMAC := [6]byte{2, 0, 0, 0, 0, 1}, [6]byte{2, 0, 0, 0, 0, 2}
 	s.ifAttach(mac, func(m *Mbuf) { m.FreeChain() })
 	s.Ifconfig(fuzzIP, IPAddr{255, 255, 255, 0})
-	// The peer is resolved, so output to it is never parked on ARP.  (Only
-	// ARP's own frames leave as one run: everything else is a header mbuf
-	// chained to its payload or to the runt padding.)
+	// The peer is resolved, so output to it is never parked on ARP.  (ARP
+	// frames and TCP control segments leave as one run; a UDP datagram or
+	// an echo reply is a header mbuf chained to its payload.)
 	s.arpMu.Lock()
 	s.arp.entries[fuzzPeer] = &arpEntry{mac: peerMAC, valid: true}
 	s.arpMu.Unlock()
@@ -174,7 +174,7 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 			_ = s.rxOne(unmappable{com.NewMemBuf(f)}, uint(len(f)), nil)
 		}, row{"ether.rx_copied": 1, "arp.in": 1}},
 		{"syn opens", input(syn(2000)),
-			row{"ip.in": 1, "tcp.segs_in": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_chained": 1}},
+			row{"ip.in": 1, "tcp.segs_in": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},
 		{"syn-ack retransmit timer", func() {
 			s.mu.Lock()
 			tp := s.tcpLookup(fuzzIP, fuzzPort, fuzzPeer, 2000)
@@ -182,9 +182,9 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 			s.tcpTimerFire(tp, tRexmt)
 			tp.mu.Unlock()
 			s.mu.Unlock()
-		}, row{"tcp.rexmt": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_chained": 1}},
+		}, row{"tcp.rexmt": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},
 		{"second syn fills the queue", input(syn(2001)),
-			row{"ip.in": 1, "tcp.segs_in": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_chained": 1}},
+			row{"ip.in": 1, "tcp.segs_in": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},
 		{"third syn overflows it", input(syn(2002)),
 			row{"ip.in": 1, "tcp.segs_in": 1, "tcp.accept_overflows": 1}},
 		{"time_wait cap recycles the oldest", func() {
@@ -206,7 +206,7 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 			tp.delack = true
 			tp.mu.Unlock()
 			s.tcpSlowTimo()
-		}, row{"tcp.delack_timeouts": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_chained": 1}},
+		}, row{"tcp.delack_timeouts": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},
 	}
 	AddConnForBench(s, fuzzIP, 80, fuzzPeer, 3000)
 	AddConnForBench(s, fuzzIP, 80, fuzzPeer, 3001)

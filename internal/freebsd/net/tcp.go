@@ -515,7 +515,7 @@ func (tp *tcpcb) rcvWindow() uint32 {
 // send buffer — BSD's tcp_respond.  It reports false when no mbuf could
 // be had and nothing was sent.
 func (s *Stack) tcpRespond(laddr IPAddr, lport uint16, faddr IPAddr, fport uint16, seq, ack uint32, flags byte, wnd uint32) bool {
-	m := s.MGetHdr()
+	m := s.mgetSeg(tcpHdrLen)
 	if m == nil {
 		return false
 	}

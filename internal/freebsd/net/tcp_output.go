@@ -5,9 +5,9 @@ import "encoding/binary"
 // tcp_output: the send-side engine.  Decides how much may be sent
 // (offered window vs congestion window), carves segments out of the send
 // buffer *by sharing* cluster storage (CopyM), attaches headers, and
-// ships each segment to IP.  Because the send buffer is built of
-// clusters and the header is prepended in a separate small mbuf, an
-// outbound data segment is practically always a chain — whose BufIO Map
+// ships each segment to IP.  As in the donor, all headers share one mbuf
+// and a payload of up to segRoom bytes is copied into it; a larger one
+// is that mbuf plus the send buffer's clusters — a chain whose BufIO Map
 // fails — which is exactly where Table 1's send-path copy comes from.
 
 // tcpOutput runs the sender once.  Called at splnet with tp.mu held
@@ -85,28 +85,24 @@ func (s *Stack) tcpOutputOnce(tp *tcpcb) bool {
 		return false
 	}
 
-	// Build the segment.
-	var m *Mbuf
-	if length > 0 {
-		m = tp.sndBuf.head.CopyM(off, length)
-		if m == nil {
-			return false
-		}
-		if off+length < tp.sndBuf.cc {
-			flags &^= thPSH
-		} else {
-			flags |= thPSH
-		}
-	} else {
-		m = s.MGetHdr()
-		if m == nil {
-			return false
-		}
-	}
-
+	// Build the segment: a payload that fits is copied into the header
+	// mbuf, a larger one shares the send buffer's clusters behind it.
 	hdrLen := tcpHdrLen
 	if synPending {
 		hdrLen += 4 // MSS option
+	}
+	var m *Mbuf
+	if length > segRoom(hdrLen) {
+		m = tp.sndBuf.head.CopyM(off, length)
+	} else if m = s.mgetSeg(hdrLen); m != nil {
+		m.len = tp.sndBuf.head.CopyData(off, length, m.store[m.off:])
+		m.PktLen = m.len
+	}
+	if m == nil {
+		return false
+	}
+	if length > 0 && off+length == tp.sndBuf.cc {
+		flags |= thPSH // the segment empties the send buffer
 	}
 	m = m.Prepend(hdrLen)
 	if m == nil {

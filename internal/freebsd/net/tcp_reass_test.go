@@ -32,6 +32,8 @@ type sentSeg struct {
 	seq, ack uint32
 	flags    byte
 	n        int // payload bytes
+	links    int // mbufs in the frame's chain
+	clusters int // of which carry a cluster
 }
 
 const segPeerPort = 2000
@@ -49,14 +51,23 @@ func newSegPeer(t *testing.T) *segPeer {
 	s.ifAttach([6]byte{2, 0, 0, 0, 0, 1}, func(m *Mbuf) {
 		frame := make([]byte, m.PktLen)
 		m.CopyData(0, m.PktLen, frame)
+		links, clusters := 0, 0
+		for cur := m; cur != nil; cur = cur.Next {
+			links++
+			if cur.cluster {
+				clusters++
+			}
+		}
 		m.FreeChain()
 		if ip := frame[etherHdrLen:]; ip[9] == ProtoTCP {
 			tcp := ip[ipHdrLen:binary.BigEndian.Uint16(ip[2:4])] // runt padding off
 			p.out = append(p.out, sentSeg{
-				seq:   binary.BigEndian.Uint32(tcp[4:8]),
-				ack:   binary.BigEndian.Uint32(tcp[8:12]),
-				flags: tcp[13],
-				n:     len(tcp) - int(tcp[12]>>4)*4,
+				seq:      binary.BigEndian.Uint32(tcp[4:8]),
+				ack:      binary.BigEndian.Uint32(tcp[8:12]),
+				flags:    tcp[13],
+				n:        len(tcp) - int(tcp[12]>>4)*4,
+				links:    links,
+				clusters: clusters,
 			})
 		}
 	})

@@ -96,7 +96,7 @@ func (s *Stack) tcpProbe(tp *tcpcb) {
 	}
 	var b [1]byte
 	tp.sndBuf.head.CopyData(off, 1, b[:])
-	m := s.MGetHdr()
+	m := s.mgetSeg(tcpHdrLen)
 	if m == nil {
 		return
 	}

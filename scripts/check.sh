@@ -12,7 +12,7 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=31170
+MAX_LOC=31169
 MAX_WAIVERS=4
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
@@ -83,6 +83,10 @@ go test -race -tags oskitrefdebug -count=1 ./internal/faults/soak/ \
 	-run 'TestHTTPPinLedgerUnderRetransmits|TestSMPChurnHaltLedger'
 go test -race -tags oskitrefdebug -count=1 ./internal/evalrig/ \
 	-run 'TestPairHaltUnmounts|TestTCPReceiveLinksDriverBuffer'
+# mbufs come back off the stack's free list with their BufIO export
+# embedded: each life must start at one reference.
+go test -race -tags oskitrefdebug -count=1 ./internal/freebsd/net/ \
+	-run 'TestFreeList|TestMClGet|TestSegmentLayout'
 
 echo "== shuffled re-run (order-dependence check)"
 go test -shuffle=on -count=1 ./...
