@@ -10,7 +10,8 @@ test:
 	go test ./...
 
 # The race tier at GOMAXPROCS 1, 2 and the host's, as check.sh runs it:
-# a lock-order inversion needs real parallelism to bite.
+# a missing stack lock or a cross-component lock-order inversion needs
+# real parallelism to bite.
 race:
 	for p in $$(printf '%s\n' 1 2 $$(nproc) | sort -nu); do \
 		echo "== race at GOMAXPROCS=$$p"; \

@@ -1356,17 +1356,17 @@ func benchFFS(b *testing.B, env *core.Env) *netbsdfs.FFS {
 
 // ---------------------------------------------------------------------
 // E14: true SMP (multi-CPU machines, RSS multi-queue receive, and the
-// per-connection-locked stack).  One matrix sweeps the CPU count over
-// the same three workloads the paper's tables use — multi-stream ttcp
-// bandwidth, rtcp round-trip latency, and cluster connection churn —
-// on the FreeBSD-native configuration (AttachNative(nic, queues) grows
-// one RSS-hashed receive ring per CPU).  The uniprocessor row is the
-// unchanged giant-exclusion rig (nodes Serialized, §4.7.4); the SMP
-// rows run on the per-connection locks alone.  Expected shape: all
-// three improve with CPUs — ttcp and churn because the uniprocessor
-// rig's interrupt-exclusion stalls pipeline away, and rtcp because the
-// same stalls sit on the round-trip path (a ping waiting out another
-// thread's component entry is pure added latency).
+// stack's own lock as its exclusion).  One matrix sweeps the CPU count
+// over the same three workloads the paper's tables use — multi-stream
+// ttcp bandwidth, rtcp round-trip latency, and cluster connection
+// churn — on the FreeBSD-native configuration (AttachNative(nic,
+// queues) grows one RSS-hashed receive ring per CPU).  The
+// uniprocessor row is the unchanged giant-exclusion rig (nodes
+// Serialized, §4.7.4); the SMP rows run on the stack lock alone.
+// Measured shape (ten runs at GOMAXPROCS=2, 2-vCPU host): flat — every
+// row stays within about 0.9–1.05× of the 1-CPU row, because the stack
+// lock serializes protocol work and two cores leave little else to
+// overlap (EXPERIMENTS.md E14, Verdict).
 
 var e14CPURows = []int{1, 2, 4, 8}
 

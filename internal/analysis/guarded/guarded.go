@@ -5,21 +5,17 @@
 // owner:
 //
 //	//oskit:guardedby mu          access requires mu held (RLock ok for reads)
-//	//oskit:guardedby mu+s.mu     write requires BOTH held exclusively,
-//	                              read requires EITHER (the tcpcb-identity
-//	                              and Stack.tcpHash pattern)
-//	//oskit:guardedby mu|s.mu     write requires ANY ONE held exclusively,
-//	                              read requires either
 //	//oskit:atomic                access only via sync/atomic (&f is the
 //	                              sanctioned shape; direct reads/writes flag)
 //	//oskit:initonly              written during construction/configuration
 //	                              (before concurrency starts), read unguarded
 //
-// Guard paths are dotted field paths from the annotated field's owning
-// struct ("mu", "s.mu" through a backpointer), or a package-scope type
-// qualification ("tcpcb.mu") meaning "the named lock of some instance of
-// that type is held" — for state whose owner lives on another object with
-// no backpointer (a sockbuf's pcb, a Proc's sleep queue).
+// A field has exactly one guard: a dotted field path from the annotated
+// field's owning struct ("mu", "s.mu" through a backpointer), or a
+// package-scope type qualification ("Stack.mu") meaning "the named lock
+// of some instance of that type is held" — for state whose owner lives
+// on another object with no backpointer (an ARP entry's stack, a Proc's
+// sleep queue).  A compound spec (A+B, A|B) is a bad-spec diagnostic.
 //
 // The checker tracks locksets intraprocedurally with the walk the lock
 // analyzers share (analysis.WalkLocks) — Lock/RLock open a region closed
@@ -37,8 +33,8 @@
 // Deliberate under-approximations, chosen to keep the default tree clean
 // without hiding the historical bug shapes: guards reached through a
 // backpointer (path length > 1, or a type qualification) may be satisfied
-// by any held lock of the matching owner type and field — "tp.mu held"
-// satisfies "so.tcp.mu needed" — while sibling guards ("mu") demand an
+// by any held lock of the matching owner type and field — "s.mu held"
+// satisfies "so.tcp.s.mu needed" — while sibling guards ("mu") demand an
 // exact path match, which is what catches holding the *wrong* instance's
 // lock (the TIME_WAIT recycle shape).  Objects still under construction
 // are exempt: locals born from composite literals/new/make, plain
@@ -70,7 +66,7 @@ import (
 // Analyzer is the guarded pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "guarded",
-	Doc:  "//oskit:guardedby, //oskit:atomic and //oskit:initonly field-ownership annotations must hold: every access to an annotated field happens under its declared lock(s), via sync/atomic, or before concurrency starts",
+	Doc:  "//oskit:guardedby, //oskit:atomic and //oskit:initonly field-ownership annotations must hold: every access to an annotated field happens under its declared lock, via sync/atomic, or before concurrency starts",
 	Run:  run,
 }
 
@@ -104,8 +100,7 @@ type guardPath struct {
 // fieldAnn is one annotated field.
 type fieldAnn struct {
 	kind    annKind
-	paths   []*guardPath
-	all     bool   // "+" spec: writes need every lock; "|"/single: any one
+	path    *guardPath
 	raw     string // spec text, for diagnostics
 	ownerTn *types.TypeName
 	strct   string // owning struct name, for diagnostics
@@ -128,12 +123,6 @@ type need struct {
 	lock  string
 }
 
-type needSet struct {
-	needs []need
-	all   bool
-	write bool
-}
-
 // relNeed is a need expressed relative to a function's receiver or
 // parameter, carried by a requirement.  owner (nil = exact-instance
 // only) is the matching discipline; ownTn always records the lock
@@ -146,12 +135,11 @@ type relNeed struct {
 	lock  string
 }
 
-// requirement: "this function must be entered with these locks held on
+// requirement: "this function must be entered with this lock held on
 // its receiver (-1) or parameter (index)".
 type requirement struct {
 	target int
-	rels   []relNeed
-	all    bool
+	rel    relNeed
 	write  bool
 	strct  string
 	field  string
@@ -279,7 +267,7 @@ func (c *checker) parseDirective(tn *types.TypeName, groups ...*ast.CommentGroup
 					spec = spec[:i]
 				}
 				if spec == "" {
-					c.pass.Reportf(line.Pos(), "%s needs a guard: a field path (mu, s.mu), A+B, A|B, or Type.lock", guardedByDirective)
+					c.pass.Reportf(line.Pos(), "%s needs a guard: a field path (mu, s.mu) or Type.lock", guardedByDirective)
 					return nil
 				}
 				return c.resolveSpec(tn, spec, line.Pos())
@@ -290,27 +278,16 @@ func (c *checker) parseDirective(tn *types.TypeName, groups ...*ast.CommentGroup
 }
 
 func (c *checker) resolveSpec(tn *types.TypeName, spec string, pos token.Pos) *fieldAnn {
-	if strings.Contains(spec, "+") && strings.Contains(spec, "|") {
-		c.pass.Reportf(pos, "bad %s spec %q: mixing + and | is ambiguous", guardedByDirective, spec)
+	err := "a field has one guard, not a compound of several"
+	var gp *guardPath
+	if !strings.ContainsAny(spec, "+|") {
+		gp, err = c.resolvePath(tn, spec)
+	}
+	if err != "" {
+		c.pass.Reportf(pos, "bad %s spec %q: %s", guardedByDirective, spec, err)
 		return nil
 	}
-	ann := &fieldAnn{kind: annGuarded, raw: spec, ownerTn: tn, strct: tn.Name()}
-	parts := []string{spec}
-	if strings.Contains(spec, "+") {
-		ann.all = true
-		parts = strings.Split(spec, "+")
-	} else if strings.Contains(spec, "|") {
-		parts = strings.Split(spec, "|")
-	}
-	for _, p := range parts {
-		gp, err := c.resolvePath(tn, p)
-		if err != "" {
-			c.pass.Reportf(pos, "bad %s spec %q: %s", guardedByDirective, spec, err)
-			return nil
-		}
-		ann.paths = append(ann.paths, gp)
-	}
-	return ann
+	return &fieldAnn{kind: annGuarded, path: gp, raw: spec, ownerTn: tn, strct: tn.Name()}
 }
 
 // resolvePath validates one guard path against the owning struct (or the
@@ -812,33 +789,21 @@ func (fs *funcScan) checkAccess(sel *ast.SelectorExpr, held map[string]*heldLock
 			ann.strct, ann.field, initOnlyDirective)
 	case annGuarded:
 		w := write || kind == accessAddr
-		ns := buildNeeds(ann, baseSegs, w)
-		if satisfied(held, ns) {
+		n := buildNeed(ann.path, baseSegs)
+		if matchNeed(held, n, w) {
 			return
-		}
-		// For an A+B write with one side acquired locally (the
-		// tcpHash shape: demuxMu taken inline, Stack.mu inherited),
-		// only the unmet conjuncts travel to the callers.
-		paths := ann.paths
-		if ns.all && w {
-			paths = nil
-			for i, n := range ns.needs {
-				if !matchNeed(held, n, true) {
-					paths = append(paths, ann.paths[i])
-				}
-			}
 		}
 		// A waiver on the access line absorbs the obligation: report
 		// here (the driver suppresses it and counts the waiver used)
 		// rather than pushing the requirement onto every caller.
 		if fs.c.pass.Waived(sel.Sel.Pos()) {
 			fs.c.pass.Reportf(sel.Sel.Pos(), "%s %s.%s needs %s (%s %s)",
-				rwTo(w), ann.strct, ann.field, describe(ns), guardedByDirective, ann.raw)
+				rwTo(w), ann.strct, ann.field, describe(n, w), guardedByDirective, ann.raw)
 			return
 		}
 		if baseRoot != nil && baseSegs != nil {
 			if t, ok := fs.targetOf(baseRoot); ok {
-				fs.c.addReq(fs.fn, reqFor(ann, paths, t, baseSegs, w, sel.Sel.Pos()))
+				fs.c.addReq(fs.fn, reqFor(ann, t, baseSegs, w, sel.Sel.Pos()))
 				return // the obligation moves to this function's callers
 			}
 		}
@@ -849,13 +814,13 @@ func (fs *funcScan) checkAccess(sel *ast.SelectorExpr, held map[string]*heldLock
 		// Package-level vars stay exact: their path is globally
 		// meaningful, so the precise report here beats a degraded one.
 		if fs.fn != nil && isFuncLocal(baseRoot) {
-			if r := annReq(ann, w).ambient(pathRels(paths), sel.Sel.Pos()); r != nil {
+			if r := annReq(ann, w).ambient(pathRel(ann.path), sel.Sel.Pos()); r != nil {
 				fs.c.addReq(fs.fn, r)
 				return
 			}
 		}
 		fs.c.pass.Reportf(sel.Sel.Pos(), "%s %s.%s needs %s (%s %s)",
-			rwTo(w), ann.strct, ann.field, describe(ns), guardedByDirective, ann.raw)
+			rwTo(w), ann.strct, ann.field, describe(n, w), guardedByDirective, ann.raw)
 	}
 }
 
@@ -892,27 +857,25 @@ func (fs *funcScan) lockOnBase(held map[string]*heldLock, baseSegs []string, own
 	return false
 }
 
-func buildNeeds(ann *fieldAnn, baseSegs []string, write bool) *needSet {
-	ns := &needSet{all: ann.all, write: write}
+// buildNeed is the lock an access through baseSegs to a field guarded
+// by gp demands.
+func buildNeed(gp *guardPath, baseSegs []string) need {
 	base := ""
 	if baseSegs != nil {
 		base = strings.Join(baseSegs, ".")
 	}
-	for _, gp := range ann.paths {
-		n := need{lock: gp.lock}
-		if !gp.typeQual && base != "" {
-			n.canon = base + "." + strings.Join(gp.segs, ".")
-		}
-		// Backpointer and type-qualified guards accept any holder of the
-		// owner type's lock; sibling guards ("mu") demand the exact
-		// instance — unless the base is inexpressible, where the type
-		// match is the only handle left.
-		if gp.typeQual || len(gp.segs) > 1 || base == "" {
-			n.owner = gp.owner
-		}
-		ns.needs = append(ns.needs, n)
+	n := need{lock: gp.lock}
+	if !gp.typeQual && base != "" {
+		n.canon = base + "." + strings.Join(gp.segs, ".")
 	}
-	return ns
+	// Backpointer and type-qualified guards accept any holder of the
+	// owner type's lock; sibling guards ("mu") demand the exact
+	// instance — unless the base is inexpressible, where the type
+	// match is the only handle left.
+	if gp.typeQual || len(gp.segs) > 1 || base == "" {
+		n.owner = gp.owner
+	}
+	return n
 }
 
 func matchNeed(held map[string]*heldLock, n need, write bool) bool {
@@ -931,87 +894,55 @@ func matchNeed(held map[string]*heldLock, n need, write bool) bool {
 	return false
 }
 
-func satisfied(held map[string]*heldLock, ns *needSet) bool {
-	if ns.all && ns.write {
-		for _, n := range ns.needs {
-			if !matchNeed(held, n, true) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, n := range ns.needs {
-		if matchNeed(held, n, ns.write) {
-			return true
-		}
-	}
-	return false
-}
-
-func describe(ns *needSet) string {
-	var parts []string
-	for _, n := range ns.needs {
-		switch {
-		case n.canon != "":
-			parts = append(parts, n.canon)
-		case n.owner != nil:
-			parts = append(parts, "a "+n.owner.Name()+"."+n.lock)
-		default:
-			parts = append(parts, n.lock)
-		}
-	}
+func describe(n need, write bool) string {
+	var what string
 	switch {
-	case len(parts) == 1 && ns.write:
-		return parts[0] + " held exclusively"
-	case len(parts) == 1:
-		return parts[0] + " held"
-	case ns.all && ns.write:
-		return "all of " + strings.Join(parts, ", ") + " held exclusively"
-	case ns.write:
-		return "one of " + strings.Join(parts, ", ") + " held exclusively"
+	case n.canon != "":
+		what = n.canon
+	case n.owner != nil:
+		what = "a " + n.owner.Name() + "." + n.lock
 	default:
-		return "one of " + strings.Join(parts, ", ") + " held"
+		what = n.lock
 	}
+	if write {
+		return what + " held exclusively"
+	}
+	return what + " held"
 }
 
 // --- requirements: guard obligations discharged at call sites.
 
 // annReq is the template of every obligation an access to ann makes.
 func annReq(ann *fieldAnn, write bool) *requirement {
-	return &requirement{all: ann.all, write: write, strct: ann.strct, field: ann.field, guard: ann.raw}
+	return &requirement{write: write, strct: ann.strct, field: ann.field, guard: ann.raw}
 }
 
-// derive is r's obligation carried to target with the given needs.
-func (r *requirement) derive(target int, rels []relNeed, pos token.Pos) *requirement {
+// derive is r's obligation carried to target with the given need.
+func (r *requirement) derive(target int, rel relNeed, pos token.Pos) *requirement {
 	return &requirement{
-		target: target, rels: rels, all: r.all && len(rels) > 1, write: r.write,
+		target: target, rel: rel, write: r.write,
 		strct: r.strct, field: r.field, guard: r.guard, pos: pos,
 	}
 }
 
-// pathRels are the needs of guard paths, before any rebasing.
-func pathRels(paths []*guardPath) []relNeed {
-	var rels []relNeed
-	for _, gp := range paths {
-		rels = append(rels, relNeed{owner: gp.owner, ownTn: gp.owner, lock: gp.lock})
-	}
-	return rels
+// pathRel is the need of a guard path, before any rebasing.
+func pathRel(gp *guardPath) relNeed {
+	return relNeed{owner: gp.owner, ownTn: gp.owner, lock: gp.lock}
 }
 
-func reqFor(ann *fieldAnn, paths []*guardPath, target int, baseSegs []string, write bool, pos token.Pos) *requirement {
-	rels := pathRels(paths)
+func reqFor(ann *fieldAnn, target int, baseSegs []string, write bool, pos token.Pos) *requirement {
+	gp := ann.path
+	rel := pathRel(gp)
 	below := baseSegs[1:] // path from the target object down to the base
-	for i, gp := range paths {
-		if !gp.typeQual {
-			rels[i].rel = append(append([]string{}, below...), gp.segs...)
-			if len(gp.segs) == 1 && len(below) == 0 {
-				// Sibling guard rooted directly at the target keeps its
-				// exact-instance discipline at call sites too.
-				rels[i].owner = nil
-			}
+	if !gp.typeQual {
+		rel.rel = append(append([]string{}, below...), gp.segs...)
+		if len(gp.segs) == 1 && len(below) == 0 {
+			// Sibling guard rooted directly at the target keeps its
+			// exact-instance discipline at call sites too.
+			rel.owner = nil
 		}
 	}
-	return annReq(ann, write).derive(target, rels, pos)
+	return annReq(ann, write).derive(target, rel, pos)
 }
 
 // isFuncLocal reports whether o is a variable declared inside some
@@ -1028,19 +959,15 @@ func isFuncLocal(o types.Object) bool {
 	return scope != v.Pkg().Scope() && scope.Parent() != types.Universe
 }
 
-// ambient expresses r's obligation, with the needs rels, on an object
-// the function's callers cannot name: every need degrades to "any
-// holder of the owner type's lock" (target -2, no argument binding).
-// Nil if some need has no owner type to degrade to.
-func (r *requirement) ambient(rels []relNeed, pos token.Pos) *requirement {
-	var out []relNeed
-	for _, rn := range rels {
-		if rn.ownTn == nil {
-			return nil
-		}
-		out = append(out, relNeed{owner: rn.ownTn, ownTn: rn.ownTn, lock: rn.lock})
+// ambient expresses r's obligation, with the need rn, on an object the
+// function's callers cannot name: the need degrades to "any holder of
+// the owner type's lock" (target -2, no argument binding).  Nil if it
+// has no owner type to degrade to.
+func (r *requirement) ambient(rn relNeed, pos token.Pos) *requirement {
+	if rn.ownTn == nil {
+		return nil
 	}
-	return r.derive(-2, out, pos)
+	return r.derive(-2, relNeed{owner: rn.ownTn, ownTn: rn.ownTn, lock: rn.lock}, pos)
 }
 
 // addReq records r on fn unless an identical obligation is there.
@@ -1048,15 +975,11 @@ func (c *checker) addReq(fn *types.Func, r *requirement) bool {
 	if fn == nil {
 		return false
 	}
-	var keys []string
-	for _, rn := range r.rels {
-		o := ""
-		if rn.owner != nil {
-			o = rn.owner.Name()
-		}
-		keys = append(keys, strings.Join(rn.rel, ".")+"@"+o+"."+rn.lock)
+	o := ""
+	if r.rel.owner != nil {
+		o = r.rel.owner.Name()
 	}
-	key := fmt.Sprintf("%d|%v|%v|%s", r.target, r.write, r.all, strings.Join(keys, "&"))
+	key := fmt.Sprintf("%d|%v|%s@%s.%s", r.target, r.write, strings.Join(r.rel.rel, "."), o, r.rel.lock)
 	m := c.reqs[fn]
 	if m == nil {
 		m = map[string]*requirement{}
@@ -1069,24 +992,18 @@ func (c *checker) addReq(fn *types.Func, r *requirement) bool {
 	return true
 }
 
-// needsAt instantiates a requirement's needs at a call site argument.
-func needsAt(r *requirement, ai *argInfo) *needSet {
-	ns := &needSet{all: r.all, write: r.write}
+// needAt instantiates a requirement's need at a call site argument.
+func needAt(r *requirement, ai *argInfo) need {
 	base := ""
 	if ai != nil && ai.segs != nil {
 		base = strings.Join(ai.segs, ".")
 	}
-	for _, rn := range r.rels {
-		n := need{owner: rn.owner, lock: rn.lock}
-		if rn.rel != nil && base != "" {
-			n.canon = base + "." + strings.Join(rn.rel, ".")
-		}
-		if base == "" && n.owner == nil && rn.owner != nil {
-			n.owner = rn.owner
-		}
-		ns.needs = append(ns.needs, n)
+	rn := r.rel
+	n := need{owner: rn.owner, lock: rn.lock}
+	if rn.rel != nil && base != "" {
+		n.canon = base + "." + strings.Join(rn.rel, ".")
 	}
-	return ns
+	return n
 }
 
 // discharge checks every requirement against every recorded call site,
@@ -1121,20 +1038,9 @@ func (c *checker) discharge() {
 					} else if ai == nil || ai.fresh {
 						continue
 					}
-					ns := needsAt(r, ai)
-					if satisfied(site.held, ns) {
+					n := needAt(r, ai)
+					if matchNeed(site.held, n, r.write) {
 						continue
-					}
-					// An all-form obligation partially met here only
-					// propagates its unmet conjuncts.
-					rels := r.rels
-					if r.all && r.write {
-						rels = nil
-						for i, n := range ns.needs {
-							if !matchNeed(site.held, n, true) {
-								rels = append(rels, r.rels[i])
-							}
-						}
 					}
 					// A waiver on the call line absorbs the callee's
 					// obligations at this site: report here (the
@@ -1142,35 +1048,32 @@ func (c *checker) discharge() {
 					// instead of propagating further up.
 					if c.pass.Waived(site.call.Pos()) {
 						c.pass.Reportf(site.call.Pos(), "call to %s needs %s: the callee accesses %s.%s (%s %s)",
-							fn.Name(), describe(ns), r.strct, r.field, guardedByDirective, r.guard)
+							fn.Name(), describe(n, r.write), r.strct, r.field, guardedByDirective, r.guard)
 						continue
 					}
 					if r.target == -2 && site.caller != nil && site.caller.fn != nil {
 						// Ambient obligations forward unchanged: they
 						// carry no argument binding to rebase.
-						if c.addReq(site.caller.fn, r.derive(-2, rels, site.call.Pos())) {
+						if c.addReq(site.caller.fn, r.derive(-2, r.rel, site.call.Pos())) {
 							changed = true
 						}
 						continue
 					}
 					if ai != nil && ai.root != nil && ai.segs != nil && site.caller != nil {
 						if t, ok := site.caller.targetOf(ai.root); ok {
-							var nrels []relNeed
+							rn := r.rel
 							below := ai.segs[1:]
-							for _, rn := range rels {
-								nrn := relNeed{owner: rn.owner, ownTn: rn.ownTn, lock: rn.lock}
-								if rn.rel != nil {
-									nrn.rel = append(append([]string{}, below...), rn.rel...)
-								}
-								if len(below) > 0 && nrn.owner == nil {
-									// Rebasing through an intermediate
-									// field loses the exact instance;
-									// fall back to owner-type matching.
-									nrn.owner = rn.ownTn
-								}
-								nrels = append(nrels, nrn)
+							nrn := relNeed{owner: rn.owner, ownTn: rn.ownTn, lock: rn.lock}
+							if rn.rel != nil {
+								nrn.rel = append(append([]string{}, below...), rn.rel...)
 							}
-							if c.addReq(site.caller.fn, r.derive(t, nrels, site.call.Pos())) {
+							if len(below) > 0 && nrn.owner == nil {
+								// Rebasing through an intermediate
+								// field loses the exact instance;
+								// fall back to owner-type matching.
+								nrn.owner = rn.ownTn
+							}
+							if c.addReq(site.caller.fn, r.derive(t, nrn, site.call.Pos())) {
 								changed = true
 							}
 							continue
@@ -1180,7 +1083,7 @@ func (c *checker) discharge() {
 							// lookup result): degrade the unmet
 							// obligation to its type-qualified form and
 							// keep walking the call graph.
-							if nr := r.ambient(rels, site.call.Pos()); nr != nil {
+							if nr := r.ambient(r.rel, site.call.Pos()); nr != nil {
 								if c.addReq(site.caller.fn, nr) {
 									changed = true
 								}
@@ -1189,7 +1092,7 @@ func (c *checker) discharge() {
 						}
 					}
 					c.pass.Reportf(site.call.Pos(), "call to %s needs %s: the callee accesses %s.%s (%s %s)",
-						fn.Name(), describe(ns), r.strct, r.field, guardedByDirective, r.guard)
+						fn.Name(), describe(n, r.write), r.strct, r.field, guardedByDirective, r.guard)
 				}
 			}
 		}
@@ -1207,16 +1110,9 @@ func (c *checker) discharge() {
 			entry = "interface method"
 		}
 		for _, r := range reqs {
-			ns := &needSet{all: r.all, write: r.write}
-			for _, rn := range r.rels {
-				n := need{owner: rn.owner, lock: rn.lock}
-				if rn.rel != nil {
-					n.canon = strings.Join(rn.rel, ".")
-				}
-				ns.needs = append(ns.needs, n)
-			}
+			n := need{owner: r.rel.owner, lock: r.rel.lock, canon: strings.Join(r.rel.rel, ".")}
 			c.pass.Reportf(r.pos, "%s %s reaches %s.%s (%s %s) without %s: acquire the lock inside the entry point",
-				entry, fn.Name(), r.strct, r.field, guardedByDirective, r.guard, describe(ns))
+				entry, fn.Name(), r.strct, r.field, guardedByDirective, r.guard, describe(n, r.write))
 		}
 	}
 }

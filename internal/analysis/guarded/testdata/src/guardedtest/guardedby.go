@@ -1,9 +1,10 @@
-// Package guardedtest seeds the single-guard //oskit:guardedby shapes:
-// accesses under Lock/defer Unlock/RLock are clean, unlocked accesses to
+// Package guardedtest seeds the //oskit:guardedby shapes: accesses
+// under Lock/defer Unlock/RLock are clean, unlocked accesses to
 // package-level state report at the access, wrong-instance locks do not
-// satisfy sibling guards, helper functions inherit lock requirements that
-// are discharged at call sites or reported in exported entry points, and
-// goroutine bodies start from an empty lockset.
+// satisfy sibling guards while backpointer and type-qualified guards
+// accept any lock of the owner type, helper functions inherit lock
+// requirements that are discharged at call sites or reported in exported
+// entry points, and goroutine bodies start from an empty lockset.
 package guardedtest
 
 import "sync"
@@ -164,4 +165,89 @@ func UseSinkLocked() {
 
 func UseSinkUnlocked() {
 	gholder.out.bump() // want `read of holder\.out needs gholder\.mu held \(//oskit:guardedby mu\)`
+}
+
+// stack/pcb are the network stack's shape: one stack lock guards the pcb
+// list and, through each pcb's backpointer, the pcb's own state.
+type stack struct {
+	mu    sync.Mutex
+	pcbs  []*pcb //oskit:guardedby mu
+	first *pcb
+}
+
+type pcb struct {
+	mu    sync.Mutex
+	s     *stack
+	state uint32  //oskit:guardedby s.mu
+	seq   uint32  //oskit:guardedby mu
+	buf   sockbuf //oskit:guardedby mu
+}
+
+// sockbuf's owner lives on another object with no backpointer: any
+// holder of a pcb.mu qualifies (the type-qualified form).
+type sockbuf struct {
+	cc int //oskit:guardedby pcb.mu
+}
+
+func (sb *sockbuf) drain(n int) { sb.cc -= n }
+
+// Abort writes through the backpointer guard: any held stack.mu matches
+// the owner type.
+func (s *stack) Abort(tp *pcb) {
+	s.mu.Lock()
+	tp.state = 9 // ok: s.mu is a stack.mu, the owner of tp.s.mu
+	s.mu.Unlock()
+}
+
+// State reads through the backpointer with no lock held.
+func State(tp *pcb) uint32 {
+	return tp.state // want `exported State reaches pcb\.state \(//oskit:guardedby s\.mu\) without s\.mu held`
+}
+
+// Consume reaches sockbuf state through its owning pcb's lock: the
+// method call on the guarded field and the type-qualified cc guard are
+// both satisfied by tp.mu.
+func (tp *pcb) Consume(n int) {
+	tp.mu.Lock()
+	tp.buf.drain(n) // ok: tp.mu satisfies drain's "a pcb.mu holder"
+	tp.buf.cc -= n  // ok: type-qualified guard matched by owner type
+	tp.mu.Unlock()
+}
+
+func (tp *pcb) ConsumeUnlocked(n int) {
+	tp.buf.drain(n) // want `exported ConsumeUnlocked reaches pcb\.buf \(//oskit:guardedby mu\) without mu held exclusively` `exported ConsumeUnlocked reaches sockbuf\.cc \(//oskit:guardedby pcb\.mu\) without a pcb\.mu held exclusively`
+}
+
+// AliasLocked shows alias canonicalization: tp.mu and s.first.mu are the
+// same lock once the local alias is expanded.
+func (s *stack) AliasLocked() {
+	tp := s.first
+	tp.mu.Lock()
+	s.first.seq++ // ok: canonical path s.first.mu == tp.mu
+	tp.mu.Unlock()
+}
+
+// sweepStates ranges the pcb list through locals the callers cannot
+// name: the obligation degrades to its type-qualified form and travels
+// up, where CountActive's stack lock discharges it.
+func (s *stack) sweepStates() int {
+	n := 0
+	for _, p := range s.pcbs {
+		if p.state > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func CountActive(s *stack) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sweepStates()
+}
+
+// SweepNoLock leaves the degraded obligation unmet all the way to the
+// exported boundary.
+func SweepNoLock(s *stack) int {
+	return s.sweepStates() // want `exported SweepNoLock reaches stack\.pcbs \(//oskit:guardedby mu\) without mu held` `exported SweepNoLock reaches pcb\.state \(//oskit:guardedby s\.mu\) without a stack\.mu held`
 }

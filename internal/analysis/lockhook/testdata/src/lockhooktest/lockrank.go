@@ -1,7 +1,8 @@
-// Fixtures for the lock-hierarchy rule: ranked wrapper locks in the
-// freebsd/net shape (E14), with in-order acquisitions that must stay
+// Fixtures for the lock-hierarchy rule: ranked wrapper locks in a
+// three-level stack/pcb/demux shape (the freebsd/net hierarchy before it
+// folded into one stack lock), with in-order acquisitions that must stay
 // silent, out-of-order and same-rank acquisitions that must be flagged,
-// and a waived same-rank nesting mirroring the TIME_WAIT pcb recycle.
+// and a waived same-rank nesting.
 package lockhooktest
 
 import "sync"

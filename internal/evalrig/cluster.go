@@ -47,9 +47,9 @@ func NewCluster(cfg Config, n int, tickInterval time.Duration, opts Options) (*C
 			return nil, fmt.Errorf("evalrig: cluster node %d: %w", i, err)
 		}
 		// A BSD-stack node on a multi-CPU machine carries its own
-		// per-connection locking (E14) — serializing it would collapse
-		// the concurrency under measurement.  The Linux baseline and
-		// every uniprocessor node keep the §4.7.4 component lock.
+		// stack lock (E14) — serializing the whole node would also
+		// serialize its drivers and clients.  The Linux baseline and
+		// every uniprocessor node keep the §4.7.4 node lock.
 		if opts.CPUs <= 1 || cfg == Linux {
 			node.Serialize()
 		}

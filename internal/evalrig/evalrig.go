@@ -130,8 +130,8 @@ type Options struct {
 	// glue reads N where it is built.  For N > 1 the BSD-stack
 	// configurations run the SMP discipline end to end — the FreeBSD
 	// glue's spl and the Linux driver glue's cli are vestigial and the
-	// per-connection locks of internal/freebsd/net are the exclusion
-	// (E14); the file system keeps giant exclusion.  A FreeBSD-native
+	// network stack's own lock is the exclusion (E14); the file system
+	// keeps giant exclusion.  A FreeBSD-native
 	// node attaches its NIC with N receive rings (AttachNative); an
 	// OSKit node with FastPath grows N RSS-hashed rings drained by N
 	// polled receive loops, without it the donor ISR keeps its one line.

@@ -9,10 +9,10 @@ import (
 
 // TestSMPClusterChurn is the rig-level race regression for E14: a
 // 4-node cluster on 4-CPU machines, BSD-stack nodes unserialized (the
-// per-connection locks are the exclusion), driven through the full
+// stack lock is the exclusion), driven through the full
 // connection-churn lifecycle.  Runs in the tier-1 -race list: any
-// misordered lock or missed revalidation in the SMP paths shows up
-// here as a race report, a wedge, or a corrupted echo.  The OSKit
+// missing or misordered lock in the SMP paths shows up here as a race
+// report, a wedge, or a corrupted echo.  The OSKit
 // configuration runs both of its receive paths: the stock donor ISR on
 // its single line and the multi-ring polled fast path.
 func TestSMPClusterChurn(t *testing.T) {
@@ -64,8 +64,8 @@ func countCli(n *Node, clis *atomic.Int64) {
 // wall time: on a multi-CPU OSKit node both glue layers of the network
 // path are under the SMP discipline, so bulk transfer and connection
 // churn — stock path and fast path — complete without one process-level
-// cli.  One cli taken under the stack's locks is half of an ABBA against
-// the ISR (cli, then those locks), so the count must be zero, not small.
+// cli.  One cli taken under the stack lock is half of an ABBA against
+// the ISR (cli, then that lock), so the count must be zero, not small.
 // No file system is mounted: its glue legitimately keeps splbio.
 func TestSMPNetworkPathTakesNoCli(t *testing.T) {
 	for _, fast := range []bool{false, true} {

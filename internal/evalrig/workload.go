@@ -50,14 +50,13 @@ func TTCPVerified(p *Pair, blocks, blockSize int, port uint16, seed int64) (sent
 }
 
 // TTCPMulti is ttcp across several concurrent TCP streams — the E14
-// workload.  One stream exercises one connection, one RSS ring, one
-// CPU's worth of the stack; N streams on an SMP pair spread across the
-// receive rings (4-tuple hash) and the per-connection locks, which is
-// where multi-CPU bandwidth comes from.  Both nodes are driven from
-// several goroutines, so every socket call goes through Node.Do: on an
-// SMP pair Do is the identity and the stack's own locks carry the
-// concurrency; on a uniprocessor pair the caller must Serialize the
-// nodes first and Do applies the §4.7.4 component lock.
+// workload.  One stream exercises one connection and one RSS ring; N
+// streams on an SMP pair spread across the receive rings (4-tuple hash)
+// and meet at the stack lock.  Both nodes are driven from several
+// goroutines, so every socket call goes through Node.Do: on an SMP pair
+// Do is the identity and the stack's own lock carries the concurrency;
+// on a uniprocessor pair the caller must Serialize the nodes first and
+// Do applies the §4.7.4 component lock.
 //
 // The result aggregates all streams: Bytes is the total across streams
 // and the timings span first start to last finish, so SendMbps/RecvMbps

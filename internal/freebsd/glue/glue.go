@@ -107,10 +107,10 @@ type Glue struct {
 // com.Stats set in env's services registry.
 func New(env *core.Env) *Glue { return newGlue(env, false) }
 
-// NewLocked is New for a component that carries its own lock hierarchy
-// (the network stack, net/locks.go).  The discipline is the machine's, not
-// the caller's: on one CPU it is New; on several, spl is vestigial and the
-// component's locks are its only exclusion.
+// NewLocked is New for a component that carries its own lock (the
+// network stack's Stack.mu, net/locks.go).  The discipline is the
+// machine's, not the caller's: on one CPU it is New; on several, spl is
+// vestigial and the component's lock is its only exclusion.
 func NewLocked(env *core.Env) *Glue { return newGlue(env, env.Machine.CPUs() > 1) }
 
 func newGlue(env *core.Env, smp bool) *Glue {

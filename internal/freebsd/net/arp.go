@@ -4,12 +4,7 @@ import "encoding/binary"
 
 // ARP: the address-resolution table with a bounded queue of held
 // packets per unresolved entry, request/reply processing, and
-// slow-timer aging.
-//
-// The table lives under Stack.arpMu (rank 50), taken by these functions
-// themselves: the resolution step sits below the TCP/UDP locks on the
-// output path and above only the TX hand-off, which may be taken while
-// a held packet is released.
+// slow-timer aging.  The table lives under the stack lock.
 
 const (
 	arpHdrLen     = 28
@@ -23,10 +18,10 @@ const (
 	arpMaxHeld = 16
 )
 
-// arpEntry state lives under its stack's arpMu; entries have no
+// arpEntry state lives under its stack's lock; entries have no
 // backpointer, so the guard is type-qualified.
 //
-//oskit:guardedby Stack.arpMu
+//oskit:guardedby Stack.mu
 type arpEntry struct {
 	mac   [6]byte
 	valid bool
@@ -36,7 +31,7 @@ type arpEntry struct {
 
 type arpTable struct {
 	s       *Stack               //oskit:initonly
-	entries map[IPAddr]*arpEntry //oskit:guardedby s.arpMu
+	entries map[IPAddr]*arpEntry //oskit:guardedby s.mu
 }
 
 func (t *arpTable) init(s *Stack) {
@@ -46,14 +41,11 @@ func (t *arpTable) init(s *Stack) {
 
 // resolve returns dst's MAC, or queues the IP packet m.  Only a new
 // entry emits a request here; age re-requests once per retry period
-// however many packets wait.  Called at splnet; takes the ARP lock
-// itself.
+// however many packets wait.  Called with the stack lock held.
 func (t *arpTable) resolve(dst IPAddr, m *Mbuf) (mac [6]byte, ok bool) {
 	if dst.IsBroadcast() {
 		return [6]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, true
 	}
-	t.s.arpMu.Lock()
-	defer t.s.arpMu.Unlock()
 	e := t.entries[dst]
 	if e != nil && e.valid {
 		return e.mac, true
@@ -75,8 +67,7 @@ func (t *arpTable) resolve(dst IPAddr, m *Mbuf) (mac [6]byte, ok bool) {
 	return [6]byte{}, false
 }
 
-// request broadcasts "who-has dst".  Called with the ARP lock held (the
-// TX hand-off below ranks above it).
+// request broadcasts "who-has dst".  Called with the stack lock held.
 func (t *arpTable) request(dst IPAddr) {
 	s := t.s
 	m := s.MGetHdr()
@@ -94,7 +85,8 @@ func (t *arpTable) request(dst IPAddr) {
 }
 
 // arpInput handles one ARP frame (interrupt level).  etherSrc is the
-// frame's link-header source station.
+// frame's link-header source station.  Parsing is lock-free; the cache
+// update and the output it releases run under the stack lock.
 func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 	m = m.Pullup(arpHdrLen)
 	if m == nil {
@@ -127,8 +119,10 @@ func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 		return
 	}
 
-	// Learn the sender (merge step of the RFC 826 algorithm).
-	s.arpMu.Lock()
+	// Learn the sender (merge step of the RFC 826 algorithm), and
+	// release what waited on it.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	e := s.arp.entries[srcIP]
 	if e == nil {
 		e = &arpEntry{}
@@ -139,7 +133,6 @@ func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 	e.age = 0
 	held := e.held
 	e.held = nil
-	s.arpMu.Unlock()
 	for _, h := range held {
 		s.etherOutput(h, srcMAC, EtherTypeIP)
 	}
@@ -161,11 +154,8 @@ func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 }
 
 // age expires entries and re-requests unresolved ones (slow timer).
-// Takes the ARP lock itself; the slow timer calls it outside the stack
-// lock.
+// Called with the stack lock held.
 func (t *arpTable) age() {
-	t.s.arpMu.Lock()
-	defer t.s.arpMu.Unlock()
 	for ip, e := range t.entries {
 		e.age++
 		switch {

@@ -33,7 +33,8 @@ func (s *Stack) etherInput(m *Mbuf, ctx *rxCtx) {
 }
 
 // etherOutput prepends the link header and hands the packet to the
-// driver through its NetIO — the component boundary of §5.
+// driver through its NetIO — the component boundary of §5.  Called with
+// the stack lock held, which serializes the interface hand-off.
 func (s *Stack) etherOutput(m *Mbuf, dst [6]byte, etype uint16) {
 	m = m.Prepend(etherHdrLen)
 	if m == nil {
@@ -61,10 +62,5 @@ func (s *Stack) etherOutput(m *Mbuf, dst [6]byte, etype uint16) {
 		m.FreeChain()
 		return
 	}
-	// The interface hand-off is the TX serialization point (rank 60):
-	// several CPUs' output paths converge on one device queue here.
-	s.txMu.Lock()
-	s.txSeq++
 	out(m) // consumes the chain
-	s.txMu.Unlock()
 }

@@ -20,8 +20,8 @@ type pingWaiter struct {
 }
 
 // icmpInput handles one ICMP message (interrupt level).  Entered
-// lock-free from ipInput; the echo-reply branch takes the stack lock
-// for the ping-waiter map.
+// lock-free from ipInput; the reply output and the ping-waiter map take
+// the stack lock.
 func (s *Stack) icmpInput(m *Mbuf, src, dst IPAddr) {
 	m = m.Pullup(icmpHdrLen)
 	if m == nil {
@@ -50,7 +50,9 @@ func (s *Stack) icmpInput(m *Mbuf, src, dst IPAddr) {
 			return
 		}
 		s.sc.icmpEchoRepOut.Inc()
+		s.mu.Lock()
 		s.ipOutput(r, s.ifIP, src, ProtoICMP, 0)
+		s.mu.Unlock()
 	case icmpEchoReply:
 		s.sc.icmpEchoRepIn.Inc()
 		seq := binary.BigEndian.Uint16(buf[6:8])
@@ -74,14 +76,6 @@ func (s *Stack) Ping(dst IPAddr, seq uint16, payload []byte, timeoutTicks uint64
 	spl := s.g.Splnet()
 	defer s.g.Splx(spl)
 
-	s.mu.Lock()
-	if s.pings == nil {
-		s.pings = map[uint16]*pingWaiter{}
-	}
-	w := &pingWaiter{event: s.newEvent(), sent: s.g.Ticks()}
-	s.pings[seq] = w
-	s.mu.Unlock()
-
 	buf := make([]byte, icmpHdrLen+len(payload))
 	buf[0] = icmpEchoRequest
 	binary.BigEndian.PutUint16(buf[4:6], 0x4f53) // "OS"
@@ -98,7 +92,14 @@ func (s *Stack) Ping(dst IPAddr, seq uint16, payload []byte, timeoutTicks uint64
 		m.FreeChain()
 		return 0, false
 	}
+	s.mu.Lock()
+	if s.pings == nil {
+		s.pings = map[uint16]*pingWaiter{}
+	}
+	w := &pingWaiter{event: s.newEvent(), sent: s.g.Ticks()}
+	s.pings[seq] = w
 	s.ipOutput(m, s.ifIP, dst, ProtoICMP, 0)
+	s.mu.Unlock()
 
 	cancel := s.g.Env().AfterTicks(timeoutTicks, func() {
 		// Interrupt level: wake the sleeper; it notices !done.

@@ -61,23 +61,19 @@ func (s *Stack) ephemeral(held map[uint16]int) (uint16, error) {
 // tcpRegisterConn enters a fully-specified pcb in the exact-match map.
 // Fails when the 4-tuple is already taken (a connect colliding with a
 // live connection or a lingering TIME_WAIT pcb).  Called with the stack
-// lock held; the write additionally takes the demux write lock so the
-// receive fast path never sees a half-published entry.
+// lock held.
 func (s *Stack) tcpRegisterConn(tp *tcpcb) error {
 	k := tcpKey{tp.laddr, tp.lport, tp.faddr, tp.fport}
 	if _, taken := s.tcpHash[k]; taken {
 		return bsdglue.EADDRINUSE
 	}
-	s.demuxMu.Lock()
 	s.tcpHash[k] = tp
-	s.demuxMu.Unlock()
 	return nil
 }
 
 // tcpLookup demuxes an inbound segment: exact 4-tuple match first, then
 // the listener on the destination port.  Called with the stack lock
-// held (writers to both maps hold it, so no demux lock is needed here;
-// the fast path reads tcpHash under the demux read lock instead).
+// held.
 func (s *Stack) tcpLookup(dst IPAddr, dport uint16, src IPAddr, sport uint16) *tcpcb {
 	if tp, ok := s.tcpHash[tcpKey{dst, dport, src, sport}]; ok {
 		return tp
@@ -181,13 +177,11 @@ func AddConnForBench(s *Stack, laddr IPAddr, lport uint16, faddr IPAddr, fport u
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tp := s.tcpNew()
-	tp.mu.Lock()
 	tp.laddr, tp.lport = laddr, lport
 	tp.faddr, tp.fport = faddr, fport
 	tp.state = tcpsEstablished
 	s.tcpPorts[lport]++
 	_ = s.tcpRegisterConn(tp)
-	tp.mu.Unlock()
 }
 
 // BenchKey is one demux probe for the batched lookup hooks.

@@ -17,7 +17,7 @@ const (
 // ipInput validates and demuxes one IP datagram (interrupt level).
 // Lock-free except reassembly (stack lock): validation touches only the
 // private chain, interface config is read-only after boot, and the
-// protocol inputs take their own locks.
+// protocol inputs take the stack lock themselves.
 func (s *Stack) ipInput(m *Mbuf, ctx *rxCtx) {
 	m = m.Pullup(ipHdrLen)
 	if m == nil {
@@ -89,12 +89,14 @@ func (s *Stack) ipInput(m *Mbuf, ctx *rxCtx) {
 }
 
 // ipOutput attaches an IP header and routes the datagram, fragmenting
-// when it exceeds the interface MTU.  Called at splnet.
+// when it exceeds the interface MTU.  Called at splnet with the stack
+// lock held.
 func (s *Stack) ipOutput(m *Mbuf, src, dst IPAddr, proto int, ttl int) {
 	if ttl == 0 {
 		ttl = ipDefTTL
 	}
-	id := uint16(s.ipID.Add(1))
+	s.ipID++
+	id := s.ipID
 	payload := m.PktLen
 	mtu := 1500
 

@@ -19,7 +19,7 @@ import "oskit/internal/hw"
 // affinity-routed lines the per-ring drains run concurrently — the
 // configuration BenchmarkE14_SMP_Matrix measures.  The rings' handlers
 // share no driver state: each drains only its own ring, and the
-// protocol input path above is per-connection locked.
+// protocol input path above takes the stack lock.
 func (s *Stack) AttachNative(nic *hw.NIC, queues int) {
 	s.attachNativeTx(nic)
 	lines := nic.ConfigureRxQueues(queues)
@@ -32,8 +32,8 @@ func (s *Stack) AttachNative(nic *hw.NIC, queues int) {
 }
 
 func (s *Stack) attachNativeTx(nic *hw.NIC) {
-	// The fragment list is reused: output runs under txMu, one frame at
-	// a time.
+	// The fragment list is reused: output runs under the stack lock,
+	// one frame at a time.
 	var parts [][]byte
 	s.ifAttach(nic.Mac, func(m *Mbuf) {
 		// Gather the chain for the DMA engine.

@@ -31,23 +31,21 @@ func TestSegmentLayout(t *testing.T) {
 		}
 		return p.out[n]
 	}
-	// locked runs fn with the stack and pcb locks held, as the timer
-	// and input paths that send these segments do.
-	locked := func(tp *tcpcb, fn func()) func() {
+	// locked runs fn with the stack lock held, as the timer and input
+	// paths that send these segments do.
+	locked := func(fn func()) func() {
 		return func() {
 			s.mu.Lock()
-			tp.mu.Lock()
 			fn()
-			tp.mu.Unlock()
 			s.mu.Unlock()
 		}
 	}
 	// queue puts n bytes in the send buffer without sending them.
 	queue := func(n int) {
 		withStack(s, func() {
-			tp.mu.Lock()
+			s.mu.Lock()
 			ok := tp.sndBuf.appendData(bytes.Repeat([]byte{'x'}, n))
-			tp.mu.Unlock()
+			s.mu.Unlock()
 			if !ok {
 				t.Fatal("appendData failed")
 			}
@@ -72,28 +70,28 @@ func TestSegmentLayout(t *testing.T) {
 		t.Errorf("SYN-ACK left as %d mbufs (flags %#x), want one", seg.links, seg.flags)
 	}
 	syn := s.tcpNew()
-	one("SYN", emit("connect", locked(syn, func() {
+	one("SYN", emit("connect", locked(func() {
 		if err := syn.usrConnect(fuzzPeer, segPeerPort+1); err != nil {
 			t.Fatal(err)
 		}
 	})), 0)
-	one("pure ACK", emit("ACK", locked(tp, func() { s.tcpRespondACK(tp) })), 0)
-	one("RST", emit("RST", func() {
+	one("pure ACK", emit("ACK", locked(func() { s.tcpRespondACK(tp) })), 0)
+	one("RST", emit("RST", locked(func() {
 		s.tcpRespond(fuzzIP, fuzzPort, fuzzPeer, segPeerPort+2, 1, 0, thRST, 0)
-	}), 0)
+	})), 0)
 
 	queue(segRoom(tcpHdrLen))
-	one("44-byte segment", emit("44-byte write", locked(tp, func() { s.tcpOutput(tp) })), segRoom(tcpHdrLen))
+	one("44-byte segment", emit("44-byte write", locked(func() { s.tcpOutput(tp) })), segRoom(tcpHdrLen))
 	ackAll()
 
 	queue(segRoom(tcpHdrLen) + 1)
-	if seg := emit("45-byte write", locked(tp, func() { s.tcpOutput(tp) })); seg.links != 2 || seg.clusters != 0 {
+	if seg := emit("45-byte write", locked(func() { s.tcpOutput(tp) })); seg.links != 2 || seg.clusters != 0 {
 		t.Errorf("45-byte segment left as %d mbufs (%d clusters), want the header mbuf chained to a copy", seg.links, seg.clusters)
 	}
 	ackAll()
 
 	queue(int(tp.maxSeg))
-	if seg := emit("full-sized write", locked(tp, func() { s.tcpOutput(tp) })); seg.n != 1460 || seg.links != 2 || seg.clusters != 1 {
+	if seg := emit("full-sized write", locked(func() { s.tcpOutput(tp) })); seg.n != 1460 || seg.links != 2 || seg.clusters != 1 {
 		t.Errorf("%d-byte segment left as %d mbufs (%d clusters), want one header mbuf and the shared cluster", seg.n, seg.links, seg.clusters)
 	}
 	ackAll()
@@ -101,12 +99,12 @@ func TestSegmentLayout(t *testing.T) {
 	// The persist probe: one byte beyond a closed window.
 	tp.sndWnd = 0
 	queue(1)
-	one("window probe", emit("probe", locked(tp, func() { s.tcpProbe(tp) })), 1)
+	one("window probe", emit("probe", locked(func() { s.tcpProbe(tp) })), 1)
 	withStack(s, func() {
-		tp.mu.Lock()
+		s.mu.Lock()
 		tp.sndBuf.drop(1)
 		tp.sndWnd = 4096
-		tp.mu.Unlock()
+		s.mu.Unlock()
 	})
 
 	seg := emit("close", func() {

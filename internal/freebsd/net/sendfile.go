@@ -72,8 +72,8 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 
 // sendfileMapWindow maps one window of the file as pinned pages and
 // appends them to the send buffer as external mbufs.  The component
-// call into the file system happens before the pcb lock is taken — the
-// file side sleeps in its own buffer cache under its own discipline.
+// call into the file system happens before the stack lock is taken —
+// the file side sleeps in its own buffer cache under its own discipline.
 func (so *socket) sendfileMapWindow(sf com.Sendfile, offset, win uint64) (uint64, error) {
 	pin, err := sf.MapFileSG(offset, win)
 	if err != nil {
@@ -135,8 +135,9 @@ func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, er
 // chain is freed — which releases its page pins.
 func (so *socket) sendfileAppend(head *Mbuf, n int) error {
 	tp := so.tcp
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
+	s := so.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
 		if tp.err != 0 {
 			head.FreeChain()
@@ -152,13 +153,13 @@ func (so *socket) sendfileAppend(head *Mbuf, n int) error {
 			break
 		}
 		tp.armPersistIfNeeded()
-		p := so.s.g.SleepPrepare(tp.sndBuf.event, "sosend")
-		tp.mu.Unlock()
-		so.s.g.SleepCommit(p)
-		tp.mu.Lock()
+		p := s.g.SleepPrepare(tp.sndBuf.event, "sosend")
+		s.mu.Unlock()
+		s.g.SleepCommit(p)
+		s.mu.Lock()
 	}
 	tp.sndBuf.appendChain(head)
-	so.s.tcpOutput(tp)
+	s.tcpOutput(tp)
 	return nil
 }
 

@@ -1,12 +1,10 @@
 package bsdnet
 
-// Race-regression suite for the per-connection locking rewrite: real
-// parallelism, no harness serialization, meant to run under -race
-// (scripts/check.sh tier-1 list).  Under the old giant-exclusion
-// discipline these tests were vacuous — one thread at a time was inside
-// the component; with per-pcb locks they exercise the actual concurrent
-// paths: demux fast path vs. detach, accept vs. listener close, and
-// full-lifecycle churn across goroutines.
+// Race-regression suite for the stack's SMP exclusion: real parallelism,
+// no harness serialization, meant to run under -race (scripts/check.sh
+// tier-1 list).  On a multi-CPU machine spl is vestigial and the stack
+// lock is what keeps these apart: receive demux vs. detach, accept vs.
+// listener close, and full-lifecycle churn across goroutines.
 
 import (
 	"sync"
@@ -18,8 +16,8 @@ import (
 
 // TestRaceConnectChurn runs the whole connection lifecycle from several
 // goroutines at once against one echo-less server: concurrent connects
-// share the stack lock and port allocator, established connections take
-// their own pcb locks, and closes race the server's reads.
+// share the stack lock and port allocator, established connections
+// move data, and closes race the server's reads.
 func TestRaceConnectChurn(t *testing.T) {
 	a, b := connectedStacksSMP(t)
 	fb := b.SocketFactory()
@@ -154,11 +152,9 @@ func TestRaceAcceptVsListenerClose(t *testing.T) {
 	}
 }
 
-// TestRaceDemuxVsClose pits the receive fast path (demux read lock,
-// then pcb lock with revalidation) against a concurrent close of the
-// very connection being demuxed: a writer spams segments at a peer that
-// tears the pcb down mid-stream.  The revalidation step (locks.go: the
-// no-coupling rule) is what keeps this from touching a detached pcb.
+// TestRaceDemuxVsClose pits receive demux against a concurrent close of
+// the very connection being demuxed: a writer spams segments at a peer
+// that tears the pcb down mid-stream.
 func TestRaceDemuxVsClose(t *testing.T) {
 	a, b := connectedStacksSMP(t)
 	fb := b.SocketFactory()
@@ -189,8 +185,7 @@ func TestRaceDemuxVsClose(t *testing.T) {
 	}
 
 	// Writer floods while the server side closes mid-stream: inbound
-	// ACK processing (demux fast path: read lock, pcb lock, revalidate)
-	// overlaps the server pcb's detach.  The never-reading closed peer
+	// ACK processing overlaps the server pcb's detach.  The never-reading closed peer
 	// legitimately zero-windows the writer — TCP flow control — so
 	// after the overlap window the client closes too, and the blocked
 	// writer must wake and fail (ErrPipe), never wedge on a lost

@@ -1,34 +1,39 @@
 package bsdnet
 
-// Seeded-interleaving tests for the per-connection locking rewrite
-// (locks.go).  The smp.TestSchedule harness serializes N virtual CPUs
-// and picks every interleaving decision from a seed — the fault plane's
-// reproducibility contract — so a lock-ordering or lost-wakeup bug that
-// only bites under one ordering is found by sweeping seeds and then
-// pinned forever by its seed.  The unserialized counterparts (actual
-// parallelism under -race) are in smp_race_test.go.
+// Seeded-interleaving tests for the stack's SMP exclusion (locks.go).
+// The smp.TestSchedule harness serializes N virtual CPUs and picks every
+// interleaving decision from a seed — the fault plane's reproducibility
+// contract — so a lock-ordering or lost-wakeup bug that only bites under
+// one ordering is found by sweeping seeds and then pinned forever by its
+// seed.  The unserialized counterparts (actual parallelism under -race)
+// are in smp_race_test.go.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
+	"oskit/internal/hw"
+	"oskit/internal/kern"
 	"oskit/internal/smp"
 )
 
 // connectedStacksSMP boots the usual two-machine rig on 4-CPU machines,
 // which is what puts both stacks' glue (and the driver glue under them)
-// in the SMP discipline: spl and cli become vestigial, per-thread
-// current-process tracking engages, and the locks of locks.go are the
-// only exclusion — the configuration every test in this file and in
-// smp_race_test.go exercises.
+// in the SMP discipline: spl and cli become vestigial and the stack lock
+// is the only exclusion — the configuration every test in this file and
+// in smp_race_test.go exercises.
 func connectedStacksSMP(t *testing.T) (*Stack, *Stack) { return connectedStacksCPUs(t, 4) }
 
 // TestPerConnLockingInterleavings drives three virtual CPUs through the
 // full connection lifecycle — create, connect, write, close — against
 // one listener, yielding between every step so the seed decides which
-// connection's stack-lock/pcb-lock/demux-lock sequence runs when.
+// connection's entry into the stack runs when.
 // Every seed must end with every handshake completed, every byte
 // delivered, and every pcb retired.
 func TestPerConnLockingInterleavings(t *testing.T) {
@@ -118,10 +123,9 @@ func TestPerConnLockingInterleavings(t *testing.T) {
 }
 
 // TestScheduledConnectCloseRace interleaves a connection being set up
-// with its own teardown from another virtual CPU — the demux
-// registration vs. detach ordering that the no-coupling fast path
-// (locks.go) revalidates against.  Whatever the seed orders, the stack
-// must neither deadlock nor leave the 4-tuple registered.
+// with its own teardown from another virtual CPU — demux registration
+// against detach.  Whatever the seed orders, the stack must neither
+// deadlock nor leave the 4-tuple registered.
 func TestScheduledConnectCloseRace(t *testing.T) {
 	for _, seed := range []int64{2, 11, 23} {
 		seed := seed
@@ -185,6 +189,99 @@ func TestScheduledConnectCloseRace(t *testing.T) {
 					t.Fatalf("leaked %s under seed %d", stuck, seed)
 				}
 				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestScheduledARPResolveVsOutput: one virtual CPU sends datagrams to a
+// neighbour nobody has resolved, so the first of them park on its ARP
+// entry; the other takes the reply as an interrupt routed to the second
+// CPU of a two-CPU machine, whichever send the seed lands it between.
+// Every datagram must leave exactly once and in order — the parked ones
+// released by the reply, the later ones sent straight through — behind a
+// single request.
+func TestScheduledARPResolveVsOutput(t *testing.T) {
+	for _, seed := range []int64{3, 5, 8, 13} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			m := hw.NewMachine(hw.Config{Name: "arp", MemBytes: 16 << 20, CPUs: 2})
+			t.Cleanup(m.Halt)
+			k, err := kern.Setup(m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewStack(bsdglue.NewLocked(k.Env))
+			t.Cleanup(s.Close)
+			mac := [6]byte{2, 0, 0, 0, 0, 1}
+			var sent []string // datagram payloads that left, in order
+			s.ifAttach(mac, func(m *Mbuf) {
+				frame := make([]byte, m.PktLen)
+				m.CopyData(0, m.PktLen, frame)
+				m.FreeChain()
+				if binary.BigEndian.Uint16(frame[12:14]) == EtherTypeIP {
+					ip := frame[etherHdrLen:]
+					sent = append(sent, string(ip[ipHdrLen+udpHdrLen:binary.BigEndian.Uint16(ip[2:4])]))
+				}
+			})
+			s.Ifconfig(fuzzIP, IPAddr{255, 255, 255, 0})
+			f := s.SocketFactory()
+			defer f.Release()
+			so, err := f.CreateSocket(com.AFInet, com.SockDgram, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer so.Close()
+			if err := so.Connect(addrOf(fuzzPeer, 53)); err != nil {
+				t.Fatal(err)
+			}
+
+			// The reply, delivered by CPU 1's interrupt dispatcher.
+			peer := [6]byte{2, 0, 0, 0, 0, 2}
+			p := make([]byte, arpHdrLen)
+			packARP(p, arpOpReply, peer, fuzzPeer, mac, fuzzIP)
+			reply := etherFrame(EtherTypeARP, p)
+			ic := m.Intr
+			line := ic.AllocLine()
+			delivered := make(chan struct{})
+			ic.SetHandler(line, func(int) {
+				_ = s.rxOne(com.NewMemBuf(reply), uint(len(reply)), nil)
+				close(delivered)
+			})
+			ic.SetAffinity(line, 1)
+			ic.SetMask(line, false)
+
+			const n = 6
+			var want []string
+			held := 0 // datagrams written before the reply arrived
+			sched := smp.NewTestSchedule(seed, 2)
+			sched.Run(func(cpu int, yield func()) {
+				if cpu == 0 {
+					for i := range n {
+						want = append(want, strconv.Itoa(i))
+						if _, err := so.Write([]byte(want[i])); err != nil {
+							t.Error(err)
+						}
+						yield()
+					}
+					return
+				}
+				for len(want) == 0 { // something must be parked first
+					yield()
+				}
+				held = len(want)
+				ic.Raise(line)
+				<-delivered
+				yield()
+			})
+			if held == 0 {
+				t.Fatal("no datagram was parked on ARP before the reply")
+			}
+			if !slices.Equal(sent, want) {
+				t.Fatalf("%d parked before the reply; the wire carried %q, want %q", held, sent, want)
+			}
+			if got := stat(t, s, "arp.out"); got != 1 {
+				t.Errorf("arp.out = %d, want one request", got)
 			}
 		})
 	}

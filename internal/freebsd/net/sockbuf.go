@@ -17,17 +17,17 @@ const defaultSockbufBytes = 16384
 // the segments or writes (the reassembly queue is capped the same).
 const mclMin = MCLBYTES / 4
 
-// A sockbuf is owned by the lock of its embedding pcb: TCP buffers live
-// under the connection's tcpcb.mu, UDP receive state under Stack.mu —
-// whichever the embedding path holds (type-qualified guards).  hiwat is
-// config-ish but SO_RCVBUF/SO_SNDBUF mutate it after traffic starts, so
-// it shares the one-of guard rather than claiming initonly.
+// A sockbuf lives under the stack lock, like the pcb embedding it.
+// hiwat is config-ish but SO_RCVBUF/SO_SNDBUF mutate it after traffic
+// starts, so it is guarded rather than initonly.
+//
+//oskit:guardedby s.mu
 type sockbuf struct {
 	s     *Stack //oskit:initonly
-	head  *Mbuf  //oskit:guardedby tcpcb.mu|Stack.mu
-	tail  *Mbuf  //oskit:guardedby tcpcb.mu|Stack.mu  head's last link (nil with head): appends never walk the chain
-	cc    int    //oskit:guardedby tcpcb.mu|Stack.mu  bytes buffered
-	hiwat int    //oskit:guardedby tcpcb.mu|Stack.mu  limit
+	head  *Mbuf
+	tail  *Mbuf  // head's last link (nil with head): appends never walk the chain
+	cc    int    // bytes buffered
+	hiwat int    // limit
 	event uint32 //oskit:initonly
 }
 

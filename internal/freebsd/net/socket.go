@@ -10,13 +10,10 @@ import (
 // current process (§4.7.5), raises splnet, and blocks — if it must —
 // with a two-phase sleep on the pcb's events.
 //
-// SMP entry discipline (locks.go): Read and Write on an established TCP
-// socket take only the pcb lock — they are the scaling-critical paths
-// and share nothing with the stack's global state.  Every other entry
-// point takes the stack lock (and the pcb lock around pcb mutations).
-// Blocking always uses SleepPrepare under the condition locks, drops
-// them, then SleepCommit — the lost-wakeup-free replacement for
-// "enqueue at raised spl, drop to spl0".
+// Every entry point takes the stack lock (locks.go).  Blocking always
+// uses SleepPrepare under it, drops it, then SleepCommit — the
+// lost-wakeup-free replacement for "enqueue at raised spl, drop to
+// spl0".
 
 // Factory is the stack's socket factory (what oskit_freebsd_net_init
 // hands back for posix_set_socketcreator).
@@ -77,12 +74,8 @@ type socket struct {
 	tcp *tcpcb
 	udp *udpPCB
 
-	// reuse is stack-lock state (only bind/setsockopt touch it).
-	// closed is written under the stack lock AND (for TCP) the pcb lock,
-	// so either's holder may read it — the pcb-lock-only Read/Write
-	// loops included.
-	reuse  bool
-	closed bool
+	reuse  bool //oskit:guardedby s.mu
+	closed bool //oskit:guardedby s.mu
 }
 
 // QueryInterface implements com.IUnknown.  Stream sockets additionally
@@ -128,8 +121,6 @@ func (so *socket) Bind(addr com.SockAddr) error {
 		return com.ErrBadF
 	}
 	if so.tcp != nil {
-		so.tcp.mu.Lock()
-		defer so.tcp.mu.Unlock()
 		return bsdglue.COMError(so.s.tcpBind(so.tcp, addr.Port, so.reuse))
 	}
 	return bsdglue.COMError(so.s.udpBind(so.udp, addr.Port))
@@ -155,21 +146,15 @@ func (so *socket) Connect(addr com.SockAddr) error {
 	tp := so.tcp
 	var dst IPAddr
 	copy(dst[:], addr.Addr[:])
-	tp.mu.Lock()
-	err := tp.usrConnect(dst, addr.Port)
-	tp.mu.Unlock()
-	if err != nil {
+	if err := tp.usrConnect(dst, addr.Port); err != nil {
 		s.mu.Unlock()
 		return bsdglue.COMError(err)
 	}
-	// Wait under the stack lock (state/err are readable there; writers
-	// hold both locks), sleeping two-phase across the unlock.
+	// Wait under the stack lock, sleeping two-phase across the unlock.
 	for tp.state != tcpsEstablished {
 		if tp.err != 0 {
-			tp.mu.Lock()
 			err := tp.err
 			tp.err = 0
-			tp.mu.Unlock()
 			s.mu.Unlock()
 			if err == bsdglue.ECONNRESET {
 				return com.ErrConnRef // RST during handshake = refused
@@ -197,8 +182,6 @@ func (so *socket) Listen(backlog int) error {
 	}
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
-	so.tcp.mu.Lock()
-	defer so.tcp.mu.Unlock()
 	return bsdglue.COMError(so.tcp.usrListen(backlog))
 }
 
@@ -230,9 +213,7 @@ func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
 	return ns, peer, nil
 }
 
-// Read implements com.Socket.  The TCP path takes only the pcb lock —
-// the scaling-critical entry, sharing nothing with the stack's global
-// state.
+// Read implements com.Socket.
 func (so *socket) Read(buf []byte) (uint, error) {
 	defer so.enter("soread").leave()
 	if so.udp != nil {
@@ -244,8 +225,7 @@ func (so *socket) Read(buf []byte) (uint, error) {
 	return so.readTCP(buf)
 }
 
-// Write implements com.Socket, blocking for send-buffer space.  The TCP
-// path takes only the pcb lock, like Read.
+// Write implements com.Socket, blocking for send-buffer space.
 func (so *socket) Write(buf []byte) (uint, error) {
 	defer so.enter("sowrite").leave()
 	if so.udp != nil {
@@ -263,11 +243,12 @@ func (so *socket) Write(buf []byte) (uint, error) {
 }
 
 // writeTCP is the stream send under Write and sendfile's copy fallback:
-// append as room opens, drive output.  Takes the pcb lock itself.
+// append as room opens, drive output.  Takes the stack lock itself.
 func (so *socket) writeTCP(buf []byte) (uint, error) {
 	tp := so.tcp
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
+	s := so.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	total := uint(0)
 	for len(buf) > 0 {
 		if tp.err != 0 {
@@ -281,10 +262,10 @@ func (so *socket) writeTCP(buf []byte) (uint, error) {
 		space := tp.sndBuf.space()
 		if space == 0 {
 			tp.armPersistIfNeeded()
-			p := so.s.g.SleepPrepare(tp.sndBuf.event, "sowrite")
-			tp.mu.Unlock()
-			so.s.g.SleepCommit(p)
-			tp.mu.Lock()
+			p := s.g.SleepPrepare(tp.sndBuf.event, "sowrite")
+			s.mu.Unlock()
+			s.g.SleepCommit(p)
+			s.mu.Lock()
 			continue
 		}
 		n := min(space, len(buf))
@@ -293,7 +274,7 @@ func (so *socket) writeTCP(buf []byte) (uint, error) {
 		}
 		buf = buf[n:]
 		total += uint(n)
-		so.s.tcpOutput(tp)
+		s.tcpOutput(tp)
 	}
 	return total, nil
 }
@@ -305,9 +286,9 @@ func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
 		n, err := so.readTCP(buf)
 		tp := so.tcp
 		a := com.SockAddr{Family: com.AFInet}
-		tp.mu.Lock()
+		so.s.mu.Lock()
 		tp.peerAddr(&a)
-		tp.mu.Unlock()
+		so.s.mu.Unlock()
 		return n, a, err
 	}
 	so.s.mu.Lock()
@@ -318,12 +299,13 @@ func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
 	return uint(n), addr, bsdglue.COMError(err)
 }
 
-// readTCP is the stream receive under Read and RecvFrom; takes the pcb
-// lock itself.
+// readTCP is the stream receive under Read and RecvFrom; takes the
+// stack lock itself.
 func (so *socket) readTCP(buf []byte) (uint, error) {
 	tp := so.tcp
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
+	s := so.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
 		if tp.rcvBuf.cc > 0 {
 			n := tp.rcvBuf.read(buf)
@@ -331,7 +313,7 @@ func (so *socket) readTCP(buf []byte) (uint, error) {
 			// reopens (BSD's tcp_output-after-PRU_RCVD behaviour).
 			if tp.state != tcpsClosed &&
 				seqGEQ(tp.rcvNxt+tp.rcvWindow(), tp.rcvAdv+2*tp.maxSeg) {
-				so.s.tcpRespondACK(tp)
+				s.tcpRespondACK(tp)
 			}
 			return uint(n), nil
 		}
@@ -345,10 +327,10 @@ func (so *socket) readTCP(buf []byte) (uint, error) {
 		if so.closed {
 			return 0, com.ErrBadF
 		}
-		p := so.s.g.SleepPrepare(tp.rcvBuf.event, "soread")
-		tp.mu.Unlock()
-		so.s.g.SleepCommit(p)
-		tp.mu.Lock()
+		p := s.g.SleepPrepare(tp.rcvBuf.event, "soread")
+		s.mu.Unlock()
+		s.g.SleepCommit(p)
+		s.mu.Lock()
 	}
 }
 
@@ -377,8 +359,6 @@ func (so *socket) Shutdown(how int) error {
 	}
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
 	if how == com.ShutWrite || how == com.ShutBoth {
 		switch tp.state {
 		case tcpsEstablished:
@@ -421,7 +401,7 @@ func (so *socket) GetPeerName() (com.SockAddr, error) {
 }
 
 // peerLocked reads the foreign endpoint; the caller holds the stack
-// lock or the pcb lock (identity is readable under either).
+// lock.
 func (so *socket) peerLocked() (com.SockAddr, error) {
 	a := com.SockAddr{Family: com.AFInet}
 	switch {
@@ -436,7 +416,7 @@ func (so *socket) peerLocked() (com.SockAddr, error) {
 }
 
 // peerAddr fills a with the connection's foreign endpoint and reports
-// whether there is one; the caller holds tp.mu or the stack lock.
+// whether there is one; the caller holds the stack lock.
 func (tp *tcpcb) peerAddr(a *com.SockAddr) bool {
 	if tp.fport == 0 {
 		return false
@@ -470,8 +450,6 @@ func (so *socket) SetSockOpt(name string, value int) error {
 		}
 		return nil
 	}
-	so.tcp.mu.Lock()
-	defer so.tcp.mu.Unlock()
 	switch name {
 	case "rcvbuf":
 		so.tcp.rcvBuf.hiwat = value
@@ -490,10 +468,6 @@ func (so *socket) GetSockOpt(name string) (int, error) {
 	defer so.enter("getsockopt").leave()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
-	if so.tcp != nil {
-		so.tcp.mu.Lock()
-		defer so.tcp.mu.Unlock()
-	}
 	switch name {
 	case "rcvbuf":
 		if so.tcp != nil {
@@ -534,11 +508,7 @@ func (so *socket) Close() error {
 		so.s.udpDetach(so.udp)
 		return nil
 	}
-	// closed is read by the pcb-lock-only Read/Write loops, so the write
-	// holds both locks.
-	so.tcp.mu.Lock()
 	so.closed = true
-	so.tcp.mu.Unlock()
 	so.tcp.usrClose()
 	return nil
 }

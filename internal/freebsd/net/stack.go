@@ -2,7 +2,6 @@ package bsdnet
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"oskit/internal/com"
 	bsdglue "oskit/internal/freebsd/glue"
@@ -19,20 +18,14 @@ import (
 type Stack struct {
 	g *bsdglue.Glue //oskit:initonly
 
-	// mu is the stack lock (rank 10, see locks.go): pcb lists, demux
-	// registration, listener queues, port occupancy, TIME_WAIT queue,
-	// reassembly, ping state, all of UDP, and the event allocator.  On a
-	// uniprocessor it is uncontended (the spl discipline already
-	// serializes); on SMP it is the slow-path exclusion, while the
-	// established-connection data path runs under per-pcb locks only.
+	// mu is the stack lock (rank 10, see locks.go): all protocol state —
+	// pcbs and their socket buffers, demux, listener queues, port
+	// occupancy, the TIME_WAIT queue, reassembly, pings, UDP, the ARP
+	// cache, the interface output hand-off and the event allocator.  On
+	// a uniprocessor it is uncontended (the spl discipline already
+	// serializes); on SMP it is the component's exclusion.
 	mu stackLock
 
-	// demuxMu guards tcpHash for the lockless-of-mu receive fast path:
-	// readers take it shared; writers hold mu as well (see locks.go).
-	demuxMu demuxLock
-
-	arpMu arpLock // rank 50: the ARP cache (arp.go)
-	txMu  txLock  // rank 60: serializes the interface output hand-off
 	// freeMu (rank 72) guards the free lists of mbufs, clusters (mbuf.go)
 	// and batched-receive contexts (PushBatch), and cluster refcounts.
 	freeMu    freeLock
@@ -54,10 +47,6 @@ type Stack struct {
 
 	arp arpTable
 
-	// txSeq counts interface hand-offs inside the rank-60 critical
-	// section — the serialization witness of the TX convergence point.
-	txSeq uint64 //oskit:guardedby txMu
-
 	// pktPool is the allocator service registered under
 	// com.AllocatorIID when the stack was built, or nil: the stack's
 	// fast-path fact, on which SendFile negotiates the file's zero-copy
@@ -70,12 +59,10 @@ type Stack struct {
 	tcpPCBs []*tcpcb               //oskit:guardedby mu
 	ipReasm map[reasmKey]*reasmQ   //oskit:guardedby mu
 	pings   map[uint16]*pingWaiter //oskit:guardedby mu
-	ipID    atomic.Uint32          //oskit:atomic  low 16 bits emitted; TX needs no lock
+	ipID    uint16                 //oskit:guardedby mu
 	issSeed uint32                 //oskit:initonly
 
-	// tcpHash is written with mu AND demuxMu held, read under either:
-	// the fast path holds demuxMu.RLock, the slow paths hold mu.
-	tcpHash   map[tcpKey]*tcpcb  //oskit:guardedby mu+demuxMu
+	tcpHash   map[tcpKey]*tcpcb  //oskit:guardedby mu  connected pcbs by 4-tuple
 	tcpListen map[uint16]*tcpcb  //oskit:guardedby mu  listeners by local port
 	tcpPorts  map[uint16]int     //oskit:guardedby mu  TCP local-port occupancy
 	udpHash   map[udpKey]*udpPCB //oskit:guardedby mu  connected UDP pcbs by 4-tuple
@@ -389,16 +376,13 @@ func (s *Stack) route(dst IPAddr) (IPAddr, bool) {
 	return IPAddr{}, false
 }
 
-// slowTimo runs at interrupt level every 500 ms.  It acquires the stack
-// lock itself: timer sweeps are slow-path work.  The ARP age runs after
-// dropping mu — it takes the ARP lock internally, and a held-packet
-// retransmit under it must not also hold the stack lock it doesn't need.
+// slowTimo runs at interrupt level every 500 ms, under the stack lock.
 func (s *Stack) slowTimo() {
 	s.mu.Lock()
 	s.tcpSlowTimo()
 	s.reasmAge()
-	s.mu.Unlock()
 	s.arp.age()
+	s.mu.Unlock()
 }
 
 // --- receive path.
@@ -476,11 +460,10 @@ func (r *stackRecv) PushBatch(pkts []com.BufIO, sizes []uint) error {
 // already ACKed on its behalf, or the connection died mid-batch).  An
 // ACK not yet due stays delayed, exactly as after a per-frame Push.
 func (s *Stack) rxFlush(ctx *rxCtx) {
+	s.mu.Lock()
 	for i, tp := range ctx.pend {
 		ctx.pend[i] = nil
-		tp.mu.Lock()
 		if !tp.rxPendWake {
-			tp.mu.Unlock()
 			continue
 		}
 		tp.rxPendWake = false
@@ -489,8 +472,8 @@ func (s *Stack) rxFlush(ctx *rxCtx) {
 			s.tcpRespondACK(tp)
 		}
 		tp.rxAckOwed = false
-		tp.mu.Unlock()
 	}
+	s.mu.Unlock()
 	ctx.pend = ctx.pend[:0]
 }
 

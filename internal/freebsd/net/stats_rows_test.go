@@ -34,9 +34,9 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 	// The peer is resolved, so output to it is never parked on ARP.  (ARP
 	// frames and TCP control segments leave as one run; a UDP datagram or
 	// an echo reply is a header mbuf chained to its payload.)
-	s.arpMu.Lock()
+	s.mu.Lock()
 	s.arp.entries[fuzzPeer] = &arpEntry{mac: peerMAC, valid: true}
-	s.arpMu.Unlock()
+	s.mu.Unlock()
 
 	// A listener whose queues hold two embryonic connections, and a
 	// bound UDP socket for the datagram steps.
@@ -140,19 +140,19 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 		{"udp to an unresolved host", send(IPAddr{10, 0, 0, 77}, []byte("held")),
 			row{"udp.out": 1, "ip.out": 1, "arp.out": 1, "ether.tx_contiguous": 1}},
 		{"arp gives up", func() {
-			s.arpMu.Lock()
+			s.mu.Lock()
 			s.arp.entries[IPAddr{10, 0, 0, 77}].age = 11*arpRetryTicks - 1
-			s.arpMu.Unlock()
 			s.arp.age()
+			s.mu.Unlock()
 		}, row{"arp.dropped_unreach": 1}},
 		{"arp hold queue full", func() {
-			s.arpMu.Lock()
+			s.mu.Lock()
 			e := &arpEntry{}
 			for range arpMaxHeld {
 				e.held = append(e.held, s.MGetHdr())
 			}
 			s.arp.entries[IPAddr{10, 0, 0, 77}] = e
-			s.arpMu.Unlock()
+			s.mu.Unlock()
 			send(IPAddr{10, 0, 0, 77}, []byte("one too many"))()
 		}, row{"udp.out": 1, "ip.out": 1, "arp.held_dropped": 1}},
 		{"echo request answered", input(icmp(icmpEchoRequest)),
@@ -178,9 +178,7 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 		{"syn-ack retransmit timer", func() {
 			s.mu.Lock()
 			tp := s.tcpLookup(fuzzIP, fuzzPort, fuzzPeer, 2000)
-			tp.mu.Lock()
 			s.tcpTimerFire(tp, tRexmt)
-			tp.mu.Unlock()
 			s.mu.Unlock()
 		}, row{"tcp.rexmt": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},
 		{"second syn fills the queue", input(syn(2001)),
@@ -193,18 +191,14 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 			s.maxTimeWait = 1
 			for _, fport := range []uint16{3000, 3001} {
 				tp := s.tcpLookup(fuzzIP, 80, fuzzPeer, fport)
-				tp.mu.Lock()
 				s.tcpEnterTimeWait(tp)
-				tp.mu.Unlock()
 			}
 		}, row{"tcp.timewait_recycled": 1}},
 		{"sweep sends a delayed ack", func() {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			tp := s.tcpLookup(fuzzIP, 80, fuzzPeer, 3002)
-			tp.mu.Lock()
 			tp.delack = true
-			tp.mu.Unlock()
 			s.tcpSlowTimo()
 		}, row{"tcp.delack_timeouts": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},
 	}

@@ -2,7 +2,6 @@ package bsdnet
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	bsdglue "oskit/internal/freebsd/glue"
 )
@@ -104,73 +103,62 @@ func (tp *tcpcb) freeReass() {
 	tp.reass = nil
 }
 
-// tcpcb is the connection control block.
+// tcpcb is the connection control block.  All of it lives under the
+// stack lock (locks.go); only the backpointer and the two event ids,
+// fixed at creation, are read without it.
 //
-// mu (rank 20, locks.go) guards the per-connection state: sequence
-// spaces, timers, reassembly, both socket buffers, and the batching
-// deferral flags.  Identity (laddr/lport/faddr/fport), state, err, and
-// the listener linkage are written only with BOTH Stack.mu and mu held,
-// so a reader may hold either — which is what lets the receive fast
-// path run under mu alone while the slow paths run under Stack.mu.
+//oskit:guardedby s.mu
 type tcpcb struct {
 	s     *Stack //oskit:initonly
-	mu    pcbLock
-	state int //oskit:guardedby mu+s.mu
+	state int
 
-	laddr, faddr IPAddr //oskit:guardedby mu+s.mu
-	lport, fport uint16 //oskit:guardedby mu+s.mu
+	laddr, faddr IPAddr
+	lport, fport uint16
 
-	// The buffer structs themselves are never reassigned; their
-	// interiors carry their own annotations (see sockbuf).
 	sndBuf sockbuf
 	rcvBuf sockbuf
 
 	// Send sequence space.
-	iss            uint32 //oskit:guardedby mu
-	sndUna, sndNxt uint32 //oskit:guardedby mu
-	sndMax         uint32 //oskit:guardedby mu
-	sndWnd         uint32 //oskit:guardedby mu
-	sndWL1, sndWL2 uint32 //oskit:guardedby mu
-	cwnd, ssthresh uint32 //oskit:guardedby mu
-	dupacks        int    //oskit:guardedby mu
-	maxSeg         uint32 //oskit:guardedby mu
+	iss            uint32
+	sndUna, sndNxt uint32
+	sndMax         uint32
+	sndWnd         uint32
+	sndWL1, sndWL2 uint32
+	cwnd, ssthresh uint32
+	dupacks        int
+	maxSeg         uint32
 
 	// Receive sequence space.
-	irs    uint32 //oskit:guardedby mu
-	rcvNxt uint32 //oskit:guardedby mu
-	rcvAdv uint32 //oskit:guardedby mu
+	irs    uint32
+	rcvNxt uint32
+	rcvAdv uint32
 
 	// Retransmission machinery.
-	timers   [tcpNTimers]int //oskit:guardedby mu
-	rxtShift int             //oskit:guardedby mu
-	srtt     int             //oskit:guardedby mu  scaled by 8, in slow ticks
-	rttvar   int             //oskit:guardedby mu  scaled by 4
-	rtt      int             //oskit:guardedby mu  active measurement counter (0 = none)
-	rtseq    uint32          //oskit:guardedby mu
+	timers   [tcpNTimers]int
+	rxtShift int
+	srtt     int // scaled by 8, in slow ticks
+	rttvar   int // scaled by 4
+	rtt      int // active measurement counter (0 = none)
+	rtseq    uint32
 
 	// Out-of-order segments, sorted by seq.
-	reass []tcpSeg //oskit:guardedby mu
+	reass []tcpSeg
 
 	// Listener state.  synQ holds embryonic connections (SynRcvd, not
 	// yet completed); acceptQ holds completed connections awaiting
 	// Accept.  A child points at its listener through parent until
-	// accepted or dropped.  The queues live under the stack lock (rank
-	// 10 "listener queues"): detach unlinks a child from its parent's
-	// queues without the parent's pcb lock.
-	listening bool     //oskit:guardedby mu+s.mu
-	backlog   int      //oskit:guardedby s.mu
-	synQ      []*tcpcb //oskit:guardedby s.mu
-	acceptQ   []*tcpcb //oskit:guardedby s.mu
-	parent    *tcpcb   //oskit:guardedby s.mu
+	// accepted or dropped.
+	listening bool
+	backlog   int
+	synQ      []*tcpcb
+	acceptQ   []*tcpcb
+	parent    *tcpcb
 
 	// pcbIdx is this pcb's slot in Stack.tcpPCBs (swap-remove on
 	// detach); -1 once detached, which makes tcpDetach idempotent — a
 	// pcb can be dropped by a timer and again by the closing user path
-	// without corrupting the list.  Atomic, not mu-guarded: the
-	// swap-remove writes the *moved* pcb's index while holding only the
-	// stack lock, and the receive fast path reads it under mu alone to
-	// revalidate attachment.
-	pcbIdx atomic.Int32 //oskit:atomic
+	// without corrupting the list.
+	pcbIdx int
 
 	// User synchronization.
 	connEvent   uint32 //oskit:initonly
@@ -180,20 +168,20 @@ type tcpcb struct {
 	// being held for the next segment this side sends, for a second
 	// data segment (which makes it due), or for the slow-timer sweep.
 	// Any segment carrying an ACK clears it (ackSent).
-	delack bool //oskit:guardedby mu
+	delack bool
 
 	// Batched-receive deferral (see Stack.rxFlush): while a PushBatch is
 	// ingesting, in-order data sets these instead of waking the reader
 	// and sending a due ACK per segment.  rxAckOwed is cleared by any ACK
 	// sent on the connection's behalf meanwhile (ackSent), so the flush
 	// never duplicates one.
-	rxPendWake bool //oskit:guardedby mu
-	rxAckOwed  bool //oskit:guardedby mu
+	rxPendWake bool
+	rxAckOwed  bool
 
-	nodelay bool          //oskit:guardedby mu+s.mu
-	sentFin bool          //oskit:guardedby mu
-	err     bsdglue.Errno //oskit:guardedby mu+s.mu  sticky socket error
-	refcnt  int           //oskit:guardedby s.mu  socket references; pcb freed at 0
+	nodelay bool
+	sentFin bool
+	err     bsdglue.Errno // sticky socket error
+	refcnt  int           // socket references; pcb freed at 0
 }
 
 // tcpNew creates an attached pcb.  Called with the stack lock held.
@@ -207,7 +195,7 @@ func (s *Stack) tcpNew() *tcpcb {
 		srtt:     0,
 		rttvar:   3 * 4, // BSD initial: srtt unset, rttvar 3 ticks
 	}
-	tp.pcbIdx.Store(int32(len(s.tcpPCBs)))
+	tp.pcbIdx = len(s.tcpPCBs)
 	tp.sndBuf.init(s)
 	tp.rcvBuf.init(s)
 	tp.connEvent = s.newEvent()
@@ -220,25 +208,20 @@ func (s *Stack) tcpNew() *tcpcb {
 // tcpDetach removes a pcb from the stack: swap-remove from the pcb
 // list, drop its demux and port-occupancy entries, unlink it from any
 // listener queue, and free the socket buffers.  Idempotent: a second
-// call (timer vs. user close racing) is a no-op.
-//
-// Called with the stack lock AND tp.mu held.  The moved pcb's index is
-// the one pcb field written without its own lock — hence its atomic
-// type.  The demux delete additionally takes the demux write lock so
-// the receive fast path (which holds neither of the others) never sees
-// a stale entry.
+// call (timer vs. user close racing) is a no-op.  Called with the
+// stack lock held.
 func (s *Stack) tcpDetach(tp *tcpcb) {
-	idx := int(tp.pcbIdx.Load())
+	idx := tp.pcbIdx
 	if idx < 0 {
 		return
 	}
 	last := len(s.tcpPCBs) - 1
 	moved := s.tcpPCBs[last]
 	s.tcpPCBs[idx] = moved
-	moved.pcbIdx.Store(int32(idx))
+	moved.pcbIdx = idx
 	s.tcpPCBs[last] = nil
 	s.tcpPCBs = s.tcpPCBs[:last]
-	tp.pcbIdx.Store(-1)
+	tp.pcbIdx = -1
 	s.sc.tcpPCBCount.Set(int64(len(s.tcpPCBs)))
 
 	if tp.listening {
@@ -248,9 +231,7 @@ func (s *Stack) tcpDetach(tp *tcpcb) {
 	} else if tp.fport != 0 {
 		k := tcpKey{tp.laddr, tp.lport, tp.faddr, tp.fport}
 		if s.tcpHash[k] == tp {
-			s.demuxMu.Lock()
 			delete(s.tcpHash, k)
-			s.demuxMu.Unlock()
 		}
 	}
 	if tp.lport != 0 {
@@ -286,8 +267,7 @@ func removePCB(q *[]*tcpcb, tp *tcpcb) {
 // tcpBind assigns the local port.  The per-port occupancy map makes
 // both the ephemeral probe and the conflict check O(1); a port is
 // refused only while some pcb actually holds it (TIME_WAIT pcbs count
-// until detached or recycled).  Called with the stack lock and tp.mu
-// held (port maps; identity write).
+// until detached or recycled).  Called with the stack lock held.
 func (s *Stack) tcpBind(tp *tcpcb, port uint16, reuse bool) error {
 	if tp.lport != 0 {
 		return bsdglue.EINVAL
@@ -317,8 +297,7 @@ func (s *Stack) newISS() uint32 {
 }
 
 // usrConnect starts the three-way handshake (caller blocks in the
-// socket layer on connEvent).  Called with the stack lock and tp.mu
-// held.
+// socket layer on connEvent).  Called with the stack lock held.
 func (tp *tcpcb) usrConnect(dst IPAddr, dport uint16) error {
 	if tp.lport == 0 {
 		if err := tp.s.tcpBind(tp, 0, false); err != nil {
@@ -340,8 +319,7 @@ func (tp *tcpcb) usrConnect(dst IPAddr, dport uint16) error {
 	return nil
 }
 
-// usrListen makes the pcb passive.  Called with the stack lock and
-// tp.mu held.
+// usrListen makes the pcb passive.  Called with the stack lock held.
 func (tp *tcpcb) usrListen(backlog int) error {
 	if tp.lport == 0 {
 		return bsdglue.EINVAL
@@ -360,10 +338,8 @@ func (tp *tcpcb) usrListen(backlog int) error {
 }
 
 // usrClose begins an orderly close from the user side.  Called with the
-// stack lock held; takes tp.mu itself, and for a listener drops it again
-// around the queue abort so at most one pcb lock is ever held.
+// stack lock held.
 func (tp *tcpcb) usrClose() {
-	tp.mu.Lock()
 	switch tp.state {
 	case tcpsClosed, tcpsListen, tcpsSynSent:
 		if tp.listening {
@@ -373,9 +349,7 @@ func (tp *tcpcb) usrClose() {
 			// live pcbs — peers that completed the handshake hang with a
 			// connection nobody will ever read, and their sockbuf mbuf
 			// chains leak for the stack's lifetime.
-			tp.mu.Unlock()
 			tp.s.tcpAbortListenQueues(tp)
-			tp.mu.Lock()
 		}
 		tp.s.tcpDetach(tp)
 	case tcpsSynRcvd, tcpsEstablished:
@@ -385,7 +359,6 @@ func (tp *tcpcb) usrClose() {
 		tp.state = tcpsLastAck
 		tp.s.tcpOutput(tp)
 	}
-	tp.mu.Unlock()
 	// Wake anyone blocked; they will see the state change.
 	tp.wakeAll()
 }
@@ -394,16 +367,13 @@ func (tp *tcpcb) usrClose() {
 // closing listener.  usrAbort sends RST for handshake-complete states,
 // then drop detaches the pcb and frees its buffers; the peer sees a
 // reset instead of a silent black hole.  Called with the stack lock
-// held and NO pcb lock: the children are aborted sequentially, each
-// under its own lock (pcb locks never nest, locks.go).
+// held.
 func (s *Stack) tcpAbortListenQueues(lp *tcpcb) {
 	pend := append(append([]*tcpcb(nil), lp.synQ...), lp.acceptQ...)
 	lp.synQ, lp.acceptQ = nil, nil
 	for _, c := range pend {
-		c.mu.Lock()
 		c.parent = nil // already unlinked; don't wake the dying listener
 		c.usrAbort()
-		c.mu.Unlock()
 	}
 }
 
@@ -411,13 +381,8 @@ func (s *Stack) tcpAbortListenQueues(lp *tcpcb) {
 // queue is freed (nothing more can complete) but the receive buffer is
 // kept — the application may still drain data that arrived before the
 // FIN.  If the stack's TIME_WAIT cap is exceeded, the oldest lingering
-// pcb is recycled immediately, releasing its port.
-//
-// Called with the stack lock and tp.mu held.  Recycling locks the
-// victim pcb while tp.mu is held — the hierarchy's one same-rank
-// nesting, deadlock-free because the victim is only reachable under the
-// stack lock (which we hold) and no pcb-lock holder ever waits for a
-// second one elsewhere.
+// pcb is recycled immediately, releasing its port.  Called with the
+// stack lock held.
 func (s *Stack) tcpEnterTimeWait(tp *tcpcb) {
 	tp.state = tcpsTimeWait
 	tp.timers[tRexmt] = 0
@@ -425,11 +390,10 @@ func (s *Stack) tcpEnterTimeWait(tp *tcpcb) {
 	tp.timers[t2MSL] = 2 * tcpMSLTicks
 	tp.freeReass()
 	// Lazily prune entries whose pcb already left TIME_WAIT (2MSL timer
-	// expiry or SYN reincarnation) so the queue stays bounded.  state is
-	// readable under the stack lock alone; pcbIdx is atomic.
+	// expiry or SYN reincarnation) so the queue stays bounded.
 	for len(s.twQueue) > 0 {
 		h := s.twQueue[0]
-		if h.state == tcpsTimeWait && h.pcbIdx.Load() >= 0 {
+		if h.state == tcpsTimeWait && h.pcbIdx >= 0 {
 			break
 		}
 		s.twQueue = s.twQueue[1:]
@@ -440,23 +404,19 @@ func (s *Stack) tcpEnterTimeWait(tp *tcpcb) {
 		old := s.twQueue[0]
 		s.twQueue = s.twQueue[1:]
 		if old == tp {
-			continue // defensive: never self-lock (FIFO order makes this unreachable)
+			continue // FIFO order makes this unreachable
 		}
-		if old.state != tcpsTimeWait || old.pcbIdx.Load() < 0 {
+		if old.state != tcpsTimeWait || old.pcbIdx < 0 {
 			continue // left TIME_WAIT already (reincarnated or expired)
 		}
-		// Same-rank pcb nesting (the caller holds tp.mu): deadlock-free,
-		// the victim is only reachable under the stack lock, which is held.
-		old.mu.Lock()
 		s.sc.tcpTWRecycled.Inc()
 		s.tcpDetach(old)
-		old.mu.Unlock()
 		old.wakeAll()
 	}
 }
 
 // usrAbort sends RST and drops the connection.  Called with the stack
-// lock and tp.mu held.
+// lock held.
 func (tp *tcpcb) usrAbort() {
 	if tp.state == tcpsEstablished || tp.state == tcpsSynRcvd ||
 		tp.state == tcpsFinWait1 || tp.state == tcpsFinWait2 || tp.state == tcpsCloseWait {
@@ -466,7 +426,7 @@ func (tp *tcpcb) usrAbort() {
 }
 
 // drop kills the connection with a sticky error and wakes everyone.
-// Called with the stack lock and tp.mu held.
+// Called with the stack lock held.
 func (tp *tcpcb) drop(err bsdglue.Errno) {
 	tp.err = err
 	tp.s.tcpDetach(tp)
@@ -474,8 +434,7 @@ func (tp *tcpcb) drop(err bsdglue.Errno) {
 }
 
 // wakeAll wakes every waiter parked on the pcb.  Called with the stack
-// lock held (it reads the listener linkage); holding tp.mu too is fine —
-// the wakeup path only takes the leaf sleep-queue lock.
+// lock held; the wakeup path only takes the leaf sleep-queue lock.
 func (tp *tcpcb) wakeAll() {
 	g := tp.s.g
 	g.Wakeup(tp.rcvBuf.event)
@@ -488,8 +447,8 @@ func (tp *tcpcb) wakeAll() {
 }
 
 // ackSent records that a segment acknowledging rcvNxt is leaving: no
-// delayed or batch-deferred ACK is owed any more.  Called with tp.mu
-// held.
+// delayed or batch-deferred ACK is owed any more.  Called with the
+// stack lock held.
 func (tp *tcpcb) ackSent() {
 	tp.delack = false
 	tp.rxAckOwed = false

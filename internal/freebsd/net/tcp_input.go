@@ -7,15 +7,9 @@ import (
 )
 
 // tcp_input: segment arrival processing.  Runs under splnet, usually at
-// interrupt level straight from the driver's Push.
-//
-// SMP structure (locks.go): parsing, checksum, and the header trim touch
-// only the private segment, lock-free.  A plain data/ACK segment for an
-// established connection then runs the fast path — demux under the
-// read lock, processing under the pcb lock alone — so several CPUs
-// drain distinct connections' RX rings concurrently.  Everything with
-// connection-list or listener side effects (SYN/FIN/RST, TIME_WAIT
-// reincarnation, orphans) takes the slow path under the stack lock.
+// interrupt level straight from the driver's Push.  Parsing, checksum,
+// and the header trim touch only the private segment; demux and
+// everything after it run under the stack lock.
 
 // tcpInput parses, validates, and processes one inbound segment.
 func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
@@ -75,8 +69,8 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 	}
 	// The payload stays where the driver put it: the segment carries the
 	// received chain, header trimmed off (m_adj).  What no receive buffer
-	// or reassembly queue takes is still in seg afterwards, and seg.free
-	// — called after the fast path, deferred over the slow one — drops it.
+	// or reassembly queue takes is still in seg afterwards, and the
+	// deferred seg.free drops it.
 	dataLen := tlen - off
 	if dataLen > 0 {
 		m.Adj(off)
@@ -87,33 +81,6 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 	s.sc.tcpSegsIn.Inc()
 	s.sc.tcpRxBytes.Observe(uint64(dataLen))
 
-	// Fast path: no SYN/FIN/RST means established-connection processing
-	// cannot leave the pcb (no state machine exit, no detach, no listener
-	// work), so it runs under the pcb lock alone.  The demux read and the
-	// pcb lock are deliberately not coupled: look up, drop the read lock,
-	// lock the pcb, then revalidate identity/state/attachment — the entry
-	// may have changed between the two (see locks.go).
-	if seg.flags&(thSYN|thFIN|thRST) == 0 {
-		s.demuxMu.RLock()
-		tp := s.tcpHash[tcpKey{dst, dport, src, sport}]
-		s.demuxMu.RUnlock()
-		if tp != nil {
-			tp.mu.Lock()
-			if tp.pcbIdx.Load() >= 0 && !tp.listening &&
-				tp.state == tcpsEstablished &&
-				tp.laddr == dst && tp.lport == dport &&
-				tp.faddr == src && tp.fport == sport {
-				s.tcpInputConn(tp, &seg, dataLen, ctx) //oskit:allow guarded -- fast path: no SYN|FIN|RST means tcpInputConn cannot reach the state-machine exit, detach, or listener branches that need the stack lock; identity and state were revalidated under tp.mu above (see locks.go)
-				tp.mu.Unlock()
-				seg.free()
-				return
-			}
-			tp.mu.Unlock()
-			// Revalidation failed (mid-handshake, closing, recycled):
-			// fall through to the slow path.
-		}
-	}
-
 	defer seg.free()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,15 +90,9 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 	// pcb and goes to the listener, so a reused client port can connect
 	// again immediately.
 	if tp != nil && !tp.listening && tp.state == tcpsTimeWait &&
-		seg.flags&thSYN != 0 {
-		tp.mu.Lock()
-		if seqGT(seg.seq, tp.rcvNxt) {
-			s.tcpDetach(tp)
-			tp.mu.Unlock()
-			tp = s.tcpLookup(dst, dport, src, sport)
-		} else {
-			tp.mu.Unlock()
-		}
+		seg.flags&thSYN != 0 && seqGT(seg.seq, tp.rcvNxt) {
+		s.tcpDetach(tp)
+		tp = s.tcpLookup(dst, dport, src, sport)
 	}
 	if tp == nil {
 		// No socket: RST unless the segment itself is an RST.
@@ -144,9 +105,7 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 		s.tcpInputListen(tp, seg, src, sport, dst, dport)
 		return
 	}
-	tp.mu.Lock()
 	s.tcpInputConn(tp, &seg, dataLen, ctx)
-	tp.mu.Unlock()
 }
 
 func (s *Stack) respondToOrphan(src IPAddr, sport uint16, dst IPAddr, dport uint16, seg tcpSeg, dataLen int) {
@@ -165,8 +124,7 @@ func (s *Stack) respondToOrphan(src IPAddr, sport uint16, dst IPAddr, dport uint
 }
 
 // tcpInputListen handles segments addressed to a listening socket.
-// Called with the stack lock held (the listener's queues are stack-lock
-// state; no listener pcb lock is taken).
+// Called with the stack lock held.
 func (s *Stack) tcpInputListen(lp *tcpcb, seg tcpSeg, src IPAddr, sport uint16, dst IPAddr, dport uint16) {
 	if seg.flags&thRST != 0 {
 		return
@@ -186,19 +144,13 @@ func (s *Stack) tcpInputListen(lp *tcpcb, seg tcpSeg, src IPAddr, sport uint16, 
 		s.sc.tcpAcceptOvfl.Inc()
 		return
 	}
-	// Passive open: manufacture the connection pcb.  The child's lock is
-	// held across initialization AND publication (tcpRegisterConn makes
-	// it demux-visible), so the fast path can never observe half-built
-	// identity: its revalidation under the child's lock happens-after
-	// everything written here.
+	// Passive open: manufacture the connection pcb.
 	tp := s.tcpNew()
-	tp.mu.Lock()
 	tp.laddr, tp.lport = dst, dport
 	tp.faddr, tp.fport = src, sport
 	if err := s.tcpRegisterConn(tp); err != nil {
 		// 4-tuple already taken (stale twin not yet reaped): drop.
 		s.tcpDetach(tp)
-		tp.mu.Unlock()
 		return
 	}
 	s.tcpPorts[dport]++
@@ -218,14 +170,10 @@ func (s *Stack) tcpInputListen(lp *tcpcb, seg tcpSeg, src IPAddr, sport uint16, 
 	tp.state = tcpsSynRcvd
 	tp.timers[tKeep] = 150 // 75 s handshake timeout, BSD style
 	s.tcpOutput(tp)        // sends SYN|ACK
-	tp.mu.Unlock()
 }
 
 // tcpInputConn is the established-path processing (simplified RFC 793 +
-// the BSD congestion machinery).  Called with tp.mu held; the slow path
-// additionally holds the stack lock, which every branch that can leave
-// the established state (SYN/FIN/RST handling, TIME_WAIT entry, detach)
-// requires — the fast path excludes those by flag and state check.
+// the BSD congestion machinery).  Called with the stack lock held.
 func (s *Stack) tcpInputConn(tp *tcpcb, seg *tcpSeg, dataLen int, ctx *rxCtx) {
 	// RST processing.
 	if seg.flags&thRST != 0 {
@@ -351,10 +299,7 @@ func (s *Stack) tcpInputConn(tp *tcpcb, seg *tcpSeg, dataLen int, ctx *rxCtx) {
 
 // tcpProcessACK handles the acknowledgment field: RTT measurement,
 // dupacks/fast retransmit, send-buffer release, state advance.  Called
-// with tp.mu held; the SynRcvd-completion and FIN-acked branches also
-// need the stack lock, which their callers (the slow input path, the
-// timer sweep) hold — the fast path never reaches them (Established +
-// no FIN outstanding).
+// with the stack lock held.
 func (s *Stack) tcpProcessACK(tp *tcpcb, seg *tcpSeg) {
 	if tp.state == tcpsSynRcvd {
 		if seqLT(seg.ack, tp.iss+1) || seqGT(seg.ack, tp.sndMax) {
@@ -507,9 +452,8 @@ func (s *Stack) tcpProcessACK(tp *tcpcb, seg *tcpSeg) {
 
 // tcpReceiveData moves in-order data (and any newly contiguous
 // reassembly segments) into the receive buffer, or queues an
-// out-of-order segment, taking seg.m.  Called with tp.mu held; the
-// deferral flags and ctx.pend are written under it (the flushing
-// goroutine re-takes tp.mu per connection).
+// out-of-order segment, taking seg.m.  Called with the stack lock held;
+// ctx.pend belongs to the goroutine ingesting the batch.
 func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
 	dataLen := seg.m.PktLen
 	if seg.seq == tp.rcvNxt &&
@@ -590,8 +534,7 @@ func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
 }
 
 // tcpRespondACK sends a bare ACK reflecting the current receive state.
-// Called with tp.mu held (it reads the receive sequence space and
-// writes rcvAdv and the owed-ACK flags).
+// Called with the stack lock held.
 func (s *Stack) tcpRespondACK(tp *tcpcb) {
 	// Any ACK reflects the latest rcvNxt, so a delayed or batch-deferred
 	// ACK it would duplicate is no longer owed (FIN processing mid-batch,

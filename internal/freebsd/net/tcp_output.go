@@ -10,9 +10,8 @@ import "encoding/binary"
 // is that mbuf plus the send buffer's clusters — a chain whose BufIO Map
 // fails — which is exactly where Table 1's send-path copy comes from.
 
-// tcpOutput runs the sender once.  Called at splnet with tp.mu held
-// (the send machinery is pure per-connection state; the transmit
-// hand-off below it takes the TX lock).
+// tcpOutput runs the sender once.  Called at splnet with the stack lock
+// held.
 func (s *Stack) tcpOutput(tp *tcpcb) {
 	for {
 		if !s.tcpOutputOnce(tp) {

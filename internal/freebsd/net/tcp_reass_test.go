@@ -45,9 +45,9 @@ func newSegPeer(t *testing.T) *segPeer {
 	p := &segPeer{t: t, s: s}
 	// A resolved neighbour and a transmit sink: replies leave the stack
 	// (and are freed) instead of waiting on ARP.
-	s.arpMu.Lock()
+	s.mu.Lock()
 	s.arp.entries[fuzzPeer] = &arpEntry{valid: true, mac: [6]byte{2, 0, 0, 0, 0, 2}}
-	s.arpMu.Unlock()
+	s.mu.Unlock()
 	s.ifAttach([6]byte{2, 0, 0, 0, 0, 1}, func(m *Mbuf) {
 		frame := make([]byte, m.PktLen)
 		m.CopyData(0, m.PktLen, frame)
@@ -507,9 +507,7 @@ func TestInitialWindow(t *testing.T) {
 	n = len(p.out)
 	withStack(p.s, func() {
 		p.s.mu.Lock()
-		p.tp.mu.Lock()
 		p.s.tcpTimerFire(p.tp, tRexmt)
-		p.tp.mu.Unlock()
 		p.s.mu.Unlock()
 	})
 	if got := p.out[n:]; len(got) != 1 || got[0].seq != p.ack || got[0].n != tcpMSS {
@@ -522,8 +520,6 @@ func TestInitialWindow(t *testing.T) {
 		p.s.mu.Lock()
 		defer p.s.mu.Unlock()
 		tp = p.s.tcpNew()
-		tp.mu.Lock()
-		defer tp.mu.Unlock()
 		if err := tp.usrConnect(fuzzPeer, segPeerPort+1); err != nil {
 			t.Fatal(err)
 		}

@@ -5,9 +5,7 @@ import bsdglue "oskit/internal/freebsd/glue"
 // TCP timers, BSD structure: per-pcb countdown slots decremented by the
 // stack's slow timer (500 ms) at interrupt level.
 
-// tcpSlowTimo ages every connection.  Called with the stack lock held;
-// each pcb is swept under its own lock so timer actions (retransmit,
-// drop, 2MSL detach) hold both, as they require.
+// tcpSlowTimo ages every connection.  Called with the stack lock held.
 //
 // The sweep also sends every delayed ACK still pending, so no ACK waits
 // longer than one sweep period (BSD runs a separate 200 ms fast timer
@@ -16,7 +14,6 @@ func (s *Stack) tcpSlowTimo() {
 	// Copy the list: timer actions may detach pcbs.
 	pcbs := append([]*tcpcb(nil), s.tcpPCBs...)
 	for _, tp := range pcbs {
-		tp.mu.Lock()
 		if tp.delack {
 			s.sc.tcpDelackTimeouts.Inc()
 			s.tcpRespondACK(tp)
@@ -32,12 +29,11 @@ func (s *Stack) tcpSlowTimo() {
 				}
 			}
 		}
-		tp.mu.Unlock()
 	}
 }
 
-// tcpTimerFire runs one expired timer.  Called with the stack lock and
-// tp.mu held.
+// tcpTimerFire runs one expired timer.  Called with the stack lock
+// held.
 func (s *Stack) tcpTimerFire(tp *tcpcb, which int) {
 	switch which {
 	case tRexmt:
@@ -121,7 +117,7 @@ func putU16(b []byte, v uint16) { b[0], b[1] = byte(v>>8), byte(v) }
 
 // armPersistIfNeeded starts the persist timer when the window closed
 // with data pending and nothing in flight (called from tcp_output and
-// the socket write path, tp.mu held).
+// the socket write path, stack lock held).
 func (tp *tcpcb) armPersistIfNeeded() {
 	if tp.sndWnd == 0 && tp.sndBuf.cc > 0 && tp.timers[tPersist] == 0 && tp.timers[tRexmt] == 0 {
 		tp.timers[tPersist] = tp.rexmtTimeout()

@@ -139,8 +139,8 @@ type ffsEntryLock struct{ sync.Mutex }
 // SetConcurrent arms a component-wide entry lock inside the file
 // system itself — the §4.7.4 recipe applied internally, for clients
 // that cannot serialize the node around it.  A multiprocessor node
-// whose network stack carries fine-grained per-connection locks (E14)
-// has no node-wide lock, yet this component is not thread safe; with
+// whose network stack carries its own stack lock (E14) has no
+// node-wide lock, yet this component is not thread safe; with
 // SetConcurrent every COM entry is held exclusive for the whole call,
 // *including across its internal sleeps*.  That is deadlock-free here
 // because nothing an in-progress operation waits on needs to re-enter

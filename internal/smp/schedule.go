@@ -17,8 +17,7 @@ import "sync"
 // interleaving, and sweeping seeds sweeps interleavings: a lock-order
 // or lost-wakeup bug that only bites under one ordering is found by a
 // seed loop and then pinned as a regression test with that seed, which
-// is how the per-connection-locking tests in internal/freebsd/net use
-// this.
+// is how the SMP tests in internal/freebsd/net use this.
 //
 // The harness serializes the bodies, so it exercises orderings, not
 // data races — run the same bodies unserialized under -race for those.

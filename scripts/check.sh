@@ -12,8 +12,8 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=31169
-MAX_WAIVERS=4
+MAX_LOC=30855
+MAX_WAIVERS=3
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
 go build ./...
@@ -59,7 +59,7 @@ for P in $PROCS; do
 		./internal/evalrig/... ./internal/com/... \
 		./internal/core/... ./internal/linux/legacy/...
 
-	echo "== SMP smoke at GOMAXPROCS=$P (4-CPU cluster churn, stock and fast path, on the per-connection locks, under -race)"
+	echo "== SMP smoke at GOMAXPROCS=$P (4-CPU cluster churn, stock and fast path, on the stack lock, under -race)"
 	go test -race -count=1 -timeout 120s ./internal/evalrig/ \
 		-run 'TestSMP'
 	go test -race -count=1 -timeout 120s ./internal/freebsd/net/ \
