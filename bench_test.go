@@ -1388,10 +1388,6 @@ func BenchmarkE14_SMP_Matrix(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if cpus <= 1 {
-				p.Sender.Serialize()
-				p.Receiver.Serialize()
-			}
 			tres, err := evalrig.TTCPMulti(p, e14Streams, 512, ttcpBlockSize, 5400)
 			p.Halt()
 			if err != nil {

@@ -87,3 +87,37 @@ func WrappedLocked() {
 func WrappedUnlocked() {
 	gwrapped.n++ // want `write to wrapped\.n needs gwrapped\.mu held exclusively`
 }
+
+// An entry prologue that returns holding its lock is an acquiring
+// method; its caller defers the epilogue that releases it.
+type ringEntry struct{ r *ring }
+
+func (r *ring) enter() ringEntry {
+	r.mu.Lock()
+	return ringEntry{r}
+}
+
+func (e ringEntry) leave() { e.r.mu.Unlock() }
+
+// EnteredBump: the acquiring call holds the lock from there to the end
+// of the function.  Silent.
+func EnteredBump() {
+	defer gring.enter().leave()
+	gring.count++
+}
+
+// BumpBeforeEnter: before the acquiring call the lock is not held.
+func BumpBeforeEnter() {
+	gring.count++ // want `write to ring\.count needs gring\.mu held exclusively`
+	defer gring.enter().leave()
+}
+
+// EnteredThroughAlias: the call's receiver is named through its
+// aliases, like any lock path.  Silent.
+func EnteredThroughAlias(w *wrappedRing) {
+	r := w.r
+	defer r.enter().leave()
+	w.r.count++
+}
+
+type wrappedRing struct{ r *ring }

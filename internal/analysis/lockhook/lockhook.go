@@ -14,7 +14,8 @@
 // callers too.  Which mutexes are held at each statement is decided by
 // the walk the lock analyzers share (analysis.WalkLocks): x.mu.Lock()
 // opens a held region closed by x.mu.Unlock(), defer x.mu.Unlock() holds
-// to the end of the function, and every clause gets its own copy of the
+// to the end of the function, so does a call to an acquiring method (an
+// entry prologue), and every clause gets its own copy of the
 // set.  Function literals are not scanned as part of the enclosing region
 // (a callback built under a lock runs later, not under it).
 //
@@ -100,9 +101,10 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	// Round 2: scan each function's lock regions.
+	acq := analysis.CollectAcquirers(pass.Package)
 	for _, d := range decls {
 		c.hookLocals = d.locals
-		analysis.WalkLocks[int](pass.Info, c, d.decl.Body)
+		analysis.WalkLocks[int](pass.Info, acq, c, d.decl.Body)
 	}
 	return nil
 }

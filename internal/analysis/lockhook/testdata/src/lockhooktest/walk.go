@@ -85,3 +85,28 @@ func (p *port) fire() {
 	p.hook() // want `call to hook/interposer field p\.hook while mutex p\.mu is held`
 	p.mu.Unlock()
 }
+
+// An entry prologue that returns holding its lock is an acquiring
+// method; its caller defers the epilogue that releases it.
+type portEntry struct{ p *port }
+
+func (p *port) enter() portEntry {
+	p.mu.Lock()
+	return portEntry{p}
+}
+
+func (e portEntry) leave() { e.p.mu.Unlock() }
+
+// enteredFire: the acquiring call holds the lock from there to the end
+// of the function.
+func (p *port) enteredFire() {
+	defer p.enter().leave()
+	p.hook() // want `call to hook/interposer field p\.hook while mutex p\.mu is held`
+}
+
+// fireBeforeEnter: before the acquiring call the lock is not held.
+// Silent.
+func (p *port) fireBeforeEnter() {
+	p.hook()
+	defer p.enter().leave()
+}

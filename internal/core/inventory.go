@@ -69,7 +69,7 @@ var Inventory = []Component{
 	{Name: "linux_net", Dir: "internal/linux/net", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"socket.go"}, Desc: "Linux-style TCP/IP (baseline stack)"},
 	{Name: "freebsd_glue", Dir: "internal/freebsd/glue", Kind: KindGlue, MachineDep: false, Desc: "FreeBSD environment emulation (curproc, sleep/wakeup, malloc)"},
 	{Name: "freebsd_dev", Dir: "internal/freebsd/dev", Kind: KindGlue, MachineDep: true, Desc: "FreeBSD character drivers and support"},
-	{Name: "freebsd_net", Dir: "internal/freebsd/net", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"stack.go", "socket.go", "sendfile.go", "nativedrv.go"}, Desc: "FreeBSD-style TCP/IP network stack"},
+	{Name: "freebsd_net", Dir: "internal/freebsd/net", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"stack.go", "socket.go", "sendfile.go", "nativedrv.go", "locks.go"}, Desc: "FreeBSD-style TCP/IP network stack"},
 	{Name: "netbsd_fs", Dir: "internal/netbsd/fs", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"glue.go", "sendfile.go"}, Desc: "NetBSD-style FFS file system"},
 	{Name: "kvm", Dir: "internal/kvm", Kind: KindNative, MachineDep: false, Desc: "Bytecode VM (language-runtime case study)"},
 	{Name: "bmfs", Dir: "internal/bmfs", Kind: KindNative, MachineDep: false, Desc: "Boot-module RAM file system"},

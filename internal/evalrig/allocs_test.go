@@ -137,8 +137,8 @@ func TestHTTPGetAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := httpd.NewSecureRoot(srv.FSRoot, 1000)
-	defer srv.Do(root.Release)
-	hs := &httpd.Server{C: srv.C, Root: root, Do: srv.Do}
+	defer root.Release()
+	hs := &httpd.Server{C: srv.C, Root: root}
 	lfd, err := listen(srv, 8080, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,7 @@ func TestHTTPGetAllocs(t *testing.T) {
 		i++
 		have, want := 0, -1
 		for want < 0 || have < want {
-			var k int
-			g.Do(func() { k, err = g.C.Read(fd, buf[have:]) })
+			k, err := g.C.Read(fd, buf[have:])
 			if err != nil || k == 0 {
 				t.Fatalf("response truncated at %d bytes (%v)", have, err)
 			}
@@ -224,8 +223,7 @@ func TestChurnConnAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var eof [1]byte
-		var k int
-		g.Do(func() { k, err = g.C.Read(fd, eof[:]) })
+		k, err := g.C.Read(fd, eof[:])
 		if err != nil || k != 0 {
 			t.Fatalf("expected the server's close, read %d bytes (%v)", k, err)
 		}

@@ -14,10 +14,10 @@ import (
 // By convention Nodes[0] is the server and Nodes[1:] are the load
 // generators; nothing in the rig enforces the roles.
 //
-// Every node is Serialized at boot: cluster workloads drive a single
-// node from many process-level goroutines (an accept loop plus one
-// handler per live connection on the server; a worker pool on each
-// generator), so all component entries go through Node.Do.
+// Cluster workloads drive a single node from many process-level
+// goroutines (an accept loop plus one handler per live connection on
+// the server; a worker pool on each generator).  No node lock stands
+// in front of them: each component excludes for itself, in its glue.
 type Cluster struct {
 	Cfg    Config
 	Switch *hw.EtherSwitch
@@ -45,13 +45,6 @@ func NewCluster(cfg Config, n int, tickInterval time.Duration, opts Options) (*C
 		if err != nil {
 			c.Halt()
 			return nil, fmt.Errorf("evalrig: cluster node %d: %w", i, err)
-		}
-		// A BSD-stack node on a multi-CPU machine carries its own
-		// stack lock (E14) — serializing the whole node would also
-		// serialize its drivers and clients.  The Linux baseline and
-		// every uniprocessor node keep the §4.7.4 node lock.
-		if opts.CPUs <= 1 || cfg == Linux {
-			node.Serialize()
 		}
 		c.Nodes = append(c.Nodes, node)
 	}

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"oskit/internal/com"
-	"oskit/internal/core"
 	"oskit/internal/dev"
 	"oskit/internal/faults"
 	bsdglue "oskit/internal/freebsd/glue"
@@ -74,41 +73,13 @@ type Node struct {
 	// httpPopKey remembers the (seed, files, bytes) shape PopulateHTTP
 	// last laid down, making repopulation a no-op across workload runs.
 	httpPopKey string
-
-	// lk is the node's §4.7.4 component lock, armed by Serialize for
-	// rigs that drive one node from several process-level goroutines
-	// (the cluster's churn workloads).  Pair workloads run one thread
-	// per node and never arm it.
-	lk         core.ComponentLock
-	serialized bool
 }
 
-// Serialize applies the §4.7.4 ComponentLock recipe to the node: every
-// subsequent component entry must go through Do, and the node's Sleep
-// service releases the lock across blocking calls so other
-// process-level threads can enter meanwhile.  Call once, after boot,
-// before spawning concurrent callers.
-func (n *Node) Serialize() {
-	if n.serialized {
-		return
-	}
-	n.serialized = true
-	env := n.Kernel.Env
-	env.Sleep = n.lk.WrapSleep(env.Sleep)
-}
-
-// Do runs one component call (socket operation, stats read) under the
-// serialized node's lock.  On a node that was never Serialized it runs
-// fn directly.
-func (n *Node) Do(fn func()) {
-	if !n.serialized {
-		fn()
-		return
-	}
-	n.lk.Enter()
-	defer n.lk.Leave()
-	fn()
-}
+// Do runs fn.  A node has no lock of its own: each encapsulated
+// component takes its one exclusion in its glue, so any number of
+// process-level threads may call into a node at once.  Do remains only
+// because bench/rig.go calls it (ROADMAP item 13).
+func (n *Node) Do(fn func()) { fn() }
 
 // Options selects optional rig configuration beyond the Config row.
 type Options struct {
@@ -131,14 +102,14 @@ type Options struct {
 	// configurations run the SMP discipline end to end — the FreeBSD
 	// glue's spl and the Linux driver glue's cli are vestigial and the
 	// network stack's own lock is the exclusion (E14); the file system
-	// keeps giant exclusion.  A FreeBSD-native
+	// keeps giant exclusion (splbio).  A FreeBSD-native
 	// node attaches its NIC with N receive rings (AttachNative); an
 	// OSKit node with FastPath grows N RSS-hashed rings drained by N
 	// polled receive loops, without it the donor ISR keeps its one line.
 	// 0 or 1 means the unchanged uniprocessor rig — every default path is
 	// byte-identical to CPUs-absent (TestPathShapeMatrix pins this).  The
-	// Linux configuration keeps real cli (the monolithic baseline stays
-	// serialized) but still boots with N CPUs.
+	// Linux configuration keeps real cli, its stack's one exclusion, but
+	// still boots with N CPUs.
 	CPUs int
 
 	// DiskSectors, when nonzero, attaches an IDE disk of that many
@@ -219,13 +190,12 @@ func haltRig(in *faults.Injector, nodes ...*Node) {
 	}
 }
 
-// halt is the one per-node teardown: stop the stack's timers (through
-// Do — on a Serialized node every component entry takes the node lock),
-// unmount a mounted file system so the reference ledger balances, and
-// power the machine off.
+// halt is the one per-node teardown: stop the stack's timers, unmount
+// a mounted file system so the reference ledger balances, and power the
+// machine off.
 func (n *Node) halt() {
 	if n.BSD != nil {
-		n.Do(n.BSD.Close)
+		n.BSD.Close()
 	}
 	n.UnmountFS()
 	n.Machine.Halt()

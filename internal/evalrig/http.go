@@ -36,49 +36,35 @@ func (n *Node) MountFS() error {
 	if n.Disk == nil {
 		return fmt.Errorf("evalrig: node has no disk (boot with Options.DiskSectors)")
 	}
-	var err error
-	n.Do(func() {
-		// A second framework instance on the same environment is fine:
-		// frameworks are independent, and the IDE probe walks the machine
-		// bus claiming only *hw.Disk devices (the NIC already belongs to
-		// the network configuration's framework).
-		fw := dev.NewFramework(n.Kernel.Env)
-		linuxdev.InitIDE(fw)
-		fw.Probe()
-		disks := fw.LookupByIID(com.BlkIOIID)
-		if len(disks) != 1 {
-			err = fmt.Errorf("evalrig: IDE probe found %d disks", len(disks))
-			return
-		}
-		raw := disks[0].(com.BlkIO)
-		defer raw.Release()
-		if err = netbsdfs.Mkfs(raw, 0); err != nil {
-			return
-		}
-		var fs *netbsdfs.FFS
-		fs, err = netbsdfs.Mount(bsdglue.New(n.Kernel.Env), raw)
-		if err != nil {
-			return
-		}
-		if !n.serialized {
-			// An SMP node drives the FS from many handler goroutines with
-			// no §4.7.4 node lock in front of it, so the FS arms its own
-			// entry lock.  A serialized node must NOT arm it: the node
-			// lock's WrapSleep re-entry would deadlock against a thread
-			// holding the entry lock across a sleep.
-			fs.SetConcurrent()
-		}
-		var root com.Dir
-		root, err = fs.GetRoot()
-		if err != nil {
-			_ = fs.Unmount()
-			return
-		}
-		n.FS = fs
-		n.FSRoot = root
-		n.C.SetRoot(root)
-	})
-	return err
+	// A second framework instance on the same environment is fine:
+	// frameworks are independent, and the IDE probe walks the machine
+	// bus claiming only *hw.Disk devices (the NIC already belongs to
+	// the network configuration's framework).
+	fw := dev.NewFramework(n.Kernel.Env)
+	linuxdev.InitIDE(fw)
+	fw.Probe()
+	disks := fw.LookupByIID(com.BlkIOIID)
+	if len(disks) != 1 {
+		return fmt.Errorf("evalrig: IDE probe found %d disks", len(disks))
+	}
+	raw := disks[0].(com.BlkIO)
+	defer raw.Release()
+	if err := netbsdfs.Mkfs(raw, 0); err != nil {
+		return err
+	}
+	fs, err := netbsdfs.Mount(bsdglue.New(n.Kernel.Env), raw)
+	if err != nil {
+		return err
+	}
+	root, err := fs.GetRoot()
+	if err != nil {
+		_ = fs.Unmount()
+		return err
+	}
+	n.FS = fs
+	n.FSRoot = root
+	n.C.SetRoot(root)
+	return nil
 }
 
 // UnmountFS tears the mounted file system down: the POSIX root binding,
@@ -89,11 +75,9 @@ func (n *Node) UnmountFS() {
 	if n.FS == nil {
 		return
 	}
-	n.Do(func() {
-		n.C.SetRoot(nil)
-		n.FSRoot.Release()
-		_ = n.FS.Unmount()
-	})
+	n.C.SetRoot(nil)
+	n.FSRoot.Release()
+	_ = n.FS.Unmount()
 	n.FSRoot = nil
 	n.FS = nil
 	n.httpPopKey = ""
@@ -185,13 +169,13 @@ func PopulateHTTP(n *Node, o HTTPOptions) error {
 	if err := n.MountFS(); err != nil {
 		return err
 	}
-	// try runs one idempotent file-system operation under the node lock,
-	// re-attempting it through transient injected disk errors;
-	// com.ErrExist means an earlier attempt took effect.
+	// try runs one idempotent file-system operation, re-attempting it
+	// through transient injected disk errors; com.ErrExist means an
+	// earlier attempt took effect.
 	try := func(what string, op func() error) error {
 		var err error
 		for i := 0; i < 64; i++ {
-			n.Do(func() { err = op() })
+			err = op()
 			if err == nil || err == com.ErrExist {
 				return nil
 			}
@@ -244,8 +228,8 @@ func HTTPGet(c *Cluster, o HTTPOptions) (HTTPResult, error) {
 	// atop the POSIX layer, one handler goroutine per accepted
 	// connection — the same shape as the churn server.
 	root := httpd.NewSecureRoot(srv.FSRoot, 1000)
-	defer srv.Do(root.Release)
-	hs := &httpd.Server{C: srv.C, Root: root, Do: srv.Do}
+	defer root.Release()
+	hs := &httpd.Server{C: srv.C, Root: root}
 	lfd, err := listen(srv, o.Port, o.Backlog)
 	if err != nil {
 		return HTTPResult{}, fmt.Errorf("evalrig: HTTP server setup: %w", err)
@@ -376,9 +360,7 @@ func (c *httpConn) readResponse() (status int, body []byte, err error) {
 	buf := make([]byte, 4096)
 	// more appends the next chunk off the wire to pending.
 	more := func() error {
-		var n int
-		var err error
-		c.g.Do(func() { n, err = c.g.C.Read(c.fd, buf) })
+		n, err := c.g.C.Read(c.fd, buf)
 		if err == nil && n == 0 {
 			err = io.ErrUnexpectedEOF
 		}

@@ -92,8 +92,7 @@ func TestSmallSegmentsAreCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeFD(sc, fd)
-	var afd int
-	rc.Do(func() { afd, _, err = rc.C.Accept(lfd) })
+	afd, _, err := rc.C.Accept(lfd)
 	if err != nil {
 		t.Fatal(err)
 	}

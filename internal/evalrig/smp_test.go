@@ -8,19 +8,21 @@ import (
 )
 
 // TestSMPClusterChurn is the rig-level race regression for E14: a
-// 4-node cluster on 4-CPU machines, BSD-stack nodes unserialized (the
-// stack lock is the exclusion), driven through the full
-// connection-churn lifecycle.  Runs in the tier-1 -race list: any
-// missing or misordered lock in the SMP paths shows up here as a race
-// report, a wedge, or a corrupted echo.  The OSKit
-// configuration runs both of its receive paths: the stock donor ISR on
-// its single line and the multi-ring polled fast path.
+// 4-node cluster on 4-CPU machines with no node lock (each stack's own
+// exclusion — the BSD stack lock, the Linux baseline's cli — carries
+// every thread), driven through the full connection-churn lifecycle.
+// Runs in the tier-1 -race list: any missing or misordered lock in the
+// SMP paths shows up here as a race report, a wedge, or a corrupted
+// echo.  The OSKit configuration runs both of its receive paths: the
+// stock donor ISR on its single line and the multi-ring polled fast
+// path.
 func TestSMPClusterChurn(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		opts Options
 	}{
+		{"linux", Linux, Options{CPUs: 4}},
 		{"freebsd", FreeBSD, Options{CPUs: 4}},
 		{"oskit", OSKit, Options{CPUs: 4}},
 		{"oskit-fastpath", OSKit, Options{CPUs: 4, FastPath: true}},
@@ -34,9 +36,6 @@ func TestSMPClusterChurn(t *testing.T) {
 			for i, n := range c.Nodes {
 				if got := n.Machine.CPUs(); got != 4 {
 					t.Fatalf("node %d booted with %d CPUs, want 4", i, got)
-				}
-				if n.serialized {
-					t.Fatalf("node %d serialized: SMP nodes must run on their own locks", i)
 				}
 			}
 			res, err := ChurnTCP(c, ChurnOptions{Conns: 48, Workers: 3, ReqBytes: 128, Port: 9050, Seed: 14})

@@ -7,28 +7,25 @@ import (
 )
 
 // The socket-level moves every workload is built from, written once.
-// Each goes through Node.Do, so the same helper serves a pair's
-// one-thread-per-node workloads (Do is the identity there) and a
+// The same helper serves a pair's one-thread-per-node workloads and a
 // cluster's many-threads-per-node ones.
 
 // listen opens a TCP listener on n: socket, reuseaddr (like any
 // restartable server, so a back-to-back run can rebind the port while
 // the previous run's pcbs are still tearing down), bind, listen.
 func listen(n *Node, port uint16, backlog int) (lfd int, err error) {
-	n.Do(func() {
-		lfd, err = n.C.Socket(2, 1, 0)
-		if err != nil {
-			return
+	lfd, err = n.C.Socket(2, 1, 0)
+	if err != nil {
+		return lfd, err
+	}
+	if err = n.C.SetSockOpt(lfd, "reuseaddr", 1); err == nil {
+		if err = n.C.Bind(lfd, Addr(n.IP, port)); err == nil {
+			err = n.C.Listen(lfd, backlog)
 		}
-		if err = n.C.SetSockOpt(lfd, "reuseaddr", 1); err == nil {
-			if err = n.C.Bind(lfd, Addr(n.IP, port)); err == nil {
-				err = n.C.Listen(lfd, backlog)
-			}
-		}
-		if err != nil {
-			_ = n.C.Close(lfd)
-		}
-	})
+	}
+	if err != nil {
+		_ = n.C.Close(lfd)
+	}
 	return lfd, err
 }
 
@@ -36,15 +33,15 @@ func listen(n *Node, port uint16, backlog int) (lfd int, err error) {
 // socket option (when opt is non-empty) before connecting.  The
 // descriptor is closed again on failure.
 func dial(n *Node, ip [4]byte, port uint16, opt string, val int) (fd int, err error) {
-	n.Do(func() { fd, err = n.C.Socket(2, 1, 0) })
+	fd, err = n.C.Socket(2, 1, 0)
 	if err != nil {
 		return 0, err
 	}
 	if opt != "" {
-		n.Do(func() { err = n.C.SetSockOpt(fd, opt, val) })
+		err = n.C.SetSockOpt(fd, opt, val)
 	}
 	if err == nil {
-		n.Do(func() { err = n.C.Connect(fd, Addr(ip, port)) })
+		err = n.C.Connect(fd, Addr(ip, port))
 		if err != nil {
 			err = fmt.Errorf("connect: %w", err)
 		}
@@ -56,14 +53,12 @@ func dial(n *Node, ip [4]byte, port uint16, opt string, val int) (fd int, err er
 	return fd, nil
 }
 
-func closeFD(n *Node, fd int) { n.Do(func() { _ = n.C.Close(fd) }) }
+func closeFD(n *Node, fd int) { _ = n.C.Close(fd) }
 
 // writeAll writes all of b to fd, looping over short writes.
 func writeAll(n *Node, fd int, b []byte) error {
 	for sent := 0; sent < len(b); {
-		var w int
-		var err error
-		n.Do(func() { w, err = n.C.Write(fd, b[sent:]) })
+		w, err := n.C.Write(fd, b[sent:])
 		if err != nil {
 			return fmt.Errorf("write at %d: %w", sent, err)
 		}
@@ -76,9 +71,7 @@ func writeAll(n *Node, fd int, b []byte) error {
 // that is io.ErrUnexpectedEOF.
 func readFull(n *Node, fd int, b []byte) error {
 	for total := 0; total < len(b); {
-		var r int
-		var err error
-		n.Do(func() { r, err = n.C.Read(fd, b[total:]) })
+		r, err := n.C.Read(fd, b[total:])
 		if err == nil && r == 0 {
 			err = io.ErrUnexpectedEOF
 		}
@@ -102,7 +95,7 @@ func acceptLoop(srv *Node, lfd, quota int, handle func(fd int)) <-chan error {
 		var err error
 		for n := 0; n != quota; n++ {
 			var fd int
-			srv.Do(func() { fd, _, err = srv.C.Accept(lfd) })
+			fd, _, err = srv.C.Accept(lfd)
 			if err != nil {
 				break
 			}

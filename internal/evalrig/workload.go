@@ -52,11 +52,8 @@ func TTCPVerified(p *Pair, blocks, blockSize int, port uint16, seed int64) (sent
 // TTCPMulti is ttcp across several concurrent TCP streams — the E14
 // workload.  One stream exercises one connection and one RSS ring; N
 // streams on an SMP pair spread across the receive rings (4-tuple hash)
-// and meet at the stack lock.  Both nodes are driven from several
-// goroutines, so every socket call goes through Node.Do: on an SMP pair
-// Do is the identity and the stack's own lock carries the concurrency;
-// on a uniprocessor pair the caller must Serialize the nodes first and
-// Do applies the §4.7.4 component lock.
+// and meet at the stack lock, which also carries a uniprocessor pair's
+// concurrent callers.
 //
 // The result aggregates all streams: Bytes is the total across streams
 // and the timings span first start to last finish, so SendMbps/RecvMbps
@@ -94,7 +91,7 @@ func ttcp(p *Pair, streams, blocks, blockSize int, port uint16, verify bool, see
 	if err != nil {
 		return res, 0, 0, err
 	}
-	rc.Do(func() { _ = rc.C.SetSockOpt(lfd, "rcvbuf", 32*1024) })
+	_ = rc.C.SetSockOpt(lfd, "rcvbuf", 32*1024)
 	recvd := make(chan ttcpStream, streams)
 	accepted := acceptLoop(rc, lfd, streams, func(fd int) {
 		o := ttcpDrain(rc, fd, blockSize, verify)
@@ -172,7 +169,7 @@ func ttcpSend(n *Node, to [4]byte, port uint16, blocks, blockSize int, rng *rand
 		}
 	}
 	o.sum = sum.Sum32()
-	n.Do(func() { o.err = n.C.Shutdown(fd, 1) })
+	o.err = n.C.Shutdown(fd, 1)
 	o.last = time.Now()
 	return o
 }
@@ -181,12 +178,12 @@ func ttcpSend(n *Node, to [4]byte, port uint16, blocks, blockSize int, rng *rand
 // stream, counting (and, when verifying, summing) what arrives.
 func ttcpDrain(n *Node, fd, blockSize int, verify bool) (o ttcpStream) {
 	defer closeFD(n, fd)
-	n.Do(func() { _ = n.C.SetSockOpt(fd, "rcvbuf", 32*1024) })
+	_ = n.C.SetSockOpt(fd, "rcvbuf", 32*1024)
 	buf := make([]byte, blockSize)
 	sum := crc32.NewIEEE()
 	for {
 		var r int
-		n.Do(func() { r, o.err = n.C.Read(fd, buf) })
+		r, o.err = n.C.Read(fd, buf)
 		if o.err != nil {
 			return o
 		}
@@ -246,7 +243,7 @@ func RTCP(p *Pair, rounds int, port uint16) (usec float64, err error) {
 		}
 	}
 	elapsed := time.Since(start)
-	sc.Do(func() { _ = sc.C.Shutdown(fd, 1) })
+	_ = sc.C.Shutdown(fd, 1)
 	<-echoed
 	closeFD(rc, lfd)
 	return float64(elapsed.Microseconds()) / float64(rounds), nil

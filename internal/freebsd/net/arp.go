@@ -84,9 +84,8 @@ func (t *arpTable) request(dst IPAddr) {
 	s.etherOutput(m, [6]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, EtherTypeARP)
 }
 
-// arpInput handles one ARP frame (interrupt level).  etherSrc is the
-// frame's link-header source station.  Parsing is lock-free; the cache
-// update and the output it releases run under the stack lock.
+// arpInput handles one ARP frame (interrupt level, stack lock held).
+// etherSrc is the frame's link-header source station.
 func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 	m = m.Pullup(arpHdrLen)
 	if m == nil {
@@ -121,8 +120,6 @@ func (s *Stack) arpInput(m *Mbuf, etherSrc [6]byte) {
 
 	// Learn the sender (merge step of the RFC 826 algorithm), and
 	// release what waited on it.
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e := s.arp.entries[srcIP]
 	if e == nil {
 		e = &arpEntry{}

@@ -45,7 +45,9 @@ func TestARPRejectsMismatchedSender(t *testing.T) {
 	if !m.Append(frame) {
 		t.Fatal("append failed")
 	}
+	a.mu.Lock()
 	a.etherInput(m, nil)
+	a.mu.Unlock()
 
 	if got := stat(t, a, "arp.bad_sender"); got != 1 {
 		t.Errorf("arp.bad_sender = %d, want 1", got)
@@ -119,7 +121,7 @@ func TestARPHoldsABurst(t *testing.T) {
 		packARP(p, arpOpReply, hw, ip, mac, fuzzIP)
 		f := etherFrame(EtherTypeARP, p)
 		copy(f[6:12], hw[:])
-		withStack(s, func() { _ = s.rxOne(com.NewMemBuf(f), uint(len(f)), nil) })
+		_ = (&stackRecv{s: s}).Push(com.NewMemBuf(f), uint(len(f)))
 	}
 
 	want := burst(fuzzPeer, 8)

@@ -10,8 +10,8 @@ const etherHdrLen = 14
 var etherPad [60]byte
 
 // etherInput demuxes one inbound frame; runs at interrupt level under
-// the dispatcher's per-CPU exclusion.  ctx, when non-nil, is the
-// ingesting batch's deferral state (threaded down to TCP).
+// the stack lock, which the receive entry took.  ctx, when non-nil, is
+// the ingesting batch's deferral state (threaded down to TCP).
 func (s *Stack) etherInput(m *Mbuf, ctx *rxCtx) {
 	m = m.Pullup(etherHdrLen)
 	if m == nil {

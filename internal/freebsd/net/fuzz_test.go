@@ -73,8 +73,8 @@ func fuzzStack(f *testing.F) *Stack {
 	return s
 }
 
-// inject hands raw bytes to an input routine the way the driver path
-// would: as a packet-header mbuf chain.
+// inject hands raw bytes to an input routine the way the receive entry
+// would: as a packet-header mbuf chain, under the stack lock.
 func inject(t *testing.T, s *Stack, data []byte, enter func(*Mbuf)) {
 	if len(data) > 8192 {
 		return // cap the chain length, not the parse space
@@ -87,7 +87,9 @@ func inject(t *testing.T, s *Stack, data []byte, enter func(*Mbuf)) {
 		m.FreeChain()
 		t.Skip("cluster exhausted")
 	}
+	s.mu.Lock()
 	enter(m)
+	s.mu.Unlock()
 	// The fuzz stack has no running clock, so run the BSD slow timer by
 	// hand: reassembly queues, ARP holds and embryonic connections age
 	// out instead of pinning mbufs until the arena runs dry.

@@ -19,9 +19,8 @@ type pingWaiter struct {
 	sent  uint64
 }
 
-// icmpInput handles one ICMP message (interrupt level).  Entered
-// lock-free from ipInput; the reply output and the ping-waiter map take
-// the stack lock.
+// icmpInput handles one ICMP message (interrupt level, under the stack
+// lock).
 func (s *Stack) icmpInput(m *Mbuf, src, dst IPAddr) {
 	m = m.Pullup(icmpHdrLen)
 	if m == nil {
@@ -50,32 +49,22 @@ func (s *Stack) icmpInput(m *Mbuf, src, dst IPAddr) {
 			return
 		}
 		s.sc.icmpEchoRepOut.Inc()
-		s.mu.Lock()
 		s.ipOutput(r, s.ifIP, src, ProtoICMP, 0)
-		s.mu.Unlock()
 	case icmpEchoReply:
 		s.sc.icmpEchoRepIn.Inc()
 		seq := binary.BigEndian.Uint16(buf[6:8])
-		s.mu.Lock()
 		if w := s.pings[seq]; w != nil {
 			w.done = true
 			w.rtt = s.g.Ticks() - w.sent
 			delete(s.pings, seq)
 			s.g.Wakeup(w.event)
 		}
-		s.mu.Unlock()
 	}
 }
 
-// Ping sends one echo request and blocks (process level) until the reply
-// or a timeout in slow-timer ticks of the clock; it returns the RTT in
-// clock ticks.
-func (s *Stack) Ping(dst IPAddr, seq uint16, payload []byte, timeoutTicks uint64) (uint64, bool) {
-	restore := s.g.Enter("ping")
-	defer restore()
-	spl := s.g.Splnet()
-	defer s.g.Splx(spl)
-
+// pingSend sends one echo request and registers its waiter, or returns
+// nil when no mbuf is free.  Called with the stack lock held.
+func (s *Stack) pingSend(dst IPAddr, seq uint16, payload []byte) *pingWaiter {
 	buf := make([]byte, icmpHdrLen+len(payload))
 	buf[0] = icmpEchoRequest
 	binary.BigEndian.PutUint16(buf[4:6], 0x4f53) // "OS"
@@ -86,43 +75,26 @@ func (s *Stack) Ping(dst IPAddr, seq uint16, payload []byte, timeoutTicks uint64
 
 	m := s.MGetHdr()
 	if m == nil {
-		return 0, false
+		return nil
 	}
 	if !m.Append(buf) {
 		m.FreeChain()
-		return 0, false
+		return nil
 	}
-	s.mu.Lock()
 	if s.pings == nil {
 		s.pings = map[uint16]*pingWaiter{}
 	}
 	w := &pingWaiter{event: s.newEvent(), sent: s.g.Ticks()}
 	s.pings[seq] = w
 	s.ipOutput(m, s.ifIP, dst, ProtoICMP, 0)
-	s.mu.Unlock()
+	return w
+}
 
-	cancel := s.g.Env().AfterTicks(timeoutTicks, func() {
-		// Interrupt level: wake the sleeper; it notices !done.
-		s.mu.Lock()
-		if ww := s.pings[seq]; ww == w {
-			delete(s.pings, seq)
-			s.g.Wakeup(w.event)
-		}
-		s.mu.Unlock()
-	})
-	defer cancel()
-	s.mu.Lock()
-	for !w.done {
-		if ww := s.pings[seq]; ww != w {
-			s.mu.Unlock()
-			return 0, false // timed out (or superseded)
-		}
-		p := s.g.SleepPrepare(w.event, "ping")
-		s.mu.Unlock()
-		s.g.SleepCommit(p)
-		s.mu.Lock()
+// pingExpire gives up on w, if it still waits for seq, and wakes its
+// sleeper (timeout, interrupt level).  Called with the stack lock held.
+func (s *Stack) pingExpire(seq uint16, w *pingWaiter) {
+	if s.pings[seq] == w {
+		delete(s.pings, seq)
+		s.g.Wakeup(w.event)
 	}
-	rtt := w.rtt
-	s.mu.Unlock()
-	return rtt, true
 }

@@ -164,56 +164,3 @@ func (s *Stack) udpLookup(dst IPAddr, dport uint16, src IPAddr, sport uint16) *u
 	}
 	return nil
 }
-
-// --- bench/test hooks (open implementation, §4.6).
-
-// AddConnForBench attaches one established-looking TCP pcb with the
-// given 4-tuple — the population step of the E13 demux comparison.
-func AddConnForBench(s *Stack, laddr IPAddr, lport uint16, faddr IPAddr, fport uint16) {
-	restore := s.g.Enter("bench")
-	defer restore()
-	spl := s.g.Splnet()
-	defer s.g.Splx(spl)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tp := s.tcpNew()
-	tp.laddr, tp.lport = laddr, lport
-	tp.faddr, tp.fport = faddr, fport
-	tp.state = tcpsEstablished
-	s.tcpPorts[lport]++
-	_ = s.tcpRegisterConn(tp)
-}
-
-// BenchKey is one demux probe for the batched lookup hooks.
-type BenchKey struct {
-	Dst   IPAddr
-	Dport uint16
-	Src   IPAddr
-	Sport uint16
-}
-
-// LookupBatchForBench runs every probe under ONE component entry — the
-// per-entry overhead amortized away, the way the input path's batches
-// amortize it — and returns the hit count.  linear selects the donor's
-// walk instead of the hash.
-func LookupBatchForBench(s *Stack, keys []BenchKey, linear bool) int {
-	restore := s.g.Enter("bench")
-	defer restore()
-	spl := s.g.Splnet()
-	defer s.g.Splx(spl)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hits := 0
-	for _, k := range keys {
-		var tp *tcpcb
-		if linear {
-			tp = s.tcpLookupLinear(k.Dst, k.Dport, k.Src, k.Sport)
-		} else {
-			tp = s.tcpLookup(k.Dst, k.Dport, k.Src, k.Sport)
-		}
-		if tp != nil {
-			hits++
-		}
-	}
-	return hits
-}

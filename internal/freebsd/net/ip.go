@@ -14,10 +14,8 @@ const (
 	ipOffMask = 0x1fff
 )
 
-// ipInput validates and demuxes one IP datagram (interrupt level).
-// Lock-free except reassembly (stack lock): validation touches only the
-// private chain, interface config is read-only after boot, and the
-// protocol inputs take the stack lock themselves.
+// ipInput validates and demuxes one IP datagram (interrupt level, stack
+// lock held).
 func (s *Stack) ipInput(m *Mbuf, ctx *rxCtx) {
 	m = m.Pullup(ipHdrLen)
 	if m == nil {
@@ -64,9 +62,7 @@ func (s *Stack) ipInput(m *Mbuf, ctx *rxCtx) {
 	fragField := binary.BigEndian.Uint16(h[6:8])
 	if fragField&(ipFlagMF|ipOffMask) != 0 {
 		s.sc.ipFragsIn.Inc()
-		s.mu.Lock()
 		m = s.reasmInput(m, h, src, dst, fragField)
-		s.mu.Unlock()
 		if m == nil {
 			return // still incomplete
 		}

@@ -5,13 +5,20 @@ import "sync"
 // The lock hierarchy of the FreeBSD networking component.
 //
 // The component is made thread-safe the §4.7.4 way: one component-wide
-// lock, Stack.mu, guards all protocol state on every machine size.  On
-// a uniprocessor the stack also keeps the giant-exclusion discipline —
-// every entry point raises spl (disabling interrupts), at most one
-// thread of control is inside the component, and Stack.mu is acquired
-// uncontended.  On a multi-CPU machine (bsdglue.NewLocked reads the CPU
-// count, as the driver glue underneath does; nothing can set it) spl
-// and cli are no-ops and Stack.mu is the component's real exclusion.
+// lock, Stack.mu, guards all protocol state on every machine size.  It
+// is taken only in the glue files, at each entry into the component
+// (Stack.enter for process-level calls, the NetIO receive entries, the
+// native drain and the slow-timer tick), and released across every
+// sleep (Stack.sleep) and every call out to the file system
+// (Stack.unlocked), so it is never held across a block.  Donor files
+// take no lock but the free-list leaf.  On a uniprocessor the stack
+// also keeps the giant-exclusion discipline — every process-level
+// entry raises spl (disabling interrupts) before taking Stack.mu, at
+// most one thread of control is inside the component, and Stack.mu is
+// acquired uncontended.  On a multi-CPU machine (bsdglue.NewLocked
+// reads the CPU count, as the driver glue underneath does; nothing can
+// set it) spl and cli are no-ops and Stack.mu is the component's real
+// exclusion.
 //
 // Ranks order acquisition: a thread may only acquire a lock of *higher*
 // rank than any it holds.  The hierarchy (documented in DESIGN.md §13):

@@ -73,6 +73,8 @@ func (s *Stack) nativeRxDrain(nic *hw.NIC, q int) {
 		copy(m.store[m.off:], f)
 		m.len = len(f)
 		m.PktLen = len(f)
+		s.mu.Lock()
 		s.etherInput(m, nil)
+		s.mu.Unlock()
 	}
 }

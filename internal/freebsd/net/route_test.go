@@ -55,7 +55,7 @@ func TestDefaultGatewayRouting(t *testing.T) {
 	packARP(p, arpOpReply, gwMAC, fuzzPeer, mac, fuzzIP)
 	f := etherFrame(EtherTypeARP, p)
 	copy(f[6:12], gwMAC[:])
-	withStack(s, func() { _ = s.rxOne(com.NewMemBuf(f), uint(len(f)), nil) })
+	_ = (&stackRecv{s: s}).Push(com.NewMemBuf(f), uint(len(f)))
 
 	for _, f := range sent {
 		if len(f) > 34 && f[12] == 0x08 && f[13] == 0x00 && f[23] == ProtoUDP {

@@ -18,6 +18,10 @@ import (
 // (holes, EOF races) — SendFile falls back to an internal
 // read-and-append loop whose wire behaviour is byte-identical to
 // Write, keeping the default path-shape pins intact.
+//
+// Every call into the file system runs with the stack lock released
+// (unlocked): it may sleep on the disk, or on a pin that only a
+// received ACK releases, and that ACK needs the stack lock.
 
 // sendfileWindow is how much file one mapping covers.  It must fit the
 // file side's pin cap (maxPinBlocks) and leave the send buffer able to
@@ -28,7 +32,7 @@ const sendfileWindow = 8192
 
 // SendFile implements com.SockSendfile.
 func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
-	defer so.enter("sendfile").leave()
+	defer so.s.enter("sendfile").leave()
 	if so.tcp == nil || f == nil {
 		return 0, com.ErrInval
 	}
@@ -37,7 +41,10 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 	// stack ever asks, so default bindings never see the extension.
 	var sf com.Sendfile
 	if so.s.pktPool != nil {
-		if obj, err := f.QueryInterface(com.SendfileIID); err == nil {
+		var obj com.IUnknown
+		var err error
+		so.s.unlocked(func() { obj, err = f.QueryInterface(com.SendfileIID) })
+		if err == nil {
 			sf = obj.(com.Sendfile)
 			defer sf.Release()
 		}
@@ -71,11 +78,11 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 }
 
 // sendfileMapWindow maps one window of the file as pinned pages and
-// appends them to the send buffer as external mbufs.  The component
-// call into the file system happens before the stack lock is taken —
-// the file side sleeps in its own buffer cache under its own discipline.
+// appends them to the send buffer as external mbufs.
 func (so *socket) sendfileMapWindow(sf com.Sendfile, offset, win uint64) (uint64, error) {
-	pin, err := sf.MapFileSG(offset, win)
+	var pin com.SGBufIO
+	var err error
+	so.s.unlocked(func() { pin, err = sf.MapFileSG(offset, win) })
 	if err != nil {
 		return 0, err
 	}
@@ -113,7 +120,9 @@ func (so *socket) sendfileMapWindow(sf com.Sendfile, offset, win uint64) (uint64
 // plain File interface and append it like Write would.
 func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, error) {
 	buf := make([]byte, win)
-	n, err := f.ReadAt(buf, offset)
+	var n uint
+	var err error
+	so.s.unlocked(func() { n, err = f.ReadAt(buf, offset) })
 	if err != nil {
 		return 0, err
 	}
@@ -136,8 +145,6 @@ func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, er
 func (so *socket) sendfileAppend(head *Mbuf, n int) error {
 	tp := so.tcp
 	s := so.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
 		if tp.err != 0 {
 			head.FreeChain()
@@ -153,10 +160,7 @@ func (so *socket) sendfileAppend(head *Mbuf, n int) error {
 			break
 		}
 		tp.armPersistIfNeeded()
-		p := s.g.SleepPrepare(tp.sndBuf.event, "sosend")
-		s.mu.Unlock()
-		s.g.SleepCommit(p)
-		s.mu.Lock()
+		s.sleep(tp.sndBuf.event, "sosend")
 	}
 	tp.sndBuf.appendChain(head)
 	s.tcpOutput(tp)

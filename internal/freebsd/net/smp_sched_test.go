@@ -245,7 +245,7 @@ func TestScheduledARPResolveVsOutput(t *testing.T) {
 			line := ic.AllocLine()
 			delivered := make(chan struct{})
 			ic.SetHandler(line, func(int) {
-				_ = s.rxOne(com.NewMemBuf(reply), uint(len(reply)), nil)
+				_ = (&stackRecv{s: s}).Push(com.NewMemBuf(reply), uint(len(reply)))
 				close(delivered)
 			})
 			ic.SetAffinity(line, 1)

@@ -6,14 +6,11 @@ import (
 )
 
 // The socket layer: the COM Socket/SocketFactory exported by the stack
-// (§5).  Every method is a component entry point: it manufactures a
-// current process (§4.7.5), raises splnet, and blocks — if it must —
-// with a two-phase sleep on the pcb's events.
-//
-// Every entry point takes the stack lock (locks.go).  Blocking always
-// uses SleepPrepare under it, drops it, then SleepCommit — the
-// lost-wakeup-free replacement for "enqueue at raised spl, drop to
-// spl0".
+// (§5).  Every method is a component entry point: Stack.enter
+// manufactures a current process (§4.7.5), raises splnet and takes the
+// stack lock in one call, and the deferred leave undoes all three.
+// Blocking goes through Stack.sleep, which releases the stack lock
+// across the block (stack.go).
 
 // Factory is the stack's socket factory (what oskit_freebsd_net_init
 // hands back for posix_set_socketcreator).
@@ -45,14 +42,9 @@ func (f *Factory) CreateSocket(domain, typ, protocol int) (com.Socket, error) {
 		return nil, com.ErrInval
 	}
 	s := f.s
-	restore := s.g.Enter("socket")
-	defer restore()
-	spl := s.g.Splnet()
-	defer s.g.Splx(spl)
+	defer s.enter("socket").leave()
 	sock := &socket{s: s}
 	sock.Init()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch typ {
 	case com.SockStream:
 		sock.tcp = s.tcpNew()
@@ -95,28 +87,9 @@ func (so *socket) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 	return nil, com.ErrNoInterface
 }
 
-// entry is one socket call's stay in the component.
-type entry struct {
-	g       *bsdglue.Glue
-	restore func()
-	spl     int
-}
-
-// enter is the standard component prologue; leave is the epilogue.
-func (so *socket) enter(what string) entry {
-	return entry{so.s.g, so.s.g.Enter(what), so.s.g.Splnet()}
-}
-
-func (e entry) leave() {
-	e.g.Splx(e.spl)
-	e.restore()
-}
-
 // Bind implements com.Socket.
 func (so *socket) Bind(addr com.SockAddr) error {
-	defer so.enter("bind").leave()
-	so.s.mu.Lock()
-	defer so.s.mu.Unlock()
+	defer so.s.enter("bind").leave()
 	if so.closed {
 		return com.ErrBadF
 	}
@@ -129,69 +102,49 @@ func (so *socket) Bind(addr com.SockAddr) error {
 // Connect implements com.Socket: for TCP it blocks until the handshake
 // completes or fails.
 func (so *socket) Connect(addr com.SockAddr) error {
-	defer so.enter("connect").leave()
-	s := so.s
-	s.mu.Lock()
+	defer so.s.enter("connect").leave()
 	if so.closed {
-		s.mu.Unlock()
 		return com.ErrBadF
 	}
-	if so.udp != nil {
-		var dst IPAddr
-		copy(dst[:], addr.Addr[:])
-		err := s.udpConnect(so.udp, dst, addr.Port)
-		s.mu.Unlock()
-		return bsdglue.COMError(err)
-	}
-	tp := so.tcp
 	var dst IPAddr
 	copy(dst[:], addr.Addr[:])
+	if so.udp != nil {
+		return bsdglue.COMError(so.s.udpConnect(so.udp, dst, addr.Port))
+	}
+	tp := so.tcp
 	if err := tp.usrConnect(dst, addr.Port); err != nil {
-		s.mu.Unlock()
 		return bsdglue.COMError(err)
 	}
-	// Wait under the stack lock, sleeping two-phase across the unlock.
 	for tp.state != tcpsEstablished {
 		if tp.err != 0 {
 			err := tp.err
 			tp.err = 0
-			s.mu.Unlock()
 			if err == bsdglue.ECONNRESET {
 				return com.ErrConnRef // RST during handshake = refused
 			}
 			return bsdglue.COMError(err)
 		}
 		if tp.state == tcpsClosed {
-			s.mu.Unlock()
 			return com.ErrConnRef
 		}
-		p := s.g.SleepPrepare(tp.connEvent, "connec")
-		s.mu.Unlock()
-		s.g.SleepCommit(p)
-		s.mu.Lock()
+		so.s.sleep(tp.connEvent, "connec")
 	}
-	s.mu.Unlock()
 	return nil
 }
 
 // Listen implements com.Socket.
 func (so *socket) Listen(backlog int) error {
-	defer so.enter("listen").leave()
+	defer so.s.enter("listen").leave()
 	if so.tcp == nil {
 		return com.ErrInval
 	}
-	so.s.mu.Lock()
-	defer so.s.mu.Unlock()
 	return bsdglue.COMError(so.tcp.usrListen(backlog))
 }
 
 // Accept implements com.Socket.
 func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
-	defer so.enter("accept").leave()
+	defer so.s.enter("accept").leave()
 	tp := so.tcp
-	s := so.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if tp == nil || !tp.listening {
 		return nil, com.SockAddr{}, com.ErrInval
 	}
@@ -199,10 +152,7 @@ func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
 		if so.closed || tp.state == tcpsClosed {
 			return nil, com.SockAddr{}, com.ErrBadF
 		}
-		p := s.g.SleepPrepare(tp.acceptEvent, "accept")
-		s.mu.Unlock()
-		s.g.SleepCommit(p)
-		s.mu.Lock()
+		so.s.sleep(tp.acceptEvent, "accept")
 	}
 	child := tp.acceptQ[0]
 	removePCB(&tp.acceptQ, child) // in place: the queue keeps its storage
@@ -215,11 +165,9 @@ func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
 
 // Read implements com.Socket.
 func (so *socket) Read(buf []byte) (uint, error) {
-	defer so.enter("soread").leave()
+	defer so.s.enter("soread").leave()
 	if so.udp != nil {
-		so.s.mu.Lock()
 		n, _, _, err := so.s.udpRecv(so.udp, buf)
-		so.s.mu.Unlock()
 		return uint(n), bsdglue.COMError(err)
 	}
 	return so.readTCP(buf)
@@ -227,10 +175,8 @@ func (so *socket) Read(buf []byte) (uint, error) {
 
 // Write implements com.Socket, blocking for send-buffer space.
 func (so *socket) Write(buf []byte) (uint, error) {
-	defer so.enter("sowrite").leave()
+	defer so.s.enter("sowrite").leave()
 	if so.udp != nil {
-		so.s.mu.Lock()
-		defer so.s.mu.Unlock()
 		if so.udp.fport == 0 {
 			return 0, com.ErrNotConn
 		}
@@ -243,12 +189,10 @@ func (so *socket) Write(buf []byte) (uint, error) {
 }
 
 // writeTCP is the stream send under Write and sendfile's copy fallback:
-// append as room opens, drive output.  Takes the stack lock itself.
+// append as room opens, drive output.  Called inside an entry.
 func (so *socket) writeTCP(buf []byte) (uint, error) {
 	tp := so.tcp
 	s := so.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	total := uint(0)
 	for len(buf) > 0 {
 		if tp.err != 0 {
@@ -262,10 +206,7 @@ func (so *socket) writeTCP(buf []byte) (uint, error) {
 		space := tp.sndBuf.space()
 		if space == 0 {
 			tp.armPersistIfNeeded()
-			p := s.g.SleepPrepare(tp.sndBuf.event, "sowrite")
-			s.mu.Unlock()
-			s.g.SleepCommit(p)
-			s.mu.Lock()
+			s.sleep(tp.sndBuf.event, "sowrite")
 			continue
 		}
 		n := min(space, len(buf))
@@ -281,31 +222,24 @@ func (so *socket) writeTCP(buf []byte) (uint, error) {
 
 // RecvFrom implements com.Socket (datagram).
 func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
-	defer so.enter("recvfrom").leave()
+	defer so.s.enter("recvfrom").leave()
 	if so.udp == nil {
 		n, err := so.readTCP(buf)
-		tp := so.tcp
 		a := com.SockAddr{Family: com.AFInet}
-		so.s.mu.Lock()
-		tp.peerAddr(&a)
-		so.s.mu.Unlock()
+		so.tcp.peerAddr(&a)
 		return n, a, err
 	}
-	so.s.mu.Lock()
 	n, from, port, err := so.s.udpRecv(so.udp, buf)
-	so.s.mu.Unlock()
 	addr := com.SockAddr{Family: com.AFInet, Port: port}
 	copy(addr.Addr[:], from[:])
 	return uint(n), addr, bsdglue.COMError(err)
 }
 
-// readTCP is the stream receive under Read and RecvFrom; takes the
-// stack lock itself.
+// readTCP is the stream receive under Read and RecvFrom.  Called
+// inside an entry.
 func (so *socket) readTCP(buf []byte) (uint, error) {
 	tp := so.tcp
 	s := so.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
 		if tp.rcvBuf.cc > 0 {
 			n := tp.rcvBuf.read(buf)
@@ -327,23 +261,18 @@ func (so *socket) readTCP(buf []byte) (uint, error) {
 		if so.closed {
 			return 0, com.ErrBadF
 		}
-		p := s.g.SleepPrepare(tp.rcvBuf.event, "soread")
-		s.mu.Unlock()
-		s.g.SleepCommit(p)
-		s.mu.Lock()
+		s.sleep(tp.rcvBuf.event, "soread")
 	}
 }
 
 // SendTo implements com.Socket (datagram).
 func (so *socket) SendTo(buf []byte, to com.SockAddr) (uint, error) {
-	defer so.enter("sendto").leave()
+	defer so.s.enter("sendto").leave()
 	if so.udp == nil {
 		return 0, com.ErrInval
 	}
 	var dst IPAddr
 	copy(dst[:], to.Addr[:])
-	so.s.mu.Lock()
-	defer so.s.mu.Unlock()
 	if err := so.s.udpOutput(so.udp, buf, dst, to.Port); err != nil {
 		return 0, bsdglue.COMError(err)
 	}
@@ -352,13 +281,11 @@ func (so *socket) SendTo(buf []byte, to com.SockAddr) (uint, error) {
 
 // Shutdown implements com.Socket.
 func (so *socket) Shutdown(how int) error {
-	defer so.enter("shutdown").leave()
+	defer so.s.enter("shutdown").leave()
 	tp := so.tcp
 	if tp == nil {
 		return nil
 	}
-	so.s.mu.Lock()
-	defer so.s.mu.Unlock()
 	if how == com.ShutWrite || how == com.ShutBoth {
 		switch tp.state {
 		case tcpsEstablished:
@@ -378,9 +305,7 @@ func (so *socket) Shutdown(how int) error {
 
 // GetSockName implements com.Socket.
 func (so *socket) GetSockName() (com.SockAddr, error) {
-	defer so.enter("getsockname").leave()
-	so.s.mu.Lock()
-	defer so.s.mu.Unlock()
+	defer so.s.enter("getsockname").leave()
 	a := com.SockAddr{Family: com.AFInet}
 	if so.tcp != nil {
 		copy(a.Addr[:], so.tcp.laddr[:])
@@ -394,9 +319,7 @@ func (so *socket) GetSockName() (com.SockAddr, error) {
 
 // GetPeerName implements com.Socket.
 func (so *socket) GetPeerName() (com.SockAddr, error) {
-	defer so.enter("getpeername").leave()
-	so.s.mu.Lock()
-	defer so.s.mu.Unlock()
+	defer so.s.enter("getpeername").leave()
 	return so.peerLocked()
 }
 
@@ -428,9 +351,7 @@ func (tp *tcpcb) peerAddr(a *com.SockAddr) bool {
 
 // SetSockOpt implements com.Socket.
 func (so *socket) SetSockOpt(name string, value int) error {
-	defer so.enter("setsockopt").leave()
-	so.s.mu.Lock()
-	defer so.s.mu.Unlock()
+	defer so.s.enter("setsockopt").leave()
 	switch name {
 	case "reuseaddr":
 		so.reuse = value != 0
@@ -465,9 +386,7 @@ func (so *socket) SetSockOpt(name string, value int) error {
 
 // GetSockOpt implements com.Socket.
 func (so *socket) GetSockOpt(name string) (int, error) {
-	defer so.enter("getsockopt").leave()
-	so.s.mu.Lock()
-	defer so.s.mu.Unlock()
+	defer so.s.enter("getsockopt").leave()
 	switch name {
 	case "rcvbuf":
 		if so.tcp != nil {
@@ -495,9 +414,7 @@ func (so *socket) GetSockOpt(name string) (int, error) {
 
 // Close implements com.Socket: orderly TCP close, immediate UDP detach.
 func (so *socket) Close() error {
-	defer so.enter("soclose").leave()
-	so.s.mu.Lock()
-	defer so.s.mu.Unlock()
+	defer so.s.enter("soclose").leave()
 	if so.closed {
 		return com.ErrBadF
 	}

@@ -23,7 +23,10 @@ type Stack struct {
 	// occupancy, the TIME_WAIT queue, reassembly, pings, UDP, the ARP
 	// cache, the interface output hand-off and the event allocator.  On
 	// a uniprocessor it is uncontended (the spl discipline already
-	// serializes); on SMP it is the component's exclusion.
+	// serializes); on SMP it is the component's exclusion.  Only the
+	// glue files take it, at each entry: enter (process level), the
+	// NetIO receive entries and the native drain (interrupt level), and
+	// the slow-timer tick; sleep releases it across every block.
 	mu stackLock
 
 	// freeMu (rank 72) guards the free lists of mbufs, clusters (mbuf.go)
@@ -283,6 +286,50 @@ func (s *Stack) StatsSet() *stats.Set { return s.statsSet }
 // Glue returns the stack's BSD environment (tests).
 func (s *Stack) Glue() *bsdglue.Glue { return s.g }
 
+// entry is one process-level call's stay in the component.
+type entry struct {
+	s       *Stack
+	restore func()
+	spl     int
+}
+
+// enter is the component prologue for a process-level entry point: it
+// manufactures the thread's current process (§4.7.5), raises splnet and
+// takes the stack lock, in that order.  The entry's leave, deferred by
+// the caller, undoes all three.
+func (s *Stack) enter(what string) entry {
+	e := entry{s, s.g.Enter(what), s.g.Splnet()}
+	s.mu.Lock()
+	return e
+}
+
+func (e entry) leave() {
+	e.s.mu.Unlock()
+	e.s.g.Splx(e.spl)
+	e.restore()
+}
+
+// sleep is the donor tsleep inside an entry: it blocks the current
+// process on event with the stack lock released across the block, so
+// the receive interrupt and other threads can enter, and returns with
+// it held again.  The two-phase sleep leaves no lost-wakeup window
+// between the unlock and the block; callers recheck their condition.
+func (s *Stack) sleep(event uint32, wmesg string) {
+	p := s.g.SleepPrepare(event, wmesg)
+	s.mu.Unlock()
+	s.g.SleepCommit(p)
+	s.mu.Lock()
+}
+
+// unlocked runs fn, a call into another component that may sleep under
+// that component's own discipline, with the stack lock released, and
+// returns with it held again (DESIGN.md §14).
+func (s *Stack) unlocked(fn func()) {
+	s.mu.Unlock()
+	fn()
+	s.mu.Lock()
+}
+
 // newEvent mints a tsleep event handle.  Called with mu held.
 func (s *Stack) newEvent() uint32 {
 	s.nextEvent += 8
@@ -409,6 +456,8 @@ func (r *stackRecv) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 
 // Push implements com.NetIO: one inbound frame.
 func (r *stackRecv) Push(pkt com.BufIO, size uint) error {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
 	return r.s.rxOne(pkt, size, nil)
 }
 
@@ -439,12 +488,14 @@ func (r *stackRecv) PushBatch(pkts []com.BufIO, sizes []uint) error {
 		ctx = &rxCtx{batching: true}
 	}
 	var firstErr error
+	s.mu.Lock()
 	for i, pkt := range pkts {
 		if err := s.rxOne(pkt, sizes[i], ctx); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	s.rxFlush(ctx)
+	s.mu.Unlock()
 	s.freeMu.Lock()
 	ctx.next = s.rxCtxFree
 	s.rxCtxFree = ctx
@@ -459,8 +510,8 @@ func (r *stackRecv) PushBatch(pkts []com.BufIO, sizes []uint) error {
 // reader wakeup, and its single ACK if one fell due (unless something
 // already ACKed on its behalf, or the connection died mid-batch).  An
 // ACK not yet due stays delayed, exactly as after a per-frame Push.
+// Called with the stack lock held.
 func (s *Stack) rxFlush(ctx *rxCtx) {
-	s.mu.Lock()
 	for i, tp := range ctx.pend {
 		ctx.pend[i] = nil
 		if !tp.rxPendWake {
@@ -473,13 +524,13 @@ func (s *Stack) rxFlush(ctx *rxCtx) {
 		}
 		tp.rxAckOwed = false
 	}
-	s.mu.Unlock()
 	ctx.pend = ctx.pend[:0]
 }
 
-// rxOne ingests one inbound frame.  If the producer's buffer can be
-// mapped (skbuffs always can), the frame is wrapped as an external mbuf
-// with zero copies; otherwise it is read into a fresh chain.
+// rxOne ingests one inbound frame under the stack lock.  If the
+// producer's buffer can be mapped (skbuffs always can), the frame is
+// wrapped as an external mbuf with zero copies; otherwise it is read
+// into a fresh chain.
 func (s *Stack) rxOne(pkt com.BufIO, size uint, ctx *rxCtx) error {
 	var m *Mbuf
 	if data, err := pkt.Map(0, size); err == nil {
@@ -523,6 +574,31 @@ func (s *Stack) rxOne(pkt com.BufIO, size uint, ctx *rxCtx) error {
 // inbound buffers (it maps whatever arrives).
 func (r *stackRecv) AllocBufIO(size uint) (com.BufIO, error) {
 	return nil, com.ErrNotImplemented
+}
+
+// Ping sends one echo request and blocks (process level) until the reply
+// or a timeout in slow-timer ticks of the clock; it returns the RTT in
+// clock ticks.
+func (s *Stack) Ping(dst IPAddr, seq uint16, payload []byte, timeoutTicks uint64) (uint64, bool) {
+	defer s.enter("ping").leave()
+	w := s.pingSend(dst, seq, payload)
+	if w == nil {
+		return 0, false
+	}
+	cancel := s.g.Env().AfterTicks(timeoutTicks, func() {
+		// Interrupt level: wake the sleeper; it notices !done.
+		s.mu.Lock()
+		s.pingExpire(seq, w)
+		s.mu.Unlock()
+	})
+	defer cancel()
+	for !w.done {
+		if s.pings[seq] != w {
+			return 0, false // timed out (or superseded)
+		}
+		s.sleep(w.event, "ping")
+	}
+	return w.rtt, true
 }
 
 // --- transmit-side BufIO export.
@@ -679,6 +755,49 @@ func (b *mbufIO) Unwire() error { return nil }
 var _ com.SGBufIO = (*mbufIO)(nil)
 var _ com.NetIOBatch = (*stackRecv)(nil)
 
+// --- bench/test hooks (open implementation, §4.6).
+
 // WrapMbufForTest exports a chain as the transmit path does; a hook for
-// the repository's bench harness (open implementation, §4.6).
+// the repository's bench harness.
 func WrapMbufForTest(s *Stack, m *Mbuf) com.BufIO { return s.wrapMbuf(m) }
+
+// AddConnForBench attaches one established-looking TCP pcb with the
+// given 4-tuple — the population step of the E13 demux comparison.
+func AddConnForBench(s *Stack, laddr IPAddr, lport uint16, faddr IPAddr, fport uint16) {
+	defer s.enter("bench").leave()
+	tp := s.tcpNew()
+	tp.laddr, tp.lport = laddr, lport
+	tp.faddr, tp.fport = faddr, fport
+	tp.state = tcpsEstablished
+	s.tcpPorts[lport]++
+	_ = s.tcpRegisterConn(tp)
+}
+
+// BenchKey is one demux probe for the batched lookup hooks.
+type BenchKey struct {
+	Dst   IPAddr
+	Dport uint16
+	Src   IPAddr
+	Sport uint16
+}
+
+// LookupBatchForBench runs every probe under ONE component entry — the
+// per-entry overhead amortized away, the way the input path's batches
+// amortize it — and returns the hit count.  linear selects the donor's
+// walk instead of the hash.
+func LookupBatchForBench(s *Stack, keys []BenchKey, linear bool) int {
+	defer s.enter("bench").leave()
+	hits := 0
+	for _, k := range keys {
+		var tp *tcpcb
+		if linear {
+			tp = s.tcpLookupLinear(k.Dst, k.Dport, k.Src, k.Sport)
+		} else {
+			tp = s.tcpLookup(k.Dst, k.Dport, k.Src, k.Sport)
+		}
+		if tp != nil {
+			hits++
+		}
+	}
+	return hits
+}

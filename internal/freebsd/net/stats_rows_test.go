@@ -107,7 +107,9 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 			if m == nil || !m.Append(f) {
 				t.Fatal("mbuf exhausted")
 			}
+			s.mu.Lock()
 			s.etherInput(m, nil)
+			s.mu.Unlock()
 		}
 	}
 	send := func(dst IPAddr, data []byte) func() {
@@ -167,11 +169,11 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 			row{"udp.out": 1, "ip.dropped_no_route": 1}},
 		{"frame mapped in", func() {
 			f := arp(arpOpReply, peerMAC, fuzzIP)
-			_ = s.rxOne(com.NewMemBuf(f), uint(len(f)), nil)
+			_ = (&stackRecv{s: s}).Push(com.NewMemBuf(f), uint(len(f)))
 		}, row{"ether.rx_zero_copy": 1, "arp.in": 1}},
 		{"frame copied in", func() {
 			f := arp(arpOpReply, peerMAC, fuzzIP)
-			_ = s.rxOne(unmappable{com.NewMemBuf(f)}, uint(len(f)), nil)
+			_ = (&stackRecv{s: s}).Push(unmappable{com.NewMemBuf(f)}, uint(len(f)))
 		}, row{"ether.rx_copied": 1, "arp.in": 1}},
 		{"syn opens", input(syn(2000)),
 			row{"ip.in": 1, "tcp.segs_in": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},

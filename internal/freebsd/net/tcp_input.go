@@ -6,10 +6,9 @@ import (
 	bsdglue "oskit/internal/freebsd/glue"
 )
 
-// tcp_input: segment arrival processing.  Runs under splnet, usually at
-// interrupt level straight from the driver's Push.  Parsing, checksum,
-// and the header trim touch only the private segment; demux and
-// everything after it run under the stack lock.
+// tcp_input: segment arrival processing.  Runs under splnet and the
+// stack lock, usually at interrupt level straight from the driver's
+// Push.
 
 // tcpInput parses, validates, and processes one inbound segment.
 func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
@@ -82,8 +81,6 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 	s.sc.tcpRxBytes.Observe(uint64(dataLen))
 
 	defer seg.free()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	tp := s.tcpLookup(dst, dport, src, sport)
 	// TIME_WAIT reincarnation (the 4.4BSD rule): a fresh SYN with a
 	// sequence beyond the old connection's window kills the lingering

@@ -112,7 +112,9 @@ func (p *segPeer) inject(seg []byte) {
 	if m == nil || !m.Append(seg) {
 		p.t.Fatal("mbuf exhausted")
 	}
+	p.s.mu.Lock()
 	p.s.tcpInput(m, fuzzPeer, fuzzIP, nil)
+	p.s.mu.Unlock()
 }
 
 // slowTimo runs one slow-timer sweep, returning the segments it sent.

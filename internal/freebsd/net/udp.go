@@ -9,10 +9,8 @@ import (
 
 // UDP: protocol control blocks, input demux, output.
 //
-// Locking: UDP is simple enough that all of it lives under the stack
-// lock.  The socket layer enters every process-level function with
-// Stack.mu held; udpInput (interrupt level, called lock-free from IP)
-// takes it itself.
+// Locking: all of UDP runs under the stack lock, which the glue takes
+// at every entry (socket calls and the receive interrupt alike).
 
 const udpHdrLen = 8
 
@@ -75,9 +73,7 @@ func (s *Stack) udpBind(pcb *udpPCB, port uint16) error {
 	return nil
 }
 
-// udpInput handles one datagram (interrupt level, splnet implied).
-// Entered lock-free from ipInput; takes the stack lock around demux and
-// queue delivery itself.
+// udpInput handles one datagram (interrupt level, stack lock held).
 func (s *Stack) udpInput(m *Mbuf, src, dst IPAddr) {
 	m = m.Pullup(udpHdrLen)
 	if m == nil {
@@ -102,8 +98,6 @@ func (s *Stack) udpInput(m *Mbuf, src, dst IPAddr) {
 	m.CopyData(udpHdrLen, len(payload), payload)
 	m.FreeChain()
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	pcb := s.udpLookup(dst, dport, src, sport)
 	if pcb == nil || pcb.closed {
 		return
@@ -152,18 +146,15 @@ func (s *Stack) udpOutput(pcb *udpPCB, data []byte, dst IPAddr, dport uint16) er
 	return nil
 }
 
-// udpRecv blocks for one datagram (process level; enters at splnet with
-// the stack lock held).  The wait drops and retakes the stack lock in
-// the two-phase sleep so the receive interrupt can deliver.
+// udpRecv blocks for one datagram (process level, inside an entry).
+// The sleep releases the stack lock so the receive interrupt can
+// deliver.
 func (s *Stack) udpRecv(pcb *udpPCB, buf []byte) (int, IPAddr, uint16, error) {
 	for len(pcb.rcv) == 0 {
 		if pcb.closed {
 			return 0, IPAddr{}, 0, bsdglue.EBADF
 		}
-		p := s.g.SleepPrepare(pcb.rcvEvent, "udprcv")
-		s.mu.Unlock()
-		s.g.SleepCommit(p)
-		s.mu.Lock()
+		s.sleep(pcb.rcvEvent, "udprcv")
 	}
 	d := pcb.rcv[0]
 	pcb.rcv = pcb.rcv[1:]

@@ -10,17 +10,17 @@ import (
 
 // Server serves a file tree over HTTP/1.1 through the kit's POSIX
 // layer.  One Server may serve many connections concurrently (one
-// goroutine per accepted descriptor); every component entry goes
-// through Do, the node's §4.7.4 serialization hook (nil runs direct,
-// for SMP nodes whose components carry their own locks).
+// goroutine per accepted descriptor); the components underneath take
+// their own exclusion, so the server needs no lock.
 type Server struct {
 	C    *libc.C
 	Root *SecureRoot
-	// Do wraps each component call (Node.Do on a serialized node).
+	// Do, when non-nil, wraps each component call.  Nothing in the kit
+	// sets it; it remains because bench/rig.go does (ROADMAP item 13).
 	Do func(func())
 }
 
-// do applies the serialization hook.
+// do applies the Do hook.
 func (s *Server) do(fn func()) {
 	if s.Do != nil {
 		s.Do(fn)

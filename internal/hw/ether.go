@@ -32,8 +32,8 @@ type WireFault struct {
 	Reorder bool
 }
 
-// WireFaultHook decides the fate of one frame.  The switch calls it
-// serialized (one frame at a time, in ingress order), so decisions see a
+// WireFaultHook decides the fate of one frame.  The switch calls it one
+// frame at a time, in ingress order, so decisions see a
 // deterministic event sequence for deterministic traffic.
 type WireFaultHook func(frameLen int) WireFault
 

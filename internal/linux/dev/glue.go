@@ -53,10 +53,10 @@ type Glue struct {
 	// cross-CPU exclusion — worse, a process-level thread that disables
 	// interrupts while holding a protocol lock deadlocks against a
 	// dispatcher whose pending handler wants that lock — so the cli seam
-	// becomes a no-op.  Donor driver entry is externally serialized:
-	// transmit under the stack's TX lock, receive on the donor ISR's
-	// single line (or the per-ring pollers that replace it), and the two
-	// share no driver state beyond kmalloc, which has klMu.  The
+	// becomes a no-op.  Donor driver entry is excluded from outside:
+	// transmit under the stack lock, receive on the donor ISR's single
+	// line (or the per-ring pollers that replace it), and the two share
+	// no driver state beyond kmalloc, which has klMu.  The
 	// monolithic baseline (ProbeNative) keeps real cli on any machine:
 	// it is that kernel's only exclusion.
 	smp bool //oskit:initonly
@@ -112,7 +112,7 @@ const (
 )
 
 // klLock is the donor allocator lock: taken on the packet paths while
-// the stack's TX hand-off lock is held, at interrupt level by receive
+// the stack lock is held, at interrupt level by receive
 // allocations, and above the QuickPool leaf the fast-path kmalloc route
 // draws from.  Nothing under it takes cli.
 //

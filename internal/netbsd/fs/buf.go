@@ -70,7 +70,7 @@ type bcache struct {
 
 	// stage receives a cluster read before it is copied into the run's
 	// buffers.  It is taken for the read, so a reader entering while
-	// another sleeps in the driver (the node lock opens there) makes one.
+	// another sleeps in the driver (the sleep drops splbio) makes one.
 	stage []byte
 
 	// needbuf is NetBSD's needbuffer: a getblk found no victim and

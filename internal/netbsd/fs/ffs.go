@@ -2,7 +2,6 @@ package netbsdfs
 
 import (
 	"encoding/binary"
-	"sync"
 
 	bsdglue "oskit/internal/freebsd/glue"
 )
@@ -120,35 +119,7 @@ type FFS struct {
 	unmounted bool
 
 	pins pinCache // sendfile's recycled pin objects (sendfile.go)
-
-	// concurrent arms entryMu (see SetConcurrent).
-	concurrent bool
-	entryMu    ffsEntryLock
 }
-
-// ffsEntryLock is the §4.7.4 component-wide entry lock of a concurrent
-// mount, held for a whole COM call including across its internal
-// sleeps.  Nothing is ever acquired under it by this component's
-// waiters' wakers (disk completions run at interrupt level, sendfile
-// page unpins touch only the pin atomics and the sleep glue), so it
-// sits above every in-component sleep and below nothing.
-//
-//oskit:lockrank 20
-type ffsEntryLock struct{ sync.Mutex }
-
-// SetConcurrent arms a component-wide entry lock inside the file
-// system itself — the §4.7.4 recipe applied internally, for clients
-// that cannot serialize the node around it.  A multiprocessor node
-// whose network stack carries its own stack lock (E14) has no
-// node-wide lock, yet this component is not thread safe; with
-// SetConcurrent every COM entry is held exclusive for the whole call,
-// *including across its internal sleeps*.  That is deadlock-free here
-// because nothing an in-progress operation waits on needs to re-enter
-// the component: disk completions arrive as interrupts, and the page
-// unpins that satisfy a bufwait sleep come from the network stack's
-// mbuf frees, which touch only the pin atomics (see sendfile.go).
-// Call once, after Mount, before concurrent traffic.
-func (fs *FFS) SetConcurrent() { fs.concurrent = true }
 
 // mount reads the superblock and prepares the cache.
 func mount(g *bsdglue.Glue, dev blkdev) (*FFS, error) {

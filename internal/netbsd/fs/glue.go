@@ -38,12 +38,12 @@ type entry struct {
 	spl     int
 }
 
-// enter is the component prologue (manufactured curproc + splbio; plus
-// the component-wide entry lock on a concurrent mount).
+// enter is the component prologue: a manufactured curproc and splbio.
+// splbio is the component's one exclusion on every machine (the glue is
+// bsdglue.New, giant exclusion on any CPU count).  Every sleep under it
+// — tsleep, or the disk driver's sleep_on — drops it while the thread
+// blocks, so another thread may enter meanwhile.
 func (fs *FFS) enter(what string) entry {
-	if fs.concurrent {
-		fs.entryMu.Lock()
-	}
 	return entry{fs, fs.g.Enter(what), fs.g.Splbio()}
 }
 
@@ -52,9 +52,6 @@ func (fs *FFS) enter(what string) entry {
 func (e entry) leave(err *error) {
 	e.fs.g.Splx(e.spl)
 	e.restore()
-	if e.fs.concurrent {
-		e.fs.entryMu.Unlock()
-	}
 	*err = bsdglue.COMError(*err)
 }
 

@@ -3,7 +3,7 @@ package smp
 import "sync"
 
 // TestSchedule is a seeded, deterministic concurrency harness: it
-// drives N virtual CPUs through one serialized interleaving chosen
+// drives N virtual CPUs through one sequential interleaving chosen
 // entirely by a seed, the same reproducibility contract the fault plane
 // has (internal/faults: every decision is a pure function of the seed
 // and an event index, no shared RNG, so a failing run is replayed from
@@ -20,7 +20,7 @@ import "sync"
 // is how the SMP tests in internal/freebsd/net use this.
 //
 // The harness serializes the bodies, so it exercises orderings, not
-// data races — run the same bodies unserialized under -race for those.
+// data races — run the same bodies in parallel under -race for those.
 type TestSchedule struct {
 	seed uint64
 	n    int

@@ -12,7 +12,7 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=30855
+MAX_LOC=30799
 MAX_WAIVERS=3
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
@@ -59,20 +59,20 @@ for P in $PROCS; do
 		./internal/evalrig/... ./internal/com/... \
 		./internal/core/... ./internal/linux/legacy/...
 
-	echo "== SMP smoke at GOMAXPROCS=$P (4-CPU cluster churn, stock and fast path, on the stack lock, under -race)"
-	go test -race -count=1 -timeout 120s ./internal/evalrig/ \
-		-run 'TestSMP'
-	go test -race -count=1 -timeout 120s ./internal/freebsd/net/ \
+	# The tests whose threads meet only at each component's own
+	# exclusion (no node lock stands in front of a cluster, HTTP or SMP
+	# node), repeated: a lock moved or dropped shows up as a race report
+	# or a hang in some pass, not reliably in one.
+	echo "== exclusion smoke at GOMAXPROCS=$P (cluster, SMP and HTTP rigs; the stack's interleavings; -race, 10 passes)"
+	go test -race -count=10 -timeout 300s ./internal/evalrig/ \
+		-run 'TestSMP|TestCluster|TestHTTP|TestPathShapeMatrix'
+	go test -race -count=10 -timeout 300s ./internal/freebsd/net/ \
 		-run 'TestRace|TestPerConnLockingInterleavings|TestScheduledConnectCloseRace'
 
 	echo "== shuffled multi-CPU re-run at GOMAXPROCS=$P (SMP rigs under a different interleaving)"
 	go test -shuffle=on -count=1 -timeout 120s ./internal/evalrig/ ./internal/freebsd/net/ ./internal/smp/
 done
 unset GOMAXPROCS
-
-echo "== cluster smoke (switched N-node rig, churn reproducibility, under -race)"
-go test -race -count=1 -timeout 120s ./internal/evalrig/ \
-	-run 'TestCluster|TestConcurrentCeiling'
 
 echo "== refcount lifecycle checks (oskitrefdebug build)"
 go test -race -tags oskitrefdebug ./internal/com/

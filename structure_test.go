@@ -5,6 +5,7 @@ package oskit_test
 
 import (
 	"bytes"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -65,10 +66,10 @@ func TestTable3Inventory(t *testing.T) {
 	}
 }
 
-// forEachDonorImport calls fn with every import of every donor file: an
+// forEachDonorFile calls fn with every donor file, parsed: an
 // encapsulated component's non-test files outside its inventory glue
-// list, parsed for their imports only.
-func forEachDonorImport(t *testing.T, fn func(file, imp string)) {
+// list.
+func forEachDonorFile(t *testing.T, fn func(file string, af *ast.File)) {
 	t.Helper()
 	for _, c := range core.Inventory {
 		if c.Kind != core.KindEncapsulated {
@@ -82,27 +83,68 @@ func forEachDonorImport(t *testing.T, fn func(file, imp string)) {
 			if strings.HasSuffix(f, "_test.go") || slices.Contains(c.Glue, filepath.Base(f)) {
 				continue
 			}
-			af, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
+			af, err := parser.ParseFile(token.NewFileSet(), f, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, imp := range af.Imports {
-				fn(f, strings.Trim(imp.Path.Value, `"`))
-			}
+			fn(f, af)
 		}
 	}
+}
+
+// forEachDonorImport calls fn with every import of every donor file.
+func forEachDonorImport(t *testing.T, fn func(file, imp string)) {
+	t.Helper()
+	forEachDonorFile(t, func(file string, af *ast.File) {
+		for _, imp := range af.Imports {
+			fn(file, strings.Trim(imp.Path.Value, `"`))
+		}
+	})
+}
+
+// donorLeafLocks are the only locks donor code takes: allocator
+// free-list leaves, each named by the path a Lock call's receiver ends
+// in.  A component's own exclusion is taken in its glue.
+var donorLeafLocks = map[string]string{
+	"internal/freebsd/net/mbuf.go":    "freeMu",
+	"internal/linux/legacy/skbuff.go": "skbs.mu",
+	"internal/linux/legacy/ide.go":    "reqMu",
 }
 
 // TestDonorCodeNamesNoKitType: the encapsulation line of §4.7.  Donor
 // code never sees the kit's interfaces — only an encapsulated
 // component's glue files speak COM — so no donor file imports com, hw,
-// core or libc.
+// core or libc.  Nor does donor code take its component's exclusion
+// (§4.7.4): the glue takes it at each entry, so the only Lock or
+// Unlock call in a donor file is on a listed free-list leaf.
 func TestDonorCodeNamesNoKitType(t *testing.T) {
 	forEachDonorImport(t, func(file, imp string) {
 		switch imp {
 		case "oskit/internal/com", "oskit/internal/hw", "oskit/internal/core", "oskit/internal/libc":
 			t.Errorf("donor file %s imports %s", file, imp)
 		}
+	})
+	forEachDonorFile(t, func(file string, af *ast.File) {
+		leaf, hasLeaf := donorLeafLocks[filepath.ToSlash(file)]
+		ast.Inspect(af, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
+				recv := analysis.ExprPath(sel.X)
+				if !hasLeaf || !strings.HasSuffix("."+recv, "."+leaf) {
+					t.Errorf("donor file %s: %s.%s takes a lock that is not its free-list leaf; a component's exclusion belongs in its glue",
+						file, recv, sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	})
 }
 
