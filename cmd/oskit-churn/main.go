@@ -32,7 +32,7 @@ func main() {
 	config := flag.String("config", "oskit", "configuration: linux, freebsd, oskit")
 	faultSpec := flag.String("faults", "", `fault plan, e.g. "seed=3 wire.corrupt=0.05" (see internal/faults)`)
 	showStats := flag.Bool("stats", false, "print the server node's kernel-statistics table after the run")
-	cpus := flag.Int("cpus", 1, "logical CPUs per machine; with >1, BSD-stack nodes run the SMP discipline (the stack lock, no spl/cli) in both glue layers (E14)")
+	cpus := flag.Int("cpus", 1, "logical CPUs per machine; the exclusion discipline is the same on every size (E14)")
 	flag.Parse()
 
 	c, err := evalrig.NewCluster(evalrig.Config(*config), *nodes, 250*time.Microsecond, evalrig.Options{CPUs: *cpus})

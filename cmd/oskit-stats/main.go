@@ -28,7 +28,7 @@ func main() {
 	config := flag.String("config", "oskit", "configuration: linux, freebsd, oskit")
 	blocks := flag.Int("blocks", 256, "ttcp blocks to stream before dumping")
 	blockSize := flag.Int("blocksize", 4096, "ttcp block size in bytes")
-	cpus := flag.Int("cpus", 1, "logical CPUs per machine; with >1, BSD-stack nodes run the SMP discipline in both glue layers, stock path or -fastpath (E14)")
+	cpus := flag.Int("cpus", 1, "logical CPUs per machine, stock path or -fastpath; the exclusion discipline is the same on every size (E14)")
 	fastPath := flag.Bool("fastpath", false, "boot OSKit nodes with the fast-path send configuration (E11)")
 	all := flag.Bool("all", false, "print zero-valued statistics too")
 	flag.Parse()

@@ -49,7 +49,7 @@ func main() {
 	showStats := flag.Bool("stats", false, "print the server machine's kernel-statistics table before shutdown")
 	faultSpec := flag.String("faults", "", `fault plan, e.g. "seed=7 wire.drop=0.05 disk.err=0.02" (see internal/faults)`)
 	fastPath := flag.Bool("fastpath", false, "boot OSKit nodes with the opt-in fast path (E11/E12 + E15 zero-copy sendfile)")
-	cpus := flag.Int("cpus", 1, "logical CPUs per machine; with >1, the network path runs the SMP discipline in both glue layers (E14); the file system keeps giant exclusion")
+	cpus := flag.Int("cpus", 1, "logical CPUs per machine; the exclusion discipline is the same on every size (E14): the stack lock on the network path, giant exclusion in the file system")
 	flag.Parse()
 
 	var faultPlan *faults.Plan

@@ -28,7 +28,7 @@ func main() {
 	showStats := flag.Bool("stats", false, "print each system's kernel-statistics table after its run")
 	faultSpec := flag.String("faults", "", `fault plan, e.g. "seed=3 wire.corrupt=0.05 timer.jitter=0.1" (see internal/faults)`)
 	fastPath := flag.Bool("fastpath", false, "boot OSKit nodes with the opt-in fast-path send configuration (E11: scatter-gather xmit + QuickPool)")
-	cpus := flag.Int("cpus", 1, "logical CPUs per machine; with >1, BSD-stack nodes run the SMP discipline (the stack lock, no spl/cli) in both glue layers (E14)")
+	cpus := flag.Int("cpus", 1, "logical CPUs per machine; the exclusion discipline is the same on every size (E14)")
 	flag.Parse()
 
 	var faultPlan *faults.Plan

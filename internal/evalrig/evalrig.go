@@ -97,19 +97,16 @@ type Options struct {
 	FastPath bool
 
 	// CPUs powers each machine on with N logical CPUs (interrupt
-	// dispatch contexts).  The exclusion discipline is not an option: each
-	// glue reads N where it is built.  For N > 1 the BSD-stack
-	// configurations run the SMP discipline end to end — the FreeBSD
-	// glue's spl and the Linux driver glue's cli are vestigial and the
-	// network stack's own lock is the exclusion (E14); the file system
-	// keeps giant exclusion (splbio).  A FreeBSD-native
+	// dispatch contexts).  It changes no exclusion discipline: each
+	// component brings its own on every machine size — the BSD network
+	// stack its lock (it calls no spl, and the encapsulated Linux
+	// driver's cli is a no-op), the file system giant exclusion
+	// (splbio), the Linux configuration real cli.  A FreeBSD-native
 	// node attaches its NIC with N receive rings (AttachNative); an
 	// OSKit node with FastPath grows N RSS-hashed rings drained by N
 	// polled receive loops, without it the donor ISR keeps its one line.
-	// 0 or 1 means the unchanged uniprocessor rig — every default path is
-	// byte-identical to CPUs-absent (TestPathShapeMatrix pins this).  The
-	// Linux configuration keeps real cli, its stack's one exclusion, but
-	// still boots with N CPUs.
+	// 0 or 1 means one CPU — every default path is byte-identical to
+	// CPUs-absent (TestPathShapeMatrix pins this).
 	CPUs int
 
 	// DiskSectors, when nonzero, attaches an IDE disk of that many
@@ -242,7 +239,7 @@ func newNode(cfg Config, sw *hw.EtherSwitch, unit byte, ip [4]byte, tick time.Du
 		f.Release()
 
 	case FreeBSD:
-		st := bsdnet.NewStack(bsdglue.NewLocked(k.Env))
+		st := bsdnet.NewStack(bsdglue.New(k.Env))
 		// One RSS-hashed receive ring per CPU, each ring's interrupt line
 		// affinity-routed so drains run concurrently.
 		st.AttachNative(nic, cpus)
@@ -274,7 +271,7 @@ func newNode(cfg Config, sw *hw.EtherSwitch, unit byte, ip [4]byte, tick time.Du
 		fw := dev.NewFramework(k.Env)
 		linuxdev.InitEthernet(fw)
 		fw.Probe()
-		st := bsdnet.NewStack(bsdglue.NewLocked(k.Env))
+		st := bsdnet.NewStack(bsdglue.New(k.Env))
 		f := st.SocketFactory()
 		n.C.SetSocketCreator(f)
 		f.Release()

@@ -122,7 +122,7 @@ func TestPathShapeMatrix(t *testing.T) {
 		{"fastpath-4cpu", Options{FastPath: true, CPUs: 4}, 5007},
 		// The fourth cell: the stock path shape (flatten copies, donor
 		// ISR, no gather, no polled receive) holds on 4-CPU machines,
-		// where both glue layers run the SMP discipline.
+		// where the donor ISR keeps its one line.
 		{"stock-4cpu", Options{CPUs: 4}, 5008},
 	}
 	// Every row serves the same seeded files, so every row's HTTP body

@@ -52,8 +52,8 @@ func TTCPVerified(p *Pair, blocks, blockSize int, port uint16, seed int64) (sent
 // TTCPMulti is ttcp across several concurrent TCP streams — the E14
 // workload.  One stream exercises one connection and one RSS ring; N
 // streams on an SMP pair spread across the receive rings (4-tuple hash)
-// and meet at the stack lock, which also carries a uniprocessor pair's
-// concurrent callers.
+// and meet at the stack lock, which carries a one-CPU pair's concurrent
+// callers the same way.
 //
 // The result aggregates all streams: Bytes is the total across streams
 // and the timings span first start to last finish, so SendMbps/RecvMbps

@@ -75,13 +75,6 @@ type mallocLock struct{ sync.Mutex }
 type Glue struct {
 	env *core.Env
 
-	// smp is fixed by the constructor.  Off (New) is the §4.7.4
-	// giant-exclusion discipline: spl calls disable interrupts, one
-	// process inside the component.  On (NewLocked on a multi-CPU machine)
-	// is the SMP discipline: spl calls become no-ops — the component
-	// carries its own fine-grained locks.
-	smp bool //oskit:initonly
-
 	// curprocs is the current process, one per thread of control inside
 	// the component, on every machine: a thread that blocks in another
 	// component keeps its own even while others enter and sleep here.
@@ -101,20 +94,14 @@ type Glue struct {
 	Malloc *Malloc
 }
 
-// New builds a BSD environment over env for a component that relies on
-// the glue for its exclusion (the file system, sio): giant exclusion on
-// any machine.  The allocator's statistics are exported as a "bsd_malloc"
-// com.Stats set in env's services registry.
-func New(env *core.Env) *Glue { return newGlue(env, false) }
-
-// NewLocked is New for a component that carries its own lock (the
-// network stack's Stack.mu, net/locks.go).  The discipline is the
-// machine's, not the caller's: on one CPU it is New; on several, spl is
-// vestigial and the component's lock is its only exclusion.
-func NewLocked(env *core.Env) *Glue { return newGlue(env, env.Machine.CPUs() > 1) }
-
-func newGlue(env *core.Env, smp bool) *Glue {
-	g := &Glue{env: env, smp: smp, curprocs: map[uint64]*Proc{}}
+// New builds a BSD environment over env.  Its spl calls are real
+// interrupt exclusion on any machine: the giant discipline of the
+// components that rely on the glue for it (the file system, sio).  A
+// component that carries its own lock (the network stack's Stack.mu,
+// net/locks.go) calls no spl.  The allocator's statistics are exported
+// as a "bsd_malloc" com.Stats set in env's services registry.
+func New(env *core.Env) *Glue {
+	g := &Glue{env: env, curprocs: map[uint64]*Proc{}}
 	g.Malloc = newMalloc(g)
 	set := stats.NewSet("bsd_malloc")
 	g.Malloc.initStats(set)
@@ -207,13 +194,6 @@ func (g *Glue) Splx(s int) {
 }
 
 func (g *Glue) splraise() int {
-	if g.smp {
-		// SMP discipline: interrupt exclusion is per-CPU and the
-		// component carries its own locks, so spl is vestigial — exactly
-		// the donor source's fate on SMP BSDs.  The calls stay in the
-		// component because on a uniprocessor they *are* the exclusion.
-		return 0
-	}
 	if g.env.InIntr() {
 		return 0
 	}
@@ -233,7 +213,7 @@ func slpHash(event uint32) int { return int((event >> 3) % slpqueSize) }
 // Tsleep blocks the current process on event.  Donor contract: entered
 // at raised spl (interrupts disabled); the process is enqueued
 // atomically, interrupts are enabled while blocked, and the call returns
-// with interrupts disabled again.  The current process is saved across
+// at the spl it was entered at.  The current process is saved across
 // the block (§4.7.5).
 func (g *Glue) Tsleep(event uint32, wmesg string) {
 	g.SleepCommit(g.SleepPrepare(event, wmesg))
@@ -250,8 +230,8 @@ func (g *Glue) Tsleep(event uint32, wmesg string) {
 //	g.SleepCommit(p)                 // …which the record closes
 //	relock(...); recheck condition   // spurious returns allowed
 //
-// has no lost-wakeup window — the SMP replacement for "enqueue at
-// raised spl, then drop to spl0" (§4.7.6).
+// has no lost-wakeup window — what a component under its own lock uses
+// in place of "enqueue at raised spl, then drop to spl0" (§4.7.6).
 func (g *Glue) SleepPrepare(event uint32, wmesg string) *Proc {
 	p := g.curproc()
 	if p == nil {
@@ -279,15 +259,14 @@ func (g *Glue) SleepPrepare(event uint32, wmesg string) *Proc {
 func (g *Glue) SleepCommit(p *Proc) {
 	id := hw.GoID()
 	g.setCurproc(id, nil)
-	if g.smp {
-		g.env.Sleep(p.rec)
-	} else {
-		// tsleep drops to spl0 *completely* while blocked — the caller may
-		// be nested several spl levels deep across components (the file
-		// system sleeping inside the disk driver) — and restores the full
-		// depth afterwards.
-		depth := g.env.Machine.Intr.DropAll()
-		g.env.Sleep(p.rec)
+	// tsleep drops to spl0 *completely* while blocked — the caller may be
+	// nested several spl levels deep across components (the file system
+	// sleeping inside the disk driver) — and restores the full depth
+	// afterwards.  A caller under its own lock (the network stack) holds
+	// no spl, and there is nothing to drop.
+	depth := g.env.Machine.Intr.DropAllHeld()
+	g.env.Sleep(p.rec)
+	if depth > 0 {
 		g.env.Machine.Intr.RestoreAll(depth)
 	}
 	g.setCurproc(id, p)
@@ -297,9 +276,8 @@ func (g *Glue) SleepCommit(p *Proc) {
 	g.slpMu.Unlock()
 }
 
-// Wakeup wakes every process sleeping on event.  Donor contract: called
-// with interrupts disabled on a uniprocessor (interrupt handlers are;
-// process-level callers hold an spl); callable from anywhere on SMP.
+// Wakeup wakes every process sleeping on event.  Callable from any
+// context, at any spl: the sleep queue has its own lock.
 func (g *Glue) Wakeup(event uint32) {
 	// Unlink under the queue lock; post the wakeups after dropping it
 	// (env.Wakeup is an interposable service — never call out under a

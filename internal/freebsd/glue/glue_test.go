@@ -19,9 +19,7 @@ var raceEnabled bool
 func testGlue(t *testing.T) *Glue { return testGlueCPUs(t, 0) }
 
 // testGlueCPUs is testGlue on a cpus-CPU machine (0: the platform
-// default) for a lock-carrying client; more than one CPU means the SMP
-// discipline — spl is a no-op and the component's locks are its real
-// exclusion.
+// default).
 func testGlueCPUs(t *testing.T, cpus int) *Glue {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20, CPUs: cpus})
@@ -31,7 +29,7 @@ func testGlueCPUs(t *testing.T, cpus int) *Glue {
 		t.Fatal(err)
 	}
 	arena.AddFree(0x100000, 8<<20)
-	return NewLocked(core.NewEnv(m, arena))
+	return New(core.NewEnv(m, arena))
 }
 
 func TestEnterManufacturesCurproc(t *testing.T) {
@@ -244,28 +242,20 @@ func TestSplNesting(t *testing.T) {
 	}
 }
 
-// TestDisciplineFollowsTheMachine pins the two constructors: New is giant
-// exclusion on any machine (the file system's splbio must stay real cli
-// on 4 CPUs), NewLocked is SMP exactly when the machine has several CPUs,
-// and nothing can change either afterwards.  Under either discipline the
-// current process is the entering thread's own.
+// TestDisciplineFollowsTheMachine pins the one constructor: spl is real
+// interrupt exclusion on any machine size (the file system's splbio must
+// stay real cli on 4 CPUs), and the current process is the entering
+// thread's own.
 func TestDisciplineFollowsTheMachine(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		cpus   int
-		locked bool
-		smp    bool
+		name string
+		cpus int
 	}{
-		{"New/1cpu", 1, false, false},
-		{"New/4cpu", 4, false, false},
-		{"NewLocked/1cpu", 1, true, false},
-		{"NewLocked/4cpu", 4, true, true},
+		{"New/1cpu", 1},
+		{"New/4cpu", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := testGlueCPUs(t, tc.cpus)
-			if !tc.locked {
-				g = New(g.Env())
-			}
 			clis := 0
 			disable := g.env.IntrDisable
 			g.env.IntrDisable = func() { clis++; disable() }
@@ -276,13 +266,9 @@ func TestDisciplineFollowsTheMachine(t *testing.T) {
 			go func() { other <- g.curproc() }()
 			perThread := g.curproc() != nil && <-other == nil
 			restore()
-			wantCli := 1
-			if tc.smp {
-				wantCli = 0
-			}
-			if s != wantCli || clis != wantCli || !perThread {
-				t.Fatalf("on %d CPUs: spl token %d, %d cli, per-thread curproc %v; want SMP discipline = %v and per-thread curproc",
-					tc.cpus, s, clis, perThread, tc.smp)
+			if s != 1 || clis != 1 || !perThread {
+				t.Fatalf("on %d CPUs: spl token %d, %d cli, per-thread curproc %v; want token 1, 1 cli and per-thread curproc",
+					tc.cpus, s, clis, perThread)
 			}
 		})
 	}

@@ -50,10 +50,11 @@ const (
 type Malloc struct {
 	g *Glue
 
-	// mu guards the buckets, the page table, and the live-byte ledger.
-	// On a uniprocessor the Splhigh exclusion below already serializes
-	// callers and the lock is uncontended; on SMP (where spl is a no-op)
-	// it is the allocator's real exclusion.
+	// mu guards the buckets, the page table, and the live-byte ledger:
+	// the allocator's one exclusion, on every machine size.  It takes no
+	// spl, so a caller holding a component lock (the network stack's)
+	// never waits on interrupt exclusion, which the dispatcher holds
+	// while it waits for that lock.
 	mu mallocLock
 
 	// kmemusage: one entry per page from basePage, grown on demand.
@@ -77,7 +78,7 @@ type Malloc struct {
 func newMalloc(g *Glue) *Malloc { return &Malloc{g: g} }
 
 // initStats resolves the allocator's statistics handles in set.  Updates
-// happen under splhigh on allocation hot paths, so the handles are
+// happen under mu on allocation hot paths, so the handles are
 // pre-resolved here and each update is one atomic operation.
 func (m *Malloc) initStats(set *stats.Set) {
 	m.scAllocs = set.Counter("malloc.allocs")
@@ -106,8 +107,6 @@ func (m *Malloc) Alloc(size uint32) (hw.PhysAddr, []byte, bool) {
 	if size == 0 {
 		return 0, nil, false
 	}
-	s := m.g.Splhigh()
-	defer m.g.Splx(s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if size > PageSize {
@@ -129,8 +128,6 @@ func (m *Malloc) Alloc(size uint32) (hw.PhysAddr, []byte, bool) {
 
 // Free releases a block by address alone — property 3.
 func (m *Malloc) Free(addr hw.PhysAddr) {
-	s := m.g.Splhigh()
-	defer m.g.Splx(s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -164,8 +161,6 @@ func (m *Malloc) Free(addr hw.PhysAddr) {
 // SizeOf reports the allocated size of a live block — the exposed form
 // of property 3.
 func (m *Malloc) SizeOf(addr hw.PhysAddr) (uint32, bool) {
-	s := m.g.Splhigh()
-	defer m.g.Splx(s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	entry := m.lookup(addr >> PageShift)

@@ -25,9 +25,9 @@ func mallocSnap(g *Glue) map[string]int64 {
 // the allocator's backing state (the live-byte ledger behind
 // malloc.bytes_live, the page table behind malloc.table_bytes, the
 // size table behind SizeOf) happens under the allocator lock, and the
-// exported gauge/counter handles are single atomic words — so an SMP
-// glue can be hammered by allocators, gauge readers and snapshot takers
-// at once with the race detector on.
+// exported gauge/counter handles are single atomic words — so the
+// allocator can be hammered by allocators, gauge readers and snapshot
+// takers at once on a 4-CPU machine with the race detector on.
 func TestMallocConcurrentGaugeAudit(t *testing.T) {
 	g := testGlueCPUs(t, 4)
 

@@ -14,10 +14,6 @@ import (
 	linuxdev "oskit/internal/linux/dev"
 )
 
-// bsdGlueFor builds the stack's glue the way every rig does: the
-// lock-carrying constructor, whose discipline follows the machine.
-func bsdGlueFor(k *kern.Kernel) *bsdglue.Glue { return bsdglue.NewLocked(k.Env) }
-
 // The integration harness: two simulated machines on one Ethernet switch,
 // each running the FreeBSD stack over an encapsulated Linux driver —
 // precisely the §5 configuration.
@@ -33,8 +29,7 @@ func bootStack(t *testing.T, sw *hw.EtherSwitch, mac byte, model hw.NICModel, ip
 	return bootStackCPUs(t, sw, mac, model, ip, 1)
 }
 
-// bootStackCPUs is bootStack on a cpus-CPU machine; more than one CPU puts
-// both glue layers under the SMP discipline, as on any such node.
+// bootStackCPUs is bootStack on a cpus-CPU machine.
 func bootStackCPUs(t *testing.T, sw *hw.EtherSwitch, mac byte, model hw.NICModel, ip IPAddr, cpus int) *Stack {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{Name: "net", MemBytes: 32 << 20, CPUs: cpus})
@@ -52,7 +47,7 @@ func bootStackCPUs(t *testing.T, sw *hw.EtherSwitch, mac byte, model hw.NICModel
 	eths := fw.LookupByIID(com.EtherDevIID)
 	ed := eths[0].(com.EtherDev)
 
-	s := NewStack(bsdGlueFor(k))
+	s := NewStack(bsdglue.New(k.Env))
 	t.Cleanup(s.Close)
 	if err := s.OpenEtherIf(ed); err != nil {
 		t.Fatal(err)
@@ -102,12 +97,22 @@ func (ls *lockedStack) do(fn func()) {
 func modelNE2K() hw.NICModel  { return hw.ModelNE2K }
 func model3C59X() hw.NICModel { return hw.Model3C59X }
 
-// lossySwitch is a switch that drops each frame with probability p.
+// lossySwitch is a switch that drops each frame with probability p, and
+// the first full-sized frame whatever the draw: a bulk sender's first
+// data segment, so the sender retransmits even when every seeded drop
+// lands on an ACK.
 func lossySwitch(t *testing.T, p float64, seed int64) *hw.EtherSwitch {
 	t.Helper()
 	sw := hw.NewEtherSwitch()
 	rng := rand.New(rand.NewSource(seed))
-	// The switch serializes hook calls, so the RNG needs no lock.
-	sw.SetFaultHook(func(int) hw.WireFault { return hw.WireFault{Drop: rng.Float64() < p} })
+	fullSeen := false
+	// The switch serializes hook calls, so the RNG and flag need no lock.
+	sw.SetFaultHook(func(n int) hw.WireFault {
+		drop := rng.Float64() < p
+		if n == etherHdrLen+ipHdrLen+tcpHdrLen+tcpMSS && !fullSeen {
+			fullSeen, drop = true, true
+		}
+		return hw.WireFault{Drop: drop}
+	})
 	return sw
 }

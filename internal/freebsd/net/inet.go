@@ -18,7 +18,8 @@
 // most 4 × the buffer's limit) — is exactly the Table 1 asymmetry.
 //
 // The stack runs under the blocking execution model of §4.7.4: protocol
-// processing happens at "splnet" (interrupt exclusion), socket calls
+// processing happens under the stack lock, the component's one
+// exclusion (locks.go), where the donor raised "splnet"; socket calls
 // block with tsleep/wakeup through the BSD glue.
 package bsdnet
 

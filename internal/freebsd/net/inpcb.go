@@ -11,9 +11,9 @@ import bsdglue "oskit/internal/freebsd/glue"
 // an exact 4-tuple map for connected pcbs, a local-port map for
 // listeners and unconnected (wildcard) UDP sockets, and a per-port
 // occupancy count that makes the ephemeral allocator and bind conflict
-// checks O(1).  All maps are keyed structures consulted under splnet;
-// nothing iterates them, so map order can leak nowhere (determinism
-// contract, see cmd/oskitcheck).
+// checks O(1).  All maps are keyed structures consulted under the stack
+// lock; nothing iterates them, so map order can leak nowhere
+// (determinism contract, see cmd/oskitcheck).
 
 // tcpKey is the exact-match demux key (local address/port, foreign
 // address/port — dst before src, the direction an inbound segment reads).

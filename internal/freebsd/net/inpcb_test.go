@@ -13,13 +13,10 @@ import (
 	bsdglue "oskit/internal/freebsd/glue"
 )
 
-// withStack runs fn as a component entry (current process + splnet),
-// the way every real caller reaches the pcb internals.
+// withStack runs fn with a current process, the way every real caller
+// reaches the pcb internals; fn takes the stack lock where it needs it.
 func withStack(s *Stack, fn func()) {
-	restore := s.g.Enter("test")
-	defer restore()
-	spl := s.g.Splnet()
-	defer s.g.Splx(spl)
+	defer s.g.Enter("test")()
 	fn()
 }
 
@@ -273,8 +270,6 @@ func (s *Stack) udpLookupLinear(dst IPAddr, dport uint16, src IPAddr, sport uint
 func tcpPCBCount(s *Stack) int {
 	restore := s.g.Enter("pcbcount")
 	defer restore()
-	spl := s.g.Splnet()
-	defer s.g.Splx(spl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.tcpPCBs)

@@ -85,8 +85,7 @@ func (s *Stack) ipInput(m *Mbuf, ctx *rxCtx) {
 }
 
 // ipOutput attaches an IP header and routes the datagram, fragmenting
-// when it exceeds the interface MTU.  Called at splnet with the stack
-// lock held.
+// when it exceeds the interface MTU.  Called with the stack lock held.
 func (s *Stack) ipOutput(m *Mbuf, src, dst IPAddr, proto int, ttl int) {
 	if ttl == 0 {
 		ttl = ipDefTTL

@@ -11,14 +11,11 @@ import "sync"
 // native drain and the slow-timer tick), and released across every
 // sleep (Stack.sleep) and every call out to the file system
 // (Stack.unlocked), so it is never held across a block.  Donor files
-// take no lock but the free-list leaf.  On a uniprocessor the stack
-// also keeps the giant-exclusion discipline — every process-level
-// entry raises spl (disabling interrupts) before taking Stack.mu, at
-// most one thread of control is inside the component, and Stack.mu is
-// acquired uncontended.  On a multi-CPU machine (bsdglue.NewLocked
-// reads the CPU count, as the driver glue underneath does; nothing can
-// set it) spl and cli are no-ops and Stack.mu is the component's real
-// exclusion.
+// take no lock but the free-list leaf.  The discipline is the same on
+// every machine size: the stack calls no spl, so nothing under Stack.mu
+// takes cli.  One process-level cli under it would be half of an ABBA
+// against the receive interrupt, whose dispatcher holds cli while it
+// waits for Stack.mu.
 //
 // Ranks order acquisition: a thread may only acquire a lock of *higher*
 // rank than any it holds.  The hierarchy (documented in DESIGN.md §13):

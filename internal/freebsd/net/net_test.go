@@ -270,8 +270,6 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 	go func() {
 		restoreB := b.g.Enter("rcv")
 		defer restoreB()
-		spl := b.g.Splnet()
-		defer b.g.Splx(spl)
 		b.mu.Lock()
 		pcb := b.udpNew()
 		if err := b.udpBind(pcb, 9000); err != nil {
@@ -291,7 +289,6 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 	waitSettle()
 
 	restoreA := a.g.Enter("snd")
-	spl := a.g.Splnet()
 	a.mu.Lock()
 	pcbA := a.udpNew()
 	err := a.udpOutput(pcbA, payload, b.ifIP, 9000)
@@ -299,7 +296,6 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.g.Splx(spl)
 	restoreA()
 
 	got := <-done

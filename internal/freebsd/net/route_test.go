@@ -79,8 +79,6 @@ func TestUDPBroadcast(t *testing.T) {
 	go func() {
 		restore := b.g.Enter("bcast-rcv")
 		defer restore()
-		spl := b.g.Splnet()
-		defer b.g.Splx(spl)
 		b.mu.Lock()
 		pcb := b.udpNew()
 		if err := b.udpBind(pcb, 6767); err != nil {
@@ -104,12 +102,10 @@ func TestUDPBroadcast(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 
 	restore := a.g.Enter("bcast-snd")
-	spl := a.g.Splnet()
 	a.mu.Lock()
 	pcb := a.udpNew()
 	err := a.udpOutput(pcb, []byte("hear ye"), IPAddr{255, 255, 255, 255}, 6767)
 	a.mu.Unlock()
-	a.g.Splx(spl)
 	restore()
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@ package bsdnet
 
 // Race-regression suite for the stack's SMP exclusion: real parallelism,
 // no harness serialization, meant to run under -race (scripts/check.sh
-// tier-1 list).  On a multi-CPU machine spl is vestigial and the stack
-// lock is what keeps these apart: receive demux vs. detach, accept vs.
-// listener close, and full-lifecycle churn across goroutines.
+// tier-1 list).  The stack lock is what keeps these apart: receive demux
+// vs. detach, accept vs. listener close, and full-lifecycle churn across
+// goroutines.
 
 import (
 	"sync"

@@ -24,10 +24,9 @@ import (
 )
 
 // connectedStacksSMP boots the usual two-machine rig on 4-CPU machines,
-// which is what puts both stacks' glue (and the driver glue under them)
-// in the SMP discipline: spl and cli become vestigial and the stack lock
-// is the only exclusion — the configuration every test in this file and
-// in smp_race_test.go exercises.
+// where the stack lock is the only exclusion (as on every machine size)
+// and interrupt lines can run on several CPUs — the configuration every
+// test in this file and in smp_race_test.go exercises.
 func connectedStacksSMP(t *testing.T) (*Stack, *Stack) { return connectedStacksCPUs(t, 4) }
 
 // TestPerConnLockingInterleavings drives three virtual CPUs through the
@@ -211,7 +210,7 @@ func TestScheduledARPResolveVsOutput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := NewStack(bsdglue.NewLocked(k.Env))
+			s := NewStack(bsdglue.New(k.Env))
 			t.Cleanup(s.Close)
 			mac := [6]byte{2, 0, 0, 0, 0, 1}
 			var sent []string // datagram payloads that left, in order

@@ -7,8 +7,8 @@ import (
 
 // The socket layer: the COM Socket/SocketFactory exported by the stack
 // (§5).  Every method is a component entry point: Stack.enter
-// manufactures a current process (§4.7.5), raises splnet and takes the
-// stack lock in one call, and the deferred leave undoes all three.
+// manufactures a current process (§4.7.5) and takes the stack lock in
+// one call, and the deferred leave undoes both.
 // Blocking goes through Stack.sleep, which releases the stack lock
 // across the block (stack.go).
 

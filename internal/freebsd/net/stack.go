@@ -21,12 +21,12 @@ type Stack struct {
 	// mu is the stack lock (rank 10, see locks.go): all protocol state —
 	// pcbs and their socket buffers, demux, listener queues, port
 	// occupancy, the TIME_WAIT queue, reassembly, pings, UDP, the ARP
-	// cache, the interface output hand-off and the event allocator.  On
-	// a uniprocessor it is uncontended (the spl discipline already
-	// serializes); on SMP it is the component's exclusion.  Only the
-	// glue files take it, at each entry: enter (process level), the
-	// NetIO receive entries and the native drain (interrupt level), and
-	// the slow-timer tick; sleep releases it across every block.
+	// cache, the interface output hand-off and the event allocator.  It
+	// is the component's one exclusion on every machine size: the stack
+	// calls no spl.  Only the glue files take it, at each entry: enter
+	// (process level), the NetIO receive entries and the native drain
+	// (interrupt level), and the slow-timer tick; sleep releases it
+	// across every block.
 	mu stackLock
 
 	// freeMu (rank 72) guards the free lists of mbufs, clusters (mbuf.go)
@@ -290,22 +290,19 @@ func (s *Stack) Glue() *bsdglue.Glue { return s.g }
 type entry struct {
 	s       *Stack
 	restore func()
-	spl     int
 }
 
 // enter is the component prologue for a process-level entry point: it
-// manufactures the thread's current process (§4.7.5), raises splnet and
-// takes the stack lock, in that order.  The entry's leave, deferred by
-// the caller, undoes all three.
+// manufactures the thread's current process (§4.7.5) and takes the
+// stack lock.  The entry's leave, deferred by the caller, undoes both.
 func (s *Stack) enter(what string) entry {
-	e := entry{s, s.g.Enter(what), s.g.Splnet()}
+	e := entry{s, s.g.Enter(what)}
 	s.mu.Lock()
 	return e
 }
 
 func (e entry) leave() {
 	e.s.mu.Unlock()
-	e.s.g.Splx(e.spl)
 	e.restore()
 }
 
@@ -357,34 +354,28 @@ func (s *Stack) OpenEtherIf(dev com.EtherDev) error {
 // the address: configuration-before-traffic, written under the stack
 // lock.
 func (s *Stack) ifAttach(mac [6]byte, output func(m *Mbuf)) {
-	spl := s.g.Splnet()
 	s.mu.Lock()
 	s.ifMAC = mac
 	s.output = output
 	s.mu.Unlock()
-	s.g.Splx(spl)
 }
 
 // Ifconfig assigns the interface address (oskit_freebsd_net_ifconfig).
 // Configuration happens before traffic (the data paths read it
 // unguarded; see locks.go).
 func (s *Stack) Ifconfig(ip, mask IPAddr) {
-	spl := s.g.Splnet()
 	s.mu.Lock()
 	s.ifIP = ip
 	s.ifMask = mask
 	s.mu.Unlock()
-	s.g.Splx(spl)
 }
 
 // SetGateway sets the default route (configuration-before-traffic, like
 // Ifconfig).
 func (s *Stack) SetGateway(gw IPAddr) {
-	spl := s.g.Splnet()
 	s.mu.Lock()
 	s.gw = gw
 	s.mu.Unlock()
-	s.g.Splx(spl)
 }
 
 // Close unbinds timers (the interface itself is closed by the client,

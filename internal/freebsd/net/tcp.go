@@ -11,9 +11,10 @@ import (
 // estimation, slow start / congestion avoidance / fast retransmit,
 // out-of-order reassembly, and the full connection state machine.
 //
-// Everything runs at splnet: tcp_input from interrupt level when the
-// driver pushes a frame, tcp_output and the user requests from process
-// level under an spl raised in the socket layer.
+// Everything runs under the stack lock, where the donor ran at splnet:
+// tcp_input from interrupt level when the driver pushes a frame,
+// tcp_output and the user requests from process level under the lock
+// the socket layer takes.
 
 // TCP states.
 const (

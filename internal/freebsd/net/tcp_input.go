@@ -6,9 +6,8 @@ import (
 	bsdglue "oskit/internal/freebsd/glue"
 )
 
-// tcp_input: segment arrival processing.  Runs under splnet and the
-// stack lock, usually at interrupt level straight from the driver's
-// Push.
+// tcp_input: segment arrival processing.  Runs under the stack lock,
+// usually at interrupt level straight from the driver's Push.
 
 // tcpInput parses, validates, and processes one inbound segment.
 func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {

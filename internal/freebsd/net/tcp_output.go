@@ -10,8 +10,7 @@ import "encoding/binary"
 // is that mbuf plus the send buffer's clusters — a chain whose BufIO Map
 // fails — which is exactly where Table 1's send-path copy comes from.
 
-// tcpOutput runs the sender once.  Called at splnet with the stack lock
-// held.
+// tcpOutput runs the sender once.  Called with the stack lock held.
 func (s *Stack) tcpOutput(tp *tcpcb) {
 	for {
 		if !s.tcpOutputOnce(tp) {

@@ -111,8 +111,8 @@ func (s *Stack) udpInput(m *Mbuf, src, dst IPAddr) {
 	s.g.Wakeup(pcb.rcvEvent)
 }
 
-// udpOutput sends one datagram.  Called at splnet with the stack lock
-// held (for the ephemeral bind and the pcb fields).
+// udpOutput sends one datagram.  Called with the stack lock held (for
+// the ephemeral bind and the pcb fields).
 func (s *Stack) udpOutput(pcb *udpPCB, data []byte, dst IPAddr, dport uint16) error {
 	if pcb.lport == 0 {
 		if err := s.udpBind(pcb, 0); err != nil {

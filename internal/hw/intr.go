@@ -236,11 +236,12 @@ func (ic *IntrController) DropAll() int {
 
 // DropAllHeld is DropAll for callers that may not hold the exclusion: it
 // releases the calling thread's entire Disable nesting and returns the
-// depth, or returns 0 when this thread holds no section.  SMP glue sleep
-// paths need the conditional form — their own cli seam is a no-op, but an
-// *outer* component (a file system's splbio bracketing a disk driver
-// call) may still have the boot CPU's exclusion open, and sleeping while
-// holding it would deadlock against the completion handler.
+// depth, or returns 0 when this thread holds no section.  The glues'
+// sleep paths need it: the network stack and the encapsulated driver
+// hold no section of their own, but an *outer* component (a file
+// system's splbio bracketing a disk driver call) may still have the boot
+// CPU's exclusion open, and sleeping while holding it would deadlock
+// against the completion handler.
 func (ic *IntrController) DropAllHeld() int {
 	c := ic.cpus[0]
 	if c.cliOwner.Load() != goid() {

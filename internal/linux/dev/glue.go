@@ -4,7 +4,8 @@
 //
 // The glue has two faces.  Downward, it implements the donor-internal
 // environment the drivers were written against: kmalloc honouring GFP
-// flags (§4.7.7), cli/sti mapped to the machine's interrupt exclusion,
+// flags (§4.7.7), cli/sti (the machine's interrupt exclusion in the
+// monolithic baseline's image, a no-op in the encapsulated one),
 // sleep_on/wake_up emulated over the kit's sleep records (§4.7.6), and
 // the direct physical-memory map some drivers assume (§4.7.8).  It
 // manufactures no current task (§4.7.5): no donor driver here reads one.
@@ -37,29 +38,23 @@ type Glue struct {
 	// upcall.
 	route map[*legacy.NetDevice]*etherDev //oskit:guardedby mu
 
-	// nativeKmalloc selects Linux's own bucket allocator (the
-	// monolithic baseline) over the glue's client-memory-service
-	// mapping (the encapsulated configuration).
-	nativeKmalloc bool //oskit:initonly
+	// native is the image kind, fixed by the constructor.  The
+	// monolithic baseline's image (ProbeNative) keeps Linux's own
+	// bucket allocator and real cli, that kernel's only exclusion.  The
+	// encapsulated image maps kmalloc to the client memory service, and
+	// its cli seam is a no-op on every machine size: donor driver entry
+	// is excluded from outside, transmit under the stack lock and
+	// receive on the donor ISR's single line (or the per-ring pollers
+	// that replace it), and the two share no driver state beyond
+	// kmalloc, which has klMu.  A real cli there, taken under the stack
+	// lock, would deadlock against a dispatcher that holds cli and
+	// waits for that lock.
+	native bool //oskit:initonly
 
 	// kmHook, when set, may veto a kmalloc before any allocator runs
 	// (fault injection; see SetKmallocFaultHook).
 	kmHook func(size uint32) bool //oskit:guardedby klMu
 
-	// smp is the donor exclusion discipline, a fact of the machine read
-	// once when the glue is built (CPUs > 1) and never settable: off,
-	// the donor's cli seam is real interrupt exclusion, the donor
-	// contract on a uniprocessor.  On, cli is per-CPU and gives no
-	// cross-CPU exclusion — worse, a process-level thread that disables
-	// interrupts while holding a protocol lock deadlocks against a
-	// dispatcher whose pending handler wants that lock — so the cli seam
-	// becomes a no-op.  Donor driver entry is excluded from outside:
-	// transmit under the stack lock, receive on the donor ISR's single
-	// line (or the per-ring pollers that replace it), and the two share
-	// no driver state beyond kmalloc, which has klMu.  The
-	// monolithic baseline (ProbeNative) keeps real cli on any machine:
-	// it is that kernel's only exclusion.
-	smp bool //oskit:initonly
 	// klMu is the donor allocator exclusion on every machine size and in
 	// both image kinds: it guards the kmalloc buckets and the fault hook.
 	klMu klLock
@@ -221,7 +216,7 @@ func glueFor(env *core.Env, native bool) *Glue {
 	gluesMu.Lock()
 	defer gluesMu.Unlock()
 	if g, ok := glues[env]; ok {
-		if native && !g.nativeKmalloc {
+		if native && !g.native {
 			panic("linuxdev: ProbeNative on a machine whose drivers are already encapsulated")
 		}
 		return g
@@ -233,7 +228,7 @@ func glueFor(env *core.Env, native bool) *Glue {
 		}
 	}
 	g := &Glue{env: env, route: map[*legacy.NetDevice]*etherDev{},
-		nativeKmalloc: native, smp: !native && env.Machine.CPUs() > 1, pool: pool}
+		native: native, pool: pool}
 	set := stats.NewSet("linux_dev")
 	g.scKmallocs = set.Counter("kmalloc.allocs")
 	g.scKfrees = set.Counter("kmalloc.frees")
@@ -295,7 +290,7 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 		var b *legacy.KBuf
 		if g.kmHook != nil && g.kmHook(size) {
 			// Injected exhaustion: fail before either allocator runs.
-		} else if g.nativeKmalloc {
+		} else if g.native {
 			b = g.bucketAlloc(size, gfp)
 		} else if g.pool != nil && size <= 4096 {
 			// Fast path: packet-sized blocks (skbuff data areas, driver
@@ -329,7 +324,7 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 		case b.Pooled:
 			g.pool.FreeMem(b.Addr, uint32(len(b.Data)))
 			g.putKbufLocked(b)
-		case g.nativeKmalloc:
+		case g.native:
 			g.bucketFree(b)
 		default:
 			env.MemFree(b.Addr, uint32(len(b.Data)))
@@ -341,19 +336,16 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 
 	// Interrupt exclusion.  At interrupt level these are no-ops: the
 	// dispatcher already holds the exclusion, exactly like EFLAGS.IF
-	// being clear inside a real handler.  In SMP mode the whole seam is
-	// a no-op (see the smp field).
+	// being clear inside a real handler.  In the encapsulated image the
+	// whole seam is a no-op (see the native field).
 	k.SaveFlags = func() uint32 {
-		if g.smp || env.InIntr() {
+		if !g.native || env.InIntr() {
 			return 1
 		}
 		return 0
 	}
 	k.Cli = func() {
-		if g.smp {
-			return
-		}
-		if !env.InIntr() {
+		if g.native && !env.InIntr() {
 			env.IntrDisable()
 		}
 	}
@@ -378,11 +370,12 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 	// registers the sleeper, re-enables while blocked, returns with
 	// interrupts disabled again.
 	//
-	// wqRec materializes a queue's sleep record under a lock: in SMP
-	// mode the completion handler races the sleeper's registration with
-	// no cli to exclude it, so both sides must agree on ONE record — a
-	// wakeup landing before the sleep is then remembered by the record
-	// (the binary-semaphore contract) instead of being lost.
+	// wqRec materializes a queue's sleep record under a lock: in the
+	// encapsulated image the completion handler races the sleeper's
+	// registration with no cli to exclude it, so both sides must agree
+	// on ONE record — a wakeup landing before the sleep is then
+	// remembered by the record (the binary-semaphore contract) instead
+	// of being lost.
 	var wqMu sync.Mutex
 	wqRec := func(q *legacy.WaitQueue) *core.SleepRec {
 		wqMu.Lock()
@@ -396,12 +389,12 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 	}
 	k.SleepOn = func(q *legacy.WaitQueue) {
 		rec := wqRec(q)
-		if g.smp {
-			// SMP: this kernel's own cli seam is a no-op, but an outer
+		if !g.native {
+			// This image's own cli seam is a no-op, but an outer
 			// component (the file system's splbio bracketing a disk
 			// read) may still hold the boot CPU's exclusion — sleep_on
-			// drops whatever this thread holds, exactly as on UP, or
-			// the completion handler could never dispatch.
+			// drops whatever this thread holds, or the completion
+			// handler could never dispatch.
 			depth := env.Machine.Intr.DropAllHeld()
 			env.Sleep(rec)
 			if depth > 0 {
@@ -418,7 +411,7 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 	}
 	k.WakeUp = func(q *legacy.WaitQueue) {
 		var rec *core.SleepRec
-		if g.smp {
+		if !g.native {
 			rec = wqRec(q)
 		} else {
 			exclude := !env.InIntr()

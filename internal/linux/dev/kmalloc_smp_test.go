@@ -11,7 +11,7 @@ import (
 	"oskit/internal/stats"
 )
 
-// testKmGlue builds an SMP-discipline glue on a 4-CPU machine assembled
+// testKmGlue builds an encapsulated glue on a 4-CPU machine assembled
 // with the fast-path pool — what an evalrig FastPath node with CPUs > 1
 // boots — and returns the pool for ledger checks.
 func testKmGlue(t *testing.T) (*Glue, *libc.QuickPool) {
@@ -23,11 +23,7 @@ func testKmGlue(t *testing.T) (*Glue, *libc.QuickPool) {
 		t.Fatal(err)
 	}
 	pool := libc.NewQuickPoolService(libc.New(k.Env))
-	g := GlueFor(k.Env)
-	if !g.smp {
-		t.Fatal("driver glue on a 4-CPU machine is not under the SMP discipline")
-	}
-	return g, pool
+	return GlueFor(k.Env), pool
 }
 
 func kmSnap(g *Glue) map[string]int64 {
@@ -44,7 +40,7 @@ func kmSnap(g *Glue) map[string]int64 {
 }
 
 // TestKmallocConcurrentGaugeAudit pins the gauge audit for the kmalloc
-// set under the SMP discipline (klMu): concurrent Kmalloc/Kfree traffic
+// set under its one exclusion (klMu): concurrent Kmalloc/Kfree traffic
 // on the fast-path pool route, snapshot readers, and hook togglers run
 // clean under the race detector, and both the kmalloc pair and the
 // pool's own pair balance exactly after a full free.
@@ -123,21 +119,21 @@ func TestKmallocConcurrentGaugeAudit(t *testing.T) {
 	}
 }
 
-// TestCliFollowsTheMachine pins the driver glue's two exclusions.  The
+// TestCliFollowsTheImage pins the driver glue's two exclusions.  The
 // donor allocator has one, klMu, on every machine size and in both
 // image kinds: kmalloc and kfree never take process-level cli.  The
-// donor's own cli seam follows the machine: real on a uniprocessor,
-// vestigial in the encapsulated image on a multi-CPU machine, while the
-// monolithic baseline (ProbeNative) keeps it on any size — that
+// donor's own cli seam follows the image kind and never the machine: a
+// no-op in the encapsulated image, whose driver entry is excluded from
+// outside, and real in the monolithic baseline (ProbeNative), that
 // kernel's only exclusion.
-func TestCliFollowsTheMachine(t *testing.T) {
+func TestCliFollowsTheImage(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		cpus    int
 		native  bool
 		wantCli int
 	}{
-		{"encapsulated/1cpu", 1, false, 1},
+		{"encapsulated/1cpu", 1, false, 0},
 		{"encapsulated/4cpu", 4, false, 0},
 		{"native/1cpu", 1, true, 1},
 		{"native/4cpu", 4, true, 1},

@@ -154,7 +154,7 @@ func await(t *testing.T, ch <-chan error, what string) error {
 // reader retries the read itself instead of sleeping until some
 // unrelated access touches the block.
 func TestBcacheFailedReadWakesWaiter(t *testing.T) {
-	g := testGlue(t, 2)
+	g := testGlue(t)
 	entered, release := make(chan struct{}), make(chan struct{})
 	dev := &flakyDev{BlkIO: com.NewMemBuf(make([]byte, 16*BlockSize)), failReads: map[uint32]int{7: 1}}
 	dev.before = func() {
@@ -195,7 +195,7 @@ func TestBcacheFailedReadWakesWaiter(t *testing.T) {
 // A getblk that finds every buffer busy and none pinned sleeps on the
 // cache's own "bufwait" event, and one brelse wakes it.
 func TestBcacheBufwaitWokenByBrelse(t *testing.T) {
-	g := testGlue(t, 2)
+	g := testGlue(t)
 	c := newBcache(g, com.NewMemBuf(make([]byte, 2*nbufs*BlockSize)), 0)
 	held := make([]*buf, nbufs)
 	for i := range held {

@@ -269,7 +269,7 @@ func FuzzClusterRead(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0xff, 0xff, 3, 0, 0, 0xff, 0xff, 0})
 	f.Add([]byte{0, 0, 0, 0xff, 0xff, 0, 0x20, 0, 0xff, 0xff, 1, 2, 0xff, 4, 0, 0, 0, 0xff, 1, 3, 0, 0x10, 0x40, 0, 4})
 	f.Add([]byte{0, 0, 0x10, 0x10, 0x10, 0, 0x80, 0, 3, 3, 2, 0x55, 3, 0, 0, 0x30, 0, 0, 5, 4, 0, 0x01, 0, 0, 8})
-	g0 := testGlue(f, 1)
+	g0 := testGlue(f)
 	f.Fuzz(func(t *testing.T, ops []byte) { clusterFuzz(t, g0, ops) })
 }
 

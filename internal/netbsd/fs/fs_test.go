@@ -18,7 +18,7 @@ import (
 // run-time binding means the FS cannot tell).
 func ramDisk(t testing.TB, blocks uint32) (*bsdglue.Glue, com.BlkIO) {
 	t.Helper()
-	g := testGlue(t, 1)
+	g := testGlue(t)
 	dev := com.NewMemBuf(make([]byte, blocks*BlockSize))
 	if err := Mkfs(dev, 0); err != nil {
 		t.Fatal(err)
@@ -26,19 +26,19 @@ func ramDisk(t testing.TB, blocks uint32) (*bsdglue.Glue, com.BlkIO) {
 	return g, dev
 }
 
-// testGlue boots a machine with cpus CPUs and returns a BSD environment
-// on it: the giant discipline on one CPU, the SMP one — per-thread
-// curproc, so several test goroutines can sleep inside — on more.
-func testGlue(t testing.TB, cpus int) *bsdglue.Glue {
+// testGlue boots a machine and returns a BSD environment on it: the
+// giant discipline the file system's product glue runs under, real
+// splbio.
+func testGlue(t testing.TB) *bsdglue.Glue {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20, CPUs: cpus})
+	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20})
 	t.Cleanup(m.Halt)
 	arena := lmm.NewArena()
 	if err := arena.AddRegion(0x100000, 8<<20, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	arena.AddFree(0x100000, 8<<20)
-	return bsdglue.NewLocked(core.NewEnv(m, arena))
+	return bsdglue.New(core.NewEnv(m, arena))
 }
 
 func mountTest(t *testing.T, blocks uint32) *FFS {

@@ -12,7 +12,7 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=30799
+MAX_LOC=30750
 MAX_WAIVERS=3
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
@@ -42,7 +42,7 @@ T0=$(date +%s)
 go test ./...
 echo "   go test ./... wall time: $(($(date +%s) - T0)) s"
 
-# Everything that exercises the SMP discipline runs at GOMAXPROCS 1, 2
+# Everything that exercises multi-CPU rigs runs at GOMAXPROCS 1, 2
 # and the host's: a lock-order inversion needs real parallelism to bite
 # and one core hides it.  Every invocation carries its own -timeout, so
 # a deadlock costs two minutes and names its test instead of eating the
@@ -65,7 +65,7 @@ for P in $PROCS; do
 	# or a hang in some pass, not reliably in one.
 	echo "== exclusion smoke at GOMAXPROCS=$P (cluster, SMP and HTTP rigs; the stack's interleavings; -race, 10 passes)"
 	go test -race -count=10 -timeout 300s ./internal/evalrig/ \
-		-run 'TestSMP|TestCluster|TestHTTP|TestPathShapeMatrix'
+		-run 'TestSMP|TestNetworkPathTakesNoCli|TestCluster|TestHTTP|TestPathShapeMatrix'
 	go test -race -count=10 -timeout 300s ./internal/freebsd/net/ \
 		-run 'TestRace|TestPerConnLockingInterleavings|TestScheduledConnectCloseRace'
 
