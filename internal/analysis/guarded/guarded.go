@@ -19,8 +19,8 @@
 //
 // The checker tracks locksets intraprocedurally with the walk the lock
 // analyzers share (analysis.WalkLocks) — Lock/RLock open a region closed
-// by Unlock/RUnlock, defer Unlock holds to function end, a call to an
-// acquiring method (an entry prologue) holds its lock to function end, nested blocks
+// by Unlock/RUnlock, defer Unlock holds to function end, a
+// core.ComponentLock's Enter/Leave are its Lock/Unlock, nested blocks
 // and clauses get copies so branch acquisitions do not leak — and
 // resolves guards through calls: an unguarded access whose base is the
 // function's receiver or a parameter becomes a lock *requirement* of
@@ -169,7 +169,6 @@ type checker struct {
 	anns  map[token.Pos]*fieldAnn
 	reqs  map[*types.Func]map[string]*requirement
 	sites map[*types.Func][]*callSite
-	acq   analysis.Acquirers
 }
 
 func run(pass *analysis.Pass) error {
@@ -178,7 +177,6 @@ func run(pass *analysis.Pass) error {
 		anns:  map[token.Pos]*fieldAnn{},
 		reqs:  map[*types.Func]map[string]*requirement{},
 		sites: map[*types.Func][]*callSite{},
-		acq:   analysis.CollectAcquirers(pass.Package),
 	}
 	c.collectAnnotations()
 	if len(c.anns) == 0 {
@@ -416,7 +414,7 @@ func (c *checker) scanFunc(fd *ast.FuncDecl, fn *types.Func) {
 			fs.params = append(fs.params, c.pass.Info.Defs[n])
 		}
 	}
-	analysis.WalkLocks[*heldLock](c.pass.Info, c.acq, fs, fd.Body)
+	analysis.WalkLocks[*heldLock](c.pass.Info, fs, fd.Body)
 }
 
 // scanLit scans a function literal as an independent body: empty lockset
@@ -436,7 +434,7 @@ func (c *checker) scanLit(lit *ast.FuncLit, outer *funcScan) {
 	for k, v := range outer.roots {
 		fs.roots[k] = v
 	}
-	analysis.WalkLocks[*heldLock](c.pass.Info, c.acq, fs, lit.Body)
+	analysis.WalkLocks[*heldLock](c.pass.Info, fs, lit.Body)
 }
 
 func (fs *funcScan) targetOf(o types.Object) (int, bool) {

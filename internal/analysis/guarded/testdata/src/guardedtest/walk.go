@@ -1,6 +1,10 @@
 package guardedtest
 
-import "sync"
+import (
+	"sync"
+
+	"oskit/internal/core"
+)
 
 // Fixtures for the held-lock walk guarded shares with lockhook
 // (analysis.WalkLocks): the places an earlier private copy of lockhook's
@@ -88,36 +92,79 @@ func WrappedUnlocked() {
 	gwrapped.n++ // want `write to wrapped\.n needs gwrapped\.mu held exclusively`
 }
 
-// An entry prologue that returns holding its lock is an acquiring
-// method; its caller defers the epilogue that releases it.
-type ringEntry struct{ r *ring }
-
-func (r *ring) enter() ringEntry {
-	r.mu.Lock()
-	return ringEntry{r}
+// entered is a component guarded by core.ComponentLock, the §4.7.4
+// recipe: Enter and Leave are its Lock and Unlock, and Unlocked runs a
+// call with the lock released.
+type entered struct {
+	mu    core.ComponentLock
+	count int //oskit:guardedby mu
 }
 
-func (e ringEntry) leave() { e.r.mu.Unlock() }
+var gentered entered
 
-// EnteredBump: the acquiring call holds the lock from there to the end
-// of the function.  Silent.
+// EnteredBump: Enter holds the lock, and the deferred Leave keeps it
+// held to the end of the function.  Silent.
 func EnteredBump() {
-	defer gring.enter().leave()
-	gring.count++
+	gentered.mu.Enter()
+	defer gentered.mu.Leave()
+	gentered.count++
 }
 
-// BumpBeforeEnter: before the acquiring call the lock is not held.
+// BumpBeforeEnter: before Enter the lock is not held.
 func BumpBeforeEnter() {
-	gring.count++ // want `write to ring\.count needs gring\.mu held exclusively`
-	defer gring.enter().leave()
+	gentered.count++ // want `write to entered\.count needs gentered\.mu held exclusively`
+	gentered.mu.Enter()
+	defer gentered.mu.Leave()
 }
 
-// EnteredThroughAlias: the call's receiver is named through its
-// aliases, like any lock path.  Silent.
-func EnteredThroughAlias(w *wrappedRing) {
-	r := w.r
-	defer r.enter().leave()
-	w.r.count++
+// BumpAfterLeave: after Leave the lock is not held.
+func BumpAfterLeave() {
+	gentered.mu.Enter()
+	gentered.mu.Leave()
+	gentered.count++ // want `write to entered\.count needs gentered\.mu held exclusively`
 }
 
-type wrappedRing struct{ r *ring }
+// EnteredThroughAlias: the lock is named through its aliases, like any
+// lock path.  Silent.
+func EnteredThroughAlias(w *wrappedEntered) {
+	e := w.e
+	e.mu.Enter()
+	defer e.mu.Leave()
+	w.e.count++
+}
+
+type wrappedEntered struct{ e *entered }
+
+// BumpInsideUnlocked: Unlocked's function runs with the lock released.
+func BumpInsideUnlocked() {
+	gentered.mu.Enter()
+	defer gentered.mu.Leave()
+	gentered.mu.Unlocked(func() {
+		gentered.count++ // want `write to entered\.count needs gentered\.mu held exclusively`
+	})
+}
+
+// rankedEntered is the product's shape: a ranked wrapper embedding the
+// component lock, entered through the embedded methods.
+//
+//oskit:lockrank 10
+type rankedEntered struct{ core.ComponentLock }
+
+type rankedComponent struct {
+	mu    rankedEntered
+	count int //oskit:guardedby mu
+}
+
+var granked rankedComponent
+
+// RankedEnteredBump: the promoted Enter holds the wrapper.  Silent.
+func RankedEnteredBump() {
+	granked.mu.Enter()
+	defer granked.mu.Leave()
+	granked.count++
+}
+
+// RankedUnentered: the wrapper is a mutex whether or not it is held.
+func RankedUnentered() {
+	granked.count++ // want `write to rankedComponent\.count needs granked\.mu held exclusively`
+}

@@ -2,10 +2,15 @@
 // three-level stack/pcb/demux shape (the freebsd/net hierarchy before it
 // folded into one stack lock), with in-order acquisitions that must stay
 // silent, out-of-order and same-rank acquisitions that must be flagged,
-// and a waived same-rank nesting.
+// a waived same-rank nesting, and a ranked core.ComponentLock wrapper
+// entered in and out of order.
 package lockhooktest
 
-import "sync"
+import (
+	"sync"
+
+	"oskit/internal/core"
+)
 
 //oskit:lockrank 10
 type stackLock struct{ sync.Mutex }
@@ -89,4 +94,31 @@ func unrankedStaysOutside(s *stack) {
 	s.mu.Lock()
 	s.mu.Unlock()
 	plain.Unlock()
+}
+
+// entryLock is the product's shape: a ranked wrapper embedding
+// core.ComponentLock, taken with the promoted Enter.
+//
+//oskit:lockrank 5
+type entryLock struct{ core.ComponentLock }
+
+type component struct {
+	mu entryLock
+}
+
+// enterInOrder enters the component (5) before the stack (10).  Silent.
+func enterInOrder(c *component, s *stack) {
+	c.mu.Enter()
+	s.mu.Lock()
+	s.mu.Unlock()
+	c.mu.Leave()
+}
+
+// enterUnderStack enters the component (5) while holding the stack
+// lock (10): an inversion through Enter.
+func enterUnderStack(c *component, s *stack) {
+	s.mu.Lock()
+	c.mu.Enter() // want `acquiring c\.mu \(lockrank 5\) while holding s\.mu \(lockrank 10\) violates the lock hierarchy`
+	c.mu.Leave()
+	s.mu.Unlock()
 }

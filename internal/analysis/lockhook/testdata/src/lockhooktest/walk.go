@@ -4,7 +4,11 @@
 // have.  guardedtest/walk.go pins the same rules from the other side.
 package lockhooktest
 
-import "sync"
+import (
+	"sync"
+
+	"oskit/internal/core"
+)
 
 // switchSibling: a lock taken in one case clause is not held in its
 // siblings.  Silent.
@@ -86,27 +90,32 @@ func (p *port) fire() {
 	p.mu.Unlock()
 }
 
-// An entry prologue that returns holding its lock is an acquiring
-// method; its caller defers the epilogue that releases it.
-type portEntry struct{ p *port }
-
-func (p *port) enter() portEntry {
-	p.mu.Lock()
-	return portEntry{p}
+// gate is guarded by core.ComponentLock, the §4.7.4 recipe: Enter and
+// Leave are its Lock and Unlock.
+type gate struct {
+	mu   core.ComponentLock
+	hook func()
 }
 
-func (e portEntry) leave() { e.p.mu.Unlock() }
-
-// enteredFire: the acquiring call holds the lock from there to the end
-// of the function.
-func (p *port) enteredFire() {
-	defer p.enter().leave()
-	p.hook() // want `call to hook/interposer field p\.hook while mutex p\.mu is held`
+// enteredFire: Enter holds the lock, and the deferred Leave keeps it
+// held to the end of the function.
+func (g *gate) enteredFire() {
+	g.mu.Enter()
+	defer g.mu.Leave()
+	g.hook() // want `call to hook/interposer field g\.hook while mutex g\.mu is held`
 }
 
-// fireBeforeEnter: before the acquiring call the lock is not held.
+// fireBeforeEnter: before Enter the lock is not held.  Silent.
+func (g *gate) fireBeforeEnter() {
+	g.hook()
+	g.mu.Enter()
+	defer g.mu.Leave()
+}
+
+// fireInsideUnlocked: Unlocked's function runs with the lock released.
 // Silent.
-func (p *port) fireBeforeEnter() {
-	p.hook()
-	defer p.enter().leave()
+func (g *gate) fireInsideUnlocked() {
+	g.mu.Enter()
+	defer g.mu.Leave()
+	g.mu.Unlocked(func() { g.hook() })
 }

@@ -13,16 +13,15 @@ import (
 )
 
 // IsMutex reports whether t (or *t) is a mutex: sync.Mutex,
-// sync.RWMutex, or a struct that embeds one (the //oskit:lockrank
-// wrapper shape).
+// sync.RWMutex, core.ComponentLock, or a struct that embeds one (the
+// //oskit:lockrank wrapper shape).
 func IsMutex(t types.Type) bool {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+		switch n.Obj().Pkg().Path() + "." + n.Obj().Name() {
+		case "sync.Mutex", "sync.RWMutex", componentLock:
 			return true
 		}
 	}
@@ -35,6 +34,10 @@ func IsMutex(t types.Type) bool {
 	}
 	return false
 }
+
+// componentLock is core.ComponentLock, the kit's one implementation of
+// §4.7.4's component-wide lock.
+const componentLock = "oskit/internal/core.ComponentLock"
 
 // LockRanks maps the package's ranked lock types to the rank N their
 // doc comment declares with an "//oskit:lockrank N" directive.
@@ -115,70 +118,20 @@ type LockVisitor[L any] interface {
 	Assigned(s *ast.AssignStmt)
 }
 
-// Acquirers maps a package's acquiring methods to the lock each returns
-// holding, as the expression its body locks.  An acquiring method locks
-// a path from its receiver and unlocks that path nowhere: a component's
-// entry prologue, whose caller defers the matching epilogue.
-type Acquirers map[*types.Func]ast.Expr
-
-// CollectAcquirers finds pkg's acquiring methods.  Function literals
-// inside a body are not part of it (they run later).
-func CollectAcquirers(pkg *Package) Acquirers {
-	acq := Acquirers{}
-	for _, file := range pkg.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List[0].Names) == 0 {
-				continue
-			}
-			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			recv := fd.Recv.List[0].Names[0].Name + "."
-			locked := map[string]ast.Expr{}
-			unlocked := map[string]bool{}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false
-				}
-				if e, ok := n.(ast.Expr); ok {
-					switch x, op := lockOp(pkg.Info, e); op {
-					case "Lock":
-						locked[ExprPath(x)] = x
-					case "Unlock", "RUnlock":
-						unlocked[ExprPath(x)] = true
-					}
-				}
-				return true
-			})
-			for path, x := range locked {
-				if !unlocked[path] && strings.HasPrefix(path, recv) {
-					acq[fn] = x
-				}
-			}
-		}
-	}
-	return acq
-}
-
 // WalkLocks walks a function body in statement order, tracking the set
 // of held mutexes.  Lock, RLock, TryLock and TryRLock add a lock;
 // Unlock and RUnlock remove it; `defer x.Unlock()` keeps it held to the
-// end of the function.  A call r.m(…) to an acquiring method in acq adds
-// m's lock with r in place of m's receiver, once the expression holding
-// the call is visited; its epilogue is expected deferred, so it too is
-// held to the end of the function.  Every nested block, if/else arm,
-// and switch, type-switch and select clause gets a copy of the set, so
-// no acquisition leaks into a sibling clause or past the statement (a
+// end of the function.  A core.ComponentLock's Enter and Leave are its
+// Lock and Unlock.  Every nested block, if/else arm, and switch,
+// type-switch and select clause gets a copy of the set, so no
+// acquisition leaks into a sibling clause or past the statement (a
 // deliberate under-approximation).  The walk starts with nothing held.
-func WalkLocks[L any](info *types.Info, acq Acquirers, v LockVisitor[L], body *ast.BlockStmt) {
-	lockWalk[L]{info, acq, v}.stmts(body.List, nil)
+func WalkLocks[L any](info *types.Info, v LockVisitor[L], body *ast.BlockStmt) {
+	lockWalk[L]{info, v}.stmts(body.List, nil)
 }
 
 type lockWalk[L any] struct {
 	info *types.Info
-	acq  Acquirers
 	v    LockVisitor[L]
 }
 
@@ -197,14 +150,24 @@ func clone[L any](in map[string]L) map[string]L {
 }
 
 // lockOp returns the receiver and method name of a Lock-family call
-// on a mutex, and op "" for any other expression.
+// on a mutex, and op "" for any other expression.  A ComponentLock's
+// Enter and Leave come back as Lock and Unlock.
 func lockOp(info *types.Info, e ast.Expr) (x ast.Expr, op string) {
 	if call, ok := e.(*ast.CallExpr); ok {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			switch sel.Sel.Name {
+			switch op = sel.Sel.Name; op {
+			case "Enter", "Leave":
+				fn, _ := info.Uses[sel.Sel].(*types.Func)
+				if fn == nil || fn.FullName() != "(*"+componentLock+")."+op {
+					return nil, ""
+				}
+				if op = "Lock"; sel.Sel.Name == "Leave" {
+					op = "Unlock"
+				}
+				fallthrough
 			case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
 				if t := info.TypeOf(sel.X); t != nil && IsMutex(t) {
-					return sel.X, sel.Sel.Name
+					return sel.X, op
 				}
 			}
 		}
@@ -212,50 +175,14 @@ func lockOp(info *types.Info, e ast.Expr) (x ast.Expr, op string) {
 	return nil, ""
 }
 
-// exprs visits the expressions present in es, skipping blank targets,
-// then takes the locks of the acquiring calls in them.
+// exprs visits the expressions present in es, skipping blank targets.
 func (w lockWalk[L]) exprs(held map[string]L, write bool, es ...ast.Expr) {
 	for _, e := range es {
 		if id, ok := e.(*ast.Ident); e == nil || ok && id.Name == "_" {
 			continue
 		}
 		w.v.Expr(e, held, write)
-		if len(w.acq) > 0 {
-			w.acquire(e, held)
-		}
 	}
-}
-
-// acquire adds to held the lock of every acquiring call in e, named
-// with the call's receiver in place of the acquirer's own.
-func (w lockWalk[L]) acquire(e ast.Expr, held map[string]L) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, _ := w.info.Uses[sel.Sel].(*types.Func)
-			x, ok := w.acq[fn]
-			if !ok {
-				return true
-			}
-			// The visitor names the call's receiver as it names any
-			// path (resolving its aliases), and that name replaces the
-			// acquirer's receiver at the head of the lock's.
-			name, rec := w.v.Mutex(x, true)
-			if i := strings.IndexByte(name, '.'); i >= 0 {
-				base, _ := w.v.Mutex(sel.X, true)
-				name = base + name[i:]
-			}
-			w.v.Acquire(n.Pos(), name, rec, held)
-			held[name] = rec
-		}
-		return true
-	})
 }
 
 // stmt walks one statement, updating held in place.  A statement that

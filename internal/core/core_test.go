@@ -218,6 +218,31 @@ func TestComponentLockWrapSleep(t *testing.T) {
 	l.Leave()
 }
 
+func TestComponentLockUnlocked(t *testing.T) {
+	var l ComponentLock
+	l.Enter()
+	ran := false
+	l.Unlocked(func() {
+		// While fn runs, a second thread can enter the component.
+		entered := make(chan struct{})
+		go func() {
+			l.Enter()
+			l.Leave()
+			close(entered)
+		}()
+		<-entered
+		ran = true
+	})
+	if !ran {
+		t.Fatal("Unlocked did not run fn")
+	}
+	// After Unlocked returns the lock is held again.
+	if l.mu.TryLock() {
+		t.Fatal("lock not held after Unlocked returned")
+	}
+	l.Leave()
+}
+
 func TestInventoryConsistent(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range Inventory {

@@ -8,6 +8,12 @@ import "sync"
 // entering the component and release it when the component returns *and*
 // across any blocking calls the component makes back to the client.
 //
+// It is the one implementation of the recipe.  Its product user is the
+// FreeBSD network stack, whose Stack.mu is a ranked ComponentLock: every
+// entry Enters and defers Leave, and every sleep and every call out to
+// the file system runs through Unlocked.  The lock analyzers know it by
+// this type and map Enter/Leave to Lock/Unlock.
+//
 // The kit's sleep glue cooperates: a component's Sleep service, wrapped
 // with WrapSleep, drops the lock for the duration of the block so other
 // process-level threads can enter the component, exactly as the donor
@@ -27,14 +33,20 @@ func (l *ComponentLock) Enter() { l.mu.Lock() }
 // Leave releases the component lock.
 func (l *ComponentLock) Leave() { l.mu.Unlock() }
 
+// Unlocked releases the component lock, runs fn — a blocking call back
+// to the client or a call into another component — and takes the lock
+// again.  fn does not escape, so a closure passed here costs no
+// allocation.
+func (l *ComponentLock) Unlocked(fn func()) {
+	l.mu.Unlock()
+	fn()
+	l.mu.Lock()
+}
+
 // WrapSleep derives a Sleep service that releases the component lock
 // while blocked.  Install it in the Env handed to the locked component:
 //
 //	env.Sleep = lock.WrapSleep(env.Sleep)
 func (l *ComponentLock) WrapSleep(sleep func(*SleepRec)) func(*SleepRec) {
-	return func(r *SleepRec) {
-		l.mu.Unlock()
-		sleep(r)
-		l.mu.Lock()
-	}
+	return func(r *SleepRec) { l.Unlocked(func() { sleep(r) }) }
 }

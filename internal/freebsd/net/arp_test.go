@@ -44,13 +44,13 @@ func TestARPRejectsMismatchedSender(t *testing.T) {
 	if !m.Append(frame) {
 		t.Fatal("append failed")
 	}
-	a.mu.Lock()
+	a.mu.Enter()
 	a.etherInput(m, nil)
 	var e arpEntry
 	if p := a.arp.entries[ipB]; p != nil {
 		e = *p
 	}
-	a.mu.Unlock()
+	a.mu.Leave()
 	restore()
 
 	if got := stat(t, a, "arp.bad_sender"); got != 1 {
@@ -95,8 +95,8 @@ func TestARPHoldsABurst(t *testing.T) {
 	idle := stat(t, s, "mbuf.allocs") - stat(t, s, "mbuf.frees")
 	var udp *udpPCB
 	withStack(s, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
+		s.mu.Enter()
+		defer s.mu.Leave()
 		udp = s.udpNew()
 		if err := s.udpBind(udp, 5353); err != nil {
 			t.Fatal(err)
@@ -105,8 +105,8 @@ func TestARPHoldsABurst(t *testing.T) {
 	burst := func(dst IPAddr, n int) []string {
 		var want []string
 		withStack(s, func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
+			s.mu.Enter()
+			defer s.mu.Leave()
 			for i := range n {
 				want = append(want, strconv.Itoa(i))
 				if err := s.udpOutput(udp, []byte(want[i]), dst, 53); err != nil {

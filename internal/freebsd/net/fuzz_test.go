@@ -87,9 +87,9 @@ func inject(t *testing.T, s *Stack, data []byte, enter func(*Mbuf)) {
 		m.FreeChain()
 		t.Skip("cluster exhausted")
 	}
-	s.mu.Lock()
+	s.mu.Enter()
 	enter(m)
-	s.mu.Unlock()
+	s.mu.Leave()
 	// The fuzz stack has no running clock, so run the BSD slow timer by
 	// hand: reassembly queues, ARP holds and embryonic connections age
 	// out instead of pinning mbufs until the arena runs dry.

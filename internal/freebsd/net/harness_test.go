@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"oskit/internal/com"
-	"oskit/internal/core"
 	"oskit/internal/dev"
 	bsdglue "oskit/internal/freebsd/glue"
 	"oskit/internal/hw"
@@ -70,28 +69,6 @@ func connectedStacksCPUs(t *testing.T, cpus int) (*Stack, *Stack) {
 }
 
 func waitSettle() { time.Sleep(30 * time.Millisecond) }
-
-// lockedStack applies the §4.7.4 ComponentLock recipe so several
-// process-level goroutines can drive one stack: every component entry
-// takes the lock, and the wrapped Sleep service drops it across blocks.
-type lockedStack struct {
-	s  *Stack
-	lk core.ComponentLock
-}
-
-func lockStack(s *Stack) *lockedStack {
-	ls := &lockedStack{s: s}
-	env := s.Glue().Env()
-	env.Sleep = ls.lk.WrapSleep(env.Sleep)
-	return ls
-}
-
-// do runs one component call under the lock.
-func (ls *lockedStack) do(fn func()) {
-	ls.lk.Enter()
-	defer ls.lk.Leave()
-	fn()
-}
 
 // Aliases so test files avoid importing hw twice.
 func modelNE2K() hw.NICModel  { return hw.ModelNE2K }

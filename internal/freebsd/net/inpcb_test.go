@@ -167,45 +167,32 @@ func TestUDPBindConflictAndConnectRekey(t *testing.T) {
 // population stays bounded instead of growing with total connections.
 func TestTimeWaitRecycling(t *testing.T) {
 	a, b := connectedStacks(t)
-	// The server stack is entered by two process-level threads (the
-	// accept loop and the test's pollers), so it gets the §4.7.4
-	// component-lock treatment.
-	lb := lockStack(b)
-	lb.do(func() {
-		b.mu.Lock()
-		b.maxTimeWait = 2 // before any connection lingers
-		b.mu.Unlock()
-	})
+	b.mu.Enter()
+	b.maxTimeWait = 2 // before any connection lingers
+	b.mu.Leave()
 	fb := b.SocketFactory()
 	defer fb.Release()
-	var ls com.Socket
-	var err error
-	lb.do(func() { ls, err = fb.CreateSocket(com.AFInet, com.SockStream, 0) })
+	ls, err := fb.CreateSocket(com.AFInet, com.SockStream, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb.do(func() { err = ls.Bind(addrOf(ipB, 8092)) })
-	if err != nil {
+	if err := ls.Bind(addrOf(ipB, 8092)); err != nil {
 		t.Fatal(err)
 	}
-	lb.do(func() { err = ls.Listen(4) })
-	if err != nil {
+	if err := ls.Listen(4); err != nil {
 		t.Fatal(err)
 	}
-	defer lb.do(func() { _ = ls.Close() })
+	defer func() { _ = ls.Close() }()
 	go func() {
 		for {
-			var cs com.Socket
-			var err error
-			lb.do(func() { cs, _, err = ls.Accept() })
+			cs, _, err := ls.Accept()
 			if err != nil {
 				return
 			}
 			buf := make([]byte, 64)
-			var n uint
-			lb.do(func() { n, _ = cs.Read(buf) })
-			lb.do(func() { _, _ = cs.Write(buf[:n]) })
-			lb.do(func() { _ = cs.Close() }) // server closes first: TIME_WAIT lands here
+			n, _ := cs.Read(buf)
+			_, _ = cs.Write(buf[:n])
+			_ = cs.Close() // server closes first: TIME_WAIT lands here
 		}
 	}()
 
@@ -241,9 +228,7 @@ func TestTimeWaitRecycling(t *testing.T) {
 	}
 	// Bounded population: listener + at most the cap's worth of
 	// TIME_WAIT pcbs (plus any connection still mid-teardown).
-	var n int
-	lb.do(func() { n = tcpPCBCount(b) })
-	if n > 1+2+2 {
+	if n := tcpPCBCount(b); n > 1+2+2 {
 		t.Fatalf("server pcb population = %d, want bounded by the cap", n)
 	}
 }
@@ -270,7 +255,7 @@ func (s *Stack) udpLookupLinear(dst IPAddr, dport uint16, src IPAddr, sport uint
 func tcpPCBCount(s *Stack) int {
 	restore := s.g.Enter("pcbcount")
 	defer restore()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.Enter()
+	defer s.mu.Leave()
 	return len(s.tcpPCBs)
 }

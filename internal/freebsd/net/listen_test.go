@@ -124,31 +124,25 @@ func TestAcceptOverflowCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The client stack is entered both by the blocked second Connect and
-	// by the test thread, so it takes the component lock.
-	la := lockStack(a)
 	fa := a.SocketFactory()
 	defer fa.Release()
 	// First connection completes and occupies the whole accept queue.
-	var c1 com.Socket
-	la.do(func() { c1, err = fa.CreateSocket(com.AFInet, com.SockStream, 0) })
+	c1, err := fa.CreateSocket(com.AFInet, com.SockStream, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer la.do(func() { _ = c1.Close() })
-	la.do(func() { err = c1.Connect(addrOf(ipB, 8091)) })
-	if err != nil {
+	defer func() { _ = c1.Close() }()
+	if err := c1.Connect(addrOf(ipB, 8091)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Second connection attempt: its SYN finds the queue full.  Connect
 	// blocks retransmitting, so run it off-thread.
-	var c2 com.Socket
-	la.do(func() { c2, err = fa.CreateSocket(com.AFInet, com.SockStream, 0) })
+	c2, err := fa.CreateSocket(com.AFInet, com.SockStream, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go la.do(func() { _ = c2.Connect(addrOf(ipB, 8091)) })
+	go func() { _ = c2.Connect(addrOf(ipB, 8091)) }()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for stat(t, b, "tcp.accept_overflows") < 1 {
@@ -159,6 +153,6 @@ func TestAcceptOverflowCounter(t *testing.T) {
 	}
 	// The drop must have been silent: no RST means the second client is
 	// still patiently in SYN_SENT, not refused.
-	la.do(func() { _ = c2.Close() })
+	_ = c2.Close()
 	_ = ls.Close()
 }

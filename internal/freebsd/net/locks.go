@@ -1,21 +1,27 @@
 package bsdnet
 
-import "sync"
+import (
+	"sync"
+
+	"oskit/internal/core"
+)
 
 // The lock hierarchy of the FreeBSD networking component.
 //
 // The component is made thread-safe the §4.7.4 way: one component-wide
 // lock, Stack.mu, guards all protocol state on every machine size.  It
-// is taken only in the glue files, at each entry into the component
-// (Stack.enter for process-level calls, the NetIO receive entries, the
-// native drain and the slow-timer tick), and released across every
-// sleep (Stack.sleep) and every call out to the file system
-// (Stack.unlocked), so it is never held across a block.  Donor files
-// take no lock but the free-list leaf.  The discipline is the same on
-// every machine size: the stack calls no spl, so nothing under Stack.mu
-// takes cli.  One process-level cli under it would be half of an ABBA
-// against the receive interrupt, whose dispatcher holds cli while it
-// waits for Stack.mu.
+// is a core.ComponentLock, the kit's one implementation of the recipe,
+// wrapped here so it carries a rank; this glue file declares it because
+// donor files may not import core.  It is taken only in the glue files,
+// at each entry into the component (the process-level entries, the
+// NetIO receive entries, the native drain and the slow-timer tick), and
+// released across every sleep (Stack.sleep) and every call out to the
+// file system, both through ComponentLock.Unlocked, so it is never held
+// across a block.  Donor files take no lock but the free-list leaf.
+// The discipline is the same on every machine size: the stack calls no
+// spl, so nothing under Stack.mu takes cli.  One process-level cli
+// under it would be half of an ABBA against the receive interrupt,
+// whose dispatcher holds cli while it waits for Stack.mu.
 //
 // Ranks order acquisition: a thread may only acquire a lock of *higher*
 // rank than any it holds.  The hierarchy (documented in DESIGN.md §13):
@@ -45,7 +51,7 @@ import "sync"
 // read unguarded.
 
 //oskit:lockrank 10
-type stackLock struct{ sync.Mutex }
+type stackLock struct{ core.ComponentLock }
 
 //oskit:lockrank 72
 type freeLock struct{ sync.Mutex }

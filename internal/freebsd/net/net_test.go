@@ -270,16 +270,16 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 	go func() {
 		restoreB := b.g.Enter("rcv")
 		defer restoreB()
-		b.mu.Lock()
+		b.mu.Enter()
 		pcb := b.udpNew()
 		if err := b.udpBind(pcb, 9000); err != nil {
-			b.mu.Unlock()
+			b.mu.Leave()
 			done <- nil
 			return
 		}
 		buf := make([]byte, 8192)
 		n, _, _, err := b.udpRecv(pcb, buf)
-		b.mu.Unlock()
+		b.mu.Leave()
 		if err != nil {
 			done <- nil
 			return
@@ -289,10 +289,10 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 	waitSettle()
 
 	restoreA := a.g.Enter("snd")
-	a.mu.Lock()
+	a.mu.Enter()
 	pcbA := a.udpNew()
 	err := a.udpOutput(pcbA, payload, b.ifIP, 9000)
-	a.mu.Unlock()
+	a.mu.Leave()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,14 +25,14 @@ func TestDefaultGatewayRouting(t *testing.T) {
 	far := IPAddr{8, 8, 8, 8}
 	var pcb *udpPCB
 	withStack(s, func() {
-		s.mu.Lock()
+		s.mu.Enter()
 		pcb = s.udpNew()
-		s.mu.Unlock()
+		s.mu.Leave()
 	})
 	send := func(payload string) {
 		withStack(s, func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
+			s.mu.Enter()
+			defer s.mu.Leave()
 			if err := s.udpOutput(pcb, []byte(payload), far, 53); err != nil {
 				t.Fatal(err)
 			}
@@ -79,16 +79,16 @@ func TestUDPBroadcast(t *testing.T) {
 	go func() {
 		restore := b.g.Enter("bcast-rcv")
 		defer restore()
-		b.mu.Lock()
+		b.mu.Enter()
 		pcb := b.udpNew()
 		if err := b.udpBind(pcb, 6767); err != nil {
-			b.mu.Unlock()
+			b.mu.Leave()
 			got <- "bind-fail"
 			return
 		}
 		buf := make([]byte, 64)
 		n, from, _, err := b.udpRecv(pcb, buf)
-		b.mu.Unlock()
+		b.mu.Leave()
 		if err != nil {
 			got <- "recv-fail"
 			return
@@ -102,10 +102,10 @@ func TestUDPBroadcast(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 
 	restore := a.g.Enter("bcast-snd")
-	a.mu.Lock()
+	a.mu.Enter()
 	pcb := a.udpNew()
 	err := a.udpOutput(pcb, []byte("hear ye"), IPAddr{255, 255, 255, 255}, 6767)
-	a.mu.Unlock()
+	a.mu.Leave()
 	restore()
 	if err != nil {
 		t.Fatal(err)

@@ -35,17 +35,17 @@ func TestSegmentLayout(t *testing.T) {
 	// paths that send these segments do.
 	locked := func(fn func()) func() {
 		return func() {
-			s.mu.Lock()
+			s.mu.Enter()
 			fn()
-			s.mu.Unlock()
+			s.mu.Leave()
 		}
 	}
 	// queue puts n bytes in the send buffer without sending them.
 	queue := func(n int) {
 		withStack(s, func() {
-			s.mu.Lock()
+			s.mu.Enter()
 			ok := tp.sndBuf.appendData(bytes.Repeat([]byte{'x'}, n))
-			s.mu.Unlock()
+			s.mu.Leave()
 			if !ok {
 				t.Fatal("appendData failed")
 			}
@@ -101,10 +101,10 @@ func TestSegmentLayout(t *testing.T) {
 	queue(1)
 	one("window probe", emit("probe", locked(func() { s.tcpProbe(tp) })), 1)
 	withStack(s, func() {
-		s.mu.Lock()
+		s.mu.Enter()
 		tp.sndBuf.drop(1)
 		tp.sndWnd = 4096
-		s.mu.Unlock()
+		s.mu.Leave()
 	})
 
 	seg := emit("close", func() {

@@ -32,7 +32,9 @@ const sendfileWindow = 8192
 
 // SendFile implements com.SockSendfile.
 func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
-	defer so.s.enter("sendfile").leave()
+	defer so.s.g.Enter("sendfile")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	if so.tcp == nil || f == nil {
 		return 0, com.ErrInval
 	}
@@ -43,7 +45,7 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 	if so.s.pktPool != nil {
 		var obj com.IUnknown
 		var err error
-		so.s.unlocked(func() { obj, err = f.QueryInterface(com.SendfileIID) })
+		so.s.mu.Unlocked(func() { obj, err = f.QueryInterface(com.SendfileIID) })
 		if err == nil {
 			sf = obj.(com.Sendfile)
 			defer sf.Release()
@@ -82,7 +84,7 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 func (so *socket) sendfileMapWindow(sf com.Sendfile, offset, win uint64) (uint64, error) {
 	var pin com.SGBufIO
 	var err error
-	so.s.unlocked(func() { pin, err = sf.MapFileSG(offset, win) })
+	so.s.mu.Unlocked(func() { pin, err = sf.MapFileSG(offset, win) })
 	if err != nil {
 		return 0, err
 	}
@@ -122,7 +124,7 @@ func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, er
 	buf := make([]byte, win)
 	var n uint
 	var err error
-	so.s.unlocked(func() { n, err = f.ReadAt(buf, offset) })
+	so.s.mu.Unlocked(func() { n, err = f.ReadAt(buf, offset) })
 	if err != nil {
 		return 0, err
 	}

@@ -172,7 +172,7 @@ func TestScheduledConnectCloseRace(t *testing.T) {
 			// 4-tuple (TIME_WAIT is fine — 2MSL linger is protocol too).
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				a.mu.Lock()
+				a.mu.Enter()
 				var stuck string
 				for k, tp := range a.tcpHash {
 					if tp.state != tcpsTimeWait {
@@ -180,7 +180,7 @@ func TestScheduledConnectCloseRace(t *testing.T) {
 						break
 					}
 				}
-				a.mu.Unlock()
+				a.mu.Leave()
 				if stuck == "" {
 					break
 				}

@@ -42,7 +42,9 @@ func (f *Factory) CreateSocket(domain, typ, protocol int) (com.Socket, error) {
 		return nil, com.ErrInval
 	}
 	s := f.s
-	defer s.enter("socket").leave()
+	defer s.g.Enter("socket")()
+	s.mu.Enter()
+	defer s.mu.Leave()
 	sock := &socket{s: s}
 	sock.Init()
 	switch typ {
@@ -89,7 +91,9 @@ func (so *socket) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 
 // Bind implements com.Socket.
 func (so *socket) Bind(addr com.SockAddr) error {
-	defer so.s.enter("bind").leave()
+	defer so.s.g.Enter("bind")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	if so.closed {
 		return com.ErrBadF
 	}
@@ -102,7 +106,9 @@ func (so *socket) Bind(addr com.SockAddr) error {
 // Connect implements com.Socket: for TCP it blocks until the handshake
 // completes or fails.
 func (so *socket) Connect(addr com.SockAddr) error {
-	defer so.s.enter("connect").leave()
+	defer so.s.g.Enter("connect")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	if so.closed {
 		return com.ErrBadF
 	}
@@ -134,7 +140,9 @@ func (so *socket) Connect(addr com.SockAddr) error {
 
 // Listen implements com.Socket.
 func (so *socket) Listen(backlog int) error {
-	defer so.s.enter("listen").leave()
+	defer so.s.g.Enter("listen")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	if so.tcp == nil {
 		return com.ErrInval
 	}
@@ -143,7 +151,9 @@ func (so *socket) Listen(backlog int) error {
 
 // Accept implements com.Socket.
 func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
-	defer so.s.enter("accept").leave()
+	defer so.s.g.Enter("accept")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	tp := so.tcp
 	if tp == nil || !tp.listening {
 		return nil, com.SockAddr{}, com.ErrInval
@@ -165,7 +175,9 @@ func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
 
 // Read implements com.Socket.
 func (so *socket) Read(buf []byte) (uint, error) {
-	defer so.s.enter("soread").leave()
+	defer so.s.g.Enter("soread")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	if so.udp != nil {
 		n, _, _, err := so.s.udpRecv(so.udp, buf)
 		return uint(n), bsdglue.COMError(err)
@@ -175,7 +187,9 @@ func (so *socket) Read(buf []byte) (uint, error) {
 
 // Write implements com.Socket, blocking for send-buffer space.
 func (so *socket) Write(buf []byte) (uint, error) {
-	defer so.s.enter("sowrite").leave()
+	defer so.s.g.Enter("sowrite")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	if so.udp != nil {
 		if so.udp.fport == 0 {
 			return 0, com.ErrNotConn
@@ -222,7 +236,9 @@ func (so *socket) writeTCP(buf []byte) (uint, error) {
 
 // RecvFrom implements com.Socket (datagram).
 func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
-	defer so.s.enter("recvfrom").leave()
+	defer so.s.g.Enter("recvfrom")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	if so.udp == nil {
 		n, err := so.readTCP(buf)
 		a := com.SockAddr{Family: com.AFInet}
@@ -267,7 +283,9 @@ func (so *socket) readTCP(buf []byte) (uint, error) {
 
 // SendTo implements com.Socket (datagram).
 func (so *socket) SendTo(buf []byte, to com.SockAddr) (uint, error) {
-	defer so.s.enter("sendto").leave()
+	defer so.s.g.Enter("sendto")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	if so.udp == nil {
 		return 0, com.ErrInval
 	}
@@ -281,7 +299,9 @@ func (so *socket) SendTo(buf []byte, to com.SockAddr) (uint, error) {
 
 // Shutdown implements com.Socket.
 func (so *socket) Shutdown(how int) error {
-	defer so.s.enter("shutdown").leave()
+	defer so.s.g.Enter("shutdown")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	tp := so.tcp
 	if tp == nil {
 		return nil
@@ -305,7 +325,9 @@ func (so *socket) Shutdown(how int) error {
 
 // GetSockName implements com.Socket.
 func (so *socket) GetSockName() (com.SockAddr, error) {
-	defer so.s.enter("getsockname").leave()
+	defer so.s.g.Enter("getsockname")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	a := com.SockAddr{Family: com.AFInet}
 	if so.tcp != nil {
 		copy(a.Addr[:], so.tcp.laddr[:])
@@ -319,7 +341,9 @@ func (so *socket) GetSockName() (com.SockAddr, error) {
 
 // GetPeerName implements com.Socket.
 func (so *socket) GetPeerName() (com.SockAddr, error) {
-	defer so.s.enter("getpeername").leave()
+	defer so.s.g.Enter("getpeername")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	return so.peerLocked()
 }
 
@@ -351,7 +375,9 @@ func (tp *tcpcb) peerAddr(a *com.SockAddr) bool {
 
 // SetSockOpt implements com.Socket.
 func (so *socket) SetSockOpt(name string, value int) error {
-	defer so.s.enter("setsockopt").leave()
+	defer so.s.g.Enter("setsockopt")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	switch name {
 	case "reuseaddr":
 		so.reuse = value != 0
@@ -386,7 +412,9 @@ func (so *socket) SetSockOpt(name string, value int) error {
 
 // GetSockOpt implements com.Socket.
 func (so *socket) GetSockOpt(name string) (int, error) {
-	defer so.s.enter("getsockopt").leave()
+	defer so.s.g.Enter("getsockopt")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	switch name {
 	case "rcvbuf":
 		if so.tcp != nil {
@@ -414,7 +442,9 @@ func (so *socket) GetSockOpt(name string) (int, error) {
 
 // Close implements com.Socket: orderly TCP close, immediate UDP detach.
 func (so *socket) Close() error {
-	defer so.s.enter("soclose").leave()
+	defer so.s.g.Enter("soclose")()
+	so.s.mu.Enter()
+	defer so.s.mu.Leave()
 	if so.closed {
 		return com.ErrBadF
 	}

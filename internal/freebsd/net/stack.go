@@ -23,10 +23,10 @@ type Stack struct {
 	// occupancy, the TIME_WAIT queue, reassembly, pings, UDP, the ARP
 	// cache, the interface output hand-off and the event allocator.  It
 	// is the component's one exclusion on every machine size: the stack
-	// calls no spl.  Only the glue files take it, at each entry: enter
-	// (process level), the NetIO receive entries and the native drain
-	// (interrupt level), and the slow-timer tick; sleep releases it
-	// across every block.
+	// calls no spl.  Only the glue files take it, at each entry: the
+	// process-level entries, the NetIO receive entries and the native
+	// drain (interrupt level), and the slow-timer tick; sleep releases it
+	// across every block through ComponentLock.Unlocked.
 	mu stackLock
 
 	// freeMu (rank 72) guards the free lists of mbufs, clusters (mbuf.go)
@@ -286,26 +286,6 @@ func (s *Stack) StatsSet() *stats.Set { return s.statsSet }
 // Glue returns the stack's BSD environment (tests).
 func (s *Stack) Glue() *bsdglue.Glue { return s.g }
 
-// entry is one process-level call's stay in the component.
-type entry struct {
-	s       *Stack
-	restore func()
-}
-
-// enter is the component prologue for a process-level entry point: it
-// manufactures the thread's current process (§4.7.5) and takes the
-// stack lock.  The entry's leave, deferred by the caller, undoes both.
-func (s *Stack) enter(what string) entry {
-	e := entry{s, s.g.Enter(what)}
-	s.mu.Lock()
-	return e
-}
-
-func (e entry) leave() {
-	e.s.mu.Unlock()
-	e.restore()
-}
-
 // sleep is the donor tsleep inside an entry: it blocks the current
 // process on event with the stack lock released across the block, so
 // the receive interrupt and other threads can enter, and returns with
@@ -313,18 +293,7 @@ func (e entry) leave() {
 // between the unlock and the block; callers recheck their condition.
 func (s *Stack) sleep(event uint32, wmesg string) {
 	p := s.g.SleepPrepare(event, wmesg)
-	s.mu.Unlock()
-	s.g.SleepCommit(p)
-	s.mu.Lock()
-}
-
-// unlocked runs fn, a call into another component that may sleep under
-// that component's own discipline, with the stack lock released, and
-// returns with it held again (DESIGN.md §14).
-func (s *Stack) unlocked(fn func()) {
-	s.mu.Unlock()
-	fn()
-	s.mu.Lock()
+	s.mu.Unlocked(func() { s.g.SleepCommit(p) })
 }
 
 // newEvent mints a tsleep event handle.  Called with mu held.
@@ -354,28 +323,28 @@ func (s *Stack) OpenEtherIf(dev com.EtherDev) error {
 // the address: configuration-before-traffic, written under the stack
 // lock.
 func (s *Stack) ifAttach(mac [6]byte, output func(m *Mbuf)) {
-	s.mu.Lock()
+	s.mu.Enter()
 	s.ifMAC = mac
 	s.output = output
-	s.mu.Unlock()
+	s.mu.Leave()
 }
 
 // Ifconfig assigns the interface address (oskit_freebsd_net_ifconfig).
 // Configuration happens before traffic (the data paths read it
 // unguarded; see locks.go).
 func (s *Stack) Ifconfig(ip, mask IPAddr) {
-	s.mu.Lock()
+	s.mu.Enter()
 	s.ifIP = ip
 	s.ifMask = mask
-	s.mu.Unlock()
+	s.mu.Leave()
 }
 
 // SetGateway sets the default route (configuration-before-traffic, like
 // Ifconfig).
 func (s *Stack) SetGateway(gw IPAddr) {
-	s.mu.Lock()
+	s.mu.Enter()
 	s.gw = gw
-	s.mu.Unlock()
+	s.mu.Leave()
 }
 
 // Close unbinds timers (the interface itself is closed by the client,
@@ -416,11 +385,11 @@ func (s *Stack) route(dst IPAddr) (IPAddr, bool) {
 
 // slowTimo runs at interrupt level every 500 ms, under the stack lock.
 func (s *Stack) slowTimo() {
-	s.mu.Lock()
+	s.mu.Enter()
 	s.tcpSlowTimo()
 	s.reasmAge()
 	s.arp.age()
-	s.mu.Unlock()
+	s.mu.Leave()
 }
 
 // --- receive path.
@@ -447,8 +416,8 @@ func (r *stackRecv) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 
 // Push implements com.NetIO: one inbound frame.
 func (r *stackRecv) Push(pkt com.BufIO, size uint) error {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
+	r.s.mu.Enter()
+	defer r.s.mu.Leave()
 	return r.s.rxOne(pkt, size, nil)
 }
 
@@ -479,14 +448,14 @@ func (r *stackRecv) PushBatch(pkts []com.BufIO, sizes []uint) error {
 		ctx = &rxCtx{batching: true}
 	}
 	var firstErr error
-	s.mu.Lock()
+	s.mu.Enter()
 	for i, pkt := range pkts {
 		if err := s.rxOne(pkt, sizes[i], ctx); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	s.rxFlush(ctx)
-	s.mu.Unlock()
+	s.mu.Leave()
 	s.freeMu.Lock()
 	ctx.next = s.rxCtxFree
 	s.rxCtxFree = ctx
@@ -571,16 +540,18 @@ func (r *stackRecv) AllocBufIO(size uint) (com.BufIO, error) {
 // or a timeout in slow-timer ticks of the clock; it returns the RTT in
 // clock ticks.
 func (s *Stack) Ping(dst IPAddr, seq uint16, payload []byte, timeoutTicks uint64) (uint64, bool) {
-	defer s.enter("ping").leave()
+	defer s.g.Enter("ping")()
+	s.mu.Enter()
+	defer s.mu.Leave()
 	w := s.pingSend(dst, seq, payload)
 	if w == nil {
 		return 0, false
 	}
 	cancel := s.g.Env().AfterTicks(timeoutTicks, func() {
 		// Interrupt level: wake the sleeper; it notices !done.
-		s.mu.Lock()
+		s.mu.Enter()
 		s.pingExpire(seq, w)
-		s.mu.Unlock()
+		s.mu.Leave()
 	})
 	defer cancel()
 	for !w.done {
@@ -755,7 +726,9 @@ func WrapMbufForTest(s *Stack, m *Mbuf) com.BufIO { return s.wrapMbuf(m) }
 // AddConnForBench attaches one established-looking TCP pcb with the
 // given 4-tuple — the population step of the E13 demux comparison.
 func AddConnForBench(s *Stack, laddr IPAddr, lport uint16, faddr IPAddr, fport uint16) {
-	defer s.enter("bench").leave()
+	defer s.g.Enter("bench")()
+	s.mu.Enter()
+	defer s.mu.Leave()
 	tp := s.tcpNew()
 	tp.laddr, tp.lport = laddr, lport
 	tp.faddr, tp.fport = faddr, fport
@@ -777,7 +750,9 @@ type BenchKey struct {
 // amortize it — and returns the hit count.  linear selects the donor's
 // walk instead of the hash.
 func LookupBatchForBench(s *Stack, keys []BenchKey, linear bool) int {
-	defer s.enter("bench").leave()
+	defer s.g.Enter("bench")()
+	s.mu.Enter()
+	defer s.mu.Leave()
 	hits := 0
 	for _, k := range keys {
 		var tp *tcpcb

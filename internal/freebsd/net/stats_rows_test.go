@@ -34,9 +34,9 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 	// The peer is resolved, so output to it is never parked on ARP.  (ARP
 	// frames and TCP control segments leave as one run; a UDP datagram or
 	// an echo reply is a header mbuf chained to its payload.)
-	s.mu.Lock()
+	s.mu.Enter()
 	s.arp.entries[fuzzPeer] = &arpEntry{mac: peerMAC, valid: true}
-	s.mu.Unlock()
+	s.mu.Leave()
 
 	// A listener whose queues hold two embryonic connections, and a
 	// bound UDP socket for the datagram steps.
@@ -55,10 +55,10 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 	}
 	var udp *udpPCB
 	withStack(s, func() {
-		s.mu.Lock()
+		s.mu.Enter()
 		udp = s.udpNew()
 		err = s.udpBind(udp, 5353)
-		s.mu.Unlock()
+		s.mu.Leave()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,15 +107,15 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 			if m == nil || !m.Append(f) {
 				t.Fatal("mbuf exhausted")
 			}
-			s.mu.Lock()
+			s.mu.Enter()
 			s.etherInput(m, nil)
-			s.mu.Unlock()
+			s.mu.Leave()
 		}
 	}
 	send := func(dst IPAddr, data []byte) func() {
 		return func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
+			s.mu.Enter()
+			defer s.mu.Leave()
 			if err := s.udpOutput(udp, data, dst, 53); err != nil {
 				t.Fatal(err)
 			}
@@ -142,19 +142,19 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 		{"udp to an unresolved host", send(IPAddr{10, 0, 0, 77}, []byte("held")),
 			row{"udp.out": 1, "ip.out": 1, "arp.out": 1, "ether.tx_contiguous": 1}},
 		{"arp gives up", func() {
-			s.mu.Lock()
+			s.mu.Enter()
 			s.arp.entries[IPAddr{10, 0, 0, 77}].age = 11*arpRetryTicks - 1
 			s.arp.age()
-			s.mu.Unlock()
+			s.mu.Leave()
 		}, row{"arp.dropped_unreach": 1}},
 		{"arp hold queue full", func() {
-			s.mu.Lock()
+			s.mu.Enter()
 			e := &arpEntry{}
 			for range arpMaxHeld {
 				e.held = append(e.held, s.MGetHdr())
 			}
 			s.arp.entries[IPAddr{10, 0, 0, 77}] = e
-			s.mu.Unlock()
+			s.mu.Leave()
 			send(IPAddr{10, 0, 0, 77}, []byte("one too many"))()
 		}, row{"udp.out": 1, "ip.out": 1, "arp.held_dropped": 1}},
 		{"echo request answered", input(icmp(icmpEchoRequest)),
@@ -178,18 +178,18 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 		{"syn opens", input(syn(2000)),
 			row{"ip.in": 1, "tcp.segs_in": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},
 		{"syn-ack retransmit timer", func() {
-			s.mu.Lock()
+			s.mu.Enter()
 			tp := s.tcpLookup(fuzzIP, fuzzPort, fuzzPeer, 2000)
 			s.tcpTimerFire(tp, tRexmt)
-			s.mu.Unlock()
+			s.mu.Leave()
 		}, row{"tcp.rexmt": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},
 		{"second syn fills the queue", input(syn(2001)),
 			row{"ip.in": 1, "tcp.segs_in": 1, "tcp.segs_out": 1, "ip.out": 1, "ether.tx_contiguous": 1}},
 		{"third syn overflows it", input(syn(2002)),
 			row{"ip.in": 1, "tcp.segs_in": 1, "tcp.accept_overflows": 1}},
 		{"time_wait cap recycles the oldest", func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
+			s.mu.Enter()
+			defer s.mu.Leave()
 			s.maxTimeWait = 1
 			for _, fport := range []uint16{3000, 3001} {
 				tp := s.tcpLookup(fuzzIP, 80, fuzzPeer, fport)
@@ -197,8 +197,8 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 			}
 		}, row{"tcp.timewait_recycled": 1}},
 		{"sweep sends a delayed ack", func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
+			s.mu.Enter()
+			defer s.mu.Leave()
 			tp := s.tcpLookup(fuzzIP, 80, fuzzPeer, 3002)
 			tp.delack = true
 			s.tcpSlowTimo()

@@ -45,9 +45,9 @@ func newSegPeer(t *testing.T) *segPeer {
 	p := &segPeer{t: t, s: s}
 	// A resolved neighbour and a transmit sink: replies leave the stack
 	// (and are freed) instead of waiting on ARP.
-	s.mu.Lock()
+	s.mu.Enter()
 	s.arp.entries[fuzzPeer] = &arpEntry{valid: true, mac: [6]byte{2, 0, 0, 0, 0, 2}}
-	s.mu.Unlock()
+	s.mu.Leave()
 	s.ifAttach([6]byte{2, 0, 0, 0, 0, 1}, func(m *Mbuf) {
 		frame := make([]byte, m.PktLen)
 		m.CopyData(0, m.PktLen, frame)
@@ -112,9 +112,9 @@ func (p *segPeer) inject(seg []byte) {
 	if m == nil || !m.Append(seg) {
 		p.t.Fatal("mbuf exhausted")
 	}
-	p.s.mu.Lock()
+	p.s.mu.Enter()
 	p.s.tcpInput(m, fuzzPeer, fuzzIP, nil)
-	p.s.mu.Unlock()
+	p.s.mu.Leave()
 }
 
 // slowTimo runs one slow-timer sweep, returning the segments it sent.
@@ -508,9 +508,9 @@ func TestInitialWindow(t *testing.T) {
 	}
 	n = len(p.out)
 	withStack(p.s, func() {
-		p.s.mu.Lock()
+		p.s.mu.Enter()
 		p.s.tcpTimerFire(p.tp, tRexmt)
-		p.s.mu.Unlock()
+		p.s.mu.Leave()
 	})
 	if got := p.out[n:]; len(got) != 1 || got[0].seq != p.ack || got[0].n != tcpMSS {
 		t.Fatalf("after the timeout the stack sent %+v, want one %d-byte segment from %d", got, tcpMSS, p.ack)
@@ -519,8 +519,8 @@ func TestInitialWindow(t *testing.T) {
 	// The active open: SYN_SENT completes with the same window.
 	var tp *tcpcb
 	withStack(p.s, func() {
-		p.s.mu.Lock()
-		defer p.s.mu.Unlock()
+		p.s.mu.Enter()
+		defer p.s.mu.Leave()
 		tp = p.s.tcpNew()
 		if err := tp.usrConnect(fuzzPeer, segPeerPort+1); err != nil {
 			t.Fatal(err)

@@ -116,7 +116,8 @@ var donorLeafLocks = map[string]string{
 // component's glue files speak COM — so no donor file imports com, hw,
 // core or libc.  Nor does donor code take its component's exclusion
 // (§4.7.4): the glue takes it at each entry, so the only Lock or
-// Unlock call in a donor file is on a listed free-list leaf.
+// Unlock call in a donor file is on a listed free-list leaf, and no
+// donor file calls a core.ComponentLock's Enter, Leave or Unlocked.
 func TestDonorCodeNamesNoKitType(t *testing.T) {
 	forEachDonorImport(t, func(file, imp string) {
 		switch imp {
@@ -136,7 +137,7 @@ func TestDonorCodeNamesNoKitType(t *testing.T) {
 				return true
 			}
 			switch sel.Sel.Name {
-			case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
+			case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock", "Enter", "Leave", "Unlocked":
 				recv := analysis.ExprPath(sel.X)
 				if !hasLeaf || !strings.HasSuffix("."+recv, "."+leaf) {
 					t.Errorf("donor file %s: %s.%s takes a lock that is not its free-list leaf; a component's exclusion belongs in its glue",
