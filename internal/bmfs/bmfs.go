@@ -17,6 +17,7 @@
 package bmfs
 
 import (
+	"cmp"
 	"sort"
 	"strings"
 	"sync"
@@ -244,13 +245,16 @@ func (n *node) ReadAt(buf []byte, offset uint64) (uint, error) {
 }
 
 // WriteAt implements com.File, extending with a zero-filled gap when the
-// offset is past EOF.
+// offset is past EOF.  An empty write extends nothing.
 func (n *node) WriteAt(buf []byte, offset uint64) (uint, error) {
 	ts := n.fs.now()
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
 	if n.isDir() {
 		return 0, com.ErrIsDir
+	}
+	if len(buf) == 0 {
+		return 0, nil
 	}
 	end := offset + uint64(len(buf))
 	if end > uint64(len(n.data)) {
@@ -306,7 +310,10 @@ func (n *node) Sync() error { return nil }
 func (n *node) Lookup(name string) (com.File, error) {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	child, err := n.lookupLocked(name)
+	child, err := n, error(nil)
+	if name != "." || !n.isDir() {
+		child, err = n.lookupLocked(name)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -321,9 +328,6 @@ func (n *node) lookupLocked(name string) (*node, error) {
 	}
 	if err := checkName(name); err != nil {
 		return nil, err
-	}
-	if name == "." {
-		return n, nil
 	}
 	child, ok := n.children[name]
 	if !ok {
@@ -431,17 +435,20 @@ func (n *node) Rename(old string, newDir com.Dir, newName string) error {
 	ts := n.fs.now()
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
+	if !n.isDir() || !dst.isDir() {
+		return com.ErrNotDir
+	}
+	if err := cmp.Or(checkName(old), checkName(newName)); err != nil {
+		return err
+	}
 	child, err := n.lookupLocked(old)
 	if err != nil {
 		return err
 	}
-	if !dst.isDir() {
-		return com.ErrNotDir
-	}
-	if err := checkName(newName); err != nil {
-		return err
-	}
 	if existing, ok := dst.children[newName]; ok {
+		if existing == child {
+			return nil // the same link: nothing to do (POSIX)
+		}
 		if existing.isDir() {
 			return com.ErrIsDir
 		}
@@ -482,9 +489,9 @@ func (n *node) ReadDir(start, count int) ([]com.Dirent, error) {
 
 var _ com.Dir = (*node)(nil)
 
-// checkName enforces the single-component rule of §3.8.
+// checkName enforces the single-component rule of §3.8 ("." is Lookup's).
 func checkName(name string) error {
-	if name == "" || name == ".." {
+	if name == "" || name == "." || name == ".." {
 		return com.ErrInval
 	}
 	if strings.ContainsRune(name, '/') {

@@ -73,7 +73,6 @@ var Inventory = []Component{
 	{Name: "netbsd_fs", Dir: "internal/netbsd/fs", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"glue.go", "sendfile.go"}, Desc: "NetBSD-style FFS file system"},
 	{Name: "kvm", Dir: "internal/kvm", Kind: KindNative, MachineDep: false, Desc: "Bytecode VM (language-runtime case study)"},
 	{Name: "bmfs", Dir: "internal/bmfs", Kind: KindNative, MachineDep: false, Desc: "Boot-module RAM file system"},
-	{Name: "linux_fs", Dir: "internal/linux/fs", Kind: KindEncapsulated, MachineDep: false, Glue: []string{"glue.go"}, Desc: "Linux-style ext2-flavoured file system (the paper's in-progress row)"},
 	{Name: "faults", Dir: "internal/faults", Kind: KindNative, MachineDep: false, Desc: "Deterministic fault-injection plane (disk, wire, NIC, clock, allocator)"},
 	{Name: "httpd", Dir: "internal/httpd", Kind: KindNative, MachineDep: false, Desc: "HTTP/1.1 static file server over the POSIX layer"},
 	{Name: "evalrig", Dir: "internal/evalrig", Kind: KindNative, MachineDep: false, Desc: "Evaluation testbed (Tables 1-2 configurations)"},

@@ -23,13 +23,9 @@ type Errno int
 
 // The error numbers donor code returns (Linux i386 values).
 const (
-	ENOENT       Errno = 2
-	EIO          Errno = 5
-	ENOMEM       Errno = 12
-	EINVAL       Errno = 22
-	ENOSPC       Errno = 28
-	ENAMETOOLONG Errno = 36
-	ENETDOWN     Errno = 100
+	EIO      Errno = 5
+	ENOMEM   Errno = 12
+	ENETDOWN Errno = 100
 )
 
 // Error implements error.

@@ -430,8 +430,12 @@ func (v *vnode) Rename(old string, newDir com.Dir, newName string) (err error) {
 	if err != nil {
 		return err
 	}
-	// Replace an existing regular file at the destination.
+	// Replace an existing regular file at the destination; a rename
+	// onto the same link does nothing (POSIX).
 	if dstIno, dstSlot, err := v.fs.dirLookup(ddi, newName); err == nil {
+		if dstIno == ino {
+			return nil
+		}
 		ddi2, err := v.fs.iget(dstIno)
 		if err != nil {
 			return err

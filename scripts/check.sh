@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the full verification gauntlet: tier-1, shuffled re-run,
-# and a short fuzz smoke over the hostile-input parsers and the buffer cache.
+# and a short fuzz smoke over the hostile-input parsers, the buffer cache
+# and FFS run against bmfs.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime  per-target fuzzing budget (default 10s; "0" skips fuzzing)
@@ -12,7 +13,7 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=30698
+MAX_LOC=29109
 MAX_WAIVERS=3
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
@@ -133,6 +134,7 @@ if [ "$FUZZTIME" != "0" ]; then
 	go test ./internal/diskpart/ -run '^$' -fuzz '^FuzzReadPartitions$' -fuzztime "$FUZZTIME"
 	go test ./internal/httpd/ -run '^$' -fuzz '^FuzzHTTPRequest$' -fuzztime "$FUZZTIME"
 	go test ./internal/netbsd/fs/ -run '^$' -fuzz '^FuzzClusterRead$' -fuzztime "$FUZZTIME"
+	go test ./internal/netbsd/fs/ -run '^$' -fuzz '^FuzzFileProgram$' -fuzztime "$FUZZTIME"
 fi
 
 echo "== trajectory"
