@@ -445,6 +445,9 @@ func (n *node) Rename(old string, newDir com.Dir, newName string) error {
 	if err != nil {
 		return err
 	}
+	if child.isDir() && child.holds(dst) {
+		return com.ErrInval // into its own subtree
+	}
 	if existing, ok := dst.children[newName]; ok {
 		if existing == child {
 			return nil // the same link: nothing to do (POSIX)
@@ -456,9 +459,27 @@ func (n *node) Rename(old string, newDir com.Dir, newName string) error {
 	}
 	delete(n.children, old)
 	dst.children[newName] = child
+	if child.isDir() && dst != n {
+		n.nlink-- // the moved directory's link to its parent
+		dst.nlink++
+	}
 	n.mtime = ts
 	dst.mtime = ts
 	return nil
+}
+
+// holds reports whether d is n or lies in n's subtree.  No node records
+// its parent, so the subtree is searched.
+func (n *node) holds(d *node) bool {
+	if n == d {
+		return true
+	}
+	for _, c := range n.children {
+		if c.isDir() && c.holds(d) {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadDir implements com.Dir, in name order.

@@ -121,21 +121,21 @@ func (so *socket) Connect(addr com.SockAddr) error {
 	if err := tp.usrConnect(dst, addr.Port); err != nil {
 		return bsdglue.COMError(err)
 	}
-	for tp.state != tcpsEstablished {
-		if tp.err != 0 {
-			err := tp.err
-			tp.err = 0
-			if err == bsdglue.ECONNRESET {
-				return com.ErrConnRef // RST during handshake = refused
-			}
-			return bsdglue.COMError(err)
-		}
-		if tp.state == tcpsClosed {
-			return com.ErrConnRef
-		}
+	// Wait out the handshake only: a peer that answers, sends and closes
+	// before this thread runs again has already taken the connection
+	// past ESTABLISHED, and its data and FIN wait in the socket.
+	for tp.state == tcpsSynSent || tp.state == tcpsSynRcvd {
 		so.s.sleep(tp.connEvent, "connec")
 	}
-	return nil
+	if tp.state != tcpsClosed {
+		return nil
+	}
+	err := tp.err
+	tp.err = 0
+	if err == 0 || err == bsdglue.ECONNRESET {
+		return com.ErrConnRef // RST during handshake = refused
+	}
+	return bsdglue.COMError(err)
 }
 
 // Listen implements com.Socket.

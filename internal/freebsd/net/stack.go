@@ -60,6 +60,7 @@ type Stack struct {
 	// are the hashed demux and port-occupancy indexes (see inpcb.go).
 	udpPCBs []*udpPCB              //oskit:guardedby mu
 	tcpPCBs []*tcpcb               //oskit:guardedby mu
+	slowPCB []*tcpcb               //oskit:guardedby mu  the slow sweep's copy of tcpPCBs, reused
 	ipReasm map[reasmKey]*reasmQ   //oskit:guardedby mu
 	pings   map[uint16]*pingWaiter //oskit:guardedby mu
 	ipID    uint16                 //oskit:guardedby mu

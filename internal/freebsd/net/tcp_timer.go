@@ -11,8 +11,9 @@ import bsdglue "oskit/internal/freebsd/glue"
 // longer than one sweep period (BSD runs a separate 200 ms fast timer
 // for this; one pcb walk serves both here).
 func (s *Stack) tcpSlowTimo() {
-	// Copy the list: timer actions may detach pcbs.
-	pcbs := append([]*tcpcb(nil), s.tcpPCBs...)
+	// Walk a copy: timer actions may detach pcbs.  The copy's storage
+	// is kept for the next sweep, emptied so it pins no dead pcb.
+	pcbs := append(s.slowPCB[:0], s.tcpPCBs...)
 	for _, tp := range pcbs {
 		if tp.delack {
 			s.sc.tcpDelackTimeouts.Inc()
@@ -30,6 +31,8 @@ func (s *Stack) tcpSlowTimo() {
 			}
 		}
 	}
+	clear(pcbs)
+	s.slowPCB = pcbs[:0]
 }
 
 // tcpTimerFire runs one expired timer.  Called with the stack lock

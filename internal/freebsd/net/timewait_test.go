@@ -67,3 +67,28 @@ func TestSequentialConnectionsReusePorts(t *testing.T) {
 	_ = ls.Close()
 	<-served
 }
+
+// raceEnabled is set by race_test.go under -race, whose instrumentation
+// allocates.
+var raceEnabled bool
+
+// TestSlowSweepAllocatesNothing: the 500 ms sweep walks its copy of the
+// pcb list in a slice the stack keeps, so a tick costs the Go heap
+// nothing however many connections it ages.
+func TestSlowSweepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	s := testStack(t)
+	for port := uint16(3000); port < 3128; port++ {
+		AddConnForBench(s, fuzzIP, 80, fuzzPeer, port)
+	}
+	tick := func() {
+		s.mu.Enter()
+		s.tcpSlowTimo()
+		s.mu.Leave()
+	}
+	if n := testing.AllocsPerRun(20, tick); n != 0 {
+		t.Fatalf("a slow sweep over 128 pcbs allocates %v times, want 0", n)
+	}
+}

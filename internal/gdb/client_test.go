@@ -8,8 +8,8 @@ import (
 
 // Client is a minimal GDB-side implementation of the remote serial
 // protocol, playing the role of the developer's GDB on the other machine
-// of §3.5.  The kit ships it so the stub can be exercised end to end in
-// tests and so headless tools can poke a stopped kernel.
+// of §3.5.  It lives with the tests, which exercise the stub end to end
+// through it; the kit itself ships only the stub.
 type Client struct {
 	port rw
 }

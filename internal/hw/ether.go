@@ -90,6 +90,16 @@ func (f *wireFrame) copyTo(dst []byte) {
 // maximal IPv4 header and the two ports.
 const rssPrefix = EtherHdrLen + 60 + 4
 
+// rssRing picks which of n receive rings RSS steers f to.  It is out of
+// line so that its header buffer costs a single-ring NIC's deliveries
+// no stack.
+//
+//go:noinline
+func (f *wireFrame) rssRing(n int) int {
+	var hdr [rssPrefix]byte
+	return RSSRing(hdr[:f.read(hdr[:])], n)
+}
+
 // nicRing is one receive queue: a descriptor ring, the interrupt line it
 // raises, and its share of the receive ledger.  Every NIC has ring 0 on
 // its legacy line; ConfigureRxQueues adds more for RSS spreading.  Each
@@ -123,7 +133,10 @@ type nicRing struct {
 // its driver.  A single-queue NIC (the default) behaves exactly as the
 // PCI-era controllers the donor drivers were written for; a multi-queue
 // NIC spreads inbound flows across rings by RSS hash, each ring raising
-// its own interrupt line with its own CPU affinity.
+// its own interrupt line with its own CPU affinity.  Transmit and the
+// peer's deliver run on the sending thread, inside its 2 KiB stack
+// budget (see EtherSwitch), so deliver keeps the RSS header buffer and
+// the ring copy in helpers off its own frame.
 type NIC struct {
 	Mac  [6]byte
 	wire *SwitchPort
@@ -222,7 +235,11 @@ func (n *NIC) SetRxFaultHook(h func() bool) {
 // Transmit sends one complete Ethernet frame.  Called by the driver from
 // any level; returns once the frame is on the wire.
 func (n *NIC) Transmit(frame []byte) {
-	n.transmit(wireFrame{buf: frame, len: len(frame), corrupt: -1}, false)
+	if p := n.port(false); p != nil {
+		var f wireFrame // field by field: a literal would add a second copy to the frame
+		f.buf, f.len, f.corrupt = frame, len(frame), -1
+		p.transmit(&f)
+	}
 }
 
 // TransmitGather sends one frame scattered across several memory runs —
@@ -235,27 +252,29 @@ func (n *NIC) TransmitGather(parts [][]byte) {
 		n.Transmit(parts[0])
 		return
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+	if p := n.port(len(parts) > 1); p != nil {
+		total := 0
+		for _, b := range parts {
+			total += len(b)
+		}
+		var f wireFrame
+		f.parts, f.len, f.corrupt = parts, total, -1
+		p.transmit(&f)
 	}
-	n.transmit(wireFrame{parts: parts, len: total, corrupt: -1}, len(parts) > 1)
 }
 
-func (n *NIC) transmit(f wireFrame, gather bool) {
+// port returns the switch port a frame leaves by, counting the frame,
+// or nil when the NIC is unplugged.
+func (n *NIC) port(gather bool) *SwitchPort {
 	n.mu.Lock()
-	w := n.wire
-	if w != nil {
+	defer n.mu.Unlock()
+	if n.wire != nil {
 		n.txOK++
 		if gather {
 			n.txGather++
 		}
 	}
-	n.mu.Unlock()
-	if w == nil {
-		return
-	}
-	w.transmit(&f)
+	return n.wire
 }
 
 // detach unplugs the NIC from its switch port (Machine.Halt): it
@@ -378,14 +397,21 @@ func (n *NIC) deliver(f *wireFrame) {
 	injected := hook != nil && hook()
 	r := rings[0]
 	if len(rings) > 1 {
-		var hdr [rssPrefix]byte
-		r = rings[RSSRing(hdr[:f.read(hdr[:])], len(rings))]
+		r = rings[f.rssRing(len(rings))]
 	}
+	if r.put(f, injected, mitigate, n.ic != nil) {
+		n.ic.Raise(r.line)
+	}
+}
+
+// put copies f into a free slot of the ring, or drops it on an overrun
+// (real or injected), and reports whether to raise the ring's line.
+func (r *nicRing) put(f *wireFrame, injected, mitigate, raise bool) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if injected || r.n >= EtherRingLen {
 		r.rxDrops++ // ring overrun, real or injected
-		r.mu.Unlock()
-		return
+		return false
 	}
 	wasEmpty := r.n == 0
 	b := r.free.get(f.len)
@@ -393,7 +419,6 @@ func (n *NIC) deliver(f *wireFrame) {
 	r.slots[(r.head+r.n)%EtherRingLen] = b
 	r.n++
 	r.rxOK++
-	raise := n.ic != nil
 	if raise && mitigate && !wasEmpty {
 		// The ring was already non-empty: the poller owes us a drain
 		// pass anyway, so the edge is redundant.
@@ -402,10 +427,7 @@ func (n *NIC) deliver(f *wireFrame) {
 	} else if raise {
 		r.rxRaised++
 	}
-	r.mu.Unlock()
-	if raise {
-		n.ic.Raise(r.line)
-	}
+	return raise
 }
 
 // SetRxIntrMitigation switches the receive-interrupt policy.  Off (the

@@ -20,6 +20,17 @@ import "sync"
 // receiving NIC's ring, so the fabric is never the bottleneck, which is
 // what makes the paper's software-overhead comparisons observable.
 //
+// Because the wire runs on the sender's thread, its frames are charged
+// to whatever called into the kit: a socket call's stack reaches from
+// libc through the protocol and driver down to the peer's NIC.  The
+// paper's hardware cost its callers no stack at all, so the switch and
+// NIC keep their share of that path small: every process-level socket
+// call on the stock path fits a 2 KiB goroutine-stack budget down to
+// the receiving NIC (internal/evalrig's TestSocketCallStackBudget), and
+// a connection's thread grows its stack once, not twice.  The ingress
+// decision runs out of line and returns before anything is delivered,
+// and a handoff is a link through the egress port, not a frame copy.
+//
 // Hostile behaviour — loss, corruption, duplication, reordering — comes
 // from a WireFaultHook (see internal/faults).
 type EtherSwitch struct {
@@ -32,8 +43,12 @@ type EtherSwitch struct {
 	// so a hook that reads switch state cannot deadlock against
 	// concurrent senders or Stats callers.
 	hookMu sync.Mutex
-	held   switchHeld //oskit:guardedby mu  frame held back by a Reorder verdict
-	bufs   frameBufs  //oskit:guardedby mu  storage for the frame copies the switch owns
+	// A frame held back by a Reorder verdict: a switch-owned copy and
+	// its ingress port, so the late delivery re-runs the forwarding
+	// decision.  heldIn is nil when nothing is held.
+	heldIn  *SwitchPort //oskit:guardedby mu
+	heldBuf []byte      //oskit:guardedby mu
+	bufs    frameBufs   //oskit:guardedby mu  storage for the frame copies the switch owns
 
 	queueLen int //oskit:initonly  per-port egress queue bound
 
@@ -46,14 +61,6 @@ type EtherSwitch struct {
 	learned    uint64 //oskit:guardedby mu  MAC table inserts and moves
 }
 
-// switchHeld is a frame stashed by a Reorder verdict (a switch-owned
-// copy), remembering its ingress port so the late delivery re-runs the
-// forwarding decision.  in is nil when nothing is held.
-type switchHeld struct {
-	in    *SwitchPort
-	frame wireFrame
-}
-
 // SwitchPort is one switch port, bound to exactly one NIC by
 // EtherSwitch.Attach until that NIC's machine halts.
 type SwitchPort struct {
@@ -63,9 +70,18 @@ type SwitchPort struct {
 
 	// q is the bounded egress queue, a ring of switch-owned copies:
 	// q[qh], … (qn of them).  Guarded by sw.mu.
-	q        []wireFrame
+	q        [][]byte
 	qh, qn   int
 	draining bool // a sender's thread is emptying q
+
+	// The handoff, written under sw.mu by the ingress decision that
+	// found the port idle and made it draining, then read by that
+	// sender's thread alone, which owns the port until its drain
+	// clears draining.
+	next  *SwitchPort // the next port the same ingress handed over
+	first bool        // the ingress frame itself comes before q
+	to    *NIC        // where the ingress frame goes
+	cur   wireFrame   // the queued copy being delivered, off the drainer's stack
 }
 
 // DefaultSwitchQueueLen bounds each port's egress queue: deep enough
@@ -90,7 +106,7 @@ func NewEtherWire() *EtherSwitch { return NewEtherSwitch() }
 // NIC's own lock.  Machine.AttachNIC calls it.
 func (sw *EtherSwitch) Attach(n *NIC) {
 	sw.mu.Lock()
-	p := &SwitchPort{sw: sw, idx: len(sw.ports), nic: n}
+	p := &SwitchPort{sw: sw, idx: len(sw.ports), nic: n, cur: wireFrame{corrupt: -1}}
 	sw.ports = append(sw.ports, p)
 	sw.mu.Unlock()
 	n.mu.Lock()
@@ -111,8 +127,8 @@ func (sw *EtherSwitch) Ports() int {
 func (sw *EtherSwitch) SetFaultHook(h WireFaultHook) {
 	sw.mu.Lock()
 	sw.hook = h
-	sw.bufs.put(sw.held.frame.buf)
-	sw.held = switchHeld{}
+	sw.bufs.put(sw.heldBuf)
+	sw.heldIn, sw.heldBuf = nil, nil
 	sw.mu.Unlock()
 }
 
@@ -162,22 +178,37 @@ func (sw *EtherSwitch) detach(p *SwitchPort) {
 	defer sw.mu.Unlock()
 	p.nic = nil
 	for p.qn > 0 {
-		sw.bufs.put(p.popLocked().buf)
+		sw.bufs.put(p.popLocked())
 	}
 }
 
-// transmit carries one frame from the port's NIC into the switch, which
-// consults the fault hook, learns the source station, and forwards.  The
-// frame, its duplicate and a released held frame are switched in one
-// critical section and delivered after it; a second handoff to the same
+// transmit carries one frame from the port's NIC through the switch:
+// the ingress decision, then delivery into every port it handed over.
+// The frame, its duplicate and a released held frame are switched in one
+// critical section and delivered after it; a second frame for the same
 // port queues behind the first, so per-port order is frame, duplicate,
 // held.  Only a frame that has to wait is copied (store-and-forward);
 // one handed to an idle port is copied once, into the receiving ring.
 func (p *SwitchPort) transmit(f *wireFrame) {
-	sw := p.sw
 	if f.len < EtherHdrLen {
 		return
 	}
+	for out := p.sw.ingress(p, f); out != nil; {
+		next := out.next // out is free for another sender once drained
+		out.drain(f)
+		out = next
+	}
+}
+
+// ingress is the switch's decision for one offered frame, under sw.mu:
+// the fault hook's verdict, the reorder stash, learning and forwarding.
+// It returns the egress ports it found idle, linked through next; each
+// is draining and belongs to the caller until its drain empties it.  It
+// runs out of line and returns before any delivery, so its frame is not
+// on the stack a delivery runs on.
+//
+//go:noinline
+func (sw *EtherSwitch) ingress(in *SwitchPort, f *wireFrame) *SwitchPort {
 	sw.mu.Lock()
 	sw.txFrames++
 	var fault WireFault
@@ -192,50 +223,40 @@ func (p *SwitchPort) transmit(f *wireFrame) {
 		}
 		sw.mu.Lock()
 	}
-	if fault.Drop {
+	var hs handoffs
+	switch {
+	case fault.Drop:
 		sw.faultDrops++
-		sw.mu.Unlock()
-		return
-	}
-	held := sw.held
-	sw.held = switchHeld{}
-	if fault.Reorder && held.in == nil {
+	case fault.Reorder && sw.heldIn == nil:
 		// Hold this frame back; the next ingress flushes it after
 		// itself, swapping the pair in fabric order.
-		sw.held = switchHeld{in: p, frame: sw.ownLocked(f)}
-		sw.mu.Unlock()
-		return
-	}
-	var buf [4]handoff
-	idle := sw.switchLocked(p, f, buf[:0])
-	if fault.Duplicate {
-		idle = sw.switchLocked(p, f, idle)
-	}
-	if held.in != nil {
-		idle = sw.switchLocked(held.in, &held.frame, idle)
+		sw.heldIn, sw.heldBuf = in, sw.ownLocked(f)
+	default:
+		sw.switchLocked(in, f, &hs, true)
+		if fault.Duplicate {
+			sw.switchLocked(in, f, &hs, true)
+		}
+		if held := sw.heldIn; held != nil {
+			// The held copy is queued on every port it goes to, idle or
+			// not, so no handoff points at it and it is recycled here.
+			hf := wireFrame{buf: sw.heldBuf, len: len(sw.heldBuf), corrupt: -1}
+			sw.heldIn, sw.heldBuf = nil, nil
+			sw.switchLocked(held, &hf, &hs, false)
+			sw.bufs.put(hf.buf)
+		}
 	}
 	sw.mu.Unlock()
-	deliverAll(idle)
-	if held.in != nil {
-		sw.mu.Lock()
-		sw.bufs.put(held.frame.buf)
-		sw.mu.Unlock()
-	}
+	return hs.head
 }
 
-// handoff is a frame for an egress port that was idle: the thread that
-// made the forwarding decision now owns the port's drain and delivers
-// the frame itself, so it never passes through the queue.
-type handoff struct {
-	out   *SwitchPort
-	nic   *NIC
-	frame wireFrame
-}
+// handoffs is the list of ports one ingress decision handed over,
+// linked through SwitchPort.next in the order they were found idle.
+type handoffs struct{ head, tail *SwitchPort }
 
-// switchLocked makes the forwarding decision for one frame: it queues a
-// copy on each busy egress port and appends a handoff to idle for each
-// idle one, which the caller delivers once sw.mu is released.
-func (sw *EtherSwitch) switchLocked(in *SwitchPort, f *wireFrame, idle []handoff) []handoff {
+// switchLocked makes the forwarding decision for one frame and offers
+// it to each egress port.  fresh says f is the sender's frame, which an
+// idle port takes by handoff rather than as a queued copy.
+func (sw *EtherSwitch) switchLocked(in *SwitchPort, f *wireFrame, hs *handoffs, fresh bool) {
 	var hdr [12]byte
 	f.read(hdr[:])
 	dst, src := [6]byte(hdr[0:6]), [6]byte(hdr[6:12])
@@ -254,89 +275,104 @@ func (sw *EtherSwitch) switchLocked(in *SwitchPort, f *wireFrame, idle []handoff
 			// The station sits behind the ingress port: filter, the way
 			// a real switch suppresses same-segment traffic.
 			sw.filtered++
-			return idle
+			return
 		}
 		sw.forwarded++
-		return sw.enqueueLocked(out, f, idle)
+		sw.enqueueLocked(out, f, hs, fresh)
+		return
 	}
 	// Broadcast (never learned) or unknown station: flood in port order
 	// (deterministic: ports, not the MAC map, drive iteration).
 	sw.flooded++
 	for _, out := range sw.ports {
 		if out != in {
-			idle = sw.enqueueLocked(out, f, idle)
+			sw.enqueueLocked(out, f, hs, fresh)
 		}
 	}
-	return idle
 }
 
 // enqueueLocked offers f to one egress port: an idle port (whose queue
-// is empty) becomes busy and is handed to the caller, a busy one queues
-// a copy of f behind its drainer, and a full queue drops it.  A port
-// whose machine halted loses the frame.
-func (sw *EtherSwitch) enqueueLocked(out *SwitchPort, f *wireFrame, idle []handoff) []handoff {
+// is empty) becomes draining and is handed to the caller, a busy one
+// queues a copy of f behind its drainer, and a full queue drops it.  An
+// idle port takes a fresh frame by handoff and anything else as a
+// queued copy.  A port whose machine halted loses the frame.
+func (sw *EtherSwitch) enqueueLocked(out *SwitchPort, f *wireFrame, hs *handoffs, fresh bool) {
 	switch {
 	case out.nic == nil:
+		return
 	case out.qn >= sw.queueLen:
 		sw.drops++ // backpressure: egress queue full
+		return
 	case !out.draining:
-		out.draining = true
-		idle = append(idle, handoff{out, out.nic, *f})
-	default:
-		if out.q == nil {
-			out.q = make([]wireFrame, sw.queueLen)
+		out.draining, out.first, out.to, out.next = true, fresh, out.nic, nil
+		if hs.tail == nil {
+			hs.head = out
+		} else {
+			hs.tail.next = out
 		}
-		out.q[(out.qh+out.qn)%len(out.q)] = sw.ownLocked(f)
-		out.qn++
+		hs.tail = out
+		if fresh {
+			return
+		}
 	}
-	return idle
+	if out.q == nil {
+		out.q = make([][]byte, sw.queueLen)
+	}
+	out.q[(out.qh+out.qn)%len(out.q)] = sw.ownLocked(f)
+	out.qn++
 }
 
-// popLocked removes the oldest queued frame.
-func (p *SwitchPort) popLocked() wireFrame {
-	f := p.q[p.qh]
-	p.q[p.qh] = wireFrame{}
+// popLocked removes the oldest queued copy.
+func (p *SwitchPort) popLocked() []byte {
+	b := p.q[p.qh]
+	p.q[p.qh] = nil
 	p.qh = (p.qh + 1) % len(p.q)
 	p.qn--
-	return f
+	return b
 }
 
 // ownLocked copies f into switch-owned storage, corruption applied.
-func (sw *EtherSwitch) ownLocked(f *wireFrame) wireFrame {
+func (sw *EtherSwitch) ownLocked(f *wireFrame) []byte {
 	b := sw.bufs.get(f.len)
 	f.copyTo(b)
-	return wireFrame{buf: b, len: f.len, corrupt: -1}
+	return b
 }
 
-// deliverAll drains every port handed over by switchLocked.
-func deliverAll(idle []handoff) {
-	for i := range idle {
-		h := &idle[i]
-		h.out.drain(h.nic, &h.frame)
-	}
-}
-
-// drain delivers f into nic's receive ring outside the switch lock,
-// then empties the port's egress queue the same way, recycling each
-// queued copy once delivered.  Exactly one thread drains a port at a
+// drain delivers the port's handoff — f, when the ingress frame found
+// the port idle — outside the switch lock, then empties the port's
+// egress queue the same way.  Exactly one thread drains a port at a
 // time (the draining flag); frames enqueued while it runs are picked up
 // before it exits.
-func (p *SwitchPort) drain(nic *NIC, f *wireFrame) {
-	sw := p.sw
-	nic.deliver(f)
-	var delivered []byte
+func (p *SwitchPort) drain(f *wireFrame) {
+	nic := p.to
+	if !p.first {
+		f = nil
+	}
 	for {
-		sw.mu.Lock()
-		sw.bufs.put(delivered)
-		if p.qn == 0 {
-			p.draining = false
-			sw.mu.Unlock()
+		if f != nil {
+			nic.deliver(f)
+		}
+		if f, nic = p.popCopy(); f == nil {
 			return
 		}
-		q := p.popLocked()
-		nic = p.nic
-		sw.mu.Unlock()
-		nic.deliver(&q)
-		delivered = q.buf
 	}
+}
+
+// popCopy recycles the queued copy drain just delivered and takes the
+// next one into p.cur, or ends the drain when the queue is empty.
+//
+//go:noinline
+func (p *SwitchPort) popCopy() (*wireFrame, *NIC) {
+	sw := p.sw
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	sw.bufs.put(p.cur.buf)
+	p.cur.buf = nil
+	if p.qn == 0 {
+		p.draining = false
+		return nil, nil
+	}
+	p.cur.buf = p.popLocked()
+	p.cur.len = len(p.cur.buf)
+	return &p.cur, p.nic
 }

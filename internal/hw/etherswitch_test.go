@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -243,5 +244,89 @@ func TestSwitchFaultHookToggleUnderTraffic(t *testing.T) {
 	wg.Wait()
 	if tx := sw.Stats().TxFrames; tx != 400 {
 		t.Fatalf("txFrames = %d, want 400", tx)
+	}
+}
+
+// raceEnabled is set by race_test.go under -race, whose instrumentation
+// allocates.
+var raceEnabled bool
+
+// One ingress can hand over more idle ports than any fixed buffer
+// would hold: a broadcast on a 6-port switch finds five, and with a
+// Duplicate verdict and a held Reorder frame behind it every port must
+// still see frame, duplicate, held, in that order, with nothing dropped.
+// A second round sends the held frame to ports the unicast flusher
+// never reached, so they take it idle, from their queue.
+func TestSwitchFloodOrderAcrossManyHandoffs(t *testing.T) {
+	sw, nics := switchRig(6)
+	src := nics[0]
+	verdicts := []WireFault{{Reorder: true}, {Duplicate: true}, {}, {Reorder: true}, {Duplicate: true}}
+	calls := 0
+	sw.SetFaultHook(func(int) WireFault {
+		calls++
+		if calls > len(verdicts) {
+			return WireFault{}
+		}
+		return verdicts[calls-1]
+	})
+	src.Transmit(frame(BroadcastMAC, src.Mac, "held"))
+	src.Transmit(frame(BroadcastMAC, src.Mac, "frame"))
+	for i, n := range nics[1:] {
+		got, want := drainRing(n), []string{"frame", "frame", "held"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("port %d received %q, want %q", i+1, got, want)
+		}
+	}
+	// Teach the switch where nics[1] is, then flush a held broadcast
+	// behind a duplicated unicast to it.
+	nics[1].Transmit(frame(src.Mac, nics[1].Mac, "learn"))
+	drainRing(src)
+	src.Transmit(frame(BroadcastMAC, src.Mac, "held2"))
+	src.Transmit(frame(nics[1].Mac, src.Mac, "uni"))
+	if got, want := drainRing(nics[1]), []string{"uni", "uni", "held2"}; !slices.Equal(got, want) {
+		t.Fatalf("port 1 received %q, want %q", got, want)
+	}
+	for i, n := range nics[2:] {
+		if got, want := drainRing(n), []string{"held2"}; !slices.Equal(got, want) {
+			t.Fatalf("port %d received %q, want %q", i+2, got, want)
+		}
+	}
+	if got := drainRing(src); got != nil {
+		t.Fatalf("the sender heard %q", got)
+	}
+	st := sw.Stats()
+	if st.Drops != 0 || st.FaultDrops != 0 || calls != 5 {
+		t.Fatalf("drops %d, fault drops %d, hook calls %d; want 0, 0, 5", st.Drops, st.FaultDrops, calls)
+	}
+}
+
+// TestSwitchTransmitAllocs: a frame through a hook-free switch into the
+// peers' rings and out again costs the Go heap nothing once the free
+// lists are warm, on a 2-port switch and for a broadcast that hands
+// over five idle ports at once; a handoff list that escaped would cost
+// one allocation per frame.
+func TestSwitchTransmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, ports := range []int{2, 6} {
+		_, nics := switchRig(ports)
+		dst := nics[1].Mac
+		if ports > 2 {
+			dst = BroadcastMAC
+		}
+		f := frame(dst, nics[0].Mac, "steady state")
+		step := func() {
+			nics[0].Transmit(f)
+			for _, n := range nics[1:] {
+				if n.RxPop() == nil {
+					t.Fatal("frame lost")
+				}
+			}
+		}
+		step()
+		if n := testing.AllocsPerRun(200, step); n != 0 {
+			t.Fatalf("%d ports: Transmit→RxPop allocates %v times per frame, want 0", ports, n)
+		}
 	}
 }

@@ -109,19 +109,7 @@ func (c *C) Write(fd int, buf []byte) (int, error) {
 	}
 	switch d.kind {
 	case fdFile:
-		if d.app {
-			st, err := d.file.GetStat()
-			if err != nil {
-				return 0, err
-			}
-			d.offset = st.Size
-		}
-		n, err := d.file.WriteAt(buf, d.offset)
-		if err != nil {
-			return 0, err
-		}
-		d.offset += uint64(n)
-		return int(n), nil
+		return d.writeFile(buf)
 	case fdStream:
 		n, err := d.stream.Write(buf)
 		return int(n), err
@@ -130,6 +118,24 @@ func (c *C) Write(fd int, buf []byte) (int, error) {
 		return int(n), err
 	}
 	return 0, com.ErrIsDir
+}
+
+// writeFile is Write on a file, out of line: its stat buffer would
+// otherwise sit in the frame of every socket write.
+func (d *fdesc) writeFile(buf []byte) (int, error) {
+	if d.app {
+		st, err := d.file.GetStat()
+		if err != nil {
+			return 0, err
+		}
+		d.offset = st.Size
+	}
+	n, err := d.file.WriteAt(buf, d.offset)
+	if err != nil {
+		return 0, err
+	}
+	d.offset += uint64(n)
+	return int(n), nil
 }
 
 // Seek whence values.

@@ -196,6 +196,13 @@ func (s *etherSend) Push(pkt com.BufIO, size uint) error {
 		_ = pkt.Unmap(data)
 		return mapXmitErr(err)
 	}
+	return s.pushUnmapped(pkt, size, ldev)
+}
+
+// pushUnmapped is Push for a packet that cannot be mapped as one run:
+// gathered on a fast-path glue, flattened otherwise.  It is out of line
+// so that its locals stay off the stack of every mapped send.
+func (s *etherSend) pushUnmapped(pkt com.BufIO, size uint, ldev *legacy.NetDevice) error {
 	if s.g.pool != nil && ldev.Features&legacy.FeatSG != 0 {
 		if obj, err := pkt.QueryInterface(com.SGBufIOIID); err == nil {
 			sg := obj.(com.SGBufIO)

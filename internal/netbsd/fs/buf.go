@@ -68,10 +68,11 @@ type bcache struct {
 	// LRU list: head = most recent.
 	lruHead, lruTail *buf
 
-	// stage receives a cluster read before it is copied into the run's
-	// buffers.  It is taken for the read, so a reader entering while
-	// another sleeps in the driver (the sleep drops splbio) makes one.
-	stage []byte
+	// stages receive cluster reads before they are copied into the
+	// runs' buffers.  One is taken for each read and put back after it,
+	// so the list holds as many as readers ever slept in the driver at
+	// once (the sleep drops splbio).
+	stages [][]byte
 
 	// needbuf is NetBSD's needbuffer: a getblk found no victim and
 	// sleeps on bufEvent until a brelse or an unpin makes one.
@@ -225,13 +226,13 @@ func (c *bcache) breadRun(blkno, n uint32) (*buf, error) {
 		c.assign(v, blkno+k)
 		run[k] = v
 	}
-	stage := c.stage
-	c.stage = nil
-	if stage == nil {
+	var stage []byte
+	if last := len(c.stages) - 1; last >= 0 {
+		stage, c.stages = c.stages[last], c.stages[:last]
+	} else {
 		stage = make([]byte, maxPinBlocks*BlockSize)
 	}
 	got, err := c.dev.Read(stage[:k*BlockSize], uint64(blkno)*BlockSize)
-	c.stage = stage
 	ok := err == nil && got == uint(k)*BlockSize
 	for i, t := range run[:k] {
 		if ok {
@@ -244,6 +245,7 @@ func (c *bcache) breadRun(blkno, n uint32) (*buf, error) {
 			c.brelse(t)
 		}
 	}
+	c.stages = append(c.stages, stage)
 	if !ok {
 		return nil, bsdglue.EIO
 	}

@@ -34,6 +34,10 @@ import (
 //     alone, and bmfs must simply still agree after them.
 //   - A directory's size is its entry slots on FFS and 0 on bmfs, so
 //     sizes are compared for regular files only.
+//   - An empty directory's link count is 2 on FFS (its own entry and
+//     its parent's) and 1 on bmfs.  Neither keeps "..", so each side is
+//     checked on its own: every directory's link count is that base
+//     plus its subdirectories.
 
 // Program bounds.  Offsets and lengths reach FFS's indirect block
 // (file block 8 onward) but not its double-indirect one.
@@ -155,8 +159,9 @@ func decodeProgram(data []byte) []fileOp {
 
 // fsUnderTest is one side of the comparison.
 type fsUnderTest struct {
-	fs      com.FileSystem
-	remount func() error
+	fs       com.FileSystem
+	remount  func() error
+	dirLinks uint32 // an empty directory's link count
 }
 
 // fileRig holds what every FFS of a test shares: one machine and arena.
@@ -190,7 +195,7 @@ func (r *fileRig) ffs() (*fsUnderTest, error) {
 	if err != nil {
 		return nil, err
 	}
-	side := &fsUnderTest{fs: ffs}
+	side := &fsUnderTest{fs: ffs, dirLinks: 2}
 	side.remount = func() error {
 		if err := ffs.Unmount(); err != nil {
 			return fmt.Errorf("unmount: %w", err)
@@ -352,8 +357,10 @@ func apply(side *fsUnderTest, op fileOp) (o outcome) {
 }
 
 // treeDump renders a whole tree: every directory's sorted listing and
-// every regular file's contents, reached from the root by Lookup.
-func treeDump(fs com.FileSystem) (string, error) {
+// every regular file's contents, reached from the root by Lookup.  It
+// fails on a directory whose link count is not the side's base plus
+// its subdirectories.
+func treeDump(side *fsUnderTest) (string, error) {
 	var b strings.Builder
 	var dump func(d com.Dir, at string) error
 	dump = func(d com.Dir, at string) error {
@@ -361,12 +368,14 @@ func treeDump(fs com.FileSystem) (string, error) {
 		if err != nil {
 			return err
 		}
+		links := side.dirLinks
 		for _, name := range names {
 			f, err := d.Lookup(name)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", at, name, err)
 			}
 			if u, err := f.QueryInterface(com.DirIID); err == nil {
+				links++
 				fmt.Fprintf(&b, "%s/%s/\n", at, name)
 				err = dump(u.(com.Dir), at+"/"+name)
 				u.Release()
@@ -378,9 +387,13 @@ func treeDump(fs com.FileSystem) (string, error) {
 				return err
 			}
 		}
-		return nil
+		st, err := d.GetStat()
+		if err == nil && st.Nlink != links {
+			err = fmt.Errorf("%s/: link count %d, want %d", at, st.Nlink, links)
+		}
+		return err
 	}
-	root, err := fs.GetRoot()
+	root, err := side.fs.GetRoot()
 	if err != nil {
 		return "", err
 	}
@@ -410,8 +423,9 @@ func dumpFile(b *strings.Builder, f com.File, at string) error {
 }
 
 // runProgram runs prog on a fresh FFS and a fresh bmfs and returns the
-// first divergence, or nil.
-func runProgram(r *fileRig, prog []fileOp) (err error) {
+// first divergence, or nil.  want, when not nil, is the error each op
+// must return on both.
+func runProgram(r *fileRig, prog []fileOp, want []error) (err error) {
 	defer func() {
 		if err != nil {
 			var b strings.Builder
@@ -425,29 +439,32 @@ func runProgram(r *fileRig, prog []fileOp) (err error) {
 	if err != nil {
 		return err
 	}
-	model := &fsUnderTest{fs: bmfs.New(nil)}
+	model := &fsUnderTest{fs: bmfs.New(nil), dirLinks: 1}
 	for i, op := range prog {
-		got, want := apply(ffs, op), apply(model, op)
-		if got.err == com.ErrNoSpace && want.err == nil {
+		got, exp := apply(ffs, op), apply(model, op)
+		if got.err == com.ErrNoSpace && exp.err == nil {
 			return nil // the disk is full: see the list at the top
 		}
-		if !got.equal(want) {
-			return fmt.Errorf("op %d (%v): ffs %v, bmfs %v", i, op, got, want)
+		if !got.equal(exp) {
+			return fmt.Errorf("op %d (%v): ffs %v, bmfs %v", i, op, got, exp)
+		}
+		if want != nil && got.err != want[i] {
+			return fmt.Errorf("op %d (%v): err %v on both, want %v", i, op, got.err, want[i])
 		}
 	}
 	if err := ffs.remount(); err != nil {
 		return fmt.Errorf("final remount: %w", err)
 	}
-	got, err := treeDump(ffs.fs)
+	got, err := treeDump(ffs)
 	if err != nil {
 		return fmt.Errorf("ffs tree: %w", err)
 	}
-	want, err := treeDump(model.fs)
+	exp, err := treeDump(model)
 	if err != nil {
 		return fmt.Errorf("bmfs tree: %w", err)
 	}
-	if got != want {
-		return fmt.Errorf("trees differ after remount:\nffs:\n%sbmfs:\n%s", got, want)
+	if got != exp {
+		return fmt.Errorf("trees differ after remount:\nffs:\n%sbmfs:\n%s", got, exp)
 	}
 	if errs := ffs.fs.(*netbsdfs.FFS).Fsck(); len(errs) != 0 {
 		return fmt.Errorf("fsck: %v", errs)
@@ -470,10 +487,11 @@ const fixedSeeds = 200
 // differed.
 func TestFileProgramsAgree(t *testing.T) {
 	r := newFileRig(t)
-	a := []string{"a"}
+	a, ab, p, q := []string{"a"}, []string{"a", "b"}, []string{"p"}, []string{"q"}
 	written := []struct {
 		name string
 		prog []fileOp
+		want []error // nil: only agreement is checked
 	}{
 		{"client sequence", []fileOp{
 			{kind: opMkdir, name: "dir"},
@@ -481,25 +499,25 @@ func TestFileProgramsAgree(t *testing.T) {
 			{kind: opWrite, name: "file", n: 5000, fill: 'n'},
 			{kind: opRead, name: "file", n: 5000},
 			{kind: opReadDir},
-		}},
+		}, nil},
 		{"rmdir of a non-empty directory", []fileOp{
 			{kind: opMkdir, name: "a"},
 			{kind: opCreate, dir: a, name: "b"},
 			{kind: opRmdir, name: "a"},
 			{kind: opUnlink, dir: a, name: "b"},
 			{kind: opRmdir, name: "a"},
-		}},
+		}, nil},
 		{"rename onto the same link", []fileOp{
 			{kind: opCreate, name: "a"},
 			{kind: opWrite, name: "a", n: 100, fill: 1},
 			{kind: opRename, name: "a", name2: "a"},
 			{kind: opRead, name: "a", n: 100},
-		}},
+		}, nil},
 		{"empty write past EOF", []fileOp{
 			{kind: opCreate, name: "a"},
 			{kind: opWrite, name: "a", off: 2304},
 			{kind: opLookup, name: "a"},
-		}},
+		}, nil},
 		{"dot as a name", []fileOp{
 			{kind: opMkdir, name: "a"},
 			{kind: opLookup, dir: a, name: "."},
@@ -507,15 +525,32 @@ func TestFileProgramsAgree(t *testing.T) {
 			{kind: opCreate, dir: a, name: "."},
 			{kind: opRename, dir: a, name: "b", name2: ".."},
 			{kind: opReadDir, dir: a},
-		}},
+		}, nil},
+		{"directory renamed into its own subtree", []fileOp{
+			{kind: opMkdir, name: "a"},
+			{kind: opMkdir, dir: a, name: "b"},
+			{kind: opCreate, dir: ab, name: "f"},
+			{kind: opRename, name: "a", dir2: ab, name2: "x"},
+			{kind: opRename, name: "a", dir2: a, name2: "x"},
+			{kind: opRename, dir: a, name: "b", dir2: ab, name2: "x"},
+			{kind: opLookup, dir: ab, name: "f"},
+		}, []error{nil, nil, nil, com.ErrInval, com.ErrInval, com.ErrInval, nil}},
+		{"directory moved between parents", []fileOp{
+			{kind: opMkdir, name: "p"},
+			{kind: opMkdir, name: "q"},
+			{kind: opMkdir, dir: p, name: "d"},
+			{kind: opRename, dir: p, name: "d", dir2: q, name2: "d"},
+			{kind: opMkdir, dir: q, name: "e"},
+			{kind: opRename, dir: q, name: "e", name2: "e"},
+		}, []error{nil, nil, nil, nil, nil, nil}},
 	}
 	for _, w := range written {
-		if err := runProgram(r, w.prog); err != nil {
+		if err := runProgram(r, w.prog, w.want); err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}
 	}
 	for seed := int64(1); seed <= fixedSeeds; seed++ {
-		if err := runProgram(r, decodeProgram(seedProgram(seed))); err != nil {
+		if err := runProgram(r, decodeProgram(seedProgram(seed)), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -530,7 +565,7 @@ func FuzzFileProgram(f *testing.F) {
 	}
 	r := newFileRig(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := runProgram(r, decodeProgram(data)); err != nil {
+		if err := runProgram(r, decodeProgram(data), nil); err != nil {
 			t.Fatal(err)
 		}
 	})

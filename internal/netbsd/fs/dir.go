@@ -120,6 +120,34 @@ func (fs *FFS) dirList(di *dinode) ([]direct, error) {
 	return out, nil
 }
 
+// dirUnder reports whether directory ino is top or lies in top's
+// subtree.  No directory records its parent, so the subtree is searched.
+func (fs *FFS) dirUnder(ino, top uint32) (bool, error) {
+	if ino == top {
+		return true, nil
+	}
+	di, err := fs.iget(top)
+	if err != nil {
+		return false, err
+	}
+	ents, err := fs.dirList(&di)
+	if err != nil {
+		return false, err
+	}
+	for _, e := range ents {
+		sub, err := fs.iget(e.ino)
+		if err != nil {
+			return false, err
+		}
+		if isDir(&sub) {
+			if under, err := fs.dirUnder(ino, e.ino); under || err != nil {
+				return under, err
+			}
+		}
+	}
+	return false, nil
+}
+
 // checkName enforces the single-component rule (§3.8).
 func checkName(name string) error {
 	if name == "" || name == "." || name == ".." {

@@ -430,6 +430,22 @@ func (v *vnode) Rename(old string, newDir com.Dir, newName string) (err error) {
 	if err != nil {
 		return err
 	}
+	// A directory may not move into its own subtree, and one that
+	// changes parents takes its link to the parent along.
+	src, err := v.fs.iget(ino)
+	if err != nil {
+		return err
+	}
+	movesDir := isDir(&src) && nd.ino != v.ino
+	if isDir(&src) {
+		under, err := v.fs.dirUnder(nd.ino, ino)
+		if err != nil {
+			return err
+		}
+		if under {
+			return com.ErrInval
+		}
+	}
 	// Replace an existing regular file at the destination; a rename
 	// onto the same link does nothing (POSIX).
 	if dstIno, dstSlot, err := v.fs.dirLookup(ddi, newName); err == nil {
@@ -467,6 +483,9 @@ func (v *vnode) Rename(old string, newDir com.Dir, newName string) (err error) {
 	if err := v.fs.dirRemove(sdi, slot); err != nil {
 		return err
 	}
+	if movesDir {
+		sdi.nlink--
+	}
 	if err := v.fs.iput(v.ino, sdi); err != nil {
 		return err
 	}
@@ -475,6 +494,9 @@ func (v *vnode) Rename(old string, newDir com.Dir, newName string) (err error) {
 	}
 	if err := v.fs.dirEnter(ddi, newName, ino); err != nil {
 		return err
+	}
+	if movesDir {
+		ddi.nlink++
 	}
 	return v.fs.iput(nd.ino, ddi)
 }
