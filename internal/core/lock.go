@@ -8,18 +8,18 @@ import "sync"
 // entering the component and release it when the component returns *and*
 // across any blocking calls the component makes back to the client.
 //
-// It is the one implementation of the recipe.  Its product user is the
-// FreeBSD network stack, whose Stack.mu is a ranked ComponentLock: every
-// entry Enters and defers Leave, and every sleep and every call out to
-// the file system runs through Unlocked.  The lock analyzers know it by
-// this type and map Enter/Leave to Lock/Unlock.
+// It is the one implementation of the recipe.  Its product users are
+// the network stack's Stack.mu and the file system's fsLock, both
+// ranked: every entry Enters and Leaves, and every sleep, device call
+// and call out to another component runs through Unlocked.  The lock
+// analyzers know it by this type and map Enter/Leave to Lock/Unlock.
 //
 // The kit's sleep glue cooperates: a component's Sleep service, wrapped
 // with WrapSleep, drops the lock for the duration of the block so other
 // process-level threads can enter the component, exactly as the donor
 // kernels' sleep released the implicit big lock.
 //
-// Separate components may use separate locks (one around the file system,
+// Separate components use separate locks (one around the file system,
 // one around the network stack), giving the medium-grained concurrency
 // the paper describes; the ablation benchmark in the top-level bench
 // suite measures precisely that choice.

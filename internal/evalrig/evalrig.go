@@ -99,9 +99,9 @@ type Options struct {
 	// CPUs powers each machine on with N logical CPUs (interrupt
 	// dispatch contexts).  It changes no exclusion discipline: each
 	// component brings its own on every machine size — the BSD network
-	// stack its lock (it calls no spl, and the encapsulated Linux
-	// driver's cli is a no-op), the file system giant exclusion
-	// (splbio), the Linux configuration real cli.  A FreeBSD-native
+	// stack and the file system each their component lock (neither
+	// calls spl, and the encapsulated Linux driver's cli is a no-op),
+	// the Linux configuration real cli.  A FreeBSD-native
 	// node attaches its NIC with N receive rings (AttachNative); an
 	// OSKit node with FastPath grows N RSS-hashed rings drained by N
 	// polled receive loops, without it the donor ISR keeps its one line.

@@ -60,14 +60,14 @@ func countCli(n *Node, clis *atomic.Int64) {
 }
 
 // TestNetworkPathTakesNoCli pins the mechanism, by counter rather than
-// wall time: on an OSKit node of any size the network path has one
-// exclusion, the stack lock — the stack calls no spl, the BSD malloc
-// takes none and the encapsulated driver's cli is a no-op — so bulk
-// transfer and connection churn, stock path and fast path, complete
-// without one process-level cli.  One cli taken under the stack lock is
-// half of an ABBA against the ISR (cli, then that lock), so the count
-// must be zero, not small.  No file system is mounted: its glue
-// legitimately keeps splbio.
+// wall time: on an OSKit node of any size each component on the network
+// and file paths has one exclusion, its component lock — the stack and
+// the file system call no spl, the BSD malloc takes none and the
+// encapsulated drivers' cli is a no-op — so bulk transfer, connection
+// churn and HTTP GETs of files on the IDE disk, stock path and fast
+// path, complete without one process-level cli.  One cli taken under
+// the stack lock is half of an ABBA against the ISR (cli, then that
+// lock), so the count must be zero, not small.
 func TestNetworkPathTakesNoCli(t *testing.T) {
 	for _, tc := range []struct {
 		cpus int
@@ -103,6 +103,29 @@ func TestNetworkPathTakesNoCli(t *testing.T) {
 			}
 			if n := clis.Load(); n != 0 {
 				t.Fatalf("the network path took process-level cli %d times on %d-CPU nodes, want 0", n, tc.cpus)
+			}
+			opts.DiskSectors = 16384
+			h, err := NewCluster(OSKit, 3, time.Millisecond, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Halt()
+			ho := HTTPOptions{Requests: 64, Workers: 2, Files: 4, FileBytes: 64 << 10, Seed: 23}
+			if err := PopulateHTTP(h.Server(), ho); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range h.Nodes {
+				countCli(n, &clis)
+			}
+			hr, err := HTTPGet(h, ho)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hr.Failed != 0 {
+				t.Fatalf("HTTP: %d failures: %v", hr.Failed, hr.Errors)
+			}
+			if n := clis.Load(); n != 0 {
+				t.Fatalf("the HTTP file path took process-level cli %d times on %d-CPU nodes, want 0", n, tc.cpus)
 			}
 		})
 	}

@@ -11,8 +11,9 @@
 //     component instance getting its own private table, blocking bottoms
 //     out in one sleep record per sleeping process (§4.7.6);
 //   - spl interrupt-priority mapping: the kit does not require the client
-//     OS to provide IPLs (§4.5), so every splnet/splbio/splhigh maps to
-//     the single interrupt-exclusion level, and spl0/splx restore it;
+//     OS to provide IPLs (§4.5), so splnet/splhigh map to the single
+//     interrupt-exclusion level, and splx restores it (sio's; the stack
+//     and the file system run under their own locks, §4.7.4);
 //   - the BSD kernel malloc with all three of its special properties,
 //     layered on the client memory service via a dynamically grown
 //     allocation table (§4.7.7) — see malloc.go;
@@ -95,11 +96,11 @@ type Glue struct {
 }
 
 // New builds a BSD environment over env.  Its spl calls are real
-// interrupt exclusion on any machine: the giant discipline of the
-// components that rely on the glue for it (the file system, sio).  A
-// component that carries its own lock (the network stack's Stack.mu,
-// net/locks.go) calls no spl.  The allocator's statistics are exported
-// as a "bsd_malloc" com.Stats set in env's services registry.
+// interrupt exclusion on any machine: the giant discipline of sio, the
+// one component that relies on the glue for it.  A component that
+// carries its own lock (Stack.mu, net/locks.go; the file system's
+// fsLock) calls no spl.  The allocator's statistics are exported as a
+// "bsd_malloc" com.Stats set in env's services registry.
 func New(env *core.Env) *Glue {
 	g := &Glue{env: env, curprocs: map[uint64]*Proc{}}
 	g.Malloc = newMalloc(g)
@@ -180,9 +181,6 @@ func (g *Glue) setCurproc(id uint64, p *Proc) {
 // Splnet raises to network-interrupt protection level.
 func (g *Glue) Splnet() int { return g.splraise() }
 
-// Splbio raises to block-I/O protection level.
-func (g *Glue) Splbio() int { return g.splraise() }
-
 // Splhigh blocks everything.
 func (g *Glue) Splhigh() int { return g.splraise() }
 
@@ -212,11 +210,14 @@ func slpHash(event uint32) int { return int((event >> 3) % slpqueSize) }
 
 // Tsleep blocks the current process on event.  Donor contract: entered
 // at raised spl (interrupts disabled); the process is enqueued
-// atomically, interrupts are enabled while blocked, and the call returns
-// at the spl it was entered at.  The current process is saved across
-// the block (§4.7.5).
+// atomically, interrupts are enabled *completely* while blocked, and the
+// call returns at the full spl depth it was entered at.  The current
+// process is saved across the block (§4.7.5).
 func (g *Glue) Tsleep(event uint32, wmesg string) {
-	g.SleepCommit(g.SleepPrepare(event, wmesg))
+	p := g.SleepPrepare(event, wmesg)
+	depth := g.env.Machine.Intr.DropAll()
+	g.SleepCommit(p)
+	g.env.Machine.Intr.RestoreAll(depth)
 }
 
 // SleepPrepare is the first half of a two-phase sleep: it enqueues the
@@ -254,21 +255,12 @@ func (g *Glue) SleepPrepare(event uint32, wmesg string) *Proc {
 }
 
 // SleepCommit is the second half: it blocks until the wakeup.  The
-// caller must have dropped every lock ranked under the sleep queue
-// (i.e. all of them) first.
+// caller must have dropped every lock it holds first, its component
+// lock included.
 func (g *Glue) SleepCommit(p *Proc) {
 	id := hw.GoID()
 	g.setCurproc(id, nil)
-	// tsleep drops to spl0 *completely* while blocked — the caller may be
-	// nested several spl levels deep across components (the file system
-	// sleeping inside the disk driver) — and restores the full depth
-	// afterwards.  A caller under its own lock (the network stack) holds
-	// no spl, and there is nothing to drop.
-	depth := g.env.Machine.Intr.DropAllHeld()
 	g.env.Sleep(p.rec)
-	if depth > 0 {
-		g.env.Machine.Intr.RestoreAll(depth)
-	}
 	g.setCurproc(id, p)
 	g.slpMu.Lock()
 	p.WChan = 0

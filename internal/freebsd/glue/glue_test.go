@@ -234,7 +234,7 @@ func TestWakeupWakesAllOnEvent(t *testing.T) {
 func TestSplNesting(t *testing.T) {
 	g := testGlue(t)
 	s1 := g.Splnet()
-	s2 := g.Splbio() // nested raise
+	s2 := g.Splhigh() // nested raise
 	g.Splx(s2)
 	g.Splx(s1)
 	if s1 != 1 || s2 != 1 {
@@ -243,9 +243,8 @@ func TestSplNesting(t *testing.T) {
 }
 
 // TestDisciplineFollowsTheMachine pins the one constructor: spl is real
-// interrupt exclusion on any machine size (the file system's splbio must
-// stay real cli on 4 CPUs), and the current process is the entering
-// thread's own.
+// interrupt exclusion on any machine size (sio's splhigh must stay real
+// cli on 4 CPUs), and the current process is the entering thread's own.
 func TestDisciplineFollowsTheMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name string

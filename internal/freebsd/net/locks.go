@@ -31,6 +31,8 @@ import (
 //	                                  TIME_WAIT queue, reassembly, pings,
 //	                                  the ARP cache, the interface output
 //	                                  hand-off and the event allocator
+//	rank 20  fsLock     netbsdfs      the file system's lock (cross-
+//	                    FFS.mu        package); never held with Stack.mu
 //	rank 72  freeLock   Stack.freeMu  mbuf, cluster and receive-context
 //	                                  free lists, cluster refcounts (leaf:
 //	                                  drivers and sendfile unpins free

@@ -1,11 +1,11 @@
 package bsdnet
 
 // Seeded-interleaving tests for the stack's SMP exclusion (locks.go).
-// The smp.TestSchedule harness serializes N virtual CPUs and picks every
-// interleaving decision from a seed — the fault plane's reproducibility
-// contract — so a lock-ordering or lost-wakeup bug that only bites under
-// one ordering is found by sweeping seeds and then pinned forever by its
-// seed.  The unserialized counterparts (actual parallelism under -race)
+// The TestSchedule harness (sched_harness_test.go) serializes N virtual
+// CPUs and picks every interleaving decision from a seed — the fault
+// plane's reproducibility contract — so a lock-ordering or lost-wakeup
+// bug that only bites under one ordering is found by sweeping seeds and
+// then pinned forever by its seed.  The unserialized counterparts (actual parallelism under -race)
 // are in smp_race_test.go.
 
 import (
@@ -20,7 +20,6 @@ import (
 	bsdglue "oskit/internal/freebsd/glue"
 	"oskit/internal/hw"
 	"oskit/internal/kern"
-	"oskit/internal/smp"
 )
 
 // connectedStacksSMP boots the usual two-machine rig on 4-CPU machines,
@@ -73,7 +72,7 @@ func TestPerConnLockingInterleavings(t *testing.T) {
 			defer fa.Release()
 			const cpus = 3
 			var errs [cpus]error
-			sched := smp.NewTestSchedule(seed, cpus)
+			sched := NewTestSchedule(seed, cpus)
 			sched.Run(func(cpu int, yield func()) {
 				cs, err := fa.CreateSocket(com.AFInet, com.SockStream, 0)
 				if err != nil {
@@ -149,7 +148,7 @@ func TestScheduledConnectCloseRace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sched := smp.NewTestSchedule(seed, 2)
+			sched := NewTestSchedule(seed, 2)
 			sched.Run(func(cpu int, yield func()) {
 				if cpu == 0 {
 					yield()
@@ -253,7 +252,7 @@ func TestScheduledARPResolveVsOutput(t *testing.T) {
 			const n = 6
 			var want []string
 			held := 0 // datagrams written before the reply arrived
-			sched := smp.NewTestSchedule(seed, 2)
+			sched := NewTestSchedule(seed, 2)
 			sched.Run(func(cpu int, yield func()) {
 				if cpu == 0 {
 					for i := range n {

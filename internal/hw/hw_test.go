@@ -208,9 +208,7 @@ func TestIntrOwnerChecksAreExact(t *testing.T) {
 		ic.Enable()
 	}
 	mustPanic(t, "a fourth Enable", ic.Enable)
-	if n := ic.DropAllHeld(); n != 0 {
-		t.Fatalf("DropAllHeld after the full unwind = %d, want 0", n)
-	}
+	mustPanic(t, "DropAll after the full unwind", func() { ic.DropAll() })
 }
 
 func TestIntrCoalescing(t *testing.T) {
@@ -590,44 +588,4 @@ func TestDropAllRestoresFullNesting(t *testing.T) {
 		}()
 		ic.Enable()
 	}()
-}
-
-// DropAllHeld is the conditional form donor sleep paths use when they
-// cannot know whether the caller entered with exclusion held (the SMP
-// glue's SleepOn): a no-op returning 0 for a non-owner, a full DropAll
-// for the owner.
-func TestIntrDropAllHeld(t *testing.T) {
-	ic := NewIntrController()
-	// Not the owner: nothing to drop, nothing released.
-	if n := ic.DropAllHeld(); n != 0 {
-		t.Fatalf("DropAllHeld without Disable = %d, want 0", n)
-	}
-	// Owner with nesting: the whole depth comes off and is restorable.
-	ic.Disable()
-	ic.Disable()
-	ic.Disable()
-	n := ic.DropAllHeld()
-	if n != 3 {
-		t.Fatalf("DropAllHeld under 3 Disables = %d, want 3", n)
-	}
-	// Fully dropped: another thread can take the exclusion now.
-	done := make(chan struct{})
-	go func() {
-		ic.Disable()
-		ic.Enable()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("exclusion still held after DropAllHeld")
-	}
-	ic.RestoreAll(n)
-	for i := 0; i < n; i++ {
-		ic.Enable()
-	}
-	// Balanced again: a second DropAllHeld sees no ownership.
-	if n := ic.DropAllHeld(); n != 0 {
-		t.Fatalf("DropAllHeld after balanced unwind = %d, want 0", n)
-	}
 }

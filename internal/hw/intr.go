@@ -216,36 +216,15 @@ func (ic *IntrController) Disable() {
 }
 
 // DropAll releases the calling thread's *entire* Disable nesting,
-// returning the depth for RestoreAll.  Donor sleep paths need this: BSD's
-// tsleep and Linux's sleep_on drop to spl0/sti completely before
-// blocking, no matter how deeply the caller's components have nested
-// their exclusion — otherwise a file system sleeping inside a disk
-// driver would hold interrupts off and deadlock against the completion
-// handler.
+// returning the depth for RestoreAll.  Donor sleep paths that are
+// entered at raised spl need this — BSD's tsleep (sio) and the native
+// Linux image's sleep_on drop to spl0/sti completely before blocking,
+// however deeply the caller nested its exclusion, or the completion
+// handler could never dispatch.
 func (ic *IntrController) DropAll() int {
 	c := ic.cpus[0]
 	if c.cliOwner.Load() != goid() {
 		panic("hw: DropAll by a thread that holds no Disable section")
-	}
-	n := c.cliNest
-	c.cliNest = 0
-	c.cliOwner.Store(0)
-	c.cliMu.Unlock()
-	return n
-}
-
-// DropAllHeld is DropAll for callers that may not hold the exclusion: it
-// releases the calling thread's entire Disable nesting and returns the
-// depth, or returns 0 when this thread holds no section.  The glues'
-// sleep paths need it: the network stack and the encapsulated driver
-// hold no section of their own, but an *outer* component (a file
-// system's splbio bracketing a disk driver call) may still have the boot
-// CPU's exclusion open, and sleeping while holding it would deadlock
-// against the completion handler.
-func (ic *IntrController) DropAllHeld() int {
-	c := ic.cpus[0]
-	if c.cliOwner.Load() != goid() {
-		return 0
 	}
 	n := c.cliNest
 	c.cliNest = 0

@@ -390,16 +390,9 @@ func (g *Glue) buildKernel() *legacy.Kernel {
 	k.SleepOn = func(q *legacy.WaitQueue) {
 		rec := wqRec(q)
 		if !g.native {
-			// This image's own cli seam is a no-op, but an outer
-			// component (the file system's splbio bracketing a disk
-			// read) may still hold the boot CPU's exclusion — sleep_on
-			// drops whatever this thread holds, or the completion
-			// handler could never dispatch.
-			depth := env.Machine.Intr.DropAllHeld()
+			// This image's cli seam is a no-op, and no component
+			// calls in holding an exclusion of its own.
 			env.Sleep(rec)
-			if depth > 0 {
-				env.Machine.Intr.RestoreAll(depth)
-			}
 			return
 		}
 		// sleep_on enables interrupts *fully* while blocked (sti, not one

@@ -12,8 +12,8 @@
 // The donor execution environment is the BSD glue: blocking in the
 // buffer cache goes through sleep/wakeup (B_BUSY/B_WANTED, §4.7.6), and
 // the code expects to run under the blocking model of §4.7.4 — one
-// process-level thread inside the component, interrupt exclusion via
-// spl.
+// process-level thread inside the component at a time, the component
+// lock held, and released only across a sleep or a device call.
 package netbsdfs
 
 import (
@@ -61,6 +61,7 @@ type blkdev interface {
 // bcache is the buffer cache for one mounted file system.
 type bcache struct {
 	g    *bsdglue.Glue
+	mu   *fsLock // the file system's component lock
 	dev  blkdev
 	bufs [nbufs]*buf
 	// hash by block number; small and simple.
@@ -70,8 +71,8 @@ type bcache struct {
 
 	// stages receive cluster reads before they are copied into the
 	// runs' buffers.  One is taken for each read and put back after it,
-	// so the list holds as many as readers ever slept in the driver at
-	// once (the sleep drops splbio).
+	// so the list holds as many as readers were ever in the driver at
+	// once (the device call drops the lock).
 	stages [][]byte
 
 	// needbuf is NetBSD's needbuffer: a getblk found no victim and
@@ -92,9 +93,9 @@ type bcache struct {
 	gPinned  *stats.Gauge
 }
 
-func newBcache(g *bsdglue.Glue, dev blkdev, eventBase uint32) *bcache {
+func newBcache(g *bsdglue.Glue, mu *fsLock, dev blkdev, eventBase uint32) *bcache {
 	set := stats.NewSet("netbsd_fs")
-	c := &bcache{g: g, dev: dev, hash: map[uint32]*buf{}, bufEvent: eventBase + nbufs*8, set: set}
+	c := &bcache{g: g, mu: mu, dev: dev, hash: map[uint32]*buf{}, bufEvent: eventBase + nbufs*8, set: set}
 	c.scReads = set.Counter("bcache.disk_reads")
 	c.scWrites = set.Counter("bcache.disk_writes")
 	c.scHits = set.Counter("bcache.hits")
@@ -137,14 +138,14 @@ func (c *bcache) lruRemove(b *buf) {
 }
 
 // getblk locks the buffer for blkno, evicting the LRU victim if needed.
-// Blocks (tsleep) while the wanted buffer is busy — the donor
-// B_BUSY/B_WANTED protocol — and while no buffer is evictable.
+// Blocks while the wanted buffer is busy — the donor B_BUSY/B_WANTED
+// protocol — and while no buffer is evictable.
 func (c *bcache) getblk(blkno uint32) (*buf, error) {
 	for {
 		if b, ok := c.hash[blkno]; ok {
 			if b.busy {
 				b.want = true
-				c.g.Tsleep(b.event, "getblk")
+				c.sleep(c.g.SleepPrepare(b.event, "getblk"))
 				continue
 			}
 			b.busy = true
@@ -156,11 +157,16 @@ func (c *bcache) getblk(blkno uint32) (*buf, error) {
 		switch {
 		case v == nil:
 			// Everything busy or pinned: wait for a brelse or an unpin.
+			// Unpins come without the lock: rescan once prepared.
 			c.needbuf = true
-			c.g.Tsleep(c.bufEvent, "bufwait")
+			p := c.g.SleepPrepare(c.bufEvent, "bufwait")
+			if c.victim(false) != nil {
+				c.g.Wakeup(c.bufEvent)
+			}
+			c.sleep(p)
 		case v.dirty:
-			// The write sleeps in the driver, where another entry may
-			// cache blkno or re-dirty v, so clean it and rescan.
+			// The write drops the lock, and another entry may cache
+			// blkno meanwhile, so clean v and rescan.
 			if err := c.writeback(v); err != nil {
 				return nil, err
 			}
@@ -232,7 +238,8 @@ func (c *bcache) breadRun(blkno, n uint32) (*buf, error) {
 	} else {
 		stage = make([]byte, maxPinBlocks*BlockSize)
 	}
-	got, err := c.dev.Read(stage[:k*BlockSize], uint64(blkno)*BlockSize)
+	var got uint
+	c.io(func() { got, err = c.dev.Read(stage[:k*BlockSize], uint64(blkno)*BlockSize) })
 	ok := err == nil && got == uint(k)*BlockSize
 	for i, t := range run[:k] {
 		if ok {
@@ -253,11 +260,16 @@ func (c *bcache) breadRun(blkno, n uint32) (*buf, error) {
 	return b, nil
 }
 
-// brelse unlocks a buffer, waking its waiters and any getblk that found
-// no victim.
+// brelse unlocks a buffer to the head of the LRU list.
 func (c *bcache) brelse(b *buf) {
-	b.busy = false
 	c.lruPush(b)
+	c.unbusy(b)
+}
+
+// unbusy clears b's busy mark, waking its waiters and any getblk that
+// found no victim.
+func (c *bcache) unbusy(b *buf) {
+	b.busy = false
 	if b.want {
 		b.want = false
 		c.g.Wakeup(b.event)
@@ -274,9 +286,14 @@ func (c *bcache) bdwrite(b *buf) {
 	c.brelse(b)
 }
 
-// writeback flushes one buffer.
-func (c *bcache) writeback(b *buf) error {
-	n, err := c.dev.Write(b.data, uint64(b.blkno)*BlockSize)
+// writeback flushes the idle buffer b.  b stays busy across the device
+// call, as under NetBSD's B_BUSY, so no entry can change and re-dirty it
+// while the lock is down, and it keeps its place on the LRU list.
+func (c *bcache) writeback(b *buf) (err error) {
+	b.busy = true
+	var n uint
+	c.io(func() { n, err = c.dev.Write(b.data, uint64(b.blkno)*BlockSize) })
+	c.unbusy(b)
 	if err != nil || n != BlockSize {
 		return bsdglue.EIO
 	}

@@ -1,6 +1,7 @@
 package netbsdfs
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func TestBcacheFailedReadNoStaleAlias(t *testing.T) {
 	g, dev := ramDisk(t, 512)
 	defer dev.Release()
 	flaky := &flakyDev{BlkIO: dev, failReads: map[uint32]int{}}
-	c := newBcache(g, flaky, 0)
+	c := newBcache(g, new(fsLock), flaky, 0)
 
 	// Distinct content per block, far from the Mkfs metadata.
 	const base = 100
@@ -60,36 +61,40 @@ func TestBcacheFailedReadNoStaleAlias(t *testing.T) {
 		}
 	}
 
-	// The faulted read: bread fails, leaving the buffer hashed invalid.
-	const victim = base
-	flaky.failReads[victim] = 1
-	if _, err := c.bread(victim); err != bsdglue.EIO {
-		t.Fatalf("faulted bread = %v, want EIO", err)
-	}
+	entered(c, func() {
+		// The faulted read: bread fails, leaving the buffer hashed
+		// invalid.
+		const victim = base
+		flaky.failReads[victim] = 1
+		if _, err := c.bread(victim); err != bsdglue.EIO {
+			t.Fatalf("faulted bread = %v, want EIO", err)
+		}
 
-	// Cache pressure recycles every idle buffer — including the invalid
-	// one — for other blocks.
-	for i := uint32(base + 1); i < base+1+2*nbufs; i++ {
-		b, err := c.bread(i)
+		// Cache pressure recycles every idle buffer — including the
+		// invalid one — for other blocks.
+		for i := uint32(base + 1); i < base+1+2*nbufs; i++ {
+			b, err := c.bread(i)
+			if err != nil {
+				t.Fatalf("bread(%d): %v", i, err)
+			}
+			c.brelse(b)
+		}
+
+		// Re-reading the faulted block must hit the disk again and
+		// return its own bytes, never another block's through a stale
+		// hash entry.
+		b, err := c.bread(victim)
 		if err != nil {
-			t.Fatalf("bread(%d): %v", i, err)
+			t.Fatalf("bread(%d) after recycle: %v", victim, err)
 		}
-		c.brelse(b)
-	}
-
-	// Re-reading the faulted block must hit the disk again and return
-	// its own bytes, never another block's through a stale hash entry.
-	b, err := c.bread(victim)
-	if err != nil {
-		t.Fatalf("bread(%d) after recycle: %v", victim, err)
-	}
-	defer c.brelse(b)
-	for j, got := range b.data {
-		if got != byte(victim) {
-			t.Fatalf("block %d byte %d = %#x, want %#x — stale alias served another block's bytes",
-				victim, j, got, byte(victim))
+		defer c.brelse(b)
+		for j, got := range b.data {
+			if got != byte(victim) {
+				t.Fatalf("block %d byte %d = %#x, want %#x — stale alias served another block's bytes",
+					victim, j, got, byte(victim))
+			}
 		}
-	}
+	})
 }
 
 // TestBcacheFailedReadRetries pins the op-level retry contract the
@@ -99,7 +104,7 @@ func TestBcacheFailedReadRetries(t *testing.T) {
 	g, dev := ramDisk(t, 512)
 	defer dev.Release()
 	flaky := &flakyDev{BlkIO: dev, failReads: map[uint32]int{}}
-	c := newBcache(g, flaky, 0)
+	c := newBcache(g, new(fsLock), flaky, 0)
 
 	blk := make([]byte, BlockSize)
 	for j := range blk {
@@ -109,20 +114,22 @@ func TestBcacheFailedReadRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky.failReads[200] = 2
-	if _, err := c.bread(200); err != bsdglue.EIO {
-		t.Fatalf("first bread = %v, want EIO", err)
-	}
-	if _, err := c.bread(200); err != bsdglue.EIO {
-		t.Fatalf("second bread = %v, want EIO", err)
-	}
-	b, err := c.bread(200)
-	if err != nil {
-		t.Fatalf("third bread = %v", err)
-	}
-	defer c.brelse(b)
-	if b.data[0] != 0x5A || !b.valid {
-		t.Fatalf("retried read returned %#x valid=%v", b.data[0], b.valid)
-	}
+	entered(c, func() {
+		if _, err := c.bread(200); err != bsdglue.EIO {
+			t.Fatalf("first bread = %v, want EIO", err)
+		}
+		if _, err := c.bread(200); err != bsdglue.EIO {
+			t.Fatalf("second bread = %v, want EIO", err)
+		}
+		b, err := c.bread(200)
+		if err != nil {
+			t.Fatalf("third bread = %v", err)
+		}
+		defer c.brelse(b)
+		if b.data[0] != 0x5A || !b.valid {
+			t.Fatalf("retried read returned %#x valid=%v", b.data[0], b.valid)
+		}
+	})
 }
 
 // waitSleeper polls until a process sleeps on event.
@@ -155,27 +162,29 @@ func await(t *testing.T, ch <-chan error, what string) error {
 // unrelated access touches the block.
 func TestBcacheFailedReadWakesWaiter(t *testing.T) {
 	g := testGlue(t)
-	entered, release := make(chan struct{}), make(chan struct{})
+	inDevice, release := make(chan struct{}), make(chan struct{})
 	dev := &flakyDev{BlkIO: com.NewMemBuf(make([]byte, 16*BlockSize)), failReads: map[uint32]int{7: 1}}
 	dev.before = func() {
 		if len(dev.reads) == 0 {
-			close(entered)
+			close(inDevice)
 			<-release
 		}
 	}
-	c := newBcache(g, dev, 0)
+	c := newBcache(g, new(fsLock), dev, 0)
 
 	first, second := make(chan error, 1), make(chan error, 1)
 	read := func(out chan<- error) {
-		defer g.Enter("reader")()
-		b, err := c.bread(7)
-		if err == nil {
-			c.brelse(b)
-		}
+		var err error
+		entered(c, func() {
+			var b *buf
+			if b, err = c.bread(7); err == nil {
+				c.brelse(b)
+			}
+		})
 		out <- err
 	}
 	go read(first)
-	<-entered // the first reader holds block 7 busy inside the driver
+	<-inDevice // the first reader holds block 7 busy inside the driver
 	event := c.hash[7].event
 	go read(second)
 	waitSleeper(t, c, event)
@@ -196,26 +205,27 @@ func TestBcacheFailedReadWakesWaiter(t *testing.T) {
 // cache's own "bufwait" event, and one brelse wakes it.
 func TestBcacheBufwaitWokenByBrelse(t *testing.T) {
 	g := testGlue(t)
-	c := newBcache(g, com.NewMemBuf(make([]byte, 2*nbufs*BlockSize)), 0)
+	c := newBcache(g, new(fsLock), com.NewMemBuf(make([]byte, 2*nbufs*BlockSize)), 0)
 	held := make([]*buf, nbufs)
-	for i := range held {
-		b, err := c.getblk(uint32(i))
-		if err != nil {
-			t.Fatal(err)
+	entered(c, func() {
+		for i := range held {
+			b, err := c.getblk(uint32(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[i] = b
 		}
-		held[i] = b
-	}
+	})
 	got := make(chan *buf, 1)
-	go func() {
-		defer g.Enter("waiter")()
+	go entered(c, func() {
 		b, err := c.getblk(nbufs)
 		if err != nil {
 			t.Error(err)
 		}
 		got <- b
-	}()
+	})
 	waitSleeper(t, c, c.bufEvent)
-	c.brelse(held[5])
+	entered(c, func() { c.brelse(held[5]) })
 	select {
 	case b := <-got:
 		if b != held[5] {
@@ -223,5 +233,77 @@ func TestBcacheBufwaitWokenByBrelse(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("getblk still asleep after a brelse freed a victim")
+	}
+}
+
+// gatedDev copies each write's buffer when the request starts, as a DMA
+// engine does, and holds the first write in the device until release
+// is closed.
+type gatedDev struct {
+	com.BlkIO
+	writes           int
+	started, release chan struct{}
+}
+
+func (d *gatedDev) Write(buf []byte, off uint64) (uint, error) {
+	data := slices.Clone(buf)
+	if d.writes++; d.writes == 1 {
+		close(d.started)
+		<-d.release
+	}
+	return d.BlkIO.Write(data, off)
+}
+
+// A write-back holds its buffer busy while the device writes it: an
+// entry that changes the block meanwhile waits for the write, and its
+// update is dirty again afterwards, so the next sync writes it.  A
+// buffer left idle across the write would take the update and lose it
+// to the writer clearing dirty.
+func TestBcacheWritebackHoldsBusy(t *testing.T) {
+	g := testGlue(t)
+	disk := com.NewMemBuf(make([]byte, 16*BlockSize))
+	dev := &gatedDev{BlkIO: disk, started: make(chan struct{}), release: make(chan struct{})}
+	c := newBcache(g, new(fsLock), dev, 0)
+	update := func(v byte) {
+		entered(c, func() {
+			b, err := c.bread(5)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b.data[0] = v
+			c.bdwrite(b)
+		})
+	}
+	sync := func() (err error) {
+		entered(c, func() { err = c.sync() })
+		return err
+	}
+	update(1)
+	b := c.hash[5]
+	synced, updated := make(chan error, 1), make(chan error, 1)
+	go func() { synced <- sync() }()
+	<-dev.started // the write of 1 is in the device, the lock is down
+	go func() { update(2); updated <- nil }()
+	for deadline := time.Now().Add(5 * time.Second); g.SleepersOn(b.event) == 0 && len(updated) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the update neither waited for the write nor finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(dev.release)
+	if err := await(t, synced, "the first sync"); err != nil {
+		t.Fatal(err)
+	}
+	await(t, updated, "the update")
+	if err := sync(); err != nil {
+		t.Fatal(err)
+	}
+	onDisk := make([]byte, BlockSize)
+	if _, err := disk.Read(onDisk, 5*BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk[0] != 2 {
+		t.Fatalf("disk block 5 holds %d after two syncs, want the later update 2 (dirty=%v)", onDisk[0], b.dirty)
 	}
 }

@@ -52,18 +52,20 @@ func newClusterFS(t *testing.T, nblk int, holes ...int) *clusterFS {
 			t.Fatal(err)
 		}
 	}
-	di, err := fs.iget(v.ino)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lbn := range uint32(nblk) {
-		blk, err := fs.bmap(&di, lbn, false)
+	entered(fs.cache, func() {
+		di, err := fs.iget(v.ino)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.blk = append(c.blk, blk)
-	}
-	c.ind = di.indirect
+		for lbn := range uint32(nblk) {
+			blk, err := fs.bmap(&di, lbn, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.blk = append(c.blk, blk)
+		}
+		c.ind = di.indirect
+	})
 	ino := v.ino
 	v.Release()
 	if err := fs.Unmount(); err != nil {
@@ -77,7 +79,7 @@ func newClusterFS(t *testing.T, nblk int, holes ...int) *clusterFS {
 	raw.Release()
 	c.v = c.fs.newVnode(ino)
 	t.Cleanup(func() { c.v.Release() })
-	if _, err := c.fs.iget(ino); err != nil {
+	if _, err := c.v.GetStat(); err != nil {
 		t.Fatal(err)
 	}
 	c.dev.reads = nil
@@ -355,16 +357,19 @@ func clusterFuzz(t *testing.T, g0 *bsdglue.Glue, ops []byte) {
 			}
 		case 2: // evict some idle, clean, unpinned buffers
 			mask := next()
-			for i, b := range fs.cache.bufs {
-				if mask>>(i%8)&1 == 1 && !b.busy && !b.dirty && b.pins.Load() == 0 {
-					// A buffer a failed read unhashed keeps its old
-					// number, which another buffer may hold by now.
-					if fs.cache.hash[b.blkno] == b {
-						delete(fs.cache.hash, b.blkno)
+			entered(fs.cache, func() {
+				for i, b := range fs.cache.bufs {
+					if mask>>(i%8)&1 == 1 && !b.busy && !b.dirty && b.pins.Load() == 0 {
+						// A buffer a failed read unhashed keeps its
+						// old number, which another buffer may hold
+						// by now.
+						if fs.cache.hash[b.blkno] == b {
+							delete(fs.cache.hash, b.blkno)
+						}
+						b.blkno, b.valid = ^uint32(0), false
 					}
-					b.blkno, b.valid = ^uint32(0), false
 				}
-			}
+			})
 		case 3: // readi
 			if len(model) == 0 {
 				continue

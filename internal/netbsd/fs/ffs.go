@@ -110,21 +110,22 @@ func (di *dinode) decode(b []byte) {
 
 // FFS is one mounted file system.
 type FFS struct {
+	mu    fsLock // the component lock (glue.go)
 	g     *bsdglue.Glue
 	dev   blkdev
 	cache *bcache
 	sb    superblock
 
-	nextEvent uint32
 	unmounted bool
 
 	pins pinCache // sendfile's recycled pin objects (sendfile.go)
 }
 
 // mount reads the superblock and prepares the cache.
-func mount(g *bsdglue.Glue, dev blkdev) (*FFS, error) {
-	fs := &FFS{g: g, dev: dev}
-	fs.cache = newBcache(g, dev, 0x70000000)
+func mount(g *bsdglue.Glue, dev blkdev) (fs *FFS, err error) {
+	fs = &FFS{g: g, dev: dev}
+	fs.cache = newBcache(g, &fs.mu, dev, 0x70000000)
+	defer fs.enter("mount").leave(&err)
 	b, err := fs.cache.bread(0)
 	if err != nil {
 		return nil, err

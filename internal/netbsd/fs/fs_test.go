@@ -26,9 +26,8 @@ func ramDisk(t testing.TB, blocks uint32) (*bsdglue.Glue, com.BlkIO) {
 	return g, dev
 }
 
-// testGlue boots a machine and returns a BSD environment on it: the
-// giant discipline the file system's product glue runs under, real
-// splbio.
+// testGlue boots a machine and returns a BSD environment on it, the
+// one the file system's product mount runs on.
 func testGlue(t testing.TB) *bsdglue.Glue {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20})
@@ -39,6 +38,16 @@ func testGlue(t testing.TB) *bsdglue.Glue {
 	}
 	arena.AddFree(0x100000, 8<<20)
 	return bsdglue.New(core.NewEnv(m, arena))
+}
+
+// entered runs fn the way a component entry runs its body: with a
+// current process and c's component lock held, which every sleep and
+// device call under fn drops while it blocks.
+func entered(c *bcache, fn func()) {
+	defer c.g.Enter("test")()
+	c.mu.Enter()
+	defer c.mu.Leave()
+	fn()
 }
 
 func mountTest(t *testing.T, blocks uint32) *FFS {

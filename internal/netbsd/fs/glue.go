@@ -2,6 +2,7 @@ package netbsdfs
 
 import (
 	"oskit/internal/com"
+	"oskit/internal/core"
 	bsdglue "oskit/internal/freebsd/glue"
 )
 
@@ -9,8 +10,17 @@ import (
 // The exported interfaces are of VFS granularity — Lookup takes exactly
 // one pathname component — so wrapping code can interpose on every
 // operation (§3.8).  Every method is a component entry point through
-// FFS.enter (manufactured curproc + splbio, §4.7.5), and every donor
-// errno leaves through entry.leave as its COM error.
+// FFS.enter (manufactured curproc §4.7.5, and the component lock), and
+// every donor errno leaves through entry.leave as its COM error.
+
+// fsLock is the component's one exclusion on every machine size, the
+// §4.7.4 recipe as the stack runs it (hierarchy: freebsd/net/locks.go):
+// taken at each entry, released across every sleep and device call
+// (bcache.sleep, bcache.io), so a thread waiting on the disk lets the
+// next one enter.  The file system calls no spl.
+//
+//oskit:lockrank 20
+type fsLock struct{ core.ComponentLock }
 
 // Mount reads the superblock and prepares the cache.  The device is any
 // BlkIO — run-time binding per §4.2.2: this component has no link-time
@@ -20,7 +30,7 @@ func Mount(g *bsdglue.Glue, dev com.BlkIO) (fs *FFS, err error) {
 	dev.AddRef()
 	if fs, err = mount(g, dev); err != nil {
 		dev.Release()
-		return nil, bsdglue.COMError(err)
+		return nil, err
 	}
 	g.Env().Registry.Register(com.StatsIID, fs.cache.set)
 	fs.cache.set.Release()
@@ -35,25 +45,31 @@ func Mkfs(dev com.BlkIO, ninodes uint32) error { return bsdglue.COMError(mkfs(de
 type entry struct {
 	fs      *FFS
 	restore func()
-	spl     int
 }
 
-// enter is the component prologue: a manufactured curproc and splbio.
-// splbio is the component's one exclusion on every machine (the glue is
-// bsdglue.New, giant exclusion on any CPU count).  Every sleep under it
-// — tsleep, or the disk driver's sleep_on — drops it while the thread
-// blocks, so another thread may enter meanwhile.
+// enter is the component prologue: a manufactured curproc and the
+// component lock.
 func (fs *FFS) enter(what string) entry {
-	return entry{fs, fs.g.Enter(what), fs.g.Splbio()}
+	restore := fs.g.Enter(what)
+	fs.mu.Enter()
+	return entry{fs, restore}
 }
 
 // leave is the epilogue.  It translates the donor errno in *err, if
 // any, to the COM error the caller sees.
 func (e entry) leave(err *error) {
-	e.fs.g.Splx(e.spl)
+	e.fs.mu.Leave()
 	e.restore()
 	*err = bsdglue.COMError(*err)
 }
+
+// sleep is the donor tsleep inside an entry: it blocks on the event p
+// was prepared on with the component lock released across the block,
+// and returns with it held again.  Callers recheck their condition.
+func (c *bcache) sleep(p *bsdglue.Proc) { c.mu.Unlocked(func() { c.g.SleepCommit(p) }) }
+
+// io runs one device call with the component lock released.
+func (c *bcache) io(call func()) { c.mu.Unlocked(call) }
 
 // vnode is one COM file/directory node.  Nodes are created per lookup
 // (stateless: the inode number is the identity; metadata is re-read from

@@ -17,7 +17,7 @@ import (
 // NetBSD-derived FS -> partition view -> donor Linux IDE driver ->
 // simulated disk, every joint a COM BlkIO, no link-time dependencies.
 // The FS blocks inside the driver (donor sleep through two components'
-// glue), the regression that motivated hw.DropAll.
+// glue) with its component lock released across the device call.
 func TestFFSOverIDEAndPartition(t *testing.T) {
 	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20})
 	defer m.Halt()

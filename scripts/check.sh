@@ -13,7 +13,7 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=29084
+MAX_LOC=28944
 MAX_WAIVERS=3
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
@@ -64,11 +64,15 @@ for P in $PROCS; do
 	# exclusion (no node lock stands in front of a cluster, HTTP or SMP
 	# node), repeated: a lock moved or dropped shows up as a race report
 	# or a hang in some pass, not reliably in one.
-	echo "== exclusion smoke at GOMAXPROCS=$P (cluster, SMP and HTTP rigs; the stack's interleavings; -race, 10 passes)"
+	echo "== exclusion smoke at GOMAXPROCS=$P (cluster, SMP and HTTP rigs; the stack's interleavings; the buffer cache; -race, 10 passes)"
 	go test -race -count=10 -timeout 300s ./internal/evalrig/ \
 		-run 'TestSMP|TestNetworkPathTakesNoCli|TestCluster|TestHTTP|TestPathShapeMatrix'
 	go test -race -count=10 -timeout 300s ./internal/freebsd/net/ \
 		-run 'TestRace|TestPerConnLockingInterleavings|TestScheduledConnectCloseRace'
+	# The buffer cache's sleeps and write-back under the file system's
+	# lock: a dropped busy mark or a sleep outside Unlocked shows up as
+	# a race report, a lost update or a hang.
+	go test -race -count=10 -timeout 300s ./internal/netbsd/fs/ -run 'TestBcache'
 
 	echo "== shuffled multi-CPU re-run at GOMAXPROCS=$P (SMP rigs under a different interleaving)"
 	go test -shuffle=on -count=1 -timeout 120s ./internal/evalrig/ ./internal/freebsd/net/ ./internal/smp/
