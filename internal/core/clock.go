@@ -67,7 +67,6 @@ type callout struct {
 	seq       uint64 // FIFO among equal deadlines
 	fn        func()
 	cancelled bool
-	index     int
 }
 
 type calloutHeap []*callout
@@ -79,15 +78,9 @@ func (h calloutHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h calloutHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h calloutHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *calloutHeap) Push(x any) {
-	co := x.(*callout)
-	co.index = len(*h)
-	*h = append(*h, co)
+	*h = append(*h, x.(*callout))
 }
 func (h *calloutHeap) Pop() any {
 	old := *h

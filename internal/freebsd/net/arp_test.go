@@ -45,7 +45,8 @@ func TestARPRejectsMismatchedSender(t *testing.T) {
 		t.Fatal("append failed")
 	}
 	a.mu.Enter()
-	a.etherInput(m, nil)
+	a.etherInput(m)
+	a.rxFlush()
 	var e arpEntry
 	if p := a.arp.entries[ipB]; p != nil {
 		e = *p

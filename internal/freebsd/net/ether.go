@@ -10,9 +10,8 @@ const etherHdrLen = 14
 var etherPad [60]byte
 
 // etherInput demuxes one inbound frame; runs at interrupt level under
-// the stack lock, which the receive entry took.  ctx, when non-nil, is
-// the ingesting batch's deferral state (threaded down to TCP).
-func (s *Stack) etherInput(m *Mbuf, ctx *rxCtx) {
+// the stack lock, which the receive entry took.
+func (s *Stack) etherInput(m *Mbuf) {
 	m = m.Pullup(etherHdrLen)
 	if m == nil {
 		return
@@ -24,7 +23,7 @@ func (s *Stack) etherInput(m *Mbuf, ctx *rxCtx) {
 	m.Adj(etherHdrLen)
 	switch etype {
 	case EtherTypeIP:
-		s.ipInput(m, ctx)
+		s.ipInput(m)
 	case EtherTypeARP:
 		s.arpInput(m, src)
 	default:

@@ -89,6 +89,7 @@ func inject(t *testing.T, s *Stack, data []byte, enter func(*Mbuf)) {
 	}
 	s.mu.Enter()
 	enter(m)
+	s.rxFlush()
 	s.mu.Leave()
 	// The fuzz stack has no running clock, so run the BSD slow timer by
 	// hand: reassembly queues, ARP holds and embryonic connections age
@@ -163,7 +164,7 @@ func FuzzIPInput(f *testing.F) {
 				binary.BigEndian.PutUint16(data[10:12], c)
 			}
 		}
-		inject(t, s, data, func(m *Mbuf) { s.ipInput(m, nil) })
+		inject(t, s, data, func(m *Mbuf) { s.ipInput(m) })
 	})
 }
 
@@ -194,7 +195,7 @@ func FuzzTCPSegInput(f *testing.F) {
 			c := Checksum(data, pseudoSum(fuzzPeer, fuzzIP, ProtoTCP, len(data)))
 			binary.BigEndian.PutUint16(data[16:18], c)
 		}
-		inject(t, s, data, func(m *Mbuf) { s.tcpInput(m, fuzzPeer, fuzzIP, nil) })
+		inject(t, s, data, func(m *Mbuf) { s.tcpInput(m, fuzzPeer, fuzzIP) })
 	})
 }
 

@@ -16,7 +16,7 @@ const (
 
 // ipInput validates and demuxes one IP datagram (interrupt level, stack
 // lock held).
-func (s *Stack) ipInput(m *Mbuf, ctx *rxCtx) {
+func (s *Stack) ipInput(m *Mbuf) {
 	m = m.Pullup(ipHdrLen)
 	if m == nil {
 		return
@@ -78,7 +78,7 @@ func (s *Stack) ipInput(m *Mbuf, ctx *rxCtx) {
 	case ProtoUDP:
 		s.udpInput(m, src, dst)
 	case ProtoTCP:
-		s.tcpInput(m, src, dst, ctx)
+		s.tcpInput(m, src, dst)
 	default:
 		m.FreeChain()
 	}

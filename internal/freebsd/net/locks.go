@@ -33,10 +33,10 @@ import (
 //	                                  hand-off and the event allocator
 //	rank 20  fsLock     netbsdfs      the file system's lock (cross-
 //	                    FFS.mu        package); never held with Stack.mu
-//	rank 72  freeLock   Stack.freeMu  mbuf, cluster and receive-context
-//	                                  free lists, cluster refcounts (leaf:
-//	                                  drivers and sendfile unpins free
-//	                                  mbufs from outside the stack)
+//	rank 72  freeLock   Stack.freeMu  mbuf and cluster free lists,
+//	                                  cluster refcounts (leaf: drivers
+//	                                  and sendfile unpins free mbufs
+//	                                  from outside the stack)
 //	rank 75  klLock     linuxdev klMu donor kmalloc (cross-package)
 //	rank 80  sleepLock  glue.slpMu    sleep-queue hash (cross-package)
 //	rank 81  mallocLock glue mallocs  BSD kernel allocator (leaf)

@@ -73,8 +73,10 @@ func (s *Stack) nativeRxDrain(nic *hw.NIC, q int) {
 		copy(m.store[m.off:], f)
 		m.len = len(f)
 		m.PktLen = len(f)
+		// One hold per frame: the baseline keeps BSD's ACK count.
 		s.mu.Enter()
-		s.etherInput(m, nil)
+		s.etherInput(m)
+		s.rxFlush()
 		s.mu.Leave()
 	}
 }

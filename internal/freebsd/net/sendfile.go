@@ -1,9 +1,6 @@
 package bsdnet
 
-import (
-	"oskit/internal/com"
-	bsdglue "oskit/internal/freebsd/glue"
-)
+import "oskit/internal/com"
 
 // The socket-side half of the zero-copy serving path (E15): SendFile
 // moves a file's bytes into a TCP connection.  When the stack was
@@ -145,27 +142,12 @@ func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, er
 // wait always terminates as ACKs drain).  On connection failure the
 // chain is freed — which releases its page pins.
 func (so *socket) sendfileAppend(head *Mbuf, n int) error {
-	tp := so.tcp
-	s := so.s
-	for {
-		if tp.err != 0 {
-			head.FreeChain()
-			return bsdglue.COMError(tp.err)
-		}
-		switch tp.state {
-		case tcpsEstablished, tcpsCloseWait:
-		default:
-			head.FreeChain()
-			return com.ErrPipe
-		}
-		if tp.sndBuf.space() >= n {
-			break
-		}
-		tp.armPersistIfNeeded()
-		s.sleep(tp.sndBuf.event, "sosend")
+	if _, err := so.sndRoom(n); err != nil {
+		head.FreeChain()
+		return err
 	}
-	tp.sndBuf.appendChain(head)
-	s.tcpOutput(tp)
+	so.tcp.sndBuf.appendChain(head)
+	so.s.tcpOutput(so.tcp)
 	return nil
 }
 

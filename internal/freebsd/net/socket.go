@@ -206,22 +206,11 @@ func (so *socket) Write(buf []byte) (uint, error) {
 // append as room opens, drive output.  Called inside an entry.
 func (so *socket) writeTCP(buf []byte) (uint, error) {
 	tp := so.tcp
-	s := so.s
 	total := uint(0)
 	for len(buf) > 0 {
-		if tp.err != 0 {
-			return total, bsdglue.COMError(tp.err)
-		}
-		switch tp.state {
-		case tcpsEstablished, tcpsCloseWait:
-		default:
-			return total, com.ErrPipe
-		}
-		space := tp.sndBuf.space()
-		if space == 0 {
-			tp.armPersistIfNeeded()
-			s.sleep(tp.sndBuf.event, "sowrite")
-			continue
+		space, err := so.sndRoom(1)
+		if err != nil {
+			return total, err
 		}
 		n := min(space, len(buf))
 		if !tp.sndBuf.appendData(buf[:n]) {
@@ -229,9 +218,31 @@ func (so *socket) writeTCP(buf []byte) (uint, error) {
 		}
 		buf = buf[n:]
 		total += uint(n)
-		s.tcpOutput(tp)
+		so.s.tcpOutput(tp)
 	}
 	return total, nil
+}
+
+// sndRoom blocks until the send buffer has room for want bytes and
+// returns the room it has, or the connection's sticky error, or ErrPipe
+// once the connection can no longer send.  Called inside an entry.
+func (so *socket) sndRoom(want int) (int, error) {
+	tp := so.tcp
+	for {
+		if tp.err != 0 {
+			return 0, bsdglue.COMError(tp.err)
+		}
+		switch tp.state {
+		case tcpsEstablished, tcpsCloseWait:
+		default:
+			return 0, com.ErrPipe
+		}
+		if space := tp.sndBuf.space(); space >= want {
+			return space, nil
+		}
+		tp.armPersistIfNeeded()
+		so.s.sleep(tp.sndBuf.event, "sosend")
+	}
 }
 
 // RecvFrom implements com.Socket (datagram).

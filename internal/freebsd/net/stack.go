@@ -29,14 +29,13 @@ type Stack struct {
 	// across every block through ComponentLock.Unlocked.
 	mu stackLock
 
-	// freeMu (rank 72) guards the free lists of mbufs, clusters (mbuf.go)
-	// and batched-receive contexts (PushBatch), and cluster refcounts.
+	// freeMu (rank 72) guards the free lists of mbufs and clusters
+	// (mbuf.go) and the cluster refcounts.
 	freeMu    freeLock
 	mbufFree  *Mbuf      //oskit:guardedby freeMu  linked through Next
 	mclFree   []mcluster //oskit:guardedby freeMu
 	mclBase   uint32     //oskit:guardedby freeMu  refcount table base (addr >> MCLSHIFT)
 	mclRefcnt []int16    //oskit:guardedby freeMu
-	rxCtxFree *rxCtx     //oskit:guardedby freeMu
 
 	// Interface state (one Ethernet interface per stack instance, like
 	// the examples in §5; nothing below prevents generalizing).
@@ -75,6 +74,10 @@ type Stack struct {
 
 	nextEphemeral uint16 //oskit:guardedby mu  rotating hint into the dynamic range
 
+	// rxPend lists the connections whose reader wakeup, and due ACK, the
+	// current receive entry deferred to its rxFlush.
+	rxPend []*tcpcb //oskit:guardedby mu
+
 	// TIME_WAIT recycling: lingering pcbs in FIFO order, the count of
 	// live ones, and the cap beyond which the oldest are reclaimed so
 	// churn cannot pin ports and pcbs for a full 2MSL each.
@@ -96,18 +99,6 @@ type Stack struct {
 	// pre-resolved handles the hot paths update (see netstats).
 	statsSet *stats.Set //oskit:initonly
 	sc       netstats   //oskit:initonly
-}
-
-// rxCtx is one receive pass's batching state, threaded down the input
-// path by the goroutine ingesting the batch (so concurrent receive
-// contexts on an SMP machine never share it).  While batching, the
-// in-order TCP data path defers its per-segment wakeup, and any ACK the
-// delayed-ACK rule makes due, onto pend, and rxFlush runs them once per
-// (connection, batch).
-type rxCtx struct {
-	batching bool
-	pend     []*tcpcb
-	next     *rxCtx // the stack's free list
 }
 
 // netstats is the stack's pre-resolved statistics handles, updated
@@ -396,7 +387,9 @@ func (s *Stack) slowTimo() {
 // --- receive path.
 
 // stackRecv is the NetIO the stack hands the driver; Push runs at
-// interrupt level.
+// interrupt level.  Every receive entry (Push, PushBatch and the native
+// drain) ingests under one hold of the stack lock and ends that hold
+// with rxFlush, so the two NetIO seams differ only in cost.
 type stackRecv struct {
 	com.RefCount
 	s *Stack
@@ -417,18 +410,20 @@ func (r *stackRecv) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 
 // Push implements com.NetIO: one inbound frame.
 func (r *stackRecv) Push(pkt com.BufIO, size uint) error {
-	r.s.mu.Enter()
-	defer r.s.mu.Leave()
-	return r.s.rxOne(pkt, size, nil)
+	s := r.s
+	s.mu.Enter()
+	err := s.rxOne(pkt, size)
+	s.rxFlush()
+	s.mu.Leave()
+	return err
 }
 
 // PushBatch implements com.NetIOBatch: one softint pass ingests the
-// whole batch, then rxFlush runs the deferred per-connection wakeup and
-// due ACK once each — so a 16-frame batch into one connection costs one
-// reader wakeup and one ACK instead of sixteen, while each frame is
-// still individually wrapped zero-copy (the RxZeroCopy property is
-// per-packet and unchanged).  The batching state lives in an rxCtx owned
-// by this call, so concurrent batches on distinct CPUs don't interfere.
+// whole batch, and its one rxFlush runs each connection's deferred
+// reader wakeup and due ACK once — so a 16-frame batch into one
+// connection costs one reader wakeup instead of sixteen and one ACK
+// instead of eight, while each frame is still individually wrapped
+// zero-copy (the RxZeroCopy property is per-packet and unchanged).
 func (r *stackRecv) PushBatch(pkts []com.BufIO, sizes []uint) error {
 	s := r.s
 	if len(pkts) != len(sizes) {
@@ -437,44 +432,28 @@ func (r *stackRecv) PushBatch(pkts []com.BufIO, sizes []uint) error {
 		}
 		return com.ErrInval
 	}
-	// The batching state comes from the stack's free list, so its pend
-	// list keeps the storage it grew.
-	s.freeMu.Lock()
-	ctx := s.rxCtxFree
-	if ctx != nil {
-		s.rxCtxFree = ctx.next
-	}
-	s.freeMu.Unlock()
-	if ctx == nil {
-		ctx = &rxCtx{batching: true}
-	}
 	var firstErr error
 	s.mu.Enter()
 	for i, pkt := range pkts {
-		if err := s.rxOne(pkt, sizes[i], ctx); err != nil && firstErr == nil {
+		if err := s.rxOne(pkt, sizes[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	s.rxFlush(ctx)
+	s.rxFlush()
 	s.mu.Leave()
-	s.freeMu.Lock()
-	ctx.next = s.rxCtxFree
-	s.rxCtxFree = ctx
-	s.freeMu.Unlock()
 	s.sc.rxBatches.Inc()
 	s.sc.rxBatchFrames.Add(uint64(len(pkts)))
 	return firstErr
 }
 
-// rxFlush completes one batched receive pass: every connection that
-// accepted in-order data during the batch gets its single deferred
-// reader wakeup, and its single ACK if one fell due (unless something
-// already ACKed on its behalf, or the connection died mid-batch).  An
-// ACK not yet due stays delayed, exactly as after a per-frame Push.
-// Called with the stack lock held.
-func (s *Stack) rxFlush(ctx *rxCtx) {
-	for i, tp := range ctx.pend {
-		ctx.pend[i] = nil
+// rxFlush completes one receive entry: every connection that accepted
+// in-order data during it gets its single deferred reader wakeup, and
+// its single ACK if one fell due (unless something already ACKed on its
+// behalf, or the connection died meanwhile).  An ACK not yet due stays
+// delayed.  Called with the stack lock held.
+func (s *Stack) rxFlush() {
+	for i, tp := range s.rxPend {
+		s.rxPend[i] = nil
 		if !tp.rxPendWake {
 			continue
 		}
@@ -485,14 +464,14 @@ func (s *Stack) rxFlush(ctx *rxCtx) {
 		}
 		tp.rxAckOwed = false
 	}
-	ctx.pend = ctx.pend[:0]
+	s.rxPend = s.rxPend[:0]
 }
 
 // rxOne ingests one inbound frame under the stack lock.  If the
 // producer's buffer can be mapped (skbuffs always can), the frame is
 // wrapped as an external mbuf with zero copies; otherwise it is read
 // into a fresh chain.
-func (s *Stack) rxOne(pkt com.BufIO, size uint, ctx *rxCtx) error {
+func (s *Stack) rxOne(pkt com.BufIO, size uint) error {
 	var m *Mbuf
 	if data, err := pkt.Map(0, size); err == nil {
 		m = s.MExt(pkt, data) // holds its own reference
@@ -526,7 +505,7 @@ func (s *Stack) rxOne(pkt com.BufIO, size uint, ctx *rxCtx) error {
 		m.PktLen = int(size)
 		s.sc.rxCopied.Inc()
 	}
-	s.etherInput(m, ctx)
+	s.etherInput(m)
 	pkt.Release()
 	return nil
 }

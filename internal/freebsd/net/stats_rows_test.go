@@ -108,7 +108,8 @@ func TestEachStackEventMovesOneRow(t *testing.T) {
 				t.Fatal("mbuf exhausted")
 			}
 			s.mu.Enter()
-			s.etherInput(m, nil)
+			s.etherInput(m)
+			s.rxFlush()
 			s.mu.Leave()
 		}
 	}

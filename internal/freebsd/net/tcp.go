@@ -171,11 +171,11 @@ type tcpcb struct {
 	// Any segment carrying an ACK clears it (ackSent).
 	delack bool
 
-	// Batched-receive deferral (see Stack.rxFlush): while a PushBatch is
-	// ingesting, in-order data sets these instead of waking the reader
-	// and sending a due ACK per segment.  rxAckOwed is cleared by any ACK
-	// sent on the connection's behalf meanwhile (ackSent), so the flush
-	// never duplicates one.
+	// Receive-entry deferral (see Stack.rxFlush): in-order data sets
+	// these instead of waking the reader and sending a due ACK per
+	// segment, and the entry's rxFlush does each once.  rxAckOwed is
+	// cleared by any ACK sent on the connection's behalf meanwhile
+	// (ackSent), so the flush never duplicates one.
 	rxPendWake bool
 	rxAckOwed  bool
 
@@ -448,7 +448,7 @@ func (tp *tcpcb) wakeAll() {
 }
 
 // ackSent records that a segment acknowledging rcvNxt is leaving: no
-// delayed or batch-deferred ACK is owed any more.  Called with the
+// delayed or flush-deferred ACK is owed any more.  Called with the
 // stack lock held.
 func (tp *tcpcb) ackSent() {
 	tp.delack = false

@@ -10,7 +10,7 @@ import (
 // usually at interrupt level straight from the driver's Push.
 
 // tcpInput parses, validates, and processes one inbound segment.
-func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
+func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr) {
 	tlen := m.PktLen
 	m = m.Pullup(min(tlen, tcpHdrLen))
 	if m == nil {
@@ -101,7 +101,7 @@ func (s *Stack) tcpInput(m *Mbuf, src, dst IPAddr, ctx *rxCtx) {
 		s.tcpInputListen(tp, seg, src, sport, dst, dport)
 		return
 	}
-	s.tcpInputConn(tp, &seg, dataLen, ctx)
+	s.tcpInputConn(tp, &seg, dataLen)
 }
 
 func (s *Stack) respondToOrphan(src IPAddr, sport uint16, dst IPAddr, dport uint16, seg tcpSeg, dataLen int) {
@@ -170,7 +170,7 @@ func (s *Stack) tcpInputListen(lp *tcpcb, seg tcpSeg, src IPAddr, sport uint16, 
 
 // tcpInputConn is the established-path processing (simplified RFC 793 +
 // the BSD congestion machinery).  Called with the stack lock held.
-func (s *Stack) tcpInputConn(tp *tcpcb, seg *tcpSeg, dataLen int, ctx *rxCtx) {
+func (s *Stack) tcpInputConn(tp *tcpcb, seg *tcpSeg, dataLen int) {
 	// RST processing.
 	if seg.flags&thRST != 0 {
 		if seqGEQ(seg.seq, tp.rcvNxt-1) && seqLT(seg.seq, tp.rcvNxt+tp.rcvWindow()+1) {
@@ -273,7 +273,7 @@ func (s *Stack) tcpInputConn(tp *tcpcb, seg *tcpSeg, dataLen int, ctx *rxCtx) {
 
 	// Data processing.
 	if dataLen > 0 {
-		s.tcpReceiveData(tp, seg, ctx)
+		s.tcpReceiveData(tp, seg)
 	}
 
 	// FIN processing.
@@ -448,9 +448,9 @@ func (s *Stack) tcpProcessACK(tp *tcpcb, seg *tcpSeg) {
 
 // tcpReceiveData moves in-order data (and any newly contiguous
 // reassembly segments) into the receive buffer, or queues an
-// out-of-order segment, taking seg.m.  Called with the stack lock held;
-// ctx.pend belongs to the goroutine ingesting the batch.
-func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
+// out-of-order segment, taking seg.m.  Called with the stack lock held,
+// inside a receive entry whose rxFlush completes in-order data.
+func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg) {
 	dataLen := seg.m.PktLen
 	if seg.seq == tp.rcvNxt &&
 		(tp.state == tcpsEstablished || tp.state == tcpsFinWait1 || tp.state == tcpsFinWait2) {
@@ -476,24 +476,17 @@ func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
 			q.free()
 			tp.reass = tp.reass[1:]
 		}
-		if ctx != nil && ctx.batching {
-			// Batched delivery: defer the wakeup, and a due ACK, to the
-			// end-of-batch flush, one of each per connection.  Only the
-			// in-order path defers; duplicate ACKs (below) must stay
-			// immediate for fast retransmit.
-			if !tp.rxPendWake {
-				tp.rxPendWake = true
-				ctx.pend = append(ctx.pend, tp)
-			} else {
-				s.sc.rxAcksCoalesced.Inc()
-			}
-			tp.rxAckOwed = tp.rxAckOwed || due
-			return
+		// Defer the wakeup, and a due ACK, to the receive entry's
+		// rxFlush, one of each per connection.  Only the in-order path
+		// defers: duplicate and out-of-order ACKs (below) must stay
+		// immediate for fast retransmit.
+		if !tp.rxPendWake {
+			tp.rxPendWake = true
+			s.rxPend = append(s.rxPend, tp)
+		} else {
+			s.sc.rxAcksCoalesced.Inc()
 		}
-		s.g.Wakeup(tp.rcvBuf.event)
-		if due {
-			s.tcpRespondACK(tp)
-		}
+		tp.rxAckOwed = tp.rxAckOwed || due
 		return
 	}
 	if seqGT(seg.seq, tp.rcvNxt) {
@@ -532,9 +525,10 @@ func (s *Stack) tcpReceiveData(tp *tcpcb, seg *tcpSeg, ctx *rxCtx) {
 // tcpRespondACK sends a bare ACK reflecting the current receive state.
 // Called with the stack lock held.
 func (s *Stack) tcpRespondACK(tp *tcpcb) {
-	// Any ACK reflects the latest rcvNxt, so a delayed or batch-deferred
-	// ACK it would duplicate is no longer owed (FIN processing mid-batch,
-	// a dup-ACK for a stale segment).  The deferred *wakeup* stays owed.
+	// Any ACK reflects the latest rcvNxt, so a delayed or flush-deferred
+	// ACK it would duplicate is no longer owed (the FIN the same segment
+	// carries, a dup-ACK for a stale segment).  The deferred *wakeup*
+	// stays owed.
 	wnd := tp.rcvWindow()
 	if s.tcpRespond(tp.laddr, tp.lport, tp.faddr, tp.fport, tp.sndNxt, tp.rcvNxt, thACK, wnd) {
 		tp.ackSent()

@@ -105,7 +105,8 @@ func newSegPeer(t *testing.T) *segPeer {
 	return p
 }
 
-// inject delivers one segment the way a per-frame Push would.
+// inject delivers one segment the way a per-frame Push would: one lock
+// hold that ends with the receive entry's flush.
 func (p *segPeer) inject(seg []byte) {
 	p.t.Helper()
 	m := p.s.MGetHdr()
@@ -113,7 +114,8 @@ func (p *segPeer) inject(seg []byte) {
 		p.t.Fatal("mbuf exhausted")
 	}
 	p.s.mu.Enter()
-	p.s.tcpInput(m, fuzzPeer, fuzzIP, nil)
+	p.s.tcpInput(m, fuzzPeer, fuzzIP)
+	p.s.rxFlush()
 	p.s.mu.Leave()
 }
 
@@ -442,6 +444,11 @@ func TestImmediateACKs(t *testing.T) {
 		{"fin", func(*segPeer) {}, func(p *segPeer) {
 			p.inject(tcpSegment(segPeerPort, fuzzPort, p.seq, p.ack, thACK|thFIN, src[:100]))
 		}, 101},
+		// The data makes the delayed ACK due, and the FIN's own ACK
+		// carries it: one segment, not ack n then n+1.
+		{"due data carrying fin", func(p *segPeer) { p.data(0, src[:1000]) }, func(p *segPeer) {
+			p.inject(tcpSegment(segPeerPort, fuzzPort, p.seq+1000, p.ack, thACK|thFIN, src[1000:1100]))
+		}, 1101},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -456,34 +463,47 @@ func TestImmediateACKs(t *testing.T) {
 	}
 }
 
-// TestDelayedACKBatch: a PushBatch follows the per-frame policy and
-// defers only a due ACK to its flush — batches of one, two and three
-// in-order frames draw no ACK, one and one.
+// TestDelayedACKBatch: PushBatch and per-frame Push follow one policy
+// and differ only in how many frames one flush covers — one, two and
+// three in-order frames draw no ACK, one and one either way.  The
+// batch's ACK covers every byte; per frame, the second frame's does.
 func TestDelayedACKBatch(t *testing.T) {
 	for _, tc := range []struct{ frames, acks int }{{1, 0}, {2, 1}, {3, 1}} {
-		p := newSegPeer(t)
-		recv := &stackRecv{s: p.s}
-		recv.Init()
-		src := stream(1000 * tc.frames)
-		var pkts []com.BufIO
-		var sizes []uint
-		for off := 0; off < len(src); off += 1000 {
-			seg := tcpSegment(segPeerPort, fuzzPort, p.seq+uint32(off), p.ack, thACK, src[off:off+1000])
-			f := etherFrame(EtherTypeIP, ipDatagram(ProtoTCP, seg))
-			pkts = append(pkts, com.NewMemBuf(f))
-			sizes = append(sizes, uint(len(f)))
-		}
-		n := len(p.out)
-		if err := recv.PushBatch(pkts, sizes); err != nil {
-			t.Fatal(err)
-		}
-		recv.Release()
-		got := p.out[n:]
-		if len(got) != tc.acks || (tc.acks == 1 && got[0].ack != p.seq+uint32(len(src))) {
-			t.Errorf("a batch of %d in-order frames drew %+v, want %d ACK(s) of all %d bytes", tc.frames, got, tc.acks, len(src))
-		}
-		if got := p.drain(); !bytes.Equal(got, src) {
-			t.Errorf("batch of %d: delivered %d bytes, want the %d-byte stream intact", tc.frames, len(got), len(src))
+		for _, batch := range []bool{true, false} {
+			p := newSegPeer(t)
+			recv := &stackRecv{s: p.s}
+			recv.Init()
+			src := stream(1000 * tc.frames)
+			var pkts []com.BufIO
+			var sizes []uint
+			for off := 0; off < len(src); off += 1000 {
+				seg := tcpSegment(segPeerPort, fuzzPort, p.seq+uint32(off), p.ack, thACK, src[off:off+1000])
+				f := etherFrame(EtherTypeIP, ipDatagram(ProtoTCP, seg))
+				pkts = append(pkts, com.NewMemBuf(f))
+				sizes = append(sizes, uint(len(f)))
+			}
+			n := len(p.out)
+			path, acked := "a batch", len(src)
+			if batch {
+				if err := recv.PushBatch(pkts, sizes); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				path, acked = "per-frame Push", 2000
+				for i, pkt := range pkts {
+					if err := recv.Push(pkt, sizes[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			recv.Release()
+			got := p.out[n:]
+			if len(got) != tc.acks || (tc.acks == 1 && got[0].ack != p.seq+uint32(acked)) {
+				t.Errorf("%s of %d in-order frames drew %+v, want %d ACK(s) of %d bytes", path, tc.frames, got, tc.acks, acked)
+			}
+			if got := p.drain(); !bytes.Equal(got, src) {
+				t.Errorf("%s of %d: delivered %d bytes, want the %d-byte stream intact", path, tc.frames, len(got), len(src))
+			}
 		}
 	}
 }
