@@ -89,8 +89,11 @@ func TestRTCPRoundTripCounts(t *testing.T) {
 	if got, want := d["mbuf.allocs"], 8*rounds+2*sweeps; got > want {
 		t.Errorf("mbuf.allocs = %d, want at most 8 a round trip (%d)", got, want)
 	}
-	if got, want := d["kmalloc.allocs"], 4*rounds+2*sweeps; got > want {
-		t.Errorf("kmalloc.allocs = %d, want at most 4 a round trip (%d)", got, want)
+	// The driver allocates one buffer per frame it pops and none for an
+	// empty ring, and every segment is mapped, not flattened: one
+	// kmalloc per segment received.
+	if got, want := d["kmalloc.allocs"], 2*rounds+sweeps; got != want {
+		t.Errorf("kmalloc.allocs = %d, want exactly 2 a round trip plus 1 a sweep ACK (%d)", got, want)
 	}
 	// Only a sweep's ACK, sent while a segment is still live, can take
 	// a node one buffer past its warm-up high-water mark.
@@ -142,6 +145,13 @@ func TestTTCPWriteCounts(t *testing.T) {
 	if rd["xmit.flattened"] != 0 || rd["xmit.mapped"] != rd["tcp.segs_out"] {
 		t.Errorf("receiver mapped %d and flattened %d of its %d pure ACKs, want all mapped",
 			rd["xmit.mapped"], rd["xmit.flattened"], rd["tcp.segs_out"])
+	}
+	// The sender sends only data segments, and the receiver's driver
+	// allocates one buffer for each frame it pops and none for an
+	// interrupt that finds its ring empty.
+	if rd["kmalloc.allocs"] != sd["tcp.segs_out"] {
+		t.Errorf("receiver kmalloc.allocs = %d, want one per sender data segment (%d)",
+			rd["kmalloc.allocs"], sd["tcp.segs_out"])
 	}
 	if sd["xmit.flattened"] == 0 {
 		t.Error("no sender data segment was flattened: Table 1's send copy is gone from the stock path")

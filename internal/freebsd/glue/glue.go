@@ -6,7 +6,8 @@
 // It provides, over nothing but the kit's Env services:
 //
 //   - curproc manufactured on demand at each component entry point, one
-//     per thread, and saved across blocking calls (§4.7.5);
+//     per thread, kept by the thread until it leaves the component, so
+//     a block changes nothing about it (§4.7.5);
 //   - BSD's sleep/wakeup with its original event hash table design, each
 //     component instance getting its own private table, blocking bottoms
 //     out in one sleep record per sleeping process (§4.7.6);
@@ -80,9 +81,10 @@ type Glue struct {
 	// the component, on every machine: a thread that blocks in another
 	// component keeps its own even while others enter and sleep here.
 	// It is keyed by hw.GoID, which is unique only among live goroutines:
-	// every entry is deleted when its thread leaves the component
-	// (Enter's restore, SleepCommit), before the goroutine can exit
-	// and its identity be handed to another.
+	// Enter's restore is the one place an entry is erased, when its
+	// thread leaves the component, before the goroutine can exit and
+	// its identity be handed to another.  A sleeping thread keeps its
+	// entry: it can neither run nor exit until it is woken.
 	curMu     sync.Mutex
 	curprocs  map[uint64]*Proc //oskit:guardedby curMu  thread identity -> current process
 	nextPid   int              //oskit:guardedby curMu
@@ -159,18 +161,6 @@ func (g *Glue) curproc() *Proc {
 	return g.curprocs[hw.GoID()]
 }
 
-// setCurproc clears or restores thread id's current process, around a
-// block (§4.7.5) and on leaving the component.
-func (g *Glue) setCurproc(id uint64, p *Proc) {
-	g.curMu.Lock()
-	if p == nil {
-		delete(g.curprocs, id)
-	} else {
-		g.curprocs[id] = p
-	}
-	g.curMu.Unlock()
-}
-
 // --- spl emulation.
 //
 // Donor idiom: s := splnet(); …; splx(s).  Token 1 means "this call
@@ -212,7 +202,7 @@ func slpHash(event uint32) int { return int((event >> 3) % slpqueSize) }
 // at raised spl (interrupts disabled); the process is enqueued
 // atomically, interrupts are enabled *completely* while blocked, and the
 // call returns at the full spl depth it was entered at.  The current
-// process is saved across the block (§4.7.5).
+// process stays the thread's across the block (§4.7.5).
 func (g *Glue) Tsleep(event uint32, wmesg string) {
 	p := g.SleepPrepare(event, wmesg)
 	depth := g.env.Machine.Intr.DropAll()
@@ -256,12 +246,10 @@ func (g *Glue) SleepPrepare(event uint32, wmesg string) *Proc {
 
 // SleepCommit is the second half: it blocks until the wakeup.  The
 // caller must have dropped every lock it holds first, its component
-// lock included.
+// lock included.  The thread's current process is left in place: no
+// other thread reads it, and the sleeper cannot exit while blocked.
 func (g *Glue) SleepCommit(p *Proc) {
-	id := hw.GoID()
-	g.setCurproc(id, nil)
 	g.env.Sleep(p.rec)
-	g.setCurproc(id, p)
 	g.slpMu.Lock()
 	p.WChan = 0
 	p.WMesg = ""

@@ -94,7 +94,8 @@ func TestEnterAllocs(t *testing.T) {
 // TestCurprocSurvivesAnotherThreadsSleep is §4.7.5 across a sleep on one
 // CPU: thread A enters and blocks outside the glue (in another
 // component, say); thread B enters and sleeps here at raised spl.  A's
-// current process stays its own, while B sleeps and after B was woken.
+// current process stays its own, while B sleeps and after B was woken,
+// and B wakes with the process it entered with.
 func TestCurprocSurvivesAnotherThreadsSleep(t *testing.T) {
 	g := testGlueCPUs(t, 1)
 	const event = 0x2000
@@ -110,14 +111,17 @@ func TestCurprocSurvivesAnotherThreadsSleep(t *testing.T) {
 	}()
 	pA := <-entered
 
-	bDone := make(chan struct{})
+	bDone := make(chan [2]*Proc, 1)
 	go func() {
-		defer close(bDone)
+		var got [2]*Proc // B's curproc before and after its sleep
+		defer func() { bDone <- got }()
 		restore := g.Enter("B")
 		defer restore()
+		got[0] = g.curproc()
 		s := g.Splnet()
 		g.Tsleep(event, "B")
 		g.Splx(s)
+		got[1] = g.curproc()
 	}()
 	waitSleepers(t, g, event, 1)
 	resume <- struct{}{}
@@ -127,7 +131,9 @@ func TestCurprocSurvivesAnotherThreadsSleep(t *testing.T) {
 	s := g.Splnet()
 	g.Wakeup(event)
 	g.Splx(s)
-	<-bDone
+	if b := <-bDone; b[0] == nil || b[1] != b[0] {
+		t.Fatalf("B's curproc after its sleep = %+v, want %+v", b[1], b[0])
+	}
 	resume <- struct{}{}
 	if got := <-read; got != pA {
 		t.Fatalf("after B woke, A's curproc = %+v, want %+v", got, pA)

@@ -50,7 +50,9 @@ func (s *Stack) attachNativeTx(nic *hw.NIC) {
 }
 
 // nativeRxDrain empties one receive ring into the stack (interrupt
-// level, on whichever CPU the ring's line is routed to).
+// level, on whichever CPU the ring's line is routed to).  A frame it
+// has no mbuf or cluster for is dropped, as an oversize one is, and the
+// drain goes on: the ring is empty when it returns.
 func (s *Stack) nativeRxDrain(nic *hw.NIC, q int) {
 	for {
 		f := nic.RxPopOn(q)
@@ -59,17 +61,13 @@ func (s *Stack) nativeRxDrain(nic *hw.NIC, q int) {
 		}
 		m := s.MGetHdr()
 		if m == nil {
-			return
+			continue // no mbuf: drop
 		}
-		if len(f) > MHLEN && !m.MClGet() {
+		if len(f) > MHLEN && !m.MClGet() || len(f) > len(m.store)-m.off {
 			m.Free()
-			return
+			continue // no cluster, or larger than one: drop
 		}
 		// The copy here is the receive DMA into the cluster.
-		if len(f) > len(m.store)-m.off {
-			m.Free()
-			continue // larger than a cluster: drop
-		}
 		copy(m.store[m.off:], f)
 		m.len = len(f)
 		m.PktLen = len(f)

@@ -350,5 +350,6 @@ func (ic *IntrController) dispatch(c *cpuCtx, started chan<- struct{}) {
 // time — the runtime may hand a dead goroutine's identity to a new one —
 // so whoever stores an id must erase it before the goroutine it names
 // can exit: cliOwner is zeroed on release, a cpuCtx's dispatcher when its
-// goroutine exits, and freebsd/glue's curprocs entry on leave.
+// goroutine exits, and freebsd/glue's curprocs entry by Enter's restore
+// (a thread asleep in the glue keeps its entry, since it cannot exit).
 func GoID() uint64 { return goid() }

@@ -508,21 +508,8 @@ func (c *nicChip) TxFrame(frame []byte)  { c.nic.Transmit(frame) }
 // (the same single copy a contiguous transmit costs).
 func (c *nicChip) TxFrameGather(parts [][]byte) { c.nic.TransmitGather(parts) }
 
-// RxFrame is the PIO path: the frame is copied off the simulated card.
+// RxFrame pops the next frame off the simulated NIC's receive ring.
 func (c *nicChip) RxFrame() []byte { return c.nic.RxPop() }
-
-// RxFrameInto is the busmaster path: the "DMA engine" writes directly
-// into the caller's buffer.  A nil dst discards the frame.
-func (c *nicChip) RxFrameInto(dst []byte) int {
-	f := c.nic.RxPop()
-	if f == nil {
-		return 0
-	}
-	if dst == nil {
-		return len(f)
-	}
-	return copy(dst, f)
-}
 
 // diskChip adapts hw.Disk to legacy.DiskChip.  Request records are
 // recycled: one goes back to the free list when its completion is

@@ -28,16 +28,6 @@ func (c *fakeEther) RxFrame() []byte {
 	c.rxq = c.rxq[1:]
 	return f
 }
-func (c *fakeEther) RxFrameInto(dst []byte) int {
-	f := c.RxFrame()
-	if f == nil {
-		return 0
-	}
-	if dst == nil {
-		return len(f)
-	}
-	return copy(dst, f)
-}
 
 // driverKernel is testKernel plus IRQ bookkeeping and a direct map.
 func driverKernel() (*Kernel, map[int]func(int)) {
@@ -160,6 +150,59 @@ func TestS3C59XBusmasterPaths(t *testing.T) {
 		t.Fatal("no transmit")
 	}
 	_ = dev.Stop(dev)
+}
+
+// TestS3C59XAllocatesOnlyForFrames drives the 3c59x receive loop with a
+// counting Kmalloc: an interrupt on an empty ring allocates nothing, a
+// frame gets an skbuff of exactly its length, and a frame that finds no
+// memory is consumed and counted without stalling the ones behind it.
+func TestS3C59XAllocatesOnlyForFrames(t *testing.T) {
+	k, handlers := driverKernel()
+	chip := &fakeEther{vendor: s3c59xVendor, device: s3c59xDevice}
+	dev := S3C59XProbe(k, chip, 10, "eth1")
+	if err := dev.Open(dev); err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Stop(dev)
+	allocs, fail := 0, false
+	kmalloc := k.Kmalloc
+	k.Kmalloc = func(size uint32, gfp int) *KBuf {
+		if fail {
+			return nil
+		}
+		allocs++
+		return kmalloc(size, gfp)
+	}
+	var got []int
+	k.NetifRx = func(skb *SKBuff) {
+		got = append(got, skb.Len)
+		skb.Free()
+	}
+
+	handlers[10](10)
+	if allocs != 0 || len(got) != 0 {
+		t.Fatalf("empty ring: %d kmallocs, %d frames; want 0, 0", allocs, len(got))
+	}
+
+	chip.rxq = [][]byte{make([]byte, 60), make([]byte, 1514)}
+	handlers[10](10)
+	if allocs != 2 || len(got) != 2 || got[0] != 60 || got[1] != 1514 {
+		t.Fatalf("two frames: %d kmallocs, skbuff lengths %v; want 2, [60 1514]", allocs, got)
+	}
+
+	fail = true
+	chip.rxq = [][]byte{make([]byte, 60), make([]byte, 70)}
+	handlers[10](10)
+	if len(chip.rxq) != 0 || dev.Stats.RxDropped != 2 || len(got) != 2 {
+		t.Fatalf("no memory: %d frames left on the ring, RxDropped %d, %d delivered; want 0, 2, 2",
+			len(chip.rxq), dev.Stats.RxDropped, len(got))
+	}
+	fail = false
+	chip.rxq = [][]byte{make([]byte, 80)}
+	handlers[10](10)
+	if len(got) != 3 || got[2] != 80 || dev.Stats.RxPackets != 3 {
+		t.Fatalf("after the failure lifted: skbuff lengths %v, RxPackets %d", got, dev.Stats.RxPackets)
+	}
 }
 
 // fakeDisk is a scriptable DiskChip with synchronous completion.

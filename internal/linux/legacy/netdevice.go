@@ -53,14 +53,10 @@ type EtherChip interface {
 	MacAddr() [6]byte
 	// TxFrame hands one complete frame to the transmitter.
 	TxFrame(frame []byte)
-	// RxFrame copies the next received frame out of the chip's on-board
-	// ring into freshly returned memory (programmed-I/O style: the copy
-	// is inherent), or nil when the ring is empty.
+	// RxFrame pops the next received frame off the chip's receive ring,
+	// or returns nil when the ring is empty.  The frame is valid only
+	// until the next RxFrame; a driver copies it into an skbuff first.
 	RxFrame() []byte
-	// RxFrameInto has the chip deliver the next frame directly into
-	// host memory (busmaster-DMA style), returning its length, or 0
-	// when the ring is empty.
-	RxFrameInto(dst []byte) int
 }
 
 // GatherChip is the optional gather-DMA capability of an Ethernet

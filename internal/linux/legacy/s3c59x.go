@@ -2,9 +2,10 @@ package legacy
 
 import "encoding/binary"
 
-// s3c59x: the kit's 3Com-class donor driver.  Busmaster-DMA style: the
-// chip deposits received frames directly into pre-allocated skbuffs and
-// transmits straight out of packet memory, with no staging copies.
+// s3c59x: the kit's 3Com-class donor driver.  Busmaster-DMA style: it
+// reads the chip's receive status first, then copies each waiting frame
+// into an skbuff of exactly its length, and transmits straight out of
+// packet memory with no staging copy.
 //
 // This driver also carries the habit §4.7.8 warns about: it keeps its
 // descriptor ring in host memory and reaches it by *manufacturing a
@@ -90,29 +91,25 @@ func s3c59xStop(dev *NetDevice) error {
 	return nil
 }
 
-// s3c59xInterrupt lets the "DMA engine" fill fresh skbuffs directly: one
-// allocation per frame, no copy.
+// s3c59xInterrupt drains the receive ring as vortex_rx does: it pops a
+// frame before it allocates, so an empty ring costs nothing, and each
+// frame costs one allocation of exactly its length and one copy.
 func s3c59xInterrupt(dev *NetDevice) {
 	k := dev.Kern
 	priv := dev.Priv.(*s3c59xPriv)
 	for {
-		skb := k.AllocSKB(s3cRxBufSize)
+		frame := dev.Chip.RxFrame()
+		if frame == nil {
+			return
+		}
+		n := len(frame)
+		skb := k.AllocSKB(n)
 		if skb == nil {
-			// Out of buffer memory: let the ring overflow, counting
-			// what the chip discards.
-			if dev.Chip.RxFrameInto(nil) == 0 {
-				return
-			}
+			// Out of buffer memory: the frame is consumed and counted.
 			dev.Stats.RxDropped++
 			continue
 		}
-		skb.Put(s3cRxBufSize)
-		n := dev.Chip.RxFrameInto(skb.Data)
-		if n == 0 {
-			skb.Free()
-			return
-		}
-		skb.Trim(n)
+		copy(skb.Put(n), frame)
 		skb.Dev = dev
 		dev.Stats.RxPackets++
 		dev.Stats.RxBytes += uint64(n)

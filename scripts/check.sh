@@ -13,7 +13,7 @@ FUZZTIME="${1:-10s}"
 # The trajectory ratchet: the two figures ROADMAP steers by may fall but
 # not rise.  A PR that lowers one lowers its bound here in the same
 # change; the closing block fails the run when either is exceeded.
-MAX_LOC=28904
+MAX_LOC=28871
 MAX_WAIVERS=3
 
 echo "== tier-1: build (host, then the other getg stub and the stack-parsing fallback)"
